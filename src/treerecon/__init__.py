@@ -19,7 +19,6 @@ from .core import (
     world_to_pixel,
 )
 from .diffrender import (
-    GradBuffer,
     SoftConfig,
     default_soft_config,
     project_to_ground,

@@ -2,7 +2,8 @@
 
 Exit codes (stable scripting contract):
   0 success, 2 I/O failure, 3 empty or degenerate input,
-  4 input mismatch (specs, missing targets), 5 internal check failure.
+  4 input mismatch (specs, missing targets), 5 internal check failure or
+  invalid configuration value.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSun, MissingColors
+from .errors import InvalidConfig, InvalidSun, MissingColors
 
 CLASS_TRUNK = 0
 CLASS_FOLIAGE = 1
@@ -66,9 +66,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("grid must be at least 1x1")
+            raise InvalidConfig("grid must be at least 1x1")
         if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
+            raise InvalidConfig("pixel_size must be positive")
 
     @property
     def n_pixels(self) -> int:

@@ -1,13 +1,19 @@
 """Differentiable soft rasterizers with analytic position gradients.
 
 Each point splats a truncated Gaussian footprint g = exp(-d^2 / 2 sigma^2)
-onto nearby pixel centers (zero beyond trunc*sigma). Pixel values compose as:
+onto nearby pixel centers (zero beyond trunc*sigma). A pass first builds a
+compacted slot list: one row (point, flat pixel, dx, dy, g) per pixel that
+is on the grid and within the cutoff, ordered by point, then row, then
+column. Two cores compose the slots into pixels, each returning the
+predicted flat raster and its vector-Jacobian product (VJP):
 
-  silhouette / shadow:  O = 1 - prod_i (1 - alpha * g_i)      (soft or)
-  DSM:                  H = sum(w z) / (sum(w) + eps_ground),  w = g * exp(beta z)
+  soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i)
+  soft-max height (DSM):         H = sum(w z) / (sum(w) + eps_ground),  w = g * exp(beta z)
 
-The shadow renderer first slides each point along the sun ray to the ground
-plane; its z gradient flows through that projection's constant Jacobian.
+Pixel sums and per-point gradient sums are bincounts over the slot list.
+The public renderers are thin adapters over the two cores. The shadow
+renderer first slides each point along the sun ray to the ground plane;
+its z gradient flows through that projection's constant Jacobian.
 """
 from __future__ import annotations
 
@@ -52,192 +58,173 @@ def default_soft_config(pixel_size: float) -> SoftConfig:
     return SoftConfig(sigma=1.0 * pixel_size)
 
 
-@dataclass
-class GradBuffer:
-    """Per-point position gradients (N, 3)."""
+def _window(coord: np.ndarray, origin: float, size: int, ps: float, cut: float):
+    """Per point, a run of pixel centers along one axis that lies on the grid
+    and covers every center within `cut` of the point.
 
-    d_positions: np.ndarray
+    Returns the point's position in pixels from the run's start (N,), the
+    pixel indices (N, k) and the offsets point minus center (N, k).
+    """
+    reach = cut / ps
+    width = min(2 * math.ceil(reach) + 3, size) if math.isfinite(reach) else size
+    pos = (coord - origin) / ps
+    first = np.clip(np.round(pos) - (width - 1) // 2, 0, size - width)
+    idx = first[:, None] + np.arange(width)
+    return pos - first, idx, coord[:, None] - (origin + idx * ps)
 
-    def __post_init__(self):
-        self.d_positions = np.asarray(self.d_positions, dtype=np.float64).reshape(-1, 3)
 
-    @staticmethod
-    def zeros(n: int) -> "GradBuffer":
-        return GradBuffer(np.zeros((n, 3)))
+class _Slots:
+    """Compacted footprint slots of one point set: (point, flat pixel, dx, dy, g).
 
-
-class _Footprints:
-    """Per-point truncated Gaussian footprints on the pixel grid.
-
-    Holds, for every point, a (k x k) window of pixel indices, offsets to
-    pixel centers, and Gaussian weights g (zeroed outside the grid and the
-    truncation radius). Shared by the forward and backward passes.
+    Holds only slots on the grid and within trunc*sigma, ordered by point,
+    then pixel row, then pixel column. The Gaussian is separable: exp runs
+    once per (point, column) and once per (point, row), and g is the product.
     """
 
     def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
-        self.spec = spec
-        self.cfg = cfg
-        self.n = len(xy)
-        ps = spec.pixel_size
-        if math.isfinite(cfg.trunc):
-            r = int(np.ceil(cfg.trunc * cfg.sigma / ps)) + 1
-        else:
-            # untruncated: window must reach every grid pixel from any point
-            if self.n:
-                du = max(
-                    abs(xy[:, 0].min() - spec.origin_x),
-                    abs(xy[:, 0].max() - spec.origin_x - (spec.width - 1) * ps),
-                )
-                dv = max(
-                    abs(xy[:, 1].min() - spec.origin_y),
-                    abs(xy[:, 1].max() - spec.origin_y - (spec.height - 1) * ps),
-                )
-                r = int(np.ceil(max(du, dv) / ps)) + max(spec.width, spec.height)
-            else:
-                r = 1
-        if self.n * (2 * r + 1) ** 2 > 2e8:
-            raise MemoryError("soft rasterization window too large")
+        self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
+        ps, cut = spec.pixel_size, cfg.trunc * cfg.sigma
+        u, cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, ps, cut)
+        _, rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, ps, cut)
+        kx, ky = dx.shape[1], dy.shape[1]
+        dx2, dy2 = dx**2, dy**2
 
-        offsets = np.arange(-r, r + 1)
-        u = (xy[:, 0] - spec.origin_x) / ps
-        v = (xy[:, 1] - spec.origin_y) / ps
-        self.cols = np.round(u).astype(np.int64)[:, None, None] + offsets[None, None, :]
-        self.rows = np.round(v).astype(np.int64)[:, None, None] + offsets[None, :, None]
-        px = spec.origin_x + self.cols * ps
-        py = spec.origin_y + self.rows * ps
-        self.dx = xy[:, 0, None, None] - px  # point minus pixel center
-        self.dy = xy[:, 1, None, None] - py
-        d2 = self.dx**2 + self.dy**2
-        inside = (
-            (self.cols >= 0)
-            & (self.cols < spec.width)
-            & (self.rows >= 0)
-            & (self.rows < spec.height)
-        )
-        if math.isfinite(cfg.trunc):
-            inside &= d2 <= (cfg.trunc * cfg.sigma) ** 2
-        self.mask = inside
-        self.g = np.where(inside, np.exp(-d2 / (2.0 * cfg.sigma**2)), 0.0)
-        self.flat = np.where(inside, self.rows * spec.width + self.cols, 0)
+        # the window columns each (point, row) reaches, padded by one against
+        # rounding; r indexes (point, row) in dy, c indexes (point, column) in dx
+        half = np.sqrt(np.maximum(cut**2 - dy2, 0.0)) / ps
+        lo = np.maximum(np.ceil(u[:, None] - half) - 1, 0).ravel()
+        hi = np.minimum(np.floor(u[:, None] + half) + 1, kx - 1).ravel()
+        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        r = np.repeat(np.arange(len(count)), count)
+        point = r // ky
+        c = np.arange(len(r)) + (lo + count - np.cumsum(count)).astype(np.int64)[r] + point * kx
+        # the exact cutoff test
+        keep = np.flatnonzero(dx2.ravel()[c] + dy2.ravel()[r] <= cut**2)
+        r, c = r[keep], c[keep]
 
-    def scatter_sum(self, contrib: np.ndarray) -> np.ndarray:
-        """Sum per-(point, pixel) contributions into a flat pixel array."""
-        m = self.mask
-        return np.bincount(
-            self.flat[m], weights=contrib[m], minlength=self.spec.n_pixels
-        )
+        k = -0.5 / cfg.sigma**2
+        self.point = point[keep]
+        self.flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
+        self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
+        self.g = np.exp(k * dx2).ravel()[c] * np.exp(k * dy2).ravel()[r]
 
-    def gather(self, flat_pixels: np.ndarray) -> np.ndarray:
-        """Read a flat pixel array at every footprint slot (0 where masked)."""
-        return np.where(self.mask, flat_pixels[self.flat], 0.0)
+    def to_pixels(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-slot values into a flat pixel array."""
+        return np.bincount(self.flat, weights=values, minlength=self.n_pixels)
 
+    def to_points(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-slot values per point."""
+        return np.bincount(self.point, weights=values, minlength=self.n)
 
-def _check_spec(d_pixels: Grid, spec: GridSpec):
-    if d_pixels.spec != spec:
-        raise SpecMismatch("pixel gradient grid spec does not match render spec")
+    def xy_grad(self, dL_dlog_g: np.ndarray) -> np.ndarray:
+        """(N, 2) gradient from per-slot g * dL/dg; d(log g)/dxy = -(xy - c) / sigma^2."""
+        scale = dL_dlog_g / self.sigma**2
+        return -np.stack([self.to_points(scale * self.dx), self.to_points(scale * self.dy)], axis=1)
 
 
 # ---------------------------------------------------------------------------
-# soft-or occupancy (silhouette)
+# the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _occupancy_forward(fp: _Footprints):
-    """Returns (occupancy flat array, summed log(1 - alpha g) flat array)."""
-    a = fp.cfg.alpha
-    t = 1.0 - a * fp.g
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
+    s = _Slots(xy, spec, cfg)
+    t = 1.0 - cfg.alpha * s.g
     with np.errstate(divide="ignore"):
-        log_t = np.where(fp.mask, np.log(np.maximum(t, 0.0)), 0.0)
-    log_prod = fp.scatter_sum(log_t)
-    return 1.0 - np.exp(log_prod), log_prod
+        log_t = np.log(t)
+    log_prod = s.to_pixels(log_t)
+
+    def vjp(d_flat: np.ndarray) -> np.ndarray:
+        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j); divide the full product
+        # back out unless the factor is (near) zero, then recompute leave-one-out
+        with np.errstate(invalid="ignore"):
+            loo = np.exp(log_prod[s.flat] - log_t)
+        for i in np.flatnonzero(t < _LOO_FLOOR):
+            same = s.flat == s.flat[i]
+            same[i] = False
+            loo[i] = np.prod(t[same])
+        return s.xy_grad(d_flat[s.flat] * cfg.alpha * loo * s.g)
+
+    return 1.0 - np.exp(log_prod), vjp
 
 
-def _occupancy_backward(
-    fp: _Footprints, d_flat: np.ndarray, log_prod: np.ndarray | None = None
-) -> np.ndarray:
-    """d(loss)/d(xy) per point, shape (N, 2), for the soft-or composition."""
-    a = fp.cfg.alpha
-    t = 1.0 - a * fp.g
-    if log_prod is None:
-        _, log_prod = _occupancy_forward(fp)
-    # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j); divide the full product
-    # back out unless the factor is (near) zero, then recompute leave-one-out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loo = np.exp(fp.gather(log_prod) - np.where(fp.mask, np.log(t), 0.0))
-    hit = fp.mask & (t < _LOO_FLOOR)
-    if np.any(hit):
-        loo[~fp.mask] = 0.0
-        for i, wi, wj in zip(*np.nonzero(hit)):
-            pix = fp.flat[i, wi, wj]
-            same = fp.mask & (fp.flat == pix)
-            same[i, wi, wj] = False
-            loo[i, wi, wj] = np.prod(t[same])
-    loo = np.where(fp.mask, loo, 0.0)
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
+    s = _Slots(positions[:, :2], spec, cfg)
+    z = positions[s.point, 2]
+    w = s.g * np.exp(cfg.beta * positions[:, 2])[s.point]
+    denom = s.to_pixels(w) + cfg.eps_ground
+    h = s.to_pixels(w * z) / denom
 
-    # dL/dg = d_pixel * alpha * loo; dg/dxy = -g * (xy - c) / sigma^2
-    dL_dg = fp.gather(d_flat) * a * loo
-    scale = dL_dg * fp.g / fp.cfg.sigma**2
-    gx = -(scale * fp.dx).sum(axis=(1, 2))
-    gy = -(scale * fp.dy).sum(axis=(1, 2))
-    return np.stack([gx, gy], axis=1)
+    def vjp(d_flat: np.ndarray) -> np.ndarray:
+        d = d_flat[s.flat]
+        inv_denom = (1.0 / denom)[s.flat]
+        # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
+        # and z (through exp), and z also enters the numerator directly
+        dH_dw = (z - h[s.flat]) * inv_denom
+        gz = s.to_points(d * (w * inv_denom + dH_dw * cfg.beta * w))
+        return np.column_stack([s.xy_grad(d * dH_dw * w), gz])
+
+    return h, vjp
+
+
+# ---------------------------------------------------------------------------
+# public renderers: adapters over the two cores
+
+
+def _grid(spec: GridSpec, flat: np.ndarray) -> Grid:
+    return Grid(spec, flat.reshape(spec.height, spec.width))
+
+
+def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
+    if d_pixels.spec != spec:
+        raise SpecMismatch("pixel gradient grid spec does not match render spec")
+    return d_pixels.values.reshape(-1)
+
+
+def occupancy_forward_backward(
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-or pass over (N, 2) points: returns (pred_flat, (N, 2) gradients).
+
+    d_flat_of_pred maps the predicted flat pixel array to the per-pixel
+    loss gradient, letting the caller compute its loss in between.
+    """
+    pred, vjp = _soft_or(xy, spec, cfg)
+    return pred, vjp(d_flat_of_pred(pred))
+
+
+def dsm_forward_backward(
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-DSM pass over (N, 3) points: returns (pred_flat, (N, 3) gradients)."""
+    pred, vjp = _soft_max_height(positions, spec, cfg)
+    return pred, vjp(d_flat_of_pred(pred))
 
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    fp = _Footprints(cloud.positions[:, :2], spec, cfg)
-    occ, _ = _occupancy_forward(fp)
-    return Grid(spec, occ.reshape(spec.height, spec.width))
+    return _grid(spec, _soft_or(cloud.positions[:, :2], spec, cfg)[0])
 
 
 def soft_silhouette_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> GradBuffer:
-    """Backprop pixel gradients to point positions; z gradient is zero."""
-    _check_spec(d_pixels, spec)
-    fp = _Footprints(cloud.positions[:, :2], spec, cfg)
-    gxy = _occupancy_backward(fp, d_pixels.values.reshape(-1))
-    grad = np.zeros((len(cloud), 3))
-    grad[:, :2] = gxy
-    return GradBuffer(grad)
-
-
-# ---------------------------------------------------------------------------
-# soft DSM
+) -> np.ndarray:
+    """Backprop pixel gradients to (N, 3) point gradients; the z gradient is zero."""
+    gxy = _soft_or(cloud.positions[:, :2], spec, cfg)[1](_flat(d_pixels, spec))
+    return np.column_stack([gxy, np.zeros(len(cloud))])
 
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    fp = _Footprints(cloud.positions[:, :2], spec, cfg)
-    z = cloud.positions[:, 2]
-    w = fp.g * np.exp(cfg.beta * z)[:, None, None]
-    wsum = fp.scatter_sum(w)
-    wzsum = fp.scatter_sum(w * z[:, None, None])
-    h = wzsum / (wsum + cfg.eps_ground)
-    return Grid(spec, h.reshape(spec.height, spec.width))
+    return _grid(spec, _soft_max_height(cloud.positions, spec, cfg)[0])
 
 
 def soft_dsm_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> GradBuffer:
-    """Quotient-rule gradients of the soft DSM in x, y, and z."""
-    _check_spec(d_pixels, spec)
-    fp = _Footprints(cloud.positions[:, :2], spec, cfg)
-    z = cloud.positions[:, 2]
-    w = fp.g * np.exp(cfg.beta * z)[:, None, None]
-    wsum = fp.scatter_sum(w)
-    wzsum = fp.scatter_sum(w * z[:, None, None])
-    denom = wsum + cfg.eps_ground
-    h = wzsum / denom
-
-    d = fp.gather(d_pixels.values.reshape(-1))
-    inv_denom = fp.gather(1.0 / denom)
-    # dH/dw = (z - H) / denom; w varies with x, y (through g) and z (through exp)
-    dH_dw = (z[:, None, None] - fp.gather(h)) * inv_denom
-    common = d * dH_dw * w / fp.cfg.sigma**2
-    gx = -(common * fp.dx).sum(axis=(1, 2))
-    gy = -(common * fp.dy).sum(axis=(1, 2))
-    # z enters the numerator directly and w through exp(beta z)
-    gz = (d * (w * inv_denom + dH_dw * cfg.beta * w)).sum(axis=(1, 2))
-    return GradBuffer(np.stack([gx, gy, gz], axis=1))
+) -> np.ndarray:
+    """Quotient-rule (N, 3) gradients of the soft DSM in x, y, and z."""
+    return _soft_max_height(cloud.positions, spec, cfg)[1](_flat(d_pixels, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -262,59 +249,12 @@ def soft_shadow(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig
 ) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    xy, _ = project_to_ground(cloud, sun)
-    fp = _Footprints(xy, spec, cfg)
-    occ, _ = _occupancy_forward(fp)
-    return Grid(spec, occ.reshape(spec.height, spec.width))
+    return _grid(spec, _soft_or(project_to_ground(cloud, sun)[0], spec, cfg)[0])
 
 
 def soft_shadow_backward(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> GradBuffer:
-    """Silhouette backward chained through the ground projection Jacobian."""
-    _check_spec(d_pixels, spec)
+) -> np.ndarray:
+    """Soft-or backward chained through the ground projection Jacobian."""
     xy, jac = project_to_ground(cloud, sun)
-    fp = _Footprints(xy, spec, cfg)
-    gxy = _occupancy_backward(fp, d_pixels.values.reshape(-1))
-    return GradBuffer(gxy @ jac)
-
-
-# ---------------------------------------------------------------------------
-# fused single-footprint forward+backward paths (used by the combined loss)
-
-
-def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-footprint occupancy pass: returns (pred_flat, d(xy) gradients).
-
-    d_flat_of_pred maps the predicted flat pixel array to the per-pixel
-    loss gradient, letting the caller compute its loss in between.
-    """
-    fp = _Footprints(xy, spec, cfg)
-    occ, log_prod = _occupancy_forward(fp)
-    d_flat = d_flat_of_pred(occ)
-    return occ, _occupancy_backward(fp, d_flat, log_prod)
-
-
-def dsm_forward_backward(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-footprint soft-DSM pass: returns (pred_flat, (N, 3) gradients)."""
-    fp = _Footprints(positions[:, :2], spec, cfg)
-    z = positions[:, 2]
-    w = fp.g * np.exp(cfg.beta * z)[:, None, None]
-    wsum = fp.scatter_sum(w)
-    wzsum = fp.scatter_sum(w * z[:, None, None])
-    denom = wsum + cfg.eps_ground
-    h = wzsum / denom
-    d_flat = d_flat_of_pred(h)
-
-    d = fp.gather(d_flat)
-    inv_denom = fp.gather(1.0 / denom)
-    dH_dw = (z[:, None, None] - fp.gather(h)) * inv_denom
-    common = d * dH_dw * w / cfg.sigma**2
-    gx = -(common * fp.dx).sum(axis=(1, 2))
-    gy = -(common * fp.dy).sum(axis=(1, 2))
-    gz = (d * (w * inv_denom + dH_dw * cfg.beta * w)).sum(axis=(1, 2))
-    return h, np.stack([gx, gy, gz], axis=1)
+    return _soft_or(xy, spec, cfg)[1](_flat(d_pixels, spec)) @ jac

@@ -9,8 +9,8 @@ class InvalidSun(TreeReconError):
     pass
 
 
-class InvalidConfig(TreeReconError):
-    pass
+class InvalidConfig(TreeReconError, ValueError):
+    """A configuration value out of its valid range."""
 
 
 class MissingColors(TreeReconError):

@@ -188,7 +188,7 @@ def run_gradcheck(
             lambda p: float(
                 (soft_silhouette(PointCloud(p), spec, cfg).values * d_pix.values).sum()
             ),
-            soft_silhouette_backward(cloud, spec, cfg, d_pix).d_positions,
+            soft_silhouette_backward(cloud, spec, cfg, d_pix),
             mask_sil,
         )
         check(
@@ -196,7 +196,7 @@ def run_gradcheck(
             lambda p: float(
                 (soft_dsm(PointCloud(p), spec, cfg).values * d_pix.values).sum()
             ),
-            soft_dsm_backward(cloud, spec, cfg, d_pix).d_positions,
+            soft_dsm_backward(cloud, spec, cfg, d_pix),
             mask_sil,
         )
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
@@ -205,14 +205,14 @@ def run_gradcheck(
             lambda p: float(
                 (soft_shadow(PointCloud(p), sun, spec, cfg).values * d_pix.values).sum()
             ),
-            soft_shadow_backward(cloud, sun, spec, cfg, d_pix).d_positions,
+            soft_shadow_backward(cloud, sun, spec, cfg, d_pix),
             mask_sh,
         )
         mask_ch = chamfer_mask(cloud, gt, h)
         check(
             "chamfer",
             lambda p: chamfer(PointCloud(p), gt)[0],
-            chamfer(cloud, gt)[1].d_positions,
+            chamfer(cloud, gt)[1],
             mask_ch,
         )
 
@@ -229,7 +229,7 @@ def run_gradcheck(
             lambda p: combined_loss(
                 PointCloud(p), targets, sun, spec, cfg, weights
             )[0],
-            grad.d_positions,
+            grad,
             mask_sil & mask_sh & mask_ch,
         )
 

@@ -13,13 +13,12 @@ from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .diffrender import (
-    GradBuffer,
     SoftConfig,
     dsm_forward_backward,
     occupancy_forward_backward,
     project_to_ground,
 )
-from .errors import EmptyCloud, MissingTarget, SpecMismatch
+from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 
@@ -34,9 +33,9 @@ class LossWeights:
     def __post_init__(self):
         vals = (self.lambda_geo, self.lambda_sil, self.lambda_shadow, self.lambda_dsm)
         if any(v < 0 for v in vals):
-            raise ValueError("loss weights must be nonnegative")
+            raise InvalidConfig("loss weights must be nonnegative")
         if all(v == 0 for v in vals):
-            raise ValueError("at least one loss weight must be positive")
+            raise InvalidConfig("at least one loss weight must be positive")
 
 
 def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -45,8 +44,8 @@ def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return idx
 
 
-def chamfer(a: PointCloud, b: PointCloud) -> tuple[float, GradBuffer]:
-    """Symmetric mean squared nearest-neighbor distance and its gradient in a.
+def chamfer(a: PointCloud, b: PointCloud) -> tuple[float, np.ndarray]:
+    """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
 
     Squared distances are recomputed from coordinates after the KD-tree
     lookup so the value matches a brute-force evaluation exactly.
@@ -62,7 +61,7 @@ def chamfer(a: PointCloud, b: PointCloud) -> tuple[float, GradBuffer]:
 
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad, ib, 2.0 * (pa[ib] - pb) / len(pb))
-    return float(value), GradBuffer(grad)
+    return float(value), grad
 
 
 def raster_l2(pred: Grid, target: Grid) -> tuple[float, Grid]:
@@ -92,8 +91,8 @@ def combined_loss(
     soft_cfg: SoftConfig,
     weights: LossWeights,
     h_norm: float = H_NORM,
-) -> tuple[float, GradBuffer, dict[str, float]]:
-    """Weighted sum of the active loss terms with its total position gradient.
+) -> tuple[float, np.ndarray, dict[str, float]]:
+    """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/h_norm^2 normalization).
@@ -120,7 +119,7 @@ def combined_loss(
         v, g = chamfer(cloud, targets.gt_cloud)
         breakdown["geo"] = v
         total += weights.lambda_geo * v
-        grad += weights.lambda_geo * g.d_positions
+        grad += weights.lambda_geo * g
 
     if weights.lambda_sil > 0:
         if targets.silhouette is None:
@@ -162,4 +161,4 @@ def combined_loss(
         total += weights.lambda_dsm * out["value"]
         grad += weights.lambda_dsm * g3
 
-    return total, GradBuffer(grad), breakdown
+    return total, grad, breakdown

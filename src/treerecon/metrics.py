@@ -5,9 +5,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, PointCloud, Rng, RgbGrid
-from .errors import EmptyCloud, EmptyFootprint
+from .errors import EmptyCloud, InvalidConfig
 from .losses import chamfer
-from .reconstruct import _recolor
+from .reconstruct import _recolor, sample_footprint
 
 DEFAULT_TAU = 0.5  # meters
 
@@ -23,7 +23,7 @@ def fscore(
 ) -> tuple[float, float, float]:
     """(precision, recall, f) at match radius tau; recall is 'coverage'."""
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise InvalidConfig("tau must be positive")
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
     d_pred, _ = cKDTree(gt.positions).query(pred.positions)
@@ -42,16 +42,7 @@ def baseline_extrude(
     Same footprint sampling as the optimizer's initialization, but z is
     pinned to the DSM height at the pixel -- a shell with no crown interior.
     """
-    mass = silhouette.values.reshape(-1)
-    total = mass.sum()
-    if total <= 0:
-        raise EmptyFootprint("silhouette has no positive pixels")
-    spec = dsm.spec
-    flat = rng.choice(spec.n_pixels, size=n_points, p=mass / total)
-    row, col = flat // spec.width, flat % spec.width
-    ps = spec.pixel_size
-    x = spec.origin_x + col * ps + rng.uniform(-0.5, 0.5, n_points) * ps
-    y = spec.origin_y + row * ps + rng.uniform(-0.5, 0.5, n_points) * ps
+    x, y, flat = sample_footprint(silhouette, n_points, rng)
     z = dsm.values.reshape(-1)[flat]
     positions = np.stack([x, y, z], axis=1)
     return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))

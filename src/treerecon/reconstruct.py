@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, world_to_pixel
 from .diffrender import SoftConfig, default_soft_config
-from .errors import EmptyFootprint, MissingTarget, SpecMismatch
+from .errors import EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from .losses import H_NORM, LossTargets, LossWeights, combined_loss
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
@@ -35,13 +35,13 @@ class OptimConfig:
 
     def __post_init__(self):
         if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+            raise InvalidConfig("n_points must be >= 1")
         if self.iters < 0:
-            raise ValueError("iters must be >= 0")
+            raise InvalidConfig("iters must be >= 0")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise InvalidConfig("lr must be positive")
         if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+            raise InvalidConfig("log_every must be >= 1")
 
 
 @dataclass
@@ -86,27 +86,37 @@ def _recolor(positions: np.ndarray, ortho: RgbGrid, dsm: Grid) -> np.ndarray:
     return base * scale[:, None]
 
 
-def init_cloud(
-    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: Rng
-) -> PointCloud:
-    """Seed points inside the silhouette footprint, spread through the volume.
+def sample_footprint(
+    silhouette: Grid, n_points: int, rng: Rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, flat pixel index) of points drawn inside the silhouette footprint.
 
-    Pixels are chosen proportionally to silhouette mass, (x, y) jittered
-    within the pixel, and z drawn uniformly in [0.2 H, H] where H is the
-    DSM height there.
+    Pixels are chosen proportionally to silhouette mass and (x, y) jittered
+    within the pixel; the draws run in that order (pixel, x, y).
     """
     mass = silhouette.values.reshape(-1)
     total = mass.sum()
     if total <= 0:
         raise EmptyFootprint("silhouette has no positive pixels")
-    spec = dsm.spec
+    spec = silhouette.spec
     flat = rng.choice(spec.n_pixels, size=n_points, p=mass / total)
     row, col = flat // spec.width, flat % spec.width
     ps = spec.pixel_size
     x = spec.origin_x + col * ps + rng.uniform(-0.5, 0.5, n_points) * ps
     y = spec.origin_y + row * ps + rng.uniform(-0.5, 0.5, n_points) * ps
-    h = dsm.values.reshape(-1)[flat]
-    z = h * rng.uniform(0.2, 1.0, n_points)
+    return x, y, flat
+
+
+def init_cloud(
+    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: Rng
+) -> PointCloud:
+    """Seed points inside the silhouette footprint, spread through the volume.
+
+    After sample_footprint, z is drawn uniformly in [0.2 H, H] where H is
+    the DSM height at the point's pixel.
+    """
+    x, y, flat = sample_footprint(silhouette, n_points, rng)
+    z = dsm.values.reshape(-1)[flat] * rng.uniform(0.2, 1.0, n_points)
     positions = np.stack([x, y, z], axis=1)
     return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
 
@@ -188,7 +198,7 @@ def reconstruct(
     state = AdamState.zeros(positions.shape)
     for t in range(1, cfg.iters + 1):
         positions = adam_step(
-            state, positions, grad.d_positions, cfg.lr,
+            state, positions, grad, cfg.lr,
             cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
         )
         positions[:, 2] = np.maximum(positions[:, 2], 0.0)

@@ -255,7 +255,7 @@ def test_criterion_8_invariant_battery():
         pred, targets, scene.sun, scene.spec, cfg, LossWeights(2, 2, 1, 2)
     )
     ok &= v1 >= 0 and abs(v2 - 2 * v1) <= 1e-12 * max(1.0, abs(v2))
-    ok &= bool(np.all(np.abs(g2.d_positions - 2 * g1.d_positions) <= 1e-15))
+    ok &= bool(np.all(np.abs(g2 - 2 * g1) <= 1e-15))
     notes.append("loss nonneg + linear in weights")
 
     # skeleton connectivity and point-budget exactness

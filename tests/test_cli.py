@@ -139,6 +139,34 @@ class TestEval:
         assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--points", "0"],
+        ["reconstruct", "--iters", "-1"],
+        ["reconstruct", "--lr", "0"],
+        ["reconstruct", "--log-every", "0"],
+        ["reconstruct", "--lambda-geo", "0", "--lambda-sil", "0",
+         "--lambda-shadow", "0", "--lambda-dsm", "0"],
+        ["eval", "--tau", "0"],
+        ["generate", "--grid-size", "0"],
+        ["generate", "--pixel-size", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys):
+    inputs = {
+        "reconstruct": ["--manifest", str(scene_dir / "manifest.json"),
+                        "--out", str(tmp_path / "r.ply")],
+        "eval": ["--pred", str(scene_dir / "gt.ply"), "--gt", str(scene_dir / "gt.ply")],
+        "generate": ["--count", "1", "--out", str(tmp_path / "g")],
+    }
+    rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestGradcheck:
     def test_small_run_passes(self, capsys):
         assert main(["gradcheck", "--trials", "3", "--seed", "1"]) == 0

@@ -4,7 +4,11 @@ import pytest
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
 from treerecon.diffrender import (
+    _LOO_FLOOR,
     SoftConfig,
+    _Slots,
+    dsm_forward_backward,
+    occupancy_forward_backward,
     project_to_ground,
     soft_dsm,
     soft_dsm_backward,
@@ -36,6 +40,33 @@ def fd_check(f, grad, x, sigma, rel_tol=1e-3):
     assert np.all(err <= rel_tol * ref), f"max rel err {np.max(err / ref):.3e}"
 
 
+class TestSlots:
+    @pytest.mark.parametrize(
+        "sigma, trunc", [(1.0, 3.0), (0.7, 2.5), (1.3, 1.0), (1.0, np.inf)]
+    )
+    def test_match_a_dense_scan_of_the_grid(self, sigma, trunc):
+        # points on and off the grid, one exactly on a pixel center (a cutoff
+        # of whole pixels then lands exactly on other centers)
+        rng = np.random.default_rng(15)
+        xy = np.vstack([rng.uniform(-13.0, 13.0, (40, 2)), [[0.0, 0.0], [10.0, -10.0]]])
+        cfg = SoftConfig(sigma=sigma, trunc=trunc)
+        s = _Slots(xy, SPEC, cfg)
+
+        xs, ys = SPEC.pixel_centers()
+        dx = xy[:, 0, None, None] - xs[None, None, :]
+        dy = xy[:, 1, None, None] - ys[None, :, None]
+        d2 = dx**2 + dy**2
+        point, row, col = np.nonzero(d2 <= (trunc * sigma) ** 2)
+        assert np.array_equal(s.point, point)
+        assert np.array_equal(s.flat, row * SPEC.width + col)
+        assert np.array_equal(s.dx, dx[point, 0, col])
+        assert np.array_equal(s.dy, dy[point, row, 0])
+        arg = d2[point, row, col] / (2.0 * sigma**2)
+        g = np.exp(-arg)
+        # exp(-a) * exp(-b) vs exp(-(a + b)): a few ulp of the argument apart
+        assert np.all(np.abs(s.g - g) <= 4 * np.finfo(float).eps * (1.0 + arg) * g)
+
+
 class TestSoftSilhouette:
     def test_empty_cloud_all_zero(self):
         out = soft_silhouette(cloud(np.zeros((0, 3))), SPEC, SoftConfig(sigma=1.0))
@@ -58,7 +89,7 @@ class TestSoftSilhouette:
         g = soft_silhouette_backward(
             random_cloud(1), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
         )
-        assert not g.d_positions.any()
+        assert not g.any()
 
     def test_symmetric_point_has_zero_grad(self):
         d = Grid.zeros(SPEC)
@@ -66,7 +97,7 @@ class TestSoftSilhouette:
         g = soft_silhouette_backward(
             cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0), d
         )
-        np.testing.assert_allclose(g.d_positions[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(g[0], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         cfg = SoftConfig(sigma=1.1, alpha=0.8, trunc=np.inf)
@@ -79,7 +110,25 @@ class TestSoftSilhouette:
                 (soft_silhouette(PointCloud(positions=x), SPEC, cfg).values * d.values).sum()
             )
 
-        grad = soft_silhouette_backward(c, SPEC, cfg, d).d_positions
+        grad = soft_silhouette_backward(c, SPEC, cfg, d)
+        fd_check(f, grad, c.positions, cfg.sigma)
+
+    def test_opaque_hit_uses_leave_one_out_product(self):
+        # alpha = 1 and a point exactly on a pixel center make 1 - alpha*g zero
+        # there, so the gradient cannot divide that factor back out
+        cfg = SoftConfig(sigma=1.0, alpha=1.0, trunc=np.inf)
+        c = cloud([[0, 0, 3], [0.6, -0.3, 2], [-0.4, 0.7, 4], [0.9, 0.8, 1]])
+        s = _Slots(c.positions[:, :2], SPEC, cfg)
+        assert np.count_nonzero(1.0 - cfg.alpha * s.g < _LOO_FLOOR) == 1
+        d = Grid(SPEC, np.random.default_rng(12).normal(size=(21, 21)))
+
+        def f(x):
+            return float(
+                (soft_silhouette(PointCloud(positions=x), SPEC, cfg).values * d.values).sum()
+            )
+
+        grad = soft_silhouette_backward(c, SPEC, cfg, d)
+        assert np.all(np.isfinite(grad))
         fd_check(f, grad, c.positions, cfg.sigma)
 
 
@@ -105,13 +154,13 @@ class TestSoftDsm:
         g = soft_dsm_backward(
             random_cloud(4), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
         )
-        assert not g.d_positions.any()
+        assert not g.any()
 
     def test_z_grad_positive_at_single_sample_pixel(self):
         d = Grid.zeros(SPEC)
         d.values[10, 10] = 1.0
         g = soft_dsm_backward(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0), d)
-        assert g.d_positions[0, 2] > 0
+        assert g[0, 2] > 0
 
     def test_matches_finite_differences(self):
         cfg = SoftConfig(sigma=0.9, beta=1.5, trunc=np.inf)
@@ -124,7 +173,7 @@ class TestSoftDsm:
                 (soft_dsm(PointCloud(positions=x), SPEC, cfg).values * d.values).sum()
             )
 
-        grad = soft_dsm_backward(c, SPEC, cfg, d).d_positions
+        grad = soft_dsm_backward(c, SPEC, cfg, d)
         fd_check(f, grad, c.positions, cfg.sigma)
 
 
@@ -165,7 +214,7 @@ class TestSoftShadow:
         g = soft_shadow_backward(
             c, SunConfig(100.0, 40.0), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
         )
-        assert g.d_positions.shape == (0, 3)
+        assert g.shape == (0, 3)
 
     def test_z_grads_match_finite_differences(self):
         cfg = SoftConfig(sigma=1.0, alpha=0.85, trunc=np.inf)
@@ -179,7 +228,7 @@ class TestSoftShadow:
                 (soft_shadow(PointCloud(positions=x), sun, SPEC, cfg).values * d.values).sum()
             )
 
-        grad = soft_shadow_backward(c, sun, SPEC, cfg, d).d_positions
+        grad = soft_shadow_backward(c, sun, SPEC, cfg, d)
         fd_check(f, grad, c.positions, cfg.sigma)
 
 
@@ -198,3 +247,34 @@ class TestSoftConfigValidation:
     def test_rejects_bad_constants(self, kwargs):
         with pytest.raises(ValueError):
             SoftConfig(**kwargs)
+
+
+class TestAdaptersAgree:
+    """The standalone renderers and the fused passes the loss runs are one path."""
+
+    def setup_method(self):
+        self.cfg = SoftConfig(sigma=1.1, alpha=0.85)
+        self.c = random_cloud(13, 40)
+        self.d = Grid(SPEC, np.random.default_rng(14).normal(size=(21, 21)))
+        self.d_of_pred = lambda pred: self.d.values.reshape(-1)
+
+    def test_silhouette(self):
+        pred, gxy = occupancy_forward_backward(
+            self.c.positions[:, :2], SPEC, self.cfg, self.d_of_pred
+        )
+        assert np.array_equal(pred, soft_silhouette(self.c, SPEC, self.cfg).values.reshape(-1))
+        grad = soft_silhouette_backward(self.c, SPEC, self.cfg, self.d)
+        assert np.array_equal(gxy, grad[:, :2])
+
+    def test_dsm(self):
+        pred, g3 = dsm_forward_backward(self.c.positions, SPEC, self.cfg, self.d_of_pred)
+        assert np.array_equal(pred, soft_dsm(self.c, SPEC, self.cfg).values.reshape(-1))
+        assert np.array_equal(g3, soft_dsm_backward(self.c, SPEC, self.cfg, self.d))
+
+    def test_shadow(self):
+        sun = SunConfig(150.0, 50.0)
+        xy, jac = project_to_ground(self.c, sun)
+        pred, gxy = occupancy_forward_backward(xy, SPEC, self.cfg, self.d_of_pred)
+        shadow = soft_shadow(self.c, sun, SPEC, self.cfg).values.reshape(-1)
+        assert np.array_equal(pred, shadow)
+        assert np.array_equal(gxy @ jac, soft_shadow_backward(self.c, sun, SPEC, self.cfg, self.d))

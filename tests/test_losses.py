@@ -32,12 +32,12 @@ class TestChamfer:
         a = random_cloud(0, 30)
         v, g = chamfer(a, a)
         assert v == 0.0
-        assert not g.d_positions.any()
+        assert not g.any()
 
     def test_two_singletons(self):
         v, g = chamfer(cloud([0, 0, 0]), cloud([1, 0, 0]))
         assert v == 2.0
-        np.testing.assert_allclose(g.d_positions[0], [-4.0, 0.0, 0.0])
+        np.testing.assert_allclose(g[0], [-4.0, 0.0, 0.0])
 
     def test_matches_brute_force(self):
         for seed in range(20):
@@ -46,7 +46,7 @@ class TestChamfer:
             v, g = chamfer(a, b)
             assert abs(v - brute_chamfer(a.positions, b.positions)) <= 1e-12
             np.testing.assert_allclose(
-                g.d_positions,
+                g,
                 brute_chamfer_grad(a.positions, b.positions),
                 atol=1e-12,
             )
@@ -60,7 +60,7 @@ class TestChamfer:
             return brute_chamfer(x, b.positions)
 
         fd = finite_diff(f, a.positions, 1e-5)
-        np.testing.assert_allclose(g.d_positions, fd, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCloud):
@@ -111,7 +111,7 @@ class TestCombinedLoss:
             self.pred, LossTargets(silhouette=sil), None, SPEC, self.cfg, w
         )
         assert v == 0.0
-        assert not g.d_positions.any()
+        assert not g.any()
 
     def test_weight_linearity(self):
         w1 = LossWeights(1.0, 1.0, 0.5, 1.0)
@@ -119,7 +119,7 @@ class TestCombinedLoss:
         v1, g1, _ = combined_loss(self.pred, self.targets, self.sun, SPEC, self.cfg, w1)
         v2, g2, _ = combined_loss(self.pred, self.targets, self.sun, SPEC, self.cfg, w2)
         assert abs(v2 - 2.0 * v1) <= 1e-12 * max(1.0, abs(v2))
-        np.testing.assert_allclose(g2.d_positions, 2.0 * g1.d_positions, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g2, 2.0 * g1, rtol=0, atol=1e-15)
 
     def test_grad_is_weighted_sum_of_terms(self):
         terms = [
@@ -132,11 +132,11 @@ class TestCombinedLoss:
         acc = np.zeros((len(self.pred), 3))
         for lam, w in zip(lams, terms):
             _, g, _ = combined_loss(self.pred, self.targets, self.sun, SPEC, self.cfg, w)
-            acc += lam * g.d_positions
+            acc += lam * g
         _, g, _ = combined_loss(
             self.pred, self.targets, self.sun, SPEC, self.cfg, LossWeights(*lams)
         )
-        np.testing.assert_allclose(g.d_positions, acc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, acc, rtol=0, atol=1e-12)
 
     def test_breakdown_reports_unweighted_terms(self):
         w = LossWeights(2.0, 3.0, 0.5, 4.0)
