@@ -1,7 +1,7 @@
 """Command-line interface: generate / reconstruct / eval / gradcheck / bench.
 
 Exit codes (stable scripting contract):
-  0 success, 2 I/O failure, 3 empty or degenerate input,
+  0 success, 2 I/O failure or malformed file, 3 empty or degenerate input,
   4 input mismatch (specs, missing targets), 5 internal check failure or
   invalid configuration value.
 """
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
-from .losses import LossWeights
+from .losses import TERMS, LossWeights
 from .metrics import baseline_extrude, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
 from .reconstruct import OptimConfig, reconstruct
@@ -130,12 +130,9 @@ def _resolve_weights(args, gt, shadow) -> LossWeights:
 def _write_history(path, history):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["iter", "total", "geo", "sil", "shadow", "dsm"])
+        w.writerow(["iter", "total", *TERMS])
         for it, total, breakdown in history:
-            w.writerow(
-                [it, repr(total)]
-                + [repr(breakdown.get(k, 0.0)) for k in ("geo", "sil", "shadow", "dsm")]
-            )
+            w.writerow([it, repr(total)] + [repr(breakdown.get(k, 0.0)) for k in TERMS])
 
 
 def cmd_reconstruct(args) -> int:

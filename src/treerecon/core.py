@@ -67,8 +67,10 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidConfig("grid must be at least 1x1")
-        if self.pixel_size <= 0:
-            raise InvalidConfig("pixel_size must be positive")
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise InvalidConfig("pixel_size must be positive and finite")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise InvalidConfig("grid origin must be finite")
 
     @property
     def n_pixels(self) -> int:

@@ -58,20 +58,15 @@ def max_error_score(analytic, fd, mask) -> float:
 
 
 def _truncation_safe(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, slack: float) -> np.ndarray:
-    """True per point when no in-grid pixel center sits within `slack` of the cutoff."""
+    """True per point when no in-grid pixel center sits within `slack` of the cutoff.
+
+    One broadcast over every (point, pixel) pair: O(N * pixels) memory, which
+    is small at gradcheck's 20 x 20 grid.
+    """
     cutoff = cfg.trunc * cfg.sigma
     xs, ys = spec.pixel_centers()
-    safe = np.ones(len(xy), dtype=bool)
-    r = cutoff + slack + spec.pixel_size
-    for i, (x, y) in enumerate(xy):
-        cx = xs[np.abs(xs - x) <= r]
-        cy = ys[np.abs(ys - y) <= r]
-        if len(cx) == 0 or len(cy) == 0:
-            continue
-        d = np.sqrt((x - cx[:, None]) ** 2 + (y - cy[None, :]) ** 2)
-        if np.any(np.abs(d - cutoff) < slack):
-            safe[i] = False
-    return safe
+    d = np.sqrt((xy[:, 0, None, None] - xs[:, None]) ** 2 + (xy[:, 1, None, None] - ys[None, :]) ** 2)
+    return ~np.any(np.abs(d - cutoff) < slack, axis=(1, 2))
 
 
 def silhouette_mask(cloud, spec, cfg, h) -> np.ndarray:
@@ -114,6 +109,14 @@ def chamfer_mask(cloud, gt, h) -> np.ndarray:
     return mask
 
 
+def _random_positions(rng: Rng, n: int) -> np.ndarray:
+    """(n, 3) positions: x and y uniform in [-4, 4], z in [0, 4], drawn in that order."""
+    return np.stack(
+        [rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n), rng.uniform(0.0, 4.0, n)],
+        axis=1,
+    )
+
+
 def _random_pixel_grad(spec: GridSpec, rng: Rng) -> Grid:
     return Grid(spec, rng.normal(size=(spec.height, spec.width)) / spec.n_pixels)
 
@@ -147,14 +150,7 @@ def run_gradcheck(
 
     for _ in range(trials):
         n = int(n_points) if n_points else int(rng.integers(20, 50))
-        positions = np.stack(
-            [
-                rng.uniform(-4.0, 4.0, n),
-                rng.uniform(-4.0, 4.0, n),
-                rng.uniform(0.0, 4.0, n),
-            ],
-            axis=1,
-        )
+        positions = _random_positions(rng, n)
         cfg = SoftConfig(
             sigma=float(rng.uniform(0.7, 1.5)) * spec.pixel_size,
             alpha=float(rng.uniform(0.5, 0.95)),
@@ -166,56 +162,7 @@ def run_gradcheck(
         )
         h = 1e-4 * cfg.sigma
         d_pix = _random_pixel_grad(spec, rng)
-        gt = PointCloud(
-            positions=np.stack(
-                [
-                    rng.uniform(-4.0, 4.0, n),
-                    rng.uniform(-4.0, 4.0, n),
-                    rng.uniform(0.0, 4.0, n),
-                ],
-                axis=1,
-            )
-        )
-        cloud = PointCloud(positions=positions)
-
-        def check(name, scalar_fn, analytic, mask):
-            fd = fd_gradient(scalar_fn, positions, h, mask)
-            result.record(name, max_error_score(analytic + corrupt, fd, mask))
-
-        mask_sil = silhouette_mask(cloud, spec, cfg, h)
-        check(
-            "silhouette",
-            lambda p: float(
-                (soft_silhouette(PointCloud(p), spec, cfg).values * d_pix.values).sum()
-            ),
-            soft_silhouette_backward(cloud, spec, cfg, d_pix),
-            mask_sil,
-        )
-        check(
-            "dsm",
-            lambda p: float(
-                (soft_dsm(PointCloud(p), spec, cfg).values * d_pix.values).sum()
-            ),
-            soft_dsm_backward(cloud, spec, cfg, d_pix),
-            mask_sil,
-        )
-        mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
-        check(
-            "shadow",
-            lambda p: float(
-                (soft_shadow(PointCloud(p), sun, spec, cfg).values * d_pix.values).sum()
-            ),
-            soft_shadow_backward(cloud, sun, spec, cfg, d_pix),
-            mask_sh,
-        )
-        mask_ch = chamfer_mask(cloud, gt, h)
-        check(
-            "chamfer",
-            lambda p: chamfer(PointCloud(p), gt)[0],
-            chamfer(cloud, gt)[1],
-            mask_ch,
-        )
-
+        gt = PointCloud(positions=_random_positions(rng, n))
         targets = LossTargets(
             silhouette=Grid(spec, (rng.random((spec.height, spec.width)) > 0.7).astype(float)),
             shadow=Grid(spec, (rng.random((spec.height, spec.width)) > 0.7).astype(float)),
@@ -223,14 +170,31 @@ def run_gradcheck(
             gt_cloud=gt,
         )
         weights = LossWeights()
-        _, grad, _ = combined_loss(cloud, targets, sun, spec, cfg, weights)
-        check(
-            "combined",
-            lambda p: combined_loss(
-                PointCloud(p), targets, sun, spec, cfg, weights
-            )[0],
-            grad,
-            mask_sil & mask_sh & mask_ch,
+        cloud = PointCloud(positions=positions)
+
+        def pixel_dot(render, *args):
+            """p -> <render(PointCloud(p), *args), d_pix>, whose gradient the backward pass returns."""
+            return lambda p: float((render(PointCloud(p), *args).values * d_pix.values).sum())
+
+        mask_sil = silhouette_mask(cloud, spec, cfg, h)
+        mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
+        mask_ch = chamfer_mask(cloud, gt, h)
+        # (path, scalar of positions, its analytic gradient, components to check)
+        paths = (
+            ("silhouette", pixel_dot(soft_silhouette, spec, cfg),
+             soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("dsm", pixel_dot(soft_dsm, spec, cfg),
+             soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("shadow", pixel_dot(soft_shadow, sun, spec, cfg),
+             soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
+            ("chamfer", lambda p: chamfer(PointCloud(p), gt)[0],
+             chamfer(cloud, gt)[1], mask_ch),
+            ("combined", lambda p: combined_loss(PointCloud(p), targets, sun, spec, cfg, weights)[0],
+             combined_loss(cloud, targets, sun, spec, cfg, weights)[1],
+             mask_sil & mask_sh & mask_ch),
         )
+        for name, scalar_fn, analytic, mask in paths:
+            fd = fd_gradient(scalar_fn, positions, h, mask)
+            result.record(name, max_error_score(analytic + corrupt, fd, mask))
 
     return result

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
 from .errors import (
+    InvalidSun,
     MalformedManifest,
     MalformedPfm,
     MalformedPly,
@@ -70,9 +71,13 @@ def write_ply(cloud: PointCloud, path) -> None:
 
 def read_ply(path) -> PointCloud:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise MalformedPly(f"cannot read {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedPly("not UTF-8 text", line=data.count(b"\n", 0, e.start) + 1) from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MalformedPly("missing 'ply' magic", line=1)
@@ -88,12 +93,14 @@ def read_ply(path) -> PointCloud:
             if tok[1:] != ["ascii", "1.0"]:
                 raise MalformedPly("only 'format ascii 1.0' supported", line=ln)
         elif tok[0] == "element":
-            if tok[1] != "vertex" or len(tok) != 3:
+            if len(tok) != 3 or tok[1] != "vertex":
                 raise MalformedPly("only a single vertex element supported", line=ln)
             try:
                 n = int(tok[2])
             except ValueError:
                 raise MalformedPly("bad vertex count", line=ln) from None
+            if n < 0:
+                raise MalformedPly("negative vertex count", line=ln)
         elif tok[0] == "property":
             if len(tok) != 3:
                 raise MalformedPly("bad property line", line=ln)
@@ -111,27 +118,31 @@ def read_ply(path) -> PointCloud:
         raise MalformedPly(f"unsupported property layout {props}")
 
     n_fields = 7 if has_class else 6
-    positions = np.zeros((n, 3))
-    colors = np.zeros((n, 3))
-    classes = np.zeros(n, dtype=np.uint8) if has_class else None
     body = lines[body_start : body_start + n]
     if len(body) < n:
         raise MalformedPly(f"expected {n} vertex rows, found {len(body)}")
-    for i, raw in enumerate(body):
-        ln = body_start + 1 + i
-        tok = raw.split()
-        if len(tok) != n_fields:
-            raise MalformedPly(f"expected {n_fields} fields", line=ln)
-        try:
-            positions[i] = [float(np.float32(t)) for t in tok[:3]]
-            rgb = [int(t) for t in tok[3:6]]
+    positions = np.zeros((n, 3))
+    colors = np.zeros((n, 3))
+    classes = np.zeros(n, dtype=np.uint8) if has_class else None
+    with np.errstate(over="ignore"):  # out-of-range float32 parses to inf, rejected below
+        for i, raw in enumerate(body):
+            ln = body_start + 1 + i
+            tok = raw.split()
+            if len(tok) != n_fields:
+                raise MalformedPly(f"expected {n_fields} fields", line=ln)
+            try:
+                positions[i] = [float(np.float32(t)) for t in tok[:3]]
+                uchars = [int(t) for t in tok[3:]]
+            except ValueError:
+                raise MalformedPly("non-numeric vertex field", line=ln) from None
+            if any(c < 0 or c > 255 for c in uchars):
+                raise MalformedPly("color or class out of uchar range", line=ln)
+            colors[i] = np.array(uchars[:3]) / 255.0
             if has_class:
-                classes[i] = int(tok[6])
-        except ValueError:
-            raise MalformedPly("non-numeric vertex field", line=ln) from None
-        if any(c < 0 or c > 255 for c in rgb):
-            raise MalformedPly("color out of uchar range", line=ln)
-        colors[i] = np.array(rgb) / 255.0
+                classes[i] = uchars[3]
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if len(bad):
+        raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
     return PointCloud(positions=positions, colors=colors, classes=classes)
 
 
@@ -146,25 +157,37 @@ def write_pfm(grid: Grid, path) -> None:
     Path(path).write_bytes(header + data)
 
 
-def read_pfm(path, spec: GridSpec | None = None) -> Grid:
+def _read_raster(path, error, kind: str, parse_third):
+    """(magic, width, height, third header field, body) of a PFM or PPM file.
+
+    The header is three newline-terminated lines: magic, "width height",
+    and a number (PFM scale, PPM maxval) parsed by parse_third. Any read or
+    parse failure, and a width or height below 1, raises `error`.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
-        raise MalformedPfm(f"cannot read {path}: {e}") from e
+        raise error(f"cannot read {path}: {e}") from e
     try:
         magic_end = raw.index(b"\n")
         dims_end = raw.index(b"\n", magic_end + 1)
-        scale_end = raw.index(b"\n", dims_end + 1)
+        third_end = raw.index(b"\n", dims_end + 1)
         magic = raw[:magic_end].decode("ascii").strip()
         w, h = map(int, raw[magic_end + 1 : dims_end].split())
-        scale = float(raw[dims_end + 1 : scale_end])
+        third = parse_third(raw[dims_end + 1 : third_end])
     except (ValueError, IndexError) as e:
-        raise MalformedPfm(f"bad PFM header: {e}") from e
+        raise error(f"bad {kind} header: {e}") from e
+    if w < 1 or h < 1:
+        raise error(f"{kind} size must be positive, got {w}x{h}")
+    return magic, w, h, third, raw[third_end + 1 :]
+
+
+def read_pfm(path, spec: GridSpec | None = None) -> Grid:
+    magic, w, h, scale, body = _read_raster(path, MalformedPfm, "PFM", float)
     if magic != "Pf":
         raise MalformedPfm(f"expected grayscale 'Pf', got {magic!r}")
     if scale >= 0:
         raise MalformedPfm("only little-endian (negative scale) PFM supported")
-    body = raw[scale_end + 1 :]
     if len(body) != w * h * 4:
         raise MalformedPfm(f"expected {w * h * 4} data bytes, got {len(body)}")
     values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(h, w)
@@ -184,24 +207,11 @@ def write_ppm(grid: RgbGrid, path) -> None:
 
 
 def read_ppm(path, spec: GridSpec | None = None) -> RgbGrid:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise MalformedPpm(f"cannot read {path}: {e}") from e
-    try:
-        magic_end = raw.index(b"\n")
-        dims_end = raw.index(b"\n", magic_end + 1)
-        maxval_end = raw.index(b"\n", dims_end + 1)
-        magic = raw[:magic_end].decode("ascii").strip()
-        w, h = map(int, raw[magic_end + 1 : dims_end].split())
-        maxval = int(raw[dims_end + 1 : maxval_end])
-    except (ValueError, IndexError) as e:
-        raise MalformedPpm(f"bad PPM header: {e}") from e
+    magic, w, h, maxval, body = _read_raster(path, MalformedPpm, "PPM", int)
     if magic != "P6":
         raise MalformedPpm(f"expected binary 'P6', got {magic!r}")
     if maxval != 255:
         raise MalformedPpm("only maxval 255 supported")
-    body = raw[maxval_end + 1 :]
     if len(body) != w * h * 3:
         raise MalformedPpm(f"expected {w * h * 3} data bytes, got {len(body)}")
     values = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3) / 255.0
@@ -260,11 +270,11 @@ def _reject_unknown(doc: dict, where: str):
 
 def read_manifest(path) -> Manifest:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise MalformedManifest(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise MalformedManifest(f"invalid JSON: {e}", line=e.lineno) from e
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
+        raise MalformedManifest(f"invalid JSON: {e}", line=getattr(e, "lineno", None)) from e
     if not isinstance(doc, dict):
         raise MalformedManifest("manifest root must be an object")
     doc = dict(doc)
@@ -296,7 +306,7 @@ def read_manifest(path) -> Manifest:
             cloud=str(_take(files_doc, "cloud", "files.")),
         )
         _reject_unknown(files_doc, "files.")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError, InvalidSun) as e:
         raise MalformedManifest(f"bad field value: {e}") from e
     return Manifest(seed=seed, grid=grid, sun=sun, files=files, generator_version=version)
 

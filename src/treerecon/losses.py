@@ -22,6 +22,10 @@ from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 
+# the loss terms in evaluation order, and the LossTargets field each one reads
+TERMS = ("geo", "sil", "shadow", "dsm")
+_TARGET_FIELDS = ("gt_cloud", "silhouette", "shadow", "dsm")
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -31,11 +35,15 @@ class LossWeights:
     lambda_dsm: float = 1.0
 
     def __post_init__(self):
-        vals = (self.lambda_geo, self.lambda_sil, self.lambda_shadow, self.lambda_dsm)
+        vals = [self.of(term) for term in TERMS]
         if any(v < 0 for v in vals):
             raise InvalidConfig("loss weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise InvalidConfig("at least one loss weight must be positive")
+
+    def of(self, term: str) -> float:
+        """The weight of one of TERMS."""
+        return getattr(self, f"lambda_{term}")
 
 
 def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -82,6 +90,22 @@ class LossTargets:
     dsm: Grid | None = None
     gt_cloud: PointCloud | None = None
 
+    def require(self, weights: LossWeights, sun: SunConfig | None, spec: GridSpec) -> None:
+        """Check the inputs of every term with a positive weight.
+
+        Raises MissingTarget when a target (for the shadow term, also the
+        sun) is absent and SpecMismatch when a raster target is on another grid.
+        """
+        for term, field in zip(TERMS, _TARGET_FIELDS):
+            if weights.of(term) <= 0:
+                continue
+            target = getattr(self, field)
+            if target is None or (term == "shadow" and sun is None):
+                needs = " and a sun" if term == "shadow" else ""
+                raise MissingTarget(f"lambda_{term} > 0 requires a {field} target{needs}")
+            if isinstance(target, Grid) and target.spec != spec:
+                raise SpecMismatch(f"{field} target spec mismatch")
+
 
 def combined_loss(
     cloud: PointCloud,
@@ -96,69 +120,48 @@ def combined_loss(
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/h_norm^2 normalization).
+    Terms run in TERMS order, so the silhouette pass precedes the shadow pass.
     """
+    targets.require(weights, sun, spec)
+    positions = cloud.positions
+
+    def raster(forward_backward, points, target: Grid, scale: float = 1.0):
+        """(scale * raster_l2 against target, point gradient) of one fused render pass."""
+        value = []
+
+        def d_flat_of_pred(pred_flat):
+            v, d_pixels = raster_l2(Grid(spec, pred_flat), target)
+            value.append(v * scale)
+            return d_pixels.values.reshape(-1) * scale
+
+        _, g = forward_backward(points, spec, soft_cfg, d_flat_of_pred)
+        return value[0], g
+
+    # term -> (unweighted value, (N, 3) gradient). Built per call, so each
+    # renderer is looked up when its term runs and wrappers on it are honoured.
+    def sil():
+        v, gxy = raster(occupancy_forward_backward, positions[:, :2], targets.silhouette)
+        return v, np.column_stack([gxy, np.zeros(len(cloud))])
+
+    def shadow():
+        xy, jac = project_to_ground(cloud, sun)
+        v, gxy = raster(occupancy_forward_backward, xy, targets.shadow)
+        return v, gxy @ jac
+
+    evaluate = {
+        "geo": lambda: chamfer(cloud, targets.gt_cloud),
+        "sil": sil,
+        "shadow": shadow,
+        "dsm": lambda: raster(dsm_forward_backward, positions, targets.dsm, 1.0 / h_norm**2),
+    }
     grad = np.zeros((len(cloud), 3))
     breakdown: dict[str, float] = {}
     total = 0.0
-    n_pix = spec.n_pixels
-
-    def l2_closure(target: Grid, scale: float, out: dict):
-        """d_flat_of_pred hook computing the (scaled) L2 term on the fly."""
-        target_flat = target.values.reshape(-1)
-
-        def d_flat_of_pred(pred_flat):
-            diff = pred_flat - target_flat
-            out["value"] = float((diff**2).mean()) * scale
-            return 2.0 * diff / n_pix * scale
-
-        return d_flat_of_pred
-
-    if weights.lambda_geo > 0:
-        if targets.gt_cloud is None:
-            raise MissingTarget("lambda_geo > 0 requires a GT cloud")
-        v, g = chamfer(cloud, targets.gt_cloud)
-        breakdown["geo"] = v
-        total += weights.lambda_geo * v
-        grad += weights.lambda_geo * g
-
-    if weights.lambda_sil > 0:
-        if targets.silhouette is None:
-            raise MissingTarget("lambda_sil > 0 requires a silhouette target")
-        if targets.silhouette.spec != spec:
-            raise SpecMismatch("silhouette target spec mismatch")
-        out: dict = {}
-        _, gxy = occupancy_forward_backward(
-            cloud.positions[:, :2], spec, soft_cfg, l2_closure(targets.silhouette, 1.0, out)
-        )
-        breakdown["sil"] = out["value"]
-        total += weights.lambda_sil * out["value"]
-        grad[:, :2] += weights.lambda_sil * gxy
-
-    if weights.lambda_shadow > 0:
-        if targets.shadow is None or sun is None:
-            raise MissingTarget("lambda_shadow > 0 requires a shadow target and sun")
-        if targets.shadow.spec != spec:
-            raise SpecMismatch("shadow target spec mismatch")
-        xy, jac = project_to_ground(cloud, sun)
-        out = {}
-        _, gxy = occupancy_forward_backward(
-            xy, spec, soft_cfg, l2_closure(targets.shadow, 1.0, out)
-        )
-        breakdown["shadow"] = out["value"]
-        total += weights.lambda_shadow * out["value"]
-        grad += weights.lambda_shadow * (gxy @ jac)
-
-    if weights.lambda_dsm > 0:
-        if targets.dsm is None:
-            raise MissingTarget("lambda_dsm > 0 requires a DSM target")
-        if targets.dsm.spec != spec:
-            raise SpecMismatch("DSM target spec mismatch")
-        out = {}
-        _, g3 = dsm_forward_backward(
-            cloud.positions, spec, soft_cfg, l2_closure(targets.dsm, 1.0 / h_norm**2, out)
-        )
-        breakdown["dsm"] = out["value"]
-        total += weights.lambda_dsm * out["value"]
-        grad += weights.lambda_dsm * g3
-
+    for term in TERMS:
+        lam = weights.of(term)
+        if lam > 0:
+            value, g = evaluate[term]()
+            breakdown[term] = value
+            total += lam * value
+            grad += lam * g
     return total, grad, breakdown

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, world_to_pixel
 from .diffrender import SoftConfig, default_soft_config
-from .errors import EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
+from .errors import EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import H_NORM, LossTargets, LossWeights, combined_loss
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
@@ -54,19 +54,20 @@ class ReconResult:
 def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:
     """Silhouette and DSM targets from the two real inputs.
 
-    Silhouette = tall (dsm > h_min) AND green (excess-green index > 0.05);
-    the greenness test suppresses buildings. The DSM target is masked to
-    the silhouette. A shadow target, when available, is attached by the
-    caller; real scenes may not have one.
+    Silhouette = finite AND tall (dsm > h_min) AND green (excess-green
+    index > 0.05); the greenness test suppresses buildings. The DSM target
+    is the DSM inside the silhouette and 0 elsewhere, so nodata (NaN or
+    infinite) DSM pixels are background in both targets. A shadow target,
+    when available, is attached by the caller; real scenes may not have one.
     """
     if ortho.spec != dsm.spec:
         raise SpecMismatch("orthophoto and DSM must share a grid spec")
     r, g, b = ortho.values[..., 0], ortho.values[..., 1], ortho.values[..., 2]
     excess_green = 2.0 * g - r - b
-    sil = ((dsm.values > h_min) & (excess_green > EXCESS_GREEN_MIN)).astype(np.float64)
+    sil = np.isfinite(dsm.values) & (dsm.values > h_min) & (excess_green > EXCESS_GREEN_MIN)
     return LossTargets(
-        silhouette=Grid(dsm.spec, sil),
-        dsm=Grid(dsm.spec, dsm.values * sil),
+        silhouette=Grid(dsm.spec, sil.astype(np.float64)),
+        dsm=Grid(dsm.spec, np.where(sil, dsm.values, 0.0)),
     )
 
 
@@ -165,19 +166,13 @@ def reconstruct(
     perturbation studies); z is clamped to >= 0 after every step.
     """
     cfg = cfg or OptimConfig()
-    if ortho.spec != dsm.spec:
-        raise SpecMismatch("orthophoto and DSM must share a grid spec")
     w = cfg.weights
-    if w.lambda_geo > 0 and gt_cloud is None:
-        raise MissingTarget("lambda_geo > 0 requires gt_cloud")
-    if w.lambda_shadow > 0 and (sun is None or shadow_target is None):
-        raise MissingTarget("lambda_shadow > 0 requires sun and shadow_target")
-
     spec = dsm.spec
     soft_cfg = cfg.soft_cfg or default_soft_config(spec.pixel_size)
     targets = derive_targets(ortho, dsm, cfg.h_min)
     targets.shadow = shadow_target
     targets.gt_cloud = gt_cloud
+    targets.require(w, sun, spec)
 
     rng = Rng(cfg.seed)
     if init_positions is not None:

@@ -31,3 +31,18 @@ def finite_diff(f, x: np.ndarray, h: float) -> np.ndarray:
         lo = f(xp.reshape(x.shape))
         flat[i] = (hi - lo) / (2 * h)
     return grad
+
+
+def truncation_safe_loop(xy, spec, cutoff: float, slack: float) -> np.ndarray:
+    """Per point: no pixel center within `slack` of distance `cutoff` (one point at a time)."""
+    xs, ys = spec.pixel_centers()
+    safe = np.ones(len(xy), dtype=bool)
+    r = cutoff + slack + spec.pixel_size
+    for i, (x, y) in enumerate(xy):
+        cx = xs[np.abs(xs - x) <= r]
+        cy = ys[np.abs(ys - y) <= r]
+        if len(cx) == 0 or len(cy) == 0:
+            continue
+        d = np.sqrt((x - cx[:, None]) ** 2 + (y - cy[None, :]) ** 2)
+        safe[i] = not np.any(np.abs(d - cutoff) < slack)
+    return safe

@@ -1,4 +1,6 @@
 import filecmp
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -164,6 +166,59 @@ def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys):
     rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
     err = capsys.readouterr().err
     assert rc == 5
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n"
+    "property float z\nproperty uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "end_header\n"
+)
+MALFORMED = {
+    "ply-negative-count": ("ply", PLY_HEADER.format(n=-1).encode()),
+    "ply-bare-element": ("ply", b"ply\nformat ascii 1.0\nelement\nend_header\n"),
+    "ply-nan": ("ply", (PLY_HEADER.format(n=1) + "nan 0 0 1 2 3\n").encode()),
+    "ply-float32-overflow": ("ply", (PLY_HEADER.format(n=1) + "1e39 0 0 1 2 3\n").encode()),
+    "ply-not-utf8": ("ply", b"ply\nformat ascii 1.0\n\xff\xfe\n"),
+    "manifest-not-utf8": ("manifest", b'{"seed": \xff}'),
+    "pfm-negative-size": ("dsm", b"Pf\n-1 -1\n-1.0\n" + b"\0" * 4),
+    "pfm-zero-size": ("dsm", b"Pf\n0 0\n-1.0\n"),
+    "ppm-negative-size": ("ortho", b"P6\n-1 -1\n255\n" + b"\0" * 3),
+    "ppm-zero-size": ("ortho", b"P6\n0 0\n255\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(case, scene_dir, tmp_path, capsys):
+    role, data = MALFORMED[case]
+    bad = tmp_path / f"bad.{role}"
+    bad.write_bytes(data)
+    if role == "ply":
+        argv = ["eval", "--pred", str(bad), "--gt", str(scene_dir / "gt.ply")]
+    elif role == "manifest":
+        argv = ["reconstruct", "--manifest", str(bad), "--out", str(tmp_path / "r.ply")]
+    else:
+        inputs = {"ortho": str(scene_dir / "ortho.ppm"), "dsm": str(scene_dir / "dsm.pfm")}
+        inputs[role] = str(bad)
+        argv = ["reconstruct", "--ortho", inputs["ortho"], "--dsm", inputs["dsm"],
+                "--out", str(tmp_path / "r.ply")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["pixel_size", "origin_x"])
+def test_manifest_non_finite_grid_exits_2(field, scene_dir, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    doc = json.loads((scene / "manifest.json").read_text())
+    doc["grid"][field] = float("nan")
+    (scene / "manifest.json").write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--manifest", str(scene / "manifest.json"),
+               "--out", str(tmp_path / "r.ply"), "--iters", "1", "--points", "20"])
+    err = capsys.readouterr().err
+    assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
 
 

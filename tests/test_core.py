@@ -95,6 +95,10 @@ class TestTypes:
             GridSpec(0, 5)
         with pytest.raises(ValueError):
             GridSpec(5, 5, pixel_size=0.0)
+        for bad in ({"pixel_size": np.nan}, {"pixel_size": np.inf}, {"origin_x": np.nan},
+                    {"origin_y": -np.inf}):
+            with pytest.raises(ValueError):
+                GridSpec(5, 5, **bad)
 
     def test_grid_reshapes_flat_values(self):
         g = Grid(GridSpec(3, 2), np.arange(6.0))

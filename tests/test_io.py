@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
 from treerecon.errors import (
+    MalformedFile,
     MalformedManifest,
     MalformedPfm,
     MalformedPly,
@@ -199,3 +204,89 @@ class TestScenePersistence:
         save_scene(scene, b)
         for f in sorted(x.name for x in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any bytes either parse or raise a file error, never a traceback
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+READERS = {"ply": read_ply, "pfm": read_pfm, "ppm": read_ppm, "json": read_manifest}
+
+PLY_LINES = [
+    "format ascii 1.0", "format binary_little_endian 1.0", "element vertex 1",
+    "element vertex 2", "element vertex -1", "element vertex 99999999999", "element",
+    "element face 1", "property float x", "property float y", "property float z",
+    "property uchar red", "property uchar green", "property uchar blue",
+    "property uchar class", "property", "comment hi", "end_header", "0 0 0 1 2 3",
+    "0 0 0 1 2 3 1", "nan 0 0 1 2 3", "1e39 0 0 1 2 3", "0 0 0 300 0 0",
+    "0 0 0 1 2 3 256", "0 0 0 -1 2 3",
+]
+ply_text = st.lists(st.sampled_from(PLY_LINES) | st.text(max_size=20), max_size=16).map(
+    lambda lines: ("ply\n" + "\n".join(lines)).encode("utf-8", "surrogatepass")
+)
+raster_bytes = st.builds(
+    lambda magic, w, h, third, body: b"%s\n%d %d\n%s\n" % (magic, w, h, third) + body,
+    st.sampled_from([b"Pf", b"P6", b"PF", b"P5"]),
+    st.integers(-2, 3),
+    st.integers(-2, 3),
+    st.sampled_from([b"-1.0", b"1.0", b"255", b"nan", b"x"]),
+    st.binary(max_size=40),
+)
+
+
+def manifest_doc(sun_elevation, width):
+    return json.dumps({
+        "seed": 0,
+        "grid": {"width": width, "height": 2, "origin_x": 0.0, "origin_y": 0.0,
+                 "pixel_size": 1.0},
+        "sun": {"azimuth_deg": 0.0, "elevation_deg": sun_elevation},
+        "files": {"ortho": "o", "dsm": "d", "silhouette": "s", "shadow": "h", "cloud": "c"},
+        "generator_version": "v",
+    }).encode()
+
+
+manifest_bytes = st.builds(
+    manifest_doc,
+    st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4) | st.none(),
+    st.integers(-2, 3) | st.floats() | st.text(max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def read_fuzzed(fuzz_dir, kind, data):
+    path = fuzz_dir / f"input.{kind}"
+    path.write_bytes(data)
+    try:
+        READERS[kind](path)
+    except (MalformedFile, SpecMismatch):
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@FUZZ
+@given(data=st.binary(max_size=300))
+def test_fuzz_arbitrary_bytes(fuzz_dir, kind, data):
+    read_fuzzed(fuzz_dir, kind, data)
+
+
+@FUZZ
+@given(data=ply_text)
+def test_fuzz_ply_header_and_rows(fuzz_dir, data):
+    read_fuzzed(fuzz_dir, "ply", data)
+
+
+@pytest.mark.parametrize("kind", ["pfm", "ppm"])
+@FUZZ
+@given(data=raster_bytes)
+def test_fuzz_raster_header_and_body(fuzz_dir, kind, data):
+    read_fuzzed(fuzz_dir, kind, data)
+
+
+@FUZZ
+@given(data=manifest_bytes)
+def test_fuzz_manifest_field_values(fuzz_dir, data):
+    read_fuzzed(fuzz_dir, "json", data)

@@ -166,6 +166,23 @@ class TestCombinedLoss:
                 LossWeights(0.0, 1.0, 0.5, 0.0),
             )
 
+    @pytest.mark.parametrize("field", ["silhouette", "shadow", "dsm"])
+    def test_target_on_another_grid_raises(self, field):
+        other = Grid.zeros(GridSpec(5, 5))
+        targets = LossTargets(**{**vars(self.targets), field: other})
+        with pytest.raises(SpecMismatch):
+            combined_loss(
+                self.pred, targets, self.sun, SPEC, self.cfg, LossWeights(1.0, 1.0, 0.5, 1.0)
+            )
+        lambdas = {"silhouette": (1, 0, 0, 0), "shadow": (1, 1, 0, 1), "dsm": (1, 1, 0.5, 0)}
+        combined_loss(self.pred, targets, self.sun, SPEC, self.cfg, LossWeights(*lambdas[field]))
+
+    def test_breakdown_follows_term_order(self):
+        _, _, br = combined_loss(
+            self.pred, self.targets, self.sun, SPEC, self.cfg, LossWeights(0.0, 1.0, 0.5, 1.0)
+        )
+        assert list(br) == ["sil", "shadow", "dsm"]  # the silhouette pass precedes the shadow
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LossWeights(-1.0, 1.0, 0.5, 1.0)

@@ -170,3 +170,22 @@ class TestReconstruct:
         cfg = OptimConfig(n_points=200, iters=40, weights=LossWeights(0, 1, 0, 1))
         res = reconstruct(scene.ortho, scene.dsm, cfg=cfg)
         assert np.all(res.cloud.positions[:, 2] >= 0.0)
+
+
+class TestNodata:
+    def test_non_finite_dsm_pixels_are_background(self):
+        scene = generate_scene(7)
+        values = scene.dsm.values.copy()
+        canopy = np.unravel_index(np.argmax(values), values.shape)  # under the crown
+        values[canopy] = np.nan
+        values[0, 0] = np.inf  # ground corner
+        dsm = Grid(scene.spec, values)
+        t = derive_targets(scene.ortho, dsm, 0.5)
+        for pixel in (canopy, (0, 0)):
+            assert t.silhouette.values[pixel] == 0.0
+            assert t.dsm.values[pixel] == 0.0
+        assert np.all(np.isfinite(t.dsm.values))
+        cfg = OptimConfig(n_points=200, iters=5, log_every=1, weights=LossWeights(0, 1, 0, 1))
+        res = reconstruct(scene.ortho, dsm, cfg=cfg)
+        assert all(np.isfinite(total) for _, total, _ in res.loss_history)
+        assert np.all(np.isfinite(res.cloud.positions))
