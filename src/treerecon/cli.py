@@ -19,6 +19,7 @@ from .core import GridSpec, Rng, SunConfig
 from .errors import (
     EmptyCloud,
     EmptyFootprint,
+    InvalidConfig,
     InvalidSun,
     MalformedFile,
     MissingTarget,
@@ -37,6 +38,16 @@ EXIT_IO = 2
 EXIT_EMPTY = 3
 EXIT_MISMATCH = 4
 EXIT_CHECK = 5
+
+
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks in order: in `jobs` worker processes when jobs > 1, else here."""
+    if jobs < 1:
+        raise InvalidConfig(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +71,12 @@ def _generate_one(task):
 
 def cmd_generate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _scene_config(args)
     tasks = [
         (args.seed + i, str(out / f"scene_{i:05d}"), cfg) for i in range(args.count)
     ]
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_generate_one, tasks))
-    else:
-        results = [_generate_one(t) for t in tasks]
+    results = _map_tasks(_generate_one, tasks, args.jobs)
+    out.mkdir(parents=True, exist_ok=True)  # save_scene makes it too, except at --count 0
     for seed, out_dir, n in results:
         print(f"{out_dir}: seed={seed} points={n}")
     return EXIT_OK
@@ -111,7 +118,7 @@ def _load_inputs(args):
 
 def _resolve_weights(args, gt, shadow) -> LossWeights:
     """Flag values win; unset lambdas default from what inputs are available."""
-    lam_geo = args.lambda_geo if args.lambda_geo is not None else (1.0 if gt else 0.0)
+    lam_geo = args.lambda_geo if args.lambda_geo is not None else (1.0 if gt is not None else 0.0)
     lam_shadow = (
         args.lambda_shadow
         if args.lambda_shadow is not None
@@ -236,11 +243,7 @@ def cmd_bench(args) -> int:
     for d in scene_dirs:
         seed = read_manifest(d / "manifest.json").seed
         tasks.append((str(d), args.iters, args.points, args.tau, seed))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_rows = list(pool.map(_bench_one, tasks))
-    else:
-        all_rows = [_bench_one(t) for t in tasks]
+    all_rows = _map_tasks(_bench_one, tasks, args.jobs)
 
     out = dataset / "bench.csv"
     with open(out, "w", newline="") as f:

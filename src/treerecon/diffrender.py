@@ -4,27 +4,29 @@ Each point splats a truncated Gaussian footprint g = exp(-d^2 / 2 sigma^2)
 onto nearby pixel centers (zero beyond trunc*sigma). A pass first builds a
 compacted slot list: one row (point, flat pixel, dx, dy, g) per pixel that
 is on the grid and within the cutoff, ordered by point, then row, then
-column. Two cores compose the slots into pixels, each returning the
-predicted flat raster and its vector-Jacobian product (VJP):
+column; the pairs come from `sensor.pixels_within`, the enumerator the hard
+sensor splats through, and only g is added here. Two cores compose the
+slots into pixels, each returning the predicted flat raster and its
+vector-Jacobian product (VJP):
 
   soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i)
   soft-max height (DSM):         H = sum(w z) / (sum(w) + eps_ground),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 The public renderers are thin adapters over the two cores. The shadow
-renderer first slides each point along the sun ray to the ground plane;
-its z gradient flows through that projection's constant Jacobian.
+renderer first slides each point along the sun ray to the ground plane
+(`sensor.ground_xy`); its z gradient flows through that projection's
+constant Jacobian.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .errors import SpecMismatch
-from .sensor import shadow_offsets
+from .sensor import ground_xy, pixels_within, shadow_offsets
 
 # below this, 1 - alpha*g is treated as a hit and leave-one-out products are
 # recomputed directly instead of divided out
@@ -58,21 +60,6 @@ def default_soft_config(pixel_size: float) -> SoftConfig:
     return SoftConfig(sigma=1.0 * pixel_size)
 
 
-def _window(coord: np.ndarray, origin: float, size: int, ps: float, cut: float):
-    """Per point, a run of pixel centers along one axis that lies on the grid
-    and covers every center within `cut` of the point.
-
-    Returns the point's position in pixels from the run's start (N,), the
-    pixel indices (N, k) and the offsets point minus center (N, k).
-    """
-    reach = cut / ps
-    width = min(2 * math.ceil(reach) + 3, size) if math.isfinite(reach) else size
-    pos = (coord - origin) / ps
-    first = np.clip(np.round(pos) - (width - 1) // 2, 0, size - width)
-    idx = first[:, None] + np.arange(width)
-    return pos - first, idx, coord[:, None] - (origin + idx * ps)
-
-
 class _Slots:
     """Compacted footprint slots of one point set: (point, flat pixel, dx, dy, g).
 
@@ -83,30 +70,10 @@ class _Slots:
 
     def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
-        ps, cut = spec.pixel_size, cfg.trunc * cfg.sigma
-        u, cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, ps, cut)
-        _, rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, ps, cut)
-        kx, ky = dx.shape[1], dy.shape[1]
-        dx2, dy2 = dx**2, dy**2
-
-        # the window columns each (point, row) reaches, padded by one against
-        # rounding; r indexes (point, row) in dy, c indexes (point, column) in dx
-        half = np.sqrt(np.maximum(cut**2 - dy2, 0.0)) / ps
-        lo = np.maximum(np.ceil(u[:, None] - half) - 1, 0).ravel()
-        hi = np.minimum(np.floor(u[:, None] + half) + 1, kx - 1).ravel()
-        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-        r = np.repeat(np.arange(len(count)), count)
-        point = r // ky
-        c = np.arange(len(r)) + (lo + count - np.cumsum(count)).astype(np.int64)[r] + point * kx
-        # the exact cutoff test
-        keep = np.flatnonzero(dx2.ravel()[c] + dy2.ravel()[r] <= cut**2)
-        r, c = r[keep], c[keep]
-
-        k = -0.5 / cfg.sigma**2
-        self.point = point[keep]
-        self.flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
+        self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
         self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
-        self.g = np.exp(k * dx2).ravel()[c] * np.exp(k * dy2).ravel()[r]
+        k = -0.5 / cfg.sigma**2
+        self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
@@ -240,9 +207,7 @@ def project_to_ground(
     d(shadow_xy)/d(point_xyz), shared by all points.
     """
     kx, ky = shadow_offsets(sun)
-    xy = cloud.positions[:, :2] + cloud.positions[:, 2:3] * np.array([kx, ky])
-    jac = np.array([[1.0, 0.0, kx], [0.0, 1.0, ky]])
-    return xy, jac
+    return ground_xy(cloud.positions, sun), np.array([[1.0, 0.0, kx], [0.0, 1.0, ky]])
 
 
 def soft_shadow(

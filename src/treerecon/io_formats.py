@@ -157,12 +157,15 @@ def write_pfm(grid: Grid, path) -> None:
     Path(path).write_bytes(header + data)
 
 
-def _read_raster(path, error, kind: str, parse_third):
-    """(magic, width, height, third header field, body) of a PFM or PPM file.
+def _read_raster(path, spec: GridSpec | None, error, kind: str, parse_third, decode):
+    """(grid spec, values) of a PFM or PPM file.
 
     The header is three newline-terminated lines: magic, "width height",
     and a number (PFM scale, PPM maxval) parsed by parse_third. Any read or
-    parse failure, and a width or height below 1, raises `error`.
+    parse failure, and a width or height below 1, raises `error`;
+    decode(magic, w, h, third, body) checks the rest and returns the values.
+    A given spec must match the file's size, else SpecMismatch; without
+    one the file's size makes a default spec.
     """
     try:
         raw = Path(path).read_bytes()
@@ -179,25 +182,28 @@ def _read_raster(path, error, kind: str, parse_third):
         raise error(f"bad {kind} header: {e}") from e
     if w < 1 or h < 1:
         raise error(f"{kind} size must be positive, got {w}x{h}")
-    return magic, w, h, third, raw[third_end + 1 :]
+    values = decode(magic, w, h, third, raw[third_end + 1 :])
+    if spec is None:
+        return GridSpec(width=w, height=h), values
+    if spec.width != w or spec.height != h:
+        raise SpecMismatch(
+            f"{kind} is {w}x{h} but manifest grid is {spec.width}x{spec.height}"
+        )
+    return spec, values
 
 
-def read_pfm(path, spec: GridSpec | None = None) -> Grid:
-    magic, w, h, scale, body = _read_raster(path, MalformedPfm, "PFM", float)
+def _decode_pfm(magic, w, h, scale, body):
     if magic != "Pf":
         raise MalformedPfm(f"expected grayscale 'Pf', got {magic!r}")
     if scale >= 0:
         raise MalformedPfm("only little-endian (negative scale) PFM supported")
     if len(body) != w * h * 4:
         raise MalformedPfm(f"expected {w * h * 4} data bytes, got {len(body)}")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(h, w)
-    if spec is None:
-        spec = GridSpec(width=w, height=h)
-    elif spec.width != w or spec.height != h:
-        raise SpecMismatch(
-            f"PFM is {w}x{h} but manifest grid is {spec.width}x{spec.height}"
-        )
-    return Grid(spec, values)
+    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(h, w)
+
+
+def read_pfm(path, spec: GridSpec | None = None) -> Grid:
+    return Grid(*_read_raster(path, spec, MalformedPfm, "PFM", float, _decode_pfm))
 
 
 def write_ppm(grid: RgbGrid, path) -> None:
@@ -206,22 +212,18 @@ def write_ppm(grid: RgbGrid, path) -> None:
     Path(path).write_bytes(header + _color_to_uchar(grid.values).tobytes())
 
 
-def read_ppm(path, spec: GridSpec | None = None) -> RgbGrid:
-    magic, w, h, maxval, body = _read_raster(path, MalformedPpm, "PPM", int)
+def _decode_ppm(magic, w, h, maxval, body):
     if magic != "P6":
         raise MalformedPpm(f"expected binary 'P6', got {magic!r}")
     if maxval != 255:
         raise MalformedPpm("only maxval 255 supported")
     if len(body) != w * h * 3:
         raise MalformedPpm(f"expected {w * h * 3} data bytes, got {len(body)}")
-    values = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3) / 255.0
-    if spec is None:
-        spec = GridSpec(width=w, height=h)
-    elif spec.width != w or spec.height != h:
-        raise SpecMismatch(
-            f"PPM is {w}x{h} but manifest grid is {spec.width}x{spec.height}"
-        )
-    return RgbGrid(spec, values)
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3) / 255.0
+
+
+def read_ppm(path, spec: GridSpec | None = None) -> RgbGrid:
+    return RgbGrid(*_read_raster(path, spec, MalformedPpm, "PPM", int, _decode_ppm))
 
 
 # ---------------------------------------------------------------------------

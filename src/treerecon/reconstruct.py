@@ -48,7 +48,6 @@ class OptimConfig:
 class ReconResult:
     cloud: PointCloud
     loss_history: list[tuple[int, float, dict[str, float]]]
-    final_metrics: dict[str, float] | None = None
 
 
 def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:

@@ -3,60 +3,74 @@
 Points are splatted as flat disks of fixed radius. These renderers are not
 differentiable; they produce the optimization targets and synthetic sensor
 data. Highest point wins color ties, with larger point index as tiebreak.
+
+`pixels_within` is the one enumerator of the pixel centers a footprint
+covers, shared with the soft renderers in `diffrender`: here it is a hard
+disk test and nothing more, there the same pairs carry a Gaussian weight.
+`ground_xy` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import (
-    Grid,
-    GridSpec,
-    PointCloud,
-    RgbGrid,
-    SunConfig,
-    sun_direction,
-    world_to_pixel,
-)
+from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, sun_direction
 
 GROUND_COLOR = (0.55, 0.5, 0.42)
 
 
-def _covered_pixels(xy: np.ndarray, spec: GridSpec, splat_radius: float):
-    """Indices of (point, pixel) pairs where the pixel center is inside a splat.
+def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: float):
+    """Per point, a run of pixel centers along one axis that lies on the grid
+    and covers every center within `radius` of the point.
 
-    Returns (point_idx, flat_pixel_idx) arrays.
+    Returns the point's position in pixels from the run's start (N,), the
+    pixel indices (N, k) and the offsets point minus center (N, k).
     """
-    if len(xy) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    reach = radius / ps
+    width = min(2 * math.ceil(reach) + 3, size) if math.isfinite(reach) else size
+    pos = (coord - origin) / ps
+    first = np.clip(np.round(pos) - (width - 1) // 2, 0, size - width)
+    idx = first[:, None] + np.arange(width)
+    return pos - first, idx, coord[:, None] - (origin + idx * ps)
+
+
+def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
+    """Every (point, pixel) pair whose pixel center lies within `radius` of the point.
+
+    Pairs are ordered by point, then pixel row, then pixel column. Returns
+    (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
+    offsets point minus pixel center along x and y over each point's window,
+    and c and r index each pair's column in dx.ravel() and row in dy.ravel().
+    """
+    if not radius > 0:
+        raise ValueError("splat_radius must be positive")
     ps = spec.pixel_size
-    u, v = world_to_pixel(spec, xy[:, 0], xy[:, 1])
-    r = int(np.ceil(splat_radius / ps)) + 1
-    offsets = np.arange(-r, r + 1)
-    cu = np.round(u).astype(np.int64)[:, None, None] + offsets[None, None, :]
-    cv = np.round(v).astype(np.int64)[:, None, None] + offsets[None, :, None]
-    px = spec.origin_x + cu * ps
-    py = spec.origin_y + cv * ps
-    d2 = (xy[:, 0, None, None] - px) ** 2 + (xy[:, 1, None, None] - py) ** 2
-    ok = (
-        (d2 <= splat_radius**2)
-        & (cu >= 0)
-        & (cu < spec.width)
-        & (cv >= 0)
-        & (cv < spec.height)
-    )
-    pt_idx = np.broadcast_to(
-        np.arange(len(xy), dtype=np.int64)[:, None, None], ok.shape
-    )[ok]
-    flat = (cv * spec.width + cu)[ok]
-    return pt_idx, flat
+    u, cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, ps, radius)
+    _, rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, ps, radius)
+    kx, ky = dx.shape[1], dy.shape[1]
+    dx2, dy2 = dx**2, dy**2
+
+    # the window columns each (point, row) reaches, padded by one against
+    # rounding; r indexes (point, row) in dy, c indexes (point, column) in dx
+    half = np.sqrt(np.maximum(radius**2 - dy2, 0.0)) / ps
+    lo = np.maximum(np.ceil(u[:, None] - half) - 1, 0).ravel()
+    hi = np.minimum(np.floor(u[:, None] + half) + 1, kx - 1).ravel()
+    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    r = np.repeat(np.arange(len(count)), count)
+    point = r // ky
+    c = np.arange(len(r)) + (lo + count - np.cumsum(count)).astype(np.int64)[r] + point * kx
+    # the exact disk test
+    keep = np.flatnonzero(dx2.ravel()[c] + dy2.ravel()[r] <= radius**2)
+    r, c = r[keep], c[keep]
+    flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
+    return point[keep], flat, c, r, dx, dy
 
 
 def render_dsm(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> Grid:
     """Max-z disk splat; uncovered pixels are ground (0)."""
-    if splat_radius <= 0:
-        raise ValueError("splat_radius must be positive")
     out = np.zeros(spec.n_pixels)
-    pt_idx, flat = _covered_pixels(cloud.positions[:, :2], spec, splat_radius)
+    pt_idx, flat = pixels_within(cloud.positions[:, :2], spec, splat_radius)[:2]
     np.maximum.at(out, flat, cloud.positions[pt_idx, 2])
     return Grid(spec, out.reshape(spec.height, spec.width))
 
@@ -65,7 +79,7 @@ def render_ortho(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbG
     """Color of the highest covering point per pixel; ground color elsewhere."""
     colors = cloud.require_colors()
     out = RgbGrid.filled(spec, GROUND_COLOR)
-    pt_idx, flat = _covered_pixels(cloud.positions[:, :2], spec, splat_radius)
+    pt_idx, flat = pixels_within(cloud.positions[:, :2], spec, splat_radius)[:2]
     if len(flat) == 0:
         return out
     # winner per pixel = lexicographically largest (z, point index)
@@ -92,13 +106,15 @@ def shadow_offsets(sun: SunConfig) -> tuple[float, float]:
     return d[0] / -d[2], d[1] / -d[2]
 
 
+def ground_xy(positions: np.ndarray, sun: SunConfig) -> np.ndarray:
+    """Where (N, 3) points land when slid along the sun ray to z = 0."""
+    return positions[:, :2] + positions[:, 2:3] * np.array(shadow_offsets(sun))
+
+
 def render_shadow_hard(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, splat_radius: float
 ) -> Grid:
     """Binary shadow mask: points projected to the ground along the sun ray."""
-    kx, ky = shadow_offsets(sun)
-    xy = cloud.positions[:, :2] + cloud.positions[:, 2:3] * np.array([kx, ky])
     out = np.zeros(spec.n_pixels)
-    pt_idx, flat = _covered_pixels(xy, spec, splat_radius)
-    out[np.unique(flat)] = 1.0
+    out[pixels_within(ground_xy(cloud.positions, sun), spec, splat_radius)[1]] = 1.0
     return Grid(spec, out.reshape(spec.height, spec.width))

@@ -46,3 +46,25 @@ def truncation_safe_loop(xy, spec, cutoff: float, slack: float) -> np.ndarray:
         d = np.sqrt((x - cx[:, None]) ** 2 + (y - cy[None, :]) ** 2)
         safe[i] = not np.any(np.abs(d - cutoff) < slack)
     return safe
+
+
+def brute_hard_render(xy: np.ndarray, z: np.ndarray, spec, radius: float):
+    """Hard disk splat by a scan of every pixel center against every point.
+
+    Returns per pixel (H, W): covered (some point within radius, d^2 <= r^2),
+    top (highest covering z, ground 0) and winner (covering point with the
+    largest (z, index), -1 where uncovered).
+    """
+    xs, ys = spec.pixel_centers()
+    covered = np.zeros((spec.height, spec.width), dtype=bool)
+    top = np.zeros((spec.height, spec.width))
+    winner = np.full((spec.height, spec.width), -1)
+    for row in range(spec.height):
+        for col in range(spec.width):
+            d2 = (xy[:, 0] - xs[col]) ** 2 + (xy[:, 1] - ys[row]) ** 2
+            hits = [int(i) for i in np.flatnonzero(d2 <= radius**2)]
+            if hits:
+                covered[row, col] = True
+                top[row, col] = max(0.0, max(z[i] for i in hits))
+                winner[row, col] = max(hits, key=lambda i: (z[i], i))
+    return covered, top, winner

@@ -98,6 +98,19 @@ class TestReconstruct:
         )
         assert rc == 4
 
+    def test_empty_gt_cloud_exits_3(self, scene_dir, tmp_path, capsys):
+        from treerecon.core import PointCloud
+
+        empty = tmp_path / "empty.ply"
+        write_ply(PointCloud(positions=np.zeros((0, 3))), empty)
+        rc = main(
+            ["reconstruct", "--manifest", str(scene_dir / "manifest.json"),
+             "--gt", str(empty), "--out", str(tmp_path / "r.ply"),
+             "--iters", "1", "--points", "20"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: chamfer requires two non-empty clouds\n"
+
     def test_missing_input_file(self, tmp_path):
         rc = main(
             ["reconstruct", "--ortho", str(tmp_path / "nope.ppm"),
@@ -153,6 +166,8 @@ class TestEval:
         ["eval", "--tau", "0"],
         ["generate", "--grid-size", "0"],
         ["generate", "--pixel-size", "0"],
+        ["generate", "--jobs", "0"],
+        ["bench", "--jobs", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -162,11 +177,13 @@ def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys):
                         "--out", str(tmp_path / "r.ply")],
         "eval": ["--pred", str(scene_dir / "gt.ply"), "--gt", str(scene_dir / "gt.ply")],
         "generate": ["--count", "1", "--out", str(tmp_path / "g")],
+        "bench": ["--dataset", str(scene_dir.parent)],
     }
     rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
     err = capsys.readouterr().err
     assert rc == 5
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "g").exists()  # generate writes nothing, not even its --out
 
 
 PLY_HEADER = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import brute_hard_render
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.errors import MissingColors
 from treerecon.sensor import (
@@ -9,6 +10,7 @@ from treerecon.sensor import (
     render_ortho,
     render_shadow_hard,
     render_silhouette,
+    shadow_offsets,
 )
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)  # pixel centers at integers
@@ -121,3 +123,55 @@ class TestRenderShadowHard:
         shadow = render_shadow_hard(cloud, SunConfig(0.0, 90.0), SPEC, 0.5)
         sil = render_silhouette(render_dsm(cloud, SPEC, 0.5), 0.0)
         np.testing.assert_array_equal(shadow.values, sil.values)
+
+
+def _scattered(seed, n, lo, hi):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, (n, 3))
+    pts[:, 2] = rng.uniform(0.0, 12.0, n)
+    pts[1::7] = pts[::7][: len(pts[1::7])]  # exact duplicates: z ties in the ortho
+    return pts
+
+
+HARD_CASES = {
+    "on-grid": (_scattered(3, 60, -9.0, 9.0), 0.8),
+    "off-grid": (_scattered(4, 60, -16.0, 16.0), 1.3),
+    "empty": (np.zeros((0, 3)), 0.5),
+    "radius-beyond-grid": (_scattered(5, 4, -3.0, 3.0), 40.0),
+    # on a pixel center with a radius of whole pixels: d^2 == r^2 at four centers
+    "exact-boundary": (np.array([[0.0, 0.0, 7.0], [3.0, -4.0, 2.0]]), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARD_CASES))
+def test_hard_renderers_match_a_scan_of_every_pixel(case):
+    pts, radius = HARD_CASES[case]
+    colors = np.random.default_rng(6).uniform(0.0, 1.0, (len(pts), 3))
+    cloud = cloud_at(pts, colors)
+    covered, top, winner = brute_hard_render(pts[:, :2], pts[:, 2], SPEC, radius)
+    ortho = np.tile(np.array(GROUND_COLOR), (*winner.shape, 1))
+    ortho[covered] = colors[winner[covered]]
+    assert render_dsm(cloud, SPEC, radius).values.tobytes() == top.tobytes()
+    assert render_ortho(cloud, SPEC, radius).values.tobytes() == ortho.tobytes()
+
+    sun = SunConfig(123.0, 47.0)
+    ground = pts[:, :2] + pts[:, 2:3] * np.array(shadow_offsets(sun))
+    shadow = brute_hard_render(ground, pts[:, 2], SPEC, radius)[0].astype(np.float64)
+    assert render_shadow_hard(cloud, sun, SPEC, radius).values.tobytes() == shadow.tobytes()
+    if case == "exact-boundary":
+        assert top[10, 12] == top[12, 10] == top[10, 8] == top[8, 10] == 7.0
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda c, r: render_dsm(c, SPEC, r),
+        lambda c, r: render_ortho(c, SPEC, r),
+        lambda c, r: render_shadow_hard(c, SunConfig(135.0, 60.0), SPEC, r),
+    ],
+    ids=["dsm", "ortho", "shadow"],
+)
+def test_non_positive_radius_rejected(render, radius):
+    with pytest.raises(ValueError, match="splat_radius must be positive"):
+        render(cloud_at([[0, 0, 5]], [[0, 1, 0]]), radius)
