@@ -20,7 +20,6 @@ from .core import (
 )
 from .diffrender import (
     SoftConfig,
-    default_soft_config,
     project_to_ground,
     soft_dsm,
     soft_dsm_backward,

@@ -2,8 +2,9 @@
 
 Exit codes (stable scripting contract):
   0 success, 2 I/O failure or malformed file, 3 empty or degenerate input,
-  4 input mismatch (specs, missing targets), 5 internal check failure or
-  invalid configuration value.
+  4 input mismatch (specs, missing targets), 5 internal check failure,
+  invalid configuration value (NaN and infinities included) or diverged
+  optimisation (a non-finite loss or float32 position; no PLY is written).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .errors import (
     EmptyCloud,
     EmptyFootprint,
     InvalidConfig,
-    InvalidSun,
     MalformedFile,
     MissingTarget,
     SpecMismatch,
@@ -29,7 +29,7 @@ from .errors import (
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
 from .losses import TERMS, LossWeights
-from .metrics import baseline_extrude, eval_chamfer, format_report, fscore
+from .metrics import DEFAULT_TAU, baseline_extrude, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
 from .reconstruct import OptimConfig, reconstruct
 
@@ -117,21 +117,15 @@ def _load_inputs(args):
 
 
 def _resolve_weights(args, gt, shadow) -> LossWeights:
-    """Flag values win; unset lambdas default from what inputs are available."""
-    lam_geo = args.lambda_geo if args.lambda_geo is not None else (1.0 if gt is not None else 0.0)
-    lam_shadow = (
-        args.lambda_shadow
-        if args.lambda_shadow is not None
-        else (0.5 if shadow is not None else 0.0)
-    )
-    lam_sil = args.lambda_sil if args.lambda_sil is not None else 1.0
-    lam_dsm = args.lambda_dsm if args.lambda_dsm is not None else 1.0
-    return LossWeights(
-        lambda_geo=lam_geo,
-        lambda_sil=lam_sil,
-        lambda_shadow=lam_shadow,
-        lambda_dsm=lam_dsm,
-    )
+    """Flag values win; an unset lambda takes LossWeights' default, or 0 when
+    its target is absent (the silhouette and DSM targets always exist)."""
+    present = {"geo": gt is not None, "shadow": shadow is not None}
+    lam = {}
+    for term in TERMS:
+        flag = getattr(args, f"lambda_{term}")
+        default = LossWeights().of(term) if present.get(term, True) else 0.0
+        lam[f"lambda_{term}"] = default if flag is None else flag
+    return LossWeights(**lam)
 
 
 def _write_history(path, history):
@@ -268,6 +262,8 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every default is read from the config class the flag feeds."""
+    scene, optim = SceneConfig(), OptimConfig()
     parser = argparse.ArgumentParser(
         prog="treerecon",
         description="Tree point-cloud reconstruction from orthophoto + DSM",
@@ -278,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--grid-size", type=int, default=128)
-    g.add_argument("--pixel-size", type=float, default=0.25)
-    g.add_argument("--sun-az", type=float, default=135.0)
-    g.add_argument("--sun-el", type=float, default=70.0)
-    g.add_argument("--points-per-tree", type=int, default=2000)
+    g.add_argument("--grid-size", type=int, default=scene.spec.width)
+    g.add_argument("--pixel-size", type=float, default=scene.spec.pixel_size)
+    g.add_argument("--sun-az", type=float, default=scene.sun.azimuth_deg)
+    g.add_argument("--sun-el", type=float, default=scene.sun.elevation_deg)
+    g.add_argument("--points-per-tree", type=int, default=scene.ranges.n_points[0])
     g.add_argument("--jobs", type=int, default=1)
     g.set_defaults(func=cmd_generate)
 
@@ -293,24 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--shadow")
     r.add_argument("--gt")
     r.add_argument("--out", required=True)
-    r.add_argument("--iters", type=int, default=800)
-    r.add_argument("--points", type=int, default=2000)
-    r.add_argument("--lr", type=float, default=0.05)
+    r.add_argument("--iters", type=int, default=optim.iters)
+    r.add_argument("--points", type=int, default=optim.n_points)
+    r.add_argument("--lr", type=float, default=optim.lr)
     r.add_argument("--lambda-geo", type=float, default=None)
     r.add_argument("--lambda-sil", type=float, default=None)
     r.add_argument("--lambda-shadow", type=float, default=None)
     r.add_argument("--lambda-dsm", type=float, default=None)
     r.add_argument("--sun-az", type=float, default=None)
     r.add_argument("--sun-el", type=float, default=None)
-    r.add_argument("--h-min", type=float, default=0.5)
-    r.add_argument("--log-every", type=int, default=50)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--h-min", type=float, default=optim.h_min)
+    r.add_argument("--log-every", type=int, default=optim.log_every)
+    r.add_argument("--seed", type=int, default=optim.seed)
     r.set_defaults(func=cmd_reconstruct)
 
     e = sub.add_parser("eval", help="score a prediction against ground truth")
     e.add_argument("--pred", required=True)
     e.add_argument("--gt", required=True)
-    e.add_argument("--tau", type=float, default=0.5)
+    e.add_argument("--tau", type=float, default=DEFAULT_TAU)
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -322,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="reconstruct + baseline over a dataset")
     b.add_argument("--dataset", required=True)
-    b.add_argument("--tau", type=float, default=0.5)
-    b.add_argument("--iters", type=int, default=800)
-    b.add_argument("--points", type=int, default=2000)
+    b.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    b.add_argument("--iters", type=int, default=optim.iters)
+    b.add_argument("--points", type=int, default=optim.n_points)
     b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(func=cmd_bench)
 
@@ -338,7 +334,7 @@ def main(argv=None) -> int:
     except (EmptyFootprint, EmptyCloud) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY
-    except (SpecMismatch, MissingTarget, InvalidSun) as e:
+    except (SpecMismatch, MissingTarget) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except (MalformedFile, OSError) as e:

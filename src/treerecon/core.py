@@ -9,6 +9,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +134,13 @@ class SunConfig:
     elevation_deg: float
 
     def __post_init__(self):
-        if not (0.0 < self.elevation_deg <= 90.0):
-            raise InvalidSun(
-                f"sun elevation must be in (0, 90], got {self.elevation_deg}"
-            )
+        if not math.isfinite(self.azimuth_deg):
+            raise InvalidSun(f"sun azimuth must be finite, got {self.azimuth_deg}")
+        # above the horizon, and high enough that cot(elevation), the shadow
+        # length per meter of height, is finite
+        el = self.elevation_deg
+        if not (0.0 < el <= 90.0 and math.tan(math.radians(el)) * sys.float_info.max > 1.0):
+            raise InvalidSun(f"sun elevation must be in (0, 90] with finite shadows, got {el}")
 
 
 def world_to_pixel(spec: GridSpec, x, y):

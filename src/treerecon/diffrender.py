@@ -10,7 +10,7 @@ slots into pixels, each returning the predicted flat raster and its
 vector-Jacobian product (VJP):
 
   soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i)
-  soft-max height (DSM):         H = sum(w z) / (sum(w) + eps_ground),  w = g * exp(beta z)
+  soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 The public renderers are thin adapters over the two cores. The shadow
@@ -20,6 +20,7 @@ constant Jacobian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,33 +32,27 @@ from .sensor import ground_xy, pixels_within, shadow_offsets
 # below this, 1 - alpha*g is treated as a hit and leave-one-out products are
 # recomputed directly instead of divided out
 _LOO_FLOOR = 1e-12
+EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
 
 @dataclass(frozen=True)
 class SoftConfig:
-    """Soft rasterization constants."""
+    """Soft rasterization constants; every check fails on NaN."""
 
     sigma: float  # Gaussian splat bandwidth, meters
     alpha: float = 0.9  # per-point opacity
     beta: float = 2.0  # soft-max height temperature, 1/m
-    trunc: float = 3.0  # influence cutoff at trunc*sigma
-    eps_ground: float = 1e-4  # virtual ground sample weight in soft DSM
+    trunc: float = 3.0  # influence cutoff at trunc*sigma; inf for none
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (0.0 < self.sigma < math.inf):
+            raise ValueError("sigma must be positive and finite")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.trunc < 1.0:
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError("beta must be positive and finite")
+        if not (self.trunc >= 1.0):
             raise ValueError("trunc must be >= 1")
-        if self.eps_ground <= 0:
-            raise ValueError("eps_ground must be positive")
-
-
-def default_soft_config(pixel_size: float) -> SoftConfig:
-    return SoftConfig(sigma=1.0 * pixel_size)
 
 
 class _Slots:
@@ -120,7 +115,7 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     s = _Slots(positions[:, :2], spec, cfg)
     z = positions[s.point, 2]
     w = s.g * np.exp(cfg.beta * positions[:, 2])[s.point]
-    denom = s.to_pixels(w) + cfg.eps_ground
+    denom = s.to_pixels(w) + EPS_GROUND
     h = s.to_pixels(w * z) / denom
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:

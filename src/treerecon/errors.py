@@ -5,12 +5,16 @@ class TreeReconError(Exception):
     """Base class for all treerecon errors."""
 
 
-class InvalidSun(TreeReconError):
+class InvalidConfig(TreeReconError, ValueError):
+    """A configuration value out of its valid range, NaN and infinities included."""
+
+
+class InvalidSun(InvalidConfig):
     pass
 
 
-class InvalidConfig(TreeReconError, ValueError):
-    """A configuration value out of its valid range."""
+class Diverged(TreeReconError):
+    """The optimisation reached a non-finite loss or point position."""
 
 
 class MissingColors(TreeReconError):

@@ -2,10 +2,11 @@
 
 Terms: squared-distance Chamfer between point sets, mean-squared raster
 losses on the soft silhouette / shadow / DSM, and their weighted sum.
-The DSM term is divided by h_norm^2 so all terms are dimensionless.
+The DSM term is divided by H_NORM^2 so all terms are dimensionless.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = [self.of(term) for term in TERMS]
-        if any(v < 0 for v in vals):
-            raise InvalidConfig("loss weights must be nonnegative")
+        if not all(0 <= v < math.inf for v in vals):
+            raise InvalidConfig("loss weights must be nonnegative and finite")
         if all(v == 0 for v in vals):
             raise InvalidConfig("at least one loss weight must be positive")
 
@@ -114,12 +115,11 @@ def combined_loss(
     spec: GridSpec,
     soft_cfg: SoftConfig,
     weights: LossWeights,
-    h_norm: float = H_NORM,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
-    unweighted (the DSM term already carries its 1/h_norm^2 normalization).
+    unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
     Terms run in TERMS order, so the silhouette pass precedes the shadow pass.
     """
     targets.require(weights, sun, spec)
@@ -152,7 +152,7 @@ def combined_loss(
         "geo": lambda: chamfer(cloud, targets.gt_cloud),
         "sil": sil,
         "shadow": shadow,
-        "dsm": lambda: raster(dsm_forward_backward, positions, targets.dsm, 1.0 / h_norm**2),
+        "dsm": lambda: raster(dsm_forward_backward, positions, targets.dsm, 1.0 / H_NORM**2),
     }
     grad = np.zeros((len(cloud), 3))
     breakdown: dict[str, float] = {}

@@ -1,6 +1,8 @@
 """Evaluation metrics (Chamfer, F-score@tau) and the DSM-extrusion baseline."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -22,8 +24,8 @@ def fscore(
     pred: PointCloud, gt: PointCloud, tau: float = DEFAULT_TAU
 ) -> tuple[float, float, float]:
     """(precision, recall, f) at match radius tau; recall is 'coverage'."""
-    if tau <= 0:
-        raise InvalidConfig("tau must be positive")
+    if not (0.0 < tau < math.inf):
+        raise InvalidConfig("tau must be positive and finite")
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
     d_pred, _ = cKDTree(gt.positions).query(pred.positions)

@@ -7,7 +7,7 @@ on trunk lateral surfaces and inside foliage spheres at branch tips.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,12 @@ from .core import (
     SunConfig,
 )
 from .errors import InvalidConfig
-from .sensor import render_dsm, render_ortho, render_shadow_hard, render_silhouette
+from .sensor import H_MIN, render_dsm, render_ortho, render_shadow_hard, render_silhouette
 
 TRUNK_COLOR = (0.35, 0.23, 0.12)
 FOLIAGE_COLOR = (0.15, 0.45, 0.15)
 COLOR_JITTER = 0.08
+SPLAT_RADIUS = 0.5  # meters; the disk each GT point covers in the sensor rasters
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,10 @@ def sample_cloud(skeleton: Skeleton, params: TreeParams, rng: Rng) -> PointCloud
         t = rng.random(n_trunk)[:, None]
         ang = rng.uniform(0.0, 2.0 * np.pi, n_trunk)
         pts = skeleton.starts[seg] + t * axes[seg]
-        for i in range(n_trunk):
-            u, v = _orthonormal_basis(axes[seg[i]] / lengths[seg[i]])
-            pts[i] += skeleton.radii[seg[i]] * (np.cos(ang[i]) * u + np.sin(ang[i]) * v)
+        # one (u, v) frame per segment, shared by all of its points
+        u, v = map(np.array, zip(*(_orthonormal_basis(a / n) for a, n in zip(axes, lengths))))
+        ring = np.cos(ang)[:, None] * u[seg] + np.sin(ang)[:, None] * v[seg]
+        pts += skeleton.radii[seg][:, None] * ring
         pieces.append(pts)
         colors.append(_jittered_colors(TRUNK_COLOR, n_trunk, rng))
         classes.append(np.full(n_trunk, CLASS_TRUNK, dtype=np.uint8))
@@ -236,11 +238,9 @@ def sample_cloud(skeleton: Skeleton, params: TreeParams, rng: Rng) -> PointCloud
 class SceneConfig:
     """Everything generate_scene needs besides the seed."""
 
-    ranges: TreeParamRanges = field(default_factory=TreeParamRanges)
-    spec: GridSpec = field(default_factory=lambda: GridSpec.centered(128, 0.25))
+    ranges: TreeParamRanges = TreeParamRanges()
+    spec: GridSpec = GridSpec.centered(128, 0.25)
     sun: SunConfig = SunConfig(azimuth_deg=135.0, elevation_deg=70.0)
-    splat_radius: float = 0.5
-    h_min: float = 0.5
 
 
 @dataclass
@@ -263,10 +263,10 @@ def generate_scene(seed: int, cfg: SceneConfig = SceneConfig()) -> SceneSample:
     params = sample_params(rng, cfg.ranges)
     skeleton = grow_skeleton(params, rng)
     cloud = sample_cloud(skeleton, params, rng)
-    dsm = render_dsm(cloud, cfg.spec, cfg.splat_radius)
-    ortho = render_ortho(cloud, cfg.spec, cfg.splat_radius)
-    silhouette = render_silhouette(dsm, cfg.h_min)
-    shadow = render_shadow_hard(cloud, cfg.sun, cfg.spec, cfg.splat_radius)
+    dsm = render_dsm(cloud, cfg.spec, SPLAT_RADIUS)
+    ortho = render_ortho(cloud, cfg.spec, SPLAT_RADIUS)
+    silhouette = render_silhouette(dsm, H_MIN)
+    shadow = render_shadow_hard(cloud, cfg.sun, cfg.spec, SPLAT_RADIUS)
     return SceneSample(
         seed=int(seed),
         cloud=cloud,

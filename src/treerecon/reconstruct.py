@@ -6,16 +6,20 @@ Colors are not optimized; they are assigned from the orthophoto.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, world_to_pixel
-from .diffrender import SoftConfig, default_soft_config
-from .errors import EmptyFootprint, InvalidConfig, SpecMismatch
-from .losses import H_NORM, LossTargets, LossWeights, combined_loss
+from .diffrender import SoftConfig
+from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
+from .losses import LossTargets, LossWeights, combined_loss
+from .sensor import H_MIN
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_F32_MAX = float(np.finfo(np.float32).max)  # the largest coordinate a PLY can store
 
 
 @dataclass
@@ -23,14 +27,9 @@ class OptimConfig:
     n_points: int = 2000
     iters: int = 800
     lr: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
-    soft_cfg: SoftConfig | None = None  # None: default_soft_config(pixel_size)
     seed: int = 0
-    h_min: float = 0.5
-    h_norm: float = H_NORM
+    h_min: float = H_MIN
     log_every: int = 50
 
     def __post_init__(self):
@@ -38,8 +37,10 @@ class OptimConfig:
             raise InvalidConfig("n_points must be >= 1")
         if self.iters < 0:
             raise InvalidConfig("iters must be >= 0")
-        if self.lr <= 0:
-            raise InvalidConfig("lr must be positive")
+        if not (0.0 < self.lr < math.inf):
+            raise InvalidConfig("lr must be positive and finite")
+        if not (0.0 <= self.h_min < math.inf):
+            raise InvalidConfig("h_min must be nonnegative and finite")
         if self.log_every < 1:
             raise InvalidConfig("log_every must be >= 1")
 
@@ -132,22 +133,14 @@ class AdamState:
         return AdamState(m=np.zeros(shape), v=np.zeros(shape))
 
 
-def adam_step(
-    state: AdamState,
-    params: np.ndarray,
-    grads: np.ndarray,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """One bias-corrected Adam update; mutates state, returns new params."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def reconstruct(
@@ -162,12 +155,14 @@ def reconstruct(
     """Optimize a point cloud against the combined loss with Adam.
 
     init_positions overrides the silhouette-based initialization (used for
-    perturbation studies); z is clamped to >= 0 after every step.
+    perturbation studies); z is clamped to >= 0 after every step. Raises
+    Diverged, naming the iteration, as soon as a position is no longer
+    finite in float32 or the loss is no longer finite.
     """
     cfg = cfg or OptimConfig()
     w = cfg.weights
     spec = dsm.spec
-    soft_cfg = cfg.soft_cfg or default_soft_config(spec.pixel_size)
+    soft_cfg = SoftConfig(sigma=spec.pixel_size)
     targets = derive_targets(ortho, dsm, cfg.h_min)
     targets.shadow = shadow_target
     targets.gt_cloud = gt_cloud
@@ -180,23 +175,23 @@ def reconstruct(
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
 
-    def loss_at(pos):
-        return combined_loss(
-            PointCloud(positions=pos), targets, sun, spec, soft_cfg, w, cfg.h_norm
-        )
+    def loss_at(t, pos):
+        if not np.all(np.abs(pos) <= _F32_MAX):
+            raise Diverged(f"iteration {t}: a point position is not finite in float32")
+        value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w)
+        if not math.isfinite(value):
+            raise Diverged(f"iteration {t}: the loss is {value}")
+        return value, grad, breakdown
 
     history: list[tuple[int, float, dict[str, float]]] = []
-    value, grad, breakdown = loss_at(positions)
+    value, grad, breakdown = loss_at(0, positions)
     history.append((0, value, breakdown))
 
     state = AdamState.zeros(positions.shape)
     for t in range(1, cfg.iters + 1):
-        positions = adam_step(
-            state, positions, grad, cfg.lr,
-            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-        )
+        positions = adam_step(state, positions, grad, cfg.lr)
         positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-        value, grad, breakdown = loss_at(positions)
+        value, grad, breakdown = loss_at(t, positions)
         if t % cfg.log_every == 0 or t == cfg.iters:
             history.append((t, value, breakdown))
 

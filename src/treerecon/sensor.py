@@ -18,6 +18,7 @@ import numpy as np
 from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, sun_direction
 
 GROUND_COLOR = (0.55, 0.5, 0.42)
+H_MIN = 0.5  # meters; a DSM pixel above this height is canopy, not ground
 
 
 def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: float):
@@ -94,7 +95,7 @@ def render_ortho(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbG
 
 def render_silhouette(dsm: Grid, h_min: float) -> Grid:
     """Binary occupancy: 1 where the DSM is strictly above h_min."""
-    if h_min < 0:
+    if not (h_min >= 0):
         raise ValueError("h_min must be >= 0")
     return Grid(dsm.spec, (dsm.values > h_min).astype(np.float64))
 

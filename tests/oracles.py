@@ -1,6 +1,8 @@
 """Independent oracles: brute-force Chamfer and central finite differences."""
 import numpy as np
 
+from treerecon.protree import _orthonormal_basis
+
 
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
     """O(N*M) squared Chamfer distance; ties by smallest index via argmin."""
@@ -68,3 +70,21 @@ def brute_hard_render(xy: np.ndarray, z: np.ndarray, spec, radius: float):
                 top[row, col] = max(0.0, max(z[i] for i in hits))
                 winner[row, col] = max(hits, key=lambda i: (z[i], i))
     return covered, top, winner
+
+
+def trunk_points_loop(skeleton, n_trunk: int, rng) -> np.ndarray:
+    """Trunk surface points with the (u, v) frame built per point, one point at a time.
+
+    Draws from rng in sample_cloud's order: segment, position along it, angle.
+    """
+    axes = skeleton.ends - skeleton.starts
+    lengths = np.linalg.norm(axes, axis=1)
+    area = skeleton.radii * lengths
+    seg = rng.choice(len(skeleton), size=n_trunk, p=area / area.sum())
+    t = rng.random(n_trunk)[:, None]
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_trunk)
+    pts = skeleton.starts[seg] + t * axes[seg]
+    for i in range(n_trunk):
+        u, v = _orthonormal_basis(axes[seg[i]] / lengths[seg[i]])
+        pts[i] += skeleton.radii[seg[i]] * (np.cos(ang[i]) * u + np.sin(ang[i]) * v)
+    return pts

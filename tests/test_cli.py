@@ -1,9 +1,13 @@
+import contextlib
 import filecmp
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treerecon.cli import main
 from treerecon.io_formats import read_ply, write_ply
@@ -98,6 +102,17 @@ class TestReconstruct:
         )
         assert rc == 4
 
+    def test_divergence_exits_5_without_output(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "r.ply"
+        rc = main(
+            ["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--out", str(out),
+             "--lr", "1e300", "--iters", "5", "--points", "50"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error:") and "iteration 1" in err and "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".history.csv").exists()
+
     def test_empty_gt_cloud_exits_3(self, scene_dir, tmp_path, capsys):
         from treerecon.core import PointCloud
 
@@ -168,6 +183,17 @@ class TestEval:
         ["generate", "--pixel-size", "0"],
         ["generate", "--jobs", "0"],
         ["bench", "--jobs", "0"],
+        ["reconstruct", "--lambda-sil", "nan"],
+        ["reconstruct", "--lambda-dsm", "inf"],
+        ["reconstruct", "--lr", "nan"],
+        ["reconstruct", "--lr", "inf"],
+        ["reconstruct", "--h-min", "-1"],
+        ["reconstruct", "--h-min", "nan"],
+        ["reconstruct", "--sun-az", "inf", "--sun-el", "70"],
+        ["reconstruct", "--sun-az", "nan", "--sun-el", "70"],
+        ["generate", "--sun-az", "inf"],
+        ["generate", "--sun-az", "nan"],
+        ["eval", "--tau", "nan"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -276,3 +302,60 @@ class TestBench:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["bench", "--dataset", str(empty)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# flag fuzzing: any float value of a numeric flag ends in a contract exit code
+
+
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "data"
+    rc = main(["generate", "--count", "1", "--seed", "3", "--out", str(out), "--grid-size", "32",
+               "--pixel-size", "0.5", "--points-per-tree", "300"])
+    assert rc == 0
+    return out / "scene_00000"
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """(exit code, stderr) of one in-process run; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            rc = e.code
+    return rc, err.getvalue()
+
+
+# plausible values, boundary values, and any float at all
+ANY_FLOAT = st.one_of(
+    st.floats(0.01, 100.0),
+    st.sampled_from([0.0, -1.0, 1e300, -1e300, 1e-310, 5e-324, float("nan"), float("inf")]),
+    st.floats(),
+)
+RECON_FLAGS = ("lr", "lambda-geo", "lambda-sil", "lambda-shadow", "lambda-dsm", "h-min")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    values=st.dictionaries(st.sampled_from(RECON_FLAGS), ANY_FLOAT, max_size=2),
+    sun=st.none() | st.tuples(ANY_FLOAT, ANY_FLOAT),
+    tau=ANY_FLOAT,
+    iters=st.integers(0, 3),
+    points=st.integers(1, 50),
+)
+def test_fuzzed_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, values, sun, tau,
+                                                iters, points):
+    out = tmp_path_factory.getbasetemp() / "fuzz_pred.ply"
+    argv = ["reconstruct", "--manifest", str(small_scene / "manifest.json"), "--out", str(out),
+            "--iters", str(iters), "--points", str(points)]
+    argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+    if sun is not None:
+        argv += [f"--sun-az={sun[0]!r}", f"--sun-el={sun[1]!r}"]
+    rc, err = run_cli(argv)
+    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err
+    pred = out if rc == 0 else small_scene / "gt.ply"
+    rc, err = run_cli(["eval", "--pred", str(pred), "--gt", str(small_scene / "gt.ply"),
+                       f"--tau={tau!r}"])
+    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err

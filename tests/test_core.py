@@ -65,7 +65,7 @@ class TestSunDirection:
             assert abs(np.linalg.norm(d) - 1.0) < 1e-12
             assert d[2] < 0
 
-    @pytest.mark.parametrize("elevation", [0.0, -5.0, 90.5])
+    @pytest.mark.parametrize("elevation", [0.0, -5.0, 90.5, 1e-310])
     def test_invalid_elevation(self, elevation):
         with pytest.raises(InvalidSun):
             SunConfig(0.0, elevation)

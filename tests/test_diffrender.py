@@ -138,13 +138,13 @@ class TestSoftDsm:
         assert not out.values.any()
 
     def test_single_point_near_height(self):
-        cfg = SoftConfig(sigma=1.0, beta=1.0, eps_ground=1e-4)
+        cfg = SoftConfig(sigma=1.0, beta=1.0)
         out = soft_dsm(cloud([0, 0, 5]), SPEC, cfg)
         expected = 5.0 * np.e**5 / (np.e**5 + 1e-4)
         assert abs(out.values[10, 10] - expected) < 1e-12
 
     def test_two_points_softmax_toward_taller(self):
-        cfg = SoftConfig(sigma=1.0, beta=1.0, eps_ground=1e-4)
+        cfg = SoftConfig(sigma=1.0, beta=1.0)
         out = soft_dsm(cloud([[0, 0, 2], [0, 0, 10]]), SPEC, cfg)
         e2, e10 = np.e**2, np.e**10
         expected = (2 * e2 + 10 * e10) / (e2 + e10 + 1e-4)
@@ -241,7 +241,11 @@ class TestSoftConfigValidation:
             {"sigma": 1.0, "alpha": 1.5},
             {"sigma": 1.0, "beta": 0.0},
             {"sigma": 1.0, "trunc": 0.5},
-            {"sigma": 1.0, "eps_ground": 0.0},
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
+            {"sigma": 1.0, "beta": float("nan")},
+            {"sigma": 1.0, "beta": float("inf")},
+            {"sigma": 1.0, "trunc": float("nan")},
         ],
     )
     def test_rejects_bad_constants(self, kwargs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import trunk_points_loop
 from treerecon.core import CLASS_FOLIAGE, CLASS_TRUNK, Rng
 from treerecon.errors import InvalidConfig
 from treerecon.losses import chamfer
@@ -123,6 +124,16 @@ class TestSampleCloud:
                 radial = np.linalg.norm(p - (s + t * axis))
                 d_min = min(d_min, radial - r)
             assert d_min <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trunk_points_equal_the_per_point_loop(self, seed):
+        params = fixed_params(foliage_fraction=0.0, n_points=300, branch_depth=3,
+                              children_per_branch=(2, 4))
+        sk = grow_skeleton(params, Rng(seed))
+        cloud = sample_cloud(sk, params, Rng(seed + 100))
+        ref = trunk_points_loop(sk, 300, Rng(seed + 100))
+        ref[:, 2] = np.maximum(ref[:, 2], 0.0)
+        assert np.array_equal(cloud.positions, ref)
 
     def test_all_foliage_in_crown_sphere(self):
         params = fixed_params(
