@@ -3,8 +3,10 @@
 Exit codes (stable scripting contract):
   0 success, 2 I/O failure or malformed file, 3 empty or degenerate input,
   4 input mismatch (specs, missing targets), 5 internal check failure,
-  invalid configuration value (NaN and infinities included) or diverged
-  optimisation (a non-finite loss or float32 position; no PLY is written).
+  invalid configuration value (NaN and infinities included, or only one of
+  --sun-az and --sun-el) or diverged optimisation (a non-finite loss or
+  float32 position, or a gradient too large for Adam to square; no PLY is
+  written).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .errors import (
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
 from .losses import TERMS, LossWeights
-from .metrics import DEFAULT_TAU, baseline_extrude, eval_chamfer, format_report, fscore
+from .metrics import DEFAULT_TAU, baseline_extrude, check_tau, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
 from .reconstruct import OptimConfig, reconstruct
 
@@ -88,6 +90,8 @@ def cmd_generate(args) -> int:
 
 def _load_inputs(args):
     """Resolve ortho/dsm/shadow/sun from flags, with the manifest as fallback."""
+    if (args.sun_az is None) != (args.sun_el is None):
+        raise InvalidConfig("--sun-az and --sun-el must be given together")
     manifest = None
     base = None
     if args.manifest:
@@ -111,7 +115,7 @@ def _load_inputs(args):
         if shadow_path.exists():
             shadow = read_pfm(shadow_path, dsm.spec)
     sun = manifest.sun if manifest else None
-    if args.sun_az is not None and args.sun_el is not None:
+    if args.sun_az is not None:
         sun = SunConfig(azimuth_deg=args.sun_az, elevation_deg=args.sun_el)
     return ortho, dsm, shadow, sun
 
@@ -228,6 +232,7 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
+    check_tau(args.tau)  # before any scene is reconstructed
     dataset = Path(args.dataset)
     scene_dirs = sorted(d for d in dataset.iterdir() if d.is_dir())
     if not scene_dirs:

@@ -68,7 +68,8 @@ class _Slots:
         self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
         self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
         k = -0.5 / cfg.sigma**2
-        self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
+        with np.errstate(over="ignore"):  # a point far off the grid has no slot
+            self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""

@@ -14,8 +14,9 @@ Byte-level contracts:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -249,25 +250,29 @@ class Manifest:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    doc = {
-        "seed": manifest.seed,
-        "grid": asdict(manifest.grid),
-        "sun": asdict(manifest.sun),
-        "files": asdict(manifest.files),
-        "generator_version": manifest.generator_version,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
-def _take(doc: dict, field: str, where: str):
-    if field not in doc:
-        raise MalformedManifest(f"missing field {where}{field}")
-    return doc.pop(field)
+def _from_doc(cls, doc: dict, where: str = ""):
+    """Build dataclass `cls` from the JSON object `doc`, popping what it takes.
 
-
-def _reject_unknown(doc: dict, where: str):
+    Every field is required; scalars are converted to their annotated type
+    and nested dataclasses are built the same way. Unknown fields are
+    rejected once the object is built.
+    """
+    hints, values = get_type_hints(cls), {}
+    for f in fields(cls):
+        if f.name not in doc:
+            raise MalformedManifest(f"missing field {where}{f.name}")
+        kind = hints[f.name]
+        values[f.name] = (dict if is_dataclass(kind) else kind)(doc.pop(f.name))
+    for name, value in values.items():
+        if is_dataclass(hints[name]):
+            values[name] = _from_doc(hints[name], value, f"{where}{name}.")
+    obj = cls(**values)
     if doc:
         raise MalformedManifest(f"unknown field {where}{next(iter(doc))}")
+    return obj
 
 
 def read_manifest(path) -> Manifest:
@@ -279,38 +284,10 @@ def read_manifest(path) -> Manifest:
         raise MalformedManifest(f"invalid JSON: {e}", line=getattr(e, "lineno", None)) from e
     if not isinstance(doc, dict):
         raise MalformedManifest("manifest root must be an object")
-    doc = dict(doc)
     try:
-        seed = int(_take(doc, "seed", ""))
-        grid_doc = dict(_take(doc, "grid", ""))
-        sun_doc = dict(_take(doc, "sun", ""))
-        files_doc = dict(_take(doc, "files", ""))
-        version = str(_take(doc, "generator_version", ""))
-        _reject_unknown(doc, "")
-        grid = GridSpec(
-            width=int(_take(grid_doc, "width", "grid.")),
-            height=int(_take(grid_doc, "height", "grid.")),
-            origin_x=float(_take(grid_doc, "origin_x", "grid.")),
-            origin_y=float(_take(grid_doc, "origin_y", "grid.")),
-            pixel_size=float(_take(grid_doc, "pixel_size", "grid.")),
-        )
-        _reject_unknown(grid_doc, "grid.")
-        sun = SunConfig(
-            azimuth_deg=float(_take(sun_doc, "azimuth_deg", "sun.")),
-            elevation_deg=float(_take(sun_doc, "elevation_deg", "sun.")),
-        )
-        _reject_unknown(sun_doc, "sun.")
-        files = SceneFiles(
-            ortho=str(_take(files_doc, "ortho", "files.")),
-            dsm=str(_take(files_doc, "dsm", "files.")),
-            silhouette=str(_take(files_doc, "silhouette", "files.")),
-            shadow=str(_take(files_doc, "shadow", "files.")),
-            cloud=str(_take(files_doc, "cloud", "files.")),
-        )
-        _reject_unknown(files_doc, "files.")
+        return _from_doc(Manifest, doc)
     except (TypeError, ValueError, OverflowError, InvalidSun) as e:
         raise MalformedManifest(f"bad field value: {e}") from e
-    return Manifest(seed=seed, grid=grid, sun=sun, files=files, generator_version=version)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,17 @@ def eval_chamfer(pred: PointCloud, gt: PointCloud) -> float:
     return value
 
 
+def check_tau(tau: float) -> None:
+    """Raise InvalidConfig unless the match radius tau is positive and finite."""
+    if not (0.0 < tau < math.inf):
+        raise InvalidConfig("tau must be positive and finite")
+
+
 def fscore(
     pred: PointCloud, gt: PointCloud, tau: float = DEFAULT_TAU
 ) -> tuple[float, float, float]:
     """(precision, recall, f) at match radius tau; recall is 'coverage'."""
-    if not (0.0 < tau < math.inf):
-        raise InvalidConfig("tau must be positive and finite")
+    check_tau(tau)
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
     d_pred, _ = cKDTree(gt.positions).query(pred.positions)

@@ -20,6 +20,7 @@ from .sensor import H_MIN
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest coordinate a PLY can store
+_GRAD_MAX = math.sqrt(np.finfo(np.float64).max)  # Adam squares every gradient component
 
 
 @dataclass
@@ -157,7 +158,8 @@ def reconstruct(
     init_positions overrides the silhouette-based initialization (used for
     perturbation studies); z is clamped to >= 0 after every step. Raises
     Diverged, naming the iteration, as soon as a position is no longer
-    finite in float32 or the loss is no longer finite.
+    finite in float32, the loss is no longer finite or a gradient component
+    is too large for Adam to square.
     """
     cfg = cfg or OptimConfig()
     w = cfg.weights
@@ -178,9 +180,14 @@ def reconstruct(
     def loss_at(t, pos):
         if not np.all(np.abs(pos) <= _F32_MAX):
             raise Diverged(f"iteration {t}: a point position is not finite in float32")
-        value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w)
+        # an overflow in the loss (a point too high for the soft DSM's
+        # exp(beta z), say) either meets no pixel or makes the loss non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w)
         if not math.isfinite(value):
             raise Diverged(f"iteration {t}: the loss is {value}")
+        if np.any(np.abs(grad) > _GRAD_MAX):
+            raise Diverged(f"iteration {t}: a gradient component is too large for Adam to square")
         return value, grad, breakdown
 
     history: list[tuple[int, float, dict[str, float]]] = []

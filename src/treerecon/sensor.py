@@ -5,8 +5,9 @@ differentiable; they produce the optimization targets and synthetic sensor
 data. Highest point wins color ties, with larger point index as tiebreak.
 
 `pixels_within` is the one enumerator of the pixel centers a footprint
-covers, shared with the soft renderers in `diffrender`: here it is a hard
-disk test and nothing more, there the same pairs carry a Gaussian weight.
+covers, shared with the soft renderers in `diffrender`: one d^2 <= r^2 mask
+over each point's window of on-grid centers. Here the pairs are a hard disk
+and nothing more, there the same pairs carry a Gaussian weight.
 `ground_xy` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
@@ -25,47 +26,35 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     """Per point, a run of pixel centers along one axis that lies on the grid
     and covers every center within `radius` of the point.
 
-    Returns the point's position in pixels from the run's start (N,), the
-    pixel indices (N, k) and the offsets point minus center (N, k).
+    Returns the pixel indices (N, k) and the offsets point minus center (N, k).
     """
     reach = radius / ps
     width = min(2 * math.ceil(reach) + 3, size) if math.isfinite(reach) else size
-    pos = (coord - origin) / ps
-    first = np.clip(np.round(pos) - (width - 1) // 2, 0, size - width)
+    first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
     idx = first[:, None] + np.arange(width)
-    return pos - first, idx, coord[:, None] - (origin + idx * ps)
+    return idx, coord[:, None] - (origin + idx * ps)
 
 
 def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
     """Every (point, pixel) pair whose pixel center lies within `radius` of the point.
 
-    Pairs are ordered by point, then pixel row, then pixel column. Returns
+    One disk test d^2 <= radius^2 over each point's (ky, kx) window picks the
+    pairs, ordered by point, then pixel row, then pixel column. Returns
     (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
     offsets point minus pixel center along x and y over each point's window,
     and c and r index each pair's column in dx.ravel() and row in dy.ravel().
     """
     if not radius > 0:
         raise ValueError("splat_radius must be positive")
-    ps = spec.pixel_size
-    u, cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, ps, radius)
-    _, rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, ps, radius)
+    with np.errstate(over="ignore"):  # a point far off the grid covers nothing
+        cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
+        rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
+        hit = np.flatnonzero(dx[:, None, :] ** 2 + dy[:, :, None] ** 2 <= radius**2)
     kx, ky = dx.shape[1], dy.shape[1]
-    dx2, dy2 = dx**2, dy**2
-
-    # the window columns each (point, row) reaches, padded by one against
-    # rounding; r indexes (point, row) in dy, c indexes (point, column) in dx
-    half = np.sqrt(np.maximum(radius**2 - dy2, 0.0)) / ps
-    lo = np.maximum(np.ceil(u[:, None] - half) - 1, 0).ravel()
-    hi = np.minimum(np.floor(u[:, None] + half) + 1, kx - 1).ravel()
-    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    r = np.repeat(np.arange(len(count)), count)
-    point = r // ky
-    c = np.arange(len(r)) + (lo + count - np.cumsum(count)).astype(np.int64)[r] + point * kx
-    # the exact disk test
-    keep = np.flatnonzero(dx2.ravel()[c] + dy2.ravel()[r] <= radius**2)
-    r, c = r[keep], c[keep]
+    point = hit // (ky * kx)
+    r, c = hit // kx, point * kx + hit % kx
     flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
-    return point[keep], flat, c, r, dx, dy
+    return point, flat, c, r, dx, dy
 
 
 def render_dsm(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> Grid:
@@ -109,7 +98,8 @@ def shadow_offsets(sun: SunConfig) -> tuple[float, float]:
 
 def ground_xy(positions: np.ndarray, sun: SunConfig) -> np.ndarray:
     """Where (N, 3) points land when slid along the sun ray to z = 0."""
-    return positions[:, :2] + positions[:, 2:3] * np.array(shadow_offsets(sun))
+    with np.errstate(over="ignore"):  # a low sun may cast a shadow beyond float range
+        return positions[:, :2] + positions[:, 2:3] * np.array(shadow_offsets(sun))
 
 
 def render_shadow_hard(

@@ -3,12 +3,14 @@ import filecmp
 import io
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treerecon import cli
 from treerecon.cli import main
 from treerecon.io_formats import read_ply, write_ply
 from treerecon.protree import generate_scene
@@ -104,14 +106,16 @@ class TestReconstruct:
 
     def test_divergence_exits_5_without_output(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "r.ply"
-        rc = main(
-            ["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--out", str(out),
-             "--lr", "1e300", "--iters", "5", "--points", "50"]
-        )
-        err = capsys.readouterr().err
-        assert rc == 5
-        assert err.startswith("error:") and "iteration 1" in err and "Traceback" not in err
-        assert not out.exists() and not out.with_suffix(".history.csv").exists()
+        # a step that leaves float32, and a gradient too large for Adam to square
+        for flags, iteration in ((["--lr", "1e300"], 1), (["--lambda-dsm", "1e300"], 0)):
+            rc = main(
+                ["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--out", str(out),
+                 "--iters", "5", "--points", "50"] + flags
+            )
+            err = capsys.readouterr().err
+            assert rc == 5
+            assert err.startswith(f"error: iteration {iteration}:") and "Traceback" not in err
+            assert not out.exists() and not out.with_suffix(".history.csv").exists()
 
     def test_empty_gt_cloud_exits_3(self, scene_dir, tmp_path, capsys):
         from treerecon.core import PointCloud
@@ -194,10 +198,18 @@ class TestEval:
         ["generate", "--sun-az", "inf"],
         ["generate", "--sun-az", "nan"],
         ["eval", "--tau", "nan"],
+        ["reconstruct", "--sun-az", "nan"],
+        ["reconstruct", "--sun-el", "45"],
+        ["bench", "--tau", "nan"],
+        ["bench", "--tau", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys):
+def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("an invalid configuration reached reconstruct")
+
+    monkeypatch.setattr(cli, "reconstruct", reached)
     inputs = {
         "reconstruct": ["--manifest", str(scene_dir / "manifest.json"),
                         "--out", str(tmp_path / "r.ply")],
@@ -317,15 +329,25 @@ def small_scene(tmp_path_factory):
     return out / "scene_00000"
 
 
-def run_cli(argv) -> tuple[int, str]:
-    """(exit code, stderr) of one in-process run; an escaping exception fails the test."""
+def run_cli(argv) -> tuple[int, str, list]:
+    """(exit code, stderr, Python warnings) of one in-process run; an escaping
+    exception fails the test."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             rc = main(argv)
         except SystemExit as e:  # argparse rejects the command line
             rc = e.code
-    return rc, err.getvalue()
+    return rc, err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_contract_exit(rc, err, caught):
+    """A contract exit code, no warning, and stderr empty or one `error:` line."""
+    assert rc in (0, 2, 3, 4, 5)
+    assert caught == []
+    assert err == "" or (err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"))
 
 
 # plausible values, boundary values, and any float at all
@@ -338,6 +360,9 @@ RECON_FLAGS = ("lr", "lambda-geo", "lambda-sil", "lambda-shadow", "lambda-dsm", 
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
+@example(values={}, sun=(135.0, 1e-300), tau=0.5, iters=1, points=50)  # shadows beyond float range
+@example(values={"lambda-dsm": 1e300}, sun=None, tau=0.5, iters=1, points=50)  # too large for Adam
+@example(values={"lr": 354.0}, sun=None, tau=0.5, iters=1, points=1)  # too high for exp(beta z)
 @given(
     values=st.dictionaries(st.sampled_from(RECON_FLAGS), ANY_FLOAT, max_size=2),
     sun=st.none() | st.tuples(ANY_FLOAT, ANY_FLOAT),
@@ -353,9 +378,8 @@ def test_fuzzed_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, v
     argv += [f"--{flag}={value!r}" for flag, value in values.items()]
     if sun is not None:
         argv += [f"--sun-az={sun[0]!r}", f"--sun-el={sun[1]!r}"]
-    rc, err = run_cli(argv)
-    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err
+    rc, err, caught = run_cli(argv)
+    assert_contract_exit(rc, err, caught)
     pred = out if rc == 0 else small_scene / "gt.ply"
-    rc, err = run_cli(["eval", "--pred", str(pred), "--gt", str(small_scene / "gt.ply"),
-                       f"--tau={tau!r}"])
-    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err
+    assert_contract_exit(*run_cli(["eval", "--pred", str(pred), "--gt",
+                                   str(small_scene / "gt.ply"), f"--tau={tau!r}"]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
@@ -40,6 +42,38 @@ def fd_check(f, grad, x, sigma, rel_tol=1e-3):
     assert np.all(err <= rel_tol * ref), f"max rel err {np.max(err / ref):.3e}"
 
 
+def assert_slots_match_a_dense_scan(xy, spec, sigma, trunc):
+    s = _Slots(xy, spec, SoftConfig(sigma=sigma, trunc=trunc))
+
+    xs, ys = spec.pixel_centers()
+    dx = xy[:, 0, None, None] - xs[None, None, :]
+    dy = xy[:, 1, None, None] - ys[None, :, None]
+    d2 = dx**2 + dy**2
+    point, row, col = np.nonzero(d2 <= (trunc * sigma) ** 2)
+    assert np.array_equal(s.point, point)
+    assert np.array_equal(s.flat, row * spec.width + col)
+    assert np.array_equal(s.dx, dx[point, 0, col])
+    assert np.array_equal(s.dy, dy[point, row, 0])
+    arg = d2[point, row, col] / (2.0 * sigma**2)
+    g = np.exp(-arg)
+    # exp(-a) * exp(-b) vs exp(-(a + b)): a few ulp of the argument apart
+    assert np.all(np.abs(s.g - g) <= 4 * np.finfo(float).eps * (1.0 + arg) * g)
+
+
+@st.composite
+def grids_and_clouds(draw):
+    """A grid of 1-24 x 1-24 pixels and up to 12 points, each a pixel index on
+    or off the grid plus a fraction of a pixel per axis (0 is a pixel center)."""
+    spec = GridSpec(draw(st.integers(1, 24)), draw(st.integers(1, 24)),
+                    draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)),
+                    draw(st.floats(0.1, 3.0)))
+    frac = st.sampled_from([0.0, 0.5]) | st.floats(-1.0, 1.0)
+    pixel = st.tuples(st.integers(-8, 32), frac, st.integers(-8, 32), frac)
+    xy = [(spec.origin_x + (i + fi) * spec.pixel_size, spec.origin_y + (j + fj) * spec.pixel_size)
+          for i, fi, j, fj in draw(st.lists(pixel, max_size=12))]
+    return spec, np.array(xy, dtype=float).reshape(-1, 2)
+
+
 class TestSlots:
     @pytest.mark.parametrize(
         "sigma, trunc", [(1.0, 3.0), (0.7, 2.5), (1.3, 1.0), (1.0, np.inf)]
@@ -49,22 +83,16 @@ class TestSlots:
         # of whole pixels then lands exactly on other centers)
         rng = np.random.default_rng(15)
         xy = np.vstack([rng.uniform(-13.0, 13.0, (40, 2)), [[0.0, 0.0], [10.0, -10.0]]])
-        cfg = SoftConfig(sigma=sigma, trunc=trunc)
-        s = _Slots(xy, SPEC, cfg)
+        assert_slots_match_a_dense_scan(xy, SPEC, sigma, trunc)
 
-        xs, ys = SPEC.pixel_centers()
-        dx = xy[:, 0, None, None] - xs[None, None, :]
-        dy = xy[:, 1, None, None] - ys[None, :, None]
-        d2 = dx**2 + dy**2
-        point, row, col = np.nonzero(d2 <= (trunc * sigma) ** 2)
-        assert np.array_equal(s.point, point)
-        assert np.array_equal(s.flat, row * SPEC.width + col)
-        assert np.array_equal(s.dx, dx[point, 0, col])
-        assert np.array_equal(s.dy, dy[point, row, 0])
-        arg = d2[point, row, col] / (2.0 * sigma**2)
-        g = np.exp(-arg)
-        # exp(-a) * exp(-b) vs exp(-(a + b)): a few ulp of the argument apart
-        assert np.all(np.abs(s.g - g) <= 4 * np.finfo(float).eps * (1.0 + arg) * g)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @example(grid_cloud=(SPEC, np.zeros((0, 2))), sigma=1.0, trunc=3.0)
+    @example(grid_cloud=(SPEC, np.zeros((0, 2))), sigma=1.0, trunc=np.inf)
+    @given(grid_cloud=grids_and_clouds(), sigma=st.floats(0.1, 3.0),
+           trunc=st.floats(1.0, 6.0) | st.just(np.inf))
+    def test_match_a_dense_scan_of_drawn_grids(self, grid_cloud, sigma, trunc):
+        spec, xy = grid_cloud
+        assert_slots_match_a_dense_scan(xy, spec, sigma, trunc)
 
 
 class TestSoftSilhouette:
