@@ -1,12 +1,12 @@
 """Command-line interface: generate / reconstruct / eval / gradcheck / bench.
 
 Exit codes (stable scripting contract):
-  0 success, 2 I/O failure or malformed file, 3 empty or degenerate input,
-  4 input mismatch (specs, missing targets), 5 internal check failure,
-  invalid configuration value (NaN and infinities included, or only one of
-  --sun-az and --sun-el) or diverged optimisation (a non-finite loss or
-  float32 position, or a gradient too large for Adam to square; no PLY is
-  written).
+  0 success, 2 I/O failure or malformed file (a negative manifest seed too),
+  3 empty or degenerate input, 4 input mismatch (specs, missing targets),
+  5 internal check failure, invalid configuration value (NaN, infinities, a
+  negative --seed or --count, gradcheck --trials or --points below 1, one of
+  --sun-az and --sun-el alone) or diverged optimisation (a non-finite loss or
+  float32 position, or a gradient too large for Adam to square; no PLY).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GridSpec, Rng, SunConfig
+from .core import GridSpec, Rng, SunConfig, check_seed
 from .errors import (
     EmptyCloud,
     EmptyFootprint,
@@ -72,6 +72,9 @@ def _generate_one(task):
 
 
 def cmd_generate(args) -> int:
+    if args.count < 0:
+        raise InvalidConfig(f"count must be >= 0, got {args.count}")
+    check_seed(args.seed)  # also at --count 0, which seeds nothing
     out = Path(args.out)
     cfg = _scene_config(args)
     tasks = [
@@ -188,12 +191,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    result = run_gradcheck(
-        seed=args.seed,
-        trials=args.trials,
-        n_points=args.points,
-        corrupt=1e-2 if args.corrupt_gradient else 0.0,
-    )
+    result = run_gradcheck(seed=args.seed, trials=args.trials, n_points=args.points)
     for name, score in result.max_scores.items():
         status = "ok" if score <= REL_TOL else "FAIL"
         print(f"{name}: max_rel_error={score:.3e} [{status}]")
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--points", type=int, default=None)
     c.add_argument("--trials", type=int, default=100)
-    c.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     c.set_defaults(func=cmd_gradcheck)
 
     b = sub.add_parser("bench", help="reconstruct + baseline over a dataset")

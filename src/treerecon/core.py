@@ -170,6 +170,13 @@ def sun_direction(sun: SunConfig) -> np.ndarray:
     )
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; PCG64 takes only non-negative seeds."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 class Rng:
     """Deterministic random stream: a seeded PCG64 generator.
 
@@ -178,7 +185,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low=0.0, high=1.0, size=None):

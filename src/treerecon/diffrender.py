@@ -9,7 +9,7 @@ sensor splats through, and only g is added here. Two cores compose the
 slots into pixels, each returning the predicted flat raster and its
 vector-Jacobian product (VJP):
 
-  soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i)
+  soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i),  0 < alpha < 1
   soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
@@ -26,12 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .errors import SpecMismatch
+from .errors import InvalidConfig, SpecMismatch
 from .sensor import ground_xy, pixels_within, shadow_offsets
 
-# below this, 1 - alpha*g is treated as a hit and leave-one-out products are
-# recomputed directly instead of divided out
-_LOO_FLOOR = 1e-12
 EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
 
@@ -40,19 +37,19 @@ class SoftConfig:
     """Soft rasterization constants; every check fails on NaN."""
 
     sigma: float  # Gaussian splat bandwidth, meters
-    alpha: float = 0.9  # per-point opacity
+    alpha: float = 0.9  # per-point opacity, below 1
     beta: float = 2.0  # soft-max height temperature, 1/m
     trunc: float = 3.0  # influence cutoff at trunc*sigma; inf for none
 
     def __post_init__(self):
         if not (0.0 < self.sigma < math.inf):
-            raise ValueError("sigma must be positive and finite")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
+            raise InvalidConfig("sigma must be positive and finite")
+        if not (0.0 < self.alpha < 1.0):
+            raise InvalidConfig("alpha must be in (0, 1)")
         if not (0.0 < self.beta < math.inf):
-            raise ValueError("beta must be positive and finite")
+            raise InvalidConfig("beta must be positive and finite")
         if not (self.trunc >= 1.0):
-            raise ValueError("trunc must be >= 1")
+            raise InvalidConfig("trunc must be >= 1")
 
 
 class _Slots:
@@ -92,20 +89,13 @@ class _Slots:
 def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
     s = _Slots(xy, spec, cfg)
-    t = 1.0 - cfg.alpha * s.g
-    with np.errstate(divide="ignore"):
-        log_t = np.log(t)
+    log_t = np.log(1.0 - cfg.alpha * s.g)
     log_prod = s.to_pixels(log_t)
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
-        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j); divide the full product
-        # back out unless the factor is (near) zero, then recompute leave-one-out
-        with np.errstate(invalid="ignore"):
-            loo = np.exp(log_prod[s.flat] - log_t)
-        for i in np.flatnonzero(t < _LOO_FLOOR):
-            same = s.flat == s.flat[i]
-            same[i] = False
-            loo[i] = np.prod(t[same])
+        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
+        # factor i divided back out, which alpha < 1 keeps above zero
+        loo = np.exp(log_prod[s.flat] - log_t)
         return s.xy_grad(d_flat[s.flat] * cfg.alpha * loo * s.g)
 
     return 1.0 - np.exp(log_prod), vjp

@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
+from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, check_seed
 from .errors import (
     InvalidSun,
     MalformedManifest,
@@ -247,6 +247,9 @@ class Manifest:
     sun: SunConfig
     files: SceneFiles = SceneFiles()
     generator_version: str = GENERATOR_VERSION
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 def write_manifest(manifest: Manifest, path) -> None:

@@ -84,6 +84,8 @@ class TreeParamRanges:
             lo, hi = getattr(self, name)
             if hi < lo:
                 raise InvalidConfig(f"range for {name} is empty")
+        if self.n_points[0] < 1:
+            raise InvalidConfig("n_points must be >= 1")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, world_to_pixel
+from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss
@@ -44,6 +44,7 @@ class OptimConfig:
             raise InvalidConfig("h_min must be nonnegative and finite")
         if self.log_every < 1:
             raise InvalidConfig("log_every must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -5,8 +5,9 @@ differentiable; they produce the optimization targets and synthetic sensor
 data. Highest point wins color ties, with larger point index as tiebreak.
 
 `pixels_within` is the one enumerator of the pixel centers a footprint
-covers, shared with the soft renderers in `diffrender`: one d^2 <= r^2 mask
-over each point's window of on-grid centers. Here the pairs are a hard disk
+covers, shared with the soft renderers in `diffrender` and the cutoff test
+in `gradcheck`: one d^2 <= r^2 mask over each point's window of
+2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
 and nothing more, there the same pairs carry a Gaussian weight.
 `ground_xy` is the one sun-ray projection to the ground plane.
 """
@@ -26,10 +27,12 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     """Per point, a run of pixel centers along one axis that lies on the grid
     and covers every center within `radius` of the point.
 
+    The run is centered on the point's rounded pixel, which lies at most half
+    a pixel from the point, so 2*ceil(radius/ps) + 1 centers cover the disk.
     Returns the pixel indices (N, k) and the offsets point minus center (N, k).
     """
     reach = radius / ps
-    width = min(2 * math.ceil(reach) + 3, size) if math.isfinite(reach) else size
+    width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
     first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
     idx = first[:, None] + np.arange(width)
     return idx, coord[:, None] - (origin + idx * ps)
@@ -70,12 +73,11 @@ def render_ortho(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbG
     colors = cloud.require_colors()
     out = RgbGrid.filled(spec, GROUND_COLOR)
     pt_idx, flat = pixels_within(cloud.positions[:, :2], spec, splat_radius)[:2]
-    if len(flat) == 0:
-        return out
-    # winner per pixel = lexicographically largest (z, point index)
+    # winner per pixel = lexicographically largest (z, point index), the last
+    # of its pixel's run; pixel indices are >= 0, so the appended -1 ends the last run
     order = np.lexsort((pt_idx, cloud.positions[pt_idx, 2], flat))
     flat_sorted = flat[order]
-    last = np.flatnonzero(np.r_[flat_sorted[1:] != flat_sorted[:-1], True])
+    last = np.flatnonzero(np.diff(flat_sorted, append=-1))
     win_pixels = flat_sorted[last]
     win_points = pt_idx[order][last]
     out.values.reshape(-1, 3)[win_pixels] = colors[win_points]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treerecon import cli
+from treerecon import cli, gradcheck
 from treerecon.cli import main
 from treerecon.io_formats import read_ply, write_ply
 from treerecon.protree import generate_scene
@@ -69,6 +69,22 @@ def scene_dir(tmp_path_factory):
     rc = main(["generate", "--count", "1", "--seed", "5", "--out", str(out)] + GEN_SMALL)
     assert rc == 0
     return out / "scene_00000"
+
+
+def refuse_reconstruct(monkeypatch):
+    """Make reaching `reconstruct` from the CLI fail the test."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a rejected input reached reconstruct")
+
+    monkeypatch.setattr(cli, "reconstruct", reached)
+
+
+def negative_seed_manifest(scene_dir) -> bytes:
+    """The scene's manifest with seed -1, naming its files by absolute path."""
+    doc = json.loads((scene_dir / "manifest.json").read_text())
+    doc["seed"] = -1
+    doc["files"] = {role: str(scene_dir / name) for role, name in doc["files"].items()}
+    return json.dumps(doc).encode()
 
 
 class TestReconstruct:
@@ -202,20 +218,26 @@ class TestEval:
         ["reconstruct", "--sun-el", "45"],
         ["bench", "--tau", "nan"],
         ["bench", "--tau", "0"],
+        ["generate", "--seed", "-1"],
+        ["reconstruct", "--seed", "-4"],
+        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--trials", "0"],
+        ["gradcheck", "--trials", "-1"],
+        ["gradcheck", "--points", "0"],
+        ["gradcheck", "--points", "-3"],
+        ["generate", "--count", "-2"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_invalid_config_value_exits_5(argv, scene_dir, tmp_path, capsys, monkeypatch):
-    def reached(*args, **kwargs):
-        raise AssertionError("an invalid configuration reached reconstruct")
-
-    monkeypatch.setattr(cli, "reconstruct", reached)
+    refuse_reconstruct(monkeypatch)
     inputs = {
         "reconstruct": ["--manifest", str(scene_dir / "manifest.json"),
                         "--out", str(tmp_path / "r.ply")],
         "eval": ["--pred", str(scene_dir / "gt.ply"), "--gt", str(scene_dir / "gt.ply")],
         "generate": ["--count", "1", "--out", str(tmp_path / "g")],
         "bench": ["--dataset", str(scene_dir.parent)],
+        "gradcheck": ["--trials", "1"],
     }
     rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
     err = capsys.readouterr().err
@@ -236,6 +258,7 @@ MALFORMED = {
     "ply-float32-overflow": ("ply", (PLY_HEADER.format(n=1) + "1e39 0 0 1 2 3\n").encode()),
     "ply-not-utf8": ("ply", b"ply\nformat ascii 1.0\n\xff\xfe\n"),
     "manifest-not-utf8": ("manifest", b'{"seed": \xff}'),
+    "manifest-negative-seed": ("manifest", negative_seed_manifest),
     "pfm-negative-size": ("dsm", b"Pf\n-1 -1\n-1.0\n" + b"\0" * 4),
     "pfm-zero-size": ("dsm", b"Pf\n0 0\n-1.0\n"),
     "ppm-negative-size": ("ortho", b"P6\n-1 -1\n255\n" + b"\0" * 3),
@@ -244,10 +267,11 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_2(case, scene_dir, tmp_path, capsys):
+def test_malformed_input_exits_2(case, scene_dir, tmp_path, capsys, monkeypatch):
+    refuse_reconstruct(monkeypatch)
     role, data = MALFORMED[case]
     bad = tmp_path / f"bad.{role}"
-    bad.write_bytes(data)
+    bad.write_bytes(data(scene_dir) if callable(data) else data)
     if role == "ply":
         argv = ["eval", "--pred", str(bad), "--gt", str(scene_dir / "gt.ply")]
     elif role == "manifest":
@@ -284,8 +308,10 @@ class TestGradcheck:
     def test_single_point_degenerate(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--points", "1"]) == 0
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--trials", "2", "--corrupt-gradient"]) == 5
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        real = gradcheck.soft_dsm_backward
+        monkeypatch.setattr(gradcheck, "soft_dsm_backward", lambda *args: real(*args) + 1e-2)
+        assert main(["gradcheck", "--trials", "2"]) == 5
 
 
 class TestBench:
@@ -314,6 +340,18 @@ class TestBench:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["bench", "--dataset", str(empty)]) == 3
+
+    def test_negative_manifest_seed_exits_2_before_any_scene(self, scene_dir, tmp_path, capsys,
+                                                            monkeypatch):
+        refuse_reconstruct(monkeypatch)
+        data = tmp_path / "data"
+        for name in ("scene_00000", "scene_00001"):  # a good scene, then the bad one
+            shutil.copytree(scene_dir, data / name)
+        (data / "scene_00001" / "manifest.json").write_bytes(negative_seed_manifest(scene_dir))
+        rc = main(["bench", "--dataset", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +421,44 @@ def test_fuzzed_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, v
     pred = out if rc == 0 else small_scene / "gt.ply"
     assert_contract_exit(*run_cli(["eval", "--pred", str(pred), "--gt",
                                    str(small_scene / "gt.ply"), f"--tau={tau!r}"]))
+
+
+# flag -> the largest value drawn; every integer flag also draws down to -3.
+# The caps keep each run tiny: no worker pool, at most 5 gradcheck points.
+INT_FLAGS = {
+    "reconstruct": {"seed": 5, "iters": 3, "points": 50, "log-every": 3},
+    "gradcheck": {"seed": 5, "trials": 2, "points": 5},
+    "generate": {"count": 2, "seed": 5, "grid-size": 8, "points-per-tree": 50},
+}
+LOWEST = {"seed": 0, "iters": 0, "count": 0}  # the least valid value; 1 for the other flags
+INT_ARGS = st.sampled_from(sorted(INT_FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.fixed_dictionaries({}, optional={flag: st.integers(-3, hi)
+                                        for flag, hi in INT_FLAGS[command].items()}),
+))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(args=("generate", {"seed": -1}))  # each of these ended in a traceback or exited 0
+@example(args=("reconstruct", {"seed": -4}))
+@example(args=("gradcheck", {"seed": -1}))
+@example(args=("gradcheck", {"trials": 0}))
+@example(args=("gradcheck", {"points": 0}))
+@example(args=("gradcheck", {"points": -3}))
+@example(args=("generate", {"count": -2}))
+@given(args=INT_ARGS)
+def test_fuzzed_integer_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, args):
+    command, values = args
+    base = tmp_path_factory.getbasetemp()
+    small = {
+        "reconstruct": ["--manifest", str(small_scene / "manifest.json"),
+                        "--out", str(base / "fuzz_int.ply"), "--iters", "1", "--points", "20"],
+        "gradcheck": ["--trials", "1", "--points", "5"],
+        "generate": ["--count", "1", "--out", str(base / "fuzz_gen"), "--grid-size", "8",
+                     "--points-per-tree", "20"],
+    }
+    argv = [command] + small[command] + [f"--{flag}={value}" for flag, value in values.items()]
+    rc, err, caught = run_cli(argv)
+    assert_contract_exit(rc, err, caught)
+    if any(value < LOWEST.get(flag, 1) for flag, value in values.items()):
+        assert rc == 5

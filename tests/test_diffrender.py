@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
+from treerecon.errors import InvalidConfig
 from treerecon.diffrender import (
-    _LOO_FLOOR,
     SoftConfig,
     _Slots,
     dsm_forward_backward,
@@ -101,13 +101,14 @@ class TestSoftSilhouette:
         assert not out.values.any()
 
     def test_point_at_center_full_alpha(self):
-        out = soft_silhouette(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=1.0))
-        assert out.values[10, 10] == 1.0
+        # O = 1 - (1 - alpha * 1) = alpha
+        out = soft_silhouette(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=0.5))
+        assert out.values[10, 10] == 0.5
 
     def test_point_one_sigma_away(self):
-        # O = 1 - (1 - 1 * e^{-0.5}) = e^{-0.5}
-        out = soft_silhouette(cloud([1, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=1.0))
-        assert abs(out.values[10, 10] - np.exp(-0.5)) < 1e-12
+        # O = 1 - (1 - alpha * e^{-0.5}) = alpha * e^{-0.5}
+        out = soft_silhouette(cloud([1, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=0.5))
+        assert abs(out.values[10, 10] - 0.5 * np.exp(-0.5)) < 1e-12
 
     def test_values_in_unit_interval(self):
         out = soft_silhouette(random_cloud(0, 40), SPEC, SoftConfig(sigma=1.2))
@@ -142,12 +143,12 @@ class TestSoftSilhouette:
         fd_check(f, grad, c.positions, cfg.sigma)
 
     def test_opaque_hit_uses_leave_one_out_product(self):
-        # alpha = 1 and a point exactly on a pixel center make 1 - alpha*g zero
-        # there, so the gradient cannot divide that factor back out
-        cfg = SoftConfig(sigma=1.0, alpha=1.0, trunc=np.inf)
+        # alpha just below 1 and a point exactly on a pixel center make
+        # 1 - alpha*g all but zero there; dividing it back out stays exact
+        cfg = SoftConfig(sigma=1.0, alpha=1.0 - 1e-13, trunc=np.inf)
         c = cloud([[0, 0, 3], [0.6, -0.3, 2], [-0.4, 0.7, 4], [0.9, 0.8, 1]])
         s = _Slots(c.positions[:, :2], SPEC, cfg)
-        assert np.count_nonzero(1.0 - cfg.alpha * s.g < _LOO_FLOOR) == 1
+        assert np.count_nonzero(1.0 - cfg.alpha * s.g < 1e-12) == 1
         d = Grid(SPEC, np.random.default_rng(12).normal(size=(21, 21)))
 
         def f(x):
@@ -267,6 +268,7 @@ class TestSoftConfigValidation:
             {"sigma": 0.0},
             {"sigma": 1.0, "alpha": 0.0},
             {"sigma": 1.0, "alpha": 1.5},
+            {"sigma": 1.0, "alpha": 1.0},
             {"sigma": 1.0, "beta": 0.0},
             {"sigma": 1.0, "trunc": 0.5},
             {"sigma": float("nan")},
@@ -277,7 +279,7 @@ class TestSoftConfigValidation:
         ],
     )
     def test_rejects_bad_constants(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SoftConfig(**kwargs)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.errors import MissingColors
 from treerecon.sensor import (
     GROUND_COLOR,
+    pixels_within,
     render_dsm,
     render_ortho,
     render_shadow_hard,
@@ -160,6 +163,21 @@ def test_hard_renderers_match_a_scan_of_every_pixel(case):
     assert render_shadow_hard(cloud, sun, SPEC, radius).values.tobytes() == shadow.tobytes()
     if case == "exact-boundary":
         assert top[10, 12] == top[12, 10] == top[10, 8] == top[8, 10] == 7.0
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5, 7.2, 40.0])
+def test_window_is_just_wide_enough(radius):
+    # a point is at most half a pixel from its rounded center, so 2*ceil(r/ps) + 1
+    # centers per axis cover its disk, and the pairs are a dense scan's
+    spec = GridSpec(30, 13, -5.0, -2.0, 0.5)
+    xy = np.random.default_rng(7).uniform(-8.0, 14.0, (40, 2))
+    point, flat, _, _, dx, dy = pixels_within(xy, spec, radius)
+    k = 2 * math.ceil(radius / spec.pixel_size) + 1
+    assert dx.shape == (40, min(k, spec.width)) and dy.shape == (40, min(k, spec.height))
+    xs, ys = spec.pixel_centers()
+    d2 = (xy[:, 0, None, None] - xs) ** 2 + (xy[:, 1, None, None] - ys[:, None]) ** 2
+    scan_point, row, col = np.nonzero(d2 <= radius**2)
+    assert np.array_equal(point, scan_point) and np.array_equal(flat, row * spec.width + col)
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan")])
