@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -203,14 +204,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def _bench_one(task):
-    scene_dir, iters, points, tau, seed = task
+    scene_dir, cfg, tau, seed = task
     scene = load_scene(scene_dir)
-    cfg = OptimConfig(
-        n_points=points,
-        iters=iters,
-        seed=seed,
-        weights=LossWeights(lambda_geo=0.0, lambda_sil=1.0, lambda_shadow=0.5, lambda_dsm=0.25),
-    )
+    cfg = dataclasses.replace(cfg, seed=seed)
     recon = reconstruct(
         scene.ortho,
         scene.dsm,
@@ -218,9 +214,7 @@ def _bench_one(task):
         shadow_target=scene.shadow,
         cfg=cfg,
     ).cloud
-    base = baseline_extrude(
-        scene.dsm, scene.silhouette, scene.ortho, points, Rng(seed)
-    )
+    base = baseline_extrude(scene.dsm, scene.silhouette, scene.ortho, cfg.n_points, Rng(seed))
     rows = []
     for method, cloud in (("reconstruct", recon), ("baseline", base)):
         cd = eval_chamfer(cloud, scene.cloud)
@@ -230,7 +224,13 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
-    check_tau(args.tau)  # before any scene is reconstructed
+    # the configuration is checked before any scene is read
+    check_tau(args.tau)
+    cfg = OptimConfig(
+        n_points=args.points,
+        iters=args.iters,
+        weights=LossWeights(lambda_geo=0.0, lambda_sil=1.0, lambda_shadow=0.5, lambda_dsm=0.25),
+    )
     dataset = Path(args.dataset)
     scene_dirs = sorted(d for d in dataset.iterdir() if d.is_dir())
     if not scene_dirs:
@@ -239,7 +239,7 @@ def cmd_bench(args) -> int:
     tasks = []
     for d in scene_dirs:
         seed = read_manifest(d / "manifest.json").seed
-        tasks.append((str(d), args.iters, args.points, args.tau, seed))
+        tasks.append((str(d), cfg, args.tau, seed))
     all_rows = _map_tasks(_bench_one, tasks, args.jobs)
 
     out = dataset / "bench.csv"

@@ -1,4 +1,4 @@
-"""Core domain types: point clouds, georeferenced rasters, sun geometry, RNG.
+"""Core domain types: point clouds, georeferenced rasters, sun geometry, the seeded RNG.
 
 Conventions used throughout:
   - meters everywhere, z up, flat ground plane at z = 0
@@ -177,28 +177,12 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-class Rng:
-    """Deterministic random stream: a seeded PCG64 generator.
+def Rng(seed: int) -> np.random.Generator:
+    """The deterministic random stream: numpy's PCG64 generator, seeded.
 
     PCG64's output is fully specified by its seed, so identical seeds plus
     identical call sequences yield identical streams on every platform.
+    Draw sites use numpy's conventions (`integers` excludes its upper end
+    unless `endpoint=True`).
     """
-
-    def __init__(self, seed: int):
-        self.seed = check_seed(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high_inclusive, size=None):
-        return self._gen.integers(low, high_inclusive, size, endpoint=True)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def choice(self, n, size=None, p=None):
-        return self._gen.choice(n, size=size, p=p)
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))

@@ -110,7 +110,7 @@ def chamfer_mask(cloud, gt, h) -> np.ndarray:
     return mask
 
 
-def _random_positions(rng: Rng, n: int) -> np.ndarray:
+def _random_positions(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) positions: x and y uniform in [-4, 4], z in [0, 4], drawn in that order."""
     return np.stack(
         [rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n), rng.uniform(0.0, 4.0, n)],
@@ -118,7 +118,7 @@ def _random_positions(rng: Rng, n: int) -> np.ndarray:
     )
 
 
-def _random_pixel_grad(spec: GridSpec, rng: Rng) -> Grid:
+def _random_pixel_grad(spec: GridSpec, rng: np.random.Generator) -> Grid:
     return Grid(spec, rng.normal(size=(spec.height, spec.width)) / spec.n_pixels)
 
 
@@ -146,7 +146,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
     spec = GridSpec.centered(20, 0.5)
 
     for _ in range(trials):
-        n = int(rng.integers(20, 50)) if n_points is None else int(n_points)
+        n = int(rng.integers(20, 50, endpoint=True)) if n_points is None else int(n_points)
         positions = _random_positions(rng, n)
         cfg = SoftConfig(
             sigma=float(rng.uniform(0.7, 1.5)) * spec.pixel_size,

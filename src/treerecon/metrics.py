@@ -6,7 +6,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Grid, PointCloud, Rng, RgbGrid
+from .core import Grid, PointCloud, RgbGrid
 from .errors import EmptyCloud, InvalidConfig
 from .losses import chamfer
 from .reconstruct import _recolor, sample_footprint
@@ -42,7 +42,7 @@ def fscore(
 
 
 def baseline_extrude(
-    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: Rng
+    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: np.random.Generator
 ) -> PointCloud:
     """Naive comparison baseline: points on the DSM canopy surface only.
 

@@ -4,9 +4,13 @@ Trees are grown as a recursive branching skeleton (no species grammar): the
 trunk rises from the origin, and each segment below the maximum depth spawns
 a few children rotated away from its axis. Ground-truth clouds are sampled
 on trunk lateral surfaces and inside foliage spheres at branch tips.
+
+Every draw comes from one numpy Generator (`core.Rng(seed)`) in a fixed
+order, so a seed fixes the scene. Integer ranges are inclusive at both ends.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +38,8 @@ SPLAT_RADIUS = 0.5  # meters; the disk each GT point covers in the sensor raster
 class TreeParams:
     """One tree's generation parameters.
 
-    Scalar fields are concrete draws; children_per_branch and branch_angle_deg
-    stay as ranges and are re-drawn per branch during growth.
+    Scalar fields are concrete draws; children_per_branch (inclusive) and
+    branch_angle_deg stay as ranges and are re-drawn per branch during growth.
     """
 
     trunk_height: float
@@ -50,6 +54,10 @@ class TreeParams:
     n_points: int
 
     def __post_init__(self):
+        if not (0.0 < self.trunk_height < math.inf and 0.0 < self.trunk_radius < math.inf):
+            raise InvalidConfig("trunk_height and trunk_radius must be positive and finite")
+        if not (0.0 <= self.crown_radius < math.inf):
+            raise InvalidConfig("crown_radius must be nonnegative and finite")
         if not (0.0 < self.length_decay < 1.0 and 0.0 < self.radius_decay < 1.0):
             raise InvalidConfig("decay ratios must be strictly in (0, 1)")
         if self.branch_depth < 0:
@@ -60,13 +68,13 @@ class TreeParams:
             raise InvalidConfig("foliage_fraction must be in [0, 1]")
         for name in ("children_per_branch", "branch_angle_deg"):
             lo, hi = getattr(self, name)
-            if hi < lo:
-                raise InvalidConfig(f"{name} range is empty")
+            if not (-math.inf < lo <= hi < math.inf):
+                raise InvalidConfig(f"{name} range must be finite and non-empty")
 
 
 @dataclass(frozen=True)
 class TreeParamRanges:
-    """Species-agnostic uniform ranges for sample_params."""
+    """Species-agnostic uniform ranges for sample_params; integer ranges are inclusive."""
 
     trunk_height: tuple[float, float] = (3.0, 6.0)
     trunk_radius: tuple[float, float] = (0.15, 0.4)
@@ -82,8 +90,12 @@ class TreeParamRanges:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             lo, hi = getattr(self, name)
-            if hi < lo:
-                raise InvalidConfig(f"range for {name} is empty")
+            if not (-math.inf < lo <= hi < math.inf):
+                raise InvalidConfig(f"range for {name} must be finite and non-empty")
+        if not (self.trunk_height[0] > 0.0 and self.trunk_radius[0] > 0.0):
+            raise InvalidConfig("trunk_height and trunk_radius must be positive")
+        if self.crown_radius[0] < 0.0:
+            raise InvalidConfig("crown_radius must be nonnegative")
         if self.n_points[0] < 1:
             raise InvalidConfig("n_points must be >= 1")
 
@@ -102,26 +114,19 @@ class Skeleton:
         return len(self.radii)
 
 
-def sample_params(rng: Rng, ranges: TreeParamRanges) -> TreeParams:
+def sample_params(rng: np.random.Generator, ranges: TreeParamRanges) -> TreeParams:
     """Draw one TreeParams uniformly from the configured ranges."""
-
-    def unif(lo, hi):
-        return lo if lo == hi else float(rng.uniform(lo, hi))
-
-    def unif_int(lo, hi):
-        return lo if lo == hi else int(rng.integers(lo, hi))
-
     return TreeParams(
-        trunk_height=unif(*ranges.trunk_height),
-        trunk_radius=unif(*ranges.trunk_radius),
-        branch_depth=unif_int(*ranges.branch_depth),
+        trunk_height=float(rng.uniform(*ranges.trunk_height)),
+        trunk_radius=float(rng.uniform(*ranges.trunk_radius)),
+        branch_depth=int(rng.integers(*ranges.branch_depth, endpoint=True)),
         children_per_branch=ranges.children_per_branch,
-        length_decay=unif(*ranges.length_decay),
-        radius_decay=unif(*ranges.radius_decay),
+        length_decay=float(rng.uniform(*ranges.length_decay)),
+        radius_decay=float(rng.uniform(*ranges.radius_decay)),
         branch_angle_deg=ranges.branch_angle_deg,
-        crown_radius=unif(*ranges.crown_radius),
-        foliage_fraction=unif(*ranges.foliage_fraction),
-        n_points=unif_int(*ranges.n_points),
+        crown_radius=float(rng.uniform(*ranges.crown_radius)),
+        foliage_fraction=float(rng.uniform(*ranges.foliage_fraction)),
+        n_points=int(rng.integers(*ranges.n_points, endpoint=True)),
     )
 
 
@@ -134,7 +139,7 @@ def _orthonormal_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def grow_skeleton(params: TreeParams, rng: Rng) -> Skeleton:
+def grow_skeleton(params: TreeParams, rng: np.random.Generator) -> Skeleton:
     """Grow the branching skeleton breadth-first from the trunk."""
     starts = [np.zeros(3)]
     ends = [np.array([0.0, 0.0, params.trunk_height])]
@@ -153,7 +158,7 @@ def grow_skeleton(params: TreeParams, rng: Rng) -> Skeleton:
             seg_len = np.linalg.norm(seg_vec)
             direction = seg_vec / seg_len
             u, v = _orthonormal_basis(direction)
-            k = int(rng.integers(*params.children_per_branch))
+            k = int(rng.integers(*params.children_per_branch, endpoint=True))
             for _ in range(k):
                 psi = np.radians(float(rng.uniform(*params.branch_angle_deg)))
                 lam = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -178,62 +183,49 @@ def grow_skeleton(params: TreeParams, rng: Rng) -> Skeleton:
     )
 
 
-def _jittered_colors(base, n: int, rng: Rng) -> np.ndarray:
+def _jittered_colors(base, n: int, rng: np.random.Generator) -> np.ndarray:
     c = np.tile(np.asarray(base), (n, 1))
     c += rng.uniform(-COLOR_JITTER, COLOR_JITTER, (n, 3))
     return np.clip(c, 0.0, 1.0)
 
 
-def sample_cloud(skeleton: Skeleton, params: TreeParams, rng: Rng) -> PointCloud:
+def sample_cloud(skeleton: Skeleton, params: TreeParams, rng: np.random.Generator) -> PointCloud:
     """Sample exactly n_points labeled, colored points from the skeleton.
 
     Trunk points sit on segment lateral surfaces (chosen by surface area);
     foliage points fill spheres of crown_radius at terminal segment tips.
     Below-ground samples are clamped to z = 0 to keep the point budget exact.
+    Either part may be empty: a size-0 draw consumes nothing from rng.
     """
     n = params.n_points
     n_trunk = int(np.floor(n * (1.0 - params.foliage_fraction) + 0.5))
     n_foliage = n - n_trunk
 
-    pieces, colors, classes = [], [], []
+    axes = skeleton.ends - skeleton.starts
+    lengths = np.linalg.norm(axes, axis=1)
+    area = skeleton.radii * lengths
+    seg = rng.choice(len(skeleton), size=n_trunk, p=area / area.sum())
+    t = rng.random(n_trunk)[:, None]
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_trunk)
+    # one (u, v) frame per segment, shared by all of its points
+    u, v = map(np.array, zip(*(_orthonormal_basis(a / n) for a, n in zip(axes, lengths))))
+    ring = np.cos(ang)[:, None] * u[seg] + np.sin(ang)[:, None] * v[seg]
+    trunk = skeleton.starts[seg] + t * axes[seg] + skeleton.radii[seg][:, None] * ring
+    trunk_colors = _jittered_colors(TRUNK_COLOR, n_trunk, rng)
 
-    if n_trunk > 0:
-        axes = skeleton.ends - skeleton.starts
-        lengths = np.linalg.norm(axes, axis=1)
-        area = skeleton.radii * lengths
-        prob = area / area.sum()
-        seg = rng.choice(len(skeleton), size=n_trunk, p=prob)
-        t = rng.random(n_trunk)[:, None]
-        ang = rng.uniform(0.0, 2.0 * np.pi, n_trunk)
-        pts = skeleton.starts[seg] + t * axes[seg]
-        # one (u, v) frame per segment, shared by all of its points
-        u, v = map(np.array, zip(*(_orthonormal_basis(a / n) for a, n in zip(axes, lengths))))
-        ring = np.cos(ang)[:, None] * u[seg] + np.sin(ang)[:, None] * v[seg]
-        pts += skeleton.radii[seg][:, None] * ring
-        pieces.append(pts)
-        colors.append(_jittered_colors(TRUNK_COLOR, n_trunk, rng))
-        classes.append(np.full(n_trunk, CLASS_TRUNK, dtype=np.uint8))
+    terminal = np.flatnonzero(skeleton.depths == skeleton.depths.max())
+    pick = rng.integers(len(terminal), size=n_foliage)
+    # uniform in a ball: direction from a normal draw, radius via cube root
+    direction = rng.normal(size=(n_foliage, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = params.crown_radius * rng.random(n_foliage) ** (1.0 / 3.0)
+    foliage = skeleton.ends[terminal][pick] + direction * radius[:, None]
+    foliage_colors = _jittered_colors(FOLIAGE_COLOR, n_foliage, rng)
 
-    if n_foliage > 0:
-        terminal = np.flatnonzero(skeleton.depths == skeleton.depths.max())
-        centers = skeleton.ends[terminal]
-        pick = rng.integers(0, len(terminal) - 1, n_foliage)
-        # uniform in a ball: direction from a normal draw, radius via cube root
-        direction = rng.normal(size=(n_foliage, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radius = params.crown_radius * rng.random(n_foliage) ** (1.0 / 3.0)
-        pts = centers[pick] + direction * radius[:, None]
-        pieces.append(pts)
-        colors.append(_jittered_colors(FOLIAGE_COLOR, n_foliage, rng))
-        classes.append(np.full(n_foliage, CLASS_FOLIAGE, dtype=np.uint8))
-
-    positions = np.concatenate(pieces)
+    positions = np.concatenate([trunk, foliage])
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-    return PointCloud(
-        positions=positions,
-        colors=np.concatenate(colors),
-        classes=np.concatenate(classes),
-    )
+    classes = np.repeat(np.array([CLASS_TRUNK, CLASS_FOLIAGE], dtype=np.uint8), [n_trunk, n_foliage])
+    return PointCloud(positions, np.concatenate([trunk_colors, foliage_colors]), classes)
 
 
 @dataclass(frozen=True)

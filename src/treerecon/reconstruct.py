@@ -90,7 +90,7 @@ def _recolor(positions: np.ndarray, ortho: RgbGrid, dsm: Grid) -> np.ndarray:
 
 
 def sample_footprint(
-    silhouette: Grid, n_points: int, rng: Rng
+    silhouette: Grid, n_points: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, flat pixel index) of points drawn inside the silhouette footprint.
 
@@ -111,7 +111,7 @@ def sample_footprint(
 
 
 def init_cloud(
-    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: Rng
+    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: np.random.Generator
 ) -> PointCloud:
     """Seed points inside the silhouette footprint, spread through the volume.
 

@@ -353,6 +353,20 @@ class TestBench:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flag", [["--iters", "-1"], ["--points", "0"]])
+    def test_bad_optimiser_config_exits_5_before_any_scene(self, tmp_path, capsys, monkeypatch,
+                                                           flag, jobs):
+        def reached(*args, **kwargs):
+            raise AssertionError("bench read a scene or started workers before checking its config")
+
+        for name in ("load_scene", "read_manifest", "_map_tasks"):
+            monkeypatch.setattr(cli, name, reached)
+        (tmp_path / "data" / "scene_00000").mkdir(parents=True)
+        rc = main(["bench", "--dataset", str(tmp_path / "data"), "--jobs", jobs] + flag)
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error:")
+
 
 # ---------------------------------------------------------------------------
 # flag fuzzing: any float value of a numeric flag ends in a contract exit code

@@ -80,6 +80,11 @@ class TestRng:
     def test_different_seed_different_stream(self):
         assert not np.array_equal(Rng(1).random(100), Rng(2).random(100))
 
+    def test_is_numpys_pcg64_generator(self):
+        rng = Rng(7)
+        assert isinstance(rng, np.random.Generator) and isinstance(rng.bit_generator, np.random.PCG64)
+        assert rng.integers(0, 2**62) == np.random.default_rng(7).integers(0, 2**62)
+
 
 class TestTypes:
     def test_cloud_rejects_mismatched_colors(self):

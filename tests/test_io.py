@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
 from treerecon.errors import (
@@ -16,6 +17,7 @@ from treerecon.errors import (
 )
 from treerecon.io_formats import (
     Manifest,
+    SceneFiles,
     load_scene,
     read_manifest,
     read_pfm,
@@ -290,3 +292,87 @@ def test_fuzz_raster_header_and_body(fuzz_dir, kind, data):
 @given(data=manifest_bytes)
 def test_fuzz_manifest_field_values(fuzz_dir, data):
     read_fuzzed(fuzz_dir, "json", data)
+
+
+# ---------------------------------------------------------------------------
+# round trips: write -> read gives the value at the stated precision, and
+# write -> read -> write gives the same bytes
+
+ROUND_TRIP = settings(derandomize=True, deadline=None, max_examples=200)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(0, 12))
+    return PointCloud(
+        positions=draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-3e38, 3e38))),
+        colors=draw(st.none() | hnp.arrays(np.float64, (n, 3), elements=unit)),
+        classes=draw(st.none() | hnp.arrays(np.uint8, n)),
+    )
+
+
+def grid_specs(max_side=6):
+    return st.builds(GridSpec, st.integers(1, max_side), st.integers(1, max_side))
+
+
+def rewrite_is_identical(write, read, value, tmp_dir, suffix):
+    """Write value, read it back, write that; return what was read after
+    checking both files hold the same bytes."""
+    first, second = tmp_dir / f"first{suffix}", tmp_dir / f"second{suffix}"
+    write(value, first)
+    back = read(first)
+    write(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    return back
+
+
+@ROUND_TRIP
+@given(cloud=clouds())
+def test_ply_round_trip(fuzz_dir, cloud):
+    back = rewrite_is_identical(write_ply, read_ply, cloud, fuzz_dir, ".ply")
+    np.testing.assert_array_equal(back.positions, cloud.positions.astype(np.float32))
+    colors = cloud.colors if cloud.colors is not None else np.ones((len(cloud), 3))
+    assert np.all(np.abs(back.colors - colors) <= 0.5 / 255 + 1e-12)
+    if cloud.classes is None:
+        assert back.classes is None
+    else:
+        np.testing.assert_array_equal(back.classes, cloud.classes)
+
+
+@ROUND_TRIP
+@given(data=st.data(), spec=grid_specs())
+def test_pfm_round_trip(fuzz_dir, data, spec):
+    values = data.draw(hnp.arrays(np.float32, (spec.height, spec.width),
+                                  elements=st.floats(width=32, allow_infinity=False)))
+    back = rewrite_is_identical(write_pfm, lambda p: read_pfm(p, spec), Grid(spec, values),
+                                fuzz_dir, ".pfm")
+    np.testing.assert_array_equal(back.values, values.astype(np.float64))
+
+
+@ROUND_TRIP
+@given(data=st.data(), spec=grid_specs())
+def test_ppm_round_trip(fuzz_dir, data, spec):
+    values = data.draw(hnp.arrays(np.float64, (spec.height, spec.width, 3), elements=unit))
+    back = rewrite_is_identical(write_ppm, lambda p: read_ppm(p, spec), RgbGrid(spec, values),
+                                fuzz_dir, ".ppm")
+    assert np.all(np.abs(back.values - values) <= 0.5 / 255 + 1e-12)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+manifests = st.builds(
+    Manifest,
+    seed=st.integers(0, 2**64),
+    grid=st.builds(GridSpec, st.integers(1, 10**6), st.integers(1, 10**6), finite, finite,
+                   st.floats(1e-300, 1e300)),
+    sun=st.builds(SunConfig, finite, st.floats(1e-3, 90.0)),
+    files=st.builds(SceneFiles, *[st.text(max_size=8)] * 5),
+    generator_version=st.text(max_size=8),
+)
+
+
+@ROUND_TRIP
+@given(manifest=manifests)
+def test_manifest_round_trip(fuzz_dir, manifest):
+    back = rewrite_is_identical(write_manifest, read_manifest, manifest, fuzz_dir, ".json")
+    assert back == manifest

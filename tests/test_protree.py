@@ -71,6 +71,33 @@ class TestSampleParams:
         with pytest.raises(InvalidConfig):
             TreeParamRanges(trunk_height=(10.0, 4.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("trunk_height", (np.nan, 5.0)), ("trunk_height", (3.0, np.inf)),
+        ("trunk_height", (0.0, 5.0)), ("trunk_radius", (-0.3, 0.4)),
+        ("trunk_radius", (np.nan, np.nan)), ("crown_radius", (-1.0, 2.0)),
+        ("crown_radius", (1.0, np.inf)), ("branch_angle_deg", (-np.inf, 30.0)),
+        ("foliage_fraction", (0.5, np.nan)), ("length_decay", (np.nan, 0.7)),
+    ])
+    def test_nonfinite_or_nonpositive_range_rejected(self, field, value):
+        with pytest.raises(InvalidConfig):
+            TreeParamRanges(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("trunk_height", 0.0), ("trunk_height", np.nan), ("trunk_height", -2.0),
+        ("trunk_height", np.inf), ("trunk_radius", -0.3), ("trunk_radius", np.inf),
+        ("trunk_radius", 0.0), ("crown_radius", np.nan), ("crown_radius", -0.1),
+        ("crown_radius", np.inf), ("branch_angle_deg", (np.nan, np.nan)),
+        ("branch_angle_deg", (30.0, np.inf)), ("children_per_branch", (2, np.nan)),
+    ])
+    def test_nonfinite_or_nonpositive_params_rejected(self, field, value):
+        with pytest.raises(InvalidConfig):
+            fixed_params(**{field: value})
+
+    def test_branch_depth_draws_both_ends(self):
+        # integer ranges are inclusive: the default (2, 3) yields both
+        depths = {sample_params(Rng(s), TreeParamRanges()).branch_depth for s in range(200)}
+        assert depths == {2, 3}
+
 
 class TestGrowSkeleton:
     def test_depth_zero_is_single_trunk(self):
@@ -90,6 +117,11 @@ class TestGrowSkeleton:
             fixed_params(branch_depth=2, children_per_branch=(2, 2)), Rng(0)
         )
         assert len(sk) == 1 + 2 + 4
+
+    def test_child_counts_cover_the_inclusive_range(self):
+        params = fixed_params(branch_depth=1, children_per_branch=(2, 4))
+        counts = {len(grow_skeleton(params, Rng(s))) - 1 for s in range(50)}
+        assert counts == {2, 3, 4}
 
     def test_connectivity(self):
         sk = grow_skeleton(fixed_params(branch_depth=3), Rng(3))
@@ -147,6 +179,15 @@ class TestSampleCloud:
         unclamped = np.linalg.norm(cloud.positions[:, :2] - tip[:2], axis=1)
         assert np.all(unclamped <= params.crown_radius + 1e-9)
         assert np.all(cloud.positions[:, 2] >= 0)
+
+    def test_every_terminal_tip_gets_foliage(self):
+        params = fixed_params(branch_depth=1, children_per_branch=(3, 3), crown_radius=0.1,
+                              foliage_fraction=1.0, n_points=300)
+        sk = grow_skeleton(params, Rng(4))
+        cloud = sample_cloud(sk, params, Rng(5))
+        tips = sk.ends[sk.depths == 1]
+        nearest = np.linalg.norm(cloud.positions[:, None] - tips[None], axis=2).argmin(axis=1)
+        assert len(tips) == 3 and set(nearest) == {0, 1, 2}
 
     def test_budget_exact_for_odd_fractions(self):
         for frac in (0.13, 0.5, 0.77, 0.999):
