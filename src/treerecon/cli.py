@@ -43,10 +43,13 @@ EXIT_MISMATCH = 4
 EXIT_CHECK = 5
 
 
-def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over tasks in order: in `jobs` worker processes when jobs > 1, else here."""
+def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise InvalidConfig(f"jobs must be >= 1, got {jobs}")
+
+
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks in order: in `jobs` worker processes when jobs > 1, else here."""
     if jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
@@ -78,6 +81,7 @@ def cmd_generate(args) -> int:
     check_seed(args.seed)  # also at --count 0, which seeds nothing
     out = Path(args.out)
     cfg = _scene_config(args)
+    _check_jobs(args.jobs)
     tasks = [
         (args.seed + i, str(out / f"scene_{i:05d}"), cfg) for i in range(args.count)
     ]
@@ -231,6 +235,7 @@ def cmd_bench(args) -> int:
         iters=args.iters,
         weights=LossWeights(lambda_geo=0.0, lambda_sil=1.0, lambda_shadow=0.5, lambda_dsm=0.25),
     )
+    _check_jobs(args.jobs)
     dataset = Path(args.dataset)
     scene_dirs = sorted(d for d in dataset.iterdir() if d.is_dir())
     if not scene_dirs:

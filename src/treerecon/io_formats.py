@@ -3,7 +3,10 @@
 Byte-level contracts:
   - PLY: ascii 1.0; vertex properties x y z (float) and red green blue
     (uchar, color*255 rounded half-up); optional uchar `class` (0 trunk,
-    1 foliage). Positions are written at float32 precision.
+    1 foliage). Positions are written at float32 precision as `%.9g`. The
+    body is written with one format operation and parsed in one pass (split,
+    convert per column, check in bulk); a bad row's line-numbered error is
+    the one a row-by-row reader would raise first.
   - PFM: grayscale `Pf`, scale -1.0 (little-endian float32), rows written
     bottom-to-top; row v = 0 is the bottom (smallest y).
   - PPM: binary `P6`, maxval 255, same color rounding as PLY.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -45,29 +49,19 @@ def _color_to_uchar(c: np.ndarray) -> np.ndarray:
 def write_ply(cloud: PointCloud, path) -> None:
     n = len(cloud)
     colors = cloud.colors if cloud.colors is not None else np.ones((n, 3))
-    rgb = _color_to_uchar(colors)
-    pos = cloud.positions.astype(np.float32)
-    has_class = cloud.classes is not None
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-    ]
-    if has_class:
-        lines.append("property uchar class")
-    lines.append("end_header")
-    for i in range(n):
-        row = f"{pos[i, 0]:.9g} {pos[i, 1]:.9g} {pos[i, 2]:.9g} {rgb[i, 0]} {rgb[i, 1]} {rgb[i, 2]}"
-        if has_class:
-            row += f" {cloud.classes[i]}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    props = ["float x", "float y", "float z", "uchar red", "uchar green", "uchar blue"]
+    columns = [cloud.positions.astype(np.float32).astype(np.float64), _color_to_uchar(colors)]
+    if cloud.classes is not None:
+        props.append("uchar class")
+        columns.append(cloud.classes[:, None])
+    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    header += [f"property {p}" for p in props] + ["end_header", ""]
+    # one % over every row; float32 positions are exact as float64, so each
+    # "%.9g" prints the float32 value
+    row_fmt = "%.9g %.9g %.9g" + " %d" * (len(props) - 3) + "\n"
+    values = [v for c in columns for v in c.T.tolist()]
+    body = (row_fmt * n) % tuple(chain.from_iterable(zip(*values)))
+    Path(path).write_text("\n".join(header) + body)
 
 
 def read_ply(path) -> PointCloud:
@@ -122,29 +116,40 @@ def read_ply(path) -> PointCloud:
     body = lines[body_start : body_start + n]
     if len(body) < n:
         raise MalformedPly(f"expected {n} vertex rows, found {len(body)}")
-    positions = np.zeros((n, 3))
-    colors = np.zeros((n, 3))
-    classes = np.zeros(n, dtype=np.uint8) if has_class else None
+    rows = list(map(str.split, body))
+    try:
+        if set(map(len, rows)) - {n_fields}:
+            raise ValueError
+        cols = list(zip(*rows)) or [()] * n_fields
+        xyz = np.array([list(map(float, c)) for c in cols[:3]])
+        uchars = np.array([list(map(int, c)) for c in cols[3:]], dtype=np.int64)
+        if ((uchars < 0) | (uchars > 255)).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _first_bad_row(rows, n_fields, body_start + 1) from None
     with np.errstate(over="ignore"):  # out-of-range float32 parses to inf, rejected below
-        for i, raw in enumerate(body):
-            ln = body_start + 1 + i
-            tok = raw.split()
-            if len(tok) != n_fields:
-                raise MalformedPly(f"expected {n_fields} fields", line=ln)
-            try:
-                positions[i] = [float(np.float32(t)) for t in tok[:3]]
-                uchars = [int(t) for t in tok[3:]]
-            except ValueError:
-                raise MalformedPly("non-numeric vertex field", line=ln) from None
-            if any(c < 0 or c > 255 for c in uchars):
-                raise MalformedPly("color or class out of uchar range", line=ln)
-            colors[i] = np.array(uchars[:3]) / 255.0
-            if has_class:
-                classes[i] = uchars[3]
+        positions = xyz.T.astype(np.float32, order="C").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
     if len(bad):
         raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
+    colors = np.ascontiguousarray(uchars[:3].T) / 255.0
+    classes = uchars[3].astype(np.uint8) if has_class else None
     return PointCloud(positions=positions, colors=colors, classes=classes)
+
+
+def _first_bad_row(rows, n_fields, first_line) -> MalformedPly:
+    """The error for the first row with a wrong field count, a non-numeric
+    field or a uchar out of range, tested in that order."""
+    for ln, tok in enumerate(rows, start=first_line):
+        if len(tok) != n_fields:
+            return MalformedPly(f"expected {n_fields} fields", line=ln)
+        try:
+            list(map(float, tok[:3]))
+            uchars = list(map(int, tok[3:]))
+        except ValueError:
+            return MalformedPly("non-numeric vertex field", line=ln)
+        if any(c < 0 or c > 255 for c in uchars):
+            return MalformedPly("color or class out of uchar range", line=ln)
 
 
 # ---------------------------------------------------------------------------

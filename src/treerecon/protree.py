@@ -70,6 +70,8 @@ class TreeParams:
             lo, hi = getattr(self, name)
             if not (-math.inf < lo <= hi < math.inf):
                 raise InvalidConfig(f"{name} range must be finite and non-empty")
+        if not (self.children_per_branch[0] >= 0):
+            raise InvalidConfig("children_per_branch must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,8 @@ class TreeParamRanges:
             raise InvalidConfig("trunk_height and trunk_radius must be positive")
         if self.crown_radius[0] < 0.0:
             raise InvalidConfig("crown_radius must be nonnegative")
+        if not (self.children_per_branch[0] >= 0):
+            raise InvalidConfig("children_per_branch must be >= 0")
         if self.n_points[0] < 1:
             raise InvalidConfig("n_points must be >= 1")
 

@@ -1,6 +1,11 @@
-"""Independent oracles: brute-force Chamfer and central finite differences."""
+"""Independent oracles: brute force, finite differences, loops and the per-row PLY codec."""
+from pathlib import Path
+
 import numpy as np
 
+from treerecon.core import PointCloud
+from treerecon.errors import MalformedPly
+from treerecon.io_formats import _color_to_uchar
 from treerecon.protree import _orthonormal_basis
 
 
@@ -88,3 +93,110 @@ def trunk_points_loop(skeleton, n_trunk: int, rng) -> np.ndarray:
         u, v = _orthonormal_basis(axes[seg[i]] / lengths[seg[i]])
         pts[i] += skeleton.radii[seg[i]] * (np.cos(ang[i]) * u + np.sin(ang[i]) * v)
     return pts
+
+
+def write_ply_rows(cloud: PointCloud, path) -> None:
+    """write_ply formatting one f-string per vertex row."""
+    n = len(cloud)
+    colors = cloud.colors if cloud.colors is not None else np.ones((n, 3))
+    rgb = _color_to_uchar(colors)
+    pos = cloud.positions.astype(np.float32)
+    has_class = cloud.classes is not None
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {n}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+    ]
+    if has_class:
+        lines.append("property uchar class")
+    lines.append("end_header")
+    for i in range(n):
+        row = f"{pos[i, 0]:.9g} {pos[i, 1]:.9g} {pos[i, 2]:.9g} {rgb[i, 0]} {rgb[i, 1]} {rgb[i, 2]}"
+        if has_class:
+            row += f" {cloud.classes[i]}"
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_ply_rows(path) -> PointCloud:
+    """read_ply parsing and checking one vertex row at a time."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise MalformedPly(f"cannot read {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedPly("not UTF-8 text", line=data.count(b"\n", 0, e.start) + 1) from None
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise MalformedPly("missing 'ply' magic", line=1)
+
+    n = None
+    props: list[str] = []
+    body_start = None
+    for ln, raw in enumerate(lines[1:], start=2):
+        tok = raw.split()
+        if not tok or tok[0] == "comment":
+            continue
+        if tok[0] == "format":
+            if tok[1:] != ["ascii", "1.0"]:
+                raise MalformedPly("only 'format ascii 1.0' supported", line=ln)
+        elif tok[0] == "element":
+            if len(tok) != 3 or tok[1] != "vertex":
+                raise MalformedPly("only a single vertex element supported", line=ln)
+            try:
+                n = int(tok[2])
+            except ValueError:
+                raise MalformedPly("bad vertex count", line=ln) from None
+            if n < 0:
+                raise MalformedPly("negative vertex count", line=ln)
+        elif tok[0] == "property":
+            if len(tok) != 3:
+                raise MalformedPly("bad property line", line=ln)
+            props.append(tok[2])
+        elif tok[0] == "end_header":
+            body_start = ln
+            break
+        else:
+            raise MalformedPly(f"unexpected header token {tok[0]!r}", line=ln)
+    if n is None or body_start is None:
+        raise MalformedPly("header missing element vertex or end_header")
+    expected = ["x", "y", "z", "red", "green", "blue"]
+    has_class = props == expected + ["class"]
+    if not has_class and props != expected:
+        raise MalformedPly(f"unsupported property layout {props}")
+
+    n_fields = 7 if has_class else 6
+    body = lines[body_start : body_start + n]
+    if len(body) < n:
+        raise MalformedPly(f"expected {n} vertex rows, found {len(body)}")
+    positions = np.zeros((n, 3))
+    colors = np.zeros((n, 3))
+    classes = np.zeros(n, dtype=np.uint8) if has_class else None
+    with np.errstate(over="ignore"):  # out-of-range float32 parses to inf, rejected below
+        for i, raw in enumerate(body):
+            ln = body_start + 1 + i
+            tok = raw.split()
+            if len(tok) != n_fields:
+                raise MalformedPly(f"expected {n_fields} fields", line=ln)
+            try:
+                positions[i] = [float(np.float32(t)) for t in tok[:3]]
+                uchars = [int(t) for t in tok[3:]]
+            except ValueError:
+                raise MalformedPly("non-numeric vertex field", line=ln) from None
+            if any(c < 0 or c > 255 for c in uchars):
+                raise MalformedPly("color or class out of uchar range", line=ln)
+            colors[i] = np.array(uchars[:3]) / 255.0
+            if has_class:
+                classes[i] = uchars[3]
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if len(bad):
+        raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
+    return PointCloud(positions=positions, colors=colors, classes=classes)

@@ -367,6 +367,16 @@ class TestBench:
         assert rc == 5
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("dataset", ["scene without manifest", "empty"])
+    def test_bad_jobs_exits_5_before_the_dataset(self, tmp_path, capsys, dataset):
+        data = tmp_path / "data"
+        data.mkdir()
+        if dataset == "scene without manifest":
+            (data / "scene_00000").mkdir()
+        rc = main(["bench", "--dataset", str(data), "--jobs", "0"])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error:")
+
 
 # ---------------------------------------------------------------------------
 # flag fuzzing: any float value of a numeric flag ends in a contract exit code

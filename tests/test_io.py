@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import read_ply_rows, write_ply_rows
 from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
 from treerecon.errors import (
     MalformedFile,
@@ -376,3 +377,110 @@ manifests = st.builds(
 def test_manifest_round_trip(fuzz_dir, manifest):
     back = rewrite_is_identical(write_manifest, read_manifest, manifest, fuzz_dir, ".json")
     assert back == manifest
+
+
+# ---------------------------------------------------------------------------
+# differential: the one-pass PLY codec against the per-row codec it replaced
+# (tests/oracles.py), on drawn bodies with and without defects
+
+DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=300)
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+float_token = (
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.9g}")
+    | st.floats(-1e6, 1e6).map(repr)
+    | st.integers(-10**6, 10**6).map(str)
+)
+DEFECTS = ["1.5", "256", "-1", "zebra", "1_0", "+5", "٣", "9" * 25, "1e50", "nan", "-inf", ""]
+
+
+@st.composite
+def ply_bodies(draw):
+    """PLY text whose body is valid or has a few defects."""
+    has_class = draw(st.booleans())
+    n_fields = 7 if has_class else 6
+    uchar = st.integers(0, 255).map(str)
+    rows = draw(st.lists(st.tuples(*[float_token] * 3, *[uchar] * (n_fields - 3)).map(list),
+                         max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        # half the defects go to the first row, so that some rows hold two,
+        # and half the bad tokens to a uchar field
+        row = rows[draw(st.integers(0, len(rows) - 1) | st.just(0))]
+        defect = draw(st.sampled_from(DEFECTS + ["<extra field>", "<missing field>"]))
+        if defect == "<extra field>":
+            row.append("0")
+        elif defect == "<missing field>":
+            row.pop()
+        else:
+            row[draw(st.integers(0, len(row) - 1) | st.integers(3, len(row) - 1))] = defect
+    declared = max(0, len(rows) + draw(st.just(0) | st.sampled_from([-2, -1, 1, 2])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]))  # str.splitlines breaks
+    return ply_text(rows, has_class, declared, eol)
+
+
+def ply_text(rows, has_class=False, declared=None, eol="\n"):
+    """A PLY with these body rows (lists of tokens), declaring len(rows) unless told."""
+    declared = len(rows) if declared is None else declared
+    lines = ["ply", "format ascii 1.0", f"element vertex {declared}"]
+    lines += [f"property float {axis}" for axis in "xyz"]
+    lines += [f"property uchar {c}" for c in ("red", "green", "blue", "class")[:3 + has_class]]
+    lines.append("end_header")
+    return eol.join(lines + [" ".join(r) for r in rows]) + eol
+
+
+def read_outcome(read, path):
+    """The arrays read, or the MalformedPly message and line raised."""
+    try:
+        cloud = read(path)
+    except MalformedPly as e:
+        return ("error", str(e), e.line)
+    return ("cloud", cloud)
+
+
+@DIFFERENTIAL
+@given(text=ply_bodies())
+@example(text=ply_text([["0", "0", "0", "255", "0", "0"]]))
+@example(text=ply_text([["0", "0", "0", "1.5", "0", "0"]]))  # int(), not float()
+@example(text=ply_text([["0", "0", "0", "0", "-1", "0", "9" * 25]], has_class=True))
+@example(text=ply_text([["0", "zebra", "0", "256", "0", "0"]]))  # non-numeric before range
+@example(text=ply_text([["0", "0", "zebra", "0", "0"]]))  # field count before non-numeric
+@example(text=ply_text([["0", "0", "0", "-1", "0", "0"], ["0", "0"]]))  # row order
+@example(text=ply_text([["nan", "0", "0", "0", "0", "0"], ["0", "٣", "0", "1.5", "0", "0"]]))
+@example(text=ply_text([["1e50", "0", "0", "0", "0", "0"], ["0", "0", "0"]], declared=3))
+def test_read_ply_equals_the_row_reader(fuzz_dir, text):
+    path = fuzz_dir / "drawn.ply"
+    path.write_bytes(text.encode("utf-8"))
+    new, old = read_outcome(read_ply, path), read_outcome(read_ply_rows, path)
+    if old[0] == "error":
+        assert new == old
+    else:
+        assert new[0] == "cloud"
+        for field in ("positions", "colors", "classes"):
+            a, b = getattr(new[1], field), getattr(old[1], field)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+                assert a.tobytes() == b.tobytes()
+
+
+position = (
+    st.floats(-F32_MAX, F32_MAX, width=32)
+    | st.floats(-3e38, 3e38)
+    | st.sampled_from([0.0, -0.0, F32_TINY, -F32_TINY, F32_MAX, -F32_MAX])
+)
+
+
+@DIFFERENTIAL
+@given(data=st.data(), n=st.integers(0, 12))
+def test_write_ply_equals_the_row_writer(fuzz_dir, data, n):
+    cloud = PointCloud(
+        positions=data.draw(hnp.arrays(np.float64, (n, 3), elements=position)),
+        colors=data.draw(st.none() | hnp.arrays(np.float64, (n, 3), elements=st.floats(-1, 2))),
+        classes=data.draw(st.none() | hnp.arrays(np.uint8, n)),
+    )
+    new, old = fuzz_dir / "new.ply", fuzz_dir / "old.ply"
+    write_ply(cloud, new)
+    write_ply_rows(cloud, old)
+    assert new.read_bytes() == old.read_bytes()

@@ -77,6 +77,7 @@ class TestSampleParams:
         ("trunk_radius", (np.nan, np.nan)), ("crown_radius", (-1.0, 2.0)),
         ("crown_radius", (1.0, np.inf)), ("branch_angle_deg", (-np.inf, 30.0)),
         ("foliage_fraction", (0.5, np.nan)), ("length_decay", (np.nan, 0.7)),
+        ("children_per_branch", (-3, -1)), ("children_per_branch", (-1, 2)),
     ])
     def test_nonfinite_or_nonpositive_range_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -88,6 +89,7 @@ class TestSampleParams:
         ("trunk_radius", 0.0), ("crown_radius", np.nan), ("crown_radius", -0.1),
         ("crown_radius", np.inf), ("branch_angle_deg", (np.nan, np.nan)),
         ("branch_angle_deg", (30.0, np.inf)), ("children_per_branch", (2, np.nan)),
+        ("children_per_branch", (-3, -1)), ("children_per_branch", (-1, 2)),
     ])
     def test_nonfinite_or_nonpositive_params_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
