@@ -13,6 +13,9 @@ vector-Jacobian product (VJP):
   soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
+Slot-sized arrays cost more in first-touch page faults than in arithmetic
+(each pass frees them, and the heap top goes back to the system), so a pass
+keeps few alive and works in place; a VJP reuses the slot arrays, so it runs once.
 The public renderers are thin adapters over the two cores. The shadow
 renderer first slides each point along the sun ray to the ground plane
 (`sensor.ground_xy`); its z gradient flows through that projection's
@@ -63,10 +66,10 @@ class _Slots:
     def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
         self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
-        self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
             self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
+        self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
@@ -78,8 +81,10 @@ class _Slots:
 
     def xy_grad(self, dL_dlog_g: np.ndarray) -> np.ndarray:
         """(N, 2) gradient from per-slot g * dL/dg; d(log g)/dxy = -(xy - c) / sigma^2."""
-        scale = dL_dlog_g / self.sigma**2
-        return -np.stack([self.to_points(scale * self.dx), self.to_points(scale * self.dy)], axis=1)
+        scale = np.divide(dL_dlog_g, self.sigma**2, out=dL_dlog_g)
+        dx, dy, self.dx, self.dy = self.dx, self.dy, None, None  # so a second call fails
+        gx = self.to_points(np.multiply(scale, dx, out=dx))
+        return -np.stack([gx, self.to_points(np.multiply(scale, dy, out=dy))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +94,15 @@ class _Slots:
 def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
     s = _Slots(xy, spec, cfg)
-    log_t = np.log(1.0 - cfg.alpha * s.g)
-    log_prod = s.to_pixels(log_t)
+    log_t = s.g * cfg.alpha
+    log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
         # factor i divided back out, which alpha < 1 keeps above zero
-        loo = np.exp(log_prod[s.flat] - log_t)
-        return s.xy_grad(d_flat[s.flat] * cfg.alpha * loo * s.g)
+        dL = np.exp(np.subtract(log_prod[s.flat], log_t, out=log_t), out=log_t)
+        dL *= (d_flat * cfg.alpha)[s.flat]
+        return s.xy_grad(np.multiply(dL, s.g, out=dL))
 
     return 1.0 - np.exp(log_prod), vjp
 
@@ -104,29 +110,30 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
 def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
     s = _Slots(positions[:, :2], spec, cfg)
-    z = positions[s.point, 2]
-    w = s.g * np.exp(cfg.beta * positions[:, 2])[s.point]
+    z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
+    w = s.g  # w = g * exp(beta z) takes the place of g, which nothing else reads
+    w *= np.exp(cfg.beta * z)[s.point]
     denom = s.to_pixels(w) + EPS_GROUND
-    h = s.to_pixels(w * z) / denom
+    h = s.to_pixels(w * z[s.point]) / denom
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
-        d = d_flat[s.flat]
-        inv_denom = (1.0 / denom)[s.flat]
         # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
         # and z (through exp), and z also enters the numerator directly
-        dH_dw = (z - h[s.flat]) * inv_denom
-        gz = s.to_points(d * (w * inv_denom + dH_dw * cfg.beta * w))
-        return np.column_stack([s.xy_grad(d * dH_dw * w), gz])
+        dH_dw = (z[s.point] - h[s.flat]) * (1.0 / denom)[s.flat]
+        gxy = s.xy_grad(d_flat[s.flat] * dH_dw * w)
+        dH_dw *= cfg.beta
+        dH_dw *= w
+        gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array
+        gz *= (1.0 / denom)[s.flat]
+        gz += dH_dw
+        gz *= d_flat[s.flat]
+        return np.column_stack([gxy, s.to_points(gz)])
 
     return h, vjp
 
 
 # ---------------------------------------------------------------------------
 # public renderers: adapters over the two cores
-
-
-def _grid(spec: GridSpec, flat: np.ndarray) -> Grid:
-    return Grid(spec, flat.reshape(spec.height, spec.width))
 
 
 def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
@@ -157,7 +164,7 @@ def dsm_forward_backward(
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    return _grid(spec, _soft_or(cloud.positions[:, :2], spec, cfg)[0])
+    return Grid(spec, _soft_or(cloud.positions[:, :2], spec, cfg)[0])
 
 
 def soft_silhouette_backward(
@@ -170,7 +177,7 @@ def soft_silhouette_backward(
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    return _grid(spec, _soft_max_height(cloud.positions, spec, cfg)[0])
+    return Grid(spec, _soft_max_height(cloud.positions, spec, cfg)[0])
 
 
 def soft_dsm_backward(
@@ -200,7 +207,7 @@ def soft_shadow(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig
 ) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    return _grid(spec, _soft_or(project_to_ground(cloud, sun)[0], spec, cfg)[0])
+    return Grid(spec, _soft_or(project_to_ground(cloud, sun)[0], spec, cfg)[0])
 
 
 def soft_shadow_backward(

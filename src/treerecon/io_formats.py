@@ -1,9 +1,10 @@
 """File formats: ASCII PLY clouds, PFM float rasters, PPM images, JSON manifests.
 
 Byte-level contracts:
-  - PLY: ascii 1.0; vertex properties x y z (float) and red green blue
-    (uchar, color*255 rounded half-up); optional uchar `class` (0 trunk,
-    1 foliage). Positions are written at float32 precision as `%.9g`. The
+  - PLY: ascii 1.0; one vertex element with properties x y z (float) and
+    red green blue (uchar, color*255 rounded half-up); optional uchar `class`
+    (0 trunk, 1 foliage). A second element or another type is rejected at
+    its header line. Positions are written at float32 precision as `%.9g`. The
     body is written with one format operation and parsed in one pass (split,
     convert per column, check in bulk); a bad row's line-numbered error is
     the one a row-by-row reader would raise first.
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 GENERATOR_VERSION = "treerecon-0.1.0"
+# the type read_ply requires of each vertex property it knows
+_PLY_TYPES = {"x": "float", "y": "float", "z": "float",
+              "red": "uchar", "green": "uchar", "blue": "uchar", "class": "uchar"}
 
 
 def _color_to_uchar(c: np.ndarray) -> np.ndarray:
@@ -88,7 +92,7 @@ def read_ply(path) -> PointCloud:
             if tok[1:] != ["ascii", "1.0"]:
                 raise MalformedPly("only 'format ascii 1.0' supported", line=ln)
         elif tok[0] == "element":
-            if len(tok) != 3 or tok[1] != "vertex":
+            if n is not None or len(tok) != 3 or tok[1] != "vertex":
                 raise MalformedPly("only a single vertex element supported", line=ln)
             try:
                 n = int(tok[2])
@@ -99,6 +103,9 @@ def read_ply(path) -> PointCloud:
         elif tok[0] == "property":
             if len(tok) != 3:
                 raise MalformedPly("bad property line", line=ln)
+            want = _PLY_TYPES.get(tok[2], tok[1])  # an unknown name fails the layout check
+            if tok[1] != want:
+                raise MalformedPly(f"property {tok[2]} must be {want}, not {tok[1]!r}", line=ln)
             props.append(tok[2])
         elif tok[0] == "end_header":
             body_start = ln

@@ -8,7 +8,8 @@ data. Highest point wins color ties, with larger point index as tiebreak.
 covers, shared with the soft renderers in `diffrender` and the cutoff test
 in `gradcheck`: one d^2 <= r^2 mask over each point's window of
 2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
-and nothing more, there the same pairs carry a Gaussian weight.
+and nothing more, there the same pairs carry a Gaussian weight. Index
+arithmetic is integer and in place: pair-sized arrays cost page faults.
 `ground_xy` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     reach = radius / ps
     width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
     first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
-    idx = first[:, None] + np.arange(width)
+    idx = first.astype(np.int64)[:, None] + np.arange(width)
     return idx, coord[:, None] - (origin + idx * ps)
 
 
@@ -49,15 +50,16 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
     """
     if not radius > 0:
         raise ValueError("splat_radius must be positive")
-    with np.errstate(over="ignore"):  # a point far off the grid covers nothing
+    with np.errstate(over="ignore", invalid="ignore"):  # an off-grid or NaN point covers nothing
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
         hit = np.flatnonzero(dx[:, None, :] ** 2 + dy[:, :, None] ** 2 <= radius**2)
     kx, ky = dx.shape[1], dy.shape[1]
-    point = hit // (ky * kx)
-    r, c = hit // kx, point * kx + hit % kx
-    flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
-    return point, flat, c, r, dx, dy
+    r = hit // kx
+    point = r // ky
+    hit -= (r - point) * kx  # in place, hit becomes c = point * kx + hit % kx
+    flat = (rows * spec.width).ravel()[r] + cols.ravel()[hit]
+    return point, flat, hit, r, dx, dy
 
 
 def render_dsm(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> Grid:

@@ -1,9 +1,12 @@
-"""Independent oracles: brute force, finite differences, loops and the per-row PLY codec."""
+"""Independent oracles: brute force, finite differences, loops, the per-row PLY
+codec and the soft-render hot path as it was before its in-place rewrite."""
+import math
 from pathlib import Path
 
 import numpy as np
 
-from treerecon.core import PointCloud
+from treerecon.core import GridSpec, PointCloud
+from treerecon.diffrender import EPS_GROUND, SoftConfig
 from treerecon.errors import MalformedPly
 from treerecon.io_formats import _color_to_uchar
 from treerecon.protree import _orthonormal_basis
@@ -200,3 +203,111 @@ def read_ply_rows(path) -> PointCloud:
     if len(bad):
         raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
     return PointCloud(positions=positions, colors=colors, classes=classes)
+
+
+# ---------------------------------------------------------------------------
+# the footprint enumerator, the slot list and the two soft-render cores as
+# they were before each pair-sized step was made in integers or in place:
+# every array they return is the reference the rewrite must equal byte for byte
+
+
+def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: float):
+    """Per point, a run of pixel centers along one axis that lies on the grid
+    and covers every center within `radius` of the point.
+
+    The run is centered on the point's rounded pixel, which lies at most half
+    a pixel from the point, so 2*ceil(radius/ps) + 1 centers cover the disk.
+    Returns the pixel indices (N, k) and the offsets point minus center (N, k).
+    """
+    reach = radius / ps
+    width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
+    first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
+    idx = first[:, None] + np.arange(width)
+    return idx, coord[:, None] - (origin + idx * ps)
+
+
+def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
+    """Every (point, pixel) pair whose pixel center lies within `radius` of the point.
+
+    One disk test d^2 <= radius^2 over each point's (ky, kx) window picks the
+    pairs, ordered by point, then pixel row, then pixel column. Returns
+    (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
+    offsets point minus pixel center along x and y over each point's window,
+    and c and r index each pair's column in dx.ravel() and row in dy.ravel().
+    """
+    if not radius > 0:
+        raise ValueError("splat_radius must be positive")
+    with np.errstate(over="ignore"):  # a point far off the grid covers nothing
+        cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
+        rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
+        hit = np.flatnonzero(dx[:, None, :] ** 2 + dy[:, :, None] ** 2 <= radius**2)
+    kx, ky = dx.shape[1], dy.shape[1]
+    point = hit // (ky * kx)
+    r, c = hit // kx, point * kx + hit % kx
+    flat = (rows.ravel()[r] * spec.width + cols.ravel()[c]).astype(np.int64)
+    return point, flat, c, r, dx, dy
+
+
+class _Slots:
+    """Compacted footprint slots of one point set: (point, flat pixel, dx, dy, g).
+
+    Holds only slots on the grid and within trunc*sigma, ordered by point,
+    then pixel row, then pixel column. The Gaussian is separable: exp runs
+    once per (point, column) and once per (point, row), and g is the product.
+    """
+
+    def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+        self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
+        self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
+        self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
+        k = -0.5 / cfg.sigma**2
+        with np.errstate(over="ignore"):  # a point far off the grid has no slot
+            self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
+
+    def to_pixels(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-slot values into a flat pixel array."""
+        return np.bincount(self.flat, weights=values, minlength=self.n_pixels)
+
+    def to_points(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-slot values per point."""
+        return np.bincount(self.point, weights=values, minlength=self.n)
+
+    def xy_grad(self, dL_dlog_g: np.ndarray) -> np.ndarray:
+        """(N, 2) gradient from per-slot g * dL/dg; d(log g)/dxy = -(xy - c) / sigma^2."""
+        scale = dL_dlog_g / self.sigma**2
+        return -np.stack([self.to_points(scale * self.dx), self.to_points(scale * self.dy)], axis=1)
+
+
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
+    s = _Slots(xy, spec, cfg)
+    log_t = np.log(1.0 - cfg.alpha * s.g)
+    log_prod = s.to_pixels(log_t)
+
+    def vjp(d_flat: np.ndarray) -> np.ndarray:
+        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
+        # factor i divided back out, which alpha < 1 keeps above zero
+        loo = np.exp(log_prod[s.flat] - log_t)
+        return s.xy_grad(d_flat[s.flat] * cfg.alpha * loo * s.g)
+
+    return 1.0 - np.exp(log_prod), vjp
+
+
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
+    s = _Slots(positions[:, :2], spec, cfg)
+    z = positions[s.point, 2]
+    w = s.g * np.exp(cfg.beta * positions[:, 2])[s.point]
+    denom = s.to_pixels(w) + EPS_GROUND
+    h = s.to_pixels(w * z) / denom
+
+    def vjp(d_flat: np.ndarray) -> np.ndarray:
+        d = d_flat[s.flat]
+        inv_denom = (1.0 / denom)[s.flat]
+        # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
+        # and z (through exp), and z also enters the numerator directly
+        dH_dw = (z - h[s.flat]) * inv_denom
+        gz = s.to_points(d * (w * inv_denom + dH_dw * cfg.beta * w))
+        return np.column_stack([s.xy_grad(d * dH_dw * w), gz])
+
+    return h, vjp

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
 from treerecon.errors import InvalidConfig
 from treerecon.diffrender import (
     SoftConfig,
     _Slots,
+    _soft_max_height,
+    _soft_or,
     dsm_forward_backward,
     occupancy_forward_backward,
     project_to_ground,
@@ -19,6 +22,7 @@ from treerecon.diffrender import (
     soft_silhouette,
     soft_silhouette_backward,
 )
+from treerecon.sensor import pixels_within
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)
 
@@ -312,3 +316,75 @@ class TestAdaptersAgree:
         shadow = soft_shadow(self.c, sun, SPEC, self.cfg).values.reshape(-1)
         assert np.array_equal(pred, shadow)
         assert np.array_equal(gxy @ jac, soft_shadow_backward(self.c, sun, SPEC, self.cfg, self.d))
+
+
+# ---------------------------------------------------------------------------
+# the in-place hot path against its pre-rewrite copy in oracles: same bytes
+
+
+def assert_same_bytes(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=3.0, alpha=0.9, beta=2.0,
+         seed=0)
+@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=np.inf, alpha=0.9,
+         beta=2.0, seed=0)
+@example(grid_cloud=(SPEC, np.array([[0.0, 0.0], [0.4, 0.2], [30.0, 0.0]])), z=[400.0, 2.0, 1e3],
+         sigma=1.0, trunc=3.0, alpha=0.9, beta=2.0, seed=1)  # exp(beta z) overflows on the grid
+@given(grid_cloud=grids_and_clouds(), z=st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12),
+       sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf),
+       alpha=st.floats(0.01, 0.99), beta=st.floats(0.1, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, alpha, beta, seed):
+    spec, xy = grid_cloud
+    positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
+    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    d_flat = np.random.default_rng(seed).normal(size=spec.n_pixels)
+    for new, old in zip(pixels_within(xy, spec, trunc * sigma),
+                        oracles.pixels_within(xy, spec, trunc * sigma)):
+        assert_same_bytes(new, old)
+    with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
+        for new, old in ((_soft_or(xy, spec, cfg), oracles._soft_or(xy, spec, cfg)),
+                         (_soft_max_height(positions, spec, cfg),
+                          oracles._soft_max_height(positions, spec, cfg))):
+            assert_same_bytes(new[0], old[0])
+            assert_same_bytes(new[1](d_flat), old[1](d_flat))
+
+
+def test_a_vjp_runs_once():
+    """A VJP builds its sums in its slot arrays, so a second call fails instead of lying."""
+    c, cfg = random_cloud(18, 30), SoftConfig(sigma=1.1)
+    d_flat = np.random.default_rng(19).normal(size=SPEC.n_pixels)
+    for core, points in ((_soft_or, c.positions[:, :2]), (_soft_max_height, c.positions)):
+        vjp = core(points, SPEC, cfg)[1]
+        vjp(d_flat)
+        with pytest.raises(TypeError):
+            vjp(d_flat)
+
+
+def test_inputs_are_read_only():
+    """No pass writes into the points, the pixel gradient or what d_flat_of_pred returns."""
+    cfg, sun = SoftConfig(sigma=1.1, alpha=0.85), SunConfig(150.0, 50.0)
+    c = random_cloud(16, 40)
+    d = Grid(SPEC, np.random.default_rng(17).normal(size=(21, 21)))
+    returned = []
+
+    def d_flat_of_pred(pred):
+        returned.append(np.random.default_rng(len(returned)).normal(size=pred.shape))
+        return returned[-1]
+
+    watched = [c.positions, d.values]
+    before = [a.copy() for a in watched]
+    soft_silhouette_backward(c, SPEC, cfg, d)
+    soft_dsm_backward(c, SPEC, cfg, d)
+    soft_shadow_backward(c, sun, SPEC, cfg, d)
+    for xy in (c.positions[:, :2], project_to_ground(c, sun)[0]):
+        watched.append(xy)
+        before.append(xy.copy())
+        occupancy_forward_backward(xy, SPEC, cfg, d_flat_of_pred)
+    dsm_forward_backward(c.positions, SPEC, cfg, d_flat_of_pred)
+    returned_before = [np.random.default_rng(i).normal(size=SPEC.n_pixels) for i in range(3)]
+    for a, b in zip(watched + returned, before + returned_before):
+        assert_same_bytes(a, b)

@@ -88,6 +88,28 @@ class TestPly:
             read_ply(p)
         assert e.value.line == 11
 
+    def test_second_element_rejected(self, tmp_path):
+        p = tmp_path / "two.ply"
+        p.write_text(ply_text([["0", "0", "0", "1", "2", "3"]] * 3).replace(
+            "element vertex 3\n", "element vertex 3\nelement vertex 1\n"))
+        with pytest.raises(MalformedPly, match="single vertex element") as e:
+            read_ply(p)
+        assert e.value.line == 4
+
+    @pytest.mark.parametrize("declared, line", [
+        ("property double x", 4), ("property int y", 5), ("property list z", 6),
+        ("property float red", 7), ("property float class", 10),
+    ])
+    def test_property_type_checked(self, tmp_path, declared, line):
+        _, typ, name = declared.split()
+        text = ply_text([["0", "0", "0", "1", "2", "3", "1"]], has_class=True)
+        want = "float" if name in "xyz" else "uchar"
+        p = tmp_path / "typed.ply"
+        p.write_text(text.replace(f"property {want} {name}\n", declared + "\n"))
+        with pytest.raises(MalformedPly, match=f"property {name} must be {want}, not '{typ}'") as e:
+            read_ply(p)
+        assert e.value.line == line
+
     def test_missing_magic(self, tmp_path):
         p = tmp_path / "bad.ply"
         p.write_text("not a ply\n")
