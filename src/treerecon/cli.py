@@ -1,6 +1,6 @@
 """Command-line interface: generate / reconstruct / eval / gradcheck / bench.
 
-Exit codes (stable scripting contract):
+Exit codes (stable scripting contract; `errors.py` gives each error class its code):
   0 success, 2 I/O failure or malformed file (a negative manifest seed too),
   3 empty or degenerate input, 4 input mismatch (specs, missing targets),
   5 internal check failure, invalid configuration value (NaN, infinities, a
@@ -20,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridSpec, Rng, SunConfig, check_seed
-from .errors import (
-    EmptyCloud,
-    EmptyFootprint,
-    InvalidConfig,
-    MalformedFile,
-    MissingTarget,
-    SpecMismatch,
-    TreeReconError,
-)
+from .errors import InvalidConfig, MissingTarget, TreeReconError
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
 from .losses import TERMS, LossWeights
@@ -39,7 +31,6 @@ from .reconstruct import OptimConfig, reconstruct
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_EMPTY = 3
-EXIT_MISMATCH = 4
 EXIT_CHECK = 5
 
 
@@ -239,7 +230,7 @@ def cmd_bench(args) -> int:
     dataset = Path(args.dataset)
     scene_dirs = sorted(d for d in dataset.iterdir() if d.is_dir())
     if not scene_dirs:
-        print(f"no scene directories under {dataset}", file=sys.stderr)
+        print(f"error: no scene directories under {dataset}", file=sys.stderr)
         return EXIT_EMPTY
     tasks = []
     for d in scene_dirs:
@@ -338,18 +329,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyFootprint, EmptyCloud) as e:
+    except (TreeReconError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (SpecMismatch, MissingTarget) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (MalformedFile, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except TreeReconError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CHECK
+        return getattr(e, "exit_code", EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidSun, MissingColors
+from .errors import InvalidConfig, MissingColors
 
 CLASS_TRUNK = 0
 CLASS_FOLIAGE = 1
@@ -135,12 +135,12 @@ class SunConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.azimuth_deg):
-            raise InvalidSun(f"sun azimuth must be finite, got {self.azimuth_deg}")
+            raise InvalidConfig(f"sun azimuth must be finite, got {self.azimuth_deg}")
         # above the horizon, and high enough that cot(elevation), the shadow
         # length per meter of height, is finite
         el = self.elevation_deg
         if not (0.0 < el <= 90.0 and math.tan(math.radians(el)) * sys.float_info.max > 1.0):
-            raise InvalidSun(f"sun elevation must be in (0, 90] with finite shadows, got {el}")
+            raise InvalidConfig(f"sun elevation must be in (0, 90] with finite shadows, got {el}")
 
 
 def world_to_pixel(spec: GridSpec, x, y):

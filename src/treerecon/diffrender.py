@@ -73,11 +73,13 @@ class _Slots:
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
-        return np.bincount(self.flat, weights=values, minlength=self.n_pixels)
+        sums = np.bincount(self.flat, weights=values, minlength=self.n_pixels)
+        return sums.astype(np.float64, copy=False)  # bincount of no slots is int64
 
     def to_points(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values per point."""
-        return np.bincount(self.point, weights=values, minlength=self.n)
+        sums = np.bincount(self.point, weights=values, minlength=self.n)
+        return sums.astype(np.float64, copy=False)
 
     def xy_grad(self, dL_dlog_g: np.ndarray) -> np.ndarray:
         """(N, 2) gradient from per-slot g * dL/dg; d(log g)/dxy = -(xy - c) / sigma^2."""

@@ -1,16 +1,14 @@
-"""Exception hierarchy shared by all treerecon modules."""
+"""Exception hierarchy shared by all treerecon modules; the CLI's exit-code table."""
 
 
 class TreeReconError(Exception):
-    """Base class for all treerecon errors."""
+    """Base class for all treerecon errors; the CLI exits with `exit_code`, which subclasses inherit."""
+
+    exit_code = 5
 
 
 class InvalidConfig(TreeReconError, ValueError):
     """A configuration value out of its valid range, NaN and infinities included."""
-
-
-class InvalidSun(InvalidConfig):
-    pass
 
 
 class Diverged(TreeReconError):
@@ -22,23 +20,25 @@ class MissingColors(TreeReconError):
 
 
 class SpecMismatch(TreeReconError):
-    pass
+    exit_code = 4
 
 
 class EmptyCloud(TreeReconError):
-    pass
+    exit_code = 3
 
 
 class MissingTarget(TreeReconError):
-    pass
+    exit_code = 4
 
 
 class EmptyFootprint(TreeReconError):
-    pass
+    exit_code = 3
 
 
 class MalformedFile(TreeReconError):
     """Base for file parsing errors; carries an optional line number."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None):
         if line is not None:

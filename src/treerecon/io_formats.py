@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, check_seed
 from .errors import (
-    InvalidSun,
     MalformedManifest,
     MalformedPfm,
     MalformedPly,
@@ -301,7 +300,7 @@ def read_manifest(path) -> Manifest:
         raise MalformedManifest("manifest root must be an object")
     try:
         return _from_doc(Manifest, doc)
-    except (TypeError, ValueError, OverflowError, InvalidSun) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedManifest(f"bad field value: {e}") from e
 
 

@@ -32,6 +32,7 @@ TRUNK_COLOR = (0.35, 0.23, 0.12)
 FOLIAGE_COLOR = (0.15, 0.45, 0.15)
 COLOR_JITTER = 0.08
 SPLAT_RADIUS = 0.5  # meters; the disk each GT point covers in the sensor rasters
+PER_BRANCH = ("children_per_branch", "branch_angle_deg")  # TreeParams ranges drawn per branch
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class TreeParams:
             raise InvalidConfig("n_points must be >= 1")
         if not (0.0 <= self.foliage_fraction <= 1.0):
             raise InvalidConfig("foliage_fraction must be in [0, 1]")
-        for name in ("children_per_branch", "branch_angle_deg"):
+        for name in PER_BRANCH:
             lo, hi = getattr(self, name)
             if not (-math.inf < lo <= hi < math.inf):
                 raise InvalidConfig(f"{name} range must be finite and non-empty")
@@ -94,14 +95,9 @@ class TreeParamRanges:
             lo, hi = getattr(self, name)
             if not (-math.inf < lo <= hi < math.inf):
                 raise InvalidConfig(f"range for {name} must be finite and non-empty")
-        if not (self.trunk_height[0] > 0.0 and self.trunk_radius[0] > 0.0):
-            raise InvalidConfig("trunk_height and trunk_radius must be positive")
-        if self.crown_radius[0] < 0.0:
-            raise InvalidConfig("crown_radius must be nonnegative")
-        if not (self.children_per_branch[0] >= 0):
-            raise InvalidConfig("children_per_branch must be >= 0")
-        if self.n_points[0] < 1:
-            raise InvalidConfig("n_points must be >= 1")
+        # every TreeParams rule is an interval, so a draw between two valid corners is valid
+        for end in (0, 1):
+            TreeParams(**{k: r if k in PER_BRANCH else r[end] for k, r in vars(self).items()})
 
 
 @dataclass

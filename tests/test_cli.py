@@ -340,6 +340,7 @@ class TestBench:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["bench", "--dataset", str(empty)]) == 3
+        assert capsys.readouterr().err == f"error: no scene directories under {empty}\n"
 
     def test_negative_manifest_seed_exits_2_before_any_scene(self, scene_dir, tmp_path, capsys,
                                                             monkeypatch):

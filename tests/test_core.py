@@ -11,7 +11,7 @@ from treerecon.core import (
     sun_direction,
     world_to_pixel,
 )
-from treerecon.errors import InvalidSun
+from treerecon.errors import InvalidConfig
 
 
 class TestWorldToPixel:
@@ -67,7 +67,7 @@ class TestSunDirection:
 
     @pytest.mark.parametrize("elevation", [0.0, -5.0, 90.5, 1e-310])
     def test_invalid_elevation(self, elevation):
-        with pytest.raises(InvalidSun):
+        with pytest.raises(InvalidConfig):
             SunConfig(0.0, elevation)
 
 

@@ -1,11 +1,17 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import trunk_points_loop
 from treerecon.core import CLASS_FOLIAGE, CLASS_TRUNK, Rng
 from treerecon.errors import InvalidConfig
 from treerecon.losses import chamfer
 from treerecon.protree import (
+    PER_BRANCH,
     SceneConfig,
     TreeParamRanges,
     TreeParams,
@@ -31,6 +37,45 @@ def fixed_params(**overrides) -> TreeParams:
     )
     base.update(overrides)
     return TreeParams(**base)
+
+
+def ordered(end):
+    return st.tuples(end, end).map(sorted).map(tuple)
+
+
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+VALID_RANGES = st.fixed_dictionaries({  # a non-empty range inside each TreeParams rule
+    "trunk_height": ordered(st.floats(0.0, 1e3, exclude_min=True)),
+    "trunk_radius": ordered(st.floats(0.0, 1e3, exclude_min=True)),
+    "branch_depth": ordered(st.integers(0, 6)),
+    "children_per_branch": ordered(st.integers(0, 5)),
+    "length_decay": ordered(UNIT),
+    "radius_decay": ordered(UNIT),
+    "branch_angle_deg": ordered(st.floats(-180.0, 180.0)),
+    "crown_radius": ordered(st.floats(0.0, 1e3)),
+    "foliage_fraction": ordered(st.floats(0.0, 1.0)),
+    "n_points": ordered(st.integers(1, 10_000)),
+})
+INT_FIELDS = ("branch_depth", "children_per_branch", "n_points")
+WILD_ENDS = {  # NaN, infinities, 0, negatives and ends at or above 1
+    False: st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 200.0]),
+    True: st.sampled_from([np.nan, np.inf, -np.inf, -1, 0, 1, 7]),
+}
+# (field, which end, value): one end of a valid range replaced, so a pair may also be reversed
+WILD_END = st.sampled_from([f.name for f in dataclasses.fields(TreeParamRanges)]).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(0, 1), WILD_ENDS[name in INT_FIELDS]))
+
+
+def is_valid(ranges) -> bool:
+    """Every range finite and non-empty, and TreeParams takes all low ends, then all high ends."""
+    if not all(-math.inf < lo <= hi < math.inf for lo, hi in ranges.values()):
+        return False
+    try:
+        for end in (0, 1):
+            TreeParams(**{k: r if k in PER_BRANCH else r[end] for k, r in ranges.items()})
+    except InvalidConfig:
+        return False
+    return True
 
 
 class TestSampleParams:
@@ -78,6 +123,8 @@ class TestSampleParams:
         ("crown_radius", (1.0, np.inf)), ("branch_angle_deg", (-np.inf, 30.0)),
         ("foliage_fraction", (0.5, np.nan)), ("length_decay", (np.nan, 0.7)),
         ("children_per_branch", (-3, -1)), ("children_per_branch", (-1, 2)),
+        ("length_decay", (0.5, 1.5)), ("foliage_fraction", (0.5, 1.4)),
+        ("branch_depth", (-3, -1)), ("branch_depth", (2, np.inf)), ("n_points", (1, np.inf)),
     ])
     def test_nonfinite_or_nonpositive_range_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -94,6 +141,21 @@ class TestSampleParams:
     def test_nonfinite_or_nonpositive_params_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
             fixed_params(**{field: value})
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(ranges=VALID_RANGES, wild=st.lists(WILD_END, max_size=3),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    def test_ranges_accepted_exactly_when_both_corners_are_valid(self, ranges, wild, seeds):
+        """Any draw from an accepted range set builds a TreeParams."""
+        for name, end, value in wild:
+            ranges[name] = (value, ranges[name][1]) if end == 0 else (ranges[name][0], value)
+        if not is_valid(ranges):
+            with pytest.raises(InvalidConfig):
+                TreeParamRanges(**ranges)
+            return
+        accepted = TreeParamRanges(**ranges)
+        for s in seeds:
+            sample_params(Rng(s), accepted)
 
     def test_branch_depth_draws_both_ends(self):
         # integer ranges are inclusive: the default (2, 3) yields both
