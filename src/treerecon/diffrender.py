@@ -13,9 +13,9 @@ vector-Jacobian product (VJP):
   soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
-Slot-sized arrays cost more in first-touch page faults than in arithmetic
-(each pass frees them, and the heap top goes back to the system), so a pass
-keeps few alive and works in place; a VJP reuses the slot arrays, so it runs once.
+The slot arrays are buffers of a `sensor.Workspace` the caller owns, which
+passes share one after another; a VJP works in them, so it runs once, and
+before the next pass on that workspace (a later call raises).
 The public renderers are thin adapters over the two cores. The shadow
 renderer first slides each point along the sun ray to the ground plane
 (`sensor.ground_xy`); its z gradient flows through that projection's
@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .errors import InvalidConfig, SpecMismatch
-from .sensor import ground_xy, pixels_within, shadow_offsets
+from .sensor import Workspace, ground_xy, pixels_within, shadow_offsets
 
 EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
@@ -61,15 +61,25 @@ class _Slots:
     Holds only slots on the grid and within trunc*sigma, ordered by point,
     then pixel row, then pixel column. The Gaussian is separable: exp runs
     once per (point, column) and once per (point, row), and g is the product.
+    Its arrays, and the two slot-sized `spare`s the cores work in, are in `ws`.
     """
 
-    def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
         self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
-        self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
+        self.ws = Workspace() if ws is None else ws
+        self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma, self.ws)
+        self.pass_no = self.ws.passes
+        self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
-            self.g = np.exp(k * dx**2).ravel()[c] * np.exp(k * dy**2).ravel()[r]
-        self.dx, self.dy = dx.ravel()[c], dy.ravel()[r]  # point minus pixel center
+            np.exp(k * dx**2).ravel().take(c, out=self.g, mode="clip")
+            self.g *= np.exp(k * dy**2).ravel().take(r, out=self.spare[0], mode="clip")
+        dx.ravel().take(c, out=self.dx, mode="clip")  # point minus pixel center
+        dy.ravel().take(r, out=self.dy, mode="clip")
+
+    def check_current(self):
+        if self.ws.passes != self.pass_no:  # a later pass took this pass's buffers
+            raise RuntimeError("a later pass reused the workspace; run a VJP before the next pass")
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
@@ -93,42 +103,52 @@ class _Slots:
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
     """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
-    s = _Slots(xy, spec, cfg)
-    log_t = s.g * cfg.alpha
+    s = _Slots(xy, spec, cfg, ws)
+    log_t, tmp = s.spare
+    np.multiply(s.g, cfg.alpha, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
         # factor i divided back out, which alpha < 1 keeps above zero
-        dL = np.exp(np.subtract(log_prod[s.flat], log_t, out=log_t), out=log_t)
-        dL *= (d_flat * cfg.alpha)[s.flat]
+        s.check_current()
+        dL = np.subtract(log_prod.take(s.flat, out=tmp, mode="clip"), log_t, out=log_t)
+        np.exp(dL, out=dL)
+        dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), cfg.alpha, out=tmp)
         return s.xy_grad(np.multiply(dL, s.g, out=dL))
 
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
     """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
-    s = _Slots(positions[:, :2], spec, cfg)
+    s = _Slots(positions[:, :2], spec, cfg, ws)
+    tmp = s.spare[1]
     z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
     w = s.g  # w = g * exp(beta z) takes the place of g, which nothing else reads
-    w *= np.exp(cfg.beta * z)[s.point]
+    w *= np.exp(cfg.beta * z).take(s.point, out=tmp, mode="clip")
     denom = s.to_pixels(w) + EPS_GROUND
-    h = s.to_pixels(w * z[s.point]) / denom
+    h = s.to_pixels(np.multiply(w, z.take(s.point, out=tmp, mode="clip"), out=tmp)) / denom
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
         # and z (through exp), and z also enters the numerator directly
-        dH_dw = (z[s.point] - h[s.flat]) * (1.0 / denom)[s.flat]
-        gxy = s.xy_grad(d_flat[s.flat] * dH_dw * w)
+        s.check_current()
+        dH_dw, tmp = s.spare
+        inv_denom = 1.0 / denom
+        z.take(s.point, out=dH_dw, mode="clip")
+        dH_dw -= h.take(s.flat, out=tmp, mode="clip")
+        dH_dw *= inv_denom.take(s.flat, out=tmp, mode="clip")
+        np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), dH_dw, out=tmp)
+        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp))
         dH_dw *= cfg.beta
         dH_dw *= w
         gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array
-        gz *= (1.0 / denom)[s.flat]
+        gz *= inv_denom.take(s.flat, out=tmp, mode="clip")
         gz += dH_dw
-        gz *= d_flat[s.flat]
+        gz *= d_flat.take(s.flat, out=tmp, mode="clip")
         return np.column_stack([gxy, s.to_points(gz)])
 
     return h, vjp
@@ -145,22 +165,22 @@ def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
 
 
 def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-or pass over (N, 2) points: returns (pred_flat, (N, 2) gradients).
 
     d_flat_of_pred maps the predicted flat pixel array to the per-pixel
     loss gradient, letting the caller compute its loss in between.
     """
-    pred, vjp = _soft_or(xy, spec, cfg)
+    pred, vjp = _soft_or(xy, spec, cfg, ws)
     return pred, vjp(d_flat_of_pred(pred))
 
 
 def dsm_forward_backward(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft-DSM pass over (N, 3) points: returns (pred_flat, (N, 3) gradients)."""
-    pred, vjp = _soft_max_height(positions, spec, cfg)
+    pred, vjp = _soft_max_height(positions, spec, cfg, ws)
     return pred, vjp(d_flat_of_pred(pred))
 
 

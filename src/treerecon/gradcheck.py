@@ -27,7 +27,7 @@ from .diffrender import (
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss
-from .sensor import pixels_within
+from .sensor import Workspace, pixels_within
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
@@ -144,6 +144,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
     rng = Rng(seed)
     result = GradCheckResult()
     spec = GridSpec.centered(20, 0.5)
+    ws = Workspace()
 
     for _ in range(trials):
         n = int(rng.integers(20, 50, endpoint=True)) if n_points is None else int(n_points)
@@ -186,8 +187,8 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
              soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
             ("chamfer", lambda p: chamfer(PointCloud(p), gt)[0],
              chamfer(cloud, gt)[1], mask_ch),
-            ("combined", lambda p: combined_loss(PointCloud(p), targets, sun, spec, cfg, weights)[0],
-             combined_loss(cloud, targets, sun, spec, cfg, weights)[1],
+            ("combined", lambda p: combined_loss(PointCloud(p), targets, sun, spec, cfg, weights, ws)[0],
+             combined_loss(cloud, targets, sun, spec, cfg, weights, ws)[1],
              mask_sil & mask_sh & mask_ch),
         )
         for name, scalar_fn, analytic, mask in paths:

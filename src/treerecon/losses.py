@@ -20,6 +20,7 @@ from .diffrender import (
     project_to_ground,
 )
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
+from .sensor import Workspace
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 
@@ -115,12 +116,14 @@ def combined_loss(
     spec: GridSpec,
     soft_cfg: SoftConfig,
     weights: LossWeights,
+    ws: Workspace | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    Terms run in TERMS order, so the silhouette pass precedes the shadow pass.
+    Terms run in TERMS order, so the silhouette pass precedes the shadow pass;
+    the passes share `ws` (each takes a fresh workspace when None).
     """
     targets.require(weights, sun, spec)
     positions = cloud.positions
@@ -134,7 +137,7 @@ def combined_loss(
             value.append(v * scale)
             return d_pixels.values.reshape(-1) * scale
 
-        _, g = forward_backward(points, spec, soft_cfg, d_flat_of_pred)
+        _, g = forward_backward(points, spec, soft_cfg, d_flat_of_pred, ws)
         return value[0], g
 
     # term -> (unweighted value, (N, 3) gradient). Built per call, so each

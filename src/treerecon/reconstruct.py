@@ -15,7 +15,7 @@ from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, check_see
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss
-from .sensor import H_MIN
+from .sensor import H_MIN, Workspace
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -177,6 +177,7 @@ def reconstruct(
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
+    ws = Workspace()
 
     def loss_at(t, pos):
         if not np.all(np.abs(pos) <= _F32_MAX):
@@ -184,7 +185,7 @@ def reconstruct(
         # an overflow in the loss (a point too high for the soft DSM's
         # exp(beta z), say) either meets no pixel or makes the loss non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w)
+            value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w, ws)
         if not math.isfinite(value):
             raise Diverged(f"iteration {t}: the loss is {value}")
         if np.any(np.abs(grad) > _GRAD_MAX):

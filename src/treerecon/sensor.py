@@ -8,8 +8,9 @@ data. Highest point wins color ties, with larger point index as tiebreak.
 covers, shared with the soft renderers in `diffrender` and the cutoff test
 in `gradcheck`: one d^2 <= r^2 mask over each point's window of
 2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
-and nothing more, there the same pairs carry a Gaussian weight. Index
-arithmetic is integer and in place: pair-sized arrays cost page faults.
+and nothing more, there the same pairs carry a Gaussian weight. The pairs
+live in a `Workspace` the caller owns: passes on it run one after another,
+and a pass's arrays (and a VJP reading them) are valid until the next one.
 `ground_xy` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
@@ -34,12 +35,30 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     """
     reach = radius / ps
     width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
-    first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
+    first = (np.rint((coord - origin) / ps) - (width - 1) // 2).clip(0, size - width)
     idx = first.astype(np.int64)[:, None] + np.arange(width)
     return idx, coord[:, None] - (origin + idx * ps)
 
 
-def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
+class Workspace:
+    """Buffers that one run's passes reuse: slot-sized arrays allocated anew per
+    pass cost more in first-touch page faults than in arithmetic. `passes`
+    counts the passes, so a VJP can tell that a later pass took its buffers.
+    """
+
+    def __init__(self):
+        self.passes, self._bufs = 0, {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """Buffer `name`, uninitialised, as an array of `shape`."""
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size + size // 8, dtype)  # 1/8 headroom
+        return buf[:size].reshape(shape)
+
+
+def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace | None = None):
     """Every (point, pixel) pair whose pixel center lies within `radius` of the point.
 
     One disk test d^2 <= radius^2 over each point's (ky, kx) window picks the
@@ -47,18 +66,24 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
     (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
     offsets point minus pixel center along x and y over each point's window,
     and c and r index each pair's column in dx.ravel() and row in dy.ravel().
+    point, flat and r are buffers of `ws` (a fresh workspace when None).
     """
     if not radius > 0:
         raise ValueError("splat_radius must be positive")
+    ws = Workspace() if ws is None else ws
+    ws.passes += 1
     with np.errstate(over="ignore", invalid="ignore"):  # an off-grid or NaN point covers nothing
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
-        hit = np.flatnonzero(dx[:, None, :] ** 2 + dy[:, :, None] ** 2 <= radius**2)
-    kx, ky = dx.shape[1], dy.shape[1]
-    r = hit // kx
-    point = r // ky
-    hit -= (r - point) * kx  # in place, hit becomes c = point * kx + hit % kx
-    flat = (rows * spec.width).ravel()[r] + cols.ravel()[hit]
+        kx, ky = dx.shape[1], dy.shape[1]
+        # d^2 is spent once the mask is built: it borrows the buffer _Slots takes next
+        d2 = np.add(dx[:, None, :] ** 2, dy[:, :, None] ** 2, out=ws.get("floats", (len(xy), ky, kx)))
+        hit = np.flatnonzero(np.less_equal(d2, radius**2, out=ws.get("mask", d2.shape, bool)))
+    point, flat, r, tmp = ws.get("ints", (4, len(hit)), np.int64)
+    np.floor_divide(np.floor_divide(hit, kx, out=r), ky, out=point)
+    hit -= np.multiply(np.subtract(r, point, out=tmp), kx, out=tmp)  # c = point * kx + hit % kx
+    (rows * spec.width).ravel().take(r, out=flat, mode="clip")
+    flat += cols.ravel().take(hit, out=tmp, mode="clip")
     return point, flat, hit, r, dx, dy
 
 

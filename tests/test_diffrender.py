@@ -7,6 +7,7 @@ import oracles
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
 from treerecon.errors import InvalidConfig
+from treerecon.losses import LossTargets, LossWeights, combined_loss
 from treerecon.diffrender import (
     SoftConfig,
     _Slots,
@@ -22,7 +23,7 @@ from treerecon.diffrender import (
     soft_silhouette,
     soft_silhouette_backward,
 )
-from treerecon.sensor import pixels_within
+from treerecon.sensor import Workspace, pixels_within
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)
 
@@ -379,6 +380,62 @@ def test_a_vjp_runs_once():
         vjp(d_flat)
         with pytest.raises(TypeError):
             vjp(d_flat)
+
+
+@pytest.mark.parametrize("first", ["soft_or", "soft_max_height"])
+@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within"])
+def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
+    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run."""
+    c, cfg, ws = random_cloud(20, 30), SoftConfig(sigma=1.1), Workspace()
+    passes = {"soft_or": lambda: _soft_or(c.positions[:, :2], SPEC, cfg, ws),
+              "soft_max_height": lambda: _soft_max_height(c.positions, SPEC, cfg, ws),
+              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws)}
+    vjp = passes[first]()[1]
+    passes[later]()
+    with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
+        vjp(np.random.default_rng(21).normal(size=SPEC.n_pixels))
+
+
+# one workspace reused over a drawn sequence of passes: the bytes of a fresh one
+
+render_steps = st.lists(
+    st.tuples(grids_and_clouds(), st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12),
+              st.floats(0.1, 3.0), st.floats(1.0, 6.0) | st.just(np.inf), st.floats(0.01, 0.99),
+              st.floats(0.1, 4.0), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=4)
+_cloud_12 = (SPEC, np.random.default_rng(22).uniform(-12.0, 12.0, (12, 2)))  # some off the grid
+_empty = (SPEC, np.zeros((0, 2)))
+_one = (GridSpec(3, 2, 0.0, 0.0, 0.5), np.array([[0.2, 0.4]]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(steps=[(_one, [1.0] * 12, 1.0, np.inf, 0.9, 2.0, 0), (_cloud_12, [3.0] * 12, 1.0, 3.0, 0.9, 2.0, 1),
+                (_empty, [0.0] * 12, 1.0, 3.0, 0.9, 2.0, 2), (_cloud_12, [5.0] * 12, 2.5, np.inf, 0.5, 1.0, 3)])
+@given(steps=render_steps)
+def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
+    ws = Workspace()
+    for (spec, xy), z, sigma, trunc, alpha, beta, seed in steps:
+        positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
+        cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+        rng = np.random.default_rng(seed)
+        d_flat = rng.normal(size=spec.n_pixels)
+        for new, old in zip(pixels_within(xy, spec, trunc * sigma, ws),
+                            pixels_within(xy, spec, trunc * sigma)):
+            assert_same_bytes(new, old)
+        with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
+            for core, points in ((_soft_or, xy), (_soft_max_height, positions)):
+                new, old = core(points, spec, cfg, ws), core(points, spec, cfg)
+                assert_same_bytes(new[0], old[0])
+                assert_same_bytes(new[1](d_flat), old[1](d_flat))
+            raster = lambda: Grid(spec, (rng.random((spec.height, spec.width)) > 0.5).astype(float))
+            targets = LossTargets(silhouette=raster(), shadow=raster(), dsm=raster())
+            args = (PointCloud(positions=positions), targets, SunConfig(150.0, 50.0), spec, cfg,
+                    LossWeights(0.0, 1.0, 0.5, 1.0))
+            new, old = combined_loss(*args, ws), combined_loss(*args)
+        assert np.float64(new[0]).tobytes() == np.float64(old[0]).tobytes()
+        assert_same_bytes(new[1], old[1])
+        assert new[2].keys() == old[2].keys()
+        assert all(np.float64(new[2][k]).tobytes() == np.float64(old[2][k]).tobytes() for k in new[2])
 
 
 def test_inputs_are_read_only():
