@@ -16,7 +16,8 @@ Pixel sums and per-point gradient sums are bincounts over the slot list.
 The slot arrays are buffers of a `sensor.Workspace` the caller owns, which
 passes share one after another; a VJP works in them, so it runs once, and
 before the next pass on that workspace (a later call raises).
-The public renderers are thin adapters over the two cores. The shadow
+The public renderers are thin adapters over the two cores; the loss's
+scored passes, which also run the cores, live in `losses`. The shadow
 renderer first slides each point along the sun ray to the ground plane
 (`sensor.ground_xy`); its z gradient flows through that projection's
 constant Jacobian.
@@ -162,26 +163,6 @@ def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
     if d_pixels.spec != spec:
         raise SpecMismatch("pixel gradient grid spec does not match render spec")
     return d_pixels.values.reshape(-1)
-
-
-def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft-or pass over (N, 2) points: returns (pred_flat, (N, 2) gradients).
-
-    d_flat_of_pred maps the predicted flat pixel array to the per-pixel
-    loss gradient, letting the caller compute its loss in between.
-    """
-    pred, vjp = _soft_or(xy, spec, cfg, ws)
-    return pred, vjp(d_flat_of_pred(pred))
-
-
-def dsm_forward_backward(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, d_flat_of_pred, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft-DSM pass over (N, 3) points: returns (pred_flat, (N, 3) gradients)."""
-    pred, vjp = _soft_max_height(positions, spec, cfg, ws)
-    return pred, vjp(d_flat_of_pred(pred))
 
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:

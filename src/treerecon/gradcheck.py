@@ -9,8 +9,6 @@ same exclusion a Chamfer check needs away from tie points).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -122,27 +120,15 @@ def _random_pixel_grad(spec: GridSpec, rng: np.random.Generator) -> Grid:
     return Grid(spec, rng.normal(size=(spec.height, spec.width)) / spec.n_pixels)
 
 
-@dataclass
-class GradCheckResult:
-    max_scores: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(s <= REL_TOL for s in self.max_scores.values())
-
-    def record(self, name: str, score: float):
-        self.max_scores[name] = max(self.max_scores.get(name, 0.0), score)
-
-
-def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None) -> GradCheckResult:
-    """Run the full finite-difference suite over `trials` random configurations
-    of `n_points` points each (20 to 50 drawn per trial when None)."""
+def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None) -> dict[str, float]:
+    """Each path's worst `max_error_score` (a pass is <= REL_TOL) over `trials` random
+    configurations of `n_points` points each (20 to 50 drawn per trial when None)."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if n_points is not None and n_points < 1:
         raise InvalidConfig(f"n_points must be >= 1, got {n_points}")
     rng = Rng(seed)
-    result = GradCheckResult()
+    scores: dict[str, float] = {}
     spec = GridSpec.centered(20, 0.5)
     ws = Workspace()
 
@@ -193,6 +179,6 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         )
         for name, scalar_fn, analytic, mask in paths:
             fd = fd_gradient(scalar_fn, positions, h, mask)
-            result.record(name, max_error_score(analytic, fd, mask))
+            scores[name] = max(scores.get(name, 0.0), max_error_score(analytic, fd, mask))
 
-    return result
+    return scores

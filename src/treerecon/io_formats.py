@@ -267,19 +267,28 @@ def write_manifest(manifest: Manifest, path) -> None:
     Path(path).write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
+# annotated type -> (the JSON values it takes, their name); bools are never numbers
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+               dict: (dict, "an object")}
+
+
 def _from_doc(cls, doc: dict, where: str = ""):
     """Build dataclass `cls` from the JSON object `doc`, popping what it takes.
 
-    Every field is required; scalars are converted to their annotated type
-    and nested dataclasses are built the same way. Unknown fields are
-    rejected once the object is built.
+    Every field is required and must hold its JSON type (see _JSON_TYPES);
+    numbers are converted to their annotated type and nested dataclasses
+    are built the same way. Unknown fields are rejected once the object is built.
     """
     hints, values = get_type_hints(cls), {}
     for f in fields(cls):
         if f.name not in doc:
             raise MalformedManifest(f"missing field {where}{f.name}")
-        kind = hints[f.name]
-        values[f.name] = (dict if is_dataclass(kind) else kind)(doc.pop(f.name))
+        kind, value = hints[f.name], doc.pop(f.name)
+        kind = dict if is_dataclass(kind) else kind
+        takes, what = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, takes):
+            raise MalformedManifest(f"field {where}{f.name} must be {what}")
+        values[f.name] = kind(value)
     for name, value in values.items():
         if is_dataclass(hints[name]):
             values[name] = _from_doc(hints[name], value, f"{where}{name}.")

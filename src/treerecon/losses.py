@@ -3,6 +3,11 @@
 Terms: squared-distance Chamfer between point sets, mean-squared raster
 losses on the soft silhouette / shadow / DSM, and their weighted sum.
 The DSM term is divided by H_NORM^2 so all terms are dimensionless.
+
+The raster terms are scored passes: each runs a `diffrender` core, scores
+it with `raster_l2` and feeds that pixel gradient to the core's VJP.
+`combined_loss` looks each name up in this module's globals, so a wrapper
+set on one here is honoured.
 """
 from __future__ import annotations
 
@@ -13,12 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import (
-    SoftConfig,
-    dsm_forward_backward,
-    occupancy_forward_backward,
-    project_to_ground,
-)
+from .diffrender import SoftConfig, _soft_max_height, _soft_or, project_to_ground
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import Workspace
 
@@ -83,6 +83,27 @@ def raster_l2(pred: Grid, target: Grid) -> tuple[float, Grid]:
     return float((diff**2).mean()), Grid(pred.spec, 2.0 * diff / n)
 
 
+def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
+    """(scale * raster_l2 of a core's prediction against target, the core's VJP of its gradient)."""
+    pred, vjp = render_pass
+    value, d_pixels = raster_l2(Grid(spec, pred), target)
+    return value * scale, vjp(d_pixels.values.reshape(-1) * scale)
+
+
+def occupancy_forward_backward(
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
+) -> tuple[float, np.ndarray]:
+    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient)."""
+    return _scored(_soft_or(xy, spec, cfg, ws), spec, target)
+
+
+def dsm_forward_backward(
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
+) -> tuple[float, np.ndarray]:
+    """Soft-DSM pass over (N, 3) points: (raster_l2 / H_NORM^2, (N, 3) gradient)."""
+    return _scored(_soft_max_height(positions, spec, cfg, ws), spec, target, 1.0 / H_NORM**2)
+
+
 @dataclass
 class LossTargets:
     """Target rasters (and optional GT cloud) for the combined objective."""
@@ -126,45 +147,26 @@ def combined_loss(
     the passes share `ws` (each takes a fresh workspace when None).
     """
     targets.require(weights, sun, spec)
-    positions = cloud.positions
-
-    def raster(forward_backward, points, target: Grid, scale: float = 1.0):
-        """(scale * raster_l2 against target, point gradient) of one fused render pass."""
-        value = []
-
-        def d_flat_of_pred(pred_flat):
-            v, d_pixels = raster_l2(Grid(spec, pred_flat), target)
-            value.append(v * scale)
-            return d_pixels.values.reshape(-1) * scale
-
-        _, g = forward_backward(points, spec, soft_cfg, d_flat_of_pred, ws)
-        return value[0], g
-
-    # term -> (unweighted value, (N, 3) gradient). Built per call, so each
-    # renderer is looked up when its term runs and wrappers on it are honoured.
-    def sil():
-        v, gxy = raster(occupancy_forward_backward, positions[:, :2], targets.silhouette)
-        return v, np.column_stack([gxy, np.zeros(len(cloud))])
-
-    def shadow():
-        xy, jac = project_to_ground(cloud, sun)
-        v, gxy = raster(occupancy_forward_backward, xy, targets.shadow)
-        return v, gxy @ jac
-
-    evaluate = {
-        "geo": lambda: chamfer(cloud, targets.gt_cloud),
-        "sil": sil,
-        "shadow": shadow,
-        "dsm": lambda: raster(dsm_forward_backward, positions, targets.dsm, 1.0 / H_NORM**2),
-    }
     grad = np.zeros((len(cloud), 3))
     breakdown: dict[str, float] = {}
     total = 0.0
     for term in TERMS:
         lam = weights.of(term)
-        if lam > 0:
-            value, g = evaluate[term]()
-            breakdown[term] = value
-            total += lam * value
-            grad += lam * g
+        if lam <= 0:
+            continue
+        if term == "geo":
+            value, g = chamfer(cloud, targets.gt_cloud)
+        elif term == "sil":
+            xy = cloud.positions[:, :2]
+            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette, ws)
+            g = np.column_stack([gxy, np.zeros(len(cloud))])
+        elif term == "shadow":
+            xy, jac = project_to_ground(cloud, sun)
+            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.shadow, ws)
+            g = gxy @ jac
+        else:
+            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws)
+        breakdown[term] = value
+        total += lam * value
+        grad += lam * g
     return total, grad, breakdown

@@ -163,6 +163,13 @@ class TestEval:
         assert float(kv["chamfer"]) == 0.0
         assert float(kv["fscore"]) == 1.0
 
+    def test_bad_tau_exits_5_before_reading_either_cloud(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.ply")
+        rc = main(["eval", "--pred", missing, "--gt", missing, "--tau", "nan"])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.count("error:") == 1 and err.startswith("error:") and "tau" in err
+
     def test_matches_metrics_module(self, scene_dir, tmp_path, capsys):
         from treerecon.metrics import eval_chamfer, fscore
 

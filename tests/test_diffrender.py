@@ -7,14 +7,20 @@ import oracles
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
 from treerecon.errors import InvalidConfig
-from treerecon.losses import LossTargets, LossWeights, combined_loss
+from treerecon.losses import (
+    H_NORM,
+    LossTargets,
+    LossWeights,
+    combined_loss,
+    dsm_forward_backward,
+    occupancy_forward_backward,
+    raster_l2,
+)
 from treerecon.diffrender import (
     SoftConfig,
     _Slots,
     _soft_max_height,
     _soft_or,
-    dsm_forward_backward,
-    occupancy_forward_backward,
     project_to_ground,
     soft_dsm,
     soft_dsm_backward,
@@ -289,34 +295,38 @@ class TestSoftConfigValidation:
 
 
 class TestAdaptersAgree:
-    """The standalone renderers and the fused passes the loss runs are one path."""
+    """The loss's scored passes and the standalone renderers are one path."""
 
     def setup_method(self):
         self.cfg = SoftConfig(sigma=1.1, alpha=0.85)
         self.c = random_cloud(13, 40)
-        self.d = Grid(SPEC, np.random.default_rng(14).normal(size=(21, 21)))
-        self.d_of_pred = lambda pred: self.d.values.reshape(-1)
+        self.target = Grid(SPEC, np.random.default_rng(14).normal(size=(21, 21)))
+
+    def scored(self, render: Grid, scale: float = 1.0):
+        """scale * raster_l2 of a standalone render against the target, and scale * its pixel gradient."""
+        value, d_pixels = raster_l2(render, self.target)
+        return value * scale, Grid(SPEC, d_pixels.values * scale)
 
     def test_silhouette(self):
-        pred, gxy = occupancy_forward_backward(
-            self.c.positions[:, :2], SPEC, self.cfg, self.d_of_pred
-        )
-        assert np.array_equal(pred, soft_silhouette(self.c, SPEC, self.cfg).values.reshape(-1))
-        grad = soft_silhouette_backward(self.c, SPEC, self.cfg, self.d)
-        assert np.array_equal(gxy, grad[:, :2])
+        value, gxy = occupancy_forward_backward(self.c.positions[:, :2], SPEC, self.cfg, self.target)
+        expected, d = self.scored(soft_silhouette(self.c, SPEC, self.cfg))
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        grad = soft_silhouette_backward(self.c, SPEC, self.cfg, d)
+        assert_same_bytes(gxy, grad[:, :2])
 
     def test_dsm(self):
-        pred, g3 = dsm_forward_backward(self.c.positions, SPEC, self.cfg, self.d_of_pred)
-        assert np.array_equal(pred, soft_dsm(self.c, SPEC, self.cfg).values.reshape(-1))
-        assert np.array_equal(g3, soft_dsm_backward(self.c, SPEC, self.cfg, self.d))
+        value, g3 = dsm_forward_backward(self.c.positions, SPEC, self.cfg, self.target)
+        expected, d = self.scored(soft_dsm(self.c, SPEC, self.cfg), 1.0 / H_NORM**2)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert_same_bytes(g3, soft_dsm_backward(self.c, SPEC, self.cfg, d))
 
     def test_shadow(self):
         sun = SunConfig(150.0, 50.0)
         xy, jac = project_to_ground(self.c, sun)
-        pred, gxy = occupancy_forward_backward(xy, SPEC, self.cfg, self.d_of_pred)
-        shadow = soft_shadow(self.c, sun, SPEC, self.cfg).values.reshape(-1)
-        assert np.array_equal(pred, shadow)
-        assert np.array_equal(gxy @ jac, soft_shadow_backward(self.c, sun, SPEC, self.cfg, self.d))
+        value, gxy = occupancy_forward_backward(xy, SPEC, self.cfg, self.target)
+        expected, d = self.scored(soft_shadow(self.c, sun, SPEC, self.cfg))
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert_same_bytes(gxy @ jac, soft_shadow_backward(self.c, sun, SPEC, self.cfg, d))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +374,8 @@ def test_gradients_are_float64_without_slots(points):
     c, cfg, sun = cloud(points), SoftConfig(sigma=1.0), SunConfig(150.0, 50.0)
     d = Grid.zeros(SPEC)
     for grad in (soft_dsm_backward(c, SPEC, cfg, d),
-                 dsm_forward_backward(c.positions, SPEC, cfg, np.zeros_like)[1],
-                 occupancy_forward_backward(c.positions[:, :2], SPEC, cfg, np.zeros_like)[1],
+                 dsm_forward_backward(c.positions, SPEC, cfg, d)[1],
+                 occupancy_forward_backward(c.positions[:, :2], SPEC, cfg, d)[1],
                  soft_silhouette_backward(c, SPEC, cfg, d),
                  soft_shadow_backward(c, sun, SPEC, cfg, d)):
         assert grad.dtype == np.float64 and grad.shape[0] == len(points) and not grad.any()
@@ -439,17 +449,12 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
 
 
 def test_inputs_are_read_only():
-    """No pass writes into the points, the pixel gradient or what d_flat_of_pred returns."""
+    """No pass writes into the points, the pixel gradient or the target raster."""
     cfg, sun = SoftConfig(sigma=1.1, alpha=0.85), SunConfig(150.0, 50.0)
     c = random_cloud(16, 40)
     d = Grid(SPEC, np.random.default_rng(17).normal(size=(21, 21)))
-    returned = []
-
-    def d_flat_of_pred(pred):
-        returned.append(np.random.default_rng(len(returned)).normal(size=pred.shape))
-        return returned[-1]
-
-    watched = [c.positions, d.values]
+    target = Grid(SPEC, np.random.default_rng(18).normal(size=(21, 21)))
+    watched = [c.positions, d.values, target.values]
     before = [a.copy() for a in watched]
     soft_silhouette_backward(c, SPEC, cfg, d)
     soft_dsm_backward(c, SPEC, cfg, d)
@@ -457,8 +462,7 @@ def test_inputs_are_read_only():
     for xy in (c.positions[:, :2], project_to_ground(c, sun)[0]):
         watched.append(xy)
         before.append(xy.copy())
-        occupancy_forward_backward(xy, SPEC, cfg, d_flat_of_pred)
-    dsm_forward_backward(c.positions, SPEC, cfg, d_flat_of_pred)
-    returned_before = [np.random.default_rng(i).normal(size=SPEC.n_pixels) for i in range(3)]
-    for a, b in zip(watched + returned, before + returned_before):
+        occupancy_forward_backward(xy, SPEC, cfg, target)
+    dsm_forward_backward(c.positions, SPEC, cfg, target)
+    for a, b in zip(watched, before):
         assert_same_bytes(a, b)

@@ -200,6 +200,24 @@ class TestManifest:
         with pytest.raises(MalformedManifest):
             read_manifest(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 7.9), ("seed", True), ("seed", "7"), ("grid.width", 4.6),
+        ("grid.pixel_size", "0.5"), ("sun.elevation_deg", "50"), ("generator_version", 5),
+        ("files.dsm", 3), ("sun", [135.0, 70.0]),
+    ])
+    def test_a_value_of_the_wrong_json_type_is_malformed(self, tmp_path, field, value):
+        p = tmp_path / "manifest.json"
+        write_manifest(self.manifest(), p)
+        doc = json.loads(p.read_text())
+        *parents, name = field.split(".")
+        obj = doc
+        for parent in parents:
+            obj = obj[parent]
+        obj[name] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MalformedManifest, match=f"field {field} must be"):
+            read_manifest(p)
+
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{\n  broken\n}")

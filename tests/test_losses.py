@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
@@ -217,3 +219,34 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+@st.composite
+def permuted_scenes(draw):
+    """(cloud of 1 to 40 points near SPEC, a permutation of them, sun, sigma, target seed)."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.column_stack([rng.uniform(-12.0, 12.0, (n, 2)), rng.uniform(0.0, 8.0, n)])
+    perm = np.array(draw(st.permutations(range(n))))
+    sun = SunConfig(draw(st.floats(0.0, 360.0)), draw(st.floats(10.0, 90.0)))
+    return PointCloud(positions=pts), perm, sun, draw(st.floats(0.3, 2.5)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(scene=permuted_scenes())
+def test_permuting_the_points_permutes_the_gradient_rows(scene):
+    """The loss does not depend on point order; each point keeps its own gradient.
+
+    The slot sums run in point order, so a permutation may move them by a
+    few ulps. Geo is left out: Chamfer's nearest-neighbour ties can be
+    broken differently in another order.
+    """
+    c, perm, sun, sigma, seed = scene
+    rng = np.random.default_rng(seed)
+    raster = lambda top: Grid(SPEC, rng.uniform(0.0, top, (SPEC.height, SPEC.width)))
+    targets = LossTargets(silhouette=raster(1.0), shadow=raster(1.0), dsm=raster(8.0))
+    args = (targets, sun, SPEC, SoftConfig(sigma=sigma), LossWeights(0.0, 1.0, 0.5, 1.0))
+    value, grad, _ = combined_loss(c, *args)
+    p_value, p_grad, _ = combined_loss(PointCloud(positions=c.positions[perm]), *args)
+    assert abs(p_value - value) <= 1e-12 * abs(value)
+    assert np.max(np.abs(p_grad - grad[perm])) <= 1e-12 * np.max(np.abs(grad))
