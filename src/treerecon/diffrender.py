@@ -14,13 +14,15 @@ vector-Jacobian product (VJP):
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 The slot arrays are buffers of a `sensor.Workspace` the caller owns, which
-passes share one after another; a VJP works in them, so it runs once, and
-before the next pass on that workspace (a later call raises).
-The public renderers are thin adapters over the two cores; the loss's
-scored passes, which also run the cores, live in `losses`. The shadow
-renderer first slides each point along the sun ray to the ground plane
-(`sensor.ground_xy`); its z gradient flows through that projection's
-constant Jacobian.
+passes share one after another. A core takes a built slot list: the soft-or
+core leaves it whole and the soft-max-height core overwrites g, so
+`combined_loss` runs the silhouette, then the DSM, on one list of the
+cloud's (x, y). A VJP works in the buffers, so it runs once, and before the
+next pass on that workspace (otherwise it raises). The public renderers are
+thin adapters that build a list per call; the loss's scored passes live in
+`losses`. The shadow renderer first slides each point along the sun ray to
+the ground plane (`sensor.ground_xy`); its z gradient flows through that
+projection's constant Jacobian.
 """
 from __future__ import annotations
 
@@ -69,7 +71,6 @@ class _Slots:
         self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
         self.ws = Workspace() if ws is None else ws
         self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma, self.ws)
-        self.pass_no = self.ws.passes
         self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
@@ -78,9 +79,11 @@ class _Slots:
         dx.ravel().take(c, out=self.dx, mode="clip")  # point minus pixel center
         dy.ravel().take(r, out=self.dy, mode="clip")
 
-    def check_current(self):
-        if self.ws.passes != self.pass_no:  # a later pass took this pass's buffers
-            raise RuntimeError("a later pass reused the workspace; run a VJP before the next pass")
+    def check_current(self, pass_no: int):
+        """Let the VJP of core pass `pass_no` on this list run once, and before the next pass."""
+        if self.ws.passes != pass_no:  # a later pass, or this VJP, took the buffers
+            raise RuntimeError("buffers reused; run a VJP before the next pass, and only once")
+        self.ws.passes += 1
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
@@ -92,21 +95,21 @@ class _Slots:
         sums = np.bincount(self.point, weights=values, minlength=self.n)
         return sums.astype(np.float64, copy=False)
 
-    def xy_grad(self, dL_dlog_g: np.ndarray) -> np.ndarray:
-        """(N, 2) gradient from per-slot g * dL/dg; d(log g)/dxy = -(xy - c) / sigma^2."""
+    def xy_grad(self, dL_dlog_g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(N, 2) gradient from per-slot g * dL/dg, with the products in slot-sized `out`;
+        d(log g)/dxy = -(xy - c) / sigma^2."""
         scale = np.divide(dL_dlog_g, self.sigma**2, out=dL_dlog_g)
-        dx, dy, self.dx, self.dy = self.dx, self.dy, None, None  # so a second call fails
-        gx = self.to_points(np.multiply(scale, dx, out=dx))
-        return -np.stack([gx, self.to_points(np.multiply(scale, dy, out=dy))], axis=1)
+        gx = self.to_points(np.multiply(scale, self.dx, out=out))
+        return -np.stack([gx, self.to_points(np.multiply(scale, self.dy, out=out))], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
-    """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
-    s = _Slots(xy, spec, cfg, ws)
+def _soft_or(s: _Slots, cfg: SoftConfig):
+    """Soft-or occupancy of the points of slot list s; the VJP returns (N, 2) gradients."""
+    pass_no = s.ws.passes = s.ws.passes + 1  # each core pass counts; its VJP checks the count
     log_t, tmp = s.spare
     np.multiply(s.g, cfg.alpha, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
@@ -114,21 +117,21 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | No
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
         # factor i divided back out, which alpha < 1 keeps above zero
-        s.check_current()
+        s.check_current(pass_no)
         dL = np.subtract(log_prod.take(s.flat, out=tmp, mode="clip"), log_t, out=log_t)
         np.exp(dL, out=dL)
         dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), cfg.alpha, out=tmp)
-        return s.xy_grad(np.multiply(dL, s.g, out=dL))
+        return s.xy_grad(np.multiply(dL, s.g, out=dL), tmp)  # g, dx and dy stay whole
 
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
-    """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
-    s = _Slots(positions[:, :2], spec, cfg, ws)
+def _soft_max_height(s: _Slots, positions: np.ndarray, cfg: SoftConfig):
+    """Soft-max height of (N, 3) points with slot list s; the VJP returns (N, 3) gradients."""
+    pass_no = s.ws.passes = s.ws.passes + 1
     tmp = s.spare[1]
     z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
-    w = s.g  # w = g * exp(beta z) takes the place of g, which nothing else reads
+    w = s.g  # w = g * exp(beta z) takes the place of g: this core reads the list last
     w *= np.exp(cfg.beta * z).take(s.point, out=tmp, mode="clip")
     denom = s.to_pixels(w) + EPS_GROUND
     h = s.to_pixels(np.multiply(w, z.take(s.point, out=tmp, mode="clip"), out=tmp)) / denom
@@ -136,14 +139,14 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
         # and z (through exp), and z also enters the numerator directly
-        s.check_current()
+        s.check_current(pass_no)
         dH_dw, tmp = s.spare
         inv_denom = 1.0 / denom
         z.take(s.point, out=dH_dw, mode="clip")
         dH_dw -= h.take(s.flat, out=tmp, mode="clip")
         dH_dw *= inv_denom.take(s.flat, out=tmp, mode="clip")
         np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), dH_dw, out=tmp)
-        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp))
+        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), s.dx)
         dH_dw *= cfg.beta
         dH_dw *= w
         gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array
@@ -167,27 +170,29 @@ def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    return Grid(spec, _soft_or(cloud.positions[:, :2], spec, cfg)[0])
+    return Grid(spec, _soft_or(_Slots(cloud.positions[:, :2], spec, cfg), cfg)[0])
 
 
 def soft_silhouette_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
 ) -> np.ndarray:
     """Backprop pixel gradients to (N, 3) point gradients; the z gradient is zero."""
-    gxy = _soft_or(cloud.positions[:, :2], spec, cfg)[1](_flat(d_pixels, spec))
+    gxy = _soft_or(_Slots(cloud.positions[:, :2], spec, cfg), cfg)[1](_flat(d_pixels, spec))
     return np.column_stack([gxy, np.zeros(len(cloud))])
 
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    return Grid(spec, _soft_max_height(cloud.positions, spec, cfg)[0])
+    s = _Slots(cloud.positions[:, :2], spec, cfg)
+    return Grid(spec, _soft_max_height(s, cloud.positions, cfg)[0])
 
 
 def soft_dsm_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
 ) -> np.ndarray:
     """Quotient-rule (N, 3) gradients of the soft DSM in x, y, and z."""
-    return _soft_max_height(cloud.positions, spec, cfg)[1](_flat(d_pixels, spec))
+    s = _Slots(cloud.positions[:, :2], spec, cfg)
+    return _soft_max_height(s, cloud.positions, cfg)[1](_flat(d_pixels, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ def soft_shadow(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig
 ) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    return Grid(spec, _soft_or(project_to_ground(cloud, sun)[0], spec, cfg)[0])
+    return Grid(spec, _soft_or(_Slots(project_to_ground(cloud, sun)[0], spec, cfg), cfg)[0])
 
 
 def soft_shadow_backward(
@@ -218,4 +223,4 @@ def soft_shadow_backward(
 ) -> np.ndarray:
     """Soft-or backward chained through the ground projection Jacobian."""
     xy, jac = project_to_ground(cloud, sun)
-    return _soft_or(xy, spec, cfg)[1](_flat(d_pixels, spec)) @ jac
+    return _soft_or(_Slots(xy, spec, cfg), cfg)[1](_flat(d_pixels, spec)) @ jac

@@ -1,14 +1,16 @@
 """Independent oracles: brute force, finite differences, loops, the per-row PLY
-codec and the soft-render hot path as it was before its in-place rewrite."""
+codec, the soft-render hot path as it was before its in-place rewrite, and the
+combined loss as it was before two of its passes shared a slot list."""
 import math
 from pathlib import Path
 
 import numpy as np
 
-from treerecon.core import GridSpec, PointCloud
-from treerecon.diffrender import EPS_GROUND, SoftConfig
+from treerecon.core import Grid, GridSpec, PointCloud
+from treerecon.diffrender import EPS_GROUND, SoftConfig, project_to_ground
 from treerecon.errors import MalformedPly
 from treerecon.io_formats import _color_to_uchar
+from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
 from treerecon.protree import _orthonormal_basis
 
 
@@ -311,3 +313,36 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         return np.column_stack([s.xy_grad(d * dH_dw * w), gz])
 
     return h, vjp
+
+
+def combined_loss(cloud, targets, sun, spec, cfg, weights):
+    """The combined loss with three independent render passes, each on its own
+    slot list from the cores above, run and summed in TERMS order."""
+
+    def scored(render_pass, target, scale=1.0):
+        pred, vjp = render_pass
+        value, d_pixels = raster_l2(Grid(spec, pred), target)
+        return value * scale, vjp(d_pixels.values.reshape(-1) * scale)
+
+    grad = np.zeros((len(cloud), 3))
+    breakdown = {}
+    total = 0.0
+    for term in TERMS:
+        lam = weights.of(term)
+        if lam <= 0:
+            continue
+        if term == "geo":
+            value, g = chamfer(cloud, targets.gt_cloud)
+        elif term == "sil":
+            value, gxy = scored(_soft_or(cloud.positions[:, :2], spec, cfg), targets.silhouette)
+            g = np.column_stack([gxy, np.zeros(len(cloud))])
+        elif term == "shadow":
+            xy, jac = project_to_ground(cloud, sun)
+            value, gxy = scored(_soft_or(xy, spec, cfg), targets.shadow)
+            g = gxy @ jac
+        else:
+            value, g = scored(_soft_max_height(cloud.positions, spec, cfg), targets.dsm, 1.0 / H_NORM**2)
+        breakdown[term] = value
+        total += lam * value
+        grad += lam * g
+    return total, grad, breakdown

@@ -357,8 +357,8 @@ def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, alpha
                         oracles.pixels_within(xy, spec, trunc * sigma)):
         assert_same_bytes(new, old)
     with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-        for new, old in ((_soft_or(xy, spec, cfg), oracles._soft_or(xy, spec, cfg)),
-                         (_soft_max_height(positions, spec, cfg),
+        for new, old in ((_soft_or(_Slots(xy, spec, cfg), cfg), oracles._soft_or(xy, spec, cfg)),
+                         (_soft_max_height(_Slots(xy, spec, cfg), positions, cfg),
                           oracles._soft_max_height(positions, spec, cfg))):
             assert_same_bytes(new[0], old[0])
             new_grad, old_grad = new[1](d_flat), old[1](d_flat)
@@ -382,25 +382,40 @@ def test_gradients_are_float64_without_slots(points):
 
 
 def test_a_vjp_runs_once():
-    """A VJP builds its sums in its slot arrays, so a second call fails instead of lying."""
+    """A VJP builds its sums in its slot arrays, so a second call fails instead of lying.
+
+    The soft-or VJP leaves its list whole, so a DSM pass on the same list
+    after it (as in `combined_loss`) gives the bytes of a list of its own.
+    """
     c, cfg = random_cloud(18, 30), SoftConfig(sigma=1.1)
     d_flat = np.random.default_rng(19).normal(size=SPEC.n_pixels)
-    for core, points in ((_soft_or, c.positions[:, :2]), (_soft_max_height, c.positions)):
-        vjp = core(points, SPEC, cfg)[1]
-        vjp(d_flat)
-        with pytest.raises(TypeError):
+    slots = lambda: _Slots(c.positions[:, :2], SPEC, cfg)
+    shared = slots()
+    sil, dsm = lambda s: _soft_or(s, cfg), lambda s: _soft_max_height(s, c.positions, cfg)
+    grads = []
+    for core, s in ((sil, slots()), (dsm, slots()), (sil, shared), (dsm, shared)):
+        vjp = core(s)[1]
+        grads.append(vjp(d_flat))
+        with pytest.raises(RuntimeError, match="run a VJP before the next pass, and only once"):
             vjp(d_flat)
+    assert_same_bytes(grads[2], grads[0])
+    assert_same_bytes(grads[3], grads[1])
 
 
 @pytest.mark.parametrize("first", ["soft_or", "soft_max_height"])
-@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within"])
+@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within",
+                                   "soft_max_height on its list"])
 def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
-    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run."""
+    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run. A DSM
+    pass on the same slot list is a later pass too: it overwrites g."""
     c, cfg, ws = random_cloud(20, 30), SoftConfig(sigma=1.1), Workspace()
-    passes = {"soft_or": lambda: _soft_or(c.positions[:, :2], SPEC, cfg, ws),
-              "soft_max_height": lambda: _soft_max_height(c.positions, SPEC, cfg, ws),
-              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws)}
-    vjp = passes[first]()[1]
+    slots = lambda: _Slots(c.positions[:, :2], SPEC, cfg, ws)
+    s = slots()
+    vjp = (_soft_or(s, cfg) if first == "soft_or" else _soft_max_height(s, c.positions, cfg))[1]
+    passes = {"soft_or": lambda: _soft_or(slots(), cfg),
+              "soft_max_height": lambda: _soft_max_height(slots(), c.positions, cfg),
+              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws),
+              "soft_max_height on its list": lambda: _soft_max_height(s, c.positions, cfg)}
     passes[later]()
     with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
         vjp(np.random.default_rng(21).normal(size=SPEC.n_pixels))
@@ -433,8 +448,8 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
                             pixels_within(xy, spec, trunc * sigma)):
             assert_same_bytes(new, old)
         with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-            for core, points in ((_soft_or, xy), (_soft_max_height, positions)):
-                new, old = core(points, spec, cfg, ws), core(points, spec, cfg)
+            for core, args in ((_soft_or, (cfg,)), (_soft_max_height, (positions, cfg))):
+                new, old = core(_Slots(xy, spec, cfg, ws), *args), core(_Slots(xy, spec, cfg), *args)
                 assert_same_bytes(new[0], old[0])
                 assert_same_bytes(new[1](d_flat), old[1](d_flat))
             raster = lambda: Grid(spec, (rng.random((spec.height, spec.width)) > 0.5).astype(float))

@@ -1,15 +1,19 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
+from treerecon import diffrender
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
 from treerecon.errors import EmptyCloud, MissingTarget, SpecMismatch
 from treerecon.losses import (
+    TERMS,
     LossTargets,
     LossWeights,
     chamfer,
@@ -190,6 +194,16 @@ class TestCombinedLoss:
         )
         assert list(br) == ["sil", "shadow", "dsm"]  # the silhouette pass precedes the shadow
 
+    @pytest.mark.parametrize("lams, builds", [((0, 1, 0.5, 1), 2), ((0, 1, 0, 1), 1),
+                                              ((0, 1, 0.5, 0), 2), ((1, 0, 0, 0), 0)])
+    def test_one_slot_list_per_point_set(self, monkeypatch, lams, builds):
+        """The silhouette and the DSM share the cloud's slot list; the shadow builds its own."""
+        calls = []
+        build = diffrender.pixels_within
+        monkeypatch.setattr(diffrender, "pixels_within", lambda *a: calls.append(a) or build(*a))
+        combined_loss(self.pred, self.targets, self.sun, SPEC, self.cfg, LossWeights(*lams))
+        assert len(calls) == builds
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LossWeights(-1.0, 1.0, 0.5, 1.0)
@@ -250,3 +264,40 @@ def test_permuting_the_points_permutes_the_gradient_rows(scene):
     p_value, p_grad, _ = combined_loss(PointCloud(positions=c.positions[perm]), *args)
     assert abs(p_value - value) <= 1e-12 * abs(value)
     assert np.max(np.abs(p_grad - grad[perm])) <= 1e-12 * np.max(np.abs(grad))
+
+
+@st.composite
+def loss_inputs(draw, on):
+    """(cloud of 0, 1 or 1-60 points, some off SPEC, targets, sun, cfg, weights positive for
+    the terms in `on`, workspace or None)."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.column_stack([rng.uniform(-14.0, 14.0, (n, 2)), rng.uniform(0.0, 30.0, n)])
+    raster = lambda top: Grid(SPEC, rng.uniform(0.0, top, (SPEC.height, SPEC.width)))
+    targets = LossTargets(silhouette=raster(1.0), shadow=raster(1.0), dsm=raster(8.0),
+                          gt_cloud=random_cloud(draw(st.integers(0, 99)), 25))
+    weights = LossWeights(*(draw(st.floats(0.1, 4.0)) if term in on else 0.0 for term in TERMS))
+    cfg = SoftConfig(sigma=draw(st.floats(0.3, 2.5)), trunc=draw(st.sampled_from([3.0, np.inf])))
+    sun = SunConfig(draw(st.floats(0.0, 360.0)), draw(st.floats(10.0, 90.0)))
+    ws = Workspace() if draw(st.booleans()) else None
+    return PointCloud(positions=pts), targets, sun, cfg, weights, ws
+
+
+@pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sharing_a_slot_list_keeps_every_byte(on, data):
+    """combined_loss against the loss with three independent passes (tests/oracles.py)."""
+    c, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    try:
+        expected = oracles.combined_loss(c, targets, sun, SPEC, cfg, weights)
+    except EmptyCloud:  # the geo term of an empty cloud
+        with pytest.raises(EmptyCloud):
+            combined_loss(c, targets, sun, SPEC, cfg, weights, ws)
+        return
+    value, grad, breakdown = combined_loss(c, targets, sun, SPEC, cfg, weights, ws)
+    assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+    assert grad.dtype == expected[1].dtype and grad.tobytes() == expected[1].tobytes()
+    assert list(breakdown) == list(expected[2])
+    assert all(np.float64(breakdown[k]).tobytes() == np.float64(expected[2][k]).tobytes()
+               for k in breakdown)
