@@ -20,7 +20,6 @@ from .core import (
 )
 from .diffrender import (
     SoftConfig,
-    project_to_ground,
     soft_dsm,
     soft_dsm_backward,
     soft_shadow,
@@ -29,7 +28,7 @@ from .diffrender import (
     soft_silhouette_backward,
 )
 from .losses import LossTargets, LossWeights, chamfer, combined_loss, raster_l2
-from .metrics import baseline_extrude, eval_chamfer, fscore
+from .metrics import eval_chamfer, fscore
 from .protree import (
     SceneConfig,
     SceneSample,
@@ -45,11 +44,13 @@ from .reconstruct import (
     OptimConfig,
     ReconResult,
     adam_step,
+    baseline_extrude,
     derive_targets,
     init_cloud,
     reconstruct,
 )
 from .sensor import (
+    project_to_ground,
     render_dsm,
     render_ortho,
     render_shadow_hard,

@@ -24,9 +24,9 @@ from .errors import InvalidConfig, MissingTarget, TreeReconError
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
 from .losses import TERMS, LossWeights
-from .metrics import DEFAULT_TAU, baseline_extrude, check_tau, eval_chamfer, format_report, fscore
+from .metrics import DEFAULT_TAU, check_tau, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
-from .reconstruct import OptimConfig, reconstruct
+from .reconstruct import OptimConfig, baseline_extrude, reconstruct
 
 EXIT_OK = 0
 EXIT_IO = 2

@@ -21,8 +21,8 @@ cloud's (x, y). A VJP works in the buffers, so it runs once, and before the
 next pass on that workspace (otherwise it raises). The public renderers are
 thin adapters that build a list per call; the loss's scored passes live in
 `losses`. The shadow renderer first slides each point along the sun ray to
-the ground plane (`sensor.ground_xy`); its z gradient flows through that
-projection's constant Jacobian.
+the ground plane (`sensor.project_to_ground`); its z gradient flows through
+that projection's constant Jacobian.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .errors import InvalidConfig, SpecMismatch
-from .sensor import Workspace, ground_xy, pixels_within, shadow_offsets
+from .sensor import Workspace, pixels_within, project_to_ground
 
 EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
@@ -71,6 +71,7 @@ class _Slots:
         self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
         self.ws = Workspace() if ws is None else ws
         self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma, self.ws)
+        self.built = self.ws.last_build  # spent by a later build on ws, or by a DSM pass (w overwrites g)
         self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
@@ -78,6 +79,11 @@ class _Slots:
             self.g *= np.exp(k * dy**2).ravel().take(r, out=self.spare[0], mode="clip")
         dx.ravel().take(c, out=self.dx, mode="clip")  # point minus pixel center
         dy.ravel().take(r, out=self.dy, mode="clip")
+
+    def check_built(self):
+        """Let a core read this list only while its buffers hold its own build and g is whole."""
+        if self.built != self.ws.last_build:
+            raise RuntimeError("slot list spent: a later build took its buffers, or a DSM pass its g")
 
     def check_current(self, pass_no: int):
         """Let the VJP of core pass `pass_no` on this list run once, and before the next pass."""
@@ -109,6 +115,7 @@ class _Slots:
 
 def _soft_or(s: _Slots, cfg: SoftConfig):
     """Soft-or occupancy of the points of slot list s; the VJP returns (N, 2) gradients."""
+    s.check_built()
     pass_no = s.ws.passes = s.ws.passes + 1  # each core pass counts; its VJP checks the count
     log_t, tmp = s.spare
     np.multiply(s.g, cfg.alpha, out=log_t)
@@ -128,8 +135,9 @@ def _soft_or(s: _Slots, cfg: SoftConfig):
 
 def _soft_max_height(s: _Slots, positions: np.ndarray, cfg: SoftConfig):
     """Soft-max height of (N, 3) points with slot list s; the VJP returns (N, 3) gradients."""
+    s.check_built()
     pass_no = s.ws.passes = s.ws.passes + 1
-    tmp = s.spare[1]
+    s.built, tmp = None, s.spare[1]
     z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
     w = s.g  # w = g * exp(beta z) takes the place of g: this core reads the list last
     w *= np.exp(cfg.beta * z).take(s.point, out=tmp, mode="clip")
@@ -197,18 +205,6 @@ def soft_dsm_backward(
 
 # ---------------------------------------------------------------------------
 # shadow = soft-or occupancy of ground-projected points
-
-
-def project_to_ground(
-    cloud: PointCloud, sun: SunConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slide points along the sun ray to z = 0.
-
-    Returns the (N, 2) ground coordinates and the constant 2x3 Jacobian
-    d(shadow_xy)/d(point_xyz), shared by all points.
-    """
-    kx, ky = shadow_offsets(sun)
-    return ground_xy(cloud.positions, sun), np.array([[1.0, 0.0, kx], [0.0, 1.0, ky]])
 
 
 def soft_shadow(

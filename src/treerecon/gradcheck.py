@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree
 from .core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from .diffrender import (
     SoftConfig,
-    project_to_ground,
     soft_dsm,
     soft_dsm_backward,
     soft_shadow,
@@ -25,7 +24,7 @@ from .diffrender import (
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss
-from .sensor import Workspace, pixels_within
+from .sensor import Workspace, pixels_within, project_to_ground
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
@@ -57,15 +56,18 @@ def max_error_score(analytic, fd, mask) -> float:
     return float(score.max()) if score.size else 0.0
 
 
-def _truncation_safe(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, slack: float) -> np.ndarray:
-    """True per point when no in-grid pixel center sits within `slack` of the cutoff.
+def _truncation_safe(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, *slacks: float) -> list[np.ndarray]:
+    """Per slack, True per point when no in-grid pixel center sits within that slack of the cutoff.
 
-    Only pairs within cutoff + slack can, and the renderers' `pixels_within` lists them.
+    Only pairs within cutoff + slack can. One `pixels_within` call at the largest
+    slack lists them, and each slack keeps the pairs its own call's d^2 test would.
     """
     cutoff = cfg.trunc * cfg.sigma
-    point, _, c, r, dx, dy = pixels_within(xy, spec, cutoff + slack)
-    d = np.sqrt(dx.ravel()[c] ** 2 + dy.ravel()[r] ** 2)
-    return np.bincount(point[np.abs(d - cutoff) < slack], minlength=len(xy)) == 0
+    point, _, c, r, dx, dy = pixels_within(xy, spec, cutoff + max(slacks))
+    d2 = dx.ravel()[c] ** 2 + dy.ravel()[r] ** 2
+    d = np.sqrt(d2)
+    return [np.bincount(point[(d2 <= (cutoff + slack) ** 2) & (np.abs(d - cutoff) < slack)],
+                        minlength=len(xy)) == 0 for slack in slacks]
 
 
 def silhouette_mask(cloud, spec, cfg, h) -> np.ndarray:
@@ -74,37 +76,27 @@ def silhouette_mask(cloud, spec, cfg, h) -> np.ndarray:
     z never crosses the (xy) truncation boundary, so only x and y are
     ever excluded.
     """
-    safe = _truncation_safe(cloud.positions[:, :2], spec, cfg, _MARGIN * h)
-    mask = np.ones((len(cloud), 3), dtype=bool)
-    mask[:, 0] = safe
-    mask[:, 1] = safe
-    return mask
+    safe, = _truncation_safe(cloud.positions[:, :2], spec, cfg, _MARGIN * h)
+    return np.stack([safe, safe, np.ones(len(cloud), dtype=bool)], axis=1)
 
 
 def shadow_mask(cloud, sun, spec, cfg, h) -> np.ndarray:
     """Safe components for the shadow render; z moves the projection too."""
     xy, jac = project_to_ground(cloud, sun)
     k = np.hypot(jac[0, 2], jac[1, 2])  # projected displacement per meter of z
-    safe_xy = _truncation_safe(xy, spec, cfg, _MARGIN * h)
-    safe_z = _truncation_safe(xy, spec, cfg, _MARGIN * h * max(1.0, k))
+    safe_xy, safe_z = _truncation_safe(xy, spec, cfg, _MARGIN * h, _MARGIN * h * max(1.0, k))
     return np.stack([safe_xy, safe_xy, safe_z], axis=1)
 
 
 def chamfer_mask(cloud, gt, h) -> np.ndarray:
-    """Exclude points whose nearest-neighbor assignment could flip within h."""
+    """Exclude points whose nearest-neighbor assignment (to gt, or gt's to them) could flip within h."""
     pa, pb = cloud.positions, gt.positions
     mask = np.ones((len(pa), 3), dtype=bool)
-
-    if len(pb) >= 2:
-        d, _ = cKDTree(pb).query(pa, k=2)
-        gap = d[:, 1] ** 2 - d[:, 0] ** 2
-        tied = gap < _MARGIN * h * (d[:, 0] + d[:, 1] + 1.0)
-        mask[tied] = False
-    if len(pa) >= 2:
-        d, idx = cKDTree(pa).query(pb, k=2)
-        gap = d[:, 1] ** 2 - d[:, 0] ** 2
-        tied = gap < _MARGIN * h * (d[:, 0] + d[:, 1] + 1.0)
-        mask[idx[tied].ravel()] = False
+    for of_gt, (query, ref) in enumerate(((pa, pb), (pb, pa))):
+        if len(ref) >= 2:
+            d, idx = cKDTree(ref).query(query, k=2)
+            tied = d[:, 1] ** 2 - d[:, 0] ** 2 < _MARGIN * h * (d[:, 0] + d[:, 1] + 1.0)
+            mask[idx[tied].ravel() if of_gt else tied] = False
     return mask
 
 

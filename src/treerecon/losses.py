@@ -18,9 +18,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import SoftConfig, _Slots, _soft_max_height, _soft_or, project_to_ground
+from .diffrender import SoftConfig, _Slots, _soft_max_height, _soft_or
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
-from .sensor import Workspace
+from .sensor import Workspace, project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 

@@ -1,15 +1,13 @@
-"""Evaluation metrics (Chamfer, F-score@tau) and the DSM-extrusion baseline."""
+"""Evaluation metrics (Chamfer, F-score@tau) and their report format."""
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Grid, PointCloud, RgbGrid
+from .core import PointCloud
 from .errors import EmptyCloud, InvalidConfig
 from .losses import chamfer
-from .reconstruct import _recolor, sample_footprint
 
 DEFAULT_TAU = 0.5  # meters
 
@@ -39,20 +37,6 @@ def fscore(
     recall = float((d_gt <= tau).mean())
     f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f
-
-
-def baseline_extrude(
-    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: np.random.Generator
-) -> PointCloud:
-    """Naive comparison baseline: points on the DSM canopy surface only.
-
-    Same footprint sampling as the optimizer's initialization, but z is
-    pinned to the DSM height at the pixel -- a shell with no crown interior.
-    """
-    x, y, flat = sample_footprint(silhouette, n_points, rng)
-    z = dsm.values.reshape(-1)[flat]
-    positions = np.stack([x, y, z], axis=1)
-    return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
 
 
 def format_report(metrics: dict[str, float]) -> str:

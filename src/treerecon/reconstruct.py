@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
+from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss
@@ -73,26 +73,19 @@ def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:
     )
 
 
-def _pixel_lookup(spec: GridSpec, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, v = world_to_pixel(spec, positions[:, 0], positions[:, 1])
-    col = np.clip(np.round(u).astype(np.int64), 0, spec.width - 1)
-    row = np.clip(np.round(v).astype(np.int64), 0, spec.height - 1)
-    return row, col
-
-
 def _recolor(positions: np.ndarray, ortho: RgbGrid, dsm: Grid) -> np.ndarray:
     """Orthophoto color at each point's pixel, darkened with depth."""
-    row, col = _pixel_lookup(ortho.spec, positions)
+    u, v = world_to_pixel(ortho.spec, positions[:, 0], positions[:, 1])
+    col = np.clip(np.round(u).astype(np.int64), 0, ortho.spec.width - 1)
+    row = np.clip(np.round(v).astype(np.int64), 0, ortho.spec.height - 1)
     base = ortho.values[row, col]
     h = dsm.values[row, col]
     scale = np.where(h > 0, np.sqrt(np.clip(positions[:, 2] / np.maximum(h, 1e-9), 0.0, 1.0)), 1.0)
     return base * scale[:, None]
 
 
-def sample_footprint(
-    silhouette: Grid, n_points: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, flat pixel index) of points drawn inside the silhouette footprint.
+def _surface_points(dsm: Grid, silhouette: Grid, n_points: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, 3) points drawn inside the silhouette footprint, at their pixel's DSM height.
 
     Pixels are chosen proportionally to silhouette mass and (x, y) jittered
     within the pixel; the draws run in that order (pixel, x, y).
@@ -107,7 +100,7 @@ def sample_footprint(
     ps = spec.pixel_size
     x = spec.origin_x + col * ps + rng.uniform(-0.5, 0.5, n_points) * ps
     y = spec.origin_y + row * ps + rng.uniform(-0.5, 0.5, n_points) * ps
-    return x, y, flat
+    return np.stack([x, y, dsm.values.reshape(-1)[flat]], axis=1)
 
 
 def init_cloud(
@@ -115,12 +108,21 @@ def init_cloud(
 ) -> PointCloud:
     """Seed points inside the silhouette footprint, spread through the volume.
 
-    After sample_footprint, z is drawn uniformly in [0.2 H, H] where H is
-    the DSM height at the point's pixel.
+    Each footprint point is lowered to a uniform draw in [0.2 H, H], H its pixel's DSM height.
     """
-    x, y, flat = sample_footprint(silhouette, n_points, rng)
-    z = dsm.values.reshape(-1)[flat] * rng.uniform(0.2, 1.0, n_points)
-    positions = np.stack([x, y, z], axis=1)
+    positions = _surface_points(dsm, silhouette, n_points, rng)
+    positions[:, 2] *= rng.uniform(0.2, 1.0, n_points)
+    return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
+
+
+def baseline_extrude(
+    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: np.random.Generator
+) -> PointCloud:
+    """Naive comparison baseline: points on the DSM canopy surface only.
+
+    init_cloud's footprint points left at their pixel's DSM height: a shell with no crown interior.
+    """
+    positions = _surface_points(dsm, silhouette, n_points, rng)
     return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
 
 

@@ -11,7 +11,7 @@ in `gradcheck`: one d^2 <= r^2 mask over each point's window of
 and nothing more, there the same pairs carry a Gaussian weight. The pairs
 live in a `Workspace` the caller owns: passes on it run one after another,
 and a pass's arrays (and a VJP reading them) are valid until the next one.
-`ground_xy` is the one sun-ray projection to the ground plane.
+`project_to_ground` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
 
@@ -43,11 +43,12 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
 class Workspace:
     """Buffers that one run's passes reuse: slot-sized arrays allocated anew per
     pass cost more in first-touch page faults than in arithmetic. `passes`
-    counts the passes, so a VJP can tell that a later pass took its buffers.
+    counts the passes, so a VJP can tell that a later pass took its buffers,
+    and `last_build` names the pass that built the pairs the buffers hold.
     """
 
     def __init__(self):
-        self.passes, self._bufs = 0, {}
+        self.passes, self.last_build, self._bufs = 0, None, {}
 
     def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Buffer `name`, uninitialised, as an array of `shape`."""
@@ -72,6 +73,7 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
         raise ValueError("splat_radius must be positive")
     ws = Workspace() if ws is None else ws
     ws.passes += 1
+    ws.last_build = ws.passes
     with np.errstate(over="ignore", invalid="ignore"):  # an off-grid or NaN point covers nothing
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
@@ -125,10 +127,16 @@ def shadow_offsets(sun: SunConfig) -> tuple[float, float]:
     return d[0] / -d[2], d[1] / -d[2]
 
 
-def ground_xy(positions: np.ndarray, sun: SunConfig) -> np.ndarray:
-    """Where (N, 3) points land when slid along the sun ray to z = 0."""
+def project_to_ground(cloud: PointCloud, sun: SunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Slide points along the sun ray to z = 0.
+
+    Returns the (N, 2) ground coordinates and the constant 2x3 Jacobian
+    d(ground xy)/d(point xyz), shared by all points.
+    """
+    kx, ky = shadow_offsets(sun)
     with np.errstate(over="ignore"):  # a low sun may cast a shadow beyond float range
-        return positions[:, :2] + positions[:, 2:3] * np.array(shadow_offsets(sun))
+        xy = cloud.positions[:, :2] + cloud.positions[:, 2:3] * np.array([kx, ky])
+    return xy, np.array([[1.0, 0.0, kx], [0.0, 1.0, ky]])
 
 
 def render_shadow_hard(
@@ -136,5 +144,5 @@ def render_shadow_hard(
 ) -> Grid:
     """Binary shadow mask: points projected to the ground along the sun ray."""
     out = np.zeros(spec.n_pixels)
-    out[pixels_within(ground_xy(cloud.positions, sun), spec, splat_radius)[1]] = 1.0
+    out[pixels_within(project_to_ground(cloud, sun)[0], spec, splat_radius)[1]] = 1.0
     return Grid(spec, out.reshape(spec.height, spec.width))

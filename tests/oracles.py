@@ -60,6 +60,26 @@ def truncation_safe_loop(xy, spec, cutoff: float, slack: float) -> np.ndarray:
     return safe
 
 
+def chamfer_tie_loop(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
+    """Per point of a, whether no nearest-neighbor assignment it is in is near a tie (all pairs).
+
+    A query's two nearest reference points (d0 <= d1) are near a tie when
+    d1^2 - d0^2 < width * (d0 + d1 + 1). An a point is unsafe when its own two
+    nearest b points are, or when it is one of the two nearest a points of a b
+    point whose are.
+    """
+    safe = np.ones(len(a), dtype=bool)
+    for query, ref, own in ((a, b, True), (b, a, False)):
+        if len(ref) < 2:
+            continue
+        for i, q in enumerate(query):
+            d = np.sqrt(((ref - q) ** 2).sum(axis=1))
+            j0, j1 = np.argsort(d, kind="stable")[:2]
+            if d[j1] ** 2 - d[j0] ** 2 < width * (d[j0] + d[j1] + 1.0):
+                safe[[i] if own else [j0, j1]] = False
+    return safe
+
+
 def brute_hard_render(xy: np.ndarray, z: np.ndarray, spec, radius: float):
     """Hard disk splat by a scan of every pixel center against every point.
 

@@ -416,9 +416,33 @@ def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
               "soft_max_height": lambda: _soft_max_height(slots(), c.positions, cfg),
               "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws),
               "soft_max_height on its list": lambda: _soft_max_height(s, c.positions, cfg)}
+    if (first, later) == ("soft_max_height", "soft_max_height on its list"):
+        with pytest.raises(RuntimeError, match="slot list spent"):  # the first pass overwrote g
+            passes[later]()
+        return
     passes[later]()
     with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
         vjp(np.random.default_rng(21).normal(size=SPEC.n_pixels))
+
+
+@pytest.mark.parametrize("case", ["another list built since", "after a DSM pass on it",
+                                  "after a raw pixels_within"])
+def test_a_core_refuses_a_spent_slot_list(case):
+    """A core reads the list's buffers, so it refuses a list whose buffers a later build on
+    its workspace took, or whose g a soft-DSM pass overwrote, instead of computing from them."""
+    c, cfg, ws = random_cloud(23, 30), SoftConfig(sigma=1.1), Workspace()
+    s = _Slots(c.positions[:, :2], SPEC, cfg, ws)
+    if case == "another list built since":
+        _Slots(random_cloud(24, 30).positions[:, :2], SPEC, cfg, ws)
+        core = lambda: _soft_or(s, cfg)
+    elif case == "after a DSM pass on it":
+        _soft_max_height(s, c.positions, cfg)
+        core = lambda: _soft_or(s, cfg)
+    else:
+        pixels_within(c.positions[:, :2], SPEC, 2.0, ws)
+        core = lambda: _soft_max_height(s, c.positions, cfg)
+    with pytest.raises(RuntimeError, match="slot list spent"):
+        core()
 
 
 # one workspace reused over a drawn sequence of passes: the bytes of a fresh one

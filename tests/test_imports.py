@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports (`__init__` re-exports)."""
+"""Every module of the package uses each name it imports (`__init__` re-exports), and
+imports another module's underscore names only where PRIVATE_IMPORTS allows it."""
 import ast
 from pathlib import Path
 
@@ -31,3 +32,30 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_check_sees_an_unused_import():
     source = "import math\nimport numpy as np\nfrom .core import Grid, Rng\n\nx = np.zeros(Grid)\n"
     assert unused_imports(source) == ["math (line 1)", "Rng (line 3)"]
+
+
+# (importer, module, name): losses runs diffrender's two cores on its slot lists
+PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_Slots", "_soft_or", "_soft_max_height")}
+
+
+def private_imports(importer: str, source: str) -> set[tuple[str, str, str]]:
+    """(importer, module, name) of each underscore name the module imports from the package."""
+    return {
+        (importer, (node.module or "").removeprefix("treerecon."), alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("treerecon"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_the_allow_list_does_not_name(path):
+    assert private_imports(path.stem, path.read_text(encoding="utf-8")) <= PRIVATE_IMPORTS
+
+
+def test_the_layering_check_sees_a_private_import():
+    source = "from .reconstruct import _recolor, init_cloud\nfrom treerecon.diffrender import _Slots\n"
+    assert private_imports("metrics", source) == {
+        ("metrics", "reconstruct", "_recolor"), ("metrics", "diffrender", "_Slots")
+    }

@@ -266,6 +266,26 @@ def test_permuting_the_points_permutes_the_gradient_rows(scene):
     assert np.max(np.abs(p_grad - grad[perm])) <= 1e-12 * np.max(np.abs(grad))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(scene=permuted_scenes(), kx=st.integers(-50, 50), ky=st.integers(-50, 50))
+def test_shifting_the_cloud_and_the_grid_by_whole_pixels_keeps_the_loss(scene, kx, ky):
+    """The loss sees the cloud only relative to the grid. The shifted coordinates round
+    differently, so the value and the gradient may move by a few ulps."""
+    c, _, sun, sigma, seed = scene
+    rng = np.random.default_rng(seed)
+    values = {name: rng.uniform(0.0, top, (SPEC.height, SPEC.width))
+              for name, top in (("silhouette", 1.0), ("shadow", 1.0), ("dsm", 8.0))}
+    ps = SPEC.pixel_size
+    moved = GridSpec(SPEC.width, SPEC.height, SPEC.origin_x + kx * ps, SPEC.origin_y + ky * ps, ps)
+    args = lambda spec: (LossTargets(**{k: Grid(spec, v) for k, v in values.items()}), sun, spec,
+                         SoftConfig(sigma=sigma), LossWeights(0.0, 1.0, 0.5, 1.0))
+    value, grad, _ = combined_loss(c, *args(SPEC))
+    s_value, s_grad, _ = combined_loss(PointCloud(positions=c.positions + [kx * ps, ky * ps, 0.0]),
+                                       *args(moved))
+    assert abs(s_value - value) <= 1e-12 * abs(value)
+    assert np.max(np.abs(s_grad - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
 @st.composite
 def loss_inputs(draw, on):
     """(cloud of 0, 1 or 1-60 points, some off SPEC, targets, sun, cfg, weights positive for

@@ -4,8 +4,9 @@ import pytest
 from oracles import brute_chamfer
 from treerecon.core import PointCloud, Rng
 from treerecon.errors import EmptyFootprint
-from treerecon.metrics import baseline_extrude, eval_chamfer, format_report, fscore
+from treerecon.metrics import eval_chamfer, format_report, fscore
 from treerecon.protree import generate_scene
+from treerecon.reconstruct import baseline_extrude
 
 
 def cloud(points):
