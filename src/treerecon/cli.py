@@ -161,7 +161,7 @@ def cmd_reconstruct(args) -> int:
     _, total0, _ = result.loss_history[0]
     it, total, breakdown = result.loss_history[-1]
     terms = " ".join(f"{k}={v:.6g}" for k, v in sorted(breakdown.items()))
-    print(f"iter={it} total={total:.6g} initial={total0:.6g} {terms}")
+    print(f"iter={it} total={total:.6g} initial={total0:.6g} stop={result.stop} {terms}")
     return EXIT_OK
 
 
@@ -225,7 +225,7 @@ def cmd_bench(args) -> int:
     cfg = OptimConfig(
         n_points=args.points,
         iters=args.iters,
-        weights=LossWeights(lambda_geo=0.0, lambda_sil=1.0, lambda_shadow=0.5, lambda_dsm=0.25),
+        weights=LossWeights(lambda_geo=0.0),  # input-only: reconstruct's weights without --gt
     )
     _check_jobs(args.jobs)
     dataset = Path(args.dataset)

@@ -145,7 +145,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
             dsm=Grid(spec, rng.uniform(0.0, 4.0, (spec.height, spec.width))),
             gt_cloud=gt,
         )
-        weights = LossWeights()
+        weights = LossWeights(1.0, 1.0, 0.5, 1.0)  # every term on, the DSM's too
         cloud = PointCloud(positions=positions)
 
         def pixel_dot(render, *args):

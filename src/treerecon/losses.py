@@ -2,7 +2,9 @@
 
 Terms: squared-distance Chamfer between point sets, mean-squared raster
 losses on the soft silhouette / shadow / DSM, and their weighted sum.
-The DSM term is divided by H_NORM^2 so all terms are dimensionless.
+The DSM term is divided by H_NORM^2 so all terms are dimensionless; it is
+off by default, since the DSM already seeds the heights and defines the
+silhouette target.
 
 The raster terms are scored passes: each runs a `diffrender` core, scores
 it with `raster_l2` and feeds that pixel gradient to the core's VJP.
@@ -34,7 +36,7 @@ class LossWeights:
     lambda_geo: float = 1.0
     lambda_sil: float = 1.0
     lambda_shadow: float = 0.5
-    lambda_dsm: float = 1.0
+    lambda_dsm: float = 0.0
 
     def __post_init__(self):
         vals = [self.of(term) for term in TERMS]

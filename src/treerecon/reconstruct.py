@@ -21,6 +21,10 @@ EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest coordinate a PLY can store
 _GRAD_MAX = math.sqrt(np.finfo(np.float64).max)  # Adam squares every gradient component
+# the stopping rule: stop at the first t >= STOP_WINDOW where the loss fell by
+# less than STOP_TOL of its value STOP_WINDOW iterations earlier
+STOP_WINDOW = 25
+STOP_TOL = 0.02
 
 
 @dataclass
@@ -49,8 +53,22 @@ class OptimConfig:
 
 @dataclass
 class ReconResult:
+    """The cloud, the logged (iteration, total, breakdown) rows, and why and when
+    the run stopped: `stop` is "loss" (the stopping rule fired at `stop_iter`)
+    or "iters" (the `OptimConfig.iters` cap); the last row is `stop_iter`'s."""
+
     cloud: PointCloud
     loss_history: list[tuple[int, float, dict[str, float]]]
+    stop: str
+    stop_iter: int
+
+
+def _stalled(losses: list[float]) -> bool:
+    """The stopping rule, given the total loss of every iteration so far."""
+    if len(losses) <= STOP_WINDOW:
+        return False
+    before = losses[-1 - STOP_WINDOW]
+    return before - losses[-1] < STOP_TOL * abs(before)
 
 
 def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:
@@ -84,12 +102,17 @@ def _recolor(positions: np.ndarray, ortho: RgbGrid, dsm: Grid) -> np.ndarray:
     return base * scale[:, None]
 
 
-def _surface_points(dsm: Grid, silhouette: Grid, n_points: int, rng: np.random.Generator) -> np.ndarray:
+def _surface_points(
+    dsm: Grid, silhouette: Grid, ortho: RgbGrid, n_points: int, rng: np.random.Generator
+) -> np.ndarray:
     """(n, 3) points drawn inside the silhouette footprint, at their pixel's DSM height.
 
     Pixels are chosen proportionally to silhouette mass and (x, y) jittered
-    within the pixel; the draws run in that order (pixel, x, y).
+    within the pixel; the draws run in that order (pixel, x, y). The three
+    grids must share one spec: heights and colors are read at the silhouette's pixels.
     """
+    if not dsm.spec == silhouette.spec == ortho.spec:
+        raise SpecMismatch("DSM, silhouette and orthophoto must share a grid spec")
     mass = silhouette.values.reshape(-1)
     total = mass.sum()
     if total <= 0:
@@ -110,7 +133,7 @@ def init_cloud(
 
     Each footprint point is lowered to a uniform draw in [0.2 H, H], H its pixel's DSM height.
     """
-    positions = _surface_points(dsm, silhouette, n_points, rng)
+    positions = _surface_points(dsm, silhouette, ortho, n_points, rng)
     positions[:, 2] *= rng.uniform(0.2, 1.0, n_points)
     return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
 
@@ -122,7 +145,7 @@ def baseline_extrude(
 
     init_cloud's footprint points left at their pixel's DSM height: a shell with no crown interior.
     """
-    positions = _surface_points(dsm, silhouette, n_points, rng)
+    positions = _surface_points(dsm, silhouette, ortho, n_points, rng)
     return PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
 
 
@@ -159,7 +182,9 @@ def reconstruct(
     """Optimize a point cloud against the combined loss with Adam.
 
     init_positions overrides the silhouette-based initialization (used for
-    perturbation studies); z is clamped to >= 0 after every step. Raises
+    perturbation studies); z is clamped to >= 0 after every step. The run
+    stops at the first iteration where the stopping rule holds, or at
+    `cfg.iters`, and logs that iteration's row. Raises
     Diverged, naming the iteration, as soon as a position is no longer
     finite in float32, the loss is no longer finite or a gradient component
     is too large for Adam to square.
@@ -197,14 +222,21 @@ def reconstruct(
     history: list[tuple[int, float, dict[str, float]]] = []
     value, grad, breakdown = loss_at(0, positions)
     history.append((0, value, breakdown))
+    losses = [value]
 
     state = AdamState.zeros(positions.shape)
+    stop, t = "iters", 0
     for t in range(1, cfg.iters + 1):
         positions = adam_step(state, positions, grad, cfg.lr)
         positions[:, 2] = np.maximum(positions[:, 2], 0.0)
         value, grad, breakdown = loss_at(t, positions)
-        if t % cfg.log_every == 0 or t == cfg.iters:
+        losses.append(value)
+        stalled = _stalled(losses)
+        if stalled or t % cfg.log_every == 0 or t == cfg.iters:
             history.append((t, value, breakdown))
+        if stalled:
+            stop = "loss"
+            break
 
     cloud = PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
-    return ReconResult(cloud=cloud, loss_history=history)
+    return ReconResult(cloud=cloud, loss_history=history, stop=stop, stop_iter=t)

@@ -120,6 +120,22 @@ def trunk_points_loop(skeleton, n_trunk: int, rng) -> np.ndarray:
     return pts
 
 
+def surface_points_loop(dsm: Grid, silhouette: Grid, n: int, rng) -> np.ndarray:
+    """Footprint points one at a time, in the sampler's draw order (pixel, x jitter, y jitter):
+    each point at its silhouette pixel's center plus the jitter, at that pixel's DSM height."""
+    spec = silhouette.spec
+    mass = silhouette.values.reshape(-1)
+    flat = rng.choice(spec.n_pixels, size=n, p=mass / mass.sum())
+    jx, jy = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
+    pts = np.empty((n, 3))
+    for i in range(n):
+        row, col = divmod(int(flat[i]), spec.width)
+        ps = spec.pixel_size
+        pts[i] = (spec.origin_x + col * ps + jx[i] * ps, spec.origin_y + row * ps + jy[i] * ps,
+                  dsm.values[row, col])
+    return pts
+
+
 def write_ply_rows(cloud: PointCloud, path) -> None:
     """write_ply formatting one f-string per vertex row."""
     n = len(cloud)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from treerecon import cli, gradcheck
 from treerecon.cli import main
 from treerecon.io_formats import read_ply, write_ply
+from treerecon.losses import LossWeights
 from treerecon.protree import generate_scene
 
 GEN_SMALL = ["--grid-size", "48", "--pixel-size", "0.25", "--points-per-tree", "300"]
@@ -111,6 +112,26 @@ class TestReconstruct:
         kv = dict(p.split("=") for p in line.split())
         assert float(kv["total"]) < float(kv["initial"])
         assert out.exists() and out.with_suffix(".history.csv").exists()
+        assert kv["stop"] in ("loss", "iters") and "dsm" not in kv
+        last = out.with_suffix(".history.csv").read_text().strip().splitlines()[-1]
+        assert last.split(",")[0] == kv["iter"]  # the history ends on the stop iteration
+
+    def test_bench_and_reconstruct_share_the_default_weights(self, scene_dir, tmp_path, monkeypatch):
+        """Input-only runs of both commands resolve the default objective: no geo, no DSM term."""
+        seen = []
+
+        def spy(*args, cfg, **kwargs):
+            seen.append(cfg.weights)
+            return real(*args, cfg=cfg, **kwargs)
+
+        real = cli.reconstruct
+        monkeypatch.setattr(cli, "reconstruct", spy)
+        data = tmp_path / "data"
+        shutil.copytree(scene_dir, data / scene_dir.name)
+        assert main(["reconstruct", "--manifest", str(data / scene_dir.name / "manifest.json"),
+                     "--out", str(tmp_path / "r.ply"), "--iters", "1", "--points", "20"]) == 0
+        assert main(["bench", "--dataset", str(data), "--iters", "1", "--points", "20"]) == 0
+        assert seen == [LossWeights(0.0, 1.0, 0.5, 0.0)] * 2
 
     def test_missing_shadow_with_positive_lambda(self, scene_dir, tmp_path):
         rc = main(

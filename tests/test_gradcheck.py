@@ -1,9 +1,17 @@
 import numpy as np
 
 from oracles import chamfer_tie_loop, truncation_safe_loop
+from treerecon import gradcheck, losses
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.diffrender import SoftConfig
-from treerecon.gradcheck import _MARGIN, _truncation_safe, chamfer_mask, shadow_mask, silhouette_mask
+from treerecon.gradcheck import (
+    _MARGIN,
+    _truncation_safe,
+    chamfer_mask,
+    run_gradcheck,
+    shadow_mask,
+    silhouette_mask,
+)
 from treerecon.sensor import project_to_ground
 
 
@@ -65,3 +73,20 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
         np.testing.assert_array_equal(chamfer_mask(c, gt, h), np.column_stack([safe, safe, safe]))
         unsafe += int((~safe).sum())
     assert unsafe > 500
+
+
+def test_combined_path_checks_the_soft_dsm(monkeypatch):
+    """The DSM term is off by default; the combined path turns it on, so every loss
+    evaluation gradcheck makes runs the soft-DSM pass too."""
+    calls = {"combined": 0, "dsm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gradcheck, "combined_loss", counted("combined", gradcheck.combined_loss))
+    monkeypatch.setattr(losses, "dsm_forward_backward", counted("dsm", losses.dsm_forward_backward))
+    run_gradcheck(seed=0, trials=1)
+    assert calls["dsm"] == calls["combined"] > 1

@@ -1,16 +1,24 @@
+import importlib
+from functools import cache
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import surface_points_loop
 from treerecon.core import Grid, GridSpec, Rng, RgbGrid
-from treerecon.errors import EmptyFootprint
+from treerecon.errors import EmptyFootprint, SpecMismatch
 from treerecon.io_formats import write_ply
 from treerecon.losses import LossWeights
 from treerecon.metrics import eval_chamfer
-from treerecon.protree import generate_scene
+from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
     AdamState,
     OptimConfig,
     adam_step,
+    baseline_extrude,
     derive_targets,
     init_cloud,
     reconstruct,
@@ -189,3 +197,128 @@ class TestNodata:
         res = reconstruct(scene.ortho, dsm, cfg=cfg)
         assert all(np.isfinite(total) for _, total, _ in res.loss_history)
         assert np.all(np.isfinite(res.cloud.positions))
+
+
+small_specs = st.builds(GridSpec, st.sampled_from([4, 8]), st.sampled_from([4, 8]),
+                        st.sampled_from([0.0, 0.5]), st.just(0.0), st.sampled_from([0.5, 1.0]))
+
+
+@st.composite
+def spec_triples(draw):
+    """(DSM, silhouette, orthophoto) specs, each after the first either the first's or drawn
+    anew, so that equal and unequal specs are both common."""
+    first = draw(small_specs)
+    return (first, *(draw(st.just(first) | small_specs) for _ in range(2)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(specs=(GridSpec(8, 8), GridSpec(4, 4), GridSpec(8, 8)), seed=0, n=20)
+@given(specs=spec_triples(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_footprint_sampler_needs_one_spec(specs, seed, n):
+    """init_cloud and baseline_extrude raise SpecMismatch unless the DSM, silhouette and
+    orthophoto share a spec; on one spec each point is the per-point oracle's, byte for byte."""
+    dsm_spec, sil_spec, ortho_spec = specs
+    rng = np.random.default_rng(seed)
+    dsm = Grid(dsm_spec, rng.uniform(0.0, 9.0, (dsm_spec.height, dsm_spec.width)))
+    sil = Grid(sil_spec, (rng.random((sil_spec.height, sil_spec.width)) > 0.5).astype(float))
+    sil.values[0, 0] = 1.0
+    ortho = RgbGrid(ortho_spec, rng.random((ortho_spec.height, ortho_spec.width, 3)))
+    if not dsm_spec == sil_spec == ortho_spec:
+        for sample in (init_cloud, baseline_extrude):
+            with pytest.raises(SpecMismatch):
+                sample(dsm, sil, ortho, n, Rng(seed))
+        return
+    base = baseline_extrude(dsm, sil, ortho, n, Rng(seed))
+    assert base.positions.tobytes() == surface_points_loop(dsm, sil, n, Rng(seed)).tobytes()
+    ref_rng = Rng(seed)
+    expected = surface_points_loop(dsm, sil, n, ref_rng)
+    expected[:, 2] *= ref_rng.uniform(0.2, 1.0, n)
+    assert init_cloud(dsm, sil, ortho, n, Rng(seed)).positions.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stopping rule: stop at the first t >= 25 with L[t-25] - L[t] < 0.02 |L[t-25]|
+
+SMALL_SCENE = SceneConfig(ranges=TreeParamRanges(n_points=(300, 300)), spec=GridSpec.centered(24, 0.5))
+PRESETS = {  # LossWeights, and whether the run needs the ground truth
+    "default": (LossWeights(lambda_geo=0.0), False),
+    "sil": (LossWeights(0.0, 1.0, 0.0, 0.0), False),
+    "dsm": (LossWeights(0.0, 1.0, 0.5, 1.0), False),
+    "geo": (LossWeights(1.0, 1.0, 0.5, 0.0), True),
+}
+
+
+reconstruct_module = importlib.import_module("treerecon.reconstruct")  # the package exports the function
+
+
+@cache
+def small_scene(seed):
+    return generate_scene(seed, SMALL_SCENE)
+
+
+def traced_run(seed, preset, iters, n_points, lr):
+    """A log_every=1 reconstruct of a small scene, and the positions of each of its loss calls."""
+    scene = small_scene(seed)
+    weights, geo = PRESETS[preset]
+    cfg = OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, log_every=1, seed=seed)
+    seen = []
+
+    def spy(cloud, *args):
+        seen.append(cloud.positions.copy())
+        return loss(cloud, *args)
+
+    loss = reconstruct_module.combined_loss
+    with mock.patch.object(reconstruct_module, "combined_loss", spy):
+        res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                          gt_cloud=scene.cloud if geo else None, cfg=cfg)
+    return res, seen
+
+
+def rule_stop(totals, cap):
+    for t in range(25, len(totals)):
+        if totals[t - 25] - totals[t] < 0.02 * abs(totals[t - 25]):
+            return "loss", t
+    return "iters", cap
+
+
+run_args = dict(seed=st.integers(0, 3), preset=st.sampled_from(sorted(PRESETS)),
+                n_points=st.integers(5, 60), lr=st.sampled_from([0.02, 0.05, 0.2]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(k=st.integers(0, 200), **run_args)
+def test_capped_run_is_a_prefix_of_a_longer_one(k, seed, preset, n_points, lr):
+    """Up to the longer run's stop, a run capped at k iterations is its first k, byte for byte;
+    the stop recomputed from the logged totals is the one recorded."""
+    long, positions = traced_run(seed, preset, 200, n_points, lr)
+    totals = [total for _, total, _ in long.loss_history]
+    assert (long.stop, long.stop_iter) == rule_stop(totals, 200)
+    assert [it for it, _, _ in long.loss_history] == list(range(long.stop_iter + 1))
+    assert len(positions) == long.stop_iter + 1
+    k = min(k, long.stop_iter)
+    short, _ = traced_run(seed, preset, k, n_points, lr)
+    assert short.cloud.positions.tobytes() == positions[k].tobytes()
+    assert short.loss_history == long.loss_history[: k + 1]
+    fired = long.stop == "loss" and k == long.stop_iter
+    assert (short.stop, short.stop_iter) == ("loss" if fired else "iters", k)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(iters=st.integers(0, 24), log_every=st.integers(1, 30), **run_args)
+def test_runs_below_the_window_end_on_the_cap(iters, log_every, seed, preset, n_points, lr):
+    scene = small_scene(seed)
+    weights, geo = PRESETS[preset]
+    cfg = OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, log_every=log_every)
+    res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                      gt_cloud=scene.cloud if geo else None, cfg=cfg)
+    assert (res.stop, res.stop_iter, res.loss_history[-1][0]) == ("iters", iters, iters)
+
+
+def test_the_rule_stops_the_default_run_and_logs_its_row():
+    """At default weights the loss stalls long before the 800-iteration cap; the history's
+    last row is the stop iteration's, whatever log_every is."""
+    scene = small_scene(0)
+    res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                      cfg=OptimConfig(n_points=60, weights=PRESETS["default"][0], log_every=1000))
+    assert res.stop == "loss" and 25 <= res.stop_iter < 800
+    assert [it for it, _, _ in res.loss_history] == [0, res.stop_iter]
