@@ -23,7 +23,7 @@ from .core import GridSpec, Rng, SunConfig, check_seed
 from .errors import InvalidConfig, MissingTarget, TreeReconError
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
-from .losses import TERMS, LossWeights
+from .losses import TERMS, LossWeights, resolve_weights
 from .metrics import DEFAULT_TAU, check_tau, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
 from .reconstruct import OptimConfig, baseline_extrude, reconstruct
@@ -119,18 +119,6 @@ def _load_inputs(args):
     return ortho, dsm, shadow, sun
 
 
-def _resolve_weights(args, gt, shadow) -> LossWeights:
-    """Flag values win; an unset lambda takes LossWeights' default, or 0 when
-    its target is absent (the silhouette and DSM targets always exist)."""
-    present = {"geo": gt is not None, "shadow": shadow is not None}
-    lam = {}
-    for term in TERMS:
-        flag = getattr(args, f"lambda_{term}")
-        default = LossWeights().of(term) if present.get(term, True) else 0.0
-        lam[f"lambda_{term}"] = default if flag is None else flag
-    return LossWeights(**lam)
-
-
 def _write_history(path, history):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -142,7 +130,7 @@ def _write_history(path, history):
 def cmd_reconstruct(args) -> int:
     ortho, dsm, shadow, sun = _load_inputs(args)
     gt = read_ply(args.gt) if args.gt else None
-    weights = _resolve_weights(args, gt, shadow)
+    weights = resolve_weights(gt, shadow, **{f"lambda_{t}": getattr(args, f"lambda_{t}") for t in TERMS})
     cfg = OptimConfig(
         n_points=args.points,
         iters=args.iters,

@@ -137,6 +137,16 @@ class LossTargets:
                 raise SpecMismatch(f"{field} target spec mismatch")
 
 
+def resolve_weights(
+    gt_cloud: PointCloud | None = None, shadow: Grid | None = None, **given: float | None
+) -> LossWeights:
+    """LossWeights' defaults, with 0 for a term whose optional target (the ground-truth
+    cloud, the shadow) is None, and each weight given as a number in place of either."""
+    lam = {f"lambda_{t}": 0.0 for t, target in (("geo", gt_cloud), ("shadow", shadow)) if target is None}
+    lam.update((name, value) for name, value in given.items() if value is not None)
+    return LossWeights(**lam)
+
+
 def combined_loss(
     cloud: PointCloud,
     targets: LossTargets,

@@ -27,12 +27,17 @@ def check_tau(tau: float) -> None:
 def fscore(
     pred: PointCloud, gt: PointCloud, tau: float = DEFAULT_TAU
 ) -> tuple[float, float, float]:
-    """(precision, recall, f) at match radius tau; recall is 'coverage'."""
+    """(precision, recall, f) at match radius tau; recall is 'coverage'.
+
+    The searches stop at 2 tau, not tau: cKDTree keeps only d^2 < bound^2, and
+    a match at exactly tau counts; the floor keeps bound^2 from underflowing to 0.
+    """
     check_tau(tau)
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
-    d_pred, _ = cKDTree(gt.positions).query(pred.positions)
-    d_gt, _ = cKDTree(pred.positions).query(gt.positions)
+    bound = max(2 * tau, 1e-100)
+    d_pred, _ = cKDTree(gt.positions).query(pred.positions, distance_upper_bound=bound)
+    d_gt, _ = cKDTree(pred.positions).query(gt.positions, distance_upper_bound=bound)
     precision = float((d_pred <= tau).mean())
     recall = float((d_gt <= tau).mean())
     f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)

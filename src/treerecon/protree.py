@@ -131,12 +131,14 @@ def sample_params(rng: np.random.Generator, ranges: TreeParamRanges) -> TreePara
 
 
 def _orthonormal_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors perpendicular to unit vector d."""
-    helper = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(d, helper)
+    """Two unit vectors perpendicular to unit vector d: cross products written out
+    on floats in np.cross's order of operations, zero components included."""
+    a0, a1, a2 = d.tolist()
+    b0, b1, b2 = (1.0, 0.0, 0.0) if abs(a0) < 0.9 else (0.0, 1.0, 0.0)
+    u = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     u /= np.linalg.norm(u)
-    v = np.cross(d, u)
-    return u, v
+    b0, b1, b2 = u.tolist()
+    return u, np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def grow_skeleton(params: TreeParams, rng: np.random.Generator) -> Skeleton:

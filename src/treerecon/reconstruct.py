@@ -7,14 +7,14 @@ Colors are not optimized; they are assigned from the orthophoto.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
-from .losses import LossTargets, LossWeights, combined_loss
+from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
 from .sensor import H_MIN, Workspace
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
@@ -32,7 +32,7 @@ class OptimConfig:
     n_points: int = 2000
     iters: int = 800
     lr: float = 0.05
-    weights: LossWeights = field(default_factory=LossWeights)
+    weights: LossWeights | None = None  # None: resolved from the targets the run has
     seed: int = 0
     h_min: float = H_MIN
     log_every: int = 50
@@ -190,12 +190,12 @@ def reconstruct(
     is too large for Adam to square.
     """
     cfg = cfg or OptimConfig()
-    w = cfg.weights
     spec = dsm.spec
     soft_cfg = SoftConfig(sigma=spec.pixel_size)
     targets = derive_targets(ortho, dsm, cfg.h_min)
     targets.shadow = shadow_target
     targets.gt_cloud = gt_cloud
+    w = cfg.weights or resolve_weights(gt_cloud, shadow_target)
     targets.require(w, sun, spec)
 
     rng = Rng(cfg.seed)

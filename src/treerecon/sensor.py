@@ -98,18 +98,22 @@ def render_dsm(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> Grid:
 
 
 def render_ortho(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbGrid:
-    """Color of the highest covering point per pixel; ground color elsewhere."""
+    """Color of the highest covering point per pixel; ground color elsewhere.
+
+    The winner, the largest (z, point index), is the largest index among the
+    pairs at the pixel's max z; z is finite, so the -inf start and == are exact.
+    """
     colors = cloud.require_colors()
     out = RgbGrid.filled(spec, GROUND_COLOR)
     pt_idx, flat = pixels_within(cloud.positions[:, :2], spec, splat_radius)[:2]
-    # winner per pixel = lexicographically largest (z, point index), the last
-    # of its pixel's run; pixel indices are >= 0, so the appended -1 ends the last run
-    order = np.lexsort((pt_idx, cloud.positions[pt_idx, 2], flat))
-    flat_sorted = flat[order]
-    last = np.flatnonzero(np.diff(flat_sorted, append=-1))
-    win_pixels = flat_sorted[last]
-    win_points = pt_idx[order][last]
-    out.values.reshape(-1, 3)[win_pixels] = colors[win_points]
+    z = cloud.positions[pt_idx, 2]
+    top = np.full(spec.n_pixels, -np.inf)
+    np.maximum.at(top, flat, z)
+    on_top = z == top[flat]
+    winner = np.full(spec.n_pixels, -1)
+    np.maximum.at(winner, flat[on_top], pt_idx[on_top])
+    won = np.flatnonzero(winner >= 0)
+    out.values.reshape(-1, 3)[won] = colors[winner[won]]
     return out
 
 

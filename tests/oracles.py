@@ -1,17 +1,21 @@
 """Independent oracles: brute force, finite differences, loops, the per-row PLY
-codec, the soft-render hot path as it was before its in-place rewrite, and the
-combined loss as it was before two of its passes shared a slot list."""
+codec, the soft-render hot path as it was before its in-place rewrite, the
+combined loss as it was before two of its passes shared a slot list, and the
+orthophoto, tree frame and F-score as they were before the dataset path was
+made faster."""
 import math
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from treerecon.core import Grid, GridSpec, PointCloud
+from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid
 from treerecon.diffrender import EPS_GROUND, SoftConfig, project_to_ground
 from treerecon.errors import MalformedPly
 from treerecon.io_formats import _color_to_uchar
 from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
 from treerecon.protree import _orthonormal_basis
+from treerecon.sensor import GROUND_COLOR, pixels_within as sensor_pixels_within
 
 
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
@@ -382,3 +386,44 @@ def combined_loss(cloud, targets, sun, spec, cfg, weights):
         total += lam * value
         grad += lam * g
     return total, grad, breakdown
+
+
+# ---------------------------------------------------------------------------
+# the dataset path as it was before its rewrite: the orthophoto winner by a
+# three-key lexsort, the tree frame by np.cross and the F-score by unbounded
+# KD-tree queries; the rewrite must equal each one byte for byte
+
+
+def render_ortho_lexsort(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbGrid:
+    """Color of the highest covering point per pixel; ground color elsewhere."""
+    colors = cloud.require_colors()
+    out = RgbGrid.filled(spec, GROUND_COLOR)
+    pt_idx, flat = sensor_pixels_within(cloud.positions[:, :2], spec, splat_radius)[:2]
+    # winner per pixel = lexicographically largest (z, point index), the last
+    # of its pixel's run; pixel indices are >= 0, so the appended -1 ends the last run
+    order = np.lexsort((pt_idx, cloud.positions[pt_idx, 2], flat))
+    flat_sorted = flat[order]
+    last = np.flatnonzero(np.diff(flat_sorted, append=-1))
+    win_pixels = flat_sorted[last]
+    win_points = pt_idx[order][last]
+    out.values.reshape(-1, 3)[win_pixels] = colors[win_points]
+    return out
+
+
+def orthonormal_basis_cross(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors perpendicular to unit vector d."""
+    helper = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = np.cross(d, helper)
+    u /= np.linalg.norm(u)
+    v = np.cross(d, u)
+    return u, v
+
+
+def fscore_unbounded(pred: PointCloud, gt: PointCloud, tau: float) -> tuple[float, float, float]:
+    """(precision, recall, f) at match radius tau; recall is 'coverage'."""
+    d_pred, _ = cKDTree(gt.positions).query(pred.positions)
+    d_gt, _ = cKDTree(pred.positions).query(gt.positions)
+    precision = float((d_pred <= tau).mean())
+    recall = float((d_gt <= tau).mean())
+    f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f

@@ -63,6 +63,23 @@ class TestGenerate:
         assert_trees_identical(serial, parallel)
 
 
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(0, 3))
+def test_jobs_do_not_change_generate_or_bench_bytes(tmp_path_factory, seed, count):
+    """`generate` and `bench.csv` bytes do not depend on --jobs (each example starts a pool)."""
+    tmp = tmp_path_factory.mktemp("jobs")
+    for jobs in ("1", "2"):
+        assert main(["generate", "--count", str(count), "--seed", str(seed), "--out", str(tmp / jobs),
+                     "--jobs", jobs, "--grid-size", "16", "--pixel-size", "0.75",
+                     "--points-per-tree", "300"]) == 0
+    assert_trees_identical(tmp / "1", tmp / "2")
+    codes = [main(["bench", "--dataset", str(tmp / jobs), "--iters", "3", "--points", "50",
+                   "--jobs", jobs]) for jobs in ("1", "2")]
+    assert codes == ([0, 0] if count else [3, 3])  # no scene to bench exits 3
+    if count:
+        assert (tmp / "1" / "bench.csv").read_bytes() == (tmp / "2" / "bench.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("scenes")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_chamfer
+from oracles import brute_chamfer, fscore_unbounded
 from treerecon.core import PointCloud, Rng
 from treerecon.errors import EmptyFootprint
 from treerecon.metrics import eval_chamfer, format_report, fscore
@@ -53,6 +55,23 @@ class TestFscore:
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             fscore(cloud([0, 0, 0]), cloud([0, 0, 0]), 0.0)
+
+
+# lattice clouds at a spacing of tau or tau / 2, so that nearest distances hit
+# exactly tau and exactly 2 tau (the bound of the searches), and coincide
+lattice = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pred=lattice, gt=lattice, tau=st.one_of(
+    st.sampled_from([1e-170, 1e-160, 5e-324, 0.1, 0.25, 0.5, 1.0, 3.0, 1e300]),
+    st.floats(1e-6, 1e6)), half=st.booleans())
+@example(pred=[(0, 0, 0)], gt=[(0, 0, 0)], tau=1e-170, half=False)  # coincident: d = 0 <= tau
+@example(pred=[(0, 0, 0)], gt=[(1, 0, 0), (2, 0, 0)], tau=0.1, half=False)  # d = tau, d = 2 tau
+def test_fscore_equals_unbounded_queries(pred, gt, tau, half):
+    step = tau / 2 if half else tau
+    a, b = (cloud(np.array(c, dtype=float) * step) for c in (pred, gt))
+    assert fscore(a, b, tau) == fscore_unbounded(a, b, tau)
 
 
 class TestBaselineExtrude:

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import trunk_points_loop
+from oracles import orthonormal_basis_cross, trunk_points_loop
 from treerecon.core import CLASS_FOLIAGE, CLASS_TRUNK, Rng
 from treerecon.errors import InvalidConfig
 from treerecon.losses import chamfer
@@ -19,6 +19,7 @@ from treerecon.protree import (
     grow_skeleton,
     sample_cloud,
     sample_params,
+    _orthonormal_basis,
 )
 
 
@@ -278,3 +279,23 @@ class TestGenerateScene:
     def test_nonempty_cloud_guaranteed(self):
         cfg = SceneConfig(ranges=TreeParamRanges(n_points=(1, 1)))
         assert len(generate_scene(0, cfg).cloud) == 1
+
+
+# the tree frame's written-out cross products equal np.cross byte for byte: unit
+# vectors with |d0| on either side of the helper switch at 0.9 and with signed zeros
+NEAR_SWITCH = [math.nextafter(0.9, 0.0), 0.9, math.nextafter(0.9, 1.0)]
+first = st.one_of(st.sampled_from(NEAR_SWITCH + [0.0, 1.0]), st.floats(0.0, 1.0))
+turn = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 1.5 * math.pi]), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(d0=first, phi=turn, signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+@example(d0=0.0, phi=0.0, signs=(-1.0, 1.0, -1.0))  # (-0, 1, -0)
+@example(d0=1.0, phi=0.0, signs=(-1.0, -1.0, -1.0))  # (-1, -0, -0)
+def test_orthonormal_basis_equals_np_cross(d0, phi, signs):
+    r = math.sqrt(1.0 - d0 * d0)
+    # a zero from cos or sin keeps its sign from `signs`: -0.0 is drawn as well
+    d = np.array([d0, r * math.cos(phi), r * math.sin(phi)]) * np.array(signs)
+    for got, want in zip(_orthonormal_basis(d), orthonormal_basis_cross(d)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

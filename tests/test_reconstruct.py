@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import surface_points_loop
+from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, Rng, RgbGrid
-from treerecon.errors import EmptyFootprint, SpecMismatch
-from treerecon.io_formats import write_ply
-from treerecon.losses import LossWeights
+from treerecon.errors import EmptyFootprint, MissingTarget, SpecMismatch
+from treerecon.io_formats import load_scene, write_ply
+from treerecon.losses import LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
 from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
@@ -322,3 +323,55 @@ def test_the_rule_stops_the_default_run_and_logs_its_row():
                       cfg=OptimConfig(n_points=60, weights=PRESETS["default"][0], log_every=1000))
     assert res.stop == "loss" and 25 <= res.stop_iter < 800
     assert [it for it, _, _ in res.loss_history] == [0, res.stop_iter]
+
+
+# ---------------------------------------------------------------------------
+# the library default: OptimConfig().weights is None, and reconstruct resolves
+# it from the targets it has, by the rule the CLI applies to unset --lambda flags
+
+
+def test_resolve_weights_zeroes_absent_targets_and_keeps_given_values():
+    gt, shadow = object(), object()
+    assert resolve_weights(gt, shadow) == LossWeights()
+    assert resolve_weights(None, shadow) == LossWeights(lambda_geo=0.0)
+    assert resolve_weights() == LossWeights(0.0, 1.0, 0.0, 0.0)
+    assert resolve_weights(lambda_geo=2.0, lambda_sil=None, lambda_dsm=0.5) == LossWeights(2.0, 1.0, 0.0, 0.5)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("library") / "data"
+    assert main(["generate", "--count", "1", "--seed", "4", "--out", str(out), "--grid-size", "32",
+                 "--pixel-size", "0.5", "--points-per-tree", "300"]) == 0
+    return out / "scene_00000"
+
+
+@pytest.mark.parametrize("with_gt", [False, True])
+def test_library_default_writes_the_cli_bytes(generated, tmp_path, capsys, with_gt):
+    scene = load_scene(generated)
+    res = reconstruct(scene.ortho, scene.dsm, sun=scene.manifest.sun, shadow_target=scene.shadow,
+                      gt_cloud=scene.cloud if with_gt else None, cfg=OptimConfig(n_points=60, iters=3))
+    write_ply(res.cloud, tmp_path / "lib.ply")
+    _write_history(tmp_path / "lib.history.csv", res.loss_history)
+    gt = ["--gt", str(generated / "gt.ply")] if with_gt else []
+    assert main(["reconstruct", "--manifest", str(generated / "manifest.json"), "--out",
+                 str(tmp_path / "cli.ply"), "--points", "60", "--iters", "3"] + gt) == 0
+    for suffix in (".ply", ".history.csv"):
+        assert (tmp_path / f"lib{suffix}").read_bytes() == (tmp_path / f"cli{suffix}").read_bytes()
+    assert ("geo" in res.loss_history[0][2]) == with_gt
+
+
+def test_library_default_without_a_shadow_drops_the_shadow_term(generated):
+    scene = load_scene(generated)
+    res = reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=60, iters=3))
+    assert sorted(res.loss_history[-1][2]) == ["sil"]
+
+
+def test_explicit_weights_still_need_their_targets(generated):
+    scene = load_scene(generated)
+    with pytest.raises(MissingTarget, match="lambda_geo > 0 requires a gt_cloud target"):
+        reconstruct(scene.ortho, scene.dsm, sun=scene.manifest.sun, shadow_target=scene.shadow,
+                    cfg=OptimConfig(n_points=60, iters=3, weights=LossWeights()))
+    with pytest.raises(MissingTarget, match="lambda_shadow > 0 requires a shadow target"):
+        reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=60, iters=3,
+                                                           weights=LossWeights(lambda_geo=0.0)))

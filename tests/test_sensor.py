@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_hard_render
+from oracles import brute_hard_render, render_ortho_lexsort
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.errors import MissingColors
 from treerecon.sensor import (
@@ -193,3 +195,31 @@ def test_window_is_just_wide_enough(radius):
 def test_non_positive_radius_rejected(render, radius):
     with pytest.raises(ValueError, match="splat_radius must be positive"):
         render(cloud_at([[0, 0, 5]], [[0, 1, 0]]), radius)
+
+
+# the orthophoto winner by per-pixel max equals the three-key lexsort it
+# replaced and a scan of every pixel; a tiny set of heights (negative, -0.0, 0.0
+# and positive) and of on- and off-grid positions makes ties in z and in (x, y) common
+tie_clouds = st.integers(0, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.sampled_from([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0]),
+                       st.sampled_from([-1.0, 0.0, 1.0, 1.5, 2.0, 4.0, 5.5]),
+                       st.sampled_from([-1.0, 0.0, -0.0, 1.0, 2.0])), min_size=n, max_size=n),
+    st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cloud=tie_clouds, width=st.integers(1, 6), height=st.integers(1, 6),
+       radius=st.sampled_from([0.4, 0.5, 1.0, 1.5, 3.0]))
+@example(cloud=([], []), width=3, height=2, radius=1.0)
+@example(cloud=([(1.0, 1.0, 0.0), (1.0, 1.0, -0.0), (1.0, 1.0, 0.0)], [(0.1, 0.2, 0.3)] * 3),
+         width=3, height=3, radius=0.5)
+def test_ortho_winner_equals_the_lexsort_and_a_scan(cloud, width, height, radius):
+    pts, colors = (np.array(a, dtype=float).reshape(-1, 3) for a in cloud)
+    spec = GridSpec(width, height, 0.0, 0.0, 1.0)
+    c = cloud_at(pts, colors)
+    ortho = render_ortho(c, spec, radius).values
+    assert ortho.tobytes() == render_ortho_lexsort(c, spec, radius).values.tobytes()
+    covered, _, winner = brute_hard_render(pts[:, :2], pts[:, 2], spec, radius)
+    scan = np.tile(np.array(GROUND_COLOR), (height, width, 1))
+    scan[covered] = colors[winner[covered]]
+    assert ortho.tobytes() == scan.tobytes()

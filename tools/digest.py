@@ -1,0 +1,93 @@
+"""Print one SHA-256 per output artefact of a treerecon checkout.
+
+Run from the root of a checkout (it imports `treerecon` from that checkout's
+`src/`):
+
+    python tools/digest.py > digests.txt
+
+Each line is `<sha256>  <artefact>`. Two checkouts that produce the same
+bytes print the same lines, so `diff` of their outputs shows every artefact
+whose bytes changed. The artefacts:
+
+- every file of `generate --count 3 --seed 0` at the default grid and at
+  `--grid-size 32 --pixel-size 0.5`
+- `bench.csv` after `bench --iters 5 --points 200` on the small dataset
+- the PLY and history of a default `reconstruct` of the first default-grid
+  scene, and of a 20-iteration one with the ground truth (`--gt`)
+- the `eval` report of that reconstruction and of the ground truth against
+  itself, at tau 1e-170, 0.1, 0.5 and 3
+- `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
+
+It writes scratch files to a temporary directory, which it removes.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from treerecon.cli import main  # noqa: E402
+from treerecon.gradcheck import run_gradcheck  # noqa: E402
+
+TAUS = ("1e-170", "0.1", "0.5", "3")
+SMALL_GRID = ["--grid-size", "32", "--pixel-size", "0.5"]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> str:
+    """stdout of one CLI call; a non-zero exit code stops the digest."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    if rc != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {rc}")
+    return out.getvalue()
+
+
+def digests(tmp: Path):
+    """(artefact, sha256) pairs, in a fixed order."""
+    sets = {"default": [], "small": SMALL_GRID}
+    for name, flags in sets.items():
+        run(["generate", "--count", "3", "--seed", "0", "--out", str(tmp / name)] + flags)
+        for path in sorted((tmp / name).rglob("*")):
+            if path.is_file():
+                yield f"generate/{name}/{path.relative_to(tmp / name)}", sha(path.read_bytes())
+
+    run(["bench", "--dataset", str(tmp / "small"), "--iters", "5", "--points", "200"])
+    yield "bench/small/bench.csv", sha((tmp / "small" / "bench.csv").read_bytes())
+
+    scene = tmp / "default" / "scene_00000"
+    gt = str(scene / "gt.ply")
+    for name, flags in (("default", []), ("with_gt", ["--gt", gt, "--iters", "20"])):
+        pred = tmp / f"{name}.ply"
+        stdout = run(["reconstruct", "--manifest", str(scene / "manifest.json"), "--out", str(pred)] + flags)
+        yield f"reconstruct/{name}/stdout", sha(stdout.encode())
+        yield f"reconstruct/{name}/pred.ply", sha(pred.read_bytes())
+        yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
+
+    for name, pred in (("default", str(tmp / "default.ply")), ("gt", gt)):
+        for tau in TAUS:
+            yield f"eval/{name}/tau={tau}", sha(run(["eval", "--pred", pred, "--gt", gt, "--tau", tau]).encode())
+
+    for seed in range(6):
+        scores = run_gradcheck(seed=seed, trials=3)
+        yield f"gradcheck/seed={seed}", sha(repr(sorted(scores.items())).encode())
+
+
+def main_digest() -> int:
+    with tempfile.TemporaryDirectory(prefix="treerecon-digest-") as tmp:
+        for name, digest in digests(Path(tmp)):
+            print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
