@@ -20,9 +20,14 @@ core leaves it whole and the soft-max-height core overwrites g, so
 cloud's (x, y). A VJP works in the buffers, so it runs once, and before the
 next pass on that workspace (otherwise it raises). The public renderers are
 thin adapters that build a list per call; the loss's scored passes live in
-`losses`. The shadow renderer first slides each point along the sun ray to
-the ground plane (`sensor.project_to_ground`); its z gradient flows through
-that projection's constant Jacobian.
+`losses`. A list can hold a (B, N) stack of copies of a cloud, copy k's
+pixels offset by k * n_pixels, so each copy's raster has the bytes of its own
+render: the forward renderers `soft_*_stack` render a stack in one pass (as
+`gradcheck` does with its perturbed copies), and `soft_silhouette`,
+`soft_dsm` and `soft_shadow` are their one-copy case. The shadow renderer
+first slides each point along the sun ray to the ground plane
+(`sensor.project_to_ground`); its z gradient flows through that
+projection's constant Jacobian.
 """
 from __future__ import annotations
 
@@ -65,12 +70,21 @@ class _Slots:
     then pixel row, then pixel column. The Gaussian is separable: exp runs
     once per (point, column) and once per (point, row), and g is the product.
     Its arrays, and the two slot-sized `spare`s the cores work in, are in `ws`.
+
+    xy is (N, 2), or a (B, N, 2) stack of B copies of a point set. A stack's
+    points are numbered copy by copy, and copy k's flat pixels are offset by
+    k * spec.n_pixels, so each pixel sums only its own copy's slots, in the
+    order a list of that copy alone sums them.
     """
 
     def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
-        self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
+        copies = 1 if xy.ndim == 2 else len(xy)
+        points = xy.reshape(-1, 2)
+        self.n, self.n_pixels, self.sigma = len(points), copies * spec.n_pixels, cfg.sigma
         self.ws = Workspace() if ws is None else ws
-        self.point, self.flat, c, r, dx, dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma, self.ws)
+        self.point, self.flat, c, r, dx, dy = pixels_within(points, spec, cfg.trunc * cfg.sigma, self.ws)
+        if copies > 1:
+            self.flat += np.repeat(np.arange(copies) * spec.n_pixels, xy.shape[1]).take(self.point)
         self.built = self.ws.last_build  # spent by a later build on ws, or by a DSM pass (w overwrites g)
         self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
         k = -0.5 / cfg.sigma**2
@@ -167,7 +181,32 @@ def _soft_max_height(s: _Slots, positions: np.ndarray, cfg: SoftConfig):
 
 
 # ---------------------------------------------------------------------------
-# public renderers: adapters over the two cores
+# public renderers: adapters over the two cores. A forward renderer takes a
+# (B, N, 3) stack of clouds and renders them through one slot list; the
+# one-cloud renderers are its one-copy case.
+
+
+def soft_silhouette_stack(
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
+) -> np.ndarray:
+    """(B, H, W) soft occupancy maps in [0, 1) of a (B, N, 3) stack of clouds."""
+    return _soft_or(_Slots(positions[..., :2], spec, cfg, ws), cfg)[0].reshape(-1, spec.height, spec.width)
+
+
+def soft_dsm_stack(
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
+) -> np.ndarray:
+    """(B, H, W) soft DSMs of a (B, N, 3) stack of clouds."""
+    s = _Slots(positions[..., :2], spec, cfg, ws)
+    return _soft_max_height(s, positions.reshape(-1, 3), cfg)[0].reshape(-1, spec.height, spec.width)
+
+
+def soft_shadow_stack(
+    positions: np.ndarray, sun: SunConfig, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
+) -> np.ndarray:
+    """(B, H, W) soft shadow masks of a (B, N, 3) stack of clouds."""
+    ground = project_to_ground(PointCloud(positions), sun)[0].reshape(*positions.shape[:-1], 2)
+    return _soft_or(_Slots(ground, spec, cfg, ws), cfg)[0].reshape(-1, spec.height, spec.width)
 
 
 def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
@@ -178,7 +217,7 @@ def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    return Grid(spec, _soft_or(_Slots(cloud.positions[:, :2], spec, cfg), cfg)[0])
+    return Grid(spec, soft_silhouette_stack(cloud.positions[None], spec, cfg)[0])
 
 
 def soft_silhouette_backward(
@@ -191,8 +230,7 @@ def soft_silhouette_backward(
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    s = _Slots(cloud.positions[:, :2], spec, cfg)
-    return Grid(spec, _soft_max_height(s, cloud.positions, cfg)[0])
+    return Grid(spec, soft_dsm_stack(cloud.positions[None], spec, cfg)[0])
 
 
 def soft_dsm_backward(
@@ -211,7 +249,7 @@ def soft_shadow(
     cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig
 ) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    return Grid(spec, _soft_or(_Slots(project_to_ground(cloud, sun)[0], spec, cfg), cfg)[0])
+    return Grid(spec, soft_shadow_stack(cloud.positions[None], sun, spec, cfg)[0])
 
 
 def soft_shadow_backward(

@@ -6,6 +6,13 @@ combined loss. Components whose perturbation window straddles a kernel
 truncation boundary or a nearest-neighbor tie are skipped: the objective
 is non-smooth exactly there, so finite differences are meaningless (the
 same exclusion a Chamfer check needs away from tie points).
+
+`fd_gradient` hands the scalar function (B, N, 3) stacks of perturbed
+copies of the cloud, FD_CHUNK_POINTS points at a time. The silhouette,
+DSM and shadow paths render a whole stack through one slot list on the
+run's workspace (`diffrender.soft_*_stack`), and each copy's raster has
+the bytes of its own one-cloud render; Chamfer and the combined loss run
+once per copy.
 """
 from __future__ import annotations
 
@@ -17,10 +24,13 @@ from .diffrender import (
     SoftConfig,
     soft_dsm,
     soft_dsm_backward,
+    soft_dsm_stack,
     soft_shadow,
     soft_shadow_backward,
+    soft_shadow_stack,
     soft_silhouette,
     soft_silhouette_backward,
+    soft_silhouette_stack,
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss
@@ -30,21 +40,39 @@ REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
 _REF_FLOOR = ABS_FLOOR / REL_TOL  # err <= max(REL*|g|, ABS)  <=>  err <= REL*max(|g|, this)
 _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
+# points per stack of perturbed copies that fd_gradient hands f (at least one
+# copy): a trial's renders take ~60 % less time at 256 points, and larger stacks
+# grow the workspace's slot buffers by megabytes for little more
+FD_CHUNK_POINTS = 256
+
+# perfbench/tracing.py wraps the one-cloud forward renderers under these names
+# here, although gradcheck renders stacks; ROADMAP item 2 retires this
+_TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 
 
 def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
-    """Central finite differences of scalar f over unmasked components."""
+    """Central finite differences over the (N, 3) components that `mask` selects.
+
+    f maps a (B, N, 3) stack of perturbed copies of positions to their B
+    scalar values. Component (i, j), in np.nonzero order, gets the copy with
+    x + h and then the copy with (x + h) - 2h, the values an in-place loop
+    sees; the copies reach f in chunks of at most FD_CHUNK_POINTS points
+    (at least one copy each), so memory stays bounded in N.
+    """
+    if mask.shape != positions.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
+    rows, cols = np.nonzero(mask)
+    plus = positions[rows, cols] + h
+    moved = np.column_stack([plus, plus - 2 * h]).ravel()  # per component: +h, then -2h from there
+    values = np.empty(len(moved))
+    per_chunk = max(1, FD_CHUNK_POINTS // max(1, len(positions)))
+    for start in range(0, len(moved), per_chunk):
+        k = np.arange(start, min(start + per_chunk, len(moved)))
+        stack = np.repeat(positions[None], len(k), axis=0)
+        stack[np.arange(len(k)), rows[k // 2], cols[k // 2]] = moved[k]
+        values[k] = f(stack)
     grad = np.zeros_like(positions)
-    for i in range(positions.shape[0]):
-        for j in range(3):
-            if not mask[i, j]:
-                continue
-            p = positions.copy()
-            p[i, j] += h
-            hi = f(p)
-            p[i, j] -= 2 * h
-            lo = f(p)
-            grad[i, j] = (hi - lo) / (2 * h)
+    grad[rows, cols] = (values[0::2] - values[1::2]) / (2 * h)
     return grad
 
 
@@ -148,24 +176,28 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         weights = LossWeights(1.0, 1.0, 0.5, 1.0)  # every term on, the DSM's too
         cloud = PointCloud(positions=positions)
 
-        def pixel_dot(render, *args):
-            """p -> <render(PointCloud(p), *args), d_pix>, whose gradient the backward pass returns."""
-            return lambda p: float((render(PointCloud(p), *args).values * d_pix.values).sum())
+        def pixel_dots(render_stack, *args):
+            """Stack -> <each copy's render, d_pix>, whose gradient the backward pass returns."""
+            return lambda ps: [float((r * d_pix.values).sum()) for r in render_stack(ps, *args, ws)]
+
+        def each(scalar):
+            """Stack -> scalar(PointCloud) of each copy, one call per copy."""
+            return lambda ps: [scalar(PointCloud(p)) for p in ps]
 
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
         mask_ch = chamfer_mask(cloud, gt, h)
-        # (path, scalar of positions, its analytic gradient, components to check)
+        # (path, stack of positions -> each copy's scalar, its analytic gradient, components to check)
         paths = (
-            ("silhouette", pixel_dot(soft_silhouette, spec, cfg),
+            ("silhouette", pixel_dots(soft_silhouette_stack, spec, cfg),
              soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("dsm", pixel_dot(soft_dsm, spec, cfg),
+            ("dsm", pixel_dots(soft_dsm_stack, spec, cfg),
              soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("shadow", pixel_dot(soft_shadow, sun, spec, cfg),
+            ("shadow", pixel_dots(soft_shadow_stack, sun, spec, cfg),
              soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
-            ("chamfer", lambda p: chamfer(PointCloud(p), gt)[0],
+            ("chamfer", each(lambda c: chamfer(c, gt)[0]),
              chamfer(cloud, gt)[1], mask_ch),
-            ("combined", lambda p: combined_loss(PointCloud(p), targets, sun, spec, cfg, weights, ws)[0],
+            ("combined", each(lambda c: combined_loss(c, targets, sun, spec, cfg, weights, ws)[0]),
              combined_loss(cloud, targets, sun, spec, cfg, weights, ws)[1],
              mask_sil & mask_sh & mask_ch),
         )

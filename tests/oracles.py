@@ -2,7 +2,7 @@
 codec, the soft-render hot path as it was before its in-place rewrite, the
 combined loss as it was before two of its passes shared a slot list, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
-made faster."""
+made faster, and finite differences as they were before they came in stacks."""
 import math
 from pathlib import Path
 
@@ -46,6 +46,23 @@ def finite_diff(f, x: np.ndarray, h: float) -> np.ndarray:
         xp[i] -= 2 * h
         lo = f(xp.reshape(x.shape))
         flat[i] = (hi - lo) / (2 * h)
+    return grad
+
+
+def fd_gradient_loop(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
+    """`gradcheck.fd_gradient` as a loop over components that perturbs one array
+    in place and calls f with one (N, 3) cloud at a time."""
+    grad = np.zeros_like(positions)
+    for i in range(positions.shape[0]):
+        for j in range(3):
+            if not mask[i, j]:
+                continue
+            p = positions.copy()
+            p[i, j] += h
+            hi = f(p)
+            p[i, j] -= 2 * h
+            lo = f(p)
+            grad[i, j] = (hi - lo) / (2 * h)
     return grad
 
 

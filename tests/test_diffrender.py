@@ -24,10 +24,13 @@ from treerecon.diffrender import (
     project_to_ground,
     soft_dsm,
     soft_dsm_backward,
+    soft_dsm_stack,
     soft_shadow,
     soft_shadow_backward,
+    soft_shadow_stack,
     soft_silhouette,
     soft_silhouette_backward,
+    soft_silhouette_stack,
 )
 from treerecon.sensor import Workspace, pixels_within
 
@@ -485,6 +488,48 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
         assert_same_bytes(new[1], old[1])
         assert new[2].keys() == old[2].keys()
         assert all(np.float64(new[2][k]).tobytes() == np.float64(old[2][k]).tobytes() for k in new[2])
+
+
+@st.composite
+def stacks(draw):
+    """A grid and a (B, N, 3) stack of 1-8 copies of 0-30 points each, on and off the grid and
+    on pixel edges, where a copy may repeat an earlier one."""
+    spec = GridSpec(draw(st.integers(1, 16)), draw(st.integers(1, 16)),
+                    draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)),
+                    draw(st.floats(0.1, 3.0)))
+    n = draw(st.integers(0, 30))
+    frac = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+    point = st.tuples(st.integers(-4, 20), frac, st.integers(-4, 20), frac, st.floats(0.0, 30.0))
+    copies = []
+    for _ in range(draw(st.integers(1, 8))):
+        if copies and draw(st.booleans()):
+            copies.append(copies[draw(st.integers(0, len(copies) - 1))])
+            continue
+        copies.append([(spec.origin_x + (i + fi) * spec.pixel_size, spec.origin_y + (j + fj) * spec.pixel_size, z)
+                       for i, fi, j, fj, z in draw(st.lists(point, min_size=n, max_size=n))])
+    return spec, np.array(copies, dtype=float).reshape(len(copies), n, 3)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(spec_stack=(SPEC, np.zeros((3, 0, 3))), sigma=1.0, trunc=np.inf, alpha=0.9, beta=2.0,
+         sun=SunConfig(150.0, 50.0))
+@example(spec_stack=(SPEC, np.repeat(random_cloud(5, 12).positions[None], 4, axis=0)), sigma=1.0,
+         trunc=np.inf, alpha=0.9, beta=2.0, sun=SunConfig(150.0, 50.0))
+@given(spec_stack=stacks(), sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf),
+       alpha=st.floats(0.01, 0.99), beta=st.floats(0.1, 4.0),
+       sun=st.builds(SunConfig, st.floats(0.0, 360.0), st.floats(20.0, 90.0)))
+def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack, sigma, trunc,
+                                                                      alpha, beta, sun):
+    spec, stack = spec_stack
+    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    ws = Workspace()
+    for stacked, single, args in ((soft_silhouette_stack, soft_silhouette, (spec, cfg)),
+                                  (soft_dsm_stack, soft_dsm, (spec, cfg)),
+                                  (soft_shadow_stack, soft_shadow, (sun, spec, cfg))):
+        rasters = stacked(stack, *args, ws)
+        assert rasters.shape == (len(stack), spec.height, spec.width)
+        for copy, raster in zip(stack, rasters, strict=True):
+            assert_same_bytes(raster, single(PointCloud(positions=copy), *args).values)
 
 
 def test_inputs_are_read_only():

@@ -1,6 +1,11 @@
-import numpy as np
+from unittest import mock
 
-from oracles import chamfer_tie_loop, truncation_safe_loop
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import chamfer_tie_loop, fd_gradient_loop, truncation_safe_loop
 from treerecon import gradcheck, losses
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.diffrender import SoftConfig
@@ -8,6 +13,7 @@ from treerecon.gradcheck import (
     _MARGIN,
     _truncation_safe,
     chamfer_mask,
+    fd_gradient,
     run_gradcheck,
     shadow_mask,
     silhouette_mask,
@@ -90,3 +96,55 @@ def test_combined_path_checks_the_soft_dsm(monkeypatch):
     monkeypatch.setattr(losses, "dsm_forward_backward", counted("dsm", losses.dsm_forward_backward))
     run_gradcheck(seed=0, trials=1)
     assert calls["dsm"] == calls["combined"] > 1
+
+
+def wavy(p: np.ndarray) -> float:
+    """A smooth scalar of one (N, 3) cloud that mixes every coordinate."""
+    return float((np.sin(3.0 * p) * np.cos(p[:, ::-1]) + p**3).sum())
+
+
+class Recording:
+    """Stack -> wavy of each copy; records the number of copies of each call."""
+
+    def __init__(self):
+        self.copies = []
+
+    def __call__(self, stack):
+        self.copies.append(len(stack))
+        return [wavy(p) for p in stack]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(n=5, bits=[False] * 15, h=1e-4, budget=256)  # f is never called
+@example(n=0, bits=[], h=1e-4, budget=256)
+@given(n=st.integers(0, 40), bits=st.lists(st.booleans(), min_size=120, max_size=120),
+       h=st.floats(1e-7, 1e-2), budget=st.integers(1, 200))
+def test_fd_gradient_equals_the_in_place_loop(n, bits, h, budget):
+    """Byte for byte, over drawn masks and chunk budgets that need not divide the copies."""
+    positions = np.random.default_rng(n).uniform(-5.0, 5.0, (n, 3))
+    mask = np.array(bits[: 3 * n], dtype=bool).reshape(n, 3)
+    f = Recording()
+    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
+        grad = fd_gradient(f, positions, h, mask)
+    assert grad.tobytes() == fd_gradient_loop(wavy, positions, h, mask).tobytes()
+    assert sum(f.copies) == 2 * int(mask.sum())
+    assert all(copies == 1 or copies * n <= budget for copies in f.copies)
+
+
+@pytest.mark.parametrize("n, budget", [(35, 256), (35, 70), (35, 69), (300, 256), (1, 1)])
+def test_fd_gradient_chunks_stay_within_the_point_budget(n, budget):
+    """Every call gets at least one copy, and more than one only while they fit the budget."""
+    positions = np.random.default_rng(3).uniform(-5.0, 5.0, (n, 3))
+    f = Recording()
+    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
+        fd_gradient(f, positions, 1e-4, np.ones((n, 3), dtype=bool))
+    assert sum(f.copies) == 6 * n and min(f.copies) >= 1
+    assert max(f.copies) == max(1, budget // n)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 2), (6, 3), (15,)])
+def test_fd_gradient_rejects_a_mask_of_another_shape(shape):
+    f = Recording()
+    with pytest.raises(ValueError, match="mask shape"):
+        fd_gradient(f, np.zeros((5, 3)), 1e-4, np.ones(shape, dtype=bool))
+    assert f.copies == []
