@@ -1,12 +1,7 @@
 """Command-line interface: generate / reconstruct / eval / gradcheck / bench.
 
-Exit codes (stable scripting contract; `errors.py` gives each error class its code):
-  0 success, 2 I/O failure or malformed file (a negative manifest seed too),
-  3 empty or degenerate input, 4 input mismatch (specs, missing targets),
-  5 internal check failure, invalid configuration value (NaN, infinities, a
-  negative --seed or --count, gradcheck --trials or --points below 1, one of
-  --sun-az and --sun-el alone) or diverged optimisation (a non-finite loss or
-  float32 position, or a gradient too large for Adam to square; no PLY).
+`main` returns 0 on success; a run stopped by an error prints one `error: …`
+line to stderr and returns the error's `exit_code`, the table in `errors.py`.
 """
 from __future__ import annotations
 
@@ -20,18 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridSpec, Rng, SunConfig, check_seed
-from .errors import InvalidConfig, MissingTarget, TreeReconError
+from .errors import EmptyInput, InvalidConfig, MalformedFile, MissingTarget, TreeReconError
 from .gradcheck import REL_TOL, run_gradcheck
 from .io_formats import load_scene, read_manifest, read_pfm, read_ply, read_ppm, save_scene, write_ply
-from .losses import TERMS, LossWeights, resolve_weights
+from .losses import TERMS, resolve_weights
 from .metrics import DEFAULT_TAU, check_tau, eval_chamfer, format_report, fscore
 from .protree import SceneConfig, TreeParamRanges, generate_scene
 from .reconstruct import OptimConfig, baseline_extrude, reconstruct
-
-EXIT_OK = 0
-EXIT_IO = 2
-EXIT_EMPTY = 3
-EXIT_CHECK = 5
 
 
 def _check_jobs(jobs: int) -> None:
@@ -80,7 +70,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # save_scene makes it too, except at --count 0
     for seed, out_dir, n in results:
         print(f"{out_dir}: seed={seed} points={n}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ def cmd_reconstruct(args) -> int:
     it, total, breakdown = result.loss_history[-1]
     terms = " ".join(f"{k}={v:.6g}" for k, v in sorted(breakdown.items()))
     print(f"iter={it} total={total:.6g} initial={total0:.6g} stop={result.stop} {terms}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +158,7 @@ def cmd_eval(args) -> int:
             {"chamfer": cd, "precision": p, "recall": r, "fscore": f, "tau": args.tau}
         )
     )
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +170,7 @@ def cmd_gradcheck(args) -> int:
     for name, score in scores.items():
         status = "ok" if score <= REL_TOL else "FAIL"
         print(f"{name}: max_rel_error={score:.3e} [{status}]")
-    return EXIT_OK if all(s <= REL_TOL for s in scores.values()) else EXIT_CHECK
+    return 0 if all(s <= REL_TOL for s in scores.values()) else TreeReconError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +200,12 @@ def _bench_one(task):
 def cmd_bench(args) -> int:
     # the configuration is checked before any scene is read
     check_tau(args.tau)
-    cfg = OptimConfig(
-        n_points=args.points,
-        iters=args.iters,
-        weights=LossWeights(lambda_geo=0.0),  # input-only: reconstruct's weights without --gt
-    )
+    cfg = OptimConfig(n_points=args.points, iters=args.iters)  # weights None: resolved per scene
     _check_jobs(args.jobs)
     dataset = Path(args.dataset)
     scene_dirs = sorted(d for d in dataset.iterdir() if d.is_dir())
     if not scene_dirs:
-        print(f"error: no scene directories under {dataset}", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInput(f"no scene directories under {dataset}")
     tasks = []
     for d in scene_dirs:
         seed = read_manifest(d / "manifest.json").seed
@@ -243,7 +228,7 @@ def cmd_bench(args) -> int:
             f"{method}: mean_chamfer={means[0]:.6g} mean_precision={means[1]:.6g} "
             f"mean_recall={means[2]:.6g} mean_fscore={means[3]:.6g}"
         )
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--iters", type=int, default=optim.iters)
     r.add_argument("--points", type=int, default=optim.n_points)
     r.add_argument("--lr", type=float, default=optim.lr)
-    r.add_argument("--lambda-geo", type=float, default=None)
-    r.add_argument("--lambda-sil", type=float, default=None)
-    r.add_argument("--lambda-shadow", type=float, default=None)
-    r.add_argument("--lambda-dsm", type=float, default=None)
+    for term in TERMS:
+        r.add_argument(f"--lambda-{term}", type=float, default=None)
     r.add_argument("--sun-az", type=float, default=None)
     r.add_argument("--sun-el", type=float, default=None)
     r.add_argument("--h-min", type=float, default=optim.h_min)
@@ -320,7 +303,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TreeReconError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return getattr(e, "exit_code", EXIT_IO)
+        return getattr(e, "exit_code", MalformedFile.exit_code)  # a bare OSError is an I/O failure
 
 
 if __name__ == "__main__":

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all treerecon modules; the CLI's exit-code table."""
+"""Exception hierarchy shared by all treerecon modules; the CLI's exit-code table.
+
+Codes: 2 I/O failure or malformed file (a bare `OSError` shares `MalformedFile`'s
+code; a negative manifest seed too), 3 empty or degenerate input, 4 input mismatch
+(specs, missing targets), 5 the rest: invalid configuration (NaN and infinities
+included), diverged optimisation, internal check failure. Besides 0 (success), no
+other module writes an exit code.
+"""
 
 
 class TreeReconError(Exception):
@@ -23,16 +30,22 @@ class SpecMismatch(TreeReconError):
     exit_code = 4
 
 
-class EmptyCloud(TreeReconError):
+class EmptyInput(TreeReconError):
+    """Base for empty or degenerate input."""
+
     exit_code = 3
+
+
+class EmptyCloud(EmptyInput):
+    pass
 
 
 class MissingTarget(TreeReconError):
     exit_code = 4
 
 
-class EmptyFootprint(TreeReconError):
-    exit_code = 3
+class EmptyFootprint(EmptyInput):
+    pass
 
 
 class MalformedFile(TreeReconError):

@@ -35,7 +35,7 @@ from .errors import (
 )
 
 GENERATOR_VERSION = "treerecon-0.1.0"
-# the type read_ply requires of each vertex property it knows
+# the one PLY vertex layout, in order, with each property's type; the last, class, is optional
 _PLY_TYPES = {"x": "float", "y": "float", "z": "float",
               "red": "uchar", "green": "uchar", "blue": "uchar", "class": "uchar"}
 
@@ -52,13 +52,14 @@ def _color_to_uchar(c: np.ndarray) -> np.ndarray:
 def write_ply(cloud: PointCloud, path) -> None:
     n = len(cloud)
     colors = cloud.colors if cloud.colors is not None else np.ones((n, 3))
-    props = ["float x", "float y", "float z", "uchar red", "uchar green", "uchar blue"]
+    props = list(_PLY_TYPES)
     columns = [cloud.positions.astype(np.float32).astype(np.float64), _color_to_uchar(colors)]
-    if cloud.classes is not None:
-        props.append("uchar class")
+    if cloud.classes is None:
+        props.pop()
+    else:
         columns.append(cloud.classes[:, None])
     header = ["ply", "format ascii 1.0", f"element vertex {n}"]
-    header += [f"property {p}" for p in props] + ["end_header", ""]
+    header += [f"property {_PLY_TYPES[p]} {p}" for p in props] + ["end_header", ""]
     # one % over every row; float32 positions are exact as float64, so each
     # "%.9g" prints the float32 value
     row_fmt = "%.9g %.9g %.9g" + " %d" * (len(props) - 3) + "\n"
@@ -113,12 +114,12 @@ def read_ply(path) -> PointCloud:
             raise MalformedPly(f"unexpected header token {tok[0]!r}", line=ln)
     if n is None or body_start is None:
         raise MalformedPly("header missing element vertex or end_header")
-    expected = ["x", "y", "z", "red", "green", "blue"]
-    has_class = props == expected + ["class"]
-    if not has_class and props != expected:
+    layout = list(_PLY_TYPES)
+    has_class = props == layout
+    if not has_class and props != layout[:-1]:
         raise MalformedPly(f"unsupported property layout {props}")
 
-    n_fields = 7 if has_class else 6
+    n_fields = len(props)
     body = lines[body_start : body_start + n]
     if len(body) < n:
         raise MalformedPly(f"expected {n} vertex rows, found {len(body)}")

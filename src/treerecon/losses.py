@@ -160,9 +160,10 @@ def combined_loss(
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    The passes run silhouette, DSM, shadow: when the silhouette and the DSM
-    terms are both on, they share one slot list of the cloud's (x, y), and
-    the silhouette pass precedes `project_to_ground`. The breakdown and the
+    The passes run in TERMS order with the shadow's last: when the silhouette
+    and the DSM terms are both on, they share one slot list of the cloud's
+    (x, y), which the shadow's later build on `ws` would spend, and the
+    silhouette pass precedes `project_to_ground`. The breakdown and the
     sums follow TERMS order; the passes share `ws` (fresh ones when None).
     """
     targets.require(weights, sun, spec)
@@ -170,7 +171,7 @@ def combined_loss(
     xy = cloud.positions[:, :2]
     shared = _Slots(xy, spec, soft_cfg, ws) if "sil" in lam and "dsm" in lam else None
     scored = {}
-    for term in sorted(lam, key=("geo", "sil", "dsm", "shadow").index):
+    for term in sorted(lam, key=lambda t: t == "shadow"):
         if term == "geo":
             scored[term] = chamfer(cloud, targets.gt_cloud)
         elif term == "sil":

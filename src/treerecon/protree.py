@@ -11,6 +11,7 @@ order, so a seed fixes the scene. Integer ranges are inclusive at both ends.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,9 @@ class TreeParams:
             raise InvalidConfig("children_per_branch must be >= 0")
 
 
+_INT_FIELDS = {name for name, hint in typing.get_type_hints(TreeParams).items() if hint is int}
+
+
 @dataclass(frozen=True)
 class TreeParamRanges:
     """Species-agnostic uniform ranges for sample_params; integer ranges are inclusive."""
@@ -115,19 +119,14 @@ class Skeleton:
 
 
 def sample_params(rng: np.random.Generator, ranges: TreeParamRanges) -> TreeParams:
-    """Draw one TreeParams uniformly from the configured ranges."""
-    return TreeParams(
-        trunk_height=float(rng.uniform(*ranges.trunk_height)),
-        trunk_radius=float(rng.uniform(*ranges.trunk_radius)),
-        branch_depth=int(rng.integers(*ranges.branch_depth, endpoint=True)),
-        children_per_branch=ranges.children_per_branch,
-        length_decay=float(rng.uniform(*ranges.length_decay)),
-        radius_decay=float(rng.uniform(*ranges.radius_decay)),
-        branch_angle_deg=ranges.branch_angle_deg,
-        crown_radius=float(rng.uniform(*ranges.crown_radius)),
-        foliage_fraction=float(rng.uniform(*ranges.foliage_fraction)),
-        n_points=int(rng.integers(*ranges.n_points, endpoint=True)),
-    )
+    """Draw one TreeParams uniformly from the configured ranges, field by field in
+    declaration order; PER_BRANCH ranges pass through unchanged."""
+    return TreeParams(**{
+        name: r if name in PER_BRANCH
+        else int(rng.integers(*r, endpoint=True)) if name in _INT_FIELDS
+        else float(rng.uniform(*r))
+        for name, r in vars(ranges).items()
+    })
 
 
 def _orthonormal_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

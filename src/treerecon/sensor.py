@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, sun_direction
+from .errors import InvalidConfig
 
 GROUND_COLOR = (0.55, 0.5, 0.42)
 H_MIN = 0.5  # meters; a DSM pixel above this height is canopy, not ground
@@ -70,7 +71,7 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
     point, flat and r are buffers of `ws` (a fresh workspace when None).
     """
     if not radius > 0:
-        raise ValueError("splat_radius must be positive")
+        raise InvalidConfig("splat_radius must be positive")
     ws = Workspace() if ws is None else ws
     ws.passes += 1
     ws.last_build = ws.passes
@@ -120,7 +121,7 @@ def render_ortho(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> RgbG
 def render_silhouette(dsm: Grid, h_min: float) -> Grid:
     """Binary occupancy: 1 where the DSM is strictly above h_min."""
     if not (h_min >= 0):
-        raise ValueError("h_min must be >= 0")
+        raise InvalidConfig("h_min must be >= 0")
     return Grid(dsm.spec, (dsm.values > h_min).astype(np.float64))
 
 

@@ -2,7 +2,8 @@
 codec, the soft-render hot path as it was before its in-place rewrite, the
 combined loss as it was before two of its passes shared a slot list, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
-made faster, and finite differences as they were before they came in stacks."""
+made faster, finite differences as they were before they came in stacks, and
+the tree-parameter draws as they were before they walked the range fields."""
 import math
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from treerecon.diffrender import EPS_GROUND, SoftConfig, project_to_ground
 from treerecon.errors import MalformedPly
 from treerecon.io_formats import _color_to_uchar
 from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
-from treerecon.protree import _orthonormal_basis
+from treerecon.protree import TreeParams, _orthonormal_basis
 from treerecon.sensor import GROUND_COLOR, pixels_within as sensor_pixels_within
 
 
@@ -444,3 +445,19 @@ def fscore_unbounded(pred: PointCloud, gt: PointCloud, tau: float) -> tuple[floa
     recall = float((d_gt <= tau).mean())
     f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f
+
+
+def sample_params_listed(rng, ranges) -> TreeParams:
+    """sample_params with every TreeParams field drawn by name, in declaration order."""
+    return TreeParams(
+        trunk_height=float(rng.uniform(*ranges.trunk_height)),
+        trunk_radius=float(rng.uniform(*ranges.trunk_radius)),
+        branch_depth=int(rng.integers(*ranges.branch_depth, endpoint=True)),
+        children_per_branch=ranges.children_per_branch,
+        length_decay=float(rng.uniform(*ranges.length_decay)),
+        radius_decay=float(rng.uniform(*ranges.radius_decay)),
+        branch_angle_deg=ranges.branch_angle_deg,
+        crown_radius=float(rng.uniform(*ranges.crown_radius)),
+        foliage_fraction=float(rng.uniform(*ranges.foliage_fraction)),
+        n_points=int(rng.integers(*ranges.n_points, endpoint=True)),
+    )

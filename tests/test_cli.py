@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import filecmp
+import importlib
 import io
 import json
 import shutil
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from treerecon import cli, gradcheck
 from treerecon.cli import main
 from treerecon.io_formats import read_ply, write_ply
-from treerecon.losses import LossWeights
+from treerecon.losses import TERMS, LossWeights
 from treerecon.protree import generate_scene
 
 GEN_SMALL = ["--grid-size", "48", "--pixel-size", "0.25", "--points-per-tree", "300"]
@@ -137,18 +139,27 @@ class TestReconstruct:
         """Input-only runs of both commands resolve the default objective: no geo, no DSM term."""
         seen = []
 
-        def spy(*args, cfg, **kwargs):
-            seen.append(cfg.weights)
-            return real(*args, cfg=cfg, **kwargs)
+        def spy(cloud, targets, sun, spec, soft_cfg, weights, ws):
+            seen.append(weights)
+            return real(cloud, targets, sun, spec, soft_cfg, weights, ws)
 
-        real = cli.reconstruct
-        monkeypatch.setattr(cli, "reconstruct", spy)
+        module = importlib.import_module("treerecon.reconstruct")
+        real = module.combined_loss
+        monkeypatch.setattr(module, "combined_loss", spy)
         data = tmp_path / "data"
         shutil.copytree(scene_dir, data / scene_dir.name)
+        # --iters 0: one combined_loss call per reconstruction
         assert main(["reconstruct", "--manifest", str(data / scene_dir.name / "manifest.json"),
-                     "--out", str(tmp_path / "r.ply"), "--iters", "1", "--points", "20"]) == 0
-        assert main(["bench", "--dataset", str(data), "--iters", "1", "--points", "20"]) == 0
+                     "--out", str(tmp_path / "r.ply"), "--iters", "0", "--points", "20"]) == 0
+        assert main(["bench", "--dataset", str(data), "--iters", "0", "--points", "20"]) == 0
         assert seen == [LossWeights(0.0, 1.0, 0.5, 0.0)] * 2
+
+    def test_one_lambda_flag_per_loss_term(self):
+        """The --lambda-* flags are read from losses.TERMS, in its order, each unset by default."""
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [(a.option_strings, a.type, a.default) for a in sub.choices["reconstruct"]._actions
+                 if any(o.startswith("--lambda-") for o in a.option_strings)]
+        assert flags == [([f"--lambda-{t}"], float, None) for t in TERMS]
 
     def test_missing_shadow_with_positive_lambda(self, scene_dir, tmp_path):
         rc = main(

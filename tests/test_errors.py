@@ -13,6 +13,7 @@ EXIT_CODES = {
     "MissingColors": 5,
     "SpecMismatch": 4,
     "MissingTarget": 4,
+    "EmptyInput": 3,
     "EmptyCloud": 3,
     "EmptyFootprint": 3,
     "MalformedFile": 2,

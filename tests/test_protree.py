@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import orthonormal_basis_cross, trunk_points_loop
+from oracles import orthonormal_basis_cross, sample_params_listed, trunk_points_loop
 from treerecon.core import CLASS_FOLIAGE, CLASS_TRUNK, Rng
 from treerecon.errors import InvalidConfig
 from treerecon.losses import chamfer
@@ -57,13 +57,14 @@ VALID_RANGES = st.fixed_dictionaries({  # a non-empty range inside each TreePara
     "foliage_fraction": ordered(st.floats(0.0, 1.0)),
     "n_points": ordered(st.integers(1, 10_000)),
 })
+RANGE_FIELDS = [f.name for f in dataclasses.fields(TreeParamRanges)]
 INT_FIELDS = ("branch_depth", "children_per_branch", "n_points")
 WILD_ENDS = {  # NaN, infinities, 0, negatives and ends at or above 1
     False: st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 200.0]),
     True: st.sampled_from([np.nan, np.inf, -np.inf, -1, 0, 1, 7]),
 }
 # (field, which end, value): one end of a valid range replaced, so a pair may also be reversed
-WILD_END = st.sampled_from([f.name for f in dataclasses.fields(TreeParamRanges)]).flatmap(
+WILD_END = st.sampled_from(RANGE_FIELDS).flatmap(
     lambda name: st.tuples(st.just(name), st.integers(0, 1), WILD_ENDS[name in INT_FIELDS]))
 
 
@@ -157,6 +158,17 @@ class TestSampleParams:
         accepted = TreeParamRanges(**ranges)
         for s in seeds:
             sample_params(Rng(s), accepted)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(ranges=VALID_RANGES, flat=st.sets(st.sampled_from(RANGE_FIELDS)),
+           seed=st.integers(0, 2**63 - 1))
+    def test_draws_equal_the_hand_listed_draws(self, ranges, flat, seed):
+        """Walking the range fields draws what naming each field drew, and leaves the
+        generator in the same state; `flat` ranges are lo == hi."""
+        accepted = TreeParamRanges(**{k: (r[0], r[0]) if k in flat else r for k, r in ranges.items()})
+        rng, ref = Rng(seed), Rng(seed)
+        assert sample_params(rng, accepted) == sample_params_listed(ref, accepted)
+        assert rng.random() == ref.random()
 
     def test_branch_depth_draws_both_ends(self):
         # integer ranges are inclusive: the default (2, 3) yields both

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_hard_render, render_ortho_lexsort
 from treerecon.core import GridSpec, PointCloud, SunConfig
-from treerecon.errors import MissingColors
+from treerecon.errors import InvalidConfig, MissingColors
 from treerecon.sensor import (
     GROUND_COLOR,
     pixels_within,
@@ -195,6 +195,20 @@ def test_window_is_just_wide_enough(radius):
 def test_non_positive_radius_rejected(render, radius):
     with pytest.raises(ValueError, match="splat_radius must be positive"):
         render(cloud_at([[0, 0, 5]], [[0, 1, 0]]), radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_pixels_within_rejects_a_non_positive_radius_as_a_config_error(radius):
+    with pytest.raises(InvalidConfig, match="splat_radius must be positive"):
+        pixels_within(np.zeros((1, 2)), SPEC, radius)
+
+
+@pytest.mark.parametrize("h_min", [-1.0, float("nan")])
+def test_silhouette_rejects_a_negative_h_min_as_a_config_error(h_min):
+    dsm = render_dsm(cloud_at([[0, 0, 5]]), SPEC, 0.4)
+    with pytest.raises(InvalidConfig, match="h_min must be >= 0"):
+        render_silhouette(dsm, h_min)
+    assert render_silhouette(dsm, 0.0).values.sum() == 1.0  # 0 stays valid
 
 
 # the orthophoto winner by per-pixel max equals the three-key lexsort it

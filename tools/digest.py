@@ -17,6 +17,10 @@ whose bytes changed. The artefacts:
 - the `eval` report of that reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
+- the `--help` text of the top-level parser and of each subcommand, at a
+  fixed width of 80 columns, with its exit code
+- the exit code and stderr of `bench` on a dataset with no scene directory,
+  the temporary directory's path in the message replaced by `<tmp>`
 
 It writes scratch files to a temporary directory, which it removes.
 """
@@ -25,9 +29,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -36,20 +42,30 @@ from treerecon.gradcheck import run_gradcheck  # noqa: E402
 
 TAUS = ("1e-170", "0.1", "0.5", "3")
 SMALL_GRID = ["--grid-size", "32", "--pixel-size", "0.5"]
+COMMANDS = ("generate", "reconstruct", "eval", "gradcheck", "bench")
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def capture(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI call; argparse's own exit (--help) included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
 def run(argv: list[str]) -> str:
     """stdout of one CLI call; a non-zero exit code stops the digest."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(argv)
+    rc, out, err = capture(argv)
     if rc != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {rc}")
-    return out.getvalue()
+        raise SystemExit(f"{' '.join(argv)} exited {rc}: {err}")
+    return out
 
 
 def digests(tmp: Path):
@@ -80,6 +96,15 @@ def digests(tmp: Path):
     for seed in range(6):
         scores = run_gradcheck(seed=seed, trials=3)
         yield f"gradcheck/seed={seed}", sha(repr(sorted(scores.items())).encode())
+
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps help at COLUMNS
+        for command in ("", *COMMANDS):
+            rc, out, err = capture([command, "--help"] if command else ["--help"])
+            yield f"help/{command or 'treerecon'}", sha(f"{rc}\n{out}{err}".encode())
+
+    (tmp / "empty").mkdir()
+    rc, out, err = capture(["bench", "--dataset", str(tmp / "empty")])
+    yield "bench/empty/exit+stderr", sha(f"{rc}\n{out}{err}".replace(str(tmp), "<tmp>").encode())
 
 
 def main_digest() -> int:
