@@ -27,11 +27,11 @@ from .diffrender import (
     soft_silhouette,
     soft_silhouette_backward,
 )
+from .io_formats import Scene
 from .losses import LossTargets, LossWeights, chamfer, combined_loss, raster_l2
 from .metrics import eval_chamfer, fscore
 from .protree import (
     SceneConfig,
-    SceneSample,
     Skeleton,
     TreeParamRanges,
     TreeParams,

@@ -78,31 +78,24 @@ def cmd_generate(args) -> int:
 
 
 def _load_inputs(args):
-    """Resolve ortho/dsm/shadow/sun from flags, with the manifest as fallback."""
+    """Resolve ortho/dsm/shadow/sun. Each file is its flag's, else the one the
+    manifest names next to it, else absent; the flags' sun overrides the manifest's."""
     if (args.sun_az is None) != (args.sun_el is None):
         raise InvalidConfig("--sun-az and --sun-el must be given together")
-    manifest = None
-    base = None
-    if args.manifest:
-        manifest = read_manifest(args.manifest)
-        base = Path(args.manifest).parent
-    spec = manifest.grid if manifest else None
-
-    ortho_path = args.ortho or (base / manifest.files.ortho if manifest else None)
-    dsm_path = args.dsm or (base / manifest.files.dsm if manifest else None)
+    manifest = read_manifest(args.manifest) if args.manifest else None
+    ortho_path, dsm_path, shadow_path = (
+        getattr(args, role) or (Path(args.manifest).parent / getattr(manifest.files, role) if manifest else None)
+        for role in ("ortho", "dsm", "shadow")
+    )
     if ortho_path is None or dsm_path is None:
         raise MissingTarget("need --ortho and --dsm (or --manifest)")
+    spec = manifest.grid if manifest else None
     ortho = read_ppm(ortho_path, spec)
     dsm = read_pfm(dsm_path, spec)
-
     shadow = None
-    if args.shadow:
-        shadow = read_pfm(args.shadow, dsm.spec)
-    elif manifest:
-        # manifest-supplied shadow is optional; real scenes may lack one
-        shadow_path = base / manifest.files.shadow
-        if shadow_path.exists():
-            shadow = read_pfm(shadow_path, dsm.spec)
+    # a --shadow file must exist; the manifest's is optional, as real scenes may lack one
+    if shadow_path is not None and (args.shadow or shadow_path.exists()):
+        shadow = read_pfm(shadow_path, dsm.spec)
     sun = manifest.sun if manifest else None
     if args.sun_az is not None:
         sun = SunConfig(azimuth_deg=args.sun_az, elevation_deg=args.sun_el)
@@ -184,7 +177,7 @@ def _bench_one(task):
     recon = reconstruct(
         scene.ortho,
         scene.dsm,
-        sun=scene.manifest.sun,
+        sun=scene.sun,
         shadow_target=scene.shadow,
         cfg=cfg,
     ).cloud

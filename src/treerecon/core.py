@@ -35,16 +35,16 @@ class PointCloud:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(self.positions)):
-            raise ValueError("point positions must be finite")
+            raise InvalidConfig("point positions must be finite")
         n = len(self.positions)
         if self.colors is not None:
             self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
             if len(self.colors) != n:
-                raise ValueError("colors length must match positions")
+                raise InvalidConfig("colors length must match positions")
         if self.classes is not None:
             self.classes = np.asarray(self.classes, dtype=np.uint8).reshape(-1)
             if len(self.classes) != n:
-                raise ValueError("classes length must match positions")
+                raise InvalidConfig("classes length must match positions")
 
     def __len__(self):
         return len(self.positions)

@@ -60,7 +60,7 @@ def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndar
     (at least one copy each), so memory stays bounded in N.
     """
     if mask.shape != positions.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
+        raise InvalidConfig(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
     rows, cols = np.nonzero(mask)
     plus = positions[rows, cols] + h
     moved = np.column_stack([plus, plus - 2 * h]).ravel()  # per component: +h, then -2h from there

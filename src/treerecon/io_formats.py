@@ -14,6 +14,10 @@ Byte-level contracts:
   - Manifest: JSON with exactly {seed, grid, sun, files, generator_version};
     unknown or missing fields are rejected. Rasters carry no georeference
     themselves; the grid spec lives only in the manifest.
+
+A `Scene` is one scene directory in memory: its manifest and the five
+arrays. `protree.generate_scene` and `load_scene` both return one, and
+`save_scene` writes one, so re-saving a loaded scene reproduces its files.
 """
 from __future__ import annotations
 
@@ -264,6 +268,30 @@ class Manifest:
         check_seed(self.seed)
 
 
+@dataclass
+class Scene:
+    """One scene: its manifest (seed, grid spec, sun), sensor rasters and ground-truth cloud."""
+
+    manifest: Manifest
+    ortho: RgbGrid
+    dsm: Grid
+    silhouette: Grid
+    shadow: Grid
+    cloud: PointCloud
+
+    @property
+    def seed(self) -> int:
+        return self.manifest.seed
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.manifest.grid
+
+    @property
+    def sun(self) -> SunConfig:
+        return self.manifest.sun
+
+
 def write_manifest(manifest: Manifest, path) -> None:
     Path(path).write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
@@ -318,8 +346,10 @@ def read_manifest(path) -> Manifest:
 # whole-scene persistence
 
 
-def save_scene(scene, out_dir) -> None:
-    """Write one synthetic scene directory (rasters, GT cloud, manifest)."""
+def save_scene(scene: Scene, out_dir) -> None:
+    """Write one scene directory (rasters, GT cloud, manifest) under the default
+    file names, with a manifest naming them at the current generator version: a
+    loaded manifest may name its files by absolute path, outside out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = SceneFiles()
@@ -328,27 +358,14 @@ def save_scene(scene, out_dir) -> None:
     write_pfm(scene.silhouette, out / files.silhouette)
     write_pfm(scene.shadow, out / files.shadow)
     write_ply(scene.cloud, out / files.cloud)
-    write_manifest(
-        Manifest(seed=scene.seed, grid=scene.spec, sun=scene.sun, files=files),
-        out / "manifest.json",
-    )
+    write_manifest(Manifest(seed=scene.seed, grid=scene.spec, sun=scene.sun), out / "manifest.json")
 
 
-@dataclass
-class LoadedScene:
-    manifest: Manifest
-    ortho: RgbGrid
-    dsm: Grid
-    silhouette: Grid
-    shadow: Grid
-    cloud: PointCloud
-
-
-def load_scene(scene_dir) -> LoadedScene:
+def load_scene(scene_dir) -> Scene:
     d = Path(scene_dir)
     manifest = read_manifest(d / "manifest.json")
     spec = manifest.grid
-    return LoadedScene(
+    return Scene(
         manifest=manifest,
         ortho=read_ppm(d / manifest.files.ortho, spec),
         dsm=read_pfm(d / manifest.files.dsm, spec),

@@ -7,6 +7,8 @@ on trunk lateral surfaces and inside foliage spheres at branch tips.
 
 Every draw comes from one numpy Generator (`core.Rng(seed)`) in a fixed
 order, so a seed fixes the scene. Integer ranges are inclusive at both ends.
+`generate_scene` returns the `io_formats.Scene` that `load_scene` returns too,
+with a manifest holding the seed, the grid spec and the sun.
 """
 from __future__ import annotations
 
@@ -19,14 +21,13 @@ import numpy as np
 from .core import (
     CLASS_FOLIAGE,
     CLASS_TRUNK,
-    Grid,
     GridSpec,
     PointCloud,
     Rng,
-    RgbGrid,
     SunConfig,
 )
 from .errors import InvalidConfig
+from .io_formats import Manifest, Scene
 from .sensor import H_MIN, render_dsm, render_ortho, render_shadow_hard, render_silhouette
 
 TRUNK_COLOR = (0.35, 0.23, 0.12)
@@ -238,21 +239,7 @@ class SceneConfig:
     sun: SunConfig = SunConfig(azimuth_deg=135.0, elevation_deg=70.0)
 
 
-@dataclass
-class SceneSample:
-    """One synthetic scene: GT cloud plus hard-rendered sensor rasters."""
-
-    seed: int
-    cloud: PointCloud
-    ortho: RgbGrid
-    dsm: Grid
-    silhouette: Grid
-    shadow: Grid
-    sun: SunConfig
-    spec: GridSpec
-
-
-def generate_scene(seed: int, cfg: SceneConfig = SceneConfig()) -> SceneSample:
+def generate_scene(seed: int, cfg: SceneConfig = SceneConfig()) -> Scene:
     """Deterministically synthesize one scene from a seed."""
     rng = Rng(seed)
     params = sample_params(rng, cfg.ranges)
@@ -262,13 +249,11 @@ def generate_scene(seed: int, cfg: SceneConfig = SceneConfig()) -> SceneSample:
     ortho = render_ortho(cloud, cfg.spec, SPLAT_RADIUS)
     silhouette = render_silhouette(dsm, H_MIN)
     shadow = render_shadow_hard(cloud, cfg.sun, cfg.spec, SPLAT_RADIUS)
-    return SceneSample(
-        seed=int(seed),
-        cloud=cloud,
+    return Scene(
+        manifest=Manifest(seed=int(seed), grid=cfg.spec, sun=cfg.sun),
         ortho=ortho,
         dsm=dsm,
         silhouette=silhouette,
         shadow=shadow,
-        sun=cfg.sun,
-        spec=cfg.spec,
+        cloud=cloud,
     )

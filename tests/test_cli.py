@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import csv
 import filecmp
 import importlib
 import io
+import itertools
 import json
 import shutil
 import warnings
@@ -543,3 +545,63 @@ def test_fuzzed_integer_flags_exit_with_a_contract_code(small_scene, tmp_path_fa
     assert_contract_exit(rc, err, caught)
     if any(value < LOWEST.get(flag, 1) for flag, value in values.items()):
         assert rc == 5
+
+
+# ---------------------------------------------------------------------------
+# reconstruct's input rule: each of --ortho, --dsm and --shadow is its flag's file,
+# else the one the manifest names next to it, else absent
+
+
+INPUT_FILES = {"--ortho": "ortho.ppm", "--dsm": "dsm.pfm", "--shadow": "shadow.pfm"}
+
+
+def reconstruct_bytes(tmp_path, argv) -> tuple[bytes, bytes]:
+    """PLY and history bytes of a short reconstruct; a non-zero exit fails the test."""
+    out = tmp_path / "r.ply"
+    assert main(["reconstruct", "--out", str(out), "--iters", "2", "--points", "20"] + argv) == 0
+    return out.read_bytes(), out.with_suffix(".history.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [flags for k in range(4) for flags in itertools.combinations(INPUT_FILES, k)],
+                         ids=lambda flags: " ".join(flags) or "manifest alone")
+def test_flags_naming_the_manifests_own_files_change_no_byte(flags, small_scene, tmp_path):
+    manifest = ["--manifest", str(small_scene / "manifest.json")]
+    named = [arg for flag in flags for arg in (flag, str(small_scene / INPUT_FILES[flag]))]
+    assert reconstruct_bytes(tmp_path, manifest + named) == reconstruct_bytes(tmp_path, manifest)
+
+
+def test_sun_flags_stand_in_for_the_manifests_sun(small_scene, tmp_path):
+    manifest = ["--manifest", str(small_scene / "manifest.json")]
+    flagged = reconstruct_bytes(tmp_path, manifest + ["--sun-az", "200", "--sun-el", "40"])
+    assert flagged != reconstruct_bytes(tmp_path, manifest)
+    scene = tmp_path / "scene"
+    shutil.copytree(small_scene, scene)
+    doc = json.loads((scene / "manifest.json").read_text())
+    doc["sun"] = {"azimuth_deg": 200.0, "elevation_deg": 40.0}
+    (scene / "manifest.json").write_text(json.dumps(doc))
+    assert flagged == reconstruct_bytes(tmp_path, ["--manifest", str(scene / "manifest.json")])
+
+
+def test_a_scene_without_its_shadow_runs_without_the_shadow_term(small_scene, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(small_scene, scene)
+    (scene / "shadow.pfm").unlink()
+    _, history = reconstruct_bytes(tmp_path, ["--manifest", str(scene / "manifest.json")])
+    rows = list(csv.DictReader(io.StringIO(history.decode())))
+    assert rows and all(row["shadow"] == "0.0" for row in rows)
+
+
+@pytest.mark.parametrize("case", ["missing --shadow file", "empty --ortho without a manifest"])
+def test_an_input_the_rule_cannot_resolve_exits_with_its_code(case, small_scene, tmp_path, capsys,
+                                                              monkeypatch):
+    refuse_reconstruct(monkeypatch)
+    missing = tmp_path / "nope.pfm"
+    argv, code, err = {
+        "missing --shadow file": (["--manifest", str(small_scene / "manifest.json"), "--shadow", str(missing)],
+                                  2, f"error: cannot read {missing}: "),
+        "empty --ortho without a manifest": (["--ortho", "", "--dsm", str(small_scene / "dsm.pfm")],
+                                             4, "error: need --ortho and --dsm (or --manifest)\n"),
+    }[case]
+    assert main(["reconstruct", "--out", str(tmp_path / "r.ply")] + argv) == code
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and stderr.count("\n") == 1

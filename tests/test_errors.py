@@ -1,9 +1,12 @@
 import inspect
 
+import numpy as np
 import pytest
 
 from treerecon import cli, errors
 from treerecon.cli import main
+from treerecon.core import PointCloud
+from treerecon.gradcheck import fd_gradient
 
 # the documented exit code of each error class; a class missing here fails the test
 EXIT_CODES = {
@@ -38,3 +41,20 @@ def test_each_error_exits_with_its_documented_code(cls, code, monkeypatch, capsy
     assert main(["eval", "--pred", "p.ply", "--gt", "g.ply"]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: boom\n"
+
+
+# the library's own input checks, each with a call that fails it
+INPUT_CHECKS = {
+    "non-finite positions": lambda: PointCloud(positions=[[0.0, 0.0, np.nan]]),
+    "colors of another length": lambda: PointCloud(np.zeros((3, 3)), colors=np.zeros((2, 3))),
+    "classes of another length": lambda: PointCloud(np.zeros((3, 3)), classes=np.zeros(2)),
+    "fd_gradient mask of another shape": lambda: fd_gradient(
+        lambda stack: np.zeros(len(stack)), np.zeros((5, 3)), 1e-4, np.ones((5, 2), dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_a_library_input_check_raises_an_error_of_the_table(case):
+    with pytest.raises(errors.TreeReconError) as caught:
+        INPUT_CHECKS[case]()
+    assert caught.value.exit_code == 5

@@ -30,7 +30,7 @@ from treerecon.io_formats import (
     write_ply,
     write_ppm,
 )
-from treerecon.protree import generate_scene
+from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 
 SPEC = GridSpec(6, 4, -1.5, 2.0, 0.25)
 
@@ -417,6 +417,30 @@ manifests = st.builds(
 def test_manifest_round_trip(fuzz_dir, manifest):
     back = rewrite_is_identical(write_manifest, read_manifest, manifest, fuzz_dir, ".json")
     assert back == manifest
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1),
+       spec=st.sampled_from([SceneConfig().spec, GridSpec.centered(32, 0.5)]),
+       sun=st.sampled_from([SceneConfig().sun, SunConfig(200.0, 40.0)]))
+def test_a_scene_survives_a_save_and_a_load(fuzz_dir, seed, spec, sun):
+    """The loaded scene is the generated one at file precision, and saving it
+    again writes the same six files byte for byte."""
+    scene = generate_scene(seed, SceneConfig(TreeParamRanges(n_points=(150, 150)), spec, sun))
+    a, b = fuzz_dir / "scene_a", fuzz_dir / "scene_b"
+    save_scene(scene, a)
+    back = load_scene(a)
+    assert type(back) is type(scene)
+    assert (back.seed, back.spec, back.sun) == (scene.seed, scene.spec, scene.sun)
+    for name in ("dsm", "silhouette", "shadow"):
+        np.testing.assert_array_equal(getattr(back, name).values,
+                                      getattr(scene, name).values.astype(np.float32))
+    np.testing.assert_array_equal(back.cloud.positions, scene.cloud.positions.astype(np.float32))
+    save_scene(back, b)
+    names = sorted(path.name for path in a.iterdir())
+    assert len(names) == 6 and names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        assert (b / name).read_bytes() == (a / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

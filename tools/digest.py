@@ -14,7 +14,12 @@ whose bytes changed. The artefacts:
 - `bench.csv` after `bench --iters 5 --points 200` on the small dataset
 - the PLY and history of a default `reconstruct` of the first default-grid
   scene, and of a 20-iteration one with the ground truth (`--gt`)
-- the `eval` report of that reconstruction and of the ground truth against
+- the stdout, PLY and history of `reconstruct --iters 20 --points 200` of
+  the first small-grid scene through each way of naming its inputs:
+  `--ortho --dsm`; `--ortho --dsm --shadow --sun-az --sun-el`; `--manifest`
+  on a copy of the scene without `shadow.pfm`; `--manifest --sun-az 200
+  --sun-el 40`
+- the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
 - the `--help` text of the top-level parser and of each subcommand, at a
@@ -30,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -88,6 +94,25 @@ def digests(tmp: Path):
         yield f"reconstruct/{name}/stdout", sha(stdout.encode())
         yield f"reconstruct/{name}/pred.ply", sha(pred.read_bytes())
         yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
+
+    small = tmp / "small" / "scene_00000"
+    no_shadow = tmp / "no_shadow"
+    shutil.copytree(small, no_shadow)
+    (no_shadow / "shadow.pfm").unlink()
+    files = ["--ortho", str(small / "ortho.ppm"), "--dsm", str(small / "dsm.pfm")]
+    inputs = {
+        "ortho+dsm": files,
+        "ortho+dsm+shadow+sun": files + ["--shadow", str(small / "shadow.pfm"),
+                                         "--sun-az", "135", "--sun-el", "70"],
+        "manifest_without_shadow": ["--manifest", str(no_shadow / "manifest.json")],
+        "manifest+sun": ["--manifest", str(small / "manifest.json"), "--sun-az", "200", "--sun-el", "40"],
+    }
+    for name, flags in inputs.items():
+        pred = tmp / f"{name}.ply"
+        stdout = run(["reconstruct", "--out", str(pred), "--iters", "20", "--points", "200"] + flags)
+        yield f"reconstruct/small/{name}/stdout", sha(stdout.encode())
+        yield f"reconstruct/small/{name}/pred.ply", sha(pred.read_bytes())
+        yield f"reconstruct/small/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
 
     for name, pred in (("default", str(tmp / "default.ply")), ("gt", gt)):
         for tau in TAUS:
