@@ -79,7 +79,8 @@ def cmd_generate(args) -> int:
 
 def _load_inputs(args):
     """Resolve ortho/dsm/shadow/sun. Each file is its flag's, else the one the
-    manifest names next to it, else absent; the flags' sun overrides the manifest's."""
+    manifest names next to it, else absent; the flags' sun overrides the manifest's.
+    A shadow with no sun is refused unless --lambda-shadow 0 turns its term off."""
     if (args.sun_az is None) != (args.sun_el is None):
         raise InvalidConfig("--sun-az and --sun-el must be given together")
     manifest = read_manifest(args.manifest) if args.manifest else None
@@ -99,6 +100,8 @@ def _load_inputs(args):
     sun = manifest.sun if manifest else None
     if args.sun_az is not None:
         sun = SunConfig(azimuth_deg=args.sun_az, elevation_deg=args.sun_el)
+    if shadow is not None and sun is None and args.lambda_shadow != 0:
+        raise MissingTarget("a shadow target needs a sun: give --sun-az and --sun-el, or a --manifest")
     return ortho, dsm, shadow, sun
 
 

@@ -11,8 +11,10 @@ same exclusion a Chamfer check needs away from tie points).
 copies of the cloud, FD_CHUNK_POINTS points at a time. The silhouette,
 DSM and shadow paths render a whole stack through one slot list on the
 run's workspace (`diffrender.soft_*_stack`), and each copy's raster has
-the bytes of its own one-cloud render; Chamfer and the combined loss run
-once per copy.
+the bytes of its own one-cloud render. Chamfer and the combined loss score
+a stack value-only (`losses.combined_loss_stack`, Chamfer as the loss with
+its geo weight alone), against one ground-truth KD-tree per trial, and each
+copy's value has the bytes of `chamfer` or `combined_loss` of that copy.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .diffrender import (
     soft_silhouette_stack,
 )
 from .errors import InvalidConfig
-from .losses import LossTargets, LossWeights, chamfer, combined_loss
+from .losses import LossTargets, LossWeights, chamfer, combined_loss, combined_loss_stack
 from .sensor import Workspace, pixels_within, project_to_ground
 
 REL_TOL = 1e-3
@@ -180,10 +182,11 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
             """Stack -> <each copy's render, d_pix>, whose gradient the backward pass returns."""
             return lambda ps: [float((r * d_pix.values).sum()) for r in render_stack(ps, *args, ws)]
 
-        def each(scalar):
-            """Stack -> scalar(PointCloud) of each copy, one call per copy."""
-            return lambda ps: [scalar(PointCloud(p)) for p in ps]
+        def loss_values(w):
+            """Stack -> each copy's loss value at weights w, against the trial's one gt tree."""
+            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, ws, gt_tree)
 
+        gt_tree = cKDTree(gt.positions)
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
         mask_ch = chamfer_mask(cloud, gt, h)
@@ -195,9 +198,9 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
              soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
             ("shadow", pixel_dots(soft_shadow_stack, sun, spec, cfg),
              soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
-            ("chamfer", each(lambda c: chamfer(c, gt)[0]),
+            ("chamfer", loss_values(LossWeights(lambda_sil=0.0, lambda_shadow=0.0)),  # geo alone
              chamfer(cloud, gt)[1], mask_ch),
-            ("combined", each(lambda c: combined_loss(c, targets, sun, spec, cfg, weights, ws)[0]),
+            ("combined", loss_values(weights),
              combined_loss(cloud, targets, sun, spec, cfg, weights, ws)[1],
              mask_sil & mask_sh & mask_ch),
         )

@@ -9,7 +9,8 @@ silhouette target.
 The raster terms are scored passes: each runs a `diffrender` core, scores
 it with `raster_l2` and feeds that pixel gradient to the core's VJP.
 `combined_loss` looks each name up in this module's globals, so a wrapper
-set on one here is honoured.
+set on one here is honoured. `combined_loss_stack` scores a (B, N, 3) stack
+of clouds value-only, each copy with `combined_loss`'s bytes.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import SoftConfig, _Slots, _soft_max_height, _soft_or
+from .diffrender import (
+    SoftConfig, _Slots, _soft_max_height, _soft_or, soft_dsm_stack, soft_shadow_stack, soft_silhouette_stack,
+)
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import Workspace, project_to_ground
 
@@ -56,6 +59,11 @@ def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _sq_mean(diff: np.ndarray) -> float:
+    """Mean squared length of (N, 3) offsets: one direction of the Chamfer value."""
+    return (diff**2).sum(axis=1).mean()
+
+
 def chamfer(a: PointCloud, b: PointCloud) -> tuple[float, np.ndarray]:
     """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
 
@@ -69,7 +77,7 @@ def chamfer(a: PointCloud, b: PointCloud) -> tuple[float, np.ndarray]:
     ib = nearest_neighbors(pb, pa)  # a-index of each b point's NN
     diff_a = pa - pb[ia]
     diff_b = pb - pa[ib]
-    value = (diff_a**2).sum(axis=1).mean() + (diff_b**2).sum(axis=1).mean()
+    value = _sq_mean(diff_a) + _sq_mean(diff_b)
 
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad, ib, 2.0 * (pa[ib] - pb) / len(pb))
@@ -189,3 +197,32 @@ def combined_loss(
         total += lam[term] * scored[term][0]
         grad += lam[term] * scored[term][1]
     return total, grad, {term: scored[term][0] for term in lam}
+
+
+def combined_loss_stack(
+    positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
+    weights: LossWeights, ws: Workspace | None = None, gt_tree: cKDTree | None = None,
+) -> np.ndarray:
+    """combined_loss(PointCloud(copy), ...)[0] of each copy of a (B, N, 3) stack, byte for byte.
+
+    Value only: each raster term renders the stack once on `ws` and scores each copy's
+    raster with `raster_l2`; Chamfer queries all the points against `gt_tree` (the ground
+    truth's KD-tree, built when None) and builds one tree per copy for the other direction.
+    """
+    targets.require(weights, sun, spec)
+    total = np.zeros(len(positions))
+    for term, field in zip(TERMS, _TARGET_FIELDS):
+        target, lam = getattr(targets, field), weights.of(term)
+        if lam > 0 and term == "geo":
+            pb = target.positions
+            if positions.shape[1] == 0 or len(pb) == 0:
+                raise EmptyCloud("chamfer requires two non-empty clouds")
+            diff_a = positions - pb[(cKDTree(pb) if gt_tree is None else gt_tree).query(positions)[1]]
+            total += lam * np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
+                                     for p, d in zip(positions, diff_a)])
+        elif lam > 0:
+            render = {"sil": soft_silhouette_stack, "shadow": soft_shadow_stack, "dsm": soft_dsm_stack}[term]
+            rasters = render(positions, *((sun,) if term == "shadow" else ()), spec, soft_cfg, ws)
+            scale = 1.0 / H_NORM**2 if term == "dsm" else 1.0  # as _scored scales
+            total += lam * np.array([raster_l2(Grid(spec, r), target)[0] * scale for r in rasters])
+    return total

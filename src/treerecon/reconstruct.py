@@ -71,14 +71,15 @@ def _stalled(losses: list[float]) -> bool:
     return before - losses[-1] < STOP_TOL * abs(before)
 
 
-def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:
-    """Silhouette and DSM targets from the two real inputs.
+def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float, shadow: Grid | None = None) -> LossTargets:
+    """Silhouette and DSM targets from the two real inputs, and the shadow target.
 
     Silhouette = finite AND tall (dsm > h_min) AND green (excess-green
     index > 0.05); the greenness test suppresses buildings. The DSM target
     is the DSM inside the silhouette and 0 elsewhere, so nodata (NaN or
-    infinite) DSM pixels are background in both targets. A shadow target,
-    when available, is attached by the caller; real scenes may not have one.
+    infinite) DSM pixels are background in both targets. The shadow target
+    is `shadow` with its nodata pixels read as 0, unshadowed; real scenes may
+    not have one (None).
     """
     if ortho.spec != dsm.spec:
         raise SpecMismatch("orthophoto and DSM must share a grid spec")
@@ -88,6 +89,8 @@ def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float) -> LossTargets:
     return LossTargets(
         silhouette=Grid(dsm.spec, sil.astype(np.float64)),
         dsm=Grid(dsm.spec, np.where(sil, dsm.values, 0.0)),
+        shadow=None if shadow is None
+        else Grid(shadow.spec, np.where(np.isfinite(shadow.values), shadow.values, 0.0)),
     )
 
 
@@ -192,8 +195,7 @@ def reconstruct(
     cfg = cfg or OptimConfig()
     spec = dsm.spec
     soft_cfg = SoftConfig(sigma=spec.pixel_size)
-    targets = derive_targets(ortho, dsm, cfg.h_min)
-    targets.shadow = shadow_target
+    targets = derive_targets(ortho, dsm, cfg.h_min, shadow_target)
     targets.gt_cloud = gt_cloud
     w = cfg.weights or resolve_weights(gt_cloud, shadow_target)
     targets.require(w, sun, spec)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from treerecon import cli, gradcheck
 from treerecon.cli import main
-from treerecon.io_formats import read_ply, write_ply
+from treerecon.core import Grid
+from treerecon.io_formats import read_pfm, read_ply, write_pfm, write_ply
 from treerecon.losses import TERMS, LossWeights
 from treerecon.protree import generate_scene
 
@@ -591,7 +592,37 @@ def test_a_scene_without_its_shadow_runs_without_the_shadow_term(small_scene, tm
     assert rows and all(row["shadow"] == "0.0" for row in rows)
 
 
-@pytest.mark.parametrize("case", ["missing --shadow file", "empty --ortho without a manifest"])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@example(nodata={0: np.nan}, outside={})  # one NaN pixel once ended the run with exit 5
+@given(nodata=st.dictionaries(st.integers(0, 32 * 32 - 1), st.sampled_from([np.nan, np.inf, -np.inf]),
+                              min_size=1, max_size=40),
+       outside=st.dictionaries(st.integers(0, 32 * 32 - 1), st.floats(-50.0, -1e-3) | st.floats(1.001, 50.0),
+                               max_size=40))
+def test_nodata_shadow_pixels_read_as_unshadowed(small_scene, tmp_path_factory, nodata, outside):
+    """A run on a shadow holding NaN, infinities and finite values outside [0, 1] exits 0
+    and writes the bytes of a run on that raster with its non-finite pixels set to 0."""
+    tmp = tmp_path_factory.getbasetemp()
+    shadow = read_pfm(small_scene / "shadow.pfm")
+    values = shadow.values.reshape(-1).copy()
+    for pixels in (outside, nodata):
+        values[list(pixels)] = list(pixels.values())
+    runs = []
+    for name, raster in (("drawn", values), ("zeroed", np.where(np.isfinite(values), values, 0.0))):
+        path = tmp / f"shadow_{name}.pfm"
+        write_pfm(Grid(shadow.spec, raster), path)
+        runs.append(reconstruct_bytes(tmp, ["--manifest", str(small_scene / "manifest.json"), "--shadow", str(path)]))
+    assert runs[0] == runs[1]
+
+
+def test_a_shadow_without_a_sun_runs_when_its_term_is_off(small_scene, tmp_path):
+    """--lambda-shadow 0 needs no sun: the shadow file then changes no byte."""
+    files = [arg for flag, name in INPUT_FILES.items() for arg in (flag, str(small_scene / name))]
+    off = ["--lambda-shadow", "0"]
+    assert reconstruct_bytes(tmp_path, files + off) == reconstruct_bytes(tmp_path, files[:4] + off)
+
+
+@pytest.mark.parametrize("case", ["missing --shadow file", "empty --ortho without a manifest",
+                                  "--shadow without a sun"])
 def test_an_input_the_rule_cannot_resolve_exits_with_its_code(case, small_scene, tmp_path, capsys,
                                                               monkeypatch):
     refuse_reconstruct(monkeypatch)
@@ -601,6 +632,8 @@ def test_an_input_the_rule_cannot_resolve_exits_with_its_code(case, small_scene,
                                   2, f"error: cannot read {missing}: "),
         "empty --ortho without a manifest": (["--ortho", "", "--dsm", str(small_scene / "dsm.pfm")],
                                              4, "error: need --ortho and --dsm (or --manifest)\n"),
+        "--shadow without a sun": ([arg for flag, name in INPUT_FILES.items() for arg in (flag, str(small_scene / name))],
+                                   4, "error: a shadow target needs a sun: give --sun-az and --sun-el"),
     }[case]
     assert main(["reconstruct", "--out", str(tmp_path / "r.ply")] + argv) == code
     stderr = capsys.readouterr().err

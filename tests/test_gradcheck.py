@@ -82,20 +82,30 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
 
 
 def test_combined_path_checks_the_soft_dsm(monkeypatch):
-    """The DSM term is off by default; the combined path turns it on, so every loss
-    evaluation gradcheck makes runs the soft-DSM pass too."""
-    calls = {"combined": 0, "dsm": 0}
+    """The DSM term is off by default; the combined path turns it on, so every stack its
+    fd scalar scores renders the soft DSM too. The Chamfer path's stacks render nothing."""
+    rendered = []  # per call of the stack scorer, the stacked renders it ran
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            rendered[-1].append(name)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gradcheck, "combined_loss", counted("combined", gradcheck.combined_loss))
-    monkeypatch.setattr(losses, "dsm_forward_backward", counted("dsm", losses.dsm_forward_backward))
+    for name in ("soft_silhouette_stack", "soft_dsm_stack", "soft_shadow_stack"):
+        monkeypatch.setattr(losses, name, counted(name, getattr(losses, name)))
+    scorer = gradcheck.combined_loss_stack
+
+    def scored(*args, **kwargs):
+        rendered.append([])
+        return scorer(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "combined_loss_stack", scored)
     run_gradcheck(seed=0, trials=1)
-    assert calls["dsm"] == calls["combined"] > 1
+    combined = [names for names in rendered if names]
+    assert len(combined) > 1 and len(combined) < len(rendered)
+    assert all(sorted(names) == ["soft_dsm_stack", "soft_shadow_stack", "soft_silhouette_stack"]
+               for names in combined)
 
 
 def wavy(p: np.ndarray) -> float:

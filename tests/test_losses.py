@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
@@ -18,6 +19,7 @@ from treerecon.losses import (
     LossWeights,
     chamfer,
     combined_loss,
+    combined_loss_stack,
     raster_l2,
 )
 from treerecon.protree import SceneConfig, generate_scene
@@ -321,3 +323,43 @@ def test_sharing_a_slot_list_keeps_every_byte(on, data):
     assert list(breakdown) == list(expected[2])
     assert all(np.float64(breakdown[k]).tobytes() == np.float64(expected[2][k]).tobytes()
                for k in breakdown)
+
+
+@st.composite
+def stacks(draw):
+    """A (B, N, 3) stack of clouds, B from 1 to 6 and N from 1 to 40, some points off SPEC."""
+    b, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.concatenate([rng.uniform(-14.0, 14.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
+
+
+@pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
+    """With or without a prebuilt ground-truth tree, on a workspace or a fresh one."""
+    _, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    stack = data.draw(stacks())
+    gt_tree = cKDTree(targets.gt_cloud.positions) if data.draw(st.booleans()) else None
+    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, ws, gt_tree)
+    assert values.shape == (len(stack),)
+    for p, value in zip(stack, values):
+        expected = combined_loss(PointCloud(positions=p.copy()), targets, sun, SPEC, cfg, weights)[0]
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(stack=stacks(), gt_seed=st.integers(0, 99), gt_n=st.integers(1, 40))
+def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n):
+    """The geo weight alone at 1: each copy's value is chamfer's, byte for byte."""
+    gt = random_cloud(gt_seed, gt_n)
+    values = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
+                                 LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    for p, value in zip(stack, values):
+        assert np.float64(value).tobytes() == np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
+
+
+def test_the_stack_scorer_refuses_an_empty_ground_truth():
+    with pytest.raises(EmptyCloud):
+        combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=PointCloud(np.zeros((0, 3)))), None,
+                            SPEC, SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))

@@ -6,9 +6,11 @@ PARENT and CHANGE are two source checkouts. Pair i runs each checkout's own
 `perfbench/run.py --workload W --seed S+i --seconds T` in a fresh process,
 the parent first when i is even and the change first when i is odd; T is
 the `run_seconds` of CHANGE's BENCHMARK.json (25). Each run prints one JSON
-line. Then, for each of that file's end-to-end metrics, one line gives both
+line, with the run's CPU seconds (user + sys of the child process) as
+`cpu_s`. Then, for each of that file's end-to-end metrics, one line gives both
 medians, the parent's interquartile distance and the number of pairs the
-change won (ties count for neither).
+change won (ties count for neither), and a last line gives each side's
+median CPU seconds.
 
 `--out` writes the same summary into a JSON file under `workloads.W`,
 keeping what the file already holds for other workloads.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -26,13 +29,17 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The JSON result of one benchmark run in a fresh process; a failed run stops the script."""
+    """The JSON result of one benchmark run in a fresh process, plus its CPU seconds
+    (`cpu_s`, user + sys); a failed run stops the script."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "cpu_s": cpu_s}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,6 +98,8 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "pairs": args.pairs,
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "cpu_s": {side: {"median": statistics.median(r["cpu_s"] for r in runs[side]),
+                         "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES},
         "metrics": {
             m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES))
             for m in benchmark["end_to_end"]
@@ -101,6 +110,9 @@ def main(argv=None) -> int:
               f"change median {m['change']['median']:.6g} {m['unit']}, parent IQR {m['parent_iqr']:.4g}, "
               f"change won {m['change_wins']} of {args.pairs} pairs ({m['ties']} ties), "
               f"worse by {m['worse_by']:+.4f} (bound {m['bound']})")
+    cpu = summary["cpu_s"]
+    print(f"{args.workload} cpu_s: parent median {cpu['parent']['median']:.6g} "
+          f"change median {cpu['change']['median']:.6g} s (child user + sys per run)")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
