@@ -13,16 +13,14 @@ vector-Jacobian product (VJP):
   soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
-The slot arrays are buffers of a `sensor.Workspace` the caller owns, which
-passes share one after another. A core takes a built slot list: the soft-or
-core leaves it whole and the soft-max-height core overwrites g, so
-`combined_loss` runs the silhouette, then the DSM, on one list of the
-cloud's (x, y). A VJP works in the buffers, so it runs once, and before the
-next pass on that workspace (otherwise it raises). The public renderers are
-thin adapters that build a list per call; the loss's scored passes live in
-`losses`. A list can hold a (B, N) stack of copies of a cloud, copy k's
-pixels offset by k * n_pixels, so each copy's raster has the bytes of its own
-render: the forward renderers `soft_*_stack` render a stack in one pass (as
+Each core takes points and builds the list of its own pass in buffers of a
+`sensor.Workspace` the caller owns, which passes share one after another.
+A VJP works in the buffers, so it runs once, and before the next pass on
+that workspace (otherwise it raises). The public renderers are thin
+adapters over the cores; the loss's scored passes live in `losses`. A list
+can hold a (B, N) stack of copies of a cloud, copy k's pixels offset by
+k * n_pixels, so each copy's raster has the bytes of its own render: the
+forward renderers `soft_*_stack` render a stack in one pass (as
 `gradcheck` does with its perturbed copies), and `soft_silhouette`,
 `soft_dsm` and `soft_shadow` are their one-copy case. The shadow renderer
 first slides each point along the sun ray to the ground plane
@@ -85,7 +83,6 @@ class _Slots:
         self.point, self.flat, c, r, dx, dy = pixels_within(points, spec, cfg.trunc * cfg.sigma, self.ws)
         if copies > 1:
             self.flat += np.repeat(np.arange(copies) * spec.n_pixels, xy.shape[1]).take(self.point)
-        self.built = self.ws.last_build  # spent by a later build on ws, or by a DSM pass (w overwrites g)
         self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
@@ -93,11 +90,6 @@ class _Slots:
             self.g *= np.exp(k * dy**2).ravel().take(r, out=self.spare[0], mode="clip")
         dx.ravel().take(c, out=self.dx, mode="clip")  # point minus pixel center
         dy.ravel().take(r, out=self.dy, mode="clip")
-
-    def check_built(self):
-        """Let a core read this list only while its buffers hold its own build and g is whole."""
-        if self.built != self.ws.last_build:
-            raise RuntimeError("slot list spent: a later build took its buffers, or a DSM pass its g")
 
     def check_current(self, pass_no: int):
         """Let the VJP of core pass `pass_no` on this list run once, and before the next pass."""
@@ -127,9 +119,9 @@ class _Slots:
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(s: _Slots, cfg: SoftConfig):
-    """Soft-or occupancy of the points of slot list s; the VJP returns (N, 2) gradients."""
-    s.check_built()
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
+    """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack; the VJP returns a gradient row per point."""
+    s = _Slots(xy, spec, cfg, ws)
     pass_no = s.ws.passes = s.ws.passes + 1  # each core pass counts; its VJP checks the count
     log_t, tmp = s.spare
     np.multiply(s.g, cfg.alpha, out=log_t)
@@ -142,18 +134,18 @@ def _soft_or(s: _Slots, cfg: SoftConfig):
         dL = np.subtract(log_prod.take(s.flat, out=tmp, mode="clip"), log_t, out=log_t)
         np.exp(dL, out=dL)
         dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), cfg.alpha, out=tmp)
-        return s.xy_grad(np.multiply(dL, s.g, out=dL), tmp)  # g, dx and dy stay whole
+        return s.xy_grad(np.multiply(dL, s.g, out=dL), tmp)
 
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(s: _Slots, positions: np.ndarray, cfg: SoftConfig):
-    """Soft-max height of (N, 3) points with slot list s; the VJP returns (N, 3) gradients."""
-    s.check_built()
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
+    """Soft-max height of (N, 3) points, or a (B, N, 3) stack; the VJP returns an (x, y, z) row per point."""
+    s = _Slots(positions[..., :2], spec, cfg, ws)
     pass_no = s.ws.passes = s.ws.passes + 1
-    s.built, tmp = None, s.spare[1]
-    z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
-    w = s.g  # w = g * exp(beta z) takes the place of g: this core reads the list last
+    tmp = s.spare[1]
+    z = positions.reshape(-1, 3)[:, 2].copy()  # the VJP may run after the caller changed positions
+    w = s.g  # w = g * exp(beta z) takes the place of g, which no other pass reads
     w *= np.exp(cfg.beta * z).take(s.point, out=tmp, mode="clip")
     denom = s.to_pixels(w) + EPS_GROUND
     h = s.to_pixels(np.multiply(w, z.take(s.point, out=tmp, mode="clip"), out=tmp)) / denom
@@ -190,15 +182,14 @@ def soft_silhouette_stack(
     positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
 ) -> np.ndarray:
     """(B, H, W) soft occupancy maps in [0, 1) of a (B, N, 3) stack of clouds."""
-    return _soft_or(_Slots(positions[..., :2], spec, cfg, ws), cfg)[0].reshape(-1, spec.height, spec.width)
+    return _soft_or(positions[..., :2], spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
 
 
 def soft_dsm_stack(
     positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
 ) -> np.ndarray:
     """(B, H, W) soft DSMs of a (B, N, 3) stack of clouds."""
-    s = _Slots(positions[..., :2], spec, cfg, ws)
-    return _soft_max_height(s, positions.reshape(-1, 3), cfg)[0].reshape(-1, spec.height, spec.width)
+    return _soft_max_height(positions, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
 
 
 def soft_shadow_stack(
@@ -206,7 +197,7 @@ def soft_shadow_stack(
 ) -> np.ndarray:
     """(B, H, W) soft shadow masks of a (B, N, 3) stack of clouds."""
     ground = project_to_ground(PointCloud(positions), sun)[0].reshape(*positions.shape[:-1], 2)
-    return _soft_or(_Slots(ground, spec, cfg, ws), cfg)[0].reshape(-1, spec.height, spec.width)
+    return _soft_or(ground, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
 
 
 def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
@@ -224,7 +215,7 @@ def soft_silhouette_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
 ) -> np.ndarray:
     """Backprop pixel gradients to (N, 3) point gradients; the z gradient is zero."""
-    gxy = _soft_or(_Slots(cloud.positions[:, :2], spec, cfg), cfg)[1](_flat(d_pixels, spec))
+    gxy = _soft_or(cloud.positions[:, :2], spec, cfg)[1](_flat(d_pixels, spec))
     return np.column_stack([gxy, np.zeros(len(cloud))])
 
 
@@ -237,8 +228,7 @@ def soft_dsm_backward(
     cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
 ) -> np.ndarray:
     """Quotient-rule (N, 3) gradients of the soft DSM in x, y, and z."""
-    s = _Slots(cloud.positions[:, :2], spec, cfg)
-    return _soft_max_height(s, cloud.positions, cfg)[1](_flat(d_pixels, spec))
+    return _soft_max_height(cloud.positions, spec, cfg)[1](_flat(d_pixels, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -257,4 +247,4 @@ def soft_shadow_backward(
 ) -> np.ndarray:
     """Soft-or backward chained through the ground projection Jacobian."""
     xy, jac = project_to_ground(cloud, sun)
-    return _soft_or(_Slots(xy, spec, cfg), cfg)[1](_flat(d_pixels, spec)) @ jac
+    return _soft_or(xy, spec, cfg)[1](_flat(d_pixels, spec)) @ jac

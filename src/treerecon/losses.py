@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .diffrender import (
-    SoftConfig, _Slots, _soft_max_height, _soft_or, soft_dsm_stack, soft_shadow_stack, soft_silhouette_stack,
+    SoftConfig, _soft_max_height, _soft_or, soft_dsm_stack, soft_shadow_stack, soft_silhouette_stack,
 )
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import Workspace, project_to_ground
@@ -101,22 +101,17 @@ def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
 
 
 def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None,
-    slots: _Slots | None = None,
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient);
-    it builds the points' slot list unless the caller passes it as `slots`."""
-    s = _Slots(xy, spec, cfg, ws) if slots is None else slots
-    return _scored(_soft_or(s, cfg), spec, target)
+    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient)."""
+    return _scored(_soft_or(xy, spec, cfg, ws), spec, target)
 
 
 def dsm_forward_backward(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None,
-    slots: _Slots | None = None,
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    """Soft-DSM pass over (N, 3) points: (raster_l2 / H_NORM^2, (N, 3) gradient); `slots` as above."""
-    s = _Slots(positions[:, :2], spec, cfg, ws) if slots is None else slots
-    return _scored(_soft_max_height(s, positions, cfg), spec, target, 1.0 / H_NORM**2)
+    """Soft-DSM pass over (N, 3) points: (raster_l2 / H_NORM^2, (N, 3) gradient)."""
+    return _scored(_soft_max_height(positions, spec, cfg, ws), spec, target, 1.0 / H_NORM**2)
 
 
 @dataclass
@@ -168,35 +163,30 @@ def combined_loss(
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    The passes run in TERMS order with the shadow's last: when the silhouette
-    and the DSM terms are both on, they share one slot list of the cloud's
-    (x, y), which the shadow's later build on `ws` would spend, and the
-    silhouette pass precedes `project_to_ground`. The breakdown and the
-    sums follow TERMS order; the passes share `ws` (fresh ones when None).
+    Each term with a positive weight runs one pass, in TERMS order, and adds
+    its weighted value and gradient; the passes share `ws` (fresh ones when None).
     """
     targets.require(weights, sun, spec)
-    lam = {term: weights.of(term) for term in TERMS if weights.of(term) > 0}
-    xy = cloud.positions[:, :2]
-    shared = _Slots(xy, spec, soft_cfg, ws) if "sil" in lam and "dsm" in lam else None
-    scored = {}
-    for term in sorted(lam, key=lambda t: t == "shadow"):
+    total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
+    for term in TERMS:
+        lam = weights.of(term)
+        if lam <= 0:
+            continue
         if term == "geo":
-            scored[term] = chamfer(cloud, targets.gt_cloud)
+            value, g = chamfer(cloud, targets.gt_cloud)
         elif term == "sil":
-            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette, ws, shared)
-            scored[term] = value, np.column_stack([gxy, np.zeros(len(cloud))])
-        elif term == "dsm":
-            scored[term] = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws, shared)
-        else:
+            value, gxy = occupancy_forward_backward(cloud.positions[:, :2], spec, soft_cfg, targets.silhouette, ws)
+            g = np.column_stack([gxy, np.zeros(len(cloud))])
+        elif term == "shadow":
             ground, jac = project_to_ground(cloud, sun)
             value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ws)
-            scored[term] = value, gxy @ jac
-    grad = np.zeros((len(cloud), 3))
-    total = 0.0
-    for term in lam:
-        total += lam[term] * scored[term][0]
-        grad += lam[term] * scored[term][1]
-    return total, grad, {term: scored[term][0] for term in lam}
+            g = gxy @ jac
+        else:
+            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws)
+        breakdown[term] = value
+        total += lam * value
+        grad += lam * g
+    return total, grad, breakdown
 
 
 def combined_loss_stack(

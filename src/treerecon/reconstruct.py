@@ -184,13 +184,13 @@ def reconstruct(
 ) -> ReconResult:
     """Optimize a point cloud against the combined loss with Adam.
 
-    init_positions overrides the silhouette-based initialization (used for
-    perturbation studies); z is clamped to >= 0 after every step. The run
-    stops at the first iteration where the stopping rule holds, or at
-    `cfg.iters`, and logs that iteration's row. Raises
-    Diverged, naming the iteration, as soon as a position is no longer
-    finite in float32, the loss is no longer finite or a gradient component
-    is too large for Adam to square.
+    init_positions, an (N, 3) array, overrides the silhouette-based
+    initialization (used for perturbation studies); any other shape raises
+    InvalidConfig. z is clamped to >= 0 after every step. The run stops at
+    the first iteration where the stopping rule holds, or at `cfg.iters`,
+    and logs that iteration's row. Raises Diverged, naming the iteration, as
+    soon as a position is no longer finite in float32, the loss is no longer
+    finite or a gradient component is too large for Adam to square.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -202,7 +202,9 @@ def reconstruct(
 
     rng = Rng(cfg.seed)
     if init_positions is not None:
-        positions = np.array(init_positions, dtype=np.float64).reshape(-1, 3)
+        positions = np.array(init_positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise InvalidConfig(f"init_positions must have shape (N, 3), not {positions.shape}")
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)

@@ -44,12 +44,11 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
 class Workspace:
     """Buffers that one run's passes reuse: slot-sized arrays allocated anew per
     pass cost more in first-touch page faults than in arithmetic. `passes`
-    counts the passes, so a VJP can tell that a later pass took its buffers,
-    and `last_build` names the pass that built the pairs the buffers hold.
+    counts the passes, so a VJP can tell that a later pass took its buffers.
     """
 
     def __init__(self):
-        self.passes, self.last_build, self._bufs = 0, None, {}
+        self.passes, self._bufs = 0, {}
 
     def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Buffer `name`, uninitialised, as an array of `shape`."""
@@ -74,7 +73,6 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
         raise InvalidConfig("splat_radius must be positive")
     ws = Workspace() if ws is None else ws
     ws.passes += 1
-    ws.last_build = ws.passes
     with np.errstate(over="ignore", invalid="ignore"):  # an off-grid or NaN point covers nothing
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)

@@ -1,6 +1,6 @@
 """Independent oracles: brute force, finite differences, loops, the per-row PLY
 codec, the soft-render hot path as it was before its in-place rewrite, the
-combined loss as it was before two of its passes shared a slot list, and the
+combined loss with each pass on a slot list of its own, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
 made faster, finite differences as they were before they came in stacks, and
 the tree-parameter draws as they were before they walked the range fields."""

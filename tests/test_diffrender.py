@@ -360,9 +360,8 @@ def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, alpha
                         oracles.pixels_within(xy, spec, trunc * sigma)):
         assert_same_bytes(new, old)
     with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-        for new, old in ((_soft_or(_Slots(xy, spec, cfg), cfg), oracles._soft_or(xy, spec, cfg)),
-                         (_soft_max_height(_Slots(xy, spec, cfg), positions, cfg),
-                          oracles._soft_max_height(positions, spec, cfg))):
+        for new, old in ((_soft_or(xy, spec, cfg), oracles._soft_or(xy, spec, cfg)),
+                         (_soft_max_height(positions, spec, cfg), oracles._soft_max_height(positions, spec, cfg))):
             assert_same_bytes(new[0], old[0])
             new_grad, old_grad = new[1](d_flat), old[1](d_flat)
             if old_grad.dtype == np.int64:  # the copy's bincount of an empty slot list
@@ -385,67 +384,52 @@ def test_gradients_are_float64_without_slots(points):
 
 
 def test_a_vjp_runs_once():
-    """A VJP builds its sums in its slot arrays, so a second call fails instead of lying.
-
-    The soft-or VJP leaves its list whole, so a DSM pass on the same list
-    after it (as in `combined_loss`) gives the bytes of a list of its own.
-    """
+    """A VJP builds its sums in its slot arrays, so a second call fails instead of lying."""
     c, cfg = random_cloud(18, 30), SoftConfig(sigma=1.1)
     d_flat = np.random.default_rng(19).normal(size=SPEC.n_pixels)
-    slots = lambda: _Slots(c.positions[:, :2], SPEC, cfg)
-    shared = slots()
-    sil, dsm = lambda s: _soft_or(s, cfg), lambda s: _soft_max_height(s, c.positions, cfg)
-    grads = []
-    for core, s in ((sil, slots()), (dsm, slots()), (sil, shared), (dsm, shared)):
-        vjp = core(s)[1]
-        grads.append(vjp(d_flat))
+    for vjp in (_soft_or(c.positions[:, :2], SPEC, cfg)[1], _soft_max_height(c.positions, SPEC, cfg)[1]):
+        vjp(d_flat)
         with pytest.raises(RuntimeError, match="run a VJP before the next pass, and only once"):
             vjp(d_flat)
-    assert_same_bytes(grads[2], grads[0])
-    assert_same_bytes(grads[3], grads[1])
 
 
 @pytest.mark.parametrize("first", ["soft_or", "soft_max_height"])
-@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within",
-                                   "soft_max_height on its list"])
+@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within"])
 def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
-    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run. A DSM
-    pass on the same slot list is a later pass too: it overwrites g."""
+    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run."""
     c, cfg, ws = random_cloud(20, 30), SoftConfig(sigma=1.1), Workspace()
-    slots = lambda: _Slots(c.positions[:, :2], SPEC, cfg, ws)
-    s = slots()
-    vjp = (_soft_or(s, cfg) if first == "soft_or" else _soft_max_height(s, c.positions, cfg))[1]
-    passes = {"soft_or": lambda: _soft_or(slots(), cfg),
-              "soft_max_height": lambda: _soft_max_height(slots(), c.positions, cfg),
-              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws),
-              "soft_max_height on its list": lambda: _soft_max_height(s, c.positions, cfg)}
-    if (first, later) == ("soft_max_height", "soft_max_height on its list"):
-        with pytest.raises(RuntimeError, match="slot list spent"):  # the first pass overwrote g
-            passes[later]()
-        return
+    passes = {"soft_or": lambda: _soft_or(c.positions[:, :2], SPEC, cfg, ws),
+              "soft_max_height": lambda: _soft_max_height(c.positions, SPEC, cfg, ws),
+              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws)}
+    vjp = passes[first]()[1]
     passes[later]()
     with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
         vjp(np.random.default_rng(21).normal(size=SPEC.n_pixels))
 
 
-@pytest.mark.parametrize("case", ["another list built since", "after a DSM pass on it",
-                                  "after a raw pixels_within"])
-def test_a_core_refuses_a_spent_slot_list(case):
-    """A core reads the list's buffers, so it refuses a list whose buffers a later build on
-    its workspace took, or whose g a soft-DSM pass overwrote, instead of computing from them."""
-    c, cfg, ws = random_cloud(23, 30), SoftConfig(sigma=1.1), Workspace()
-    s = _Slots(c.positions[:, :2], SPEC, cfg, ws)
-    if case == "another list built since":
-        _Slots(random_cloud(24, 30).positions[:, :2], SPEC, cfg, ws)
-        core = lambda: _soft_or(s, cfg)
-    elif case == "after a DSM pass on it":
-        _soft_max_height(s, c.positions, cfg)
-        core = lambda: _soft_or(s, cfg)
-    else:
-        pixels_within(c.positions[:, :2], SPEC, 2.0, ws)
-        core = lambda: _soft_max_height(s, c.positions, cfg)
-    with pytest.raises(RuntimeError, match="slot list spent"):
-        core()
+@st.composite
+def dsm_points(draw):
+    """One point, 2-30 points, or a (B, N, 3) stack of 2-4 copies of 1-30 points, some off SPEC."""
+    kind = draw(st.sampled_from(["one", "many", "stack"]))
+    n = 1 if kind == "one" else draw(st.integers(1 if kind == "stack" else 2, 30))
+    shape = (draw(st.integers(2, 4)), n) if kind == "stack" else (n,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.concatenate([rng.uniform(-12.0, 12.0, (*shape, 2)), rng.uniform(0.0, 8.0, (*shape, 1))], axis=-1)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(positions=np.array([[0.2, -0.3, 4.0]]), seed=0)
+@given(positions=dsm_points(), seed=st.integers(0, 2**32 - 1))
+def test_the_dsm_vjp_keeps_the_heights_of_its_forward_pass(positions, seed):
+    """The caller may change its positions between the soft-DSM pass and its VJP (an
+    optimiser steps in place); the VJP returns the bytes of one whose points stayed put."""
+    cfg, rng = SoftConfig(sigma=1.1), np.random.default_rng(seed)
+    d_flat = rng.normal(size=(1 if positions.ndim == 2 else len(positions)) * SPEC.n_pixels)
+    expected = _soft_max_height(positions, SPEC, cfg)[1](d_flat)
+    moved = positions.copy()
+    vjp = _soft_max_height(moved, SPEC, cfg)[1]
+    moved += rng.normal(size=moved.shape)
+    assert_same_bytes(vjp(d_flat), expected)
 
 
 # one workspace reused over a drawn sequence of passes: the bytes of a fresh one
@@ -475,8 +459,8 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
                             pixels_within(xy, spec, trunc * sigma)):
             assert_same_bytes(new, old)
         with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-            for core, args in ((_soft_or, (cfg,)), (_soft_max_height, (positions, cfg))):
-                new, old = core(_Slots(xy, spec, cfg, ws), *args), core(_Slots(xy, spec, cfg), *args)
+            for core, points in ((_soft_or, xy), (_soft_max_height, positions)):
+                new, old = core(points, spec, cfg, ws), core(points, spec, cfg)
                 assert_same_bytes(new[0], old[0])
                 assert_same_bytes(new[1](d_flat), old[1](d_flat))
             raster = lambda: Grid(spec, (rng.random((spec.height, spec.width)) > 0.5).astype(float))

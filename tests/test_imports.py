@@ -34,8 +34,8 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["math (line 1)", "Rng (line 3)"]
 
 
-# (importer, module, name): losses runs diffrender's two cores on its slot lists
-PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_Slots", "_soft_or", "_soft_max_height")}
+# (importer, module, name): losses scores diffrender's two cores
+PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height")}
 
 
 def private_imports(importer: str, source: str) -> set[tuple[str, str, str]]:

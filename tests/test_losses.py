@@ -196,10 +196,10 @@ class TestCombinedLoss:
         )
         assert list(br) == ["sil", "shadow", "dsm"]  # the silhouette pass precedes the shadow
 
-    @pytest.mark.parametrize("lams, builds", [((0, 1, 0.5, 1), 2), ((0, 1, 0, 1), 1),
+    @pytest.mark.parametrize("lams, builds", [((0, 1, 0.5, 1), 3), ((0, 1, 0, 1), 2),
                                               ((0, 1, 0.5, 0), 2), ((1, 0, 0, 0), 0)])
-    def test_one_slot_list_per_point_set(self, monkeypatch, lams, builds):
-        """The silhouette and the DSM share the cloud's slot list; the shadow builds its own."""
+    def test_one_slot_list_per_raster_term(self, monkeypatch, lams, builds):
+        """Each raster term with a positive weight builds its own slot list; Chamfer builds none."""
         calls = []
         build = diffrender.pixels_within
         monkeypatch.setattr(diffrender, "pixels_within", lambda *a: calls.append(a) or build(*a))
@@ -308,7 +308,7 @@ def loss_inputs(draw, on):
 @pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_sharing_a_slot_list_keeps_every_byte(on, data):
+def test_combined_loss_gives_the_bytes_of_independent_passes(on, data):
     """combined_loss against the loss with three independent passes (tests/oracles.py)."""
     c, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
     try:

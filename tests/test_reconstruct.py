@@ -1,4 +1,5 @@
 import importlib
+import re
 from functools import cache
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import surface_points_loop
 from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, Rng, RgbGrid
-from treerecon.errors import EmptyFootprint, MissingTarget, SpecMismatch
+from treerecon.errors import EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
@@ -173,6 +174,13 @@ class TestReconstruct:
             write_ply(res.cloud, path)
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("shape", [(6, 2), (12,), (2, 4, 3), (3, 4), (0,)])
+    def test_init_positions_of_another_shape_than_n_by_3_raise(self, shape):
+        """A (6, 2) array once became 4 points without a word."""
+        ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
+        with pytest.raises(InvalidConfig, match=re.escape(f"must have shape (N, 3), not {shape}")):
+            reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=1), init_positions=np.ones(shape))
 
     def test_z_stays_nonnegative(self):
         scene = generate_scene(8)

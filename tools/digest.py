@@ -18,7 +18,8 @@ whose bytes changed. The artefacts:
   the first small-grid scene through each way of naming its inputs:
   `--ortho --dsm`; `--ortho --dsm --shadow --sun-az --sun-el`; `--manifest`
   on a copy of the scene without `shadow.pfm`; `--manifest --sun-az 200
-  --sun-el 40`
+  --sun-el 40`; and, with the soft-DSM term on, `--manifest --lambda-dsm 1`
+  with and without `--gt`
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
@@ -106,6 +107,9 @@ def digests(tmp: Path):
                                          "--sun-az", "135", "--sun-el", "70"],
         "manifest_without_shadow": ["--manifest", str(no_shadow / "manifest.json")],
         "manifest+sun": ["--manifest", str(small / "manifest.json"), "--sun-az", "200", "--sun-el", "40"],
+        "manifest+lambda_dsm": ["--manifest", str(small / "manifest.json"), "--lambda-dsm", "1"],
+        "manifest+lambda_dsm+gt": ["--manifest", str(small / "manifest.json"), "--lambda-dsm", "1",
+                                   "--gt", str(small / "gt.ply")],
     }
     for name, flags in inputs.items():
         pred = tmp / f"{name}.ply"
