@@ -2,10 +2,11 @@
 
 Each point splats a truncated Gaussian footprint g = exp(-d^2 / 2 sigma^2)
 onto nearby pixel centers (zero beyond trunc*sigma). A pass first builds a
-compacted slot list: one row (point, flat pixel, dx, dy, g) per pixel that
-is on the grid and within the cutoff, ordered by point, then row, then
-column; the pairs come from `sensor.pixels_within`, the enumerator the hard
-sensor splats through, and only g is added here. Two cores compose the
+compacted slot list of seven rows: (point, flat pixel, c, r, g) per pixel on
+the grid and within the cutoff, in point, row, column order, c and r locating
+the slot's offsets in its point's window, and two spares; the pairs come from
+`sensor.pixels_within`, the enumerator the hard sensor splats through, and
+only g is added here. Two cores compose the
 slots into pixels, each returning the predicted flat raster and its
 vector-Jacobian product (VJP):
 
@@ -67,7 +68,7 @@ class _Slots:
     Holds only slots on the grid and within trunc*sigma, ordered by point,
     then pixel row, then pixel column. The Gaussian is separable: exp runs
     once per (point, column) and once per (point, row), and g is the product.
-    Its arrays, and the two slot-sized `spare`s the cores work in, are in `ws`.
+    Its offsets are dx.ravel()[c] and dy.ravel()[r]; its seven rows are in `ws`.
 
     xy is (N, 2), or a (B, N, 2) stack of B copies of a point set. A stack's
     points are numbered copy by copy, and copy k's flat pixels are offset by
@@ -80,16 +81,15 @@ class _Slots:
         points = xy.reshape(-1, 2)
         self.n, self.n_pixels, self.sigma = len(points), copies * spec.n_pixels, cfg.sigma
         self.ws = Workspace() if ws is None else ws
-        self.point, self.flat, c, r, dx, dy = pixels_within(points, spec, cfg.trunc * cfg.sigma, self.ws)
+        self.point, self.flat, self.c, self.r, self.dx, self.dy = pixels_within(
+            points, spec, cfg.trunc * cfg.sigma, self.ws)
         if copies > 1:
             self.flat += np.repeat(np.arange(copies) * spec.n_pixels, xy.shape[1]).take(self.point)
-        self.g, self.dx, self.dy, *self.spare = self.ws.get("floats", (5, len(c)))
+        self.g, *self.spare = self.ws.get("floats", (3, len(self.c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
-            np.exp(k * dx**2).ravel().take(c, out=self.g, mode="clip")
-            self.g *= np.exp(k * dy**2).ravel().take(r, out=self.spare[0], mode="clip")
-        dx.ravel().take(c, out=self.dx, mode="clip")  # point minus pixel center
-        dy.ravel().take(r, out=self.dy, mode="clip")
+            np.exp(k * self.dx**2).ravel().take(self.c, out=self.g, mode="clip")
+            self.g *= np.exp(k * self.dy**2).ravel().take(self.r, out=self.spare[0], mode="clip")
 
     def check_current(self, pass_no: int):
         """Let the VJP of core pass `pass_no` on this list run once, and before the next pass."""
@@ -109,10 +109,11 @@ class _Slots:
 
     def xy_grad(self, dL_dlog_g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(N, 2) gradient from per-slot g * dL/dg, with the products in slot-sized `out`;
-        d(log g)/dxy = -(xy - c) / sigma^2."""
+        d(log g)/dxy = -(xy - pixel center) / sigma^2."""
         scale = np.divide(dL_dlog_g, self.sigma**2, out=dL_dlog_g)
-        gx = self.to_points(np.multiply(scale, self.dx, out=out))
-        return -np.stack([gx, self.to_points(np.multiply(scale, self.dy, out=out))], axis=1)
+        gx = self.to_points(np.multiply(self.dx.ravel().take(self.c, out=out, mode="clip"), scale, out=out))
+        gy = self.to_points(np.multiply(self.dy.ravel().take(self.r, out=out, mode="clip"), scale, out=out))
+        return -np.stack([gx, gy], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
         dH_dw -= h.take(s.flat, out=tmp, mode="clip")
         dH_dw *= inv_denom.take(s.flat, out=tmp, mode="clip")
         np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), dH_dw, out=tmp)
-        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), s.dx)
+        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), s.ws.get("dsm", tmp.shape))  # all 3 rows are taken
         dH_dw *= cfg.beta
         dH_dw *= w
         gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array

@@ -8,13 +8,16 @@ silhouette target.
 
 The raster terms are scored passes: each runs a `diffrender` core, scores
 it with `raster_l2` and feeds that pixel gradient to the core's VJP.
-`combined_loss` looks each name up in this module's globals, so a wrapper
-set on one here is honoured. `combined_loss_stack` scores a (B, N, 3) stack
-of clouds value-only, each copy with `combined_loss`'s bytes.
+`combined_loss` looks each name up in this module's globals, so a wrapper set
+on one here is honoured, and calls them on its own thread in the serial order
+even when a run's pool computes the shadow pass. `combined_loss_stack` scores
+a (B, N, 3) stack of clouds value-only, each copy with `combined_loss`'s bytes.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ from .diffrender import (
     SoftConfig, _soft_max_height, _soft_or, soft_dsm_stack, soft_shadow_stack, soft_silhouette_stack,
 )
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
+from . import sensor
 from .sensor import Workspace, project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
@@ -89,8 +93,8 @@ def raster_l2(pred: Grid, target: Grid) -> tuple[float, Grid]:
     if pred.spec != target.spec:
         raise SpecMismatch("raster_l2 requires matching grid specs")
     diff = pred.values - target.values
-    n = pred.spec.n_pixels
-    return float((diff**2).mean()), Grid(pred.spec, 2.0 * diff / n)
+    value = float((diff**2).mean())
+    return value, Grid(pred.spec, np.divide(np.multiply(diff, 2.0, out=diff), pred.spec.n_pixels, out=diff))
 
 
 def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
@@ -101,10 +105,12 @@ def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
 
 
 def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None,
+    ahead: Future | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient)."""
-    return _scored(_soft_or(xy, spec, cfg, ws), spec, target)
+    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient);
+    given `ahead`, the same pass already run on another thread, its result."""
+    return _scored(_soft_or(xy, spec, cfg, ws), spec, target) if ahead is None else ahead.result()
 
 
 def dsm_forward_backward(
@@ -151,41 +157,45 @@ def resolve_weights(
 
 
 def combined_loss(
-    cloud: PointCloud,
-    targets: LossTargets,
-    sun: SunConfig | None,
-    spec: GridSpec,
-    soft_cfg: SoftConfig,
-    weights: LossWeights,
-    ws: Workspace | None = None,
+    cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
+    weights: LossWeights, ws: Workspace | None = None, pool: tuple[Executor, Workspace] | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    Each term with a positive weight runs one pass, in TERMS order, and adds
-    its weighted value and gradient; the passes share `ws` (fresh ones when None).
+    Each term with a positive weight runs one pass on `ws` (fresh ones when None) and adds
+    its weighted value and gradient in TERMS order. With a `pool` (executor, workspace) and both
+    occupancy terms on, the shadow pass runs there under this thread's numpy error state.
     """
     targets.require(weights, sun, spec)
-    total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
-    for term in TERMS:
-        lam = weights.of(term)
-        if lam <= 0:
-            continue
-        if term == "geo":
-            value, g = chamfer(cloud, targets.gt_cloud)
-        elif term == "sil":
-            value, gxy = occupancy_forward_backward(cloud.positions[:, :2], spec, soft_cfg, targets.silhouette, ws)
-            g = np.column_stack([gxy, np.zeros(len(cloud))])
-        elif term == "shadow":
-            ground, jac = project_to_ground(cloud, sun)
-            value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ws)
-            g = gxy @ jac
-        else:
-            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws)
-        breakdown[term] = value
-        total += lam * value
-        grad += lam * g
+    total, grad, breakdown, ahead = 0.0, np.zeros((len(cloud), 3)), {}, None
+    if pool is not None and weights.lambda_sil > 0 and weights.lambda_shadow > 0:
+        ahead_xy = sensor.project_to_ground(cloud, sun)[0]  # the pool calls none of this module's names
+        ahead = pool[0].submit(contextvars.copy_context().run, lambda: _scored(
+            _soft_or(ahead_xy, spec, soft_cfg, pool[1]), spec, targets.shadow))
+    try:
+        for term in TERMS:
+            lam = weights.of(term)
+            if lam <= 0:
+                continue
+            if term == "geo":
+                value, g = chamfer(cloud, targets.gt_cloud)
+            elif term == "sil":
+                xy = cloud.positions[:, :2]
+                value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette, ws)
+                g = np.column_stack([gxy, np.zeros(len(cloud))])
+            elif term == "shadow":
+                ground, jac = project_to_ground(cloud, sun)
+                value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ws, ahead)
+                g = gxy @ jac
+            else:
+                value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws)
+            breakdown[term] = value
+            total += lam * value
+            grad += lam * g
+    finally:
+        wait([ahead] if ahead else [])
     return total, grad, breakdown
 
 

@@ -6,14 +6,18 @@ Colors are not optimized; they are assigned from the orthophoto.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
 from .diffrender import SoftConfig
-from .errors import Diverged, EmptyFootprint, InvalidConfig, SpecMismatch
+from .errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
 from .sensor import H_MIN, Workspace
 
@@ -173,6 +177,20 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _shadow_pool() -> ThreadPoolExecutor | None:
+    """A one-worker pool whose thread starts off the caller's CPU (a scheduler that does not
+    balance load leaves it there), or None: in a `--jobs` worker process (its siblings fill
+    the cores), on one CPU, or off Linux."""
+    try:
+        allowed = set() if multiprocessing.parent_process() else os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat") as f:  # field 39: the CPU this thread runs on
+            others = allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
+    except (OSError, AttributeError):
+        return None
+    start = lambda: [os.sched_setaffinity(0, cpus) for cpus in (others, allowed)]  # moved off, then free
+    return ThreadPoolExecutor(1, initializer=start) if others else None
+
+
 def reconstruct(
     ortho: RgbGrid,
     dsm: Grid,
@@ -205,42 +223,46 @@ def reconstruct(
         positions = np.array(init_positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise InvalidConfig(f"init_positions must have shape (N, 3), not {positions.shape}")
+        if len(positions) == 0:
+            raise EmptyCloud("init_positions holds no points")
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-    ws = Workspace()
+    with (executor := _shadow_pool()) or contextlib.nullcontext():
+        ws, pool = Workspace(), None if executor is None else (executor, Workspace())
 
-    def loss_at(t, pos):
-        if not np.all(np.abs(pos) <= _F32_MAX):
-            raise Diverged(f"iteration {t}: a point position is not finite in float32")
-        # an overflow in the loss (a point too high for the soft DSM's
-        # exp(beta z), say) either meets no pixel or makes the loss non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w, ws)
-        if not math.isfinite(value):
-            raise Diverged(f"iteration {t}: the loss is {value}")
-        if np.any(np.abs(grad) > _GRAD_MAX):
-            raise Diverged(f"iteration {t}: a gradient component is too large for Adam to square")
-        return value, grad, breakdown
+        def loss_at(t, pos):
+            if not np.all(np.abs(pos) <= _F32_MAX):
+                raise Diverged(f"iteration {t}: a point position is not finite in float32")
+            # an overflow in the loss (a point too high for the soft DSM's
+            # exp(beta z), say) either meets no pixel or makes the loss non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w,
+                                                       ws, pool)
+            if not math.isfinite(value):
+                raise Diverged(f"iteration {t}: the loss is {value}")
+            if np.any(np.abs(grad) > _GRAD_MAX):
+                raise Diverged(f"iteration {t}: a gradient component is too large for Adam to square")
+            return value, grad, breakdown
 
-    history: list[tuple[int, float, dict[str, float]]] = []
-    value, grad, breakdown = loss_at(0, positions)
-    history.append((0, value, breakdown))
-    losses = [value]
+        history: list[tuple[int, float, dict[str, float]]] = []
+        value, grad, breakdown = loss_at(0, positions)
+        history.append((0, value, breakdown))
+        losses = [value]
 
-    state = AdamState.zeros(positions.shape)
-    stop, t = "iters", 0
-    for t in range(1, cfg.iters + 1):
-        positions = adam_step(state, positions, grad, cfg.lr)
-        positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-        value, grad, breakdown = loss_at(t, positions)
-        losses.append(value)
-        stalled = _stalled(losses)
-        if stalled or t % cfg.log_every == 0 or t == cfg.iters:
-            history.append((t, value, breakdown))
-        if stalled:
-            stop = "loss"
-            break
+        state = AdamState.zeros(positions.shape)
+        stop, t = "iters", 0
+        for t in range(1, cfg.iters + 1):
+            positions = adam_step(state, positions, grad, cfg.lr)
+            positions[:, 2] = np.maximum(positions[:, 2], 0.0)
+            value, grad, breakdown = loss_at(t, positions)
+            losses.append(value)
+            stalled = _stalled(losses)
+            if stalled or t % cfg.log_every == 0 or t == cfg.iters:
+                history.append((t, value, breakdown))
+            if stalled:
+                stop = "loss"
+                break
 
     cloud = PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
     return ReconResult(cloud=cloud, loss_history=history, stop=stop, stop_iter=t)

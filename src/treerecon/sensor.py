@@ -9,8 +9,8 @@ covers, shared with the soft renderers in `diffrender` and the cutoff test
 in `gradcheck`: one d^2 <= r^2 mask over each point's window of
 2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
 and nothing more, there the same pairs carry a Gaussian weight. The pairs
-live in a `Workspace` the caller owns: passes on it run one after another,
-and a pass's arrays (and a VJP reading them) are valid until the next one.
+live in a `Workspace` the caller owns (one per thread): passes on it run one
+after another, and a pass's arrays (and a VJP reading them) are valid until the next one.
 `project_to_ground` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
@@ -67,7 +67,7 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
     (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
     offsets point minus pixel center along x and y over each point's window,
     and c and r index each pair's column in dx.ravel() and row in dy.ravel().
-    point, flat and r are buffers of `ws` (a fresh workspace when None).
+    point, flat, c and r are rows of `ws` (a fresh one when None); its first float row is scratch.
     """
     if not radius > 0:
         raise InvalidConfig("splat_radius must be positive")
@@ -77,15 +77,21 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
         kx, ky = dx.shape[1], dy.shape[1]
-        # d^2 is spent once the mask is built: it borrows the buffer _Slots takes next
-        d2 = np.add(dx[:, None, :] ** 2, dy[:, :, None] ** 2, out=ws.get("floats", (len(xy), ky, kx)))
-        hit = np.flatnonzero(np.less_equal(d2, radius**2, out=ws.get("mask", d2.shape, bool)))
-    point, flat, r, tmp = ws.get("ints", (4, len(hit)), np.int64)
-    np.floor_divide(np.floor_divide(hit, kx, out=r), ky, out=point)
-    hit -= np.multiply(np.subtract(r, point, out=tmp), kx, out=tmp)  # c = point * kx + hit % kx
-    (rows * spec.width).ravel().take(r, out=flat, mode="clip")
-    flat += cols.ravel().take(hit, out=tmp, mode="clip")
-    return point, flat, hit, r, dx, dy
+        mask = ws.get("mask", (len(xy), ky, kx), bool)
+        for p in range(0, len(xy), 512):  # d^2 of 512 points at a time: no (N, ky, kx) float array
+            b = slice(p, p + 512)
+            np.less_equal(dx[b, None, :] ** 2 + dy[b, :, None] ** 2, radius**2, out=mask[b])
+    point, flat, r, c = ws.get("ints", (4, np.count_nonzero(mask)), np.int64)
+    block, end = 512 * ky * kx, 0  # the hits of 512 points per flatnonzero
+    for start in range(0, mask.size, block):  # c = the flat mask index of each hit, for now
+        chunk = mask.ravel()[start:start + block]
+        np.add(np.flatnonzero(chunk), start, out=c[end:(end := end + np.count_nonzero(chunk))])
+    tmp = ws.get("floats", c.shape).view(np.int64)  # a float row no one reads before _Slots fills it
+    np.floor_divide(np.floor_divide(c, kx, out=r), ky, out=point)
+    c -= np.multiply(np.subtract(r, point, out=tmp), kx, out=tmp)  # c = point * kx + hit % kx
+    np.multiply(rows.ravel().take(r, out=flat, mode="clip"), spec.width, out=flat)
+    flat += cols.ravel().take(c, out=tmp, mode="clip")
+    return point, flat, c, r, dx, dy
 
 
 def render_dsm(cloud: PointCloud, spec: GridSpec, splat_radius: float) -> Grid:

@@ -142,9 +142,9 @@ class TestReconstruct:
         """Input-only runs of both commands resolve the default objective: no geo, no DSM term."""
         seen = []
 
-        def spy(cloud, targets, sun, spec, soft_cfg, weights, ws):
+        def spy(cloud, targets, sun, spec, soft_cfg, weights, *buffers):
             seen.append(weights)
-            return real(cloud, targets, sun, spec, soft_cfg, weights, ws)
+            return real(cloud, targets, sun, spec, soft_cfg, weights, *buffers)
 
         module = importlib.import_module("treerecon.reconstruct")
         real = module.combined_loss

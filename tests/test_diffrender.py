@@ -66,8 +66,8 @@ def assert_slots_match_a_dense_scan(xy, spec, sigma, trunc):
     point, row, col = np.nonzero(d2 <= (trunc * sigma) ** 2)
     assert np.array_equal(s.point, point)
     assert np.array_equal(s.flat, row * spec.width + col)
-    assert np.array_equal(s.dx, dx[point, 0, col])
-    assert np.array_equal(s.dy, dy[point, row, 0])
+    assert np.array_equal(s.dx.ravel()[s.c], dx[point, 0, col])  # each slot's offsets, read
+    assert np.array_equal(s.dy.ravel()[s.r], dy[point, row, 0])  # from its point's window
     arg = d2[point, row, col] / (2.0 * sigma**2)
     g = np.exp(-arg)
     # exp(-a) * exp(-b) vs exp(-(a + b)): a few ulp of the argument apart

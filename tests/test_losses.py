@@ -1,4 +1,9 @@
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -9,10 +14,10 @@ from scipy.spatial import cKDTree
 
 import oracles
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
-from treerecon import diffrender
+from treerecon import diffrender, losses
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
-from treerecon.errors import EmptyCloud, MissingTarget, SpecMismatch
+from treerecon.errors import Diverged, EmptyCloud, MissingTarget, SpecMismatch
 from treerecon.losses import (
     TERMS,
     LossTargets,
@@ -237,6 +242,26 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
     assert peak < 1.5e6
 
 
+def test_a_pool_keeps_the_threaded_hot_loop_allocations_small(executor):
+    """The second combined_loss call with a pool, its silhouette and shadow passes at
+    once on two workspaces, allocates no slot-sized buffers either (as above)."""
+    scene = generate_scene(42, SceneConfig())
+    targets = derive_targets(scene.ortho, scene.dsm, H_MIN)
+    targets.shadow = scene.shadow
+    spec = scene.dsm.spec
+    cloud = init_cloud(scene.dsm, targets.silhouette, scene.ortho, 2000, Rng(0))
+    args = (cloud, targets, scene.sun, spec, SoftConfig(sigma=spec.pixel_size),
+            LossWeights(0.0, 1.0, 0.5, 1.0), Workspace(), (executor, Workspace()))
+    combined_loss(*args)
+    tracemalloc.start()
+    try:
+        combined_loss(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6
+
+
 @st.composite
 def permuted_scenes(draw):
     """(cloud of 1 to 40 points near SPEC, a permutation of them, sun, sigma, target seed)."""
@@ -363,3 +388,161 @@ def test_the_stack_scorer_refuses_an_empty_ground_truth():
     with pytest.raises(EmptyCloud):
         combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=PointCloud(np.zeros((0, 3)))), None,
                             SPEC, SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+
+
+# the shadow pass on a pool: the bytes of one thread, and the caller sees the worker's errors
+
+@pytest.fixture(scope="module")
+def executor():
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
+    """Value, gradient and breakdown with a pool are those of the serial call, for every set
+    of active terms (the pool runs a pass only when the silhouette and the shadow are both on)."""
+    c, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    args = (c, targets, sun, SPEC, cfg, weights)
+    try:
+        expected = combined_loss(*args)
+    except EmptyCloud:  # the geo term of an empty cloud
+        with pytest.raises(EmptyCloud):
+            combined_loss(*args, ws, (executor, Workspace()))
+        return
+    value, grad, breakdown = combined_loss(*args, ws, (executor, Workspace()))
+    assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+    assert grad.dtype == expected[1].dtype and grad.tobytes() == expected[1].tobytes()
+    assert list(breakdown) == list(expected[2])
+    assert all(np.float64(breakdown[k]).tobytes() == np.float64(expected[2][k]).tobytes()
+               for k in breakdown)
+
+
+def pool_call_args(executor):
+    """combined_loss arguments at the default weights, with a pool."""
+    c = random_cloud(5, 40)
+    rng = np.random.default_rng(6)
+    raster = lambda: Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
+    return (c, LossTargets(silhouette=raster(), shadow=raster()), SunConfig(150.0, 50.0), SPEC,
+            SoftConfig(sigma=1.0), LossWeights(lambda_geo=0.0), Workspace(), (executor, Workspace()))
+
+
+def on_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_an_exception_in_the_worker_pass_reaches_the_caller_unchanged(monkeypatch, executor):
+    err, threads = Diverged("raised in the shadow pass"), []
+    real = losses._soft_or
+
+    def soft_or(xy, spec, cfg, ws=None):
+        threads.append(on_worker())
+        if on_worker():
+            raise err
+        return real(xy, spec, cfg, ws)
+
+    monkeypatch.setattr(losses, "_soft_or", soft_or)
+    with pytest.raises(Diverged) as info:
+        combined_loss(*pool_call_args(executor))
+    assert info.value is err
+    assert sorted(threads) == [False, True]
+
+
+def test_the_vjp_guard_raised_in_the_worker_reaches_the_caller(monkeypatch, executor):
+    """A second pass on the worker's workspace before its VJP: the guard's own RuntimeError."""
+    real = losses._soft_or
+
+    def stale(xy, spec, cfg, ws=None):
+        out = real(xy, spec, cfg, ws)
+        if on_worker():
+            real(xy, spec, cfg, ws)
+        return out
+
+    monkeypatch.setattr(losses, "_soft_or", stale)
+    with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
+        combined_loss(*pool_call_args(executor))
+
+
+def test_combined_loss_raises_only_once_the_worker_pass_has_ended(monkeypatch, executor):
+    ended = threading.Event()
+    real = losses._soft_or
+
+    def soft_or(xy, spec, cfg, ws=None):
+        if not on_worker():
+            raise Diverged("the silhouette pass fails while the shadow pass runs")
+        time.sleep(0.2)
+        out = real(xy, spec, cfg, ws)
+        ended.set()
+        return out
+
+    monkeypatch.setattr(losses, "_soft_or", soft_or)
+    with pytest.raises(Diverged, match="while the shadow pass runs"):
+        combined_loss(*pool_call_args(executor))
+    assert ended.is_set()
+
+
+def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, executor):
+    """An overflow in the worker's pass is silent under the caller's np.errstate, and
+    without it numpy warns (here as an error, which reaches the caller)."""
+    threads = []
+    real = losses._soft_or
+
+    def overflowing(xy, spec, cfg, ws=None):
+        threads.append(on_worker())
+        if on_worker():
+            np.float64(1e308) * np.array([10.0])
+        return real(xy, spec, cfg, ws)
+
+    monkeypatch.setattr(losses, "_soft_or", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            combined_loss(*pool_call_args(executor))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            combined_loss(*pool_call_args(executor))
+    assert sorted(threads) == [False, False, True, True]
+
+
+def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor):
+    """With a pool, the wrappable names of `losses` are still called on the caller's thread, in
+    the serial order, so a wrapper that keeps one call stack for all threads stays right."""
+    calls = []
+    for name in ("occupancy_forward_backward", "project_to_ground"):
+        real = getattr(losses, name)
+        monkeypatch.setattr(losses, name, lambda *a, _n=name, _f=real: calls.append((_n, on_worker())) or _f(*a))
+    serial = combined_loss(*pool_call_args(executor)[:7])
+    assert calls == [("occupancy_forward_backward", False), ("project_to_ground", False),
+                     ("occupancy_forward_backward", False)]
+    calls.clear()
+    value, grad, _ = combined_loss(*pool_call_args(executor))
+    assert calls == [("occupancy_forward_backward", False), ("project_to_ground", False),
+                     ("occupancy_forward_backward", False)]
+    assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
+
+
+def test_concurrent_runs_with_their_own_pools_keep_every_byte():
+    """Three callers, each with its own workspace and pool (six threads on fewer cores), under a
+    short switch interval: every call gives the serial bytes, as no state is shared. (Workspaces
+    shared between the callers failed this in most runs.)"""
+    args = (random_cloud(7, 400),) + pool_call_args(None)[1:6]
+    expected = combined_loss(*args)
+
+    def run(_):
+        with ThreadPoolExecutor(1) as own:
+            ws, pool = Workspace(), (own, Workspace())
+            return [combined_loss(*args, ws, pool) for _ in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as callers:
+            results = [r for f in [callers.submit(run, i) for i in range(3)] for r in f.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 120
+    for value, grad, breakdown in results:
+        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+        assert grad.tobytes() == expected[1].tobytes()
+        assert breakdown == expected[2]

@@ -1,5 +1,7 @@
 import importlib
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import cache
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import surface_points_loop
 from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, Rng, RgbGrid
-from treerecon.errors import EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
+from treerecon.errors import EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
@@ -181,6 +183,12 @@ class TestReconstruct:
         ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
         with pytest.raises(InvalidConfig, match=re.escape(f"must have shape (N, 3), not {shape}")):
             reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=1), init_positions=np.ones(shape))
+
+    def test_an_empty_start_raises_empty_cloud(self):
+        """An empty init_positions once ran the whole optimisation and returned an empty cloud."""
+        ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
+        with pytest.raises(EmptyCloud, match="init_positions holds no points"):
+            reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=5), init_positions=np.zeros((0, 3)))
 
     def test_z_stays_nonnegative(self):
         scene = generate_scene(8)
@@ -383,3 +391,63 @@ def test_explicit_weights_still_need_their_targets(generated):
     with pytest.raises(MissingTarget, match="lambda_shadow > 0 requires a shadow target"):
         reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=60, iters=3,
                                                            weights=LossWeights(lambda_geo=0.0)))
+
+
+def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
+    """PLY and history bytes of one reconstruct with its shadow pass on a pool or not, and
+    whether each loss call got a pool."""
+    scene = small_scene(seed)
+    weights, geo = PRESETS[preset]
+    pools = []
+
+    def spy(*args):
+        pools.append(args[7] is not None)
+        return loss(*args)
+
+    loss = reconstruct_module.combined_loss
+    with mock.patch.object(reconstruct_module, "combined_loss", spy), \
+            mock.patch.object(reconstruct_module, "_shadow_pool",
+                              (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None)):
+        res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                          gt_cloud=scene.cloud if geo else None,
+                          cfg=OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, seed=seed))
+    write_ply(res.cloud, tmp / "r.ply")
+    _write_history(tmp / "r.history.csv", res.loss_history)
+    return (tmp / "r.ply").read_bytes(), (tmp / "r.history.csv").read_bytes(), set(pools)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(iters=st.integers(0, 40), **run_args)
+def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters, seed, preset, n_points, lr):
+    tmp = tmp_path_factory.mktemp("threads")
+    (tmp / "serial").mkdir()
+    (tmp / "threaded").mkdir()
+    *serial, serial_pools = run_bytes(tmp / "serial", seed, preset, n_points, lr, iters, False)
+    *threaded, threaded_pools = run_bytes(tmp / "threaded", seed, preset, n_points, lr, iters, True)
+    assert serial == threaded
+    assert serial_pools == {False} and threaded_pools == {True}
+
+
+def current_cpu() -> int:
+    with open("/proc/thread-self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def shadow_pool_in_a_worker_process() -> bool:
+    return reconstruct_module._shadow_pool() is None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU, or no Linux affinity calls: the run keeps one thread")
+def test_the_shadow_worker_starts_on_another_cpu_and_may_then_run_on_any():
+    caller = current_cpu()
+    with reconstruct_module._shadow_pool() as pool:
+        assert pool.submit(current_cpu).result(timeout=60) != caller
+        assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == os.sched_getaffinity(0)
+
+
+def test_a_jobs_worker_process_keeps_its_passes_on_one_thread():
+    with ProcessPoolExecutor(1) as workers:
+        assert workers.submit(shadow_pool_in_a_worker_process).result(timeout=120)
+    with mock.patch.object(reconstruct_module.multiprocessing, "parent_process", lambda: object()):
+        assert reconstruct_module._shadow_pool() is None

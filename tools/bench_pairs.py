@@ -1,31 +1,46 @@
-"""Run alternating parent/change pairs of one benchmark workload and compare them.
+"""Run alternating parent/change pairs of one benchmark workload, or of one default
+`treerecon reconstruct`, and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--out BENCH_n.json]
+    python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST --pairs N [--out BENCH_n.json]
 
-PARENT and CHANGE are two source checkouts. Pair i runs each checkout's own
-`perfbench/run.py --workload W --seed S+i --seconds T` in a fresh process,
-the parent first when i is even and the change first when i is odd; T is
-the `run_seconds` of CHANGE's BENCHMARK.json (25). Each run prints one JSON
-line, with the run's CPU seconds (user + sys of the child process) as
-`cpu_s`. Then, for each of that file's end-to-end metrics, one line gives both
-medians, the parent's interquartile distance and the number of pairs the
-change won (ties count for neither), and a last line gives each side's
-median CPU seconds.
+PARENT and CHANGE are two source checkouts. Pair i runs each checkout once
+in a fresh process, the parent first when i is even and the change first
+when i is odd.
 
-`--out` writes the same summary into a JSON file under `workloads.W`,
-keeping what the file already holds for other workloads.
+With `--workload`, a run is the checkout's own `perfbench/run.py --workload W
+--seed S+i --seconds T`; T is the `run_seconds` of CHANGE's BENCHMARK.json
+(25). Each run prints one JSON line, with the run's CPU seconds (user + sys
+of the child process) as `cpu_s`. Then, for each of that file's end-to-end
+metrics, one line gives both medians, the parent's interquartile distance
+and the number of pairs the change won (ties count for neither), and a last
+line gives each side's median CPU seconds.
+
+With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
+--manifest MANIFEST` at its defaults, on the checkout's `src/`. Each run
+records its wall, user and sys seconds and the SHA-256 of the PLY it wrote;
+the summary compares wall, user, sys and CPU (user + sys) seconds as above
+and says whether every run wrote the same PLY bytes.
+
+`--out` writes the same summary into a JSON file under `workloads.W` (or
+`reconstruct`), keeping what the file already holds for the others.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RECONSTRUCT_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -40,6 +55,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {**json.loads(proc.stdout.strip().splitlines()[-1]), "cpu_s": cpu_s}
+
+
+def reconstruct_once(checkout: Path, manifest: Path, out: Path) -> dict:
+    """Wall, user and sys seconds of one default `reconstruct --manifest` in a fresh process,
+    and the SHA-256 of the PLY it wrote to `out`; a failed run stops the script."""
+    argv = [sys.executable, "-m", "treerecon.cli", "reconstruct", "--manifest", str(manifest), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
+    user, system = after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime
+    return {"wall_s": wall, "user_s": user, "sys_s": system, "cpu_s": user + system,
+            "ply_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -65,7 +97,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "ties": sum(c == p for p, c in zip(parent, change)),
         "worse_by": worse_by,
-        "within_bound": worse_by <= metric["bound"],
+        "within_bound": None if metric["bound"] is None else worse_by <= metric["bound"],
         "parent_runs": parent,
         "change_runs": change,
     }
@@ -75,48 +107,72 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--reconstruct", type=Path, metavar="MANIFEST")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if (args.seed is None) == (args.workload is not None):
+        parser.error("--seed goes with --workload, and only with it")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
-    seeds = [args.seed + i for i in range(args.pairs)]
-    runs = {side: [] for side in SIDES}
-    for i, seed in enumerate(seeds):
-        for order, side in enumerate(SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run_once(checkouts[side], args.workload, seed, benchmark["run_seconds"])
-            runs[side].append(result)
-            print(json.dumps({"workload": args.workload, "pair": i, "seed": seed, "side": side,
-                              "order": order, **result}), flush=True)
 
-    summary = {
-        "seeds": seeds,
-        "pairs": args.pairs,
-        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-        "cpu_s": {side: {"median": statistics.median(r["cpu_s"] for r in runs[side]),
-                         "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES},
-        "metrics": {
-            m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES))
-            for m in benchmark["end_to_end"]
-        },
-    }
-    for name, m in summary["metrics"].items():
-        print(f"{args.workload} {name}: parent median {m['parent']['median']:.6g} "
+    if args.workload:
+        name, metrics = args.workload, benchmark["end_to_end"]
+        run = lambda side, i, tmp: run_once(checkouts[side], args.workload, args.seed + i, benchmark["run_seconds"])
+        value = lambda result, metric: result["metrics"][metric]["value"]
+        label = lambda i: {"workload": name, "pair": i, "seed": args.seed + i}
+    else:
+        name = "reconstruct"
+        wall_bound = next(m["bound"] for m in benchmark["end_to_end"] if m["name"] == "wall_s")
+        metrics = [{"name": t, "unit": "s", "better": "lower", "bound": wall_bound if t == "wall_s" else None}
+                   for t in RECONSTRUCT_TIMES]
+        run = lambda side, i, tmp: reconstruct_once(checkouts[side], args.reconstruct.resolve(), Path(tmp) / "r.ply")
+        value = lambda result, metric: result[metric]
+        label = lambda i: {"reconstruct": str(args.reconstruct), "pair": i}
+
+    runs = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        for i in range(args.pairs):
+            for order, side in enumerate(SIDES if i % 2 == 0 else SIDES[::-1]):
+                result = run(side, i, tmp)
+                runs[side].append(result)
+                print(json.dumps({**label(i), "side": side, "order": order, **result}), flush=True)
+
+    summary = {"pairs": args.pairs}
+    if args.workload:
+        summary["seeds"] = [args.seed + i for i in range(args.pairs)]
+        summary["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+        summary["cpu_s"] = {side: {"median": statistics.median(r["cpu_s"] for r in runs[side]),
+                                   "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES}
+    else:
+        summary["manifest"] = str(args.reconstruct)
+        summary["same_bytes"] = len({r["ply_sha256"] for side in SIDES for r in runs[side]}) == 1
+    summary["metrics"] = {m["name"]: compare(m, *([value(r, m["name"]) for r in runs[side]] for side in SIDES))
+                          for m in metrics}
+    for metric, m in summary["metrics"].items():
+        bound = "" if m["bound"] is None else f" (bound {m['bound']})"
+        print(f"{name} {metric}: parent median {m['parent']['median']:.6g} "
               f"change median {m['change']['median']:.6g} {m['unit']}, parent IQR {m['parent_iqr']:.4g}, "
               f"change won {m['change_wins']} of {args.pairs} pairs ({m['ties']} ties), "
-              f"worse by {m['worse_by']:+.4f} (bound {m['bound']})")
-    cpu = summary["cpu_s"]
-    print(f"{args.workload} cpu_s: parent median {cpu['parent']['median']:.6g} "
-          f"change median {cpu['change']['median']:.6g} s (child user + sys per run)")
+              f"worse by {m['worse_by']:+.4f}{bound}")
+    if args.workload:
+        cpu = summary["cpu_s"]
+        print(f"{name} cpu_s: parent median {cpu['parent']['median']:.6g} "
+              f"change median {cpu['change']['median']:.6g} s (child user + sys per run)")
+    else:
+        print(f"{name}: every run wrote the same PLY bytes: {summary['same_bytes']}")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc.setdefault("workloads", {})[args.workload] = summary
+        if args.workload:
+            doc.setdefault("workloads", {})[name] = summary
+        else:
+            doc[name] = summary
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
