@@ -114,6 +114,9 @@ def _write_history(path, history):
 
 
 def cmd_reconstruct(args) -> int:
+    out = Path(args.out)
+    if not out.parent.is_dir():  # found before any input is read, not after the run
+        raise FileNotFoundError(f"no such output directory: {out.parent}")
     ortho, dsm, shadow, sun = _load_inputs(args)
     gt = read_ply(args.gt) if args.gt else None
     weights = resolve_weights(gt, shadow, **{f"lambda_{t}": getattr(args, f"lambda_{t}") for t in TERMS})
@@ -129,7 +132,6 @@ def cmd_reconstruct(args) -> int:
     result = reconstruct(
         ortho, dsm, sun=sun, shadow_target=shadow, gt_cloud=gt, cfg=cfg
     )
-    out = Path(args.out)
     write_ply(result.cloud, out)
     _write_history(out.with_suffix(".history.csv"), result.loss_history)
     _, total0, _ = result.loss_history[0]
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
     except (TreeReconError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", MalformedFile.exit_code)  # a bare OSError is an I/O failure
+    except MemoryError as e:  # a run too large for this machine, such as a huge --points
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return TreeReconError.exit_code
 
 
 if __name__ == "__main__":

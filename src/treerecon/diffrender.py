@@ -17,16 +17,16 @@ Pixel sums and per-point gradient sums are bincounts over the slot list.
 Each core takes points and builds the list of its own pass in buffers of a
 `sensor.Workspace` the caller owns, which passes share one after another.
 A VJP works in the buffers, so it runs once, and before the next pass on
-that workspace (otherwise it raises). The public renderers are thin
-adapters over the cores; the loss's scored passes live in `losses`. A list
-can hold a (B, N) stack of copies of a cloud, copy k's pixels offset by
-k * n_pixels, so each copy's raster has the bytes of its own render: the
-forward renderers `soft_*_stack` render a stack in one pass (as
-`gradcheck` does with its perturbed copies), and `soft_silhouette`,
-`soft_dsm` and `soft_shadow` are their one-copy case. The shadow renderer
-first slides each point along the sun ray to the ground plane
-(`sensor.project_to_ground`); its z gradient flows through that
-projection's constant Jacobian.
+that workspace (otherwise it raises). `_pass` is each raster kind once: its
+core (the soft or for "sil" and "shadow", the soft-max height for "dsm") and
+the chain rule back to an (x, y, z) row per point: zero z for the silhouette;
+the shadow slides each point along the sun ray to the ground plane
+(`sensor.project_to_ground`) and chains through that projection's constant
+Jacobian. A list can hold a (B, N) stack of copies of a cloud, copy k's pixels
+offset by k * n_pixels, so each copy's raster has the bytes of its own render.
+`soft_stack` renders a stack in one pass (as `gradcheck` does its perturbed
+copies); the public one-cloud renderers are its one-copy case and `_pass`'s
+VJPs. The loss's scored passes live in `losses`.
 """
 from __future__ import annotations
 
@@ -174,78 +174,66 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
 
 
 # ---------------------------------------------------------------------------
-# public renderers: adapters over the two cores. A forward renderer takes a
-# (B, N, 3) stack of clouds and renders them through one slot list; the
-# one-cloud renderers are its one-copy case.
+# one pass per raster kind, and the public renderers as views of it
 
 
-def soft_silhouette_stack(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
-) -> np.ndarray:
-    """(B, H, W) soft occupancy maps in [0, 1) of a (B, N, 3) stack of clouds."""
-    return _soft_or(positions[..., :2], spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
+def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig, ws=None):
+    """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
+    or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
+    returning an (x, y, z) row per point)."""
+    if kind == "dsm":
+        pred, vjp = _soft_max_height(positions, spec, cfg, ws)
+        chain = lambda g: g
+    elif kind == "sil":
+        pred, vjp = _soft_or(positions[..., :2], spec, cfg, ws)
+        chain = lambda gxy: np.column_stack([gxy, np.zeros(len(gxy))])  # the silhouette ignores z
+    elif kind == "shadow":
+        xy, jac = project_to_ground(PointCloud(positions), sun)
+        pred, vjp = _soft_or(xy.reshape(*positions.shape[:-1], 2), spec, cfg, ws)
+        chain = lambda gxy: gxy @ jac
+    else:
+        raise InvalidConfig(f"unknown raster kind {kind!r}; expected sil, shadow or dsm")
+
+    def xyz_vjp(d_pixels: Grid) -> np.ndarray:
+        if d_pixels.spec != spec:
+            raise SpecMismatch("pixel gradient grid spec does not match render spec")
+        return chain(vjp(d_pixels.values.reshape(-1)))
+
+    return pred, xyz_vjp
 
 
-def soft_dsm_stack(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
-) -> np.ndarray:
-    """(B, H, W) soft DSMs of a (B, N, 3) stack of clouds."""
-    return _soft_max_height(positions, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
-
-
-def soft_shadow_stack(
-    positions: np.ndarray, sun: SunConfig, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None
-) -> np.ndarray:
-    """(B, H, W) soft shadow masks of a (B, N, 3) stack of clouds."""
-    ground = project_to_ground(PointCloud(positions), sun)[0].reshape(*positions.shape[:-1], 2)
-    return _soft_or(ground, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
-
-
-def _flat(d_pixels: Grid, spec: GridSpec) -> np.ndarray:
-    if d_pixels.spec != spec:
-        raise SpecMismatch("pixel gradient grid spec does not match render spec")
-    return d_pixels.values.reshape(-1)
+def soft_stack(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig,
+               ws: Workspace | None = None) -> np.ndarray:
+    """(B, H, W) soft rasters of kind "sil", "shadow" or "dsm" of a (B, N, 3) stack of clouds."""
+    return _pass(kind, positions, sun, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
 
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    return Grid(spec, soft_silhouette_stack(cloud.positions[None], spec, cfg)[0])
+    return Grid(spec, soft_stack("sil", cloud.positions[None], None, spec, cfg)[0])
 
 
-def soft_silhouette_backward(
-    cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> np.ndarray:
+def soft_silhouette_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid) -> np.ndarray:
     """Backprop pixel gradients to (N, 3) point gradients; the z gradient is zero."""
-    gxy = _soft_or(cloud.positions[:, :2], spec, cfg)[1](_flat(d_pixels, spec))
-    return np.column_stack([gxy, np.zeros(len(cloud))])
+    return _pass("sil", cloud.positions, None, spec, cfg)[1](d_pixels)
 
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    return Grid(spec, soft_dsm_stack(cloud.positions[None], spec, cfg)[0])
+    return Grid(spec, soft_stack("dsm", cloud.positions[None], None, spec, cfg)[0])
 
 
-def soft_dsm_backward(
-    cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> np.ndarray:
+def soft_dsm_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid) -> np.ndarray:
     """Quotient-rule (N, 3) gradients of the soft DSM in x, y, and z."""
-    return _soft_max_height(cloud.positions, spec, cfg)[1](_flat(d_pixels, spec))
+    return _pass("dsm", cloud.positions, None, spec, cfg)[1](d_pixels)
 
 
-# ---------------------------------------------------------------------------
-# shadow = soft-or occupancy of ground-projected points
-
-
-def soft_shadow(
-    cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig
-) -> Grid:
+def soft_shadow(cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    return Grid(spec, soft_shadow_stack(cloud.positions[None], sun, spec, cfg)[0])
+    return Grid(spec, soft_stack("shadow", cloud.positions[None], sun, spec, cfg)[0])
 
 
-def soft_shadow_backward(
-    cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid
-) -> np.ndarray:
+def soft_shadow_backward(cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig,
+                         d_pixels: Grid) -> np.ndarray:
     """Soft-or backward chained through the ground projection Jacobian."""
-    xy, jac = project_to_ground(cloud, sun)
-    return _soft_or(xy, spec, cfg)[1](_flat(d_pixels, spec)) @ jac
+    return _pass("shadow", cloud.positions, sun, spec, cfg)[1](d_pixels)

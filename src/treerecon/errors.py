@@ -3,8 +3,8 @@
 Codes: 2 I/O failure or malformed file (a bare `OSError` shares `MalformedFile`'s
 code; a negative manifest seed too), 3 empty or degenerate input, 4 input mismatch
 (specs, missing targets), 5 the rest: invalid configuration (NaN and infinities
-included), diverged optimisation, internal check failure. Besides 0 (success), no
-other module writes an exit code.
+included), diverged optimisation, internal check failure, a `MemoryError` (a run too
+large for the machine). Besides 0 (success), no other module writes an exit code.
 """
 
 

@@ -10,7 +10,7 @@ same exclusion a Chamfer check needs away from tie points).
 `fd_gradient` hands the scalar function (B, N, 3) stacks of perturbed
 copies of the cloud, FD_CHUNK_POINTS points at a time. The silhouette,
 DSM and shadow paths render a whole stack through one slot list on the
-run's workspace (`diffrender.soft_*_stack`), and each copy's raster has
+run's workspace (`diffrender.soft_stack`), and each copy's raster has
 the bytes of its own one-cloud render. Chamfer and the combined loss score
 a stack value-only (`losses.combined_loss_stack`, Chamfer as the loss with
 its geo weight alone), against one ground-truth KD-tree per trial, and each
@@ -26,13 +26,11 @@ from .diffrender import (
     SoftConfig,
     soft_dsm,
     soft_dsm_backward,
-    soft_dsm_stack,
     soft_shadow,
     soft_shadow_backward,
-    soft_shadow_stack,
     soft_silhouette,
     soft_silhouette_backward,
-    soft_silhouette_stack,
+    soft_stack,
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss, combined_loss_stack
@@ -178,13 +176,13 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         weights = LossWeights(1.0, 1.0, 0.5, 1.0)  # every term on, the DSM's too
         cloud = PointCloud(positions=positions)
 
-        def pixel_dots(render_stack, *args):
-            """Stack -> <each copy's render, d_pix>, whose gradient the backward pass returns."""
-            return lambda ps: [float((r * d_pix.values).sum()) for r in render_stack(ps, *args, ws)]
+        def pixel_dots(kind):
+            """Stack -> <each copy's render of kind, d_pix>, whose gradient the kind's backward returns."""
+            return lambda ps: [float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg, ws)]
 
         def loss_values(w):
             """Stack -> each copy's loss value at weights w, against the trial's one gt tree."""
-            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, ws, gt_tree)
+            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, gt_tree, ws)
 
         gt_tree = cKDTree(gt.positions)
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
@@ -192,12 +190,9 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         mask_ch = chamfer_mask(cloud, gt, h)
         # (path, stack of positions -> each copy's scalar, its analytic gradient, components to check)
         paths = (
-            ("silhouette", pixel_dots(soft_silhouette_stack, spec, cfg),
-             soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("dsm", pixel_dots(soft_dsm_stack, spec, cfg),
-             soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("shadow", pixel_dots(soft_shadow_stack, sun, spec, cfg),
-             soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
+            ("silhouette", pixel_dots("sil"), soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("dsm", pixel_dots("dsm"), soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("shadow", pixel_dots("shadow"), soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
             ("chamfer", loss_values(LossWeights(lambda_sil=0.0, lambda_shadow=0.0)),  # geo alone
              chamfer(cloud, gt)[1], mask_ch),
             ("combined", loss_values(weights),

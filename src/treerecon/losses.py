@@ -24,9 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import (
-    SoftConfig, _soft_max_height, _soft_or, soft_dsm_stack, soft_shadow_stack, soft_silhouette_stack,
-)
+from .diffrender import SoftConfig, _soft_max_height, _soft_or, soft_stack
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from . import sensor
 from .sensor import Workspace, project_to_ground
@@ -201,13 +199,13 @@ def combined_loss(
 
 def combined_loss_stack(
     positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, ws: Workspace | None = None, gt_tree: cKDTree | None = None,
+    weights: LossWeights, gt_tree: cKDTree, ws: Workspace | None = None,
 ) -> np.ndarray:
     """combined_loss(PointCloud(copy), ...)[0] of each copy of a (B, N, 3) stack, byte for byte.
 
-    Value only: each raster term renders the stack once on `ws` and scores each copy's
-    raster with `raster_l2`; Chamfer queries all the points against `gt_tree` (the ground
-    truth's KD-tree, built when None) and builds one tree per copy for the other direction.
+    Value only: each raster term renders the stack once on `ws` (`diffrender.soft_stack`) and
+    scores each copy's raster with `raster_l2`; Chamfer queries all the points against
+    `gt_tree`, the ground truth's KD-tree, and builds one tree per copy for the other direction.
     """
     targets.require(weights, sun, spec)
     total = np.zeros(len(positions))
@@ -217,12 +215,11 @@ def combined_loss_stack(
             pb = target.positions
             if positions.shape[1] == 0 or len(pb) == 0:
                 raise EmptyCloud("chamfer requires two non-empty clouds")
-            diff_a = positions - pb[(cKDTree(pb) if gt_tree is None else gt_tree).query(positions)[1]]
+            diff_a = positions - pb[gt_tree.query(positions)[1]]
             total += lam * np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
                                      for p, d in zip(positions, diff_a)])
         elif lam > 0:
-            render = {"sil": soft_silhouette_stack, "shadow": soft_shadow_stack, "dsm": soft_dsm_stack}[term]
-            rasters = render(positions, *((sun,) if term == "shadow" else ()), spec, soft_cfg, ws)
+            rasters = soft_stack(term, positions, sun, spec, soft_cfg, ws)
             scale = 1.0 / H_NORM**2 if term == "dsm" else 1.0  # as _scored scales
             total += lam * np.array([raster_l2(Grid(spec, r), target)[0] * scale for r in rasters])
     return total

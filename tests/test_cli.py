@@ -360,6 +360,34 @@ def test_manifest_non_finite_grid_exits_2(field, scene_dir, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("parent", ["missing", "a file"])
+def test_an_output_directory_that_is_not_there_exits_2_before_any_input_is_read(parent, scene_dir, tmp_path,
+                                                                                 capsys, monkeypatch):
+    calls = []  # every reader and the run itself, spied on
+    for name in ("read_manifest", "read_ppm", "read_pfm", "read_ply", "reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    out_dir = tmp_path / "out"
+    if parent == "a file":
+        out_dir.write_bytes(b"")
+    rc = main(["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--gt", str(scene_dir / "gt.ply"),
+               "--out", str(out_dir / "p.ply")])
+    assert rc == 2 and calls == []
+    assert capsys.readouterr().err == f"error: no such output directory: {out_dir}\n"
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 745. GiB for an array with shape (100000000000, 1)"])
+def test_running_out_of_memory_exits_5_with_one_error_line(message, scene_dir, tmp_path, capsys, monkeypatch):
+    def reconstruct(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct)
+    out = tmp_path / "r.ply"
+    rc = main(["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--out", str(out)])
+    assert rc == 5
+    assert capsys.readouterr().err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+    assert not out.exists() and not out.with_suffix(".history.csv").exists()
+
+
 class TestGradcheck:
     def test_small_run_passes(self, capsys):
         assert main(["gradcheck", "--trials", "3", "--seed", "1"]) == 0

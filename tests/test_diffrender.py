@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import finite_diff
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
-from treerecon.errors import InvalidConfig
+from treerecon.errors import InvalidConfig, SpecMismatch
 from treerecon.losses import (
     H_NORM,
     LossTargets,
@@ -24,13 +24,11 @@ from treerecon.diffrender import (
     project_to_ground,
     soft_dsm,
     soft_dsm_backward,
-    soft_dsm_stack,
     soft_shadow,
     soft_shadow_backward,
-    soft_shadow_stack,
     soft_silhouette,
     soft_silhouette_backward,
-    soft_silhouette_stack,
+    soft_stack,
 )
 from treerecon.sensor import Workspace, pixels_within
 
@@ -332,6 +330,17 @@ class TestAdaptersAgree:
         assert_same_bytes(gxy @ jac, soft_shadow_backward(self.c, sun, SPEC, self.cfg, d))
 
 
+@pytest.mark.parametrize("backward, sun", [(soft_silhouette_backward, ()), (soft_dsm_backward, ()),
+                                           (soft_shadow_backward, (SunConfig(150.0, 50.0),))],
+                         ids=["silhouette", "dsm", "shadow"])
+@pytest.mark.parametrize("other", [GridSpec(21, 21, -10.0, -9.0, 1.0), GridSpec(20, 21, -10.0, -10.0, 1.0)],
+                         ids=["shifted", "resized"])
+def test_a_pixel_gradient_on_another_grid_is_refused(backward, sun, other):
+    """A backward renderer refuses pixel gradients on another grid, even one with as many pixels."""
+    with pytest.raises(SpecMismatch, match="pixel gradient"):
+        backward(random_cloud(3, 10), *sun, SPEC, SoftConfig(sigma=1.0), Grid.zeros(other))
+
+
 # ---------------------------------------------------------------------------
 # the in-place hot path against its pre-rewrite copy in oracles: same bytes
 
@@ -507,13 +516,20 @@ def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack
     spec, stack = spec_stack
     cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
     ws = Workspace()
-    for stacked, single, args in ((soft_silhouette_stack, soft_silhouette, (spec, cfg)),
-                                  (soft_dsm_stack, soft_dsm, (spec, cfg)),
-                                  (soft_shadow_stack, soft_shadow, (sun, spec, cfg))):
-        rasters = stacked(stack, *args, ws)
+    for kind, single, args in (("sil", soft_silhouette, (spec, cfg)),
+                               ("dsm", soft_dsm, (spec, cfg)),
+                               ("shadow", soft_shadow, (sun, spec, cfg))):
+        rasters = soft_stack(kind, stack, sun, spec, cfg, ws)
         assert rasters.shape == (len(stack), spec.height, spec.width)
         for copy, raster in zip(stack, rasters, strict=True):
             assert_same_bytes(raster, single(PointCloud(positions=copy), *args).values)
+
+
+@pytest.mark.parametrize("kind", ["geo", "silhouette", "ortho", ""])
+def test_an_unknown_raster_kind_is_refused(kind):
+    """Only the raster names of losses.TERMS render; nothing falls through to the shadow."""
+    with pytest.raises(InvalidConfig, match="unknown raster kind"):
+        soft_stack(kind, random_cloud(3, 10).positions[None], SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
 
 
 def test_inputs_are_read_only():

@@ -84,16 +84,14 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
 def test_combined_path_checks_the_soft_dsm(monkeypatch):
     """The DSM term is off by default; the combined path turns it on, so every stack its
     fd scalar scores renders the soft DSM too. The Chamfer path's stacks render nothing."""
-    rendered = []  # per call of the stack scorer, the stacked renders it ran
+    rendered = []  # per call of the stack scorer, the raster kinds of the stacked renders it ran
+    render = losses.soft_stack
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            rendered[-1].append(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(kind, *args, **kwargs):
+        rendered[-1].append(kind)
+        return render(kind, *args, **kwargs)
 
-    for name in ("soft_silhouette_stack", "soft_dsm_stack", "soft_shadow_stack"):
-        monkeypatch.setattr(losses, name, counted(name, getattr(losses, name)))
+    monkeypatch.setattr(losses, "soft_stack", counted)
     scorer = gradcheck.combined_loss_stack
 
     def scored(*args, **kwargs):
@@ -102,10 +100,9 @@ def test_combined_path_checks_the_soft_dsm(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "combined_loss_stack", scored)
     run_gradcheck(seed=0, trials=1)
-    combined = [names for names in rendered if names]
+    combined = [kinds for kinds in rendered if kinds]
     assert len(combined) > 1 and len(combined) < len(rendered)
-    assert all(sorted(names) == ["soft_dsm_stack", "soft_shadow_stack", "soft_silhouette_stack"]
-               for names in combined)
+    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in combined)
 
 
 def wavy(p: np.ndarray) -> float:

@@ -362,11 +362,10 @@ def stacks(draw):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
-    """With or without a prebuilt ground-truth tree, on a workspace or a fresh one."""
+    """On a workspace or a fresh one."""
     _, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
     stack = data.draw(stacks())
-    gt_tree = cKDTree(targets.gt_cloud.positions) if data.draw(st.booleans()) else None
-    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, ws, gt_tree)
+    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, cKDTree(targets.gt_cloud.positions), ws)
     assert values.shape == (len(stack),)
     for p, value in zip(stack, values):
         expected = combined_loss(PointCloud(positions=p.copy()), targets, sun, SPEC, cfg, weights)[0]
@@ -379,15 +378,16 @@ def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n):
     """The geo weight alone at 1: each copy's value is chamfer's, byte for byte."""
     gt = random_cloud(gt_seed, gt_n)
     values = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
-                                 LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+                                 LossWeights(lambda_sil=0.0, lambda_shadow=0.0), cKDTree(gt.positions))
     for p, value in zip(stack, values):
         assert np.float64(value).tobytes() == np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
 
 
 def test_the_stack_scorer_refuses_an_empty_ground_truth():
+    gt = PointCloud(np.zeros((0, 3)))
     with pytest.raises(EmptyCloud):
-        combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=PointCloud(np.zeros((0, 3)))), None,
-                            SPEC, SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+        combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
+                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0), cKDTree(gt.positions))
 
 
 # the shadow pass on a pool: the bytes of one thread, and the caller sees the worker's errors

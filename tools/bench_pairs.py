@@ -1,8 +1,9 @@
-"""Run alternating parent/change pairs of one benchmark workload, or of one default
-`treerecon reconstruct`, and compare them.
+"""Run alternating parent/change pairs of one benchmark workload, of one default
+`treerecon reconstruct`, or of the criterion-4 dataset run, and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--out BENCH_n.json]
     python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST --pairs N [--out BENCH_n.json]
+    python tools/bench_pairs.py PARENT CHANGE --criterion4 --pairs N [--out BENCH_n.json]
 
 PARENT and CHANGE are two source checkouts. Pair i runs each checkout once
 in a fresh process, the parent first when i is even and the change first
@@ -17,13 +18,17 @@ and the number of pairs the change won (ties count for neither), and a last
 line gives each side's median CPU seconds.
 
 With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
---manifest MANIFEST` at its defaults, on the checkout's `src/`. Each run
-records its wall, user and sys seconds and the SHA-256 of the PLY it wrote;
-the summary compares wall, user, sys and CPU (user + sys) seconds as above
-and says whether every run wrote the same PLY bytes.
+--manifest MANIFEST` at its defaults, on the checkout's `src/`. With
+`--criterion4`, a run is the acceptance suite's criterion-4 workload in
+fresh processes, `generate --count 20 --seed 42` into a new directory and
+then `bench` of that directory, at their defaults. Either records each
+run's wall, user and sys seconds and the SHA-256 of what it wrote (the
+PLY, or `bench.csv`); the summary compares wall, user, sys and CPU (user +
+sys) seconds as above and says whether every run wrote the same bytes.
 
 `--out` writes the same summary into a JSON file under `workloads.W` (or
-`reconstruct`), keeping what the file already holds for the others.
+`reconstruct`, or `criterion4`), keeping what the file already holds for
+the others.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ import hashlib
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,7 +46,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-RECONSTRUCT_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
+CLI_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -57,21 +63,38 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {**json.loads(proc.stdout.strip().splitlines()[-1]), "cpu_s": cpu_s}
 
 
-def reconstruct_once(checkout: Path, manifest: Path, out: Path) -> dict:
-    """Wall, user and sys seconds of one default `reconstruct --manifest` in a fresh process,
-    and the SHA-256 of the PLY it wrote to `out`; a failed run stops the script."""
-    argv = [sys.executable, "-m", "treerecon.cli", "reconstruct", "--manifest", str(manifest), "--out", str(out)]
+def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
+    """Wall, user and sys seconds of `python -m treerecon.cli` commands, run one after another
+    in fresh processes on the checkout's `src/`, and the SHA-256 of the file `output` they wrote;
+    a failed command stops the script."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    for command in commands:
+        argv = [sys.executable, "-m", "treerecon.cli", *command]
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     user, system = after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime
     return {"wall_s": wall, "user_s": user, "sys_s": system, "cpu_s": user + system,
-            "ply_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+            "sha256": hashlib.sha256(output.read_bytes()).hexdigest()}
+
+
+def reconstruct_once(checkout: Path, manifest: Path, out: Path) -> dict:
+    """`cli_once` of one default `reconstruct --manifest`, writing its PLY to `out`."""
+    return cli_once(checkout, [["reconstruct", "--manifest", str(manifest), "--out", str(out)]], out)
+
+
+def criterion4_once(checkout: Path, dataset: Path) -> dict:
+    """`cli_once` of `generate --count 20 --seed 42` into the new directory `dataset`, then `bench`
+    of it, both at their defaults; the dataset is removed afterwards."""
+    try:
+        return cli_once(checkout, [["generate", "--count", "20", "--seed", "42", "--out", str(dataset)],
+                                   ["bench", "--dataset", str(dataset)]], dataset / "bench.csv")
+    finally:
+        shutil.rmtree(dataset, ignore_errors=True)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -110,6 +133,7 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--reconstruct", type=Path, metavar="MANIFEST")
+    what.add_argument("--criterion4", action="store_true")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path)
@@ -127,13 +151,19 @@ def main(argv=None) -> int:
         value = lambda result, metric: result["metrics"][metric]["value"]
         label = lambda i: {"workload": name, "pair": i, "seed": args.seed + i}
     else:
-        name = "reconstruct"
         wall_bound = next(m["bound"] for m in benchmark["end_to_end"] if m["name"] == "wall_s")
         metrics = [{"name": t, "unit": "s", "better": "lower", "bound": wall_bound if t == "wall_s" else None}
-                   for t in RECONSTRUCT_TIMES]
-        run = lambda side, i, tmp: reconstruct_once(checkouts[side], args.reconstruct.resolve(), Path(tmp) / "r.ply")
+                   for t in CLI_TIMES]
         value = lambda result, metric: result[metric]
-        label = lambda i: {"reconstruct": str(args.reconstruct), "pair": i}
+        if args.criterion4:
+            name = "criterion4"
+            run = lambda side, i, tmp: criterion4_once(checkouts[side], Path(tmp) / "data")
+            label = lambda i: {"criterion4": "generate --count 20 --seed 42; bench", "pair": i}
+        else:
+            name = "reconstruct"
+            run = lambda side, i, tmp: reconstruct_once(checkouts[side], args.reconstruct.resolve(),
+                                                        Path(tmp) / "r.ply")
+            label = lambda i: {"reconstruct": str(args.reconstruct), "pair": i}
 
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -150,8 +180,9 @@ def main(argv=None) -> int:
         summary["cpu_s"] = {side: {"median": statistics.median(r["cpu_s"] for r in runs[side]),
                                    "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES}
     else:
-        summary["manifest"] = str(args.reconstruct)
-        summary["same_bytes"] = len({r["ply_sha256"] for side in SIDES for r in runs[side]}) == 1
+        if args.reconstruct:
+            summary["manifest"] = str(args.reconstruct)
+        summary["same_bytes"] = len({r["sha256"] for side in SIDES for r in runs[side]}) == 1
     summary["metrics"] = {m["name"]: compare(m, *([value(r, m["name"]) for r in runs[side]] for side in SIDES))
                           for m in metrics}
     for metric, m in summary["metrics"].items():
@@ -165,7 +196,7 @@ def main(argv=None) -> int:
         print(f"{name} cpu_s: parent median {cpu['parent']['median']:.6g} "
               f"change median {cpu['change']['median']:.6g} s (child user + sys per run)")
     else:
-        print(f"{name}: every run wrote the same PLY bytes: {summary['same_bytes']}")
+        print(f"{name}: every run wrote the same bytes: {summary['same_bytes']}")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
