@@ -180,7 +180,8 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
 def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig, ws=None):
     """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
     or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
-    returning an (x, y, z) row per point)."""
+    returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind."""
+    cloud = PointCloud(positions)  # the (B * N, 3) points, checked finite
     if kind == "dsm":
         pred, vjp = _soft_max_height(positions, spec, cfg, ws)
         chain = lambda g: g
@@ -188,7 +189,7 @@ def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpe
         pred, vjp = _soft_or(positions[..., :2], spec, cfg, ws)
         chain = lambda gxy: np.column_stack([gxy, np.zeros(len(gxy))])  # the silhouette ignores z
     elif kind == "shadow":
-        xy, jac = project_to_ground(PointCloud(positions), sun)
+        xy, jac = project_to_ground(cloud, sun)
         pred, vjp = _soft_or(xy.reshape(*positions.shape[:-1], 2), spec, cfg, ws)
         chain = lambda gxy: gxy @ jac
     else:

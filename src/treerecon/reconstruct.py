@@ -177,7 +177,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _shadow_pool() -> ThreadPoolExecutor | None:
+def _worker_pool() -> ThreadPoolExecutor | None:
     """A one-worker pool whose thread starts off the caller's CPU (a scheduler that does not
     balance load leaves it there), or None: in a `--jobs` worker process (its siblings fill
     the cores), on one CPU, or off Linux."""
@@ -209,6 +209,10 @@ def reconstruct(
     and logs that iteration's row. Raises Diverged, naming the iteration, as
     soon as a position is no longer finite in float32, the loss is no longer
     finite or a gradient component is too large for Adam to square.
+    The run hands `combined_loss` a second workspace and a one-worker pool (`_worker_pool`;
+    none in a `--jobs` worker process or on one CPU): it computes the shadow pass while
+    this thread runs the silhouette pass when both terms are on, and otherwise one of
+    Chamfer's two KD-tree queries; every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -228,7 +232,7 @@ def reconstruct(
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-    with (executor := _shadow_pool()) or contextlib.nullcontext():
+    with (executor := _worker_pool()) or contextlib.nullcontext():
         ws, pool = Workspace(), None if executor is None else (executor, Workspace())
 
         def loss_at(t, pos):

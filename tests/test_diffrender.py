@@ -19,6 +19,7 @@ from treerecon.losses import (
 from treerecon.diffrender import (
     SoftConfig,
     _Slots,
+    _pass,
     _soft_max_height,
     _soft_or,
     project_to_ground,
@@ -530,6 +531,20 @@ def test_an_unknown_raster_kind_is_refused(kind):
     """Only the raster names of losses.TERMS render; nothing falls through to the shadow."""
     with pytest.raises(InvalidConfig, match="unknown raster kind"):
         soft_stack(kind, random_cloud(3, 10).positions[None], SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
+
+
+@pytest.mark.parametrize("kind", ["sil", "shadow", "dsm"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_every_raster_kind_refuses_a_stack_with_a_non_finite_position(kind, bad, axis):
+    """A stack is checked as a PointCloud is, whatever the kind: no point is left out silently."""
+    stack = random_cloud(4, 6).positions.reshape(2, 3, 3).copy()
+    stack[1, 2, axis] = bad
+    args = (SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
+    with pytest.raises(InvalidConfig, match="point positions must be finite"):
+        soft_stack(kind, stack, *args)
+    with pytest.raises(InvalidConfig, match="point positions must be finite"):
+        _pass(kind, stack[1], *args)
 
 
 def test_inputs_are_read_only():

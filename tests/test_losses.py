@@ -420,13 +420,17 @@ def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
                for k in breakdown)
 
 
-def pool_call_args(executor):
-    """combined_loss arguments at the default weights, with a pool."""
+def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0)):
+    """combined_loss arguments, at the default weights unless given, with a pool; the
+    ground-truth cloud has 25 points and the cloud 40."""
     c = random_cloud(5, 40)
     rng = np.random.default_rng(6)
     raster = lambda: Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
-    return (c, LossTargets(silhouette=raster(), shadow=raster()), SunConfig(150.0, 50.0), SPEC,
-            SoftConfig(sigma=1.0), LossWeights(lambda_geo=0.0), Workspace(), (executor, Workspace()))
+    return (c, LossTargets(silhouette=raster(), shadow=raster(), dsm=raster(), gt_cloud=random_cloud(8, 25)),
+            SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, Workspace(), (executor, Workspace()))
+
+
+GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # no shadow pass: the pool runs a Chamfer query
 
 
 def on_worker() -> bool:
@@ -507,32 +511,127 @@ def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, execut
 
 def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor):
     """With a pool, the wrappable names of `losses` are still called on the caller's thread, in
-    the serial order, so a wrapper that keeps one call stack for all threads stays right."""
+    the serial order, so a wrapper that keeps one call stack for all threads stays right. Chamfer
+    takes the pool when the shadow pass does not; then the worker queries the tree the caller
+    built first, and the first `nearest_neighbors` call, whose query that is, is the one left out."""
     calls = []
-    for name in ("occupancy_forward_backward", "project_to_ground"):
+    for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
+                 "project_to_ground", "dsm_forward_backward"):
         real = getattr(losses, name)
-        monkeypatch.setattr(losses, name, lambda *a, _n=name, _f=real: calls.append((_n, on_worker())) or _f(*a))
-    serial = combined_loss(*pool_call_args(executor)[:7])
-    assert calls == [("occupancy_forward_backward", False), ("project_to_ground", False),
-                     ("occupancy_forward_backward", False)]
-    calls.clear()
-    value, grad, _ = combined_loss(*pool_call_args(executor))
-    assert calls == [("occupancy_forward_backward", False), ("project_to_ground", False),
-                     ("occupancy_forward_backward", False)]
-    assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
+        monkeypatch.setattr(losses, name, lambda *a, _n=name, _f=real:
+                            calls.append((_n, len(a[0]), on_worker())) or _f(*a))
+    for on, chamfer_on_the_pool in [({"sil", "shadow"}, False), ({"geo"}, True), ({"geo", "sil"}, True),
+                                    ({"geo", "shadow"}, True), ({"geo", "sil", "shadow"}, False),
+                                    ({"geo", "sil", "shadow", "dsm"}, False)]:
+        args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)))
+        calls.clear()
+        serial = combined_loss(*args[:7])
+        expected = list(calls)
+        if chamfer_on_the_pool:
+            expected.remove(("nearest_neighbors", 40, False))
+        calls.clear()
+        value, grad, _ = combined_loss(*args)
+        assert calls == expected, on
+        if on == {"sil", "shadow"}:  # the shadow pass holds the pool; its projection stays on the caller
+            assert calls == [("occupancy_forward_backward", 40, False), ("project_to_ground", 40, False),
+                             ("occupancy_forward_backward", 40, False)]
+        if on == {"geo"}:  # b's tree for the worker's query, then nearest_neighbors(b, a) with a's tree
+            assert calls == [("chamfer", 40, False), ("cKDTree", 25, False), ("nearest_neighbors", 25, False),
+                             ("cKDTree", 40, False)]
+        assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)
+        assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds of different sizes (1-60 points) drawn from a few lattice points, so that
+    points repeat and nearest distances tie."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 60).filter(lambda m: m != n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = rng.integers(-3, 4, (draw(st.integers(1, 12)), 3)) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    a, b = (lattice[rng.integers(0, len(lattice), k)] for k in (n, m))
+    return PointCloud(positions=a), PointCloud(positions=b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pair=cloud_pairs())
+def test_chamfer_on_a_pool_keeps_every_byte(pair, executor):
+    a, b = pair
+    value, grad = chamfer(a, b)
+    pooled_value, pooled_grad = chamfer(a, b, executor)
+    assert np.float64(pooled_value).tobytes() == np.float64(value).tobytes()
+    assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
+
+
+def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor):
+    err, threads = Diverged("raised in the worker's query"), []
+
+    class Tree(cKDTree):
+        def query(self, x):
+            threads.append(on_worker())
+            if on_worker():
+                raise err
+            return super().query(x)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    with pytest.raises(Diverged) as info:
+        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+    assert info.value is err
+    assert sorted(threads) == [False, True]
+
+
+def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor):
+    ended = threading.Event()
+
+    class Tree(cKDTree):
+        def query(self, x):
+            if not on_worker():
+                raise Diverged("the caller's query fails while the worker's runs")
+            time.sleep(0.2)
+            out = super().query(x)
+            ended.set()
+            return out
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    with pytest.raises(Diverged, match="while the worker's runs"):
+        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+    assert ended.is_set()
+
+
+def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor):
+    threads = []
+
+    class Tree(cKDTree):
+        def query(self, x):
+            threads.append(on_worker())
+            if on_worker():
+                np.float64(1e308) * np.array([10.0])
+            return super().query(x)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+    assert sorted(threads) == [False, False, True, True]
 
 
 def test_concurrent_runs_with_their_own_pools_keep_every_byte():
     """Three callers, each with its own workspace and pool (six threads on fewer cores), under a
-    short switch interval: every call gives the serial bytes, as no state is shared. (Workspaces
+    short switch interval, alternating a call whose pool runs the shadow pass with one whose pool
+    runs a Chamfer query (40 of each per caller): every call gives the serial bytes, as no state is shared. (Workspaces
     shared between the callers failed this in most runs.)"""
-    args = (random_cloud(7, 400),) + pool_call_args(None)[1:6]
-    expected = combined_loss(*args)
+    calls = [(random_cloud(7, 400),) + pool_call_args(None, weights)[1:6]
+             for weights in (LossWeights(lambda_geo=0.0), GEO_ON_THE_POOL)]
+    expected = [combined_loss(*args) for args in calls]
 
     def run(_):
         with ThreadPoolExecutor(1) as own:
             ws, pool = Workspace(), (own, Workspace())
-            return [combined_loss(*args, ws, pool) for _ in range(40)]
+            return [combined_loss(*args, ws, pool) for _ in range(40) for args in calls]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -541,8 +640,8 @@ def test_concurrent_runs_with_their_own_pools_keep_every_byte():
             results = [r for f in [callers.submit(run, i) for i in range(3)] for r in f.result(timeout=120)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == 120
-    for value, grad, breakdown in results:
-        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
-        assert grad.tobytes() == expected[1].tobytes()
-        assert breakdown == expected[2]
+    assert len(results) == 240
+    for (value, grad, breakdown), serial in zip(results, expected * 120):
+        assert np.float64(value).tobytes() == np.float64(serial[0]).tobytes()
+        assert grad.tobytes() == serial[1].tobytes()
+        assert breakdown == serial[2]

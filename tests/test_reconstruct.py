@@ -262,6 +262,7 @@ PRESETS = {  # LossWeights, and whether the run needs the ground truth
     "sil": (LossWeights(0.0, 1.0, 0.0, 0.0), False),
     "dsm": (LossWeights(0.0, 1.0, 0.5, 1.0), False),
     "geo": (LossWeights(1.0, 1.0, 0.5, 0.0), True),
+    "geo_only": (LossWeights(1.0, 0.0, 0.0, 0.0), True),  # the pool runs a Chamfer query
 }
 
 
@@ -394,8 +395,8 @@ def test_explicit_weights_still_need_their_targets(generated):
 
 
 def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
-    """PLY and history bytes of one reconstruct with its shadow pass on a pool or not, and
-    whether each loss call got a pool."""
+    """PLY and history bytes of one reconstruct with a worker pool or not, and whether each
+    loss call got a pool."""
     scene = small_scene(seed)
     weights, geo = PRESETS[preset]
     pools = []
@@ -406,7 +407,7 @@ def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
 
     loss = reconstruct_module.combined_loss
     with mock.patch.object(reconstruct_module, "combined_loss", spy), \
-            mock.patch.object(reconstruct_module, "_shadow_pool",
+            mock.patch.object(reconstruct_module, "_worker_pool",
                               (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None)):
         res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                           gt_cloud=scene.cloud if geo else None,
@@ -417,6 +418,8 @@ def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
+@example(iters=40, seed=1, preset="geo_only", n_points=60, lr=0.05)
+@example(iters=40, seed=2, preset="geo", n_points=60, lr=0.2)
 @given(iters=st.integers(0, 40), **run_args)
 def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters, seed, preset, n_points, lr):
     tmp = tmp_path_factory.mktemp("threads")
@@ -433,21 +436,21 @@ def current_cpu() -> int:
         return int(f.read().rsplit(")", 1)[1].split()[36])
 
 
-def shadow_pool_in_a_worker_process() -> bool:
-    return reconstruct_module._shadow_pool() is None
+def worker_pool_in_a_worker_process() -> bool:
+    return reconstruct_module._worker_pool() is None
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="one CPU, or no Linux affinity calls: the run keeps one thread")
 def test_the_shadow_worker_starts_on_another_cpu_and_may_then_run_on_any():
     caller = current_cpu()
-    with reconstruct_module._shadow_pool() as pool:
+    with reconstruct_module._worker_pool() as pool:
         assert pool.submit(current_cpu).result(timeout=60) != caller
         assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == os.sched_getaffinity(0)
 
 
 def test_a_jobs_worker_process_keeps_its_passes_on_one_thread():
     with ProcessPoolExecutor(1) as workers:
-        assert workers.submit(shadow_pool_in_a_worker_process).result(timeout=120)
+        assert workers.submit(worker_pool_in_a_worker_process).result(timeout=120)
     with mock.patch.object(reconstruct_module.multiprocessing, "parent_process", lambda: object()):
-        assert reconstruct_module._shadow_pool() is None
+        assert reconstruct_module._worker_pool() is None

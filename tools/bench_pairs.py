@@ -2,7 +2,7 @@
 `treerecon reconstruct`, or of the criterion-4 dataset run, and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--out BENCH_n.json]
-    python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST --pairs N [--out BENCH_n.json]
+    python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST [--gt PLY] --pairs N [--out BENCH_n.json]
     python tools/bench_pairs.py PARENT CHANGE --criterion4 --pairs N [--out BENCH_n.json]
 
 PARENT and CHANGE are two source checkouts. Pair i runs each checkout once
@@ -18,7 +18,8 @@ and the number of pairs the change won (ties count for neither), and a last
 line gives each side's median CPU seconds.
 
 With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
---manifest MANIFEST` at its defaults, on the checkout's `src/`. With
+--manifest MANIFEST` at its defaults, on the checkout's `src/`, and with
+`--gt PLY` also `--gt PLY` (which turns the Chamfer term on). With
 `--criterion4`, a run is the acceptance suite's criterion-4 workload in
 fresh processes, `generate --count 20 --seed 42` into a new directory and
 then `bench` of that directory, at their defaults. Either records each
@@ -27,8 +28,8 @@ PLY, or `bench.csv`); the summary compares wall, user, sys and CPU (user +
 sys) seconds as above and says whether every run wrote the same bytes.
 
 `--out` writes the same summary into a JSON file under `workloads.W` (or
-`reconstruct`, or `criterion4`), keeping what the file already holds for
-the others.
+`reconstruct`, `reconstruct_gt` with `--gt`, or `criterion4`), keeping
+what the file already holds for the others.
 """
 from __future__ import annotations
 
@@ -82,9 +83,11 @@ def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
             "sha256": hashlib.sha256(output.read_bytes()).hexdigest()}
 
 
-def reconstruct_once(checkout: Path, manifest: Path, out: Path) -> dict:
-    """`cli_once` of one default `reconstruct --manifest`, writing its PLY to `out`."""
-    return cli_once(checkout, [["reconstruct", "--manifest", str(manifest), "--out", str(out)]], out)
+def reconstruct_once(checkout: Path, manifest: Path, out: Path, gt: Path | None = None) -> dict:
+    """`cli_once` of one default `reconstruct --manifest` (given `gt`, with `--gt gt`), writing its
+    PLY to `out`."""
+    command = ["reconstruct", "--manifest", str(manifest), "--out", str(out)]
+    return cli_once(checkout, [command + (["--gt", str(gt)] if gt else [])], out)
 
 
 def criterion4_once(checkout: Path, dataset: Path) -> dict:
@@ -134,6 +137,7 @@ def main(argv=None) -> int:
     what.add_argument("--workload")
     what.add_argument("--reconstruct", type=Path, metavar="MANIFEST")
     what.add_argument("--criterion4", action="store_true")
+    parser.add_argument("--gt", type=Path, metavar="PLY")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path)
@@ -142,6 +146,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if (args.seed is None) == (args.workload is not None):
         parser.error("--seed goes with --workload, and only with it")
+    if args.gt and not args.reconstruct:
+        parser.error("--gt goes with --reconstruct, and only with it")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
 
@@ -160,10 +166,11 @@ def main(argv=None) -> int:
             run = lambda side, i, tmp: criterion4_once(checkouts[side], Path(tmp) / "data")
             label = lambda i: {"criterion4": "generate --count 20 --seed 42; bench", "pair": i}
         else:
-            name = "reconstruct"
+            name = "reconstruct_gt" if args.gt else "reconstruct"
+            gt = args.gt and args.gt.resolve()
             run = lambda side, i, tmp: reconstruct_once(checkouts[side], args.reconstruct.resolve(),
-                                                        Path(tmp) / "r.ply")
-            label = lambda i: {"reconstruct": str(args.reconstruct), "pair": i}
+                                                        Path(tmp) / "r.ply", gt)
+            label = lambda i: {"reconstruct": str(args.reconstruct), "gt": args.gt and str(args.gt), "pair": i}
 
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -181,7 +188,7 @@ def main(argv=None) -> int:
                                    "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES}
     else:
         if args.reconstruct:
-            summary["manifest"] = str(args.reconstruct)
+            summary["manifest"], summary["gt"] = str(args.reconstruct), args.gt and str(args.gt)
         summary["same_bytes"] = len({r["sha256"] for side in SIDES for r in runs[side]}) == 1
     summary["metrics"] = {m["name"]: compare(m, *([value(r, m["name"]) for r in runs[side]] for side in SIDES))
                           for m in metrics}

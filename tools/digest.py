@@ -13,7 +13,8 @@ whose bytes changed. The artefacts:
   `--grid-size 32 --pixel-size 0.5`
 - `bench.csv` after `bench --iters 5 --points 200` on the small dataset
 - the PLY and history of a default `reconstruct` of the first default-grid
-  scene, and of a 20-iteration one with the ground truth (`--gt`)
+  scene, and of two 20-iteration ones with the ground truth (`--gt`): at
+  the default weights, and with the Chamfer term alone
 - the stdout, PLY and history of `reconstruct --iters 20 --points 200` of
   the first small-grid scene through each way of naming its inputs:
   `--ortho --dsm`; `--ortho --dsm --shadow --sun-az --sun-el`; `--manifest`
@@ -89,7 +90,8 @@ def digests(tmp: Path):
 
     scene = tmp / "default" / "scene_00000"
     gt = str(scene / "gt.ply")
-    for name, flags in (("default", []), ("with_gt", ["--gt", gt, "--iters", "20"])):
+    geo_only = ["--gt", gt, "--lambda-sil", "0", "--lambda-shadow", "0", "--iters", "20"]
+    for name, flags in (("default", []), ("with_gt", ["--gt", gt, "--iters", "20"]), ("geo_only", geo_only)):
         pred = tmp / f"{name}.ply"
         stdout = run(["reconstruct", "--manifest", str(scene / "manifest.json"), "--out", str(pred)] + flags)
         yield f"reconstruct/{name}/stdout", sha(stdout.encode())
