@@ -14,10 +14,10 @@ vector-Jacobian product (VJP):
   soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
-Each core takes points and builds the list of its own pass in buffers of a
-`sensor.Workspace` the caller owns, which passes share one after another.
-A VJP works in the buffers, so it runs once, and before the next pass on
-that workspace (otherwise it raises). `_pass` is each raster kind once: its
+Each core takes points and builds the list of its own pass in the calling
+thread's buffers (`sensor.workspace`), which its passes share one after
+another. A VJP works in the buffers, so it runs once, and before the next
+pass on that thread (otherwise it raises). `_pass` is each raster kind once: its
 core (the soft or for "sil" and "shadow", the soft-max height for "dsm") and
 the chain rule back to an (x, y, z) row per point: zero z for the silhouette;
 the shadow slides each point along the sun ray to the ground plane
@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .errors import InvalidConfig, SpecMismatch
-from .sensor import Workspace, pixels_within, project_to_ground
+from .sensor import pixels_within, project_to_ground, workspace
 
 EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
@@ -68,7 +68,7 @@ class _Slots:
     Holds only slots on the grid and within trunc*sigma, ordered by point,
     then pixel row, then pixel column. The Gaussian is separable: exp runs
     once per (point, column) and once per (point, row), and g is the product.
-    Its offsets are dx.ravel()[c] and dy.ravel()[r]; its seven rows are in `ws`.
+    Its offsets are dx.ravel()[c] and dy.ravel()[r]; its seven rows are the thread's buffers.
 
     xy is (N, 2), or a (B, N, 2) stack of B copies of a point set. A stack's
     points are numbered copy by copy, and copy k's flat pixels are offset by
@@ -76,26 +76,26 @@ class _Slots:
     order a list of that copy alone sums them.
     """
 
-    def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
+    def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         copies = 1 if xy.ndim == 2 else len(xy)
         points = xy.reshape(-1, 2)
         self.n, self.n_pixels, self.sigma = len(points), copies * spec.n_pixels, cfg.sigma
-        self.ws = Workspace() if ws is None else ws
         self.point, self.flat, self.c, self.r, self.dx, self.dy = pixels_within(
-            points, spec, cfg.trunc * cfg.sigma, self.ws)
+            points, spec, cfg.trunc * cfg.sigma)
+        self.pass_no = workspace.passes
         if copies > 1:
             self.flat += np.repeat(np.arange(copies) * spec.n_pixels, xy.shape[1]).take(self.point)
-        self.g, *self.spare = self.ws.get("floats", (3, len(self.c)))
+        self.g, *self.spare = workspace.get("floats", (3, len(self.c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
             np.exp(k * self.dx**2).ravel().take(self.c, out=self.g, mode="clip")
             self.g *= np.exp(k * self.dy**2).ravel().take(self.r, out=self.spare[0], mode="clip")
 
-    def check_current(self, pass_no: int):
-        """Let the VJP of core pass `pass_no` on this list run once, and before the next pass."""
-        if self.ws.passes != pass_no:  # a later pass, or this VJP, took the buffers
+    def check_current(self):
+        """Let one VJP of this list run, once, and before the thread's next pass."""
+        if workspace.passes != self.pass_no:  # a later pass, or this VJP, took the buffers
             raise RuntimeError("buffers reused; run a VJP before the next pass, and only once")
-        self.ws.passes += 1
+        workspace.passes += 1
 
     def to_pixels(self, values: np.ndarray) -> np.ndarray:
         """Sum per-slot values into a flat pixel array."""
@@ -120,10 +120,9 @@ class _Slots:
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack; the VJP returns a gradient row per point."""
-    s = _Slots(xy, spec, cfg, ws)
-    pass_no = s.ws.passes = s.ws.passes + 1  # each core pass counts; its VJP checks the count
+    s = _Slots(xy, spec, cfg)
     log_t, tmp = s.spare
     np.multiply(s.g, cfg.alpha, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
@@ -131,7 +130,7 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | No
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
         # factor i divided back out, which alpha < 1 keeps above zero
-        s.check_current(pass_no)
+        s.check_current()
         dL = np.subtract(log_prod.take(s.flat, out=tmp, mode="clip"), log_t, out=log_t)
         np.exp(dL, out=dL)
         dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), cfg.alpha, out=tmp)
@@ -140,10 +139,9 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | No
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws: Workspace | None = None):
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-max height of (N, 3) points, or a (B, N, 3) stack; the VJP returns an (x, y, z) row per point."""
-    s = _Slots(positions[..., :2], spec, cfg, ws)
-    pass_no = s.ws.passes = s.ws.passes + 1
+    s = _Slots(positions[..., :2], spec, cfg)
     tmp = s.spare[1]
     z = positions.reshape(-1, 3)[:, 2].copy()  # the VJP may run after the caller changed positions
     w = s.g  # w = g * exp(beta z) takes the place of g, which no other pass reads
@@ -154,14 +152,14 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
     def vjp(d_flat: np.ndarray) -> np.ndarray:
         # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
         # and z (through exp), and z also enters the numerator directly
-        s.check_current(pass_no)
+        s.check_current()
         dH_dw, tmp = s.spare
         inv_denom = 1.0 / denom
         z.take(s.point, out=dH_dw, mode="clip")
         dH_dw -= h.take(s.flat, out=tmp, mode="clip")
         dH_dw *= inv_denom.take(s.flat, out=tmp, mode="clip")
         np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), dH_dw, out=tmp)
-        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), s.ws.get("dsm", tmp.shape))  # all 3 rows are taken
+        gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), workspace.get("dsm", tmp.shape))  # all 3 rows are taken
         dH_dw *= cfg.beta
         dH_dw *= w
         gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array
@@ -177,20 +175,20 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, ws:
 # one pass per raster kind, and the public renderers as views of it
 
 
-def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig, ws=None):
+def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig):
     """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
     or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
     returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind."""
     cloud = PointCloud(positions)  # the (B * N, 3) points, checked finite
     if kind == "dsm":
-        pred, vjp = _soft_max_height(positions, spec, cfg, ws)
+        pred, vjp = _soft_max_height(positions, spec, cfg)
         chain = lambda g: g
     elif kind == "sil":
-        pred, vjp = _soft_or(positions[..., :2], spec, cfg, ws)
+        pred, vjp = _soft_or(positions[..., :2], spec, cfg)
         chain = lambda gxy: np.column_stack([gxy, np.zeros(len(gxy))])  # the silhouette ignores z
     elif kind == "shadow":
         xy, jac = project_to_ground(cloud, sun)
-        pred, vjp = _soft_or(xy.reshape(*positions.shape[:-1], 2), spec, cfg, ws)
+        pred, vjp = _soft_or(xy.reshape(*positions.shape[:-1], 2), spec, cfg)
         chain = lambda gxy: gxy @ jac
     else:
         raise InvalidConfig(f"unknown raster kind {kind!r}; expected sil, shadow or dsm")
@@ -203,10 +201,10 @@ def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpe
     return pred, xyz_vjp
 
 
-def soft_stack(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig,
-               ws: Workspace | None = None) -> np.ndarray:
+def soft_stack(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec,
+               cfg: SoftConfig) -> np.ndarray:
     """(B, H, W) soft rasters of kind "sil", "shadow" or "dsm" of a (B, N, 3) stack of clouds."""
-    return _pass(kind, positions, sun, spec, cfg, ws)[0].reshape(-1, spec.height, spec.width)
+    return _pass(kind, positions, sun, spec, cfg)[0].reshape(-1, spec.height, spec.width)
 
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:

@@ -10,7 +10,7 @@ same exclusion a Chamfer check needs away from tie points).
 `fd_gradient` hands the scalar function (B, N, 3) stacks of perturbed
 copies of the cloud, FD_CHUNK_POINTS points at a time. The silhouette,
 DSM and shadow paths render a whole stack through one slot list on the
-run's workspace (`diffrender.soft_stack`), and each copy's raster has
+thread's buffers (`diffrender.soft_stack`), and each copy's raster has
 the bytes of its own one-cloud render. Chamfer and the combined loss score
 a stack value-only (`losses.combined_loss_stack`, Chamfer as the loss with
 its geo weight alone), against one ground-truth KD-tree per trial, and each
@@ -34,7 +34,7 @@ from .diffrender import (
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss, combined_loss_stack
-from .sensor import Workspace, pixels_within, project_to_ground
+from .sensor import pixels_within, project_to_ground
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
@@ -42,7 +42,7 @@ _REF_FLOOR = ABS_FLOOR / REL_TOL  # err <= max(REL*|g|, ABS)  <=>  err <= REL*ma
 _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
 # points per stack of perturbed copies that fd_gradient hands f (at least one
 # copy): a trial's renders take ~60 % less time at 256 points, and larger stacks
-# grow the workspace's slot buffers by megabytes for little more
+# grow the thread's slot buffers by megabytes for little more
 FD_CHUNK_POINTS = 256
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
@@ -150,7 +150,6 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
     rng = Rng(seed)
     scores: dict[str, float] = {}
     spec = GridSpec.centered(20, 0.5)
-    ws = Workspace()
 
     for _ in range(trials):
         n = int(rng.integers(20, 50, endpoint=True)) if n_points is None else int(n_points)
@@ -178,11 +177,11 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
 
         def pixel_dots(kind):
             """Stack -> <each copy's render of kind, d_pix>, whose gradient the kind's backward returns."""
-            return lambda ps: [float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg, ws)]
+            return lambda ps: [float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg)]
 
         def loss_values(w):
             """Stack -> each copy's loss value at weights w, against the trial's one gt tree."""
-            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, gt_tree, ws)
+            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, gt_tree)
 
         gt_tree = cKDTree(gt.positions)
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
@@ -196,7 +195,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
             ("chamfer", loss_values(LossWeights(lambda_sil=0.0, lambda_shadow=0.0)),  # geo alone
              chamfer(cloud, gt)[1], mask_ch),
             ("combined", loss_values(weights),
-             combined_loss(cloud, targets, sun, spec, cfg, weights, ws)[1],
+             combined_loss(cloud, targets, sun, spec, cfg, weights)[1],
              mask_sil & mask_sh & mask_ch),
         )
         for name, scalar_fn, analytic, mask in paths:

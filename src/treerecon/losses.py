@@ -6,15 +6,16 @@ The DSM term is divided by H_NORM^2 so all terms are dimensionless; it is
 off by default, since the DSM already seeds the heights and defines the
 silhouette target.
 
-The raster terms are scored passes: each runs a `diffrender` core, scores
-it with `raster_l2` and feeds that pixel gradient to the core's VJP.
-`combined_loss` looks each name up in this module's globals, so a wrapper set
-on one here is honoured, and calls them on its own thread in the serial order
-even when a run's pool computes the shadow pass or, when the shadow pass does
-not use it, one of Chamfer's two KD-tree queries (of a tree built on the
-caller, so Chamfer calls `nearest_neighbors` once instead of twice). The pool
-pays on large clouds only: on two cores `chamfer` of two clouds of N points
-took a median 0.12 ms alone against 0.27 ms with the pool at N = 50, 0.37
+The raster terms are scored passes: each runs a `diffrender` core on the
+calling thread's buffers, scores it with `raster_l2` and feeds that pixel
+gradient to the core's VJP. `combined_loss` looks each name up in this
+module's globals, so a wrapper set on one here is honoured, and calls them on
+its own thread in the serial order even when a run's executor computes the
+shadow pass or, when the shadow pass does not use it, one of Chamfer's two
+KD-tree queries (of a tree built on the caller, so Chamfer calls
+`nearest_neighbors` once instead of twice). The executor pays on large clouds
+only: on two cores `chamfer` of two clouds of N points took a median 0.12 ms
+alone against 0.27 ms with a one-worker pool at N = 50, 0.37
 against 0.41 ms at 200, 0.96 against 0.88 ms at 500 and 4.5 against 3.7 ms at
 2000; no size rule picks the serial path. `combined_loss_stack` scores a
 (B, N, 3) stack of clouds value-only, each copy with `combined_loss`'s bytes.
@@ -33,7 +34,7 @@ from .core import Grid, GridSpec, PointCloud, SunConfig
 from .diffrender import SoftConfig, _soft_max_height, _soft_or, soft_stack
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from . import sensor
-from .sensor import Workspace, project_to_ground
+from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 
@@ -121,19 +122,18 @@ def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
 
 
 def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None,
-    ahead: Future | None = None,
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ahead: Future | None = None
 ) -> tuple[float, np.ndarray]:
     """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient);
     given `ahead`, the same pass already run on another thread, its result."""
-    return _scored(_soft_or(xy, spec, cfg, ws), spec, target) if ahead is None else ahead.result()
+    return _scored(_soft_or(xy, spec, cfg), spec, target) if ahead is None else ahead.result()
 
 
 def dsm_forward_backward(
-    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ws: Workspace | None = None
+    positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid
 ) -> tuple[float, np.ndarray]:
     """Soft-DSM pass over (N, 3) points: (raster_l2 / H_NORM^2, (N, 3) gradient)."""
-    return _scored(_soft_max_height(positions, spec, cfg, ws), spec, target, 1.0 / H_NORM**2)
+    return _scored(_soft_max_height(positions, spec, cfg), spec, target, 1.0 / H_NORM**2)
 
 
 @dataclass
@@ -174,41 +174,41 @@ def resolve_weights(
 
 def combined_loss(
     cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, ws: Workspace | None = None, pool: tuple[Executor, Workspace] | None = None,
+    weights: LossWeights, executor: Executor | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    Each term with a positive weight runs one pass on `ws` (fresh ones when None) and adds
-    its weighted value and gradient in TERMS order. With a `pool` (executor, workspace) and both
-    occupancy terms on, the shadow pass runs there under this thread's numpy error state; with a
-    pool the shadow pass leaves free, Chamfer runs one of its two KD-tree queries there. Either
-    way this returns or raises only once the worker's part has ended.
+    Each term with a positive weight runs one pass and adds its weighted value and gradient
+    in TERMS order. Given an `executor` and both occupancy terms on, the shadow pass runs on
+    its worker thread under this thread's numpy error state; given one the shadow pass leaves
+    free, Chamfer runs one of its two KD-tree queries there. Either way this returns or
+    raises only once the worker's part has ended.
     """
     targets.require(weights, sun, spec)
     total, grad, breakdown, ahead = 0.0, np.zeros((len(cloud), 3)), {}, None
-    if pool is not None and weights.lambda_sil > 0 and weights.lambda_shadow > 0:
-        ahead_xy = sensor.project_to_ground(cloud, sun)[0]  # the pool calls none of this module's names
-        ahead = pool[0].submit(contextvars.copy_context().run, lambda: _scored(
-            _soft_or(ahead_xy, spec, soft_cfg, pool[1]), spec, targets.shadow))
+    if executor is not None and weights.lambda_sil > 0 and weights.lambda_shadow > 0:
+        ahead_xy = sensor.project_to_ground(cloud, sun)[0]  # the worker calls none of this module's names
+        ahead = executor.submit(contextvars.copy_context().run, lambda: _scored(
+            _soft_or(ahead_xy, spec, soft_cfg), spec, targets.shadow))
     try:
         for term in TERMS:
             lam = weights.of(term)
             if lam <= 0:
                 continue
-            if term == "geo":  # a query on the pool, unless the shadow pass holds it
-                value, g = chamfer(cloud, targets.gt_cloud, pool[0] if pool and ahead is None else None)
+            if term == "geo":  # a query on the executor, unless the shadow pass holds it
+                value, g = chamfer(cloud, targets.gt_cloud, executor if ahead is None else None)
             elif term == "sil":
                 xy = cloud.positions[:, :2]
-                value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette, ws)
+                value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette)
                 g = np.column_stack([gxy, np.zeros(len(cloud))])
             elif term == "shadow":
                 ground, jac = project_to_ground(cloud, sun)
-                value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ws, ahead)
+                value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ahead)
                 g = gxy @ jac
             else:
-                value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm, ws)
+                value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm)
             breakdown[term] = value
             total += lam * value
             grad += lam * g
@@ -219,11 +219,11 @@ def combined_loss(
 
 def combined_loss_stack(
     positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, gt_tree: cKDTree, ws: Workspace | None = None,
+    weights: LossWeights, gt_tree: cKDTree,
 ) -> np.ndarray:
     """combined_loss(PointCloud(copy), ...)[0] of each copy of a (B, N, 3) stack, byte for byte.
 
-    Value only: each raster term renders the stack once on `ws` (`diffrender.soft_stack`) and
+    Value only: each raster term renders the stack once (`diffrender.soft_stack`) and
     scores each copy's raster with `raster_l2`; Chamfer queries all the points against
     `gt_tree`, the ground truth's KD-tree, and builds one tree per copy for the other direction.
     """
@@ -239,7 +239,7 @@ def combined_loss_stack(
             total += lam * np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
                                      for p, d in zip(positions, diff_a)])
         elif lam > 0:
-            rasters = soft_stack(term, positions, sun, spec, soft_cfg, ws)
+            rasters = soft_stack(term, positions, sun, spec, soft_cfg)
             scale = 1.0 / H_NORM**2 if term == "dsm" else 1.0  # as _scored scales
             total += lam * np.array([raster_l2(Grid(spec, r), target)[0] * scale for r in rasters])
     return total

@@ -19,7 +19,7 @@ from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_t
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
-from .sensor import H_MIN, Workspace
+from .sensor import H_MIN
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -202,17 +202,16 @@ def reconstruct(
 ) -> ReconResult:
     """Optimize a point cloud against the combined loss with Adam.
 
-    init_positions, an (N, 3) array, overrides the silhouette-based
-    initialization (used for perturbation studies); any other shape raises
-    InvalidConfig. z is clamped to >= 0 after every step. The run stops at
-    the first iteration where the stopping rule holds, or at `cfg.iters`,
-    and logs that iteration's row. Raises Diverged, naming the iteration, as
-    soon as a position is no longer finite in float32, the loss is no longer
-    finite or a gradient component is too large for Adam to square.
-    The run hands `combined_loss` a second workspace and a one-worker pool (`_worker_pool`;
-    none in a `--jobs` worker process or on one CPU): it computes the shadow pass while
-    this thread runs the silhouette pass when both terms are on, and otherwise one of
-    Chamfer's two KD-tree queries; every byte is that of one thread.
+    init_positions, an (N, 3) array, overrides the silhouette-based initialization (used
+    for perturbation studies); any other shape, or a coordinate not finite in float32,
+    raises InvalidConfig. z is clamped to >= 0 after every step. The run stops at the first
+    iteration where the stopping rule holds, or at `cfg.iters`, and logs that iteration's
+    row. Raises Diverged, naming the iteration, as soon as a position is no longer finite in
+    float32, the loss is no longer finite or a gradient component is too large for Adam to
+    square. The run hands `combined_loss` a one-worker pool (`_worker_pool`; none in a
+    `--jobs` worker process or on one CPU), whose thread's pass buffers end with it: it
+    computes the shadow pass while this thread runs the silhouette pass when both terms
+    are on, and otherwise one of Chamfer's two KD-tree queries; every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -229,12 +228,12 @@ def reconstruct(
             raise InvalidConfig(f"init_positions must have shape (N, 3), not {positions.shape}")
         if len(positions) == 0:
             raise EmptyCloud("init_positions holds no points")
+        if not np.all(np.abs(positions) <= _F32_MAX):
+            raise InvalidConfig("init_positions holds a coordinate that is not finite in float32")
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
     with (executor := _worker_pool()) or contextlib.nullcontext():
-        ws, pool = Workspace(), None if executor is None else (executor, Workspace())
-
         def loss_at(t, pos):
             if not np.all(np.abs(pos) <= _F32_MAX):
                 raise Diverged(f"iteration {t}: a point position is not finite in float32")
@@ -242,7 +241,7 @@ def reconstruct(
             # exp(beta z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w,
-                                                       ws, pool)
+                                                       executor)
             if not math.isfinite(value):
                 raise Diverged(f"iteration {t}: the loss is {value}")
             if np.any(np.abs(grad) > _GRAD_MAX):

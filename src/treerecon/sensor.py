@@ -9,13 +9,14 @@ covers, shared with the soft renderers in `diffrender` and the cutoff test
 in `gradcheck`: one d^2 <= r^2 mask over each point's window of
 2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
 and nothing more, there the same pairs carry a Gaussian weight. The pairs
-live in a `Workspace` the caller owns (one per thread): passes on it run one
-after another, and a pass's arrays (and a VJP reading them) are valid until the next one.
+live in the calling thread's buffers (`workspace`): a pass's arrays, and a
+VJP reading them, are valid until that thread's next pass.
 `project_to_ground` is the one sun-ray projection to the ground plane.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -41,10 +42,10 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     return idx, coord[:, None] - (origin + idx * ps)
 
 
-class Workspace:
-    """Buffers that one run's passes reuse: slot-sized arrays allocated anew per
-    pass cost more in first-touch page faults than in arithmetic. `passes`
-    counts the passes, so a VJP can tell that a later pass took its buffers.
+class Workspace(threading.local):
+    """Each thread's pass buffers: slot-sized arrays allocated anew per pass cost more in
+    first-touch page faults than in arithmetic. A thread keeps them, sized by its largest
+    pass plus 1/8, until it ends; `passes` counts its passes, so a VJP sees a later one.
     """
 
     def __init__(self):
@@ -59,7 +60,10 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace | None = None):
+workspace = Workspace()  # the only instance; each thread sees its own buffers in it
+
+
+def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float):
     """Every (point, pixel) pair whose pixel center lies within `radius` of the point.
 
     One disk test d^2 <= radius^2 over each point's (ky, kx) window picks the
@@ -67,26 +71,25 @@ def pixels_within(xy: np.ndarray, spec: GridSpec, radius: float, ws: Workspace |
     (point, flat pixel, c, r, dx, dy): dx (N, kx) and dy (N, ky) are the
     offsets point minus pixel center along x and y over each point's window,
     and c and r index each pair's column in dx.ravel() and row in dy.ravel().
-    point, flat, c and r are rows of `ws` (a fresh one when None); its first float row is scratch.
+    point, flat, c and r are rows of `workspace`, one pass on this thread; its first float row is scratch.
     """
     if not radius > 0:
         raise InvalidConfig("splat_radius must be positive")
-    ws = Workspace() if ws is None else ws
-    ws.passes += 1
+    workspace.passes += 1
     with np.errstate(over="ignore", invalid="ignore"):  # an off-grid or NaN point covers nothing
         cols, dx = _window(xy[:, 0], spec.origin_x, spec.width, spec.pixel_size, radius)
         rows, dy = _window(xy[:, 1], spec.origin_y, spec.height, spec.pixel_size, radius)
         kx, ky = dx.shape[1], dy.shape[1]
-        mask = ws.get("mask", (len(xy), ky, kx), bool)
+        mask = workspace.get("mask", (len(xy), ky, kx), bool)
         for p in range(0, len(xy), 512):  # d^2 of 512 points at a time: no (N, ky, kx) float array
             b = slice(p, p + 512)
             np.less_equal(dx[b, None, :] ** 2 + dy[b, :, None] ** 2, radius**2, out=mask[b])
-    point, flat, r, c = ws.get("ints", (4, np.count_nonzero(mask)), np.int64)
+    point, flat, r, c = workspace.get("ints", (4, np.count_nonzero(mask)), np.int64)
     block, end = 512 * ky * kx, 0  # the hits of 512 points per flatnonzero
     for start in range(0, mask.size, block):  # c = the flat mask index of each hit, for now
         chunk = mask.ravel()[start:start + block]
         np.add(np.flatnonzero(chunk), start, out=c[end:(end := end + np.count_nonzero(chunk))])
-    tmp = ws.get("floats", c.shape).view(np.int64)  # a float row no one reads before _Slots fills it
+    tmp = workspace.get("floats", c.shape).view(np.int64)  # a float row no one reads before _Slots fills it
     np.floor_divide(np.floor_divide(c, kx, out=r), ky, out=point)
     c -= np.multiply(np.subtract(r, point, out=tmp), kx, out=tmp)  # c = point * kx + hit % kx
     np.multiply(rows.ravel().take(r, out=flat, mode="clip"), spec.width, out=flat)

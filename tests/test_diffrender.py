@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +34,8 @@ from treerecon.diffrender import (
     soft_silhouette_backward,
     soft_stack,
 )
-from treerecon.sensor import Workspace, pixels_within
+from treerecon import sensor
+from treerecon.sensor import pixels_within, render_dsm
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)
 
@@ -370,8 +374,9 @@ def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, alpha
                         oracles.pixels_within(xy, spec, trunc * sigma)):
         assert_same_bytes(new, old)
     with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-        for new, old in ((_soft_or(xy, spec, cfg), oracles._soft_or(xy, spec, cfg)),
-                         (_soft_max_height(positions, spec, cfg), oracles._soft_max_height(positions, spec, cfg))):
+        for core, copy, points in ((_soft_or, oracles._soft_or, xy),
+                                   (_soft_max_height, oracles._soft_max_height, positions)):
+            new, old = core(points, spec, cfg), copy(points, spec, cfg)  # each VJP before the next pass
             assert_same_bytes(new[0], old[0])
             new_grad, old_grad = new[1](d_flat), old[1](d_flat)
             if old_grad.dtype == np.int64:  # the copy's bincount of an empty slot list
@@ -397,20 +402,23 @@ def test_a_vjp_runs_once():
     """A VJP builds its sums in its slot arrays, so a second call fails instead of lying."""
     c, cfg = random_cloud(18, 30), SoftConfig(sigma=1.1)
     d_flat = np.random.default_rng(19).normal(size=SPEC.n_pixels)
-    for vjp in (_soft_or(c.positions[:, :2], SPEC, cfg)[1], _soft_max_height(c.positions, SPEC, cfg)[1]):
+    for core, points in ((_soft_or, c.positions[:, :2]), (_soft_max_height, c.positions)):
+        vjp = core(points, SPEC, cfg)[1]  # built after the previous VJP ran: only a second call trips the guard
         vjp(d_flat)
         with pytest.raises(RuntimeError, match="run a VJP before the next pass, and only once"):
             vjp(d_flat)
 
 
 @pytest.mark.parametrize("first", ["soft_or", "soft_max_height"])
-@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within"])
+@pytest.mark.parametrize("later", ["soft_or", "soft_max_height", "pixels_within", "render_dsm"])
 def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
-    """A later pass overwrites the buffers a VJP reads, so the VJP refuses to run."""
-    c, cfg, ws = random_cloud(20, 30), SoftConfig(sigma=1.1), Workspace()
-    passes = {"soft_or": lambda: _soft_or(c.positions[:, :2], SPEC, cfg, ws),
-              "soft_max_height": lambda: _soft_max_height(c.positions, SPEC, cfg, ws),
-              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0, ws)}
+    """A later pass on the thread, a hard render too, overwrites the buffers a VJP reads, so
+    the VJP refuses to run."""
+    c, cfg = random_cloud(20, 30), SoftConfig(sigma=1.1)
+    passes = {"soft_or": lambda: _soft_or(c.positions[:, :2], SPEC, cfg),
+              "soft_max_height": lambda: _soft_max_height(c.positions, SPEC, cfg),
+              "pixels_within": lambda: pixels_within(c.positions[:, :2], SPEC, 1.0),
+              "render_dsm": lambda: render_dsm(c, SPEC, 0.5)}
     vjp = passes[first]()[1]
     passes[later]()
     with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
@@ -442,7 +450,13 @@ def test_the_dsm_vjp_keeps_the_heights_of_its_forward_pass(positions, seed):
     assert_same_bytes(vjp(d_flat), expected)
 
 
-# one workspace reused over a drawn sequence of passes: the bytes of a fresh one
+# one thread's buffers reused over drawn passes: the bytes of a fresh thread
+
+def on_a_fresh_thread(fn):
+    """fn() on a new thread, which has no buffers yet."""
+    with ThreadPoolExecutor(1) as fresh:
+        return fresh.submit(fn).result(timeout=60)
+
 
 render_steps = st.lists(
     st.tuples(grids_and_clouds(), st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12),
@@ -454,34 +468,101 @@ _empty = (SPEC, np.zeros((0, 2)))
 _one = (GridSpec(3, 2, 0.0, 0.0, 0.5), np.array([[0.2, 0.4]]))
 
 
+def step_bytes(step) -> list[np.ndarray]:
+    """Copies of pixels_within's arrays, each core's raster and VJP, and combined_loss's value,
+    gradient and breakdown of one drawn step."""
+    (spec, xy), z, sigma, trunc, alpha, beta, seed = step
+    positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
+    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    rng = np.random.default_rng(seed)
+    d_flat = rng.normal(size=spec.n_pixels)
+    out = [a.copy() for a in pixels_within(xy, spec, trunc * sigma)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
+        for core, points in ((_soft_or, xy), (_soft_max_height, positions)):
+            pred, vjp = core(points, spec, cfg)
+            out += [pred, vjp(d_flat)]
+        raster = lambda: Grid(spec, (rng.random((spec.height, spec.width)) > 0.5).astype(float))
+        targets = LossTargets(silhouette=raster(), shadow=raster(), dsm=raster())
+        value, grad, breakdown = combined_loss(PointCloud(positions=positions), targets, SunConfig(150.0, 50.0),
+                                               spec, cfg, LossWeights(0.0, 1.0, 0.5, 1.0))
+    return out + [np.float64(value), grad, np.array(list(breakdown.values()))]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @example(steps=[(_one, [1.0] * 12, 1.0, np.inf, 0.9, 2.0, 0), (_cloud_12, [3.0] * 12, 1.0, 3.0, 0.9, 2.0, 1),
                 (_empty, [0.0] * 12, 1.0, 3.0, 0.9, 2.0, 2), (_cloud_12, [5.0] * 12, 2.5, np.inf, 0.5, 1.0, 3)])
 @given(steps=render_steps)
 def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
-    ws = Workspace()
-    for (spec, xy), z, sigma, trunc, alpha, beta, seed in steps:
-        positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
-        cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
-        rng = np.random.default_rng(seed)
-        d_flat = rng.normal(size=spec.n_pixels)
-        for new, old in zip(pixels_within(xy, spec, trunc * sigma, ws),
-                            pixels_within(xy, spec, trunc * sigma)):
-            assert_same_bytes(new, old)
-        with np.errstate(over="ignore", invalid="ignore"):  # the drawn z above 355 m
-            for core, points in ((_soft_or, xy), (_soft_max_height, positions)):
-                new, old = core(points, spec, cfg, ws), core(points, spec, cfg)
-                assert_same_bytes(new[0], old[0])
-                assert_same_bytes(new[1](d_flat), old[1](d_flat))
-            raster = lambda: Grid(spec, (rng.random((spec.height, spec.width)) > 0.5).astype(float))
-            targets = LossTargets(silhouette=raster(), shadow=raster(), dsm=raster())
-            args = (PointCloud(positions=positions), targets, SunConfig(150.0, 50.0), spec, cfg,
-                    LossWeights(0.0, 1.0, 0.5, 1.0))
-            new, old = combined_loss(*args, ws), combined_loss(*args)
-        assert np.float64(new[0]).tobytes() == np.float64(old[0]).tobytes()
-        assert_same_bytes(new[1], old[1])
-        assert new[2].keys() == old[2].keys()
-        assert all(np.float64(new[2][k]).tobytes() == np.float64(old[2][k]).tobytes() for k in new[2])
+    for step in steps:  # on this thread, one after another
+        for new, fresh in zip(step_bytes(step), on_a_fresh_thread(lambda: step_bytes(step)), strict=True):
+            assert_same_bytes(new, fresh)
+
+
+@st.composite
+def soft_passes(draw):
+    """(kind, grid, (N, 3) points, config) of one soft pass, its points drawn as grids_and_clouds'."""
+    spec, xy = draw(grids_and_clouds())
+    z = draw(st.lists(st.floats(0.0, 30.0), min_size=len(xy), max_size=len(xy)))
+    cfg = SoftConfig(sigma=draw(st.floats(0.1, 3.0)), alpha=draw(st.floats(0.01, 0.99)),
+                     beta=draw(st.floats(0.1, 4.0)), trunc=draw(st.floats(1.0, 6.0) | st.just(np.inf)))
+    return draw(st.sampled_from(["sil", "shadow", "dsm"])), spec, np.column_stack([xy, z]).reshape(-1, 3), cfg
+
+
+SUN = SunConfig(150.0, 50.0)
+_large = ("dsm", SPEC, random_cloud(30, 12).positions, SoftConfig(sigma=1.0, trunc=np.inf))  # every pixel
+_small = ("shadow", _one[0], np.array([[0.2, 0.4, 0.1]]), SoftConfig(sigma=0.5, trunc=1.0))
+
+
+def pass_and_vjp(soft_pass, seed):
+    """The raster of one soft pass and its VJP of a random pixel gradient."""
+    kind, spec, positions, cfg = soft_pass
+    pred, vjp = _pass(kind, positions, SUN, spec, cfg)
+    return pred, vjp(Grid(spec, np.random.default_rng(seed).normal(size=(spec.height, spec.width))))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(before=_large, now=_small, seed=0)  # the buffers hold a stale tail past this pass's slots
+@example(before=_small, now=_large, seed=1)  # the buffers grow
+@given(before=soft_passes(), now=soft_passes(), seed=st.integers(0, 2**32 - 1))
+def test_a_pass_gives_the_bytes_it_gives_on_a_fresh_thread(before, now, seed):
+    """What a thread ran before, a pass and its VJP of another kind, size, grid or cutoff, does not
+    show in a pass's raster or VJP."""
+    pass_and_vjp(before, seed + 1)
+    for new, fresh in zip(pass_and_vjp(now, seed), on_a_fresh_thread(lambda: pass_and_vjp(now, seed))):
+        assert_same_bytes(new, fresh)
+
+
+# thread isolation: each thread's passes on its own buffers
+
+def test_a_vjp_built_on_one_thread_runs_after_another_thread_ran_passes():
+    c, cfg = random_cloud(23, 30), SoftConfig(sigma=1.1)
+    d = Grid(SPEC, np.random.default_rng(24).normal(size=(21, 21)))
+    for kind in ("sil", "shadow", "dsm"):
+        expected = on_a_fresh_thread(lambda: _pass(kind, c.positions, SUN, SPEC, cfg)[1](d))
+        with ThreadPoolExecutor(1) as a:
+            vjp = a.submit(lambda: _pass(kind, c.positions, SUN, SPEC, cfg)[1]).result(timeout=60)
+            pass_and_vjp(_large, 25)  # on this thread: its buffers grow, the worker's stay
+            render_dsm(random_cloud(26, 60), SPEC, 2.0)
+            assert_same_bytes(a.submit(vjp, d).result(timeout=60), expected)
+
+
+def test_two_threads_never_share_a_buffer():
+    """Two threads at once, each after a soft-DSM pass and its VJP (every named buffer), and
+    this thread: no two of their buffers share memory."""
+    both = threading.Barrier(2, timeout=60)
+
+    def buffers():
+        pass_and_vjp(_large, 27)
+        both.wait()  # both threads are alive, so neither one's memory can have been reused
+        return list(sensor.workspace._bufs.values())
+
+    pass_and_vjp(_large, 28)
+    with ThreadPoolExecutor(2) as two:
+        futures = [two.submit(buffers) for _ in range(2)]
+        owners = [f.result(timeout=60) for f in futures] + [list(sensor.workspace._bufs.values())]
+    assert all(len(bufs) == 4 for bufs in owners)  # mask, ints, floats and dsm
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not any(np.shares_memory(a, b) for a in owners[i] for b in owners[j])
 
 
 @st.composite
@@ -516,11 +597,10 @@ def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack
                                                                       alpha, beta, sun):
     spec, stack = spec_stack
     cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
-    ws = Workspace()
     for kind, single, args in (("sil", soft_silhouette, (spec, cfg)),
                                ("dsm", soft_dsm, (spec, cfg)),
                                ("shadow", soft_shadow, (sun, spec, cfg))):
-        rasters = soft_stack(kind, stack, sun, spec, cfg, ws)
+        rasters = soft_stack(kind, stack, sun, spec, cfg)
         assert rasters.shape == (len(stack), spec.height, spec.width)
         for copy, raster in zip(stack, rasters, strict=True):
             assert_same_bytes(raster, single(PointCloud(positions=copy), *args).values)

@@ -29,7 +29,7 @@ from treerecon.losses import (
 )
 from treerecon.protree import SceneConfig, generate_scene
 from treerecon.reconstruct import derive_targets, init_cloud
-from treerecon.sensor import H_MIN, Workspace
+from treerecon.sensor import H_MIN
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)
 
@@ -219,7 +219,7 @@ class TestCombinedLoss:
 
 
 def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
-    """The second combined_loss call on one workspace allocates no slot-sized buffers.
+    """The second combined_loss call on one thread allocates no slot-sized buffers.
 
     numpy reports its buffers to tracemalloc, so the peak does not depend on
     the machine. At 2000 points on 128x128 one slot-sized array is 0.45 MB;
@@ -231,7 +231,7 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
     spec = scene.dsm.spec
     cloud = init_cloud(scene.dsm, targets.silhouette, scene.ortho, 2000, Rng(0))
     args = (cloud, targets, scene.sun, spec, SoftConfig(sigma=spec.pixel_size),
-            LossWeights(0.0, 1.0, 0.5, 1.0), Workspace())
+            LossWeights(0.0, 1.0, 0.5, 1.0))
     combined_loss(*args)
     tracemalloc.start()
     try:
@@ -244,14 +244,14 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
 
 def test_a_pool_keeps_the_threaded_hot_loop_allocations_small(executor):
     """The second combined_loss call with a pool, its silhouette and shadow passes at
-    once on two workspaces, allocates no slot-sized buffers either (as above)."""
+    once on two threads' buffers, allocates no slot-sized buffers either (as above)."""
     scene = generate_scene(42, SceneConfig())
     targets = derive_targets(scene.ortho, scene.dsm, H_MIN)
     targets.shadow = scene.shadow
     spec = scene.dsm.spec
     cloud = init_cloud(scene.dsm, targets.silhouette, scene.ortho, 2000, Rng(0))
     args = (cloud, targets, scene.sun, spec, SoftConfig(sigma=spec.pixel_size),
-            LossWeights(0.0, 1.0, 0.5, 1.0), Workspace(), (executor, Workspace()))
+            LossWeights(0.0, 1.0, 0.5, 1.0), executor)
     combined_loss(*args)
     tracemalloc.start()
     try:
@@ -316,7 +316,7 @@ def test_shifting_the_cloud_and_the_grid_by_whole_pixels_keeps_the_loss(scene, k
 @st.composite
 def loss_inputs(draw, on):
     """(cloud of 0, 1 or 1-60 points, some off SPEC, targets, sun, cfg, weights positive for
-    the terms in `on`, workspace or None)."""
+    the terms in `on`)."""
     n = draw(st.sampled_from([0, 1]) | st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = np.column_stack([rng.uniform(-14.0, 14.0, (n, 2)), rng.uniform(0.0, 30.0, n)])
@@ -326,8 +326,7 @@ def loss_inputs(draw, on):
     weights = LossWeights(*(draw(st.floats(0.1, 4.0)) if term in on else 0.0 for term in TERMS))
     cfg = SoftConfig(sigma=draw(st.floats(0.3, 2.5)), trunc=draw(st.sampled_from([3.0, np.inf])))
     sun = SunConfig(draw(st.floats(0.0, 360.0)), draw(st.floats(10.0, 90.0)))
-    ws = Workspace() if draw(st.booleans()) else None
-    return PointCloud(positions=pts), targets, sun, cfg, weights, ws
+    return PointCloud(positions=pts), targets, sun, cfg, weights
 
 
 @pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
@@ -335,14 +334,14 @@ def loss_inputs(draw, on):
 @given(data=st.data())
 def test_combined_loss_gives_the_bytes_of_independent_passes(on, data):
     """combined_loss against the loss with three independent passes (tests/oracles.py)."""
-    c, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    c, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     try:
         expected = oracles.combined_loss(c, targets, sun, SPEC, cfg, weights)
     except EmptyCloud:  # the geo term of an empty cloud
         with pytest.raises(EmptyCloud):
-            combined_loss(c, targets, sun, SPEC, cfg, weights, ws)
+            combined_loss(c, targets, sun, SPEC, cfg, weights)
         return
-    value, grad, breakdown = combined_loss(c, targets, sun, SPEC, cfg, weights, ws)
+    value, grad, breakdown = combined_loss(c, targets, sun, SPEC, cfg, weights)
     assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
     assert grad.dtype == expected[1].dtype and grad.tobytes() == expected[1].tobytes()
     assert list(breakdown) == list(expected[2])
@@ -362,10 +361,9 @@ def stacks(draw):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
-    """On a workspace or a fresh one."""
-    _, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    _, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     stack = data.draw(stacks())
-    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, cKDTree(targets.gt_cloud.positions), ws)
+    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, cKDTree(targets.gt_cloud.positions))
     assert values.shape == (len(stack),)
     for p, value in zip(stack, values):
         expected = combined_loss(PointCloud(positions=p.copy()), targets, sun, SPEC, cfg, weights)[0]
@@ -404,15 +402,15 @@ def executor():
 def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
     """Value, gradient and breakdown with a pool are those of the serial call, for every set
     of active terms (the pool runs a pass only when the silhouette and the shadow are both on)."""
-    c, targets, sun, cfg, weights, ws = data.draw(loss_inputs(on))
+    c, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     args = (c, targets, sun, SPEC, cfg, weights)
     try:
         expected = combined_loss(*args)
     except EmptyCloud:  # the geo term of an empty cloud
         with pytest.raises(EmptyCloud):
-            combined_loss(*args, ws, (executor, Workspace()))
+            combined_loss(*args, executor)
         return
-    value, grad, breakdown = combined_loss(*args, ws, (executor, Workspace()))
+    value, grad, breakdown = combined_loss(*args, executor)
     assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
     assert grad.dtype == expected[1].dtype and grad.tobytes() == expected[1].tobytes()
     assert list(breakdown) == list(expected[2])
@@ -427,7 +425,7 @@ def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0)):
     rng = np.random.default_rng(6)
     raster = lambda: Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
     return (c, LossTargets(silhouette=raster(), shadow=raster(), dsm=raster(), gt_cloud=random_cloud(8, 25)),
-            SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, Workspace(), (executor, Workspace()))
+            SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, executor)
 
 
 GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # no shadow pass: the pool runs a Chamfer query
@@ -441,11 +439,11 @@ def test_an_exception_in_the_worker_pass_reaches_the_caller_unchanged(monkeypatc
     err, threads = Diverged("raised in the shadow pass"), []
     real = losses._soft_or
 
-    def soft_or(xy, spec, cfg, ws=None):
+    def soft_or(xy, spec, cfg):
         threads.append(on_worker())
         if on_worker():
             raise err
-        return real(xy, spec, cfg, ws)
+        return real(xy, spec, cfg)
 
     monkeypatch.setattr(losses, "_soft_or", soft_or)
     with pytest.raises(Diverged) as info:
@@ -455,13 +453,13 @@ def test_an_exception_in_the_worker_pass_reaches_the_caller_unchanged(monkeypatc
 
 
 def test_the_vjp_guard_raised_in_the_worker_reaches_the_caller(monkeypatch, executor):
-    """A second pass on the worker's workspace before its VJP: the guard's own RuntimeError."""
+    """A second pass on the worker's thread before its VJP: the guard's own RuntimeError."""
     real = losses._soft_or
 
-    def stale(xy, spec, cfg, ws=None):
-        out = real(xy, spec, cfg, ws)
+    def stale(xy, spec, cfg):
+        out = real(xy, spec, cfg)
         if on_worker():
-            real(xy, spec, cfg, ws)
+            real(xy, spec, cfg)
         return out
 
     monkeypatch.setattr(losses, "_soft_or", stale)
@@ -473,11 +471,11 @@ def test_combined_loss_raises_only_once_the_worker_pass_has_ended(monkeypatch, e
     ended = threading.Event()
     real = losses._soft_or
 
-    def soft_or(xy, spec, cfg, ws=None):
+    def soft_or(xy, spec, cfg):
         if not on_worker():
             raise Diverged("the silhouette pass fails while the shadow pass runs")
         time.sleep(0.2)
-        out = real(xy, spec, cfg, ws)
+        out = real(xy, spec, cfg)
         ended.set()
         return out
 
@@ -493,11 +491,11 @@ def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, execut
     threads = []
     real = losses._soft_or
 
-    def overflowing(xy, spec, cfg, ws=None):
+    def overflowing(xy, spec, cfg):
         threads.append(on_worker())
         if on_worker():
             np.float64(1e308) * np.array([10.0])
-        return real(xy, spec, cfg, ws)
+        return real(xy, spec, cfg)
 
     monkeypatch.setattr(losses, "_soft_or", overflowing)
     with warnings.catch_warnings():
@@ -525,7 +523,7 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
                                     ({"geo", "sil", "shadow", "dsm"}, False)]:
         args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)))
         calls.clear()
-        serial = combined_loss(*args[:7])
+        serial = combined_loss(*args[:6])
         expected = list(calls)
         if chamfer_on_the_pool:
             expected.remove(("nearest_neighbors", 40, False))
@@ -620,18 +618,17 @@ def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, 
 
 
 def test_concurrent_runs_with_their_own_pools_keep_every_byte():
-    """Three callers, each with its own workspace and pool (six threads on fewer cores), under a
-    short switch interval, alternating a call whose pool runs the shadow pass with one whose pool
-    runs a Chamfer query (40 of each per caller): every call gives the serial bytes, as no state is shared. (Workspaces
-    shared between the callers failed this in most runs.)"""
+    """Three callers, each with its own pool (six threads on fewer cores, each on its own
+    buffers), under a short switch interval, alternating a call whose pool runs the shadow pass
+    with one whose pool runs a Chamfer query (40 of each per caller): every call gives the serial
+    bytes, as no state is shared. (Buffers shared between the callers failed this in most runs.)"""
     calls = [(random_cloud(7, 400),) + pool_call_args(None, weights)[1:6]
              for weights in (LossWeights(lambda_geo=0.0), GEO_ON_THE_POOL)]
     expected = [combined_loss(*args) for args in calls]
 
     def run(_):
         with ThreadPoolExecutor(1) as own:
-            ws, pool = Workspace(), (own, Workspace())
-            return [combined_loss(*args, ws, pool) for _ in range(40) for args in calls]
+            return [combined_loss(*args, own) for _ in range(40) for args in calls]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

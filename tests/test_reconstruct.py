@@ -190,6 +190,25 @@ class TestReconstruct:
         with pytest.raises(EmptyCloud, match="init_positions holds no points"):
             reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=5), init_positions=np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_start_not_finite_in_float32_is_an_invalid_config(self, bad, axis):
+        """A NaN, or a finite value beyond float32, once raised Diverged at iteration 0, before
+        any step ran; a negative z is refused too, before z is clamped to the ground."""
+        ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
+        start = np.ones((4, 3))
+        start[2, axis] = bad
+        with pytest.raises(InvalidConfig, match="init_positions holds a coordinate that is not finite in float32") as info:
+            reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=5), init_positions=start)
+        assert info.value.exit_code == 5  # as Diverged's was
+
+    def test_a_start_at_the_float32_limit_runs(self):
+        ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
+        start = np.ones((4, 3))
+        start[2, 2] = np.finfo(np.float32).max  # a height: a coordinate this far off the grid warns in _recolor
+        res = reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=2), init_positions=start)
+        assert res.cloud.positions.shape == (4, 3)
+
     def test_z_stays_nonnegative(self):
         scene = generate_scene(8)
         cfg = OptimConfig(n_points=200, iters=40, weights=LossWeights(0, 1, 0, 1))
@@ -402,7 +421,7 @@ def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
     pools = []
 
     def spy(*args):
-        pools.append(args[7] is not None)
+        pools.append(args[6] is not None)
         return loss(*args)
 
     loss = reconstruct_module.combined_loss

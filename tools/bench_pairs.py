@@ -12,10 +12,11 @@ when i is odd.
 With `--workload`, a run is the checkout's own `perfbench/run.py --workload W
 --seed S+i --seconds T`; T is the `run_seconds` of CHANGE's BENCHMARK.json
 (25). Each run prints one JSON line, with the run's CPU seconds (user + sys
-of the child process) as `cpu_s`. Then, for each of that file's end-to-end
-metrics, one line gives both medians, the parent's interquartile distance
-and the number of pairs the change won (ties count for neither), and a last
-line gives each side's median CPU seconds.
+of the child process) as `cpu_s` and its minor page faults as `minflt`.
+Then, for each of that file's end-to-end metrics, one line gives both
+medians, the parent's interquartile distance and the number of pairs the
+change won (ties count for neither), and a last line gives each side's
+median CPU seconds and minor page faults.
 
 With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
 --manifest MANIFEST` at its defaults, on the checkout's `src/`, and with
@@ -23,9 +24,11 @@ With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
 `--criterion4`, a run is the acceptance suite's criterion-4 workload in
 fresh processes, `generate --count 20 --seed 42` into a new directory and
 then `bench` of that directory, at their defaults. Either records each
-run's wall, user and sys seconds and the SHA-256 of what it wrote (the
-PLY, or `bench.csv`); the summary compares wall, user, sys and CPU (user +
-sys) seconds as above and says whether every run wrote the same bytes.
+run's wall, user and sys seconds, its minor page faults and the SHA-256 of
+what it wrote (the PLY, or `bench.csv`); the summary compares wall, user,
+sys and CPU (user + sys) seconds and the minor page faults as above and
+says whether every run wrote the same bytes. Minor page faults (first
+touches of fresh memory) are `ru_minflt` of the finished child processes.
 
 `--out` writes the same summary into a JSON file under `workloads.W` (or
 `reconstruct`, `reconstruct_gt` with `--gt`, or `criterion4`), keeping
@@ -48,11 +51,18 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 CLI_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
+CHILD_COUNTS = ("cpu_s", "minflt")  # per workload run, from the children's rusage
+
+
+def child_usage(before: resource.struct_rusage, after: resource.struct_rusage) -> dict:
+    """User, sys and CPU seconds and minor page faults of the children that ended in between."""
+    user, system = after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime
+    return {"user_s": user, "sys_s": system, "cpu_s": user + system, "minflt": after.ru_minflt - before.ru_minflt}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """The JSON result of one benchmark run in a fresh process, plus its CPU seconds
-    (`cpu_s`, user + sys); a failed run stops the script."""
+    (`cpu_s`, user + sys) and minor page faults (`minflt`); a failed run stops the script."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -60,14 +70,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "cpu_s": cpu_s}
+    usage = child_usage(before, after)
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), **{k: usage[k] for k in CHILD_COUNTS}}
 
 
 def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
-    """Wall, user and sys seconds of `python -m treerecon.cli` commands, run one after another
-    in fresh processes on the checkout's `src/`, and the SHA-256 of the file `output` they wrote;
-    a failed command stops the script."""
+    """Wall, user and sys seconds and minor page faults of `python -m treerecon.cli` commands,
+    run one after another in fresh processes on the checkout's `src/`, and the SHA-256 of the
+    file `output` they wrote; a failed command stops the script."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
@@ -78,8 +88,7 @@ def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
             raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    user, system = after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime
-    return {"wall_s": wall, "user_s": user, "sys_s": system, "cpu_s": user + system,
+    return {"wall_s": wall, **child_usage(before, after),
             "sha256": hashlib.sha256(output.read_bytes()).hexdigest()}
 
 
@@ -160,6 +169,7 @@ def main(argv=None) -> int:
         wall_bound = next(m["bound"] for m in benchmark["end_to_end"] if m["name"] == "wall_s")
         metrics = [{"name": t, "unit": "s", "better": "lower", "bound": wall_bound if t == "wall_s" else None}
                    for t in CLI_TIMES]
+        metrics.append({"name": "minflt", "unit": "faults", "better": "lower", "bound": None})
         value = lambda result, metric: result[metric]
         if args.criterion4:
             name = "criterion4"
@@ -184,8 +194,9 @@ def main(argv=None) -> int:
     if args.workload:
         summary["seeds"] = [args.seed + i for i in range(args.pairs)]
         summary["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
-        summary["cpu_s"] = {side: {"median": statistics.median(r["cpu_s"] for r in runs[side]),
-                                   "runs": [r["cpu_s"] for r in runs[side]]} for side in SIDES}
+        for count in CHILD_COUNTS:
+            summary[count] = {side: {"median": statistics.median(r[count] for r in runs[side]),
+                                     "runs": [r[count] for r in runs[side]]} for side in SIDES}
     else:
         if args.reconstruct:
             summary["manifest"], summary["gt"] = str(args.reconstruct), args.gt and str(args.gt)
@@ -199,9 +210,11 @@ def main(argv=None) -> int:
               f"change won {m['change_wins']} of {args.pairs} pairs ({m['ties']} ties), "
               f"worse by {m['worse_by']:+.4f}{bound}")
     if args.workload:
-        cpu = summary["cpu_s"]
+        cpu, faults = summary["cpu_s"], summary["minflt"]
         print(f"{name} cpu_s: parent median {cpu['parent']['median']:.6g} "
-              f"change median {cpu['change']['median']:.6g} s (child user + sys per run)")
+              f"change median {cpu['change']['median']:.6g} s (child user + sys per run); "
+              f"minflt: parent median {faults['parent']['median']:.6g} "
+              f"change median {faults['change']['median']:.6g} (child minor page faults per run)")
     else:
         print(f"{name}: every run wrote the same bytes: {summary['same_bytes']}")
 
