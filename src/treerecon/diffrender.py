@@ -10,8 +10,8 @@ only g is added here. Two cores compose the
 slots into pixels, each returning the predicted flat raster and its
 vector-Jacobian product (VJP):
 
-  soft or (silhouette, shadow):  O = 1 - prod_i (1 - alpha * g_i),  0 < alpha < 1
-  soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(beta z)
+  soft or (silhouette, shadow):  O = 1 - prod_i (1 - ALPHA * g_i),  0 < ALPHA < 1
+  soft-max height (DSM):         H = sum(w z) / (sum(w) + EPS_GROUND),  w = g * exp(BETA z)
 
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 Each core takes points and builds the list of its own pass in the calling
@@ -39,25 +39,21 @@ from .core import Grid, GridSpec, PointCloud, SunConfig
 from .errors import InvalidConfig, SpecMismatch
 from .sensor import pixels_within, project_to_ground, workspace
 
+ALPHA = 0.9  # per-point opacity of the soft or, below 1
+BETA = 2.0  # soft-max height temperature, 1/m
 EPS_GROUND = 1e-4  # virtual ground sample weight in the soft DSM
 
 
 @dataclass(frozen=True)
 class SoftConfig:
-    """Soft rasterization constants; every check fails on NaN."""
+    """A splat's width and cutoff; ALPHA and BETA are fixed. Every check fails on NaN."""
 
     sigma: float  # Gaussian splat bandwidth, meters
-    alpha: float = 0.9  # per-point opacity, below 1
-    beta: float = 2.0  # soft-max height temperature, 1/m
     trunc: float = 3.0  # influence cutoff at trunc*sigma; inf for none
 
     def __post_init__(self):
         if not (0.0 < self.sigma < math.inf):
             raise InvalidConfig("sigma must be positive and finite")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig("alpha must be in (0, 1)")
-        if not (0.0 < self.beta < math.inf):
-            raise InvalidConfig("beta must be positive and finite")
         if not (self.trunc >= 1.0):
             raise InvalidConfig("trunc must be >= 1")
 
@@ -124,16 +120,16 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack; the VJP returns a gradient row per point."""
     s = _Slots(xy, spec, cfg)
     log_t, tmp = s.spare
-    np.multiply(s.g, cfg.alpha, out=log_t)
+    np.multiply(s.g, ALPHA, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
-        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
-        # factor i divided back out, which alpha < 1 keeps above zero
+        # dO/dg_i = ALPHA * prod_{j != i} (1 - ALPHA g_j): the full product with
+        # factor i divided back out, which ALPHA < 1 keeps above zero
         s.check_current()
         dL = np.subtract(log_prod.take(s.flat, out=tmp, mode="clip"), log_t, out=log_t)
         np.exp(dL, out=dL)
-        dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), cfg.alpha, out=tmp)
+        dL *= np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), ALPHA, out=tmp)
         return s.xy_grad(np.multiply(dL, s.g, out=dL), tmp)
 
     return 1.0 - np.exp(log_prod), vjp
@@ -144,8 +140,8 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     s = _Slots(positions[..., :2], spec, cfg)
     tmp = s.spare[1]
     z = positions.reshape(-1, 3)[:, 2].copy()  # the VJP may run after the caller changed positions
-    w = s.g  # w = g * exp(beta z) takes the place of g, which no other pass reads
-    w *= np.exp(cfg.beta * z).take(s.point, out=tmp, mode="clip")
+    w = s.g  # w = g * exp(BETA z) takes the place of g, which no other pass reads
+    w *= np.exp(BETA * z).take(s.point, out=tmp, mode="clip")
     denom = s.to_pixels(w) + EPS_GROUND
     h = s.to_pixels(np.multiply(w, z.take(s.point, out=tmp, mode="clip"), out=tmp)) / denom
 
@@ -160,9 +156,9 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         dH_dw *= inv_denom.take(s.flat, out=tmp, mode="clip")
         np.multiply(d_flat.take(s.flat, out=tmp, mode="clip"), dH_dw, out=tmp)
         gxy = s.xy_grad(np.multiply(tmp, w, out=tmp), workspace.get("dsm", tmp.shape))  # all 3 rows are taken
-        dH_dw *= cfg.beta
+        dH_dw *= BETA
         dH_dw *= w
-        gz = w  # z: d * (w / denom + dH/dw * beta * w), summed in w's own array
+        gz = w  # z: d * (w / denom + dH/dw * BETA * w), summed in w's own array
         gz *= inv_denom.take(s.flat, out=tmp, mode="clip")
         gz += dH_dw
         gz *= d_flat.take(s.flat, out=tmp, mode="clip")

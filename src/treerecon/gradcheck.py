@@ -142,7 +142,8 @@ def _random_pixel_grad(spec: GridSpec, rng: np.random.Generator) -> Grid:
 
 def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None) -> dict[str, float]:
     """Each path's worst `max_error_score` (a pass is <= REL_TOL) over `trials` random
-    configurations of `n_points` points each (20 to 50 drawn per trial when None)."""
+    configurations (sigma, sun, points and targets; ALPHA and BETA are constants) of
+    `n_points` points each (20 to 50 drawn per trial when None)."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if n_points is not None and n_points < 1:
@@ -154,11 +155,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
     for _ in range(trials):
         n = int(rng.integers(20, 50, endpoint=True)) if n_points is None else int(n_points)
         positions = _random_positions(rng, n)
-        cfg = SoftConfig(
-            sigma=float(rng.uniform(0.7, 1.5)) * spec.pixel_size,
-            alpha=float(rng.uniform(0.5, 0.95)),
-            beta=float(rng.uniform(0.5, 3.0)),
-        )
+        cfg = SoftConfig(sigma=float(rng.uniform(0.7, 1.5)) * spec.pixel_size)
         sun = SunConfig(
             azimuth_deg=float(rng.uniform(0.0, 360.0)),
             elevation_deg=float(rng.uniform(20.0, 90.0)),

@@ -101,8 +101,8 @@ def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float, shadow: Grid | None 
 def _recolor(positions: np.ndarray, ortho: RgbGrid, dsm: Grid) -> np.ndarray:
     """Orthophoto color at each point's pixel, darkened with depth."""
     u, v = world_to_pixel(ortho.spec, positions[:, 0], positions[:, 1])
-    col = np.clip(np.round(u).astype(np.int64), 0, ortho.spec.width - 1)
-    row = np.clip(np.round(v).astype(np.int64), 0, ortho.spec.height - 1)
+    col = np.clip(np.round(u), 0, ortho.spec.width - 1).astype(np.int64)  # clipped before the cast,
+    row = np.clip(np.round(v), 0, ortho.spec.height - 1).astype(np.int64)  # which a huge x or y overflows
     base = ortho.values[row, col]
     h = dsm.values[row, col]
     scale = np.where(h > 0, np.sqrt(np.clip(positions[:, 2] / np.maximum(h, 1e-9), 0.0, 1.0)), 1.0)
@@ -238,7 +238,7 @@ def reconstruct(
             if not np.all(np.abs(pos) <= _F32_MAX):
                 raise Diverged(f"iteration {t}: a point position is not finite in float32")
             # an overflow in the loss (a point too high for the soft DSM's
-            # exp(beta z), say) either meets no pixel or makes the loss non-finite
+            # exp(BETA z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w,
                                                        executor)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid
-from treerecon.diffrender import EPS_GROUND, SoftConfig, project_to_ground
+from treerecon.diffrender import ALPHA, BETA, EPS_GROUND, SoftConfig, project_to_ground
 from treerecon.errors import MalformedPly
 from treerecon.io_formats import _color_to_uchar
 from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
@@ -341,14 +341,14 @@ class _Slots:
 def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-or occupancy of (N, 2) points; the VJP returns (N, 2) gradients."""
     s = _Slots(xy, spec, cfg)
-    log_t = np.log(1.0 - cfg.alpha * s.g)
+    log_t = np.log(1.0 - ALPHA * s.g)
     log_prod = s.to_pixels(log_t)
 
     def vjp(d_flat: np.ndarray) -> np.ndarray:
-        # dO/dg_i = alpha * prod_{j != i} (1 - alpha g_j): the full product with
-        # factor i divided back out, which alpha < 1 keeps above zero
+        # dO/dg_i = ALPHA * prod_{j != i} (1 - ALPHA g_j): the full product with
+        # factor i divided back out, which ALPHA < 1 keeps above zero
         loo = np.exp(log_prod[s.flat] - log_t)
-        return s.xy_grad(d_flat[s.flat] * cfg.alpha * loo * s.g)
+        return s.xy_grad(d_flat[s.flat] * ALPHA * loo * s.g)
 
     return 1.0 - np.exp(log_prod), vjp
 
@@ -357,7 +357,7 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     """Soft-max height of (N, 3) points; the VJP returns (N, 3) gradients."""
     s = _Slots(positions[:, :2], spec, cfg)
     z = positions[s.point, 2]
-    w = s.g * np.exp(cfg.beta * positions[:, 2])[s.point]
+    w = s.g * np.exp(BETA * positions[:, 2])[s.point]
     denom = s.to_pixels(w) + EPS_GROUND
     h = s.to_pixels(w * z) / denom
 
@@ -367,7 +367,7 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
         # quotient rule: dH/dw = (z - H) / denom; w varies with x, y (through g)
         # and z (through exp), and z also enters the numerator directly
         dH_dw = (z - h[s.flat]) * inv_denom
-        gz = s.to_points(d * (w * inv_denom + dH_dw * cfg.beta * w))
+        gz = s.to_points(d * (w * inv_denom + dH_dw * BETA * w))
         return np.column_stack([s.xy_grad(d * dH_dw * w), gz])
 
     return h, vjp

@@ -117,7 +117,7 @@ def test_criterion_5_zenith_equivalence():
         pts = rng.uniform(-7, 7, (n, 3))
         pts[:, 2] = rng.uniform(0, 10, n)
         cloud = PointCloud(positions=pts)
-        cfg = SoftConfig(sigma=float(rng.uniform(0.4, 1.0)), alpha=float(rng.uniform(0.5, 1.0)))
+        cfg = SoftConfig(sigma=float(rng.uniform(0.4, 1.0)))
         sh = soft_shadow(cloud, SunConfig(rng.uniform(0, 360), 90.0), spec, cfg)
         sil = soft_silhouette(cloud, spec, cfg)
         worst = max(worst, float(np.max(np.abs(sh.values - sil.values))))

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +21,8 @@ from treerecon.losses import (
     raster_l2,
 )
 from treerecon.diffrender import (
+    ALPHA,
+    BETA,
     SoftConfig,
     _Slots,
     _pass,
@@ -118,14 +121,14 @@ class TestSoftSilhouette:
         assert not out.values.any()
 
     def test_point_at_center_full_alpha(self):
-        # O = 1 - (1 - alpha * 1) = alpha
-        out = soft_silhouette(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=0.5))
-        assert out.values[10, 10] == 0.5
+        # O = 1 - (1 - ALPHA * 1) = ALPHA
+        out = soft_silhouette(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0))
+        assert out.values[10, 10] == ALPHA
 
     def test_point_one_sigma_away(self):
-        # O = 1 - (1 - alpha * e^{-0.5}) = alpha * e^{-0.5}
-        out = soft_silhouette(cloud([1, 0, 5]), SPEC, SoftConfig(sigma=1.0, alpha=0.5))
-        assert abs(out.values[10, 10] - 0.5 * np.exp(-0.5)) < 1e-12
+        # O = 1 - (1 - ALPHA * e^{-0.5}) = ALPHA * e^{-0.5}
+        out = soft_silhouette(cloud([1, 0, 5]), SPEC, SoftConfig(sigma=1.0))
+        assert abs(out.values[10, 10] - ALPHA * np.exp(-0.5)) < 1e-12
 
     def test_values_in_unit_interval(self):
         out = soft_silhouette(random_cloud(0, 40), SPEC, SoftConfig(sigma=1.2))
@@ -146,7 +149,7 @@ class TestSoftSilhouette:
         np.testing.assert_allclose(g[0], 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
-        cfg = SoftConfig(sigma=1.1, alpha=0.8, trunc=np.inf)
+        cfg = SoftConfig(sigma=1.1, trunc=np.inf)
         rng = np.random.default_rng(2)
         d = Grid(SPEC, rng.normal(size=(21, 21)))
         c = random_cloud(3)
@@ -159,24 +162,6 @@ class TestSoftSilhouette:
         grad = soft_silhouette_backward(c, SPEC, cfg, d)
         fd_check(f, grad, c.positions, cfg.sigma)
 
-    def test_opaque_hit_uses_leave_one_out_product(self):
-        # alpha just below 1 and a point exactly on a pixel center make
-        # 1 - alpha*g all but zero there; dividing it back out stays exact
-        cfg = SoftConfig(sigma=1.0, alpha=1.0 - 1e-13, trunc=np.inf)
-        c = cloud([[0, 0, 3], [0.6, -0.3, 2], [-0.4, 0.7, 4], [0.9, 0.8, 1]])
-        s = _Slots(c.positions[:, :2], SPEC, cfg)
-        assert np.count_nonzero(1.0 - cfg.alpha * s.g < 1e-12) == 1
-        d = Grid(SPEC, np.random.default_rng(12).normal(size=(21, 21)))
-
-        def f(x):
-            return float(
-                (soft_silhouette(PointCloud(positions=x), SPEC, cfg).values * d.values).sum()
-            )
-
-        grad = soft_silhouette_backward(c, SPEC, cfg, d)
-        assert np.all(np.isfinite(grad))
-        fd_check(f, grad, c.positions, cfg.sigma)
-
 
 class TestSoftDsm:
     def test_empty_cloud_all_zero(self):
@@ -184,15 +169,14 @@ class TestSoftDsm:
         assert not out.values.any()
 
     def test_single_point_near_height(self):
-        cfg = SoftConfig(sigma=1.0, beta=1.0)
-        out = soft_dsm(cloud([0, 0, 5]), SPEC, cfg)
-        expected = 5.0 * np.e**5 / (np.e**5 + 1e-4)
+        out = soft_dsm(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0))
+        e5 = np.exp(BETA * 5)
+        expected = 5.0 * e5 / (e5 + 1e-4)
         assert abs(out.values[10, 10] - expected) < 1e-12
 
     def test_two_points_softmax_toward_taller(self):
-        cfg = SoftConfig(sigma=1.0, beta=1.0)
-        out = soft_dsm(cloud([[0, 0, 2], [0, 0, 10]]), SPEC, cfg)
-        e2, e10 = np.e**2, np.e**10
+        out = soft_dsm(cloud([[0, 0, 2], [0, 0, 10]]), SPEC, SoftConfig(sigma=1.0))
+        e2, e10 = np.exp(BETA * 2), np.exp(BETA * 10)
         expected = (2 * e2 + 10 * e10) / (e2 + e10 + 1e-4)
         assert abs(out.values[10, 10] - expected) < 1e-12
 
@@ -209,7 +193,7 @@ class TestSoftDsm:
         assert g[0, 2] > 0
 
     def test_matches_finite_differences(self):
-        cfg = SoftConfig(sigma=0.9, beta=1.5, trunc=np.inf)
+        cfg = SoftConfig(sigma=0.9, trunc=np.inf)
         rng = np.random.default_rng(5)
         d = Grid(SPEC, rng.normal(size=(21, 21)))
         c = random_cloud(6)
@@ -263,7 +247,7 @@ class TestSoftShadow:
         assert g.shape == (0, 3)
 
     def test_z_grads_match_finite_differences(self):
-        cfg = SoftConfig(sigma=1.0, alpha=0.85, trunc=np.inf)
+        cfg = SoftConfig(sigma=1.0, trunc=np.inf)
         sun = SunConfig(120.0, 40.0)
         rng = np.random.default_rng(10)
         d = Grid(SPEC, rng.normal(size=(21, 21)))
@@ -283,15 +267,9 @@ class TestSoftConfigValidation:
         "kwargs",
         [
             {"sigma": 0.0},
-            {"sigma": 1.0, "alpha": 0.0},
-            {"sigma": 1.0, "alpha": 1.5},
-            {"sigma": 1.0, "alpha": 1.0},
-            {"sigma": 1.0, "beta": 0.0},
             {"sigma": 1.0, "trunc": 0.5},
             {"sigma": float("nan")},
             {"sigma": float("inf")},
-            {"sigma": 1.0, "beta": float("nan")},
-            {"sigma": 1.0, "beta": float("inf")},
             {"sigma": 1.0, "trunc": float("nan")},
         ],
     )
@@ -299,12 +277,18 @@ class TestSoftConfigValidation:
         with pytest.raises(InvalidConfig):
             SoftConfig(**kwargs)
 
+    def test_sets_only_the_splat_width_and_cutoff(self):
+        """The opacity and the temperature are the constants ALPHA and BETA, not settings."""
+        assert [f.name for f in dataclasses.fields(SoftConfig)] == ["sigma", "trunc"]
+        with pytest.raises(TypeError):
+            SoftConfig(sigma=1.0, alpha=0.5)
+
 
 class TestAdaptersAgree:
     """The loss's scored passes and the standalone renderers are one path."""
 
     def setup_method(self):
-        self.cfg = SoftConfig(sigma=1.1, alpha=0.85)
+        self.cfg = SoftConfig(sigma=1.1)
         self.c = random_cloud(13, 40)
         self.target = Grid(SPEC, np.random.default_rng(14).normal(size=(21, 21)))
 
@@ -356,19 +340,16 @@ def assert_same_bytes(new, old):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=3.0, alpha=0.9, beta=2.0,
-         seed=0)
-@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=np.inf, alpha=0.9,
-         beta=2.0, seed=0)
+@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=3.0, seed=0)
+@example(grid_cloud=(SPEC, np.zeros((0, 2))), z=[], sigma=1.0, trunc=np.inf, seed=0)
 @example(grid_cloud=(SPEC, np.array([[0.0, 0.0], [0.4, 0.2], [30.0, 0.0]])), z=[400.0, 2.0, 1e3],
-         sigma=1.0, trunc=3.0, alpha=0.9, beta=2.0, seed=1)  # exp(beta z) overflows on the grid
+         sigma=1.0, trunc=3.0, seed=1)  # exp(BETA z) overflows on the grid
 @given(grid_cloud=grids_and_clouds(), z=st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12),
-       sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf),
-       alpha=st.floats(0.01, 0.99), beta=st.floats(0.1, 4.0), seed=st.integers(0, 2**32 - 1))
-def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, alpha, beta, seed):
+       sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf), seed=st.integers(0, 2**32 - 1))
+def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, seed):
     spec, xy = grid_cloud
     positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
-    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    cfg = SoftConfig(sigma=sigma, trunc=trunc)
     d_flat = np.random.default_rng(seed).normal(size=spec.n_pixels)
     for new, old in zip(pixels_within(xy, spec, trunc * sigma),
                         oracles.pixels_within(xy, spec, trunc * sigma)):
@@ -460,8 +441,7 @@ def on_a_fresh_thread(fn):
 
 render_steps = st.lists(
     st.tuples(grids_and_clouds(), st.lists(st.floats(0.0, 400.0), min_size=12, max_size=12),
-              st.floats(0.1, 3.0), st.floats(1.0, 6.0) | st.just(np.inf), st.floats(0.01, 0.99),
-              st.floats(0.1, 4.0), st.integers(0, 2**32 - 1)),
+              st.floats(0.1, 3.0), st.floats(1.0, 6.0) | st.just(np.inf), st.integers(0, 2**32 - 1)),
     min_size=1, max_size=4)
 _cloud_12 = (SPEC, np.random.default_rng(22).uniform(-12.0, 12.0, (12, 2)))  # some off the grid
 _empty = (SPEC, np.zeros((0, 2)))
@@ -471,9 +451,9 @@ _one = (GridSpec(3, 2, 0.0, 0.0, 0.5), np.array([[0.2, 0.4]]))
 def step_bytes(step) -> list[np.ndarray]:
     """Copies of pixels_within's arrays, each core's raster and VJP, and combined_loss's value,
     gradient and breakdown of one drawn step."""
-    (spec, xy), z, sigma, trunc, alpha, beta, seed = step
+    (spec, xy), z, sigma, trunc, seed = step
     positions = np.column_stack([xy, np.array(z[: len(xy)], dtype=float)])
-    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    cfg = SoftConfig(sigma=sigma, trunc=trunc)
     rng = np.random.default_rng(seed)
     d_flat = rng.normal(size=spec.n_pixels)
     out = [a.copy() for a in pixels_within(xy, spec, trunc * sigma)]
@@ -489,8 +469,8 @@ def step_bytes(step) -> list[np.ndarray]:
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(steps=[(_one, [1.0] * 12, 1.0, np.inf, 0.9, 2.0, 0), (_cloud_12, [3.0] * 12, 1.0, 3.0, 0.9, 2.0, 1),
-                (_empty, [0.0] * 12, 1.0, 3.0, 0.9, 2.0, 2), (_cloud_12, [5.0] * 12, 2.5, np.inf, 0.5, 1.0, 3)])
+@example(steps=[(_one, [1.0] * 12, 1.0, np.inf, 0), (_cloud_12, [3.0] * 12, 1.0, 3.0, 1),
+                (_empty, [0.0] * 12, 1.0, 3.0, 2), (_cloud_12, [5.0] * 12, 2.5, np.inf, 3)])
 @given(steps=render_steps)
 def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(steps):
     for step in steps:  # on this thread, one after another
@@ -503,8 +483,7 @@ def soft_passes(draw):
     """(kind, grid, (N, 3) points, config) of one soft pass, its points drawn as grids_and_clouds'."""
     spec, xy = draw(grids_and_clouds())
     z = draw(st.lists(st.floats(0.0, 30.0), min_size=len(xy), max_size=len(xy)))
-    cfg = SoftConfig(sigma=draw(st.floats(0.1, 3.0)), alpha=draw(st.floats(0.01, 0.99)),
-                     beta=draw(st.floats(0.1, 4.0)), trunc=draw(st.floats(1.0, 6.0) | st.just(np.inf)))
+    cfg = SoftConfig(sigma=draw(st.floats(0.1, 3.0)), trunc=draw(st.floats(1.0, 6.0) | st.just(np.inf)))
     return draw(st.sampled_from(["sil", "shadow", "dsm"])), spec, np.column_stack([xy, z]).reshape(-1, 3), cfg
 
 
@@ -586,17 +565,14 @@ def stacks(draw):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(spec_stack=(SPEC, np.zeros((3, 0, 3))), sigma=1.0, trunc=np.inf, alpha=0.9, beta=2.0,
-         sun=SunConfig(150.0, 50.0))
+@example(spec_stack=(SPEC, np.zeros((3, 0, 3))), sigma=1.0, trunc=np.inf, sun=SunConfig(150.0, 50.0))
 @example(spec_stack=(SPEC, np.repeat(random_cloud(5, 12).positions[None], 4, axis=0)), sigma=1.0,
-         trunc=np.inf, alpha=0.9, beta=2.0, sun=SunConfig(150.0, 50.0))
+         trunc=np.inf, sun=SunConfig(150.0, 50.0))
 @given(spec_stack=stacks(), sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf),
-       alpha=st.floats(0.01, 0.99), beta=st.floats(0.1, 4.0),
        sun=st.builds(SunConfig, st.floats(0.0, 360.0), st.floats(20.0, 90.0)))
-def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack, sigma, trunc,
-                                                                      alpha, beta, sun):
+def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack, sigma, trunc, sun):
     spec, stack = spec_stack
-    cfg = SoftConfig(sigma=sigma, alpha=alpha, beta=beta, trunc=trunc)
+    cfg = SoftConfig(sigma=sigma, trunc=trunc)
     for kind, single, args in (("sil", soft_silhouette, (spec, cfg)),
                                ("dsm", soft_dsm, (spec, cfg)),
                                ("shadow", soft_shadow, (sun, spec, cfg))):
@@ -629,7 +605,7 @@ def test_every_raster_kind_refuses_a_stack_with_a_non_finite_position(kind, bad,
 
 def test_inputs_are_read_only():
     """No pass writes into the points, the pixel gradient or the target raster."""
-    cfg, sun = SoftConfig(sigma=1.1, alpha=0.85), SunConfig(150.0, 50.0)
+    cfg, sun = SoftConfig(sigma=1.1), SunConfig(150.0, 50.0)
     c = random_cloud(16, 40)
     d = Grid(SPEC, np.random.default_rng(17).normal(size=(21, 21)))
     target = Grid(SPEC, np.random.default_rng(18).normal(size=(21, 21)))

@@ -508,32 +508,29 @@ def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, execut
 
 
 def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor):
-    """With a pool, the wrappable names of `losses` are still called on the caller's thread, in
-    the serial order, so a wrapper that keeps one call stack for all threads stays right. Chamfer
-    takes the pool when the shadow pass does not; then the worker queries the tree the caller
-    built first, and the first `nearest_neighbors` call, whose query that is, is the one left out."""
+    """With a pool, the wrappable names of `losses` are called on the caller's thread, the same
+    calls in the same order as without one, so a wrapper that keeps one call stack for all threads
+    stays right. Chamfer builds b's tree first on either path; the pool's worker, or the caller
+    after `nearest_neighbors(b, a)`, queries it."""
     calls = []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
                  "project_to_ground", "dsm_forward_backward"):
         real = getattr(losses, name)
         monkeypatch.setattr(losses, name, lambda *a, _n=name, _f=real:
                             calls.append((_n, len(a[0]), on_worker())) or _f(*a))
-    for on, chamfer_on_the_pool in [({"sil", "shadow"}, False), ({"geo"}, True), ({"geo", "sil"}, True),
-                                    ({"geo", "shadow"}, True), ({"geo", "sil", "shadow"}, False),
-                                    ({"geo", "sil", "shadow", "dsm"}, False)]:
+    for on in [{"sil", "shadow"}, {"geo"}, {"geo", "sil"}, {"geo", "shadow"}, {"geo", "sil", "shadow"},
+               {"geo", "sil", "shadow", "dsm"}]:
         args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)))
         calls.clear()
         serial = combined_loss(*args[:6])
         expected = list(calls)
-        if chamfer_on_the_pool:
-            expected.remove(("nearest_neighbors", 40, False))
         calls.clear()
         value, grad, _ = combined_loss(*args)
         assert calls == expected, on
-        if on == {"sil", "shadow"}:  # the shadow pass holds the pool; its projection stays on the caller
+        if on == {"sil", "shadow"}:  # the shadow pass holds the pool; the caller still projects for its chain
             assert calls == [("occupancy_forward_backward", 40, False), ("project_to_ground", 40, False),
                              ("occupancy_forward_backward", 40, False)]
-        if on == {"geo"}:  # b's tree for the worker's query, then nearest_neighbors(b, a) with a's tree
+        if on == {"geo"}:  # b's tree for a's query, then nearest_neighbors(b, a) with a's tree
             assert calls == [("chamfer", 40, False), ("cKDTree", 25, False), ("nearest_neighbors", 25, False),
                              ("cKDTree", 40, False)]
         assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)

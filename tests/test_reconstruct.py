@@ -21,6 +21,7 @@ from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
     AdamState,
     OptimConfig,
+    _recolor,
     adam_step,
     baseline_extrude,
     derive_targets,
@@ -202,12 +203,18 @@ class TestReconstruct:
             reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=5), init_positions=start)
         assert info.value.exit_code == 5  # as Diverged's was
 
-    def test_a_start_at_the_float32_limit_runs(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_start_at_the_float32_limit_runs(self, axis):
+        """Colors read an x or y beyond the int64 range at the grid's edge, clipped before the cast."""
         ortho, dsm = flat_scene((0.2, 0.6, 0.2), 6.0)
         start = np.ones((4, 3))
-        start[2, 2] = np.finfo(np.float32).max  # a height: a coordinate this far off the grid warns in _recolor
+        start[2, axis] = np.finfo(np.float32).max
         res = reconstruct(ortho, dsm, cfg=OptimConfig(n_points=10, iters=2), init_positions=start)
         assert res.cloud.positions.shape == (4, 3)
+        at_the_edge = res.cloud.positions.copy()
+        at_the_edge[2, axis] = 7.0  # the last column's or row's center of SPEC, or a height above the canopy
+        assert res.cloud.colors.tobytes() == _recolor(at_the_edge, ortho, dsm).tobytes()
 
     def test_z_stays_nonnegative(self):
         scene = generate_scene(8)
