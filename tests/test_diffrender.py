@@ -37,7 +37,7 @@ from treerecon.diffrender import (
     soft_silhouette_backward,
     soft_stack,
 )
-from treerecon import sensor
+from treerecon import diffrender, sensor
 from treerecon.sensor import pixels_within, render_dsm
 
 SPEC = GridSpec(21, 21, -10.0, -10.0, 1.0)
@@ -162,6 +162,26 @@ class TestSoftSilhouette:
         grad = soft_silhouette_backward(c, SPEC, cfg, d)
         fd_check(f, grad, c.positions, cfg.sigma)
 
+    def test_opaque_hit_uses_leave_one_out_product(self, monkeypatch):
+        # ALPHA just below 1 and a point exactly on a pixel center make
+        # 1 - ALPHA*g all but zero there; dividing it back out stays exact
+        alpha = 1.0 - 1e-13
+        monkeypatch.setattr(diffrender, "ALPHA", alpha)
+        cfg = SoftConfig(sigma=1.0, trunc=np.inf)
+        c = cloud([[0, 0, 3], [0.6, -0.3, 2], [-0.4, 0.7, 4], [0.9, 0.8, 1]])
+        s = _Slots(c.positions[:, :2], SPEC, cfg)
+        assert np.count_nonzero(1.0 - alpha * s.g < 1e-12) == 1
+        d = Grid(SPEC, np.random.default_rng(12).normal(size=(21, 21)))
+
+        def f(x):
+            return float(
+                (soft_silhouette(PointCloud(positions=x), SPEC, cfg).values * d.values).sum()
+            )
+
+        grad = soft_silhouette_backward(c, SPEC, cfg, d)
+        assert np.all(np.isfinite(grad))
+        fd_check(f, grad, c.positions, cfg.sigma)
+
 
 class TestSoftDsm:
     def test_empty_cloud_all_zero(self):
@@ -267,9 +287,15 @@ class TestSoftConfigValidation:
         "kwargs",
         [
             {"sigma": 0.0},
+            {"sigma": -1.0},
+            {"sigma": 5e-324, "trunc": 0.0},
+            {"sigma": 1.0, "trunc": 1.0 - 1e-12},
+            {"sigma": 1.0, "trunc": -1.0},
             {"sigma": 1.0, "trunc": 0.5},
             {"sigma": float("nan")},
             {"sigma": float("inf")},
+            {"sigma": float("-inf")},
+            {"sigma": 1.0, "trunc": float("-inf")},
             {"sigma": 1.0, "trunc": float("nan")},
         ],
     )
