@@ -107,6 +107,23 @@ class Grid:
         return Grid(spec, np.zeros((spec.height, spec.width)))
 
 
+def pooled_spec(spec: GridSpec, factor: int) -> GridSpec:
+    """spec's factor x factor pixel blocks as pixels, the last on each axis maybe partial;
+    pixel (0, 0)'s center is the center of the first block."""
+    shift = (factor - 1) / 2.0 * spec.pixel_size
+    return GridSpec(-(-spec.width // factor), -(-spec.height // factor), spec.origin_x + shift,
+                    spec.origin_y + shift, factor * spec.pixel_size)
+
+
+def pool(grid: Grid, factor: int) -> Grid:
+    """Block mean of grid on pooled_spec's grid; a partial edge block averages its in-grid pixels."""
+    spec, (h, w) = pooled_spec(grid.spec, factor), grid.values.shape
+    blocks = np.zeros((2, spec.height * factor, spec.width * factor))  # the values and the in-grid pixels
+    blocks[:, :h, :w] = grid.values, np.ones((h, w))
+    sums, counts = blocks.reshape(2, spec.height, factor, spec.width, factor).sum(axis=4).sum(axis=2)
+    return Grid(spec, sums / counts)
+
+
 @dataclass
 class RgbGrid:
     """RGB raster with channels in [0, 1]."""

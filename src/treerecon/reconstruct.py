@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, world_to_pixel
+from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, pool, pooled_spec, world_to_pixel
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
 from .sensor import H_MIN
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
+LOSS_POOL = 2  # the raster terms are scored on the input grid pooled LOSS_POOL x LOSS_POOL
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest coordinate a PLY can store
 _GRAD_MAX = math.sqrt(np.finfo(np.float64).max)  # Adam squares every gradient component
@@ -206,9 +207,11 @@ def reconstruct(
     for perturbation studies); any other shape, or a coordinate not finite in float32,
     raises InvalidConfig. z is clamped to >= 0 after every step. The run stops at the first
     iteration where the stopping rule holds, or at `cfg.iters`, and logs that iteration's
-    row. Raises Diverged, naming the iteration, as soon as a position is no longer finite in
-    float32, the loss is no longer finite or a gradient component is too large for Adam to
-    square. The run hands `combined_loss` a one-worker pool (`_worker_pool`; none in a
+    row. The raster terms are scored on the input grid pooled LOSS_POOL x LOSS_POOL (block
+    means of the targets), with σ one input pixel in meters; the initialization and the colors
+    read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
+    longer finite in float32, the loss is no longer finite or a gradient component is too large
+    for Adam to square. The run hands `combined_loss` a one-worker pool (`_worker_pool`; none in a
     `--jobs` worker process or on one CPU), whose thread's pass buffers end with it: it
     computes the shadow pass while this thread runs the silhouette pass when both terms
     are on, and otherwise one of Chamfer's two KD-tree queries; every byte is that of one thread.
@@ -220,6 +223,9 @@ def reconstruct(
     targets.gt_cloud = gt_cloud
     w = cfg.weights or resolve_weights(gt_cloud, shadow_target)
     targets.require(w, sun, spec)
+    loss_spec = pooled_spec(spec, LOSS_POOL)
+    rasters = (targets.silhouette, targets.shadow, targets.dsm)
+    pooled = LossTargets(*(None if g is None else pool(g, LOSS_POOL) for g in rasters), gt_cloud)
 
     rng = Rng(cfg.seed)
     if init_positions is not None:
@@ -240,8 +246,8 @@ def reconstruct(
             # an overflow in the loss (a point too high for the soft DSM's
             # exp(BETA z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grad, breakdown = combined_loss(PointCloud(positions=pos), targets, sun, spec, soft_cfg, w,
-                                                       executor)
+                value, grad, breakdown = combined_loss(PointCloud(positions=pos), pooled, sun, loss_spec, soft_cfg,
+                                                       w, executor)
             if not math.isfinite(value):
                 raise Diverged(f"iteration {t}: the loss is {value}")
             if np.any(np.abs(grad) > _GRAD_MAX):

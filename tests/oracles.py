@@ -2,8 +2,9 @@
 codec, the soft-render hot path as it was before its in-place rewrite, the
 combined loss with each pass on a slot list of its own, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
-made faster, finite differences as they were before they came in stacks, and
-the tree-parameter draws as they were before they walked the range fields."""
+made faster, finite differences as they were before they came in stacks,
+the tree-parameter draws as they were before they walked the range fields, and
+block means one block at a time."""
 import math
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def brute_chamfer_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     grad = 2.0 * (a - b[ia]) / len(a)
     np.add.at(grad, ib, 2.0 * (a[ib] - b) / len(b))
     return grad
+
+
+def pool_loop(values: np.ndarray, factor: int) -> np.ndarray:
+    """Mean of each factor x factor block of a (h, w) raster, one block at a time, each block
+    summed row by row; a partial edge block averages only its in-grid pixels."""
+    h, w = values.shape
+    out = np.empty((math.ceil(h / factor), math.ceil(w / factor)))
+    for r in range(out.shape[0]):
+        for c in range(out.shape[1]):
+            block = values[r * factor:(r + 1) * factor, c * factor:(c + 1) * factor]
+            out[r, c] = sum(sum(float(x) for x in row) for row in block) / block.size
+    return out
 
 
 def finite_diff(f, x: np.ndarray, h: float) -> np.ndarray:

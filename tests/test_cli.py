@@ -666,3 +666,15 @@ def test_an_input_the_rule_cannot_resolve_exits_with_its_code(case, small_scene,
     assert main(["reconstruct", "--out", str(tmp_path / "r.ply")] + argv) == code
     stderr = capsys.readouterr().err
     assert stderr.startswith(err) and stderr.count("\n") == 1
+
+
+def test_reconstruct_runs_on_an_odd_grid(tmp_path):
+    """An odd grid pools with a partial last block on each axis."""
+    out = tmp_path / "data"
+    assert main(["generate", "--count", "1", "--seed", "3", "--out", str(out), "--grid-size", "33",
+                 "--pixel-size", "0.5", "--points-per-tree", "200"]) == 0
+    pred = tmp_path / "pred.ply"
+    assert main(["reconstruct", "--manifest", str(out / "scene_00000" / "manifest.json"), "--out", str(pred),
+                 "--iters", "3", "--points", "100"]) == 0
+    positions = read_ply(pred).positions
+    assert positions.shape == (100, 3) and np.all(np.isfinite(positions))

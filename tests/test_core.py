@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import pool_loop
 from treerecon.core import (
     Grid,
     GridSpec,
@@ -8,6 +11,8 @@ from treerecon.core import (
     Rng,
     SunConfig,
     pixel_to_world,
+    pool,
+    pooled_spec,
     sun_direction,
     world_to_pixel,
 )
@@ -109,3 +114,39 @@ class TestTypes:
         g = Grid(GridSpec(3, 2), np.arange(6.0))
         assert g.values.shape == (2, 3)
         assert g.values[1, 0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# pooling: the loss grid is the input grid's factor x factor blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 40), height=st.integers(1, 40), factor=st.integers(1, 3),
+       origin=st.tuples(*[st.floats(-1e3, 1e3)] * 2), pixel_size=st.floats(0.01, 10.0),
+       binary=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pool_is_the_block_mean_on_the_pooled_grid(width, height, factor, origin, pixel_size, binary, seed):
+    spec = GridSpec(width, height, *origin, pixel_size)
+    values = np.random.default_rng(seed).normal(0.0, 10.0, (height, width))
+    if binary:
+        values = (values > 0).astype(np.float64)
+    pooled = pool(Grid(spec, values), factor)
+    coarse = pooled.spec
+    assert coarse == pooled_spec(spec, factor)
+    assert (coarse.width, coarse.height) == (-(-width // factor), -(-height // factor))
+    assert coarse.pixel_size == factor * pixel_size
+    assert np.array_equal(pooled.values, pool_loop(values, factor))
+    if binary:
+        assert np.all((0.0 <= pooled.values) & (pooled.values <= 1.0))
+    # the center of each full block's coarse pixel is the mean of its fine pixels' centers
+    scale = 1e-12 * (1e3 + (width + height) * pixel_size)
+    for fine, grid, n in zip(spec.pixel_centers(), coarse.pixel_centers(), (width, height)):
+        full = n // factor
+        means = fine[: full * factor].reshape(full, factor).mean(axis=1)
+        np.testing.assert_allclose(grid[:full], means, rtol=0, atol=scale)
+
+
+def test_pool_of_a_one_pixel_grid_is_that_pixel():
+    spec = GridSpec(1, 1, 3.0, -2.0, 0.25)
+    pooled = pool(Grid(spec, [[0.7]]), 2)
+    assert pooled.spec == GridSpec(1, 1, 3.125, -1.875, 0.5)
+    assert pooled.values.tolist() == [[0.7]]

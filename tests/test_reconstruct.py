@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from oracles import surface_points_loop
 from treerecon.cli import _write_history, main
-from treerecon.core import Grid, GridSpec, Rng, RgbGrid
+from treerecon.core import Grid, GridSpec, Rng, RgbGrid, pool, pooled_spec
 from treerecon.errors import EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
 from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
+    LOSS_POOL,
     AdamState,
     OptimConfig,
     _recolor,
@@ -418,6 +419,36 @@ def test_explicit_weights_still_need_their_targets(generated):
     with pytest.raises(MissingTarget, match="lambda_shadow > 0 requires a shadow target"):
         reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=60, iters=3,
                                                            weights=LossWeights(lambda_geo=0.0)))
+
+
+@pytest.mark.parametrize("preset", ["dsm", "geo"])
+def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset):
+    """combined_loss gets the input grid pooled LOSS_POOL x LOSS_POOL, the block means of
+    derive_targets' rasters on it, the ground truth as given and σ one input pixel."""
+    scene = small_scene(1)
+    weights, geo = PRESETS[preset]
+    gt = scene.cloud if geo else None
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return loss(*args)
+
+    loss = reconstruct_module.combined_loss
+    with mock.patch.object(reconstruct_module, "combined_loss", spy):
+        reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=gt,
+                    cfg=OptimConfig(n_points=40, iters=2, weights=weights))
+    fine = derive_targets(scene.ortho, scene.dsm, OptimConfig().h_min, scene.shadow)
+    spec = pooled_spec(scene.dsm.spec, LOSS_POOL)
+    assert spec.width == -(-scene.dsm.spec.width // 2) and spec.pixel_size == 2 * scene.dsm.spec.pixel_size
+    assert len(calls) == 3
+    for _, targets, sun, loss_spec, soft_cfg, w, _ in calls:
+        assert (loss_spec, sun, w, targets.gt_cloud) == (spec, scene.sun, weights, gt)
+        assert soft_cfg.sigma == scene.dsm.spec.pixel_size
+        for field in ("silhouette", "shadow", "dsm"):
+            target = getattr(targets, field)
+            assert target.spec == spec
+            assert np.array_equal(target.values, pool(getattr(fine, field), LOSS_POOL).values)
 
 
 def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):

@@ -3,7 +3,7 @@
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--out BENCH_n.json]
     python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST [--gt PLY] --pairs N [--out BENCH_n.json]
-    python tools/bench_pairs.py PARENT CHANGE --criterion4 --pairs N [--out BENCH_n.json]
+    python tools/bench_pairs.py PARENT CHANGE --criterion4 [--dataset-seed S] --pairs N [--out BENCH_n.json]
 
 PARENT and CHANGE are two source checkouts. Pair i runs each checkout once
 in a fresh process, the parent first when i is even and the change first
@@ -22,13 +22,17 @@ With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
 --manifest MANIFEST` at its defaults, on the checkout's `src/`, and with
 `--gt PLY` also `--gt PLY` (which turns the Chamfer term on). With
 `--criterion4`, a run is the acceptance suite's criterion-4 workload in
-fresh processes, `generate --count 20 --seed 42` into a new directory and
-then `bench` of that directory, at their defaults. Either records each
-run's wall, user and sys seconds, its minor page faults and the SHA-256 of
-what it wrote (the PLY, or `bench.csv`); the summary compares wall, user,
-sys and CPU (user + sys) seconds and the minor page faults as above and
-says whether every run wrote the same bytes. Minor page faults (first
-touches of fresh memory) are `ru_minflt` of the finished child processes.
+fresh processes, `generate --count 20 --seed S` (`--dataset-seed`, 42 by
+default, the acceptance suite's scenes) into a new directory and then
+`bench` of that directory, at their defaults. Either records each run's
+wall, user and sys seconds, its minor page faults and the SHA-256 of what
+it wrote (the PLY, or `bench.csv`); the summary compares wall, user, sys
+and CPU (user + sys) seconds and the minor page faults as above and says
+whether every run wrote the same bytes, and whether every run of each side
+did. Minor page faults (first touches of fresh memory) are `ru_minflt` of
+the finished child processes. A criterion-4 run also records the mean
+Chamfer, recall and F-score of each method in its `bench.csv` (`quality`),
+and the summary gives each side's median of them next to the timings.
 
 `--out` writes the same summary into a JSON file under `workloads.W` (or
 `reconstruct`, `reconstruct_gt` with `--gt`, or `criterion4`), keeping
@@ -37,6 +41,7 @@ what the file already holds for the others.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -52,6 +57,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 CLI_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
 CHILD_COUNTS = ("cpu_s", "minflt")  # per workload run, from the children's rusage
+METHODS = ("reconstruct", "baseline")  # the methods of a bench.csv
+QUALITY = ("chamfer", "recall", "fscore")  # the bench.csv columns a criterion-4 run averages
 
 
 def child_usage(before: resource.struct_rusage, after: resource.struct_rusage) -> dict:
@@ -99,12 +106,22 @@ def reconstruct_once(checkout: Path, manifest: Path, out: Path, gt: Path | None 
     return cli_once(checkout, [command + (["--gt", str(gt)] if gt else [])], out)
 
 
-def criterion4_once(checkout: Path, dataset: Path) -> dict:
-    """`cli_once` of `generate --count 20 --seed 42` into the new directory `dataset`, then `bench`
-    of it, both at their defaults; the dataset is removed afterwards."""
+def bench_quality(path: Path) -> dict:
+    """{method: {column: mean}} of a bench.csv, for each of METHODS and QUALITY."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    return {method: {col: statistics.fmean(float(r[col]) for r in rows if r["method"] == method)
+                     for col in QUALITY} for method in METHODS}
+
+
+def criterion4_once(checkout: Path, dataset: Path, seed: int) -> dict:
+    """`cli_once` of `generate --count 20 --seed seed` into the new directory `dataset`, then `bench`
+    of it, both at their defaults, with `bench_quality` of its bench.csv as `quality`; the dataset
+    is removed afterwards."""
     try:
-        return cli_once(checkout, [["generate", "--count", "20", "--seed", "42", "--out", str(dataset)],
-                                   ["bench", "--dataset", str(dataset)]], dataset / "bench.csv")
+        result = cli_once(checkout, [["generate", "--count", "20", "--seed", str(seed), "--out", str(dataset)],
+                                     ["bench", "--dataset", str(dataset)]], dataset / "bench.csv")
+        return {**result, "quality": bench_quality(dataset / "bench.csv")}
     finally:
         shutil.rmtree(dataset, ignore_errors=True)
 
@@ -149,6 +166,7 @@ def main(argv=None) -> int:
     parser.add_argument("--gt", type=Path, metavar="PLY")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int)
+    parser.add_argument("--dataset-seed", type=int)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -157,6 +175,9 @@ def main(argv=None) -> int:
         parser.error("--seed goes with --workload, and only with it")
     if args.gt and not args.reconstruct:
         parser.error("--gt goes with --reconstruct, and only with it")
+    if args.dataset_seed is not None and not args.criterion4:
+        parser.error("--dataset-seed goes with --criterion4, and only with it")
+    dataset_seed = 42 if args.dataset_seed is None else args.dataset_seed
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
 
@@ -173,8 +194,8 @@ def main(argv=None) -> int:
         value = lambda result, metric: result[metric]
         if args.criterion4:
             name = "criterion4"
-            run = lambda side, i, tmp: criterion4_once(checkouts[side], Path(tmp) / "data")
-            label = lambda i: {"criterion4": "generate --count 20 --seed 42; bench", "pair": i}
+            run = lambda side, i, tmp: criterion4_once(checkouts[side], Path(tmp) / "data", dataset_seed)
+            label = lambda i: {"criterion4": f"generate --count 20 --seed {dataset_seed}; bench", "pair": i}
         else:
             name = "reconstruct_gt" if args.gt else "reconstruct"
             gt = args.gt and args.gt.resolve()
@@ -201,6 +222,11 @@ def main(argv=None) -> int:
         if args.reconstruct:
             summary["manifest"], summary["gt"] = str(args.reconstruct), args.gt and str(args.gt)
         summary["same_bytes"] = len({r["sha256"] for side in SIDES for r in runs[side]}) == 1
+        summary["same_bytes_per_side"] = {side: len({r["sha256"] for r in runs[side]}) == 1 for side in SIDES}
+    if args.criterion4:
+        summary["dataset_seed"] = dataset_seed
+        summary["quality"] = {side: {method: {col: statistics.median(r["quality"][method][col] for r in runs[side])
+                                              for col in QUALITY} for method in METHODS} for side in SIDES}
     summary["metrics"] = {m["name"]: compare(m, *([value(r, m["name"]) for r in runs[side]] for side in SIDES))
                           for m in metrics}
     for metric, m in summary["metrics"].items():
@@ -216,7 +242,13 @@ def main(argv=None) -> int:
               f"minflt: parent median {faults['parent']['median']:.6g} "
               f"change median {faults['change']['median']:.6g} (child minor page faults per run)")
     else:
-        print(f"{name}: every run wrote the same bytes: {summary['same_bytes']}")
+        print(f"{name}: every run wrote the same bytes: {summary['same_bytes']}; "
+              + ", ".join(f"every {side} run: {same}" for side, same in summary["same_bytes_per_side"].items()))
+    if args.criterion4:
+        for method in METHODS:
+            print(f"{name} {method} mean " + "; ".join(
+                f"{col}: parent {summary['quality']['parent'][method][col]:.6g} "
+                f"change {summary['quality']['change'][method][col]:.6g}" for col in QUALITY))
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
