@@ -9,23 +9,18 @@ silhouette target.
 The raster terms are scored passes: each runs a `diffrender` core on the
 calling thread's buffers, scores it with `raster_l2` and feeds that pixel
 gradient to the core's VJP. `combined_loss` looks each name up in this
-module's globals, so a wrapper set on one here is honoured, and makes the
-same calls on its own thread, in the same order, with or without a run's
-executor, which computes the shadow pass or, when the shadow pass does not
-use it, Chamfer's query of a against b's tree. On every path Chamfer builds
-b's tree first, on the caller, and calls `nearest_neighbors` once, for b's
-points against a. The executor pays on large clouds
-only: on two cores `chamfer` of two clouds of N points took a median 0.12 ms
-alone against 0.27 ms with a one-worker pool at N = 50, 0.37
-against 0.41 ms at 200, 0.96 against 0.88 ms at 500 and 4.5 against 3.7 ms at
-2000; no size rule picks the serial path. `combined_loss_stack` scores a
-(B, N, 3) stack of clouds value-only, each copy with `combined_loss`'s bytes.
+module's globals, so a wrapper set on one here is honoured, and runs every
+pass on the calling thread. A run's executor takes only Chamfer's query of a
+against b's tree, which pays on large clouds only (README, step 4); Chamfer
+builds b's tree first, on the caller, and calls `nearest_neighbors` once, for
+b's points against a. `combined_loss_stack` scores a (B, N, 3) stack of
+clouds value-only, each copy with `combined_loss`'s bytes.
 """
 from __future__ import annotations
 
 import contextvars
 import math
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +29,6 @@ from scipy.spatial import cKDTree
 from .core import Grid, GridSpec, PointCloud, SunConfig
 from .diffrender import SoftConfig, _soft_max_height, _soft_or, soft_stack
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
-from . import sensor
 from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
@@ -121,11 +115,10 @@ def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
 
 
 def occupancy_forward_backward(
-    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid, ahead: Future | None = None
+    xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid
 ) -> tuple[float, np.ndarray]:
-    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient);
-    given `ahead`, the same pass already run on another thread, its result."""
-    return _scored(_soft_or(xy, spec, cfg), spec, target) if ahead is None else ahead.result()
+    """Soft-or pass over (N, 2) points scored against target: (raster_l2, (N, 2) gradient)."""
+    return _scored(_soft_or(xy, spec, cfg), spec, target)
 
 
 def dsm_forward_backward(
@@ -179,39 +172,31 @@ def combined_loss(
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    Each term with a positive weight runs one pass and adds its weighted value and gradient
-    in TERMS order. Given an `executor` and both occupancy terms on, the shadow pass runs on
-    its worker thread under this thread's numpy error state; given one the shadow pass leaves
-    free, Chamfer runs one of its two KD-tree queries there. Either way this returns or
-    raises only once the worker's part has ended.
+    Each term with a positive weight runs one pass on this thread and adds its weighted
+    value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
+    worker runs one of its two KD-tree queries.
     """
     targets.require(weights, sun, spec)
-    total, grad, breakdown, ahead = 0.0, np.zeros((len(cloud), 3)), {}, None
-    if executor is not None and weights.lambda_sil > 0 and weights.lambda_shadow > 0:
-        ahead = executor.submit(contextvars.copy_context().run, lambda: _scored(  # none of this module's names
-            _soft_or(sensor.project_to_ground(cloud, sun)[0], spec, soft_cfg), spec, targets.shadow))
-    try:
-        for term in TERMS:
-            lam = weights.of(term)
-            if lam <= 0:
-                continue
-            if term == "geo":  # a query on the executor, unless the shadow pass holds it
-                value, g = chamfer(cloud, targets.gt_cloud, executor if ahead is None else None)
-            elif term == "sil":
-                xy = cloud.positions[:, :2]
-                value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette)
-                g = np.column_stack([gxy, np.zeros(len(cloud))])
-            elif term == "shadow":
-                ground, jac = project_to_ground(cloud, sun)
-                value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow, ahead)
-                g = gxy @ jac
-            else:
-                value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm)
-            breakdown[term] = value
-            total += lam * value
-            grad += lam * g
-    finally:
-        wait([ahead] if ahead else [])
+    total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
+    for term in TERMS:
+        lam = weights.of(term)
+        if lam <= 0:
+            continue
+        if term == "geo":
+            value, g = chamfer(cloud, targets.gt_cloud, executor)
+        elif term == "sil":
+            xy = cloud.positions[:, :2]
+            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette)
+            g = np.column_stack([gxy, np.zeros(len(cloud))])
+        elif term == "shadow":
+            ground, jac = project_to_ground(cloud, sun)
+            value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow)
+            g = gxy @ jac
+        else:
+            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm)
+        breakdown[term] = value
+        total += lam * value
+        grad += lam * g
     return total, grad, breakdown
 
 

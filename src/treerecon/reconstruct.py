@@ -211,10 +211,10 @@ def reconstruct(
     means of the targets), with σ one input pixel in meters; the initialization and the colors
     read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
     longer finite in float32, the loss is no longer finite or a gradient component is too large
-    for Adam to square. The run hands `combined_loss` a one-worker pool (`_worker_pool`; none in a
-    `--jobs` worker process or on one CPU), whose thread's pass buffers end with it: it
-    computes the shadow pass while this thread runs the silhouette pass when both terms
-    are on, and otherwise one of Chamfer's two KD-tree queries; every byte is that of one thread.
+    for Adam to square. A run with the Chamfer term on hands `combined_loss` a one-worker pool
+    (`_worker_pool`; none in a `--jobs` worker process or on one CPU), which runs one of
+    Chamfer's two KD-tree queries; every byte is that of one thread. A raster-only run
+    starts no thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -239,7 +239,7 @@ def reconstruct(
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-    with (executor := _worker_pool()) or contextlib.nullcontext():
+    with (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
         def loss_at(t, pos):
             if not np.all(np.abs(pos) <= _F32_MAX):
                 raise Diverged(f"iteration {t}: a point position is not finite in float32")

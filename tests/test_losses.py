@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 import oracles
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
-from treerecon import diffrender, losses
+from treerecon import diffrender, losses, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
 from treerecon.errors import Diverged, EmptyCloud, MissingTarget, SpecMismatch
@@ -243,15 +243,15 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
 
 
 def test_a_pool_keeps_the_threaded_hot_loop_allocations_small(executor):
-    """The second combined_loss call with a pool, its silhouette and shadow passes at
-    once on two threads' buffers, allocates no slot-sized buffers either (as above)."""
+    """The second combined_loss call with a pool, one of Chamfer's queries on the worker
+    while the silhouette and shadow passes run here, allocates no slot-sized buffers either."""
     scene = generate_scene(42, SceneConfig())
     targets = derive_targets(scene.ortho, scene.dsm, H_MIN)
-    targets.shadow = scene.shadow
+    targets.shadow, targets.gt_cloud = scene.shadow, scene.cloud
     spec = scene.dsm.spec
     cloud = init_cloud(scene.dsm, targets.silhouette, scene.ortho, 2000, Rng(0))
     args = (cloud, targets, scene.sun, spec, SoftConfig(sigma=spec.pixel_size),
-            LossWeights(0.0, 1.0, 0.5, 1.0), executor)
+            LossWeights(1.0, 1.0, 0.5, 0.0), executor)
     combined_loss(*args)
     tracemalloc.start()
     try:
@@ -388,7 +388,7 @@ def test_the_stack_scorer_refuses_an_empty_ground_truth():
                             LossWeights(lambda_sil=0.0, lambda_shadow=0.0), cKDTree(gt.positions))
 
 
-# the shadow pass on a pool: the bytes of one thread, and the caller sees the worker's errors
+# Chamfer's query on a pool: the bytes of one thread, and the caller sees the worker's errors
 
 @pytest.fixture(scope="module")
 def executor():
@@ -401,7 +401,7 @@ def executor():
 @given(data=st.data())
 def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
     """Value, gradient and breakdown with a pool are those of the serial call, for every set
-    of active terms (the pool runs a pass only when the silhouette and the shadow are both on)."""
+    of active terms (the pool runs one of Chamfer's queries when the geo term is on)."""
     c, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     args = (c, targets, sun, SPEC, cfg, weights)
     try:
@@ -428,83 +428,11 @@ def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0)):
             SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, executor)
 
 
-GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # no shadow pass: the pool runs a Chamfer query
+GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # the pool runs a Chamfer query beside the silhouette pass
 
 
 def on_worker() -> bool:
     return threading.current_thread() is not threading.main_thread()
-
-
-def test_an_exception_in_the_worker_pass_reaches_the_caller_unchanged(monkeypatch, executor):
-    err, threads = Diverged("raised in the shadow pass"), []
-    real = losses._soft_or
-
-    def soft_or(xy, spec, cfg):
-        threads.append(on_worker())
-        if on_worker():
-            raise err
-        return real(xy, spec, cfg)
-
-    monkeypatch.setattr(losses, "_soft_or", soft_or)
-    with pytest.raises(Diverged) as info:
-        combined_loss(*pool_call_args(executor))
-    assert info.value is err
-    assert sorted(threads) == [False, True]
-
-
-def test_the_vjp_guard_raised_in_the_worker_reaches_the_caller(monkeypatch, executor):
-    """A second pass on the worker's thread before its VJP: the guard's own RuntimeError."""
-    real = losses._soft_or
-
-    def stale(xy, spec, cfg):
-        out = real(xy, spec, cfg)
-        if on_worker():
-            real(xy, spec, cfg)
-        return out
-
-    monkeypatch.setattr(losses, "_soft_or", stale)
-    with pytest.raises(RuntimeError, match="run a VJP before the next pass"):
-        combined_loss(*pool_call_args(executor))
-
-
-def test_combined_loss_raises_only_once_the_worker_pass_has_ended(monkeypatch, executor):
-    ended = threading.Event()
-    real = losses._soft_or
-
-    def soft_or(xy, spec, cfg):
-        if not on_worker():
-            raise Diverged("the silhouette pass fails while the shadow pass runs")
-        time.sleep(0.2)
-        out = real(xy, spec, cfg)
-        ended.set()
-        return out
-
-    monkeypatch.setattr(losses, "_soft_or", soft_or)
-    with pytest.raises(Diverged, match="while the shadow pass runs"):
-        combined_loss(*pool_call_args(executor))
-    assert ended.is_set()
-
-
-def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, executor):
-    """An overflow in the worker's pass is silent under the caller's np.errstate, and
-    without it numpy warns (here as an error, which reaches the caller)."""
-    threads = []
-    real = losses._soft_or
-
-    def overflowing(xy, spec, cfg):
-        threads.append(on_worker())
-        if on_worker():
-            np.float64(1e308) * np.array([10.0])
-        return real(xy, spec, cfg)
-
-    monkeypatch.setattr(losses, "_soft_or", overflowing)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            combined_loss(*pool_call_args(executor))
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            combined_loss(*pool_call_args(executor))
-    assert sorted(threads) == [False, False, True, True]
 
 
 def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor):
@@ -527,7 +455,7 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         calls.clear()
         value, grad, _ = combined_loss(*args)
         assert calls == expected, on
-        if on == {"sil", "shadow"}:  # the shadow pass holds the pool; the caller still projects for its chain
+        if on == {"sil", "shadow"}:  # both passes on the caller, the shadow's after one projection
             assert calls == [("occupancy_forward_backward", 40, False), ("project_to_ground", 40, False),
                              ("occupancy_forward_backward", 40, False)]
         if on == {"geo"}:  # b's tree for a's query, then nearest_neighbors(b, a) with a's tree
@@ -536,6 +464,18 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)
         assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
 
+
+
+def test_a_pooled_call_projects_the_cloud_once(monkeypatch, executor):
+    """With a pool and the silhouette and shadow terms on, the cloud is slid to the ground once
+    per call: `sensor.project_to_ground` takes the sun's offsets once per projection."""
+    offsets = []
+    real = sensor.shadow_offsets
+    monkeypatch.setattr(sensor, "shadow_offsets", lambda sun: offsets.append(sun) or real(sun))
+    args = pool_call_args(executor)
+    assert args[5].lambda_sil > 0 and args[5].lambda_shadow > 0
+    combined_loss(*args)
+    assert offsets == [args[2]]
 
 @st.composite
 def cloud_pairs(draw):
@@ -616,11 +556,12 @@ def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, 
 
 def test_concurrent_runs_with_their_own_pools_keep_every_byte():
     """Three callers, each with its own pool (six threads on fewer cores, each on its own
-    buffers), under a short switch interval, alternating a call whose pool runs the shadow pass
-    with one whose pool runs a Chamfer query (40 of each per caller): every call gives the serial
-    bytes, as no state is shared. (Buffers shared between the callers failed this in most runs.)"""
+    buffers), under a short switch interval, alternating a call whose pool runs a Chamfer query
+    beside the silhouette and shadow passes with one whose pool runs it beside the silhouette
+    pass alone (40 of each per caller): every call gives the serial bytes, as no state is
+    shared. (Buffers shared between the callers failed this in most runs.)"""
     calls = [(random_cloud(7, 400),) + pool_call_args(None, weights)[1:6]
-             for weights in (LossWeights(lambda_geo=0.0), GEO_ON_THE_POOL)]
+             for weights in (LossWeights(), GEO_ON_THE_POOL)]
     expected = [combined_loss(*args) for args in calls]
 
     def run(_):

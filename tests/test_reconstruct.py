@@ -289,7 +289,7 @@ PRESETS = {  # LossWeights, and whether the run needs the ground truth
     "sil": (LossWeights(0.0, 1.0, 0.0, 0.0), False),
     "dsm": (LossWeights(0.0, 1.0, 0.5, 1.0), False),
     "geo": (LossWeights(1.0, 1.0, 0.5, 0.0), True),
-    "geo_only": (LossWeights(1.0, 0.0, 0.0, 0.0), True),  # the pool runs a Chamfer query
+    "geo_only": (LossWeights(1.0, 0.0, 0.0, 0.0), True),
 }
 
 
@@ -485,7 +485,26 @@ def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters
     *serial, serial_pools = run_bytes(tmp / "serial", seed, preset, n_points, lr, iters, False)
     *threaded, threaded_pools = run_bytes(tmp / "threaded", seed, preset, n_points, lr, iters, True)
     assert serial == threaded
-    assert serial_pools == {False} and threaded_pools == {True}
+    assert serial_pools == {False} and threaded_pools == {PRESETS[preset][0].lambda_geo > 0}
+
+
+@pytest.mark.parametrize("preset", [name for name, (weights, _) in PRESETS.items() if weights.lambda_geo == 0])
+def test_a_raster_only_run_starts_no_thread(preset):
+    """Without the Chamfer term a run asks for no pool, and every loss call gets none."""
+    scene = small_scene(0)
+    weights, _ = PRESETS[preset]
+    started, executors = [], []
+
+    def spy(*args):
+        executors.append(args[6])
+        return loss(*args)
+
+    loss = reconstruct_module.combined_loss
+    with mock.patch.object(reconstruct_module, "combined_loss", spy), \
+            mock.patch.object(reconstruct_module, "_worker_pool", lambda: started.append(1) or ThreadPoolExecutor(1)):
+        reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                    cfg=OptimConfig(n_points=40, iters=3, weights=weights))
+    assert started == [] and executors == [None] * 4
 
 
 def current_cpu() -> int:
@@ -499,7 +518,7 @@ def worker_pool_in_a_worker_process() -> bool:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="one CPU, or no Linux affinity calls: the run keeps one thread")
-def test_the_shadow_worker_starts_on_another_cpu_and_may_then_run_on_any():
+def test_the_chamfer_worker_starts_on_another_cpu_and_may_then_run_on_any():
     caller = current_cpu()
     with reconstruct_module._worker_pool() as pool:
         assert pool.submit(current_cpu).result(timeout=60) != caller
