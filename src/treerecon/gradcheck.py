@@ -7,14 +7,14 @@ truncation boundary or a nearest-neighbor tie are skipped: the objective
 is non-smooth exactly there, so finite differences are meaningless (the
 same exclusion a Chamfer check needs away from tie points).
 
-`fd_gradient` hands the scalar function (B, N, 3) stacks of perturbed
-copies of the cloud, FD_CHUNK_POINTS points at a time. The silhouette,
-DSM and shadow paths render a whole stack through one slot list on the
-thread's buffers (`diffrender.soft_stack`), and each copy's raster has
-the bytes of its own one-cloud render. Chamfer and the combined loss score
-a stack value-only (`losses.combined_loss_stack`, Chamfer as the loss with
-its geo weight alone), against one ground-truth KD-tree per trial, and each
-copy's value has the bytes of `chamfer` or `combined_loss` of that copy.
+`fd_gradient` hands one scorer per trial (B, N, 3) stacks of perturbed
+copies of the cloud, FD_CHUNK_POINTS points at a time, over every component
+some path checks; each path reads its own column on its own mask. The scorer
+dots each raster kind's stacked render (`diffrender.soft_stack`, one slot
+list on the thread's buffers) with the pixel gradient, and scores the stack
+value-only with `losses.combined_loss_stack`: its geo breakdown is the
+Chamfer path's value, its value the combined path's. Each copy's values have
+the bytes of its own one-cloud render, `chamfer` and `combined_loss`.
 """
 from __future__ import annotations
 
@@ -53,26 +53,27 @@ _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
     """Central finite differences over the (N, 3) components that `mask` selects.
 
-    f maps a (B, N, 3) stack of perturbed copies of positions to their B
-    scalar values. Component (i, j), in np.nonzero order, gets the copy with
-    x + h and then the copy with (x + h) - 2h, the values an in-place loop
-    sees; the copies reach f in chunks of at most FD_CHUNK_POINTS points
-    (at least one copy each), so memory stays bounded in N.
+    f maps a (B, N, 3) stack of perturbed copies of positions to (B,) values, or to (B, K),
+    for an (N, 3) or a (K, N, 3) result. Component (i, j), in np.nonzero order, gets the
+    copy with x + h and then the copy with (x + h) - 2h, the values an in-place loop sees,
+    and a column's result there reads only those two values; the copies reach f in chunks
+    of at most FD_CHUNK_POINTS points (at least one copy each), so memory stays bounded in N.
     """
     if mask.shape != positions.shape:
         raise InvalidConfig(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
     rows, cols = np.nonzero(mask)
     plus = positions[rows, cols] + h
     moved = np.column_stack([plus, plus - 2 * h]).ravel()  # per component: +h, then -2h from there
-    values = np.empty(len(moved))
     per_chunk = max(1, FD_CHUNK_POINTS // max(1, len(positions)))
+    chunks = []
     for start in range(0, len(moved), per_chunk):
         k = np.arange(start, min(start + per_chunk, len(moved)))
         stack = np.repeat(positions[None], len(k), axis=0)
         stack[np.arange(len(k)), rows[k // 2], cols[k // 2]] = moved[k]
-        values[k] = f(stack)
-    grad = np.zeros_like(positions)
-    grad[rows, cols] = (values[0::2] - values[1::2]) / (2 * h)
+        chunks.append(np.asarray(f(stack), dtype=np.float64))
+    values = np.concatenate(chunks) if chunks else np.empty(0)
+    grad = np.zeros(values.shape[1:] + positions.shape)
+    grad[..., rows, cols] = ((values[0::2] - values[1::2]) / (2 * h)).T
     return grad
 
 
@@ -172,31 +173,27 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         weights = LossWeights(1.0, 1.0, 0.5, 1.0)  # every term on, the DSM's too
         cloud = PointCloud(positions=positions)
 
-        def pixel_dots(kind):
-            """Stack -> <each copy's render of kind, d_pix>, whose gradient the kind's backward returns."""
-            return lambda ps: [float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg)]
+        def path_values(ps):
+            """Stack -> per copy, each path's scalar: <its render of each kind, d_pix>, whose
+            gradient the kind's backward returns, then its Chamfer and its loss value."""
+            dots = [[float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg)]
+                    for kind in ("sil", "dsm", "shadow")]
+            values, breakdown = combined_loss_stack(ps, targets, sun, spec, cfg, weights)
+            return np.column_stack([*dots, breakdown["geo"], values])
 
-        def loss_values(w):
-            """Stack -> each copy's loss value at weights w, against the trial's one gt tree."""
-            return lambda ps: combined_loss_stack(ps, targets, sun, spec, cfg, w, gt_tree)
-
-        gt_tree = cKDTree(gt.positions)
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
         mask_ch = chamfer_mask(cloud, gt, h)
-        # (path, stack of positions -> each copy's scalar, its analytic gradient, components to check)
+        # (path, its analytic gradient, components to check), in path_values' column order
         paths = (
-            ("silhouette", pixel_dots("sil"), soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("dsm", pixel_dots("dsm"), soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
-            ("shadow", pixel_dots("shadow"), soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
-            ("chamfer", loss_values(LossWeights(lambda_sil=0.0, lambda_shadow=0.0)),  # geo alone
-             chamfer(cloud, gt)[1], mask_ch),
-            ("combined", loss_values(weights),
-             combined_loss(cloud, targets, sun, spec, cfg, weights)[1],
-             mask_sil & mask_sh & mask_ch),
+            ("silhouette", soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("dsm", soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
+            ("shadow", soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
+            ("chamfer", chamfer(cloud, gt)[1], mask_ch),
+            ("combined", combined_loss(cloud, targets, sun, spec, cfg, weights)[1], mask_sil & mask_sh & mask_ch),
         )
-        for name, scalar_fn, analytic, mask in paths:
-            fd = fd_gradient(scalar_fn, positions, h, mask)
+        fds = fd_gradient(path_values, positions, h, mask_sil | mask_sh | mask_ch)
+        for (name, analytic, mask), fd in zip(paths, fds, strict=True):
             scores[name] = max(scores.get(name, 0.0), max_error_score(analytic, fd, mask))
 
     return scores

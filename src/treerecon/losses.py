@@ -13,8 +13,8 @@ module's globals, so a wrapper set on one here is honoured, and runs every
 pass on the calling thread. A run's executor takes only Chamfer's query of a
 against b's tree, which pays on large clouds only (README, step 4); Chamfer
 builds b's tree first, on the caller, and calls `nearest_neighbors` once, for
-b's points against a. `combined_loss_stack` scores a (B, N, 3) stack of
-clouds value-only, each copy with `combined_loss`'s bytes.
+b's points against a. `combined_loss_stack` is `combined_loss` of each copy
+of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
+_DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
 TERMS = ("geo", "sil", "shadow", "dsm")
@@ -125,7 +126,7 @@ def dsm_forward_backward(
     positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, target: Grid
 ) -> tuple[float, np.ndarray]:
     """Soft-DSM pass over (N, 3) points: (raster_l2 / H_NORM^2, (N, 3) gradient)."""
-    return _scored(_soft_max_height(positions, spec, cfg), spec, target, 1.0 / H_NORM**2)
+    return _scored(_soft_max_height(positions, spec, cfg), spec, target, _DSM_SCALE)
 
 
 @dataclass
@@ -202,27 +203,28 @@ def combined_loss(
 
 def combined_loss_stack(
     positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, gt_tree: cKDTree,
-) -> np.ndarray:
-    """combined_loss(PointCloud(copy), ...)[0] of each copy of a (B, N, 3) stack, byte for byte.
+    weights: LossWeights,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """combined_loss(PointCloud(copy), ...)'s value and breakdown, each a (B,) array over the
+    copies of a (B, N, 3) stack, byte for byte.
 
-    Value only: each raster term renders the stack once (`diffrender.soft_stack`) and
-    scores each copy's raster with `raster_l2`; Chamfer queries all the points against
-    `gt_tree`, the ground truth's KD-tree, and builds one tree per copy for the other direction.
+    No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
+    each copy's raster with `raster_l2`; Chamfer builds the ground truth's tree as `chamfer`
+    does, queries all the points against it and builds one tree per copy for the other direction.
     """
     targets.require(weights, sun, spec)
-    total = np.zeros(len(positions))
+    breakdown = {}
     for term, field in zip(TERMS, _TARGET_FIELDS):
-        target, lam = getattr(targets, field), weights.of(term)
-        if lam > 0 and term == "geo":
+        target, on = getattr(targets, field), weights.of(term) > 0
+        if on and term == "geo":
             pb = target.positions
             if positions.shape[1] == 0 or len(pb) == 0:
                 raise EmptyCloud("chamfer requires two non-empty clouds")
-            diff_a = positions - pb[gt_tree.query(positions)[1]]
-            total += lam * np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
-                                     for p, d in zip(positions, diff_a)])
-        elif lam > 0:
-            rasters = soft_stack(term, positions, sun, spec, soft_cfg)
-            scale = 1.0 / H_NORM**2 if term == "dsm" else 1.0  # as _scored scales
-            total += lam * np.array([raster_l2(Grid(spec, r), target)[0] * scale for r in rasters])
-    return total
+            diff_a = positions - pb[cKDTree(pb).query(positions)[1]]
+            breakdown[term] = np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
+                                        for p, d in zip(positions, diff_a)])
+        elif on:
+            scale = _DSM_SCALE if term == "dsm" else 1.0
+            breakdown[term] = np.array([raster_l2(Grid(spec, r), target)[0] * scale
+                                        for r in soft_stack(term, positions, sun, spec, soft_cfg)])
+    return sum(weights.of(term) * values for term, values in breakdown.items()), breakdown

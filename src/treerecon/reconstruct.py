@@ -179,17 +179,17 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 
 def _worker_pool() -> ThreadPoolExecutor | None:
-    """A one-worker pool whose thread starts off the caller's CPU (a scheduler that does not
-    balance load leaves it there), or None: in a `--jobs` worker process (its siblings fill
-    the cores), on one CPU, or off Linux."""
+    """A one-worker pool whose thread is kept off the caller's CPU for its whole life (a new
+    thread starts on its creator's CPU, and a scheduler that does not balance load leaves it
+    there), or None: in a `--jobs` worker process (its siblings fill the cores), on one CPU,
+    or off Linux."""
     try:
         allowed = set() if multiprocessing.parent_process() else os.sched_getaffinity(0)
         with open("/proc/thread-self/stat") as f:  # field 39: the CPU this thread runs on
             others = allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
     except (OSError, AttributeError):
         return None
-    start = lambda: [os.sched_setaffinity(0, cpus) for cpus in (others, allowed)]  # moved off, then free
-    return ThreadPoolExecutor(1, initializer=start) if others else None
+    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) if others else None
 
 
 def reconstruct(
@@ -212,9 +212,9 @@ def reconstruct(
     read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
     longer finite in float32, the loss is no longer finite or a gradient component is too large
     for Adam to square. A run with the Chamfer term on hands `combined_loss` a one-worker pool
-    (`_worker_pool`; none in a `--jobs` worker process or on one CPU), which runs one of
-    Chamfer's two KD-tree queries; every byte is that of one thread. A raster-only run
-    starts no thread.
+    kept off this thread's CPU (`_worker_pool`; none in a `--jobs` worker process or on one
+    CPU), which runs one of Chamfer's two KD-tree queries; every byte is that of one thread.
+    A raster-only run starts no thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec

@@ -82,8 +82,8 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
 
 
 def test_combined_path_checks_the_soft_dsm(monkeypatch):
-    """The DSM term is off by default; the combined path turns it on, so every stack its
-    fd scalar scores renders the soft DSM too. The Chamfer path's stacks render nothing."""
+    """The DSM term is off by default; the combined path turns it on, so every stack the
+    trial's one scorer scores renders the soft DSM too, and no call scores Chamfer alone."""
     rendered = []  # per call of the stack scorer, the raster kinds of the stacked renders it ran
     render = losses.soft_stack
 
@@ -100,9 +100,8 @@ def test_combined_path_checks_the_soft_dsm(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "combined_loss_stack", scored)
     run_gradcheck(seed=0, trials=1)
-    combined = [kinds for kinds in rendered if kinds]
-    assert len(combined) > 1 and len(combined) < len(rendered)
-    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in combined)
+    assert len(rendered) > 1
+    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in rendered)
 
 
 def wavy(p: np.ndarray) -> float:
@@ -136,6 +135,28 @@ def test_fd_gradient_equals_the_in_place_loop(n, bits, h, budget):
     assert grad.tobytes() == fd_gradient_loop(wavy, positions, h, mask).tobytes()
     assert sum(f.copies) == 2 * int(mask.sum())
     assert all(copies == 1 or copies * n <= budget for copies in f.copies)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(n=5, k=3, bits=[False] * 45, budget=256)  # f is never called
+@given(n=st.integers(1, 30), k=st.integers(1, 5), bits=st.lists(st.booleans(), min_size=450, max_size=450),
+       budget=st.integers(1, 200))
+def test_each_column_of_fd_gradient_is_a_call_on_that_column_alone(n, k, bits, budget):
+    """f of (B, K) values: on each column's own mask, its (N, 3) slice has the bytes of
+    fd_gradient of that column on that mask, the union of the masks driving the call."""
+    positions = np.random.default_rng(n).uniform(-5.0, 5.0, (n, 3))
+    masks = np.array(bits[: 3 * n * k], dtype=bool).reshape(k, n, 3)
+    column = lambda c: lambda stack: [wavy(p * (c + 1)) for p in stack]
+    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
+        fds = fd_gradient(lambda stack: np.column_stack([column(c)(stack) for c in range(k)]),
+                          positions, 1e-4, masks.any(axis=0))
+        if not masks.any():
+            assert fds.shape == (n, 3) and not fds.any()
+            return
+        assert fds.shape == (k, n, 3)
+        for c, mask in enumerate(masks):
+            alone = fd_gradient(column(c), positions, 1e-4, mask)
+            assert np.where(mask, fds[c], 0.0).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("n, budget", [(35, 256), (35, 70), (35, 69), (300, 256), (1, 1)])

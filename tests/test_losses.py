@@ -361,31 +361,37 @@ def stacks(draw):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
+    """The value and every breakdown entry of each copy, from one argument tuple."""
     _, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     stack = data.draw(stacks())
-    values = combined_loss_stack(stack, targets, sun, SPEC, cfg, weights, cKDTree(targets.gt_cloud.positions))
-    assert values.shape == (len(stack),)
-    for p, value in zip(stack, values):
-        expected = combined_loss(PointCloud(positions=p.copy()), targets, sun, SPEC, cfg, weights)[0]
-        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+    args = (targets, sun, SPEC, cfg, weights)
+    values, breakdown = combined_loss_stack(stack, *args)
+    assert values.shape == (len(stack),) and list(breakdown) == [t for t in TERMS if t in on]
+    assert all(v.shape == (len(stack),) for v in breakdown.values())
+    for i, p in enumerate(stack):
+        value, _, terms = combined_loss(PointCloud(positions=p.copy()), *args)
+        assert np.float64(values[i]).tobytes() == np.float64(value).tobytes()
+        assert list(terms) == list(breakdown)
+        assert all(np.float64(breakdown[t][i]).tobytes() == np.float64(terms[t]).tobytes() for t in terms)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(stack=stacks(), gt_seed=st.integers(0, 99), gt_n=st.integers(1, 40))
 def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n):
-    """The geo weight alone at 1: each copy's value is chamfer's, byte for byte."""
+    """The geo weight alone at 1: each copy's value and geo term are chamfer's, byte for byte."""
     gt = random_cloud(gt_seed, gt_n)
-    values = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
-                                 LossWeights(lambda_sil=0.0, lambda_shadow=0.0), cKDTree(gt.positions))
-    for p, value in zip(stack, values):
-        assert np.float64(value).tobytes() == np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
+    values, breakdown = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
+                                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
+        expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
+        assert np.float64(value).tobytes() == expected and np.float64(geo).tobytes() == expected
 
 
 def test_the_stack_scorer_refuses_an_empty_ground_truth():
     gt = PointCloud(np.zeros((0, 3)))
     with pytest.raises(EmptyCloud):
         combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
-                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0), cKDTree(gt.positions))
+                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
 
 
 # Chamfer's query on a pool: the bytes of one thread, and the caller sees the worker's errors
