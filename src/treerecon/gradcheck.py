@@ -10,11 +10,13 @@ same exclusion a Chamfer check needs away from tie points).
 `fd_gradient` hands one scorer per trial (B, N, 3) stacks of perturbed
 copies of the cloud, FD_CHUNK_POINTS points at a time, over every component
 some path checks; each path reads its own column on its own mask. The scorer
-dots each raster kind's stacked render (`diffrender.soft_stack`, one slot
-list on the thread's buffers) with the pixel gradient, and scores the stack
-value-only with `losses.combined_loss_stack`: its geo breakdown is the
-Chamfer path's value, its value the combined path's. Each copy's values have
-the bytes of its own one-cloud render, `chamfer` and `combined_loss`.
+scores the stack value-only with `losses.combined_loss_stack`, which renders
+it once per raster kind (one slot list on the thread's buffers) and returns
+those renders with its scores. Its geo breakdown is the Chamfer path's value
+and its value the combined path's; each kind's render, dotted with the pixel
+gradient in one reduction over the stack, is that kind's path value, so each
+stack is rendered once per kind. Each copy's values have the bytes of its own
+one-cloud render, `chamfer` and `combined_loss`.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .diffrender import (
     soft_shadow_backward,
     soft_silhouette,
     soft_silhouette_backward,
-    soft_stack,
 )
 from .errors import InvalidConfig
 from .losses import LossTargets, LossWeights, chamfer, combined_loss, combined_loss_stack
@@ -58,6 +59,7 @@ def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndar
     copy with x + h and then the copy with (x + h) - 2h, the values an in-place loop sees,
     and a column's result there reads only those two values; the copies reach f in chunks
     of at most FD_CHUNK_POINTS points (at least one copy each), so memory stays bounded in N.
+    A mask that selects nothing gives f one stack of no copies, for the shape of its values.
     """
     if mask.shape != positions.shape:
         raise InvalidConfig(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
@@ -66,12 +68,12 @@ def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndar
     moved = np.column_stack([plus, plus - 2 * h]).ravel()  # per component: +h, then -2h from there
     per_chunk = max(1, FD_CHUNK_POINTS // max(1, len(positions)))
     chunks = []
-    for start in range(0, len(moved), per_chunk):
+    for start in range(0, max(len(moved), 1), per_chunk):
         k = np.arange(start, min(start + per_chunk, len(moved)))
         stack = np.repeat(positions[None], len(k), axis=0)
         stack[np.arange(len(k)), rows[k // 2], cols[k // 2]] = moved[k]
         chunks.append(np.asarray(f(stack), dtype=np.float64))
-    values = np.concatenate(chunks) if chunks else np.empty(0)
+    values = np.concatenate(chunks)
     grad = np.zeros(values.shape[1:] + positions.shape)
     grad[..., rows, cols] = ((values[0::2] - values[1::2]) / (2 * h)).T
     return grad
@@ -176,9 +178,9 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         def path_values(ps):
             """Stack -> per copy, each path's scalar: <its render of each kind, d_pix>, whose
             gradient the kind's backward returns, then its Chamfer and its loss value."""
-            dots = [[float((r * d_pix.values).sum()) for r in soft_stack(kind, ps, sun, spec, cfg)]
+            values, breakdown, renders = combined_loss_stack(ps, targets, sun, spec, cfg, weights)
+            dots = [(renders[kind] * d_pix.values).reshape(-1, spec.n_pixels).sum(axis=1)
                     for kind in ("sil", "dsm", "shadow")]
-            values, breakdown = combined_loss_stack(ps, targets, sun, spec, cfg, weights)
             return np.column_stack([*dots, breakdown["geo"], values])
 
         mask_sil = silhouette_mask(cloud, spec, cfg, h)

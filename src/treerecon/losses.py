@@ -14,7 +14,9 @@ pass on the calling thread. A run's executor takes only Chamfer's query of a
 against b's tree, which pays on large clouds only (README, step 4); Chamfer
 builds b's tree first, on the caller, and calls `nearest_neighbors` once, for
 b's points against a. `combined_loss_stack` is `combined_loss` of each copy
-of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes.
+of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes; it
+renders the stack once per raster term and returns those renders too, so a
+caller that reads them (`gradcheck`) renders nothing again.
 """
 from __future__ import annotations
 
@@ -204,16 +206,17 @@ def combined_loss(
 def combined_loss_stack(
     positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
     weights: LossWeights,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """combined_loss(PointCloud(copy), ...)'s value and breakdown, each a (B,) array over the
-    copies of a (B, N, 3) stack, byte for byte.
+    copies of a (B, N, 3) stack, byte for byte, and the (B, H, W) render of each raster term scored.
 
     No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
-    each copy's raster with `raster_l2`; Chamfer builds the ground truth's tree as `chamfer`
-    does, queries all the points against it and builds one tree per copy for the other direction.
+    every copy's raster in one reduction, with `raster_l2`'s bytes; Chamfer builds the ground
+    truth's tree as `chamfer` does, queries all the points against it and builds one tree per
+    copy for the other direction.
     """
     targets.require(weights, sun, spec)
-    breakdown = {}
+    breakdown, renders = {}, {}
     for term, field in zip(TERMS, _TARGET_FIELDS):
         target, on = getattr(targets, field), weights.of(term) > 0
         if on and term == "geo":
@@ -225,6 +228,6 @@ def combined_loss_stack(
                                         for p, d in zip(positions, diff_a)])
         elif on:
             scale = _DSM_SCALE if term == "dsm" else 1.0
-            breakdown[term] = np.array([raster_l2(Grid(spec, r), target)[0] * scale
-                                        for r in soft_stack(term, positions, sun, spec, soft_cfg)])
-    return sum(weights.of(term) * values for term, values in breakdown.items()), breakdown
+            r = renders[term] = soft_stack(term, positions, sun, spec, soft_cfg)
+            breakdown[term] = ((r - target.values) ** 2).reshape(-1, spec.n_pixels).mean(axis=1) * scale
+    return sum(weights.of(term) * values for term, values in breakdown.items()), breakdown, renders

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import chamfer_tie_loop, fd_gradient_loop, truncation_safe_loop
-from treerecon import gradcheck, losses
+from treerecon import diffrender, gradcheck, losses
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.diffrender import SoftConfig
 from treerecon.gradcheck import (
@@ -104,6 +104,31 @@ def test_combined_path_checks_the_soft_dsm(monkeypatch):
     assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in rendered)
 
 
+def test_each_scorer_call_renders_its_stack_once_per_kind(monkeypatch):
+    """The dots read the renders the loss scored: per call of the trial's scorer, one
+    stacked pass of each raster kind reaches `diffrender._pass`, and no other."""
+    rendered = []  # per scorer call, the kinds of the (B, N, 3) passes it ran
+    render_pass = diffrender._pass
+
+    def counted(kind, positions, *args, **kwargs):
+        if positions.ndim == 3:
+            rendered[-1].append(kind)
+        return render_pass(kind, positions, *args, **kwargs)
+
+    def scored(f):
+        def call(stack):
+            rendered.append([])
+            return f(stack)
+        return call
+
+    monkeypatch.setattr(diffrender, "_pass", counted)
+    fd = gradcheck.fd_gradient
+    monkeypatch.setattr(gradcheck, "fd_gradient", lambda f, *args: fd(scored(f), *args))
+    run_gradcheck(seed=0, trials=1)
+    assert len(rendered) > 1
+    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in rendered)
+
+
 def wavy(p: np.ndarray) -> float:
     """A smooth scalar of one (N, 3) cloud that mixes every coordinate."""
     return float((np.sin(3.0 * p) * np.cos(p[:, ::-1]) + p**3).sum())
@@ -121,7 +146,7 @@ class Recording:
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(n=5, bits=[False] * 15, h=1e-4, budget=256)  # f is never called
+@example(n=5, bits=[False] * 15, h=1e-4, budget=256)  # f gets no copies
 @example(n=0, bits=[], h=1e-4, budget=256)
 @given(n=st.integers(0, 40), bits=st.lists(st.booleans(), min_size=120, max_size=120),
        h=st.floats(1e-7, 1e-2), budget=st.integers(1, 200))
@@ -138,7 +163,7 @@ def test_fd_gradient_equals_the_in_place_loop(n, bits, h, budget):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(n=5, k=3, bits=[False] * 45, budget=256)  # f is never called
+@example(n=5, k=3, bits=[False] * 45, budget=256)  # f gets no copies
 @given(n=st.integers(1, 30), k=st.integers(1, 5), bits=st.lists(st.booleans(), min_size=450, max_size=450),
        budget=st.integers(1, 200))
 def test_each_column_of_fd_gradient_is_a_call_on_that_column_alone(n, k, bits, budget):
@@ -150,9 +175,6 @@ def test_each_column_of_fd_gradient_is_a_call_on_that_column_alone(n, k, bits, b
     with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
         fds = fd_gradient(lambda stack: np.column_stack([column(c)(stack) for c in range(k)]),
                           positions, 1e-4, masks.any(axis=0))
-        if not masks.any():
-            assert fds.shape == (n, 3) and not fds.any()
-            return
         assert fds.shape == (k, n, 3)
         for c, mask in enumerate(masks):
             alone = fd_gradient(column(c), positions, 1e-4, mask)
@@ -168,6 +190,16 @@ def test_fd_gradient_chunks_stay_within_the_point_budget(n, budget):
         fd_gradient(f, positions, 1e-4, np.ones((n, 3), dtype=bool))
     assert sum(f.copies) == 6 * n and min(f.copies) >= 1
     assert max(f.copies) == max(1, budget // n)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_an_empty_mask_gives_zeros_of_the_shape_a_full_one_gives(k):
+    """(N, 3) for (B,) values and (K, N, 3) for (B, K) values, whatever the mask."""
+    positions = np.random.default_rng(4).uniform(-5.0, 5.0, (4, 3))
+    f = lambda stack: np.zeros(len(stack) if k is None else (len(stack), k))
+    full = fd_gradient(f, positions, 1e-4, np.ones((4, 3), dtype=bool))
+    empty = fd_gradient(f, positions, 1e-4, np.zeros((4, 3), dtype=bool))
+    assert full.shape == empty.shape == ((4, 3) if k is None else (k, 4, 3)) and not empty.any()
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (6, 3), (15,)])

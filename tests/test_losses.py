@@ -361,13 +361,18 @@ def stacks(draw):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
-    """The value and every breakdown entry of each copy, from one argument tuple."""
+    """The value and every breakdown entry of each copy, from one argument tuple, and each
+    raster term's render: the stack's own render of that kind."""
     _, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     stack = data.draw(stacks())
     args = (targets, sun, SPEC, cfg, weights)
-    values, breakdown = combined_loss_stack(stack, *args)
+    values, breakdown, renders = combined_loss_stack(stack, *args)
     assert values.shape == (len(stack),) and list(breakdown) == [t for t in TERMS if t in on]
     assert all(v.shape == (len(stack),) for v in breakdown.values())
+    assert list(renders) == [t for t in breakdown if t != "geo"]
+    for term, r in renders.items():
+        assert r.shape == (len(stack), SPEC.height, SPEC.width)
+        assert r.tobytes() == diffrender.soft_stack(term, stack, sun, SPEC, cfg).tobytes()
     for i, p in enumerate(stack):
         value, _, terms = combined_loss(PointCloud(positions=p.copy()), *args)
         assert np.float64(values[i]).tobytes() == np.float64(value).tobytes()
@@ -380,11 +385,23 @@ def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
 def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n):
     """The geo weight alone at 1: each copy's value and geo term are chamfer's, byte for byte."""
     gt = random_cloud(gt_seed, gt_n)
-    values, breakdown = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
-                                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    values, breakdown, renders = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC,
+                                                     SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    assert renders == {}
     for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
         expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
         assert np.float64(value).tobytes() == expected and np.float64(geo).tobytes() == expected
+
+
+def test_the_stack_scorer_scores_a_stack_of_no_copies():
+    """What `fd_gradient` hands its scorer on a mask that selects nothing."""
+    raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
+    targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
+    values, breakdown, renders = combined_loss_stack(np.zeros((0, 4, 3)), targets, SunConfig(150.0, 50.0), SPEC,
+                                                     SoftConfig(sigma=1.0), LossWeights(1.0, 1.0, 0.5, 1.0))
+    assert values.shape == (0,) and all(v.shape == (0,) for v in breakdown.values())
+    assert list(renders) == ["sil", "shadow", "dsm"]
+    assert all(r.shape == (0, SPEC.height, SPEC.width) for r in renders.values())
 
 
 def test_the_stack_scorer_refuses_an_empty_ground_truth():
