@@ -16,7 +16,9 @@ builds b's tree first, on the caller, and calls `nearest_neighbors` once, for
 b's points against a. `combined_loss_stack` is `combined_loss` of each copy
 of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes; it
 renders the stack once per raster term and returns those renders too, so a
-caller that reads them (`gradcheck`) renders nothing again.
+caller that reads them (`gradcheck`) renders nothing again. Its Chamfer builds
+the ground truth's tree only; the other direction reads a blocked table of
+squared distances, sized for gradcheck's 20-50 points (README, step 4).
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
+_TABLE_BLOCK = 2**14  # distances in one block of combined_loss_stack's Chamfer table (a block is >= 1 row)
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
 TERMS = ("geo", "sil", "shadow", "dsm")
@@ -66,9 +69,9 @@ def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _sq_mean(diff: np.ndarray) -> float:
-    """Mean squared length of (N, 3) offsets: one direction of the Chamfer value."""
-    return (diff**2).sum(axis=1).mean()
+def _sq_mean(diff: np.ndarray) -> np.ndarray:
+    """Mean squared length of (..., N, 3) offsets over N: one direction of the Chamfer value."""
+    return (diff**2).sum(axis=-1).mean(axis=-1)
 
 
 def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None) -> tuple[float, np.ndarray]:
@@ -212,8 +215,10 @@ def combined_loss_stack(
 
     No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
     every copy's raster in one reduction, with `raster_l2`'s bytes; Chamfer builds the ground
-    truth's tree as `chamfer` does, queries all the points against it and builds one tree per
-    copy for the other direction.
+    truth's tree as `chamfer` does and queries all the points against it. The other direction
+    takes the argmin of each copy's squared distances to a ground-truth point, at most
+    _TABLE_BLOCK of them at a time: sized for gradcheck's 20-50 points (0.2-0.3 ms a call), it
+    takes ~30 ms at 2,000 (README, step 4).
     """
     targets.require(weights, sun, spec)
     breakdown, renders = {}, {}
@@ -224,8 +229,13 @@ def combined_loss_stack(
             if positions.shape[1] == 0 or len(pb) == 0:
                 raise EmptyCloud("chamfer requires two non-empty clouds")
             diff_a = positions - pb[cKDTree(pb).query(positions)[1]]
-            breakdown[term] = np.array([_sq_mean(d) + _sq_mean(pb - p[cKDTree(p).query(pb)[1]])
-                                        for p, d in zip(positions, diff_a)])
+            nearest = np.empty((len(positions), len(pb)), dtype=np.intp)  # per copy, of each gt point
+            rows = max(1, _TABLE_BLOCK // max(1, positions.size // 3))
+            for lo in range(0, len(pb), rows):  # x, then y, then z: cKDTree's sum, so its minima
+                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
+                nearest[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
+            diff_b = pb - np.take_along_axis(positions, nearest[..., None], axis=1)
+            breakdown[term] = _sq_mean(diff_a) + _sq_mean(diff_b)
         elif on:
             scale = _DSM_SCALE if term == "dsm" else 1.0
             r = renders[term] = soft_stack(term, positions, sun, spec, soft_cfg)

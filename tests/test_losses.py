@@ -351,10 +351,17 @@ def test_combined_loss_gives_the_bytes_of_independent_passes(on, data):
 
 @st.composite
 def stacks(draw):
-    """A (B, N, 3) stack of clouds, B from 1 to 6 and N from 1 to 40, some points off SPEC."""
+    """A (B, N, 3) stack of clouds, B from 1 to 6 and N from 1 to 40, some points off SPEC; or
+    one full of exact ties: on the integer grid or on that grid scaled by 0.1, with the first
+    half of the points the same in every copy."""
     b, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return np.concatenate([rng.uniform(-14.0, 14.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
+    step = draw(st.sampled_from([None, 1.0, 0.1]))
+    if step is None:
+        return np.concatenate([rng.uniform(-14.0, 14.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
+    stack = rng.integers([-3, -3, 0], [4, 4, 7], (b, n, 3)) * step
+    stack[1:, : n // 2] = stack[0, : n // 2]
+    return stack
 
 
 @pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
@@ -381,16 +388,53 @@ def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(stack=stacks(), gt_seed=st.integers(0, 99), gt_n=st.integers(1, 40))
-def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n):
-    """The geo weight alone at 1: each copy's value and geo term are chamfer's, byte for byte."""
-    gt = random_cloud(gt_seed, gt_n)
+@given(stack=stacks(), gt_seed=st.integers(0, 99), gt_n=st.integers(1, 40), shared=st.integers(0, 40))
+def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n, shared):
+    """The geo weight alone at 1: each copy's value and geo term are chamfer's, byte for byte.
+    The ground truth holds `shared` of the stack's points, last copy first, so a stack on a grid
+    ties in both directions."""
+    gt = PointCloud(positions=np.concatenate([random_cloud(gt_seed, gt_n).positions,
+                                              stack[::-1].reshape(-1, 3)[:shared]]))
     values, breakdown, renders = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC,
                                                      SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
     assert renders == {}
     for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
         expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
         assert np.float64(value).tobytes() == expected and np.float64(geo).tobytes() == expected
+
+
+@pytest.mark.parametrize("b", [0, 1, 3, 12])
+def test_the_stacked_chamfer_builds_one_kd_tree_whatever_the_number_of_copies(monkeypatch, b):
+    """The ground truth's, for its query of every copy's points; the other direction reads a table."""
+    builds = []
+
+    class Tree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    stack = np.random.default_rng(b).uniform(-7.0, 7.0, (b, 20, 3))
+    combined_loss_stack(stack, LossTargets(gt_cloud=random_cloud(0, 30)), None, SPEC, SoftConfig(sigma=1.0),
+                        LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    assert builds == [30]
+
+
+def test_a_stacked_chamfer_table_of_many_blocks_keeps_chamfers_bytes_in_small_memory():
+    """B = 1 and N = M = 2000: the table's 4e6 distances (32 MB in one piece) fill 250 blocks,
+    and the call's numpy buffers peak under 2 MB (about 1 MB here)."""
+    p, gt = random_cloud(1, 2000).positions, random_cloud(2, 2000)
+    args = (LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    assert losses._TABLE_BLOCK < 2000 * 2000
+    tracemalloc.start()
+    try:
+        values, breakdown, _ = combined_loss_stack(p[None], *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.float64(chamfer(PointCloud(positions=p), gt)[0]).tobytes()
+    assert values[0].tobytes() == expected and breakdown["geo"][0].tobytes() == expected
+    assert peak < 2e6
 
 
 def test_the_stack_scorer_scores_a_stack_of_no_copies():
