@@ -68,6 +68,8 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidConfig("grid must be at least 1x1")
+        if self.width * self.height * 24 > sys.maxsize:  # an (H, W, 3) float64 raster's bytes past numpy's intp
+            raise InvalidConfig("grid is too large for an array on this machine")
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise InvalidConfig("pixel_size must be positive and finite")
         if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):

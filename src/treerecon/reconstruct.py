@@ -238,40 +238,31 @@ def reconstruct(
             raise InvalidConfig("init_positions holds a coordinate that is not finite in float32")
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
-    positions[:, 2] = np.maximum(positions[:, 2], 0.0)
+    history: list[tuple[int, float, dict[str, float]]] = []
+    losses: list[float] = []
+    state = AdamState.zeros(positions.shape)
     with (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
-        def loss_at(t, pos):
-            if not np.all(np.abs(pos) <= _F32_MAX):
+        for t in range(cfg.iters + 1):
+            if t > 0:
+                positions = adam_step(state, positions, grad, cfg.lr)
+            positions[:, 2] = np.maximum(positions[:, 2], 0.0)
+            if not np.all(np.abs(positions) <= _F32_MAX):
                 raise Diverged(f"iteration {t}: a point position is not finite in float32")
             # an overflow in the loss (a point too high for the soft DSM's
             # exp(BETA z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grad, breakdown = combined_loss(PointCloud(positions=pos), pooled, sun, loss_spec, soft_cfg,
-                                                       w, executor)
+                value, grad, breakdown = combined_loss(PointCloud(positions=positions), pooled, sun, loss_spec,
+                                                       soft_cfg, w, executor)
             if not math.isfinite(value):
                 raise Diverged(f"iteration {t}: the loss is {value}")
             if np.any(np.abs(grad) > _GRAD_MAX):
                 raise Diverged(f"iteration {t}: a gradient component is too large for Adam to square")
-            return value, grad, breakdown
-
-        history: list[tuple[int, float, dict[str, float]]] = []
-        value, grad, breakdown = loss_at(0, positions)
-        history.append((0, value, breakdown))
-        losses = [value]
-
-        state = AdamState.zeros(positions.shape)
-        stop, t = "iters", 0
-        for t in range(1, cfg.iters + 1):
-            positions = adam_step(state, positions, grad, cfg.lr)
-            positions[:, 2] = np.maximum(positions[:, 2], 0.0)
-            value, grad, breakdown = loss_at(t, positions)
             losses.append(value)
             stalled = _stalled(losses)
             if stalled or t % cfg.log_every == 0 or t == cfg.iters:
                 history.append((t, value, breakdown))
             if stalled:
-                stop = "loss"
                 break
 
     cloud = PointCloud(positions=positions, colors=_recolor(positions, ortho, dsm))
-    return ReconResult(cloud=cloud, loss_history=history, stop=stop, stop_iter=t)
+    return ReconResult(cloud=cloud, loss_history=history, stop="loss" if stalled else "iters", stop_iter=t)

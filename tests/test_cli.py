@@ -558,6 +558,8 @@ INT_ARGS = st.sampled_from(sorted(INT_FLAGS)).flatmap(lambda command: st.tuples(
 @example(args=("gradcheck", {"points": 0}))
 @example(args=("gradcheck", {"points": -3}))
 @example(args=("generate", {"count": -2}))
+@example(args=("generate", {"grid-size": 2147483648}))  # numpy refused the array size: a traceback
+@example(args=("generate", {"grid-size": 10000000000}))
 @given(args=INT_ARGS)
 def test_fuzzed_integer_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, args):
     command, values = args

@@ -106,9 +106,9 @@ class TestTypes:
         with pytest.raises(ValueError):
             GridSpec(5, 5, pixel_size=0.0)
         for bad in ({"pixel_size": np.nan}, {"pixel_size": np.inf}, {"origin_x": np.nan},
-                    {"origin_y": -np.inf}):
+                    {"origin_y": -np.inf}, {"width": 2**31, "height": 2**31}):
             with pytest.raises(ValueError):
-                GridSpec(5, 5, **bad)
+                GridSpec(**{"width": 5, "height": 5, **bad})
 
     def test_grid_reshapes_flat_values(self):
         g = Grid(GridSpec(3, 2), np.arange(6.0))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import surface_points_loop
 from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, Rng, RgbGrid, pool, pooled_spec
-from treerecon.errors import EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
+from treerecon.errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
@@ -356,7 +356,8 @@ def test_runs_below_the_window_end_on_the_cap(iters, log_every, seed, preset, n_
     cfg = OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, log_every=log_every)
     res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                       gt_cloud=scene.cloud if geo else None, cfg=cfg)
-    assert (res.stop, res.stop_iter, res.loss_history[-1][0]) == ("iters", iters, iters)
+    assert (res.stop, res.stop_iter) == ("iters", iters)
+    assert [it for it, _, _ in res.loss_history] == [t for t in range(iters + 1) if t % log_every == 0 or t == iters]
 
 
 def test_the_rule_stops_the_default_run_and_logs_its_row():
@@ -367,6 +368,24 @@ def test_the_rule_stops_the_default_run_and_logs_its_row():
                       cfg=OptimConfig(n_points=60, weights=PRESETS["default"][0], log_every=1000))
     assert res.stop == "loss" and 25 <= res.stop_iter < 800
     assert [it for it, _, _ in res.loss_history] == [0, res.stop_iter]
+
+
+HIGH_START = np.zeros((30, 3))
+HIGH_START[0, 2] = 400.0  # too high for the soft DSM's exp(BETA z)
+
+
+@pytest.mark.parametrize("fields, start, message", [
+    ({"lr": 1e39}, None, "iteration 1: a point position is not finite in float32"),
+    ({"weights": LossWeights(0, 1e300, 0, 0)}, None,
+     "iteration 0: a gradient component is too large for Adam to square"),
+    ({"weights": LossWeights(0, 1, 0, 1)}, HIGH_START, "iteration 0: the loss is nan"),
+])
+def test_each_divergence_guard_names_its_iteration(fields, start, message):
+    """Each guard names the iteration it fired at; iteration 0's guards run before any Adam step."""
+    scene = generate_scene(1, SceneConfig(ranges=TreeParamRanges(n_points=(300, 300)),
+                                          spec=GridSpec.centered(32, 0.25)))
+    with pytest.raises(Diverged, match=f"^{re.escape(message)}$"):
+        reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=30, iters=5, **fields), init_positions=start)
 
 
 # ---------------------------------------------------------------------------

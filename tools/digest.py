@@ -19,8 +19,9 @@ whose bytes changed. The artefacts:
   the first small-grid scene through each way of naming its inputs:
   `--ortho --dsm`; `--ortho --dsm --shadow --sun-az --sun-el`; `--manifest`
   on a copy of the scene without `shadow.pfm`; `--manifest --sun-az 200
-  --sun-el 40`; and, with the soft-DSM term on, `--manifest --lambda-dsm 1`
-  with and without `--gt`
+  --sun-el 40`; with the soft-DSM term on, `--manifest --lambda-dsm 1`
+  with and without `--gt`; and the loop's edges, `--manifest --iters 0`
+  (the later `--iters` wins) and `--manifest --log-every 7`
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
@@ -112,6 +113,8 @@ def digests(tmp: Path):
         "manifest+lambda_dsm": ["--manifest", str(small / "manifest.json"), "--lambda-dsm", "1"],
         "manifest+lambda_dsm+gt": ["--manifest", str(small / "manifest.json"), "--lambda-dsm", "1",
                                    "--gt", str(small / "gt.ply")],
+        "manifest+iters=0": ["--manifest", str(small / "manifest.json"), "--iters", "0"],
+        "manifest+log_every=7": ["--manifest", str(small / "manifest.json"), "--log-every", "7"],
     }
     for name, flags in inputs.items():
         pred = tmp / f"{name}.ply"
