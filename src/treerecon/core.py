@@ -196,6 +196,15 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_point_count(n: int) -> None:
+    """Raise InvalidConfig unless there is at least one point and an (n, 3) float64
+    array of them has a byte size numpy's intp can hold, before anything is allocated."""
+    if n < 1:
+        raise InvalidConfig(f"n_points must be >= 1, got {n}")
+    if n * 24 > sys.maxsize:
+        raise InvalidConfig(f"n_points {n} is too large for an array on this machine")
+
+
 def Rng(seed: int) -> np.random.Generator:
     """The deterministic random stream: numpy's PCG64 generator, seeded.
 

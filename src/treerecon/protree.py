@@ -25,6 +25,7 @@ from .core import (
     PointCloud,
     Rng,
     SunConfig,
+    check_point_count,
 )
 from .errors import InvalidConfig
 from .io_formats import Manifest, Scene
@@ -65,8 +66,7 @@ class TreeParams:
             raise InvalidConfig("decay ratios must be strictly in (0, 1)")
         if self.branch_depth < 0:
             raise InvalidConfig("branch_depth must be >= 0")
-        if self.n_points < 1:
-            raise InvalidConfig("n_points must be >= 1")
+        check_point_count(self.n_points)
         if not (0.0 <= self.foliage_fraction <= 1.0):
             raise InvalidConfig("foliage_fraction must be in [0, 1]")
         for name in PER_BRANCH:

@@ -15,7 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, PointCloud, Rng, RgbGrid, SunConfig, check_seed, pool, pooled_spec, world_to_pixel
+from .core import (
+    Grid,
+    PointCloud,
+    Rng,
+    RgbGrid,
+    SunConfig,
+    check_point_count,
+    check_seed,
+    pool,
+    pooled_spec,
+    world_to_pixel,
+)
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, SpecMismatch
 from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
@@ -43,8 +54,7 @@ class OptimConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise InvalidConfig("n_points must be >= 1")
+        check_point_count(self.n_points)
         if self.iters < 0:
             raise InvalidConfig("iters must be >= 0")
         if not (0.0 < self.lr < math.inf):

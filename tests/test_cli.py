@@ -252,6 +252,7 @@ class TestEval:
     "argv",
     [
         ["reconstruct", "--points", "0"],
+        ["reconstruct", "--points", str(2**63 - 1)],
         ["reconstruct", "--iters", "-1"],
         ["reconstruct", "--lr", "0"],
         ["reconstruct", "--log-every", "0"],
@@ -284,7 +285,9 @@ class TestEval:
         ["gradcheck", "--trials", "-1"],
         ["gradcheck", "--points", "0"],
         ["gradcheck", "--points", "-3"],
+        ["gradcheck", "--points", str(2**63)],
         ["generate", "--count", "-2"],
+        ["generate", "--points-per-tree", str(2**63)],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -560,6 +563,11 @@ INT_ARGS = st.sampled_from(sorted(INT_FLAGS)).flatmap(lambda command: st.tuples(
 @example(args=("generate", {"count": -2}))
 @example(args=("generate", {"grid-size": 2147483648}))  # numpy refused the array size: a traceback
 @example(args=("generate", {"grid-size": 10000000000}))
+@example(args=("reconstruct", {"points": 2**63 - 1}))  # numpy refused the (n, 3) array: a traceback
+@example(args=("reconstruct", {"points": 2**63}))
+@example(args=("reconstruct", {"points": 10**20}))  # too large for a C long
+@example(args=("gradcheck", {"points": 2**63}))
+@example(args=("generate", {"points-per-tree": 2**63}))  # past rng.integers' int64 bounds
 @given(args=INT_ARGS)
 def test_fuzzed_integer_flags_exit_with_a_contract_code(small_scene, tmp_path_factory, args):
     command, values = args

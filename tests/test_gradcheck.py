@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -208,3 +210,26 @@ def test_fd_gradient_rejects_a_mask_of_another_shape(shape):
     with pytest.raises(ValueError, match="mask shape"):
         fd_gradient(f, np.zeros((5, 3)), 1e-4, np.ones(shape, dtype=bool))
     assert f.copies == []
+
+
+def test_a_trial_at_the_widest_splat_peaks_under_3_5_mb():
+    """One trial's traced peak, on a fresh thread, so that its `sensor.workspace` starts empty.
+    Seed 18 draws sigma = 1.496 px, next to the widest (1.5 px), so its splat windows are about
+    the largest a trial renders: 1.82 MB at FD_CHUNK_POINTS = 256, 3.06 at 512, 4.06 at 768 and
+    5.02 at 1024. Stacks grow memory with their copies, and 1024 points raised `perfbench`'s
+    gradcheck `peak_rss_mb` 5.5 %, so a larger stack size fails here first."""
+    peak = []
+
+    def trial():
+        tracemalloc.start()
+        try:
+            run_gradcheck(seed=18, trials=1, n_points=50)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=trial)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(peak) == 1
+    assert peak[0] < 3.5 * 2**20

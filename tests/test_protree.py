@@ -127,6 +127,7 @@ class TestSampleParams:
         ("children_per_branch", (-3, -1)), ("children_per_branch", (-1, 2)),
         ("length_decay", (0.5, 1.5)), ("foliage_fraction", (0.5, 1.4)),
         ("branch_depth", (-3, -1)), ("branch_depth", (2, np.inf)), ("n_points", (1, np.inf)),
+        ("n_points", (1, 2**63)),
     ])
     def test_nonfinite_or_nonpositive_range_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -139,6 +140,7 @@ class TestSampleParams:
         ("crown_radius", np.inf), ("branch_angle_deg", (np.nan, np.nan)),
         ("branch_angle_deg", (30.0, np.inf)), ("children_per_branch", (2, np.nan)),
         ("children_per_branch", (-3, -1)), ("children_per_branch", (-1, 2)),
+        ("n_points", 2**63 - 1),
     ])
     def test_nonfinite_or_nonpositive_params_rejected(self, field, value):
         with pytest.raises(InvalidConfig):

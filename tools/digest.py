@@ -24,7 +24,9 @@ whose bytes changed. The artefacts:
   (the later `--iters` wins) and `--manifest --log-every 7`
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
-- `run_gradcheck(seed=s, trials=3)` scores for s = 0-5
+- `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
+  `run_gradcheck(seed=0, trials=1, n_points=200)`'s, whose copies share a
+  finite-difference stack only when a stack holds more than 256 points
 - the `--help` text of the top-level parser and of each subcommand, at a
   fixed width of 80 columns, with its exit code
 - the exit code and stderr of `bench` on a dataset with no scene directory,
@@ -130,6 +132,8 @@ def digests(tmp: Path):
     for seed in range(6):
         scores = run_gradcheck(seed=seed, trials=3)
         yield f"gradcheck/seed={seed}", sha(repr(sorted(scores.items())).encode())
+    scores = run_gradcheck(seed=0, trials=1, n_points=200)
+    yield "gradcheck/seed=0,points=200", sha(repr(sorted(scores.items())).encode())
 
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps help at COLUMNS
         for command in ("", *COMMANDS):
