@@ -10,15 +10,14 @@ The raster terms are scored passes: each runs a `diffrender` core on the
 calling thread's buffers, scores it with `raster_l2` and feeds that pixel
 gradient to the core's VJP. `combined_loss` looks each name up in this
 module's globals, so a wrapper set on one here is honoured, and runs every
-pass on the calling thread. A run's executor takes only Chamfer's query of a
-against b's tree, which pays on large clouds only (README, step 4); Chamfer
-builds b's tree first, on the caller, and calls `nearest_neighbors` once, for
-b's points against a. `combined_loss_stack` is `combined_loss` of each copy
-of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes; it
-renders the stack once per raster term and returns those renders too, so a
-caller that reads them (`gradcheck`) renders nothing again. Its Chamfer builds
-the ground truth's tree only; the other direction reads a blocked table of
-squared distances, sized for gradcheck's 20-50 points (README, step 4).
+pass on the calling thread. `combined_loss_stack` is `combined_loss` of each
+copy of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes;
+it renders the stack once per raster term and returns those renders too, so a
+caller that reads them (`gradcheck`) renders nothing again. `chamfer` and the
+stack's geo term are both `_chamfer_stack`, with one nearest-neighbour rule by
+size: the ground truth's KD-tree for the cloud's points (on a run's executor,
+if any), and for the other direction a table of squared distances up to N * M
+= _TABLE_MAX, a tree per copy above it (README, step 4).
 """
 from __future__ import annotations
 
@@ -37,7 +36,8 @@ from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
-_TABLE_BLOCK = 2**14  # distances in one block of combined_loss_stack's Chamfer table (a block is >= 1 row)
+_TABLE_BLOCK = 2**14  # distances in one block of the Chamfer table (a block is >= 1 row)
+_TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not a tree per copy (BENCH_36.json)
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
 TERMS = ("geo", "sil", "shadow", "dsm")
@@ -74,31 +74,42 @@ def _sq_mean(diff: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=-1).mean(axis=-1)
 
 
-def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None) -> tuple[float, np.ndarray]:
-    """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
+def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None):
+    """Chamfer of each copy of a (B, N, 3) stack against (M, 3) points pb, as (B,) values, with
+    what `chamfer`'s gradient reads: the (B, N, 3) offsets of each copy's points from their
+    nearest pb point, and the (B, M) index of each pb point's nearest point in each copy.
 
-    Squared distances are recomputed from coordinates after the KD-tree
-    lookup so the value matches a brute-force evaluation exactly. b's tree is
-    built on this thread first; a's query against it runs on the `executor`'s
-    worker, under this thread's numpy error state, while this thread runs the
-    other direction (or after it, without an executor): the same queries on
-    the same trees, so the same bytes, and this returns or raises only once
-    the worker's query has ended.
+    pb's tree, built here, is queried with every point on the `executor`'s worker, under this
+    thread's numpy error state, while this thread runs the other direction (or after it); this
+    returns or raises only once that query has ended. The other direction reads a table of squared
+    distances, _TABLE_BLOCK at a time and summed x, y, z as cKDTree sums them (so the same minima),
+    while N * M <= _TABLE_MAX, and calls `nearest_neighbors`, one tree per copy, above it.
     """
-    if len(a) == 0 or len(b) == 0:
+    b, n, m = *positions.shape[:2], len(pb)
+    if n == 0 or m == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
-    pa, pb = a.positions, b.positions
-    tree_b = cKDTree(pb)  # built here on every path; the worker calls none of this module's names
-    ahead = executor.submit(contextvars.copy_context().run, tree_b.query, pa) if executor else None
+    tree = cKDTree(pb)  # built here on every path; the worker calls none of this module's names
+    ahead = executor.submit(contextvars.copy_context().run, tree.query, positions) if executor else None
     try:
-        ib = nearest_neighbors(pb, pa)  # a-index of each b point's NN
+        if n * m > _TABLE_MAX:
+            ib = np.array([nearest_neighbors(pb, p) for p in positions], dtype=np.intp).reshape(b, m)
+        else:
+            ib, rows = np.empty((b, m), dtype=np.intp), max(1, _TABLE_BLOCK // max(1, b * n))
+            for lo in range(0, m, rows):
+                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
+                ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
     finally:
         wait([ahead] if ahead else [])
-    ia = (ahead.result() if ahead else tree_b.query(pa))[1]  # b-index of each a point's NN
-    diff_a = pa - pb[ia]
-    diff_b = pb - pa[ib]
-    value = _sq_mean(diff_a) + _sq_mean(diff_b)
+    diff_a = positions - pb[(ahead.result() if ahead else tree.query(positions))[1]]
+    return _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1)), diff_a, ib
 
+
+def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None) -> tuple[float, np.ndarray]:
+    """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a: the one-copy
+    `_chamfer_stack`, whose squared distances are recomputed from coordinates, so the value is a
+    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree."""
+    pa, pb = a.positions, b.positions
+    value, diff_a, ib = (x[0] for x in _chamfer_stack(pa[None], pb, executor))
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad, ib, 2.0 * (pa[ib] - pb) / len(pb))
     return float(value), grad
@@ -214,28 +225,16 @@ def combined_loss_stack(
     copies of a (B, N, 3) stack, byte for byte, and the (B, H, W) render of each raster term scored.
 
     No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
-    every copy's raster in one reduction, with `raster_l2`'s bytes; Chamfer builds the ground
-    truth's tree as `chamfer` does and queries all the points against it. The other direction
-    takes the argmin of each copy's squared distances to a ground-truth point, at most
-    _TABLE_BLOCK of them at a time: sized for gradcheck's 20-50 points (0.2-0.3 ms a call), it
-    takes ~30 ms at 2,000 (README, step 4).
+    every copy's raster in one reduction, with `raster_l2`'s bytes; the geo term is
+    `_chamfer_stack`, as `chamfer` is, so it reads the table while N * M <= _TABLE_MAX
+    (gradcheck's 20-50 points) and builds a tree per copy above it.
     """
     targets.require(weights, sun, spec)
     breakdown, renders = {}, {}
     for term, field in zip(TERMS, _TARGET_FIELDS):
         target, on = getattr(targets, field), weights.of(term) > 0
         if on and term == "geo":
-            pb = target.positions
-            if positions.shape[1] == 0 or len(pb) == 0:
-                raise EmptyCloud("chamfer requires two non-empty clouds")
-            diff_a = positions - pb[cKDTree(pb).query(positions)[1]]
-            nearest = np.empty((len(positions), len(pb)), dtype=np.intp)  # per copy, of each gt point
-            rows = max(1, _TABLE_BLOCK // max(1, positions.size // 3))
-            for lo in range(0, len(pb), rows):  # x, then y, then z: cKDTree's sum, so its minima
-                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
-                nearest[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
-            diff_b = pb - np.take_along_axis(positions, nearest[..., None], axis=1)
-            breakdown[term] = _sq_mean(diff_a) + _sq_mean(diff_b)
+            breakdown[term] = _chamfer_stack(positions, target.positions)[0]
         elif on:
             scale = _DSM_SCALE if term == "dsm" else 1.0
             r = renders[term] = soft_stack(term, positions, sun, spec, soft_cfg)

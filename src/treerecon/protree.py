@@ -107,13 +107,12 @@ class TreeParamRanges:
 
 @dataclass
 class Skeleton:
-    """Branching skeleton: (start, end, radius, depth, parent) per segment."""
+    """Branching skeleton: (start, end, radius, depth) per segment."""
 
     starts: np.ndarray  # (S, 3)
     ends: np.ndarray  # (S, 3)
     radii: np.ndarray  # (S,)
     depths: np.ndarray  # (S,) int
-    parents: np.ndarray  # (S,) int, -1 for the root
 
     def __len__(self):
         return len(self.radii)
@@ -147,7 +146,6 @@ def grow_skeleton(params: TreeParams, rng: np.random.Generator) -> Skeleton:
     ends = [np.array([0.0, 0.0, params.trunk_height])]
     radii = [params.trunk_radius]
     depths = [0]
-    parents = [-1]
 
     frontier = [0]  # indices of segments that may still branch
     while frontier:
@@ -172,7 +170,6 @@ def grow_skeleton(params: TreeParams, rng: np.random.Generator) -> Skeleton:
                 ends.append(ends[idx] + child_dir * child_len)
                 radii.append(radii[idx] * params.radius_decay)
                 depths.append(depth + 1)
-                parents.append(idx)
                 nxt.append(len(radii) - 1)
         frontier = nxt
 
@@ -181,7 +178,6 @@ def grow_skeleton(params: TreeParams, rng: np.random.Generator) -> Skeleton:
         ends=np.array(ends),
         radii=np.array(radii),
         depths=np.array(depths, dtype=np.int64),
-        parents=np.array(parents, dtype=np.int64),
     )
 
 

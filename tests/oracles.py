@@ -3,8 +3,9 @@ codec, the soft-render hot path as it was before its in-place rewrite, the
 combined loss with each pass on a slot list of its own, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
 made faster, finite differences as they were before they came in stacks,
-the tree-parameter draws as they were before they walked the range fields, and
-block means one block at a time."""
+the tree-parameter draws as they were before they walked the range fields,
+block means one block at a time, and a skeleton segment's parents by a scan
+of every segment."""
 import math
 from pathlib import Path
 
@@ -18,6 +19,12 @@ from treerecon.io_formats import _color_to_uchar
 from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
 from treerecon.protree import TreeParams, _orthonormal_basis
 from treerecon.sensor import GROUND_COLOR, pixels_within as sensor_pixels_within
+
+
+def skeleton_parents(sk, i: int) -> list[int]:
+    """Every segment one level above segment i whose end is within 1e-9 of i's start."""
+    return [j for j in range(len(sk))
+            if sk.depths[j] == sk.depths[i] - 1 and np.linalg.norm(sk.starts[i] - sk.ends[j]) < 1e-9]
 
 
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:

@@ -403,9 +403,13 @@ def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n, shared):
         assert np.float64(value).tobytes() == expected and np.float64(geo).tobytes() == expected
 
 
+@pytest.mark.parametrize("n", [20, 200])
 @pytest.mark.parametrize("b", [0, 1, 3, 12])
-def test_the_stacked_chamfer_builds_one_kd_tree_whatever_the_number_of_copies(monkeypatch, b):
-    """The ground truth's, for its query of every copy's points; the other direction reads a table."""
+def test_the_stacked_chamfer_builds_the_ground_truths_kd_tree_and_one_per_copy_above_the_table_size(
+        monkeypatch, b, n):
+    """The ground truth's, for its query of every copy's points. The other direction reads a
+    table at 20 points a copy against 30, and builds each copy's tree at 200 (N * M above
+    `losses._TABLE_MAX`)."""
     builds = []
 
     class Tree(cKDTree):
@@ -414,34 +418,78 @@ def test_the_stacked_chamfer_builds_one_kd_tree_whatever_the_number_of_copies(mo
             super().__init__(data, *args, **kwargs)
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
-    stack = np.random.default_rng(b).uniform(-7.0, 7.0, (b, 20, 3))
+    stack = np.random.default_rng(b).uniform(-7.0, 7.0, (b, n, 3))
     combined_loss_stack(stack, LossTargets(gt_cloud=random_cloud(0, 30)), None, SPEC, SoftConfig(sigma=1.0),
                         LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
-    assert builds == [30]
+    assert (n * 30 > losses._TABLE_MAX) == (n == 200)
+    assert builds == [30] + [n] * b * (n == 200)
+
+
+GEO_ONLY = LossWeights(lambda_sil=0.0, lambda_shadow=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(63, 65), (64, 64), (64, 65), (65, 64), (2, 2048), (2, 2049), (2049, 2)])
+def test_the_stacked_chamfer_and_chamfer_keep_the_tree_rules_bytes_on_both_sides_of_the_table_size(n, m):
+    """On tie-free clouds whose N * M straddles `losses._TABLE_MAX`, each copy's stacked geo
+    value is `chamfer`'s, and `chamfer`'s value and gradient are, byte for byte, those of the
+    KD-tree rule in both directions (b's tree for a's points, a's tree for b's)."""
+    stack, pb = np.random.default_rng(n).uniform(-7.0, 7.0, (3, n, 3)), random_cloud(m, m).positions
+    _, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=PointCloud(pb)), None, SPEC,
+                                          SoftConfig(sigma=1.0), GEO_ONLY)
+    for p, geo in zip(stack, breakdown["geo"], strict=True):
+        ia, ib = cKDTree(pb).query(p)[1], cKDTree(p).query(pb)[1]
+        expected = ((p - pb[ia]) ** 2).sum(axis=1).mean() + ((pb - p[ib]) ** 2).sum(axis=1).mean()
+        expected_grad = 2.0 * (p - pb[ia]) / n
+        np.add.at(expected_grad, ib, 2.0 * (p[ib] - pb) / m)
+        value, grad = chamfer(PointCloud(positions=p.copy()), PointCloud(pb))
+        assert np.float64(geo).tobytes() == np.float64(value).tobytes() == expected.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("side", ["table", "trees"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_stacked_chamfer_of_a_lattice_stack_is_brute_chamfer_on_both_sides_of_the_table_size(side, data):
+    """Copies and a ground truth drawn from a few lattice points, so nearest distances tie in
+    both directions: each copy's geo value is `oracles.brute_chamfer`'s, exactly."""
+    n = data.draw(st.integers(1, 100))
+    cap = losses._TABLE_MAX // n
+    m = data.draw(st.integers(1, cap) if side == "table" else st.integers(cap + 1, cap + 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lattice = rng.integers(-3, 4, (data.draw(st.integers(1, 12)), 3)) * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    stack = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
+    gt = lattice[rng.integers(0, len(lattice), m)]
+    _, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=PointCloud(gt)), None, SPEC,
+                                          SoftConfig(sigma=1.0), GEO_ONLY)
+    assert [float(v) for v in breakdown["geo"]] == [brute_chamfer(p, gt) for p in stack]
 
 
 def test_a_stacked_chamfer_table_of_many_blocks_keeps_chamfers_bytes_in_small_memory():
-    """B = 1 and N = M = 2000: the table's 4e6 distances (32 MB in one piece) fill 250 blocks,
-    and the call's numpy buffers peak under 2 MB (about 1 MB here)."""
-    p, gt = random_cloud(1, 2000).positions, random_cloud(2, 2000)
-    args = (LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
-    assert losses._TABLE_BLOCK < 2000 * 2000
+    """25 copies of 60 points against 64, a size that reads the table: its 96,000 distances
+    (768 kB in one piece) fill 7 blocks, and the call's numpy buffers peak under 2 MB."""
+    stack, gt = np.random.default_rng(1).uniform(-7.0, 7.0, (25, 60, 3)), random_cloud(2, 64)
+    assert 60 * 64 <= losses._TABLE_MAX and 25 * 60 * 64 > 5 * losses._TABLE_BLOCK
     tracemalloc.start()
     try:
-        values, breakdown, _ = combined_loss_stack(p[None], *args)
+        values, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC,
+                                                   SoftConfig(sigma=1.0), GEO_ONLY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expected = np.float64(chamfer(PointCloud(positions=p), gt)[0]).tobytes()
-    assert values[0].tobytes() == expected and breakdown["geo"][0].tobytes() == expected
+    for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
+        expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
+        assert value.tobytes() == expected and geo.tobytes() == expected
     assert peak < 2e6
 
 
-def test_the_stack_scorer_scores_a_stack_of_no_copies():
-    """What `fd_gradient` hands its scorer on a mask that selects nothing."""
+@pytest.mark.parametrize("n", [4, 1000])
+def test_the_stack_scorer_scores_a_stack_of_no_copies(n):
+    """What `fd_gradient` hands its scorer on a mask that selects nothing, at a size whose
+    Chamfer reads the table (4 points against 5) and one that builds a tree per copy (1000)."""
     raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
-    values, breakdown, renders = combined_loss_stack(np.zeros((0, 4, 3)), targets, SunConfig(150.0, 50.0), SPEC,
+    assert (n * 5 > losses._TABLE_MAX) == (n == 1000)
+    values, breakdown, renders = combined_loss_stack(np.zeros((0, n, 3)), targets, SunConfig(150.0, 50.0), SPEC,
                                                      SoftConfig(sigma=1.0), LossWeights(1.0, 1.0, 0.5, 1.0))
     assert values.shape == (0,) and all(v.shape == (0,) for v in breakdown.values())
     assert list(renders) == ["sil", "shadow", "dsm"]
@@ -485,14 +533,23 @@ def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
                for k in breakdown)
 
 
-def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0)):
+def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0), n=40, m=25):
     """combined_loss arguments, at the default weights unless given, with a pool; the
-    ground-truth cloud has 25 points and the cloud 40."""
-    c = random_cloud(5, 40)
+    ground-truth cloud has m points and the cloud n."""
+    c = random_cloud(5, n)
     rng = np.random.default_rng(6)
     raster = lambda: Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
-    return (c, LossTargets(silhouette=raster(), shadow=raster(), dsm=raster(), gt_cloud=random_cloud(8, 25)),
+    return (c, LossTargets(silhouette=raster(), shadow=raster(), dsm=raster(), gt_cloud=random_cloud(8, m)),
             SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, executor)
+
+
+@pytest.fixture(params=["table", "trees"])
+def side(request):
+    """(side, n, m): a cloud of n points against a ground truth of m on either side of
+    `losses._TABLE_MAX`, where Chamfer's other direction reads the table or builds the cloud's tree."""
+    n, m = {"table": (40, 25), "trees": (100, 64)}[request.param]
+    assert (n * m > losses._TABLE_MAX) == (request.param == "trees")
+    return request.param, n, m
 
 
 GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # the pool runs a Chamfer query beside the silhouette pass
@@ -502,11 +559,13 @@ def on_worker() -> bool:
     return threading.current_thread() is not threading.main_thread()
 
 
-def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor):
+def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor, side):
     """With a pool, the wrappable names of `losses` are called on the caller's thread, the same
     calls in the same order as without one, so a wrapper that keeps one call stack for all threads
     stays right. Chamfer builds b's tree first on either path; the pool's worker, or the caller
-    after `nearest_neighbors(b, a)`, queries it."""
+    after the other direction, queries it. That direction calls `nearest_neighbors(b, a)` on the
+    tree side and no name on the table side."""
+    kind, n, m = side
     calls = []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
                  "project_to_ground", "dsm_forward_backward"):
@@ -515,7 +574,7 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
                             calls.append((_n, len(a[0]), on_worker())) or _f(*a))
     for on in [{"sil", "shadow"}, {"geo"}, {"geo", "sil"}, {"geo", "shadow"}, {"geo", "sil", "shadow"},
                {"geo", "sil", "shadow", "dsm"}]:
-        args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)))
+        args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)), n, m)
         calls.clear()
         serial = combined_loss(*args[:6])
         expected = list(calls)
@@ -523,12 +582,14 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         value, grad, _ = combined_loss(*args)
         assert calls == expected, on
         if on == {"sil", "shadow"}:  # both passes on the caller, the shadow's after one projection
-            assert calls == [("occupancy_forward_backward", 40, False), ("project_to_ground", 40, False),
-                             ("occupancy_forward_backward", 40, False)]
-        if on == {"geo"}:  # b's tree for a's query, then nearest_neighbors(b, a) with a's tree
-            assert calls == [("chamfer", 40, False), ("cKDTree", 25, False), ("nearest_neighbors", 25, False),
-                             ("cKDTree", 40, False)]
-        assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)
+            assert calls == [("occupancy_forward_backward", n, False), ("project_to_ground", n, False),
+                             ("occupancy_forward_backward", n, False)]
+        if on == {"geo"} and kind == "trees":  # b's tree for a's query, then nearest_neighbors(b, a) with a's tree
+            assert calls == [("chamfer", n, False), ("cKDTree", m, False), ("nearest_neighbors", m, False),
+                             ("cKDTree", n, False)]
+        if on == {"geo"} and kind == "table":  # b's tree for a's query; the table calls no name
+            assert calls == [("chamfer", n, False), ("cKDTree", m, False)]
+        assert [name for name, _, _ in calls].count("cKDTree") == (1 + (kind == "trees")) * ("geo" in on)
         assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
 
 
@@ -566,7 +627,9 @@ def test_chamfer_on_a_pool_keeps_every_byte(pair, executor):
     assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
 
 
-def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor):
+def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):
+    """The worker's query raises; on the tree side the caller has queried a's tree meanwhile."""
+    kind, n, m = side
     err, threads = Diverged("raised in the worker's query"), []
 
     class Tree(cKDTree):
@@ -578,12 +641,16 @@ def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypat
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
     with pytest.raises(Diverged) as info:
-        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
     assert info.value is err
-    assert sorted(threads) == [False, True]
+    assert sorted(threads) == ([False, True] if kind == "trees" else [True])
 
 
-def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor):
+def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor, side):
+    """The caller fails while the worker's query runs: on the tree side in its own query of a's
+    tree, on the table side in the table, whose squares overflow a cloud scaled by 1e200 under
+    `np.errstate(over="raise")`."""
+    kind, n, m = side
     ended = threading.Event()
 
     class Tree(cKDTree):
@@ -596,12 +663,19 @@ def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, 
             return out
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
-    with pytest.raises(Diverged, match="while the worker's runs"):
-        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+    args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
+    if kind == "trees":
+        with pytest.raises(Diverged, match="while the worker's runs"):
+            combined_loss(*args)
+    else:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            combined_loss(PointCloud(args[0].positions * 1e200), *args[1:])
     assert ended.is_set()
 
 
-def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor):
+def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor, side):
+    """The worker's query overflows; on the tree side the caller queries a's tree too."""
+    kind, n, m = side
     threads = []
 
     class Tree(cKDTree):
@@ -615,10 +689,10 @@ def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
+            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
         with pytest.raises(RuntimeWarning, match="overflow"):
-            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL))
-    assert sorted(threads) == [False, False, True, True]
+            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
+    assert sorted(threads) == ([False, False, True, True] if kind == "trees" else [True, True])
 
 
 def test_concurrent_runs_with_their_own_pools_keep_every_byte():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import orthonormal_basis_cross, sample_params_listed, trunk_points_loop
+from oracles import orthonormal_basis_cross, sample_params_listed, skeleton_parents, trunk_points_loop
 from treerecon.core import CLASS_FOLIAGE, CLASS_TRUNK, Rng
 from treerecon.errors import InvalidConfig
 from treerecon.losses import chamfer
@@ -203,15 +203,15 @@ class TestGrowSkeleton:
         assert counts == {2, 3, 4}
 
     def test_connectivity(self):
+        """Every segment but the trunk starts at the end of exactly one segment one level up."""
         sk = grow_skeleton(fixed_params(branch_depth=3), Rng(3))
         for i in range(1, len(sk)):
-            parent = sk.parents[i]
-            assert np.linalg.norm(sk.starts[i] - sk.ends[parent]) < 1e-9
+            assert len(skeleton_parents(sk, i)) == 1
 
     def test_radii_strictly_decrease(self):
         sk = grow_skeleton(fixed_params(branch_depth=3), Rng(3))
         for i in range(1, len(sk)):
-            assert sk.radii[i] < sk.radii[sk.parents[i]]
+            assert sk.radii[i] < sk.radii[skeleton_parents(sk, i)[0]]
 
 
 class TestSampleCloud:

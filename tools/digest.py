@@ -22,6 +22,10 @@ whose bytes changed. The artefacts:
   --sun-el 40`; with the soft-DSM term on, `--manifest --lambda-dsm 1`
   with and without `--gt`; and the loop's edges, `--manifest --iters 0`
   (the later `--iters` wins) and `--manifest --log-every 7`
+- the same three of `reconstruct --iters 20 --points 40 --gt` of a small-grid
+  scene generated with `--points-per-tree 64`: 40 x 64 points is a size whose
+  Chamfer reads the distance table (`losses._TABLE_MAX`), where every other
+  `--gt` run here builds KD-trees
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
@@ -79,6 +83,15 @@ def run(argv: list[str]) -> str:
     return out
 
 
+def reconstruct(tmp: Path, name: str, argv: list[str]):
+    """(artefact, sha256) of the stdout, PLY and history of `reconstruct --out <tmp>/<name>.ply`."""
+    pred = tmp / f"{name.replace('/', '_')}.ply"
+    stdout = run(["reconstruct", "--out", str(pred)] + argv)
+    yield f"reconstruct/{name}/stdout", sha(stdout.encode())
+    yield f"reconstruct/{name}/pred.ply", sha(pred.read_bytes())
+    yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
+
+
 def digests(tmp: Path):
     """(artefact, sha256) pairs, in a fixed order."""
     sets = {"default": [], "small": SMALL_GRID}
@@ -95,11 +108,7 @@ def digests(tmp: Path):
     gt = str(scene / "gt.ply")
     geo_only = ["--gt", gt, "--lambda-sil", "0", "--lambda-shadow", "0", "--iters", "20"]
     for name, flags in (("default", []), ("with_gt", ["--gt", gt, "--iters", "20"]), ("geo_only", geo_only)):
-        pred = tmp / f"{name}.ply"
-        stdout = run(["reconstruct", "--manifest", str(scene / "manifest.json"), "--out", str(pred)] + flags)
-        yield f"reconstruct/{name}/stdout", sha(stdout.encode())
-        yield f"reconstruct/{name}/pred.ply", sha(pred.read_bytes())
-        yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
+        yield from reconstruct(tmp, name, ["--manifest", str(scene / "manifest.json")] + flags)
 
     small = tmp / "small" / "scene_00000"
     no_shadow = tmp / "no_shadow"
@@ -119,11 +128,13 @@ def digests(tmp: Path):
         "manifest+log_every=7": ["--manifest", str(small / "manifest.json"), "--log-every", "7"],
     }
     for name, flags in inputs.items():
-        pred = tmp / f"{name}.ply"
-        stdout = run(["reconstruct", "--out", str(pred), "--iters", "20", "--points", "200"] + flags)
-        yield f"reconstruct/small/{name}/stdout", sha(stdout.encode())
-        yield f"reconstruct/small/{name}/pred.ply", sha(pred.read_bytes())
-        yield f"reconstruct/small/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
+        yield from reconstruct(tmp, f"small/{name}", ["--iters", "20", "--points", "200"] + flags)
+
+    run(["generate", "--count", "1", "--seed", "0", "--points-per-tree", "64", "--out", str(tmp / "gt64")]
+        + SMALL_GRID)
+    gt64 = tmp / "gt64" / "scene_00000"
+    yield from reconstruct(tmp, "small_gt64/points=40", ["--manifest", str(gt64 / "manifest.json"), "--gt",
+                                                         str(gt64 / "gt.ply"), "--iters", "20", "--points", "40"])
 
     for name, pred in (("default", str(tmp / "default.ply")), ("gt", gt)):
         for tau in TAUS:
