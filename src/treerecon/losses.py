@@ -15,9 +15,9 @@ copy of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes;
 it renders the stack once per raster term and returns those renders too, so a
 caller that reads them (`gradcheck`) renders nothing again. `chamfer` and the
 stack's geo term are both `_chamfer_stack`, with one nearest-neighbour rule by
-size: the ground truth's KD-tree for the cloud's points (on a run's executor,
-if any), and for the other direction a table of squared distances up to N * M
-= _TABLE_MAX, a tree per copy above it (README, step 4).
+size (README, step 4): the ground truth's KD-tree, built once per `reconstruct`
+run, for the cloud's points (on its executor, if any), and for the reverse a
+table of squared distances up to N * M = _TABLE_MAX, a tree per copy above it.
 """
 from __future__ import annotations
 
@@ -74,21 +74,25 @@ def _sq_mean(diff: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=-1).mean(axis=-1)
 
 
-def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None):
+def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None,
+                   tree: cKDTree | None = None):
     """Chamfer of each copy of a (B, N, 3) stack against (M, 3) points pb, as (B,) values, with
     what `chamfer`'s gradient reads: the (B, N, 3) offsets of each copy's points from their
     nearest pb point, and the (B, M) index of each pb point's nearest point in each copy.
 
-    pb's tree, built here, is queried with every point on the `executor`'s worker, under this
-    thread's numpy error state, while this thread runs the other direction (or after it); this
-    returns or raises only once that query has ended. The other direction reads a table of squared
-    distances, _TABLE_BLOCK at a time and summed x, y, z as cKDTree sums them (so the same minima),
-    while N * M <= _TABLE_MAX, and calls `nearest_neighbors`, one tree per copy, above it.
+    pb's tree, built here unless handed in as `tree` (InvalidConfig unless `tree.data is pb`), is queried
+    with every point on the `executor`'s worker, under this thread's numpy error state, while this thread
+    runs the other direction (or after it); this returns or raises only once that query has ended. The
+    other direction reads a table of squared distances, _TABLE_BLOCK at a time and summed x, y, z as
+    cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, else `nearest_neighbors` per copy.
     """
     b, n, m = *positions.shape[:2], len(pb)
     if n == 0 or m == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
-    tree = cKDTree(pb)  # built here on every path; the worker calls none of this module's names
+    if tree is None:
+        tree = cKDTree(pb)  # built on this thread; the worker calls none of this module's names
+    elif tree.data is not pb:
+        raise InvalidConfig("chamfer's KD-tree must be built from the ground truth's own positions array")
     ahead = executor.submit(contextvars.copy_context().run, tree.query, positions) if executor else None
     try:
         if n * m > _TABLE_MAX:
@@ -104,12 +108,13 @@ def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | N
     return _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1)), diff_a, ib
 
 
-def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None) -> tuple[float, np.ndarray]:
+def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
+            tree: cKDTree | None = None) -> tuple[float, np.ndarray]:
     """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a: the one-copy
     `_chamfer_stack`, whose squared distances are recomputed from coordinates, so the value is a
-    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree."""
+    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree (`tree` if given)."""
     pa, pb = a.positions, b.positions
-    value, diff_a, ib = (x[0] for x in _chamfer_stack(pa[None], pb, executor))
+    value, diff_a, ib = (x[0] for x in _chamfer_stack(pa[None], pb, executor, tree))
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad, ib, 2.0 * (pa[ib] - pb) / len(pb))
     return float(value), grad
@@ -183,7 +188,7 @@ def resolve_weights(
 
 def combined_loss(
     cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, executor: Executor | None = None,
+    weights: LossWeights, executor: Executor | None = None, tree: cKDTree | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
@@ -191,7 +196,7 @@ def combined_loss(
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
     Each term with a positive weight runs one pass on this thread and adds its weighted
     value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
-    worker runs one of its two KD-tree queries.
+    worker runs one of its two KD-tree queries, and so does the ground truth's `tree`, if any.
     """
     targets.require(weights, sun, spec)
     total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
@@ -200,7 +205,7 @@ def combined_loss(
         if lam <= 0:
             continue
         if term == "geo":
-            value, g = chamfer(cloud, targets.gt_cloud, executor)
+            value, g = chamfer(cloud, targets.gt_cloud, executor, tree)
         elif term == "sil":
             xy = cloud.positions[:, :2]
             value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette)

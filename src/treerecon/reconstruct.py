@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .core import (
     Grid,
     PointCloud,
@@ -78,12 +79,12 @@ class ReconResult:
     stop_iter: int
 
 
-def _stalled(losses: list[float]) -> bool:
+def _stalled(totals: list[float]) -> bool:
     """The stopping rule, given the total loss of every iteration so far."""
-    if len(losses) <= STOP_WINDOW:
+    if len(totals) <= STOP_WINDOW:
         return False
-    before = losses[-1 - STOP_WINDOW]
-    return before - losses[-1] < STOP_TOL * abs(before)
+    before = totals[-1 - STOP_WINDOW]
+    return before - totals[-1] < STOP_TOL * abs(before)
 
 
 def derive_targets(ortho: RgbGrid, dsm: Grid, h_min: float, shadow: Grid | None = None) -> LossTargets:
@@ -221,10 +222,11 @@ def reconstruct(
     means of the targets), with σ one input pixel in meters; the initialization and the colors
     read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
     longer finite in float32, the loss is no longer finite or a gradient component is too large
-    for Adam to square. A run with the Chamfer term on hands `combined_loss` a one-worker pool
-    kept off this thread's CPU (`_worker_pool`; none in a `--jobs` worker process or on one
-    CPU), which runs one of Chamfer's two KD-tree queries; every byte is that of one thread.
-    A raster-only run starts no thread.
+    for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once (of
+    its positions in C order, through `losses.cKDTree`) and hands every `combined_loss` call that
+    tree and a one-worker pool kept off this thread's CPU (`_worker_pool`; none in a `--jobs`
+    worker process or on one CPU), which runs one of Chamfer's two KD-tree queries; every byte is
+    that of one thread. A raster-only run builds no tree and starts no thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -235,6 +237,8 @@ def reconstruct(
     targets.require(w, sun, spec)
     loss_spec = pooled_spec(spec, LOSS_POOL)
     rasters = (targets.silhouette, targets.shadow, targets.dsm)
+    if gt_cloud is not None and not gt_cloud.positions.flags.c_contiguous:  # its tree must hold this very array
+        gt_cloud = PointCloud(np.ascontiguousarray(gt_cloud.positions))
     pooled = LossTargets(*(None if g is None else pool(g, LOSS_POOL) for g in rasters), gt_cloud)
 
     rng = Rng(cfg.seed)
@@ -249,8 +253,9 @@ def reconstruct(
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     history: list[tuple[int, float, dict[str, float]]] = []
-    losses: list[float] = []
+    totals: list[float] = []
     state = AdamState.zeros(positions.shape)
+    tree = losses.cKDTree(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
     with (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
         for t in range(cfg.iters + 1):
             if t > 0:
@@ -262,13 +267,13 @@ def reconstruct(
             # exp(BETA z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grad, breakdown = combined_loss(PointCloud(positions=positions), pooled, sun, loss_spec,
-                                                       soft_cfg, w, executor)
+                                                       soft_cfg, w, executor, tree)
             if not math.isfinite(value):
                 raise Diverged(f"iteration {t}: the loss is {value}")
             if np.any(np.abs(grad) > _GRAD_MAX):
                 raise Diverged(f"iteration {t}: a gradient component is too large for Adam to square")
-            losses.append(value)
-            stalled = _stalled(losses)
+            totals.append(value)
+            stalled = _stalled(totals)
             if stalled or t % cfg.log_every == 0 or t == cfg.iters:
                 history.append((t, value, breakdown))
             if stalled:

@@ -17,7 +17,7 @@ from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
 from treerecon import diffrender, losses, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
-from treerecon.errors import Diverged, EmptyCloud, MissingTarget, SpecMismatch
+from treerecon.errors import Diverged, EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.losses import (
     TERMS,
     LossTargets,
@@ -606,11 +606,11 @@ def test_a_pooled_call_projects_the_cloud_once(monkeypatch, executor):
     assert offsets == [args[2]]
 
 @st.composite
-def cloud_pairs(draw):
-    """Two clouds of different sizes (1-60 points) drawn from a few lattice points, so that
+def cloud_pairs(draw, lo=1, hi=60):
+    """Two clouds of different sizes (lo-hi points) drawn from a few lattice points, so that
     points repeat and nearest distances tie."""
-    n = draw(st.integers(1, 60))
-    m = draw(st.integers(1, 60).filter(lambda m: m != n))
+    n = draw(st.integers(lo, hi))
+    m = draw(st.integers(lo, hi).filter(lambda m: m != n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lattice = rng.integers(-3, 4, (draw(st.integers(1, 12)), 3)) * draw(st.sampled_from([0.5, 1.0, 3.0]))
     a, b = (lattice[rng.integers(0, len(lattice), k)] for k in (n, m))
@@ -625,6 +625,65 @@ def test_chamfer_on_a_pool_keeps_every_byte(pair, executor):
     pooled_value, pooled_grad = chamfer(a, b, executor)
     assert np.float64(pooled_value).tobytes() == np.float64(value).tobytes()
     assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("side, sizes", [("table", (1, 60)), ("trees", (65, 120))])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, executor):
+    """`chamfer` and `combined_loss` handed the ground truth's tree give, serially and on a pool,
+    the bytes of the calls that build it, on tie-heavy lattice clouds whose N * M is on either
+    side of `losses._TABLE_MAX`; a tree built from another array, even an equal copy, raises
+    InvalidConfig before the pool is asked for anything."""
+    a, b = data.draw(cloud_pairs(*sizes))
+    assert (len(a) * len(b) > losses._TABLE_MAX) == (side == "trees")
+    rng = np.random.default_rng(len(a) * len(b))
+    targets = LossTargets(silhouette=Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width))), gt_cloud=b)
+    args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
+    value, grad = chamfer(a, b)
+    total, total_grad, breakdown = combined_loss(*args)
+    tree, other = cKDTree(b.positions), cKDTree(b.positions.copy())
+    for pool in (None, executor):
+        given_value, given_grad = chamfer(a, b, pool, tree)
+        assert np.float64(given_value).tobytes() == np.float64(value).tobytes()
+        assert given_grad.dtype == grad.dtype and given_grad.tobytes() == grad.tobytes()
+        given_total, given_total_grad, given_breakdown = combined_loss(*args, pool, tree)
+        assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
+        assert given_total_grad.tobytes() == total_grad.tobytes() and given_breakdown == breakdown
+        with pytest.raises(InvalidConfig, match="KD-tree"):
+            chamfer(a, b, pool, other)
+        with pytest.raises(InvalidConfig, match="KD-tree"):
+            combined_loss(*args, pool, other)
+
+
+@pytest.mark.parametrize("m", [40, 300])
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_no_tree_is_handed_in(
+        executor, layout, m):
+    """A ground truth in Fortran order, or three columns of a wider array, whose tree `cKDTree`
+    builds from a C-order copy of its own: `chamfer`, `combined_loss` (serially and on a pool)
+    and `combined_loss_stack`, handed no tree, give the bytes of that copy, with N * M on either
+    side of `losses._TABLE_MAX`."""
+    rng = np.random.default_rng(m)
+    wide = rng.uniform(-7.0, 7.0, (m, 5))
+    gt = PointCloud(np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4])
+    copy = PointCloud(np.ascontiguousarray(gt.positions))
+    assert not gt.positions.flags.c_contiguous and (40 * m > losses._TABLE_MAX) == (m == 300)
+    stack = rng.uniform(-7.0, 7.0, (3, 40, 3))
+    a = PointCloud(stack[0].copy())
+    value, grad = chamfer(a, copy)
+    given_value, given_grad = chamfer(a, gt)
+    assert np.float64(given_value).tobytes() == np.float64(value).tobytes() and given_grad.tobytes() == grad.tobytes()
+    silhouette = Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
+    args = (None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
+    total, total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=copy), *args)
+    for pool in (None, executor):
+        given_total, given_total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=gt), *args, pool)
+        assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
+        assert given_total_grad.tobytes() == total_grad.tobytes()
+    values = combined_loss_stack(stack, LossTargets(gt_cloud=copy), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)[0]
+    given_values = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)[0]
+    assert given_values.tobytes() == values.tobytes()
 
 
 def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):

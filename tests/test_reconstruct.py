@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from oracles import surface_points_loop
+from treerecon import losses
 from treerecon.cli import _write_history, main
-from treerecon.core import Grid, GridSpec, Rng, RgbGrid, pool, pooled_spec
+from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, pool, pooled_spec
 from treerecon.errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import LossWeights, resolve_weights
@@ -443,7 +445,8 @@ def test_explicit_weights_still_need_their_targets(generated):
 @pytest.mark.parametrize("preset", ["dsm", "geo"])
 def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset):
     """combined_loss gets the input grid pooled LOSS_POOL x LOSS_POOL, the block means of
-    derive_targets' rasters on it, the ground truth as given and σ one input pixel."""
+    derive_targets' rasters on it, the ground truth as given, σ one input pixel and, with the
+    Chamfer term on, one KD-tree of the ground truth's positions array for every call."""
     scene = small_scene(1)
     weights, geo = PRESETS[preset]
     gt = scene.cloud if geo else None
@@ -461,8 +464,10 @@ def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset
     spec = pooled_spec(scene.dsm.spec, LOSS_POOL)
     assert spec.width == -(-scene.dsm.spec.width // 2) and spec.pixel_size == 2 * scene.dsm.spec.pixel_size
     assert len(calls) == 3
-    for _, targets, sun, loss_spec, soft_cfg, w, _ in calls:
+    assert all(tree is calls[0][7] for *_, tree in calls)
+    for _, targets, sun, loss_spec, soft_cfg, w, _, tree in calls:
         assert (loss_spec, sun, w, targets.gt_cloud) == (spec, scene.sun, weights, gt)
+        assert tree.data is gt.positions if geo else tree is None
         assert soft_cfg.sigma == scene.dsm.spec.pixel_size
         for field in ("silhouette", "shadow", "dsm"):
             target = getattr(targets, field)
@@ -505,6 +510,52 @@ def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters
     *threaded, threaded_pools = run_bytes(tmp / "threaded", seed, preset, n_points, lr, iters, True)
     assert serial == threaded
     assert serial_pools == {False} and threaded_pools == {PRESETS[preset][0].lambda_geo > 0}
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threaded):
+    """A run of 30 or more iterations with the Chamfer term on, serial or with its worker pool,
+    builds one `losses.cKDTree` of the ground truth's positions array and hands that tree to
+    every loss call; the only other trees are the cloud's own, one a call (200 points against
+    the ground truth is above `losses._TABLE_MAX`)."""
+    scene, builds, calls = small_scene(0), [], []
+    gt = scene.cloud.positions
+    assert 200 * len(gt) > losses._TABLE_MAX
+
+    class Tree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(data)
+            super().__init__(data, *args, **kwargs)
+
+    def spy(*args):
+        calls.append(args[6:])
+        return loss(*args)
+
+    loss = reconstruct_module.combined_loss
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    monkeypatch.setattr(reconstruct_module, "combined_loss", spy)
+    monkeypatch.setattr(reconstruct_module, "_worker_pool",
+                        (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None))
+    res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=scene.cloud,
+                      cfg=OptimConfig(n_points=200, iters=40, weights=PRESETS["geo"][0]))
+    assert res.stop_iter >= 30 and len(calls) == res.stop_iter + 1
+    assert [data is gt for data in builds].count(True) == 1 and len(builds) == 1 + len(calls)
+    tree = calls[0][1]
+    assert type(tree) is Tree and tree.data is gt
+    assert all(got is tree and (executor is not None) == threaded for executor, got in calls)
+
+
+def test_a_ground_truth_not_in_c_order_gives_the_bytes_of_its_c_order_copy():
+    """The ground truth's tree holds a C-order array of its own; a run given Fortran-order
+    positions runs on a C-order copy, with the bytes of a run given that copy."""
+    scene = small_scene(1)
+    fortran = PointCloud(np.asfortranarray(scene.cloud.positions))
+    assert not fortran.positions.flags.c_contiguous
+    runs = [reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=gt,
+                        cfg=OptimConfig(n_points=60, iters=10, weights=PRESETS["geo"][0]))
+            for gt in (scene.cloud, fortran)]
+    assert runs[0].cloud.positions.tobytes() == runs[1].cloud.positions.tobytes()
+    assert runs[0].loss_history == runs[1].loss_history
 
 
 @pytest.mark.parametrize("preset", [name for name, (weights, _) in PRESETS.items() if weights.lambda_geo == 0])

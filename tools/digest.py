@@ -26,6 +26,10 @@ whose bytes changed. The artefacts:
   scene generated with `--points-per-tree 64`: 40 x 64 points is a size whose
   Chamfer reads the distance table (`losses._TABLE_MAX`), where every other
   `--gt` run here builds KD-trees
+- the same three of a Chamfer-only `reconstruct --gt` of the first small-grid
+  scene at the default `--iters` and `--points`, which must end by the
+  stopping rule (`stop=loss`): every iteration of a whole run queries the one
+  ground-truth KD-tree the run builds
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
@@ -83,10 +87,13 @@ def run(argv: list[str]) -> str:
     return out
 
 
-def reconstruct(tmp: Path, name: str, argv: list[str]):
-    """(artefact, sha256) of the stdout, PLY and history of `reconstruct --out <tmp>/<name>.ply`."""
+def reconstruct(tmp: Path, name: str, argv: list[str], expect: str = ""):
+    """(artefact, sha256) of the stdout, PLY and history of `reconstruct --out <tmp>/<name>.ply`;
+    a stdout without `expect` stops the digest."""
     pred = tmp / f"{name.replace('/', '_')}.ply"
     stdout = run(["reconstruct", "--out", str(pred)] + argv)
+    if expect not in stdout:
+        raise SystemExit(f"reconstruct {name}: {expect!r} not in its stdout {stdout!r}")
     yield f"reconstruct/{name}/stdout", sha(stdout.encode())
     yield f"reconstruct/{name}/pred.ply", sha(pred.read_bytes())
     yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
@@ -129,6 +136,9 @@ def digests(tmp: Path):
     }
     for name, flags in inputs.items():
         yield from reconstruct(tmp, f"small/{name}", ["--iters", "20", "--points", "200"] + flags)
+    yield from reconstruct(tmp, "small/geo_only_to_the_stop", ["--manifest", str(small / "manifest.json"), "--gt",
+                                                               str(small / "gt.ply"), "--lambda-sil", "0",
+                                                               "--lambda-shadow", "0"], expect=" stop=loss ")
 
     run(["generate", "--count", "1", "--seed", "0", "--points-per-tree", "64", "--out", str(tmp / "gt64")]
         + SMALL_GRID)
