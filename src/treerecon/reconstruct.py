@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ from .core import (
 )
 from .diffrender import SoftConfig
 from .errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, SpecMismatch
-from .losses import LossTargets, LossWeights, combined_loss, resolve_weights
+from .losses import TERMS, LossTargets, LossWeights, combined_loss, resolve_weights
 from .sensor import H_MIN
 
 EXCESS_GREEN_MIN = 0.05  # vegetation test: 2g - r - b must exceed this
@@ -189,18 +191,62 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _worker_pool() -> ThreadPoolExecutor | None:
-    """A one-worker pool whose thread is kept off the caller's CPU for its whole life (a new
-    thread starts on its creator's CPU, and a scheduler that does not balance load leaves it
-    there), or None: in a `--jobs` worker process (its siblings fill the cores), on one CPU,
-    or off Linux."""
+def _other_cpus() -> set[int]:
+    """The allowed CPUs other than this thread's: none in a `--jobs` worker process, on one CPU or off Linux."""
     try:
         allowed = set() if multiprocessing.parent_process() else os.sched_getaffinity(0)
         with open("/proc/thread-self/stat") as f:  # field 39: the CPU this thread runs on
-            others = allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
+            return allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
     except (OSError, AttributeError):
-        return None
-    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) if others else None
+        return set()
+
+
+def _worker_pool() -> ThreadPoolExecutor | None:
+    """A one-worker pool kept on `_other_cpus()` (a new thread stays on its creator's CPU here), or None."""
+    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) \
+        if (others := _other_cpus()) else None
+
+
+class _Helper:
+    """A process forked once per run onto `others` that runs `job`, the score of one loss `term`: `send`
+    hands it the (n, 3) positions through one shared mmap and a command pipe, and `receive` returns the
+    job's (value, gradient, {term: value}) once it replies "ok", or None for good once it has failed (no
+    fork, its job raised or it died). It exits when its job raises or `close` ends the command pipe."""
+
+    def __init__(self, job, term: str, n: int, others: set[int]):
+        self.job, self.term, self.buf = job, term, np.ndarray(2 + 3 * n, buffer=mmap.mmap(-1, 8 * (2 + 3 * n)))
+        (cmd_r, self.cmd), (self.reply, reply_w) = os.pipe(), os.pipe()
+        self.pid = None
+        with contextlib.suppress(OSError):
+            self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(self.cmd)  # so the command pipe ends when the caller closes it or dies
+                os.sched_setaffinity(0, others)
+                while os.read(cmd_r, 1):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        value, grad, breakdown = job(self.buf[2:].reshape(n, 3).copy())
+                    self.buf[:2], self.buf[2:] = (value, *breakdown.values()), grad.reshape(-1)
+                    os.write(reply_w, b"ok")
+            finally:
+                os._exit(0)
+        for fd in (cmd_r, reply_w):
+            os.close(fd)
+
+    def send(self, positions: np.ndarray) -> None:
+        self.buf[2:] = positions.reshape(-1)
+        with contextlib.suppress(BrokenPipeError):  # no reader: it has failed, and `receive` reads an end
+            os.write(self.cmd, b"g")
+
+    def receive(self) -> tuple[float, np.ndarray, dict[str, float]] | None:
+        if os.read(self.reply, 2) == b"ok":
+            return float(self.buf[0]), self.buf[2:].reshape(-1, 3).copy(), {self.term: float(self.buf[1])}
+
+    def close(self) -> None:
+        for fd in (self.cmd, self.reply):
+            os.close(fd)
+        if self.pid:
+            os.waitpid(self.pid, 0)
 
 
 def reconstruct(
@@ -224,9 +270,10 @@ def reconstruct(
     longer finite in float32, the loss is no longer finite or a gradient component is too large
     for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once (of
     its positions in C order, through `losses.cKDTree`) and hands every `combined_loss` call that
-    tree and a one-worker pool kept off this thread's CPU (`_worker_pool`; none in a `--jobs`
-    worker process or on one CPU), which runs one of Chamfer's two KD-tree queries; every byte is
-    that of one thread. A raster-only run builds no tree and starts no thread.
+    tree and a one-worker pool kept off this thread's CPU (`_worker_pool`), which runs one of
+    Chamfer's two KD-tree queries. A run with two or more active terms first forks a `_Helper`
+    process, also off this CPU, that scores the last (in `losses.TERMS` order) while this thread
+    scores the others; none starts beside another thread. Every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -256,7 +303,15 @@ def reconstruct(
     totals: list[float] = []
     state = AdamState.zeros(positions.shape)
     tree = losses.cKDTree(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
-    with (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
+    *first, last = [term for term in TERMS if w.of(term) > 0]
+    own, helper = w, None
+    if first and threading.active_count() == 1 and (others := _other_cpus()):  # fork before any thread starts
+        own = LossWeights(**{f"lambda_{t}": 0.0 if t == last else w.of(t) for t in TERMS})
+        alone = LossWeights(**{f"lambda_{t}": w.of(t) if t == last else 0.0 for t in TERMS})
+        helper = _Helper(lambda p: combined_loss(PointCloud(positions=p), pooled, sun, loss_spec, soft_cfg, alone,
+                                                 None, None), last, len(positions), others)
+    with contextlib.closing(helper) if helper else contextlib.nullcontext(), \
+            (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
         for t in range(cfg.iters + 1):
             if t > 0:
                 positions = adam_step(state, positions, grad, cfg.lr)
@@ -266,8 +321,13 @@ def reconstruct(
             # an overflow in the loss (a point too high for the soft DSM's
             # exp(BETA z), say) either meets no pixel or makes the loss non-finite
             with np.errstate(over="ignore", invalid="ignore"):
+                if helper:
+                    helper.send(positions)
                 value, grad, breakdown = combined_loss(PointCloud(positions=positions), pooled, sun, loss_spec,
-                                                       soft_cfg, w, executor, tree)
+                                                       soft_cfg, own, executor, tree)
+                if helper:  # added last, as combined_loss adds it: a sum from +0.0 is never -0.0, and 0.0 + x == x
+                    v, g, b = helper.receive() or helper.job(positions)
+                    value, grad, breakdown = value + v, grad + g, breakdown | b
             if not math.isfinite(value):
                 raise Diverged(f"iteration {t}: the loss is {value}")
             if np.any(np.abs(grad) > _GRAD_MAX):

@@ -139,7 +139,8 @@ class TestReconstruct:
         assert last.split(",")[0] == kv["iter"]  # the history ends on the stop iteration
 
     def test_bench_and_reconstruct_share_the_default_weights(self, scene_dir, tmp_path, monkeypatch):
-        """Input-only runs of both commands resolve the default objective: no geo, no DSM term."""
+        """Input-only runs of both commands resolve the default objective: no geo, no DSM term. The
+        helper process is kept off (no CPU for it), so this thread's one call scores every term."""
         seen = []
 
         def spy(cloud, targets, sun, spec, soft_cfg, weights, *buffers):
@@ -149,6 +150,7 @@ class TestReconstruct:
         module = importlib.import_module("treerecon.reconstruct")
         real = module.combined_loss
         monkeypatch.setattr(module, "combined_loss", spy)
+        monkeypatch.setattr(module, "_other_cpus", set)
         data = tmp_path / "data"
         shutil.copytree(scene_dir, data / scene_dir.name)
         # --iters 0: one combined_loss call per reconstruction

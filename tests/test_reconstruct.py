@@ -1,7 +1,10 @@
+import contextlib
 import importlib
 import os
 import re
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import astuple
 from functools import cache
 from unittest import mock
 
@@ -17,7 +20,7 @@ from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, pool, pooled_spec
 from treerecon.errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
-from treerecon.losses import LossWeights, resolve_weights
+from treerecon.losses import TERMS, LossWeights, resolve_weights
 from treerecon.metrics import eval_chamfer
 from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
@@ -376,18 +379,25 @@ HIGH_START = np.zeros((30, 3))
 HIGH_START[0, 2] = 400.0  # too high for the soft DSM's exp(BETA z)
 
 
-@pytest.mark.parametrize("fields, start, message", [
+DIVERGENCES = [  # OptimConfig fields, init_positions and the Diverged message
     ({"lr": 1e39}, None, "iteration 1: a point position is not finite in float32"),
     ({"weights": LossWeights(0, 1e300, 0, 0)}, None,
      "iteration 0: a gradient component is too large for Adam to square"),
     ({"weights": LossWeights(0, 1, 0, 1)}, HIGH_START, "iteration 0: the loss is nan"),
-])
-def test_each_divergence_guard_names_its_iteration(fields, start, message):
-    """Each guard names the iteration it fired at; iteration 0's guards run before any Adam step."""
+]
+
+
+def diverge(fields, start):
     scene = generate_scene(1, SceneConfig(ranges=TreeParamRanges(n_points=(300, 300)),
                                           spec=GridSpec.centered(32, 0.25)))
+    reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=30, iters=5, **fields), init_positions=start)
+
+
+@pytest.mark.parametrize("fields, start, message", DIVERGENCES)
+def test_each_divergence_guard_names_its_iteration(fields, start, message):
+    """Each guard names the iteration it fired at; iteration 0's guards run before any Adam step."""
     with pytest.raises(Diverged, match=f"^{re.escape(message)}$"):
-        reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=30, iters=5, **fields), init_positions=start)
+        diverge(fields, start)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +456,8 @@ def test_explicit_weights_still_need_their_targets(generated):
 def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset):
     """combined_loss gets the input grid pooled LOSS_POOL x LOSS_POOL, the block means of
     derive_targets' rasters on it, the ground truth as given, σ one input pixel and, with the
-    Chamfer term on, one KD-tree of the ground truth's positions array for every call."""
+    Chamfer term on, one KD-tree of the ground truth's positions array for every call. The helper
+    process is kept off (no CPU for it), so each call scores the whole objective."""
     scene = small_scene(1)
     weights, geo = PRESETS[preset]
     gt = scene.cloud if geo else None
@@ -457,7 +468,7 @@ def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset
         return loss(*args)
 
     loss = reconstruct_module.combined_loss
-    with mock.patch.object(reconstruct_module, "combined_loss", spy):
+    with mock.patch.object(reconstruct_module, "combined_loss", spy), no_helper():
         reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=gt,
                     cfg=OptimConfig(n_points=40, iters=2, weights=weights))
     fine = derive_targets(scene.ortho, scene.dsm, OptimConfig().h_min, scene.shadow)
@@ -586,8 +597,11 @@ def worker_pool_in_a_worker_process() -> bool:
     return reconstruct_module._worker_pool() is None
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="one CPU, or no Linux affinity calls: the run keeps one thread")
+two_cpus = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                              reason="one CPU, or no Linux affinity calls: the run keeps one thread")
+
+
+@two_cpus
 def test_the_chamfer_worker_runs_off_the_callers_cpu():
     caller, allowed = current_cpu(), os.sched_getaffinity(0)
     with reconstruct_module._worker_pool() as pool:
@@ -596,7 +610,243 @@ def test_the_chamfer_worker_runs_off_the_callers_cpu():
 
 
 def test_a_jobs_worker_process_keeps_its_passes_on_one_thread():
+    """Its siblings fill the cores: no Chamfer thread, and no helper process."""
     with ProcessPoolExecutor(1) as workers:
         assert workers.submit(worker_pool_in_a_worker_process).result(timeout=120)
+        assert workers.submit(forks_of_a_default_run).result(timeout=120) == 0
     with mock.patch.object(reconstruct_module.multiprocessing, "parent_process", lambda: object()):
         assert reconstruct_module._worker_pool() is None
+        assert forks_of_a_default_run() == 0
+
+
+# ---------------------------------------------------------------------------
+# the helper process: a run with two or more active terms scores the last of
+# them in one process forked per run, pinned off the caller's CPU
+
+
+@contextlib.contextmanager
+def recorded_forks():
+    """The pid of each child `os.fork` makes while this is open."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", spy):
+        yield pids
+
+
+def no_helper():
+    """The CPU rule patched to find no CPU: no helper process and no Chamfer thread."""
+    return mock.patch.object(reconstruct_module, "_other_cpus", set)
+
+
+def helper_cpu(pid: int) -> int:
+    with open(f"/proc/{pid}/stat") as f:  # field 39: the CPU it last ran on
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def run_default(preset="default", iters=3, **fields):
+    scene = small_scene(0)
+    weights, geo = PRESETS[preset]
+    return reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                       gt_cloud=scene.cloud if geo else None,
+                       cfg=OptimConfig(n_points=40, iters=iters, weights=weights, **fields))
+
+
+@two_cpus
+def test_a_default_run_forks_one_helper_off_the_callers_cpu():
+    caller, allowed, seen, parent = current_cpu(), os.sched_getaffinity(0), [], os.getpid()
+
+    def spy(*args):
+        if os.getpid() == parent:  # from iteration 1 on, the helper has answered, so it has pinned itself
+            seen.append((os.sched_getaffinity(pids[0]), helper_cpu(pids[0])))
+        return loss(*args)
+
+    loss = reconstruct_module.combined_loss
+    with recorded_forks() as pids, mock.patch.object(reconstruct_module, "combined_loss", spy):
+        run_default(iters=10)
+    assert len(pids) == 1 and len(seen) == 11
+    del seen[0]
+    assert all(cpus == allowed - {caller} and cpu != caller for cpus, cpu in seen)
+    assert_reaped(pids)
+
+
+def written_bytes(tmp, seed, preset, n_points, lr, iters, helper):
+    """PLY and history bytes of one reconstruct, with the helper process or not, its stop, and
+    how many helpers it forked."""
+    scene = small_scene(seed)
+    weights, geo = PRESETS[preset]
+    with recorded_forks() as pids, contextlib.nullcontext() if helper else no_helper():
+        res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                          gt_cloud=scene.cloud if geo else None,
+                          cfg=OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, seed=seed))
+    write_ply(res.cloud, tmp / "r.ply")
+    _write_history(tmp / "r.history.csv", res.loss_history)
+    assert_reaped(pids)
+    return (tmp / "r.ply").read_bytes(), (tmp / "r.history.csv").read_bytes(), res.stop, len(pids)
+
+
+@two_cpus
+@settings(max_examples=20, derandomize=True, deadline=None)
+@example(iters=200, seed=0, preset="default", n_points=30, lr=0.2)  # the rule stops these three
+@example(iters=200, seed=1, preset="dsm", n_points=30, lr=0.2)
+@example(iters=200, seed=2, preset="geo", n_points=60, lr=0.05)
+@given(iters=st.integers(0, 200), **run_args)
+def test_a_run_with_its_helper_writes_the_bytes_of_one_without(tmp_path_factory, iters, seed, preset, n_points, lr):
+    """Byte for byte, stop for stop, whether the cap or the stopping rule ends the run."""
+    runs = []
+    for helper in (False, True):
+        tmp = tmp_path_factory.mktemp("helper")
+        *written, forks = written_bytes(tmp, seed, preset, n_points, lr, iters, helper)
+        runs.append(written)
+        assert forks == (helper and sum(w > 0 for w in astuple(PRESETS[preset][0])) > 1)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed, preset, n_points, lr", [(0, "default", 30, 0.2), (1, "dsm", 30, 0.2),
+                                                       (2, "geo", 60, 0.05)])
+def test_the_rule_ends_the_examples_run_with_a_helper(tmp_path, seed, preset, n_points, lr):
+    assert written_bytes(tmp_path, seed, preset, n_points, lr, 200, True)[2] == "loss"
+
+
+@pytest.mark.parametrize("fields, start, message", DIVERGENCES)
+def test_a_run_with_its_helper_diverges_with_the_message_of_one_without(fields, start, message):
+    for patch in (contextlib.nullcontext(), no_helper()):
+        with patch, recorded_forks() as pids, pytest.raises(Diverged, match=f"^{re.escape(message)}$"):
+            diverge(fields, start)
+        assert_reaped(pids)
+
+
+@two_cpus
+def test_the_parent_scores_all_but_the_last_term_and_the_helper_that_term():
+    """Together the parent's weights and the helper's are the run's, with the last active term's
+    weight on the helper alone; the helper's job, called here, scores that term."""
+    calls, helpers = [], []
+
+    class Helper(reconstruct_module._Helper):
+        def __init__(self, job, term, *args):
+            helpers.append((job, term))
+            super().__init__(job, term, *args)
+
+    def spy(cloud, targets, sun, spec, soft_cfg, weights, *buffers):
+        calls.append(weights)
+        return loss(cloud, targets, sun, spec, soft_cfg, weights, *buffers)
+
+    loss = reconstruct_module.combined_loss
+    for preset, last in (("default", "shadow"), ("dsm", "dsm"), ("geo", "shadow")):
+        calls.clear()
+        helpers.clear()
+        with mock.patch.object(reconstruct_module, "combined_loss", spy), \
+                mock.patch.object(reconstruct_module, "_Helper", Helper):
+            res = run_default(preset)
+            parent = list(calls)
+            (job, term), = helpers
+            value, _, breakdown = job(res.cloud.positions)
+        weights = PRESETS[preset][0]
+        (own,), alone = set(parent), calls[-1]
+        assert term == last and len(parent) == 4
+        assert [own.of(t) + alone.of(t) for t in TERMS] == [weights.of(t) for t in TERMS]
+        assert [t for t in TERMS if alone.of(t) > 0] == [last] and own.of(last) == 0
+        assert list(breakdown) == [last] and value == weights.of(last) * breakdown[last]
+
+
+@pytest.mark.parametrize("raised", [RuntimeError("boom"), KeyboardInterrupt()])
+@pytest.mark.parametrize("preset", ["default", "dsm"])
+def test_no_helper_outlives_a_run(preset, raised):
+    """After a capped run, a run the rule stopped, a Diverged run and runs whose loop raised."""
+    calls, loss, parent = [], reconstruct_module.combined_loss, os.getpid()
+
+    def failing(*args):
+        calls.append(1)
+        if os.getpid() == parent and len(calls) == 3:
+            raise raised
+        return loss(*args)
+
+    with recorded_forks() as pids:
+        run_default(preset, iters=5)
+        assert run_default(preset, iters=800).stop == "loss"
+        with pytest.raises(Diverged):
+            run_default(preset, lr=1e39)
+        with mock.patch.object(reconstruct_module, "combined_loss", failing), pytest.raises(type(raised)):
+            run_default(preset)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert len(pids) == 4
+    assert_reaped(pids)
+
+
+def fail_in_the_helper(how, at):
+    """combined_loss patched to raise, or to exit, in the helper process from its `at`-th call on."""
+    calls, loss, parent = [], reconstruct_module.combined_loss, os.getpid()
+
+    def failing(*args):
+        calls.append(1)
+        if os.getpid() != parent and len(calls) > at:
+            if how == "exit":
+                os._exit(3)
+            raise RuntimeError("the helper's job raised")
+        return loss(*args)
+
+    return mock.patch.object(reconstruct_module, "combined_loss", failing)
+
+
+@pytest.mark.parametrize("at", [0, 7])
+@pytest.mark.parametrize("how", ["raise", "exit"])
+@pytest.mark.parametrize("preset", ["default", "dsm", "geo"])
+def test_a_failed_helper_leaves_its_term_to_the_parent(tmp_path, preset, how, at):
+    """From the helper's failure on, the parent scores its term itself: the bytes of a run
+    without it."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    serial = written_bytes(tmp_path / "a", 1, preset, 30, 0.05, 12, False)[:3]
+    with fail_in_the_helper(how, at):
+        assert written_bytes(tmp_path / "b", 1, preset, 30, 0.05, 12, True)[:3] == serial
+
+
+def test_a_term_that_fails_in_the_helper_raises_the_exception_of_a_run_without_it():
+    loss = reconstruct_module.combined_loss
+
+    def no_shadow(cloud, targets, sun, spec, soft_cfg, weights, *buffers):
+        if weights.lambda_shadow > 0:
+            raise ValueError(f"no shadow for {len(cloud)} points")
+        return loss(cloud, targets, sun, spec, soft_cfg, weights, *buffers)
+
+    for patch in (contextlib.nullcontext(), no_helper()):
+        with patch, recorded_forks() as pids, mock.patch.object(reconstruct_module, "combined_loss", no_shadow), \
+                pytest.raises(ValueError, match="^no shadow for 40 points$"):
+            run_default()
+        assert_reaped(pids)
+
+
+@pytest.mark.parametrize("preset", ["sil", "geo_only"])
+def test_a_run_with_one_term_forks_no_helper(preset):
+    with recorded_forks() as pids:
+        run_default(preset)
+    assert pids == []
+
+
+def forks_of_a_default_run() -> int:
+    with recorded_forks() as pids:
+        run_default()
+    return len(pids)
+
+
+def test_no_helper_is_forked_beside_another_thread():
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert forks_of_a_default_run() == 0
+    finally:
+        done.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
