@@ -1,5 +1,9 @@
 """Core domain types: point clouds, georeferenced rasters, sun geometry, the seeded RNG.
 
+The CPU rule lives here too: `other_cpus` names the CPUs a second line of work may use
+(`reconstruct`'s helper process, the Chamfer and F-score worker thread), and
+`worker_pool` opens that thread.
+
 Conventions used throughout:
   - meters everywhere, z up, flat ground plane at z = 0
   - pixel (u, v): u is the column (along +x), v is the row (along +y);
@@ -9,7 +13,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,3 +221,19 @@ def Rng(seed: int) -> np.random.Generator:
     unless `endpoint=True`).
     """
     return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
+def other_cpus() -> set[int]:
+    """The allowed CPUs other than this thread's: none in a `--jobs` worker process, on one CPU or off Linux."""
+    try:
+        allowed = set() if multiprocessing.parent_process() else os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat") as f:  # field 39: the CPU this thread runs on
+            return allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
+    except (OSError, AttributeError):
+        return set()
+
+
+def worker_pool() -> ThreadPoolExecutor | None:
+    """A one-worker pool kept on `other_cpus()` (a new thread stays on its creator's CPU here), or None."""
+    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) \
+        if (others := other_cpus()) else None

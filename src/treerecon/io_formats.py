@@ -5,9 +5,11 @@ Byte-level contracts:
     red green blue (uchar, color*255 rounded half-up); optional uchar `class`
     (0 trunk, 1 foliage). A second element or another type is rejected at
     its header line. Positions are written at float32 precision as `%.9g`. The
-    body is written with one format operation and parsed in one pass (split,
-    convert per column, check in bulk); a bad row's line-numbered error is
-    the one a row-by-row reader would raise first.
+    body is written with one format operation and read by one C parse
+    (`np.loadtxt` over the layout); every body that parse refuses goes to
+    the row parser (split, float() and int() per column, checked in bulk),
+    which decides the result and the error. A bad row's line-numbered error
+    is the one a row-by-row reader would raise first.
   - PFM: grayscale `Pf`, scale -1.0 (little-endian float32), rows written
     bottom-to-top; row v = 0 is the bottom (smallest y).
   - PPM: binary `P6`, maxval 255, same color rounding as PLY.
@@ -22,6 +24,7 @@ arrays. `protree.generate_scene` and `load_scene` both return one, and
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from itertools import chain
 from pathlib import Path
@@ -123,10 +126,36 @@ def read_ply(path) -> PointCloud:
     if not has_class and props != layout[:-1]:
         raise MalformedPly(f"unsupported property layout {props}")
 
-    n_fields = len(props)
     body = lines[body_start : body_start + n]
     if len(body) < n:
         raise MalformedPly(f"expected {n} vertex rows, found {len(body)}")
+    xyz, uchars = _parse_body(body, len(props), body_start + 1)
+    with np.errstate(over="ignore"):  # out-of-range float32 parses to inf, rejected below
+        positions = xyz.astype(np.float32, order="C").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if len(bad):
+        raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
+    colors = np.ascontiguousarray(uchars[:, :3]) / 255.0
+    classes = uchars[:, 3].astype(np.uint8) if has_class else None
+    return PointCloud(positions=positions, colors=colors, classes=classes)
+
+
+def _parse_body(body: list[str], n_fields: int, first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) float64 positions and (n, n_fields - 3) int64 uchars of n body rows.
+
+    One C parse (`np.loadtxt`, split on whitespace as str.split splits) reads them; where it refuses
+    (a ValueError, a row count other than n, as a blank row is skipped, or a uchar outside 0-255),
+    the row parser, Python's float() and int() over str.split() fields, decides the result and the error.
+    """
+    layout = [("xyz", np.float64, 3), ("uchar", np.int64, n_fields - 3)]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # a 0-vertex body
+            table = np.loadtxt(body, dtype=layout, comments=None, ndmin=1)
+        if len(table) == len(body) and ((table["uchar"] >= 0) & (table["uchar"] <= 255)).all():
+            return table["xyz"], table["uchar"]
+    except ValueError:
+        pass
     rows = list(map(str.split, body))
     try:
         if set(map(len, rows)) - {n_fields}:
@@ -137,15 +166,8 @@ def read_ply(path) -> PointCloud:
         if ((uchars < 0) | (uchars > 255)).any():
             raise ValueError
     except (ValueError, OverflowError):
-        raise _first_bad_row(rows, n_fields, body_start + 1) from None
-    with np.errstate(over="ignore"):  # out-of-range float32 parses to inf, rejected below
-        positions = xyz.T.astype(np.float32, order="C").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
-    if len(bad):
-        raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
-    colors = np.ascontiguousarray(uchars[:3].T) / 255.0
-    classes = uchars[3].astype(np.uint8) if has_class else None
-    return PointCloud(positions=positions, colors=colors, classes=classes)
+        raise _first_bad_row(rows, n_fields, first_line) from None
+    return xyz.T, uchars.T
 
 
 def _first_bad_row(rows, n_fields, first_line) -> MalformedPly:

@@ -16,15 +16,21 @@ it renders the stack once per raster term and returns those renders too, so a
 caller that reads them (`gradcheck`) renders nothing again. `chamfer` and the
 stack's geo term are both `_chamfer_stack`, with one nearest-neighbour rule by
 size (README, step 4): the ground truth's KD-tree, built once per `reconstruct`
-run, for the cloud's points (on its executor, if any), and for the reverse a
-table of squared distances up to N * M = _TABLE_MAX, a tree per copy above it.
+run, for the cloud's points, and for the reverse a table of squared distances up
+to N * M = _TABLE_MAX, a tree per copy above it. Above it `query_pair` answers
+both directions, with the cloud's query on an executor's worker, if any:
+`reconstruct`'s pool kept on the other CPU, or the one `metrics` opens for one
+`eval` or `bench` score. A `--jobs` worker process has no pool, so it stays on
+one thread.
 """
 from __future__ import annotations
 
 import contextvars
 import math
-from concurrent.futures import Executor, wait
+from collections import deque
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,6 +44,7 @@ H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
 _TABLE_BLOCK = 2**14  # distances in one block of the Chamfer table (a block is >= 1 row)
 _TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not a tree per copy (BENCH_36.json)
+_QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
 TERMS = ("geo", "sil", "shadow", "dsm")
@@ -74,37 +81,81 @@ def _sq_mean(diff: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=-1).mean(axis=-1)
 
 
+def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None, bound: float = math.inf):
+    """(tree_b.query(a), cKDTree(a).query(tree_b.data)), each a (distances, indices) pair with
+    `distance_upper_bound=bound`: a's points in b's tree, and b's points in a's own tree, built here.
+
+    With an `executor`, its worker answers a's query, under this thread's numpy error state, while this
+    thread builds a's tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is
+    done the worker takes the runs left, so neither thread waits long whichever direction costs more.
+    A point's answer does not depend on the points queried with it, so every answer is that of one
+    thread. This returns or raises only once the worker has stopped, and the worker calls none of this
+    module's names.
+    """
+    b = tree_b.data
+    if executor is None:
+        return tree_b.query(a, distance_upper_bound=bound), cKDTree(a).query(b, distance_upper_bound=bound)
+    back = np.empty(len(b)), np.empty(len(b), dtype=np.intp)
+    cuts = [len(b) * k // _QUERY_RUNS for k in range(_QUERY_RUNS + 1)]
+    tree_a, runs = Future(), iter(range(_QUERY_RUNS))
+
+    def take(*taken: int) -> None:
+        for k in chain(taken, runs):  # next() of a range iterator is atomic
+            lo, hi = cuts[k], cuts[k + 1]
+            back[0][lo:hi], back[1][lo:hi] = tree_a.result().query(b[lo:hi], distance_upper_bound=bound)
+
+    def forward():
+        there = tree_b.query(a, distance_upper_bound=bound)
+        take()
+        return there
+
+    mine = next(runs)  # taken before the worker starts, so this thread answers at least one run
+    ahead = executor.submit(contextvars.copy_context().run, forward)
+    try:
+        try:
+            tree_a.set_result(cKDTree(a))
+        except BaseException as e:  # the worker gets it at its first run
+            tree_a.set_exception(e)
+            raise
+        take(mine)
+    except BaseException:
+        deque(runs, maxlen=0)  # the worker takes no further run
+        raise
+    finally:
+        wait([ahead])
+    return ahead.result(), back
+
+
 def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None,
                    tree: cKDTree | None = None):
     """Chamfer of each copy of a (B, N, 3) stack against (M, 3) points pb, as (B,) values, with
     what `chamfer`'s gradient reads: the (B, N, 3) offsets of each copy's points from their
     nearest pb point, and the (B, M) index of each pb point's nearest point in each copy.
 
-    pb's tree, built here unless handed in as `tree` (InvalidConfig unless `tree.data is pb`), is queried
-    with every point on the `executor`'s worker, under this thread's numpy error state, while this thread
-    runs the other direction (or after it); this returns or raises only once that query has ended. The
-    other direction reads a table of squared distances, _TABLE_BLOCK at a time and summed x, y, z as
-    cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, else `nearest_neighbors` per copy.
+    Each copy's points query pb's tree, built here unless handed in as `tree` (InvalidConfig unless
+    `tree.data is pb`). The other direction reads a table of squared distances, _TABLE_BLOCK at a time
+    and summed x, y, z as cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, with no
+    worker; above it `query_pair` answers both directions of each copy against the copy's own tree, with
+    the copy's query of pb's tree, and the runs of pb's query left when it is done, on the `executor`'s
+    worker if there is one.
     """
     b, n, m = *positions.shape[:2], len(pb)
     if n == 0 or m == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
     if tree is None:
-        tree = cKDTree(pb)  # built on this thread; the worker calls none of this module's names
+        tree = cKDTree(pb)
     elif tree.data is not pb:
         raise InvalidConfig("chamfer's KD-tree must be built from the ground truth's own positions array")
-    ahead = executor.submit(contextvars.copy_context().run, tree.query, positions) if executor else None
-    try:
-        if n * m > _TABLE_MAX:
-            ib = np.array([nearest_neighbors(pb, p) for p in positions], dtype=np.intp).reshape(b, m)
-        else:
-            ib, rows = np.empty((b, m), dtype=np.intp), max(1, _TABLE_BLOCK // max(1, b * n))
-            for lo in range(0, m, rows):
-                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
-                ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
-    finally:
-        wait([ahead] if ahead else [])
-    diff_a = positions - pb[(ahead.result() if ahead else tree.query(positions))[1]]
+    if n * m > _TABLE_MAX:
+        pairs = [query_pair(p, tree, executor) for p in positions]
+        ia = np.array([fwd for (_, fwd), _ in pairs], dtype=np.intp).reshape(b, n)
+        ib = np.array([rev for _, (_, rev) in pairs], dtype=np.intp).reshape(b, m)
+    else:
+        ia, ib, rows = tree.query(positions)[1], np.empty((b, m), dtype=np.intp), max(1, _TABLE_BLOCK // max(1, b * n))
+        for lo in range(0, m, rows):
+            sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
+            ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
+    diff_a = positions - pb[ia]
     return _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1)), diff_a, ib
 
 

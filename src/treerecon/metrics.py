@@ -1,20 +1,30 @@
-"""Evaluation metrics (Chamfer, F-score@tau) and their report format."""
+"""Evaluation metrics (Chamfer, F-score@tau) and their report format.
+
+Each score answers two KD-tree queries, the prediction's points in the ground truth's
+tree and the reverse, with `losses.query_pair`: on two or more CPUs a worker thread of
+`core.worker_pool`, kept off this thread's CPU and joined before the call returns,
+answers the prediction's query while this thread builds the prediction's tree and
+answers the other, and then takes what this thread has left of it, so the values are
+those of one thread. A `--jobs` worker process, or a run on one CPU, starts no thread.
+"""
 from __future__ import annotations
 
+import contextlib
 import math
 
 from scipy.spatial import cKDTree
 
-from .core import PointCloud
+from .core import PointCloud, worker_pool
 from .errors import EmptyCloud, InvalidConfig
-from .losses import chamfer
+from .losses import chamfer, query_pair
 
 DEFAULT_TAU = 0.5  # meters
 
 
 def eval_chamfer(pred: PointCloud, gt: PointCloud) -> float:
     """Symmetric squared Chamfer distance, no gradient."""
-    value, _ = chamfer(pred, gt)
+    with (executor := worker_pool()) or contextlib.nullcontext():
+        value, _ = chamfer(pred, gt, executor)
     return value
 
 
@@ -36,8 +46,8 @@ def fscore(
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
     bound = max(2 * tau, 1e-100)
-    d_pred, _ = cKDTree(gt.positions).query(pred.positions, distance_upper_bound=bound)
-    d_gt, _ = cKDTree(pred.positions).query(gt.positions, distance_upper_bound=bound)
+    with (executor := worker_pool()) or contextlib.nullcontext():
+        (d_pred, _), (d_gt, _) = query_pair(pred.positions, cKDTree(gt.positions), executor, bound)
     precision = float((d_pred <= tau).mean())
     recall = float((d_gt <= tau).mean())
     f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)

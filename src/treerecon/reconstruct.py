@@ -9,15 +9,13 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import core, losses
 from .core import (
     Grid,
     PointCloud,
@@ -191,22 +189,6 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _other_cpus() -> set[int]:
-    """The allowed CPUs other than this thread's: none in a `--jobs` worker process, on one CPU or off Linux."""
-    try:
-        allowed = set() if multiprocessing.parent_process() else os.sched_getaffinity(0)
-        with open("/proc/thread-self/stat") as f:  # field 39: the CPU this thread runs on
-            return allowed - {int(f.read().rsplit(")", 1)[1].split()[36])}
-    except (OSError, AttributeError):
-        return set()
-
-
-def _worker_pool() -> ThreadPoolExecutor | None:
-    """A one-worker pool kept on `_other_cpus()` (a new thread stays on its creator's CPU here), or None."""
-    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) \
-        if (others := _other_cpus()) else None
-
-
 class _Helper:
     """A process forked once per run onto `others` that runs `job`, the score of one loss `term`: `send`
     hands it the (n, 3) positions through one shared mmap and a command pipe, and `receive` returns the
@@ -270,10 +252,11 @@ def reconstruct(
     longer finite in float32, the loss is no longer finite or a gradient component is too large
     for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once (of
     its positions in C order, through `losses.cKDTree`) and hands every `combined_loss` call that
-    tree and a one-worker pool kept off this thread's CPU (`_worker_pool`), which runs one of
-    Chamfer's two KD-tree queries. A run with two or more active terms first forks a `_Helper`
-    process, also off this CPU, that scores the last (in `losses.TERMS` order) while this thread
-    scores the others; none starts beside another thread. Every byte is that of one thread.
+    tree and a one-worker pool kept off this thread's CPU (`core.worker_pool`), which shares
+    Chamfer's two KD-tree queries with this thread (`losses.query_pair`). A run with two or more
+    active terms first forks a `_Helper` process, also off this CPU, that scores the last (in
+    `losses.TERMS` order) while this thread scores the others; none starts beside another thread.
+    Every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -305,13 +288,13 @@ def reconstruct(
     tree = losses.cKDTree(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
     *first, last = [term for term in TERMS if w.of(term) > 0]
     own, helper = w, None
-    if first and threading.active_count() == 1 and (others := _other_cpus()):  # fork before any thread starts
+    if first and threading.active_count() == 1 and (others := core.other_cpus()):  # fork before any thread starts
         own = LossWeights(**{f"lambda_{t}": 0.0 if t == last else w.of(t) for t in TERMS})
         alone = LossWeights(**{f"lambda_{t}": w.of(t) if t == last else 0.0 for t in TERMS})
         helper = _Helper(lambda p: combined_loss(PointCloud(positions=p), pooled, sun, loss_spec, soft_cfg, alone,
                                                  None, None), last, len(positions), others)
     with contextlib.closing(helper) if helper else contextlib.nullcontext(), \
-            (executor := _worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
+            (executor := core.worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
         for t in range(cfg.iters + 1):
             if t > 0:
                 positions = adam_step(state, positions, grad, cfg.lr)

@@ -150,7 +150,7 @@ class TestReconstruct:
         module = importlib.import_module("treerecon.reconstruct")
         real = module.combined_loss
         monkeypatch.setattr(module, "combined_loss", spy)
-        monkeypatch.setattr(module, "_other_cpus", set)
+        monkeypatch.setattr(importlib.import_module("treerecon.core"), "other_cpus", set)
         data = tmp_path / "data"
         shutil.copytree(scene_dir, data / scene_dir.name)
         # --iters 0: one combined_loss call per reconstruction
@@ -248,6 +248,19 @@ class TestEval:
         write_ply(PointCloud(positions=np.zeros((0, 3))), empty)
         rc = main(["eval", "--pred", str(empty), "--gt", str(scene_dir / "gt.ply")])
         assert rc == 3
+
+    def test_an_empty_pred_prints_only_its_error_line(self, scene_dir, tmp_path, capsys):
+        """A 0-vertex body gives the PLY parse no data; that raises no warning, so stderr holds
+        the one `error:` line."""
+        empty = tmp_path / "empty.ply"
+        empty.write_text("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+                         "property float z\nproperty uchar red\nproperty uchar green\nproperty uchar blue\n"
+                         "end_header\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--pred", str(empty), "--gt", str(scene_dir / "gt.ply")])
+        assert rc == 3 and caught == []
+        assert capsys.readouterr() == ("", "error: chamfer requires two non-empty clouds\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestPly:
         write_ply(PointCloud(positions=np.zeros((0, 3))), p)
         assert "element vertex 0" in p.read_text()
         assert len(read_ply(p)) == 0
+
+    @pytest.mark.parametrize("with_classes", [False, True])
+    def test_an_empty_body_raises_no_warning(self, tmp_path, with_classes):
+        """The C parse of a 0-vertex body finds no data and warns so; read_ply keeps that off
+        stderr, so it reads the file even with every warning an error (`-W error`)."""
+        p = tmp_path / "empty.ply"
+        write_ply(PointCloud(np.zeros((0, 3)), classes=np.zeros(0, np.uint8) if with_classes else None), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = read_ply(p)
+        assert cloud.positions.shape == (0, 3) and cloud.colors.shape == (0, 3)
+        assert (cloud.classes is not None) == with_classes
 
     def test_round_trip_float32_quantization(self, tmp_path):
         cloud = random_cloud(0, 1000)
@@ -456,7 +469,10 @@ float_token = (
     | st.floats(-1e6, 1e6).map(repr)
     | st.integers(-10**6, 10**6).map(str)
 )
-DEFECTS = ["1.5", "256", "-1", "zebra", "1_0", "+5", "٣", "9" * 25, "1e50", "nan", "-inf", ""]
+DEFECTS = ["1.5", "256", "-1", "zebra", "1_0", "+5", "٣", "9" * 25, "1e50", "nan", "-inf", "",
+           "1.0", "0x1", "NaN", "Infinity", "1e400"]
+# field separators str.split splits on; "\x1c" also ends a line for str.splitlines
+SEPARATORS = [" ", "\t", "\x1c", "\u2003", "\xa0", " \t "]
 
 
 @st.composite
@@ -478,19 +494,21 @@ def ply_bodies(draw):
             row.pop()
         else:
             row[draw(st.integers(0, len(row) - 1) | st.integers(3, len(row) - 1))] = defect
+    if rows and draw(st.integers(0, 7)) == 0:  # a blank row, which np.loadtxt would skip
+        rows.insert(draw(st.integers(0, len(rows) - 1)), [])
     declared = max(0, len(rows) + draw(st.just(0) | st.sampled_from([-2, -1, 1, 2])))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]))  # str.splitlines breaks
-    return ply_text(rows, has_class, declared, eol)
+    return ply_text(rows, has_class, declared, eol, draw(st.just(" ") | st.sampled_from(SEPARATORS)))
 
 
-def ply_text(rows, has_class=False, declared=None, eol="\n"):
-    """A PLY with these body rows (lists of tokens), declaring len(rows) unless told."""
+def ply_text(rows, has_class=False, declared=None, eol="\n", sep=" "):
+    """A PLY with these body rows (lists of tokens joined by sep), declaring len(rows) unless told."""
     declared = len(rows) if declared is None else declared
     lines = ["ply", "format ascii 1.0", f"element vertex {declared}"]
     lines += [f"property float {axis}" for axis in "xyz"]
     lines += [f"property uchar {c}" for c in ("red", "green", "blue", "class")[:3 + has_class]]
     lines.append("end_header")
-    return eol.join(lines + [" ".join(r) for r in rows]) + eol
+    return eol.join(lines + [sep.join(r) for r in rows]) + eol
 
 
 def read_outcome(read, path):
@@ -512,6 +530,12 @@ def read_outcome(read, path):
 @example(text=ply_text([["0", "0", "0", "-1", "0", "0"], ["0", "0"]]))  # row order
 @example(text=ply_text([["nan", "0", "0", "0", "0", "0"], ["0", "٣", "0", "1.5", "0", "0"]]))
 @example(text=ply_text([["1e50", "0", "0", "0", "0", "0"], ["0", "0", "0"]], declared=3))
+@example(text=ply_text([["0", "0", "0", "0", "0", "0"], [], ["1", "2", "3", "4", "5", "6"]]))  # a blank row
+@example(text=ply_text([["0", "0", "0", "0", "0", "0"], ["1", "2", "3", "4", "5", "6"]], declared=2, eol="\n\n"))
+@example(text=ply_text([["0", "1.0", "0", "0x1", "0", "0"]], sep="\xa0"))
+@example(text=ply_text([["0", "0", "0", "1_0", "0", "0"]], sep="\u2003"))  # int(), not the C parse
+@example(text=ply_text([["Infinity", "0", "0", "0", "0", "0"]], sep="\t"))
+@example(text=ply_text([["0", "0", "1e400", "0", "0", "0"], ["0", "0", "0", "NaN", "0", "0"]], sep="\x1c"))
 def test_read_ply_equals_the_row_reader(fuzz_dir, text):
     path = fuzz_dir / "drawn.ply"
     path.write_bytes(text.encode("utf-8"))

@@ -562,9 +562,9 @@ def on_worker() -> bool:
 def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor, side):
     """With a pool, the wrappable names of `losses` are called on the caller's thread, the same
     calls in the same order as without one, so a wrapper that keeps one call stack for all threads
-    stays right. Chamfer builds b's tree first on either path; the pool's worker, or the caller
-    after the other direction, queries it. That direction calls `nearest_neighbors(b, a)` on the
-    tree side and no name on the table side."""
+    stays right. Chamfer builds b's tree first on either path. On the tree side `query_pair` then
+    builds a's tree, and the caller (with the pool's worker, if any) queries both trees; on the
+    table side the caller queries b's tree and reads the table, calling no other name."""
     kind, n, m = side
     calls = []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
@@ -584,9 +584,8 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         if on == {"sil", "shadow"}:  # both passes on the caller, the shadow's after one projection
             assert calls == [("occupancy_forward_backward", n, False), ("project_to_ground", n, False),
                              ("occupancy_forward_backward", n, False)]
-        if on == {"geo"} and kind == "trees":  # b's tree for a's query, then nearest_neighbors(b, a) with a's tree
-            assert calls == [("chamfer", n, False), ("cKDTree", m, False), ("nearest_neighbors", m, False),
-                             ("cKDTree", n, False)]
+        if on == {"geo"} and kind == "trees":  # b's tree, then a's, both built by the caller
+            assert calls == [("chamfer", n, False), ("cKDTree", m, False), ("cKDTree", n, False)]
         if on == {"geo"} and kind == "table":  # b's tree for a's query; the table calls no name
             assert calls == [("chamfer", n, False), ("cKDTree", m, False)]
         assert [name for name, _, _ in calls].count("cKDTree") == (1 + (kind == "trees")) * ("geo" in on)
@@ -687,71 +686,85 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
 
 
 def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):
-    """The worker's query raises; on the tree side the caller has queried a's tree meanwhile."""
+    """On the tree side the worker's query of b's tree raises, and the caller queries every run of
+    a's tree meanwhile; the table side puts no query on the worker."""
     kind, n, m = side
     err, threads = Diverged("raised in the worker's query"), []
 
     class Tree(cKDTree):
-        def query(self, x):
+        def query(self, x, **kwargs):
             threads.append(on_worker())
             if on_worker():
                 raise err
-            return super().query(x)
+            return super().query(x, **kwargs)
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
+    args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
+    if kind == "table":
+        combined_loss(*args)
+        assert threads == [False]
+        return
     with pytest.raises(Diverged) as info:
-        combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
+        combined_loss(*args)
     assert info.value is err
-    assert sorted(threads) == ([False, True] if kind == "trees" else [True])
+    assert sorted(threads) == [False] * losses._QUERY_RUNS + [True]
 
 
 def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor, side):
-    """The caller fails while the worker's query runs: on the tree side in its own query of a's
-    tree, on the table side in the table, whose squares overflow a cloud scaled by 1e200 under
-    `np.errstate(over="raise")`."""
+    """On the tree side the caller fails in its first query of a's tree while the worker's query
+    runs, and the error is raised once that query has ended. The table side has no worker query to
+    wait for."""
     kind, n, m = side
     ended = threading.Event()
 
     class Tree(cKDTree):
-        def query(self, x):
+        def query(self, x, **kwargs):
             if not on_worker():
                 raise Diverged("the caller's query fails while the worker's runs")
             time.sleep(0.2)
-            out = super().query(x)
+            out = super().query(x, **kwargs)
             ended.set()
             return out
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
     args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
-    if kind == "trees":
-        with pytest.raises(Diverged, match="while the worker's runs"):
-            combined_loss(*args)
-    else:
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            combined_loss(PointCloud(args[0].positions * 1e200), *args[1:])
-    assert ended.is_set()
+    with pytest.raises(Diverged, match="while the worker's runs"):
+        combined_loss(*args)
+    assert ended.is_set() == (kind == "trees")
 
 
 def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor, side):
-    """The worker's query overflows; on the tree side the caller queries a's tree too."""
+    """On the tree side the worker's queries overflow, silently under the caller's `over="ignore"`
+    (the worker queries b's tree and then takes any runs of a's tree the caller has left) and as the
+    caller's warning-turned-error otherwise (the worker stops at its first query, and the caller
+    queries every run). The table side puts no query on the worker."""
     kind, n, m = side
-    threads = []
+    threads, calls = [], []
 
     class Tree(cKDTree):
-        def query(self, x):
+        def query(self, x, **kwargs):
             threads.append(on_worker())
             if on_worker():
                 np.float64(1e308) * np.array([10.0])
-            return super().query(x)
+            return super().query(x, **kwargs)
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
             combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
-    assert sorted(threads) == ([False, False, True, True] if kind == "trees" else [True, True])
+        calls.append(sorted(threads))
+        threads.clear()
+        if kind == "trees":
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
+            calls.append(sorted(threads))
+    if kind == "table":
+        assert calls == [[False]]
+    else:
+        runs = losses._QUERY_RUNS
+        assert len(calls[0]) == runs + 1 and calls[0][0] is False and calls[0][-1] is True
+        assert calls[1] == [False] * runs + [True]
 
 
 def test_concurrent_runs_with_their_own_pools_keep_every_byte():

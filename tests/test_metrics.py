@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_chamfer, fscore_unbounded
+from treerecon import core
 from treerecon.core import PointCloud, Rng
 from treerecon.errors import EmptyFootprint
 from treerecon.metrics import eval_chamfer, format_report, fscore
@@ -72,6 +75,44 @@ def test_fscore_equals_unbounded_queries(pred, gt, tau, half):
     step = tau / 2 if half else tau
     a, b = (cloud(np.array(c, dtype=float) * step) for c in (pred, gt))
     assert fscore(a, b, tau) == fscore_unbounded(a, b, tau)
+
+
+@st.composite
+def scored_pairs(draw):
+    """(pred, gt, tau): 1 to 3,000 points a side, some drawn from a few lattice points so that
+    points repeat and nearest distances tie, gt at times far from pred, and tau from tiny to huge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.integers(1, 3000) | st.sampled_from([1, 2, 3, 999, 2999, 3000])
+    clouds = []
+    for k in (draw(sizes), draw(sizes)):
+        if draw(st.booleans()):  # duplicates: k draws from a lattice of at most 40 points
+            lattice = rng.integers(-3, 4, (draw(st.integers(1, 40)), 3)) * draw(st.sampled_from([0.25, 1.0]))
+            clouds.append(lattice[rng.integers(0, len(lattice), k)])
+        else:
+            clouds.append(rng.uniform(-5.0, 5.0, (k, 3)))
+    offset = draw(st.sampled_from([0.0, 0.0, 100.0, 1e6]))  # gt far from pred
+    tau = draw(st.sampled_from([5e-324, 1e-170, 0.25, 0.5, 1e300]) | st.floats(1e-6, 1e7))
+    return PointCloud(clouds[0]), PointCloud(clouds[1] + offset), tau
+
+
+def uniform(seed, n, offset=0.0):
+    return PointCloud(np.random.default_rng(seed).uniform(-5.0, 5.0, (n, 3)) + offset)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pair=scored_pairs())
+@example(pair=(uniform(0, 1), uniform(1, 1), 0.5))
+@example(pair=(uniform(2, 1), uniform(3, 3000), 1e-6))
+@example(pair=(uniform(4, 2999), uniform(5, 1, 1e6), 1e300))
+@example(pair=(PointCloud(np.zeros((3000, 3))), PointCloud(np.ones((2999, 3))), 5e-324))  # all distances tie
+def test_the_worker_changes_no_score(pair):
+    """eval_chamfer and fscore give the same floats with the worker thread (on two or more CPUs)
+    and without it (the CPU rule patched to find no CPU)."""
+    pred, gt, tau = pair
+    pooled = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
+    with mock.patch.object(core, "other_cpus", set):
+        alone = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
+    assert np.array(pooled).tobytes() == np.array(alone).tobytes()
 
 
 class TestBaselineExtrude:

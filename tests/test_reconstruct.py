@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from oracles import surface_points_loop
-from treerecon import losses
+from treerecon import core, losses
 from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, pool, pooled_spec
 from treerecon.errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import TERMS, LossWeights, resolve_weights
-from treerecon.metrics import eval_chamfer
+from treerecon.metrics import eval_chamfer, fscore
 from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
     LOSS_POOL,
@@ -499,7 +499,7 @@ def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
 
     loss = reconstruct_module.combined_loss
     with mock.patch.object(reconstruct_module, "combined_loss", spy), \
-            mock.patch.object(reconstruct_module, "_worker_pool",
+            mock.patch.object(core, "worker_pool",
                               (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None)):
         res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                           gt_cloud=scene.cloud if geo else None,
@@ -545,7 +545,7 @@ def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threa
     loss = reconstruct_module.combined_loss
     monkeypatch.setattr(losses, "cKDTree", Tree)
     monkeypatch.setattr(reconstruct_module, "combined_loss", spy)
-    monkeypatch.setattr(reconstruct_module, "_worker_pool",
+    monkeypatch.setattr(core, "worker_pool",
                         (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None))
     res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=scene.cloud,
                       cfg=OptimConfig(n_points=200, iters=40, weights=PRESETS["geo"][0]))
@@ -582,7 +582,7 @@ def test_a_raster_only_run_starts_no_thread(preset):
 
     loss = reconstruct_module.combined_loss
     with mock.patch.object(reconstruct_module, "combined_loss", spy), \
-            mock.patch.object(reconstruct_module, "_worker_pool", lambda: started.append(1) or ThreadPoolExecutor(1)):
+            mock.patch.object(core, "worker_pool", lambda: started.append(1) or ThreadPoolExecutor(1)):
         reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                     cfg=OptimConfig(n_points=40, iters=3, weights=weights))
     assert started == [] and executors == [None] * 4
@@ -594,7 +594,19 @@ def current_cpu() -> int:
 
 
 def worker_pool_in_a_worker_process() -> bool:
-    return reconstruct_module._worker_pool() is None
+    return core.worker_pool() is None
+
+
+def threads_started_by_scoring() -> int:
+    """How many threads eval_chamfer and fscore start, on clouds whose Chamfer reads trees."""
+    started, start = [], threading.Thread.start
+    scene = small_scene(0)
+    pred = PointCloud(scene.cloud.positions[::2] + 0.1)
+    assert len(pred) * len(scene.cloud) > losses._TABLE_MAX
+    with mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
+        eval_chamfer(pred, scene.cloud)
+        fscore(pred, scene.cloud)
+    return len(started)
 
 
 two_cpus = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -604,19 +616,21 @@ two_cpus = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sch
 @two_cpus
 def test_the_chamfer_worker_runs_off_the_callers_cpu():
     caller, allowed = current_cpu(), os.sched_getaffinity(0)
-    with reconstruct_module._worker_pool() as pool:
+    with core.worker_pool() as pool:
         assert caller not in [pool.submit(current_cpu).result(timeout=60) for _ in range(20)]
         assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == allowed - {caller}
 
 
 def test_a_jobs_worker_process_keeps_its_passes_on_one_thread():
-    """Its siblings fill the cores: no Chamfer thread, and no helper process."""
+    """Its siblings fill the cores: no Chamfer thread, no helper process, and scoring starts no thread."""
     with ProcessPoolExecutor(1) as workers:
         assert workers.submit(worker_pool_in_a_worker_process).result(timeout=120)
         assert workers.submit(forks_of_a_default_run).result(timeout=120) == 0
-    with mock.patch.object(reconstruct_module.multiprocessing, "parent_process", lambda: object()):
-        assert reconstruct_module._worker_pool() is None
+        assert workers.submit(threads_started_by_scoring).result(timeout=120) == 0
+    with mock.patch.object(core.multiprocessing, "parent_process", lambda: object()):
+        assert core.worker_pool() is None
         assert forks_of_a_default_run() == 0
+        assert threads_started_by_scoring() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +655,7 @@ def recorded_forks():
 
 def no_helper():
     """The CPU rule patched to find no CPU: no helper process and no Chamfer thread."""
-    return mock.patch.object(reconstruct_module, "_other_cpus", set)
+    return mock.patch.object(core, "other_cpus", set)
 
 
 def helper_cpu(pid: int) -> int:
@@ -711,6 +725,26 @@ def test_a_run_with_its_helper_writes_the_bytes_of_one_without(tmp_path_factory,
         runs.append(written)
         assert forks == (helper and sum(w > 0 for w in astuple(PRESETS[preset][0])) > 1)
     assert runs[0] == runs[1]
+
+
+@two_cpus
+def test_scoring_between_two_runs_leaves_no_thread_for_the_next_helper():
+    """A run, its scoring and a second run in one process, in the order of one `recon_inputs`
+    operation: eval_chamfer and fscore each start their worker thread and join it before they
+    return, so the second run still forks its helper."""
+    scene, started, start = small_scene(0), [], threading.Thread.start
+    with recorded_forks() as pids, \
+            mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
+        pred = run_default().cloud
+        assert len(pids) == 1 and len(pred) * len(scene.cloud) > losses._TABLE_MAX
+        for score in (eval_chamfer, fscore):
+            started.clear()
+            score(pred, scene.cloud)
+            assert len(started) == 1  # the call did start its worker
+            assert threading.active_count() == 1
+        run_default()
+    assert len(pids) == 2
+    assert_reaped(pids)
 
 
 @pytest.mark.parametrize("seed, preset, n_points, lr", [(0, "default", 30, 0.2), (1, "dsm", 30, 0.2),
