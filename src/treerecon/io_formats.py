@@ -6,10 +6,9 @@ Byte-level contracts:
     (0 trunk, 1 foliage). A second element or another type is rejected at
     its header line. Positions are written at float32 precision as `%.9g`. The
     body is written with one format operation and read by one C parse
-    (`np.loadtxt` over the layout); every body that parse refuses goes to
-    the row parser (split, float() and int() per column, checked in bulk),
-    which decides the result and the error. A bad row's line-numbered error
-    is the one a row-by-row reader would raise first.
+    (`np.loadtxt` over the layout); every body that parse refuses goes to one
+    pass over its rows (split, float() and int() per field), which reads it
+    or raises the line-numbered error of its first bad row.
   - PFM: grayscale `Pf`, scale -1.0 (little-endian float32), rows written
     bottom-to-top; row v = 0 is the bottom (smallest y).
   - PPM: binary `P6`, maxval 255, same color rounding as PLY.
@@ -145,7 +144,9 @@ def _parse_body(body: list[str], n_fields: int, first_line: int) -> tuple[np.nda
 
     One C parse (`np.loadtxt`, split on whitespace as str.split splits) reads them; where it refuses
     (a ValueError, a row count other than n, as a blank row is skipped, or a uchar outside 0-255),
-    the row parser, Python's float() and int() over str.split() fields, decides the result and the error.
+    one pass over the rows, Python's float() and int() over str.split() fields, reads them or raises
+    at the first row with a wrong field count, a non-numeric field or a uchar out of range, tested in
+    that order.
     """
     layout = [("xyz", np.float64, 3), ("uchar", np.int64, n_fields - 3)]
     try:
@@ -156,33 +157,19 @@ def _parse_body(body: list[str], n_fields: int, first_line: int) -> tuple[np.nda
             return table["xyz"], table["uchar"]
     except ValueError:
         pass
-    rows = list(map(str.split, body))
-    try:
-        if set(map(len, rows)) - {n_fields}:
-            raise ValueError
-        cols = list(zip(*rows)) or [()] * n_fields
-        xyz = np.array([list(map(float, c)) for c in cols[:3]])
-        uchars = np.array([list(map(int, c)) for c in cols[3:]], dtype=np.int64)
-        if ((uchars < 0) | (uchars > 255)).any():
-            raise ValueError
-    except (ValueError, OverflowError):
-        raise _first_bad_row(rows, n_fields, first_line) from None
-    return xyz.T, uchars.T
-
-
-def _first_bad_row(rows, n_fields, first_line) -> MalformedPly:
-    """The error for the first row with a wrong field count, a non-numeric
-    field or a uchar out of range, tested in that order."""
-    for ln, tok in enumerate(rows, start=first_line):
+    xyz, uchars = [], []
+    for ln, tok in enumerate(map(str.split, body), start=first_line):
         if len(tok) != n_fields:
-            return MalformedPly(f"expected {n_fields} fields", line=ln)
+            raise MalformedPly(f"expected {n_fields} fields", line=ln)
         try:
-            list(map(float, tok[:3]))
-            uchars = list(map(int, tok[3:]))
+            xyz += map(float, tok[:3])
+            row = list(map(int, tok[3:]))
         except ValueError:
-            return MalformedPly("non-numeric vertex field", line=ln)
-        if any(c < 0 or c > 255 for c in uchars):
-            return MalformedPly("color or class out of uchar range", line=ln)
+            raise MalformedPly("non-numeric vertex field", line=ln) from None
+        if min(row) < 0 or max(row) > 255:
+            raise MalformedPly("color or class out of uchar range", line=ln)
+        uchars += row
+    return np.array(xyz).reshape(-1, 3), np.array(uchars, dtype=np.int64).reshape(-1, n_fields - 3)
 
 
 # ---------------------------------------------------------------------------

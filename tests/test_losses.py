@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -616,12 +617,18 @@ def cloud_pairs(draw, lo=1, hi=60):
     return PointCloud(positions=a), PointCloud(positions=b)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(pair=cloud_pairs())
-def test_chamfer_on_a_pool_keeps_every_byte(pair, executor):
-    a, b = pair
+@pytest.mark.parametrize("side, sizes", [("table", (1, 60)), ("trees", (65, 120))])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_chamfer_on_a_pool_keeps_every_byte(side, sizes, data, executor):
+    """A pooled `chamfer` gives the bytes of a serial one on both sides of `losses._TABLE_MAX`;
+    only the trees side hands the pool its KD-tree query."""
+    a, b = data.draw(cloud_pairs(*sizes))
+    assert (len(a) * len(b) > losses._TABLE_MAX) == (side == "trees")
     value, grad = chamfer(a, b)
-    pooled_value, pooled_grad = chamfer(a, b, executor)
+    with mock.patch.object(executor, "submit", wraps=executor.submit) as submit:
+        pooled_value, pooled_grad = chamfer(a, b, executor)
+    assert submit.called == (side == "trees")
     assert np.float64(pooled_value).tobytes() == np.float64(value).tobytes()
     assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
 

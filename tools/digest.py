@@ -31,7 +31,11 @@ whose bytes changed. The artefacts:
   stopping rule (`stop=loss`): every iteration of a whole run queries the one
   ground-truth KD-tree the run builds
 - the `eval` report of the default reconstruction and of the ground truth against
-  itself, at tau 1e-170, 0.1, 0.5 and 3
+  itself, at tau 1e-170, 0.1, 0.5 and 3; and at tau 0.5 that of the default
+  reconstruction with its body's digits re-written as Arabic-Indic digits,
+  which the C parse (`np.loadtxt`) refuses and Python's `float()` and `int()`
+  read as the same numbers, so its line equals `eval/default/tau=0.5`'s only
+  while the row pass keeps every byte
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
   `run_gradcheck(seed=0, trials=1, n_points=200)`'s, whose copies share a
   finite-difference stack only when a stack holds more than 256 points
@@ -60,6 +64,7 @@ from treerecon.cli import main  # noqa: E402
 from treerecon.gradcheck import run_gradcheck  # noqa: E402
 
 TAUS = ("1e-170", "0.1", "0.5", "3")
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 SMALL_GRID = ["--grid-size", "32", "--pixel-size", "0.5"]
 COMMANDS = ("generate", "reconstruct", "eval", "gradcheck", "bench")
 
@@ -149,6 +154,11 @@ def digests(tmp: Path):
     for name, pred in (("default", str(tmp / "default.ply")), ("gt", gt)):
         for tau in TAUS:
             yield f"eval/{name}/tau={tau}", sha(run(["eval", "--pred", pred, "--gt", gt, "--tau", tau]).encode())
+    head, body = (tmp / "default.ply").read_text().split("end_header\n")
+    refused = tmp / "default_arabic_digits.ply"
+    refused.write_text(head + "end_header\n" + body.translate(ARABIC_DIGITS), encoding="utf-8")
+    yield "eval/default_arabic_digits/tau=0.5", sha(run(["eval", "--pred", str(refused), "--gt", gt,
+                                                         "--tau", "0.5"]).encode())
 
     for seed in range(6):
         scores = run_gradcheck(seed=seed, trials=3)
