@@ -31,7 +31,8 @@ CLASS_FOLIAGE = 1
 class PointCloud:
     """N 3D points with optional per-point RGB colors and trunk/foliage class.
 
-    positions: (N, 3) float64; colors: (N, 3) float64 in [0, 1] or None;
+    positions: (N, 3) float64 in C order (a copy unless the input already is), so a KD-tree
+    built from it holds this very array; colors: (N, 3) float64 in [0, 1] or None;
     classes: (N,) uint8 (0 trunk, 1 foliage) or None.
     """
 
@@ -40,7 +41,7 @@ class PointCloud:
     classes: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
+        self.positions = np.ascontiguousarray(self.positions, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(self.positions)):
             raise InvalidConfig("point positions must be finite")
         n = len(self.positions)

@@ -21,7 +21,6 @@ one-cloud render, `chamfer` and `combined_loss`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, Rng, SunConfig, check_point_count
 from .diffrender import (
@@ -34,7 +33,7 @@ from .diffrender import (
     soft_silhouette_backward,
 )
 from .errors import InvalidConfig
-from .losses import LossTargets, LossWeights, chamfer, combined_loss, combined_loss_stack
+from .losses import LossTargets, LossWeights, cKDTree, chamfer, combined_loss, combined_loss_stack
 from .sensor import pixels_within, project_to_ground
 
 REL_TOL = 1e-3
@@ -49,7 +48,7 @@ _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
 FD_CHUNK_POINTS = 512
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
-# here, although gradcheck renders stacks; ROADMAP item 3 retires this
+# here, although gradcheck renders stacks; ROADMAP item 3a retires this
 _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 
 

@@ -73,7 +73,7 @@ class LossWeights:
 def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Index into ref of each query point's nearest neighbor (KD-tree).
 
-    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 3."""
+    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 3a."""
     _, idx = cKDTree(ref).query(query)
     return idx
 

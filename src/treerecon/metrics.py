@@ -12,11 +12,9 @@ from __future__ import annotations
 import contextlib
 import math
 
-from scipy.spatial import cKDTree
-
 from .core import PointCloud, worker_pool
 from .errors import EmptyCloud, InvalidConfig
-from .losses import chamfer, query_pair
+from .losses import cKDTree, chamfer, query_pair
 
 DEFAULT_TAU = 0.5  # meters
 

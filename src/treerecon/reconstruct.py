@@ -250,12 +250,12 @@ def reconstruct(
     means of the targets), with σ one input pixel in meters; the initialization and the colors
     read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
     longer finite in float32, the loss is no longer finite or a gradient component is too large
-    for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once (of
-    its positions in C order, through `losses.cKDTree`) and hands every `combined_loss` call that
-    tree and a one-worker pool kept off this thread's CPU (`core.worker_pool`), which shares
-    Chamfer's two KD-tree queries with this thread (`losses.query_pair`). A run with two or more
-    active terms first forks a `_Helper` process, also off this CPU, that scores the last (in
-    `losses.TERMS` order) while this thread scores the others; none starts beside another thread.
+    for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once
+    (through `losses.cKDTree`) and hands every `combined_loss` call that tree and a one-worker pool
+    kept off this thread's CPU (`core.worker_pool`), which shares Chamfer's two KD-tree queries
+    with this thread (`losses.query_pair`). A run with two or more active terms first forks a
+    `_Helper` process, also off this CPU, that scores the last (in `losses.TERMS` order) while
+    this thread scores the others; none starts beside another thread.
     Every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
@@ -267,8 +267,6 @@ def reconstruct(
     targets.require(w, sun, spec)
     loss_spec = pooled_spec(spec, LOSS_POOL)
     rasters = (targets.silhouette, targets.shadow, targets.dsm)
-    if gt_cloud is not None and not gt_cloud.positions.flags.c_contiguous:  # its tree must hold this very array
-        gt_cloud = PointCloud(np.ascontiguousarray(gt_cloud.positions))
     pooled = LossTargets(*(None if g is None else pool(g, LOSS_POOL) for g in rasters), gt_cloud)
 
     rng = Rng(cfg.seed)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from oracles import pool_loop
 from treerecon.core import (
@@ -114,6 +116,23 @@ class TestTypes:
         g = Grid(GridSpec(3, 2), np.arange(6.0))
         assert g.values.shape == (2, 3)
         assert g.values[1, 0] == 3.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide=hnp.arrays(np.float32, st.tuples(st.integers(1, 30), st.just(5)), elements=st.floats(-1e6, 1e6, width=32)),
+       layout=st.sampled_from(["c", "fortran", "strided", "float32"]))
+def test_a_cloud_holds_c_ordered_float64_positions_that_its_kd_tree_holds_too(wide, layout):
+    """Whatever the layout of the input, the cloud's positions are one C-ordered float64 array
+    with the input's values, copied only if the input is not already that, and a KD-tree built
+    from them holds that very array (so `losses._chamfer_stack` accepts it as the cloud's tree)."""
+    wide = wide.astype(np.float64)
+    x = {"c": np.ascontiguousarray(wide[:, :3]), "fortran": np.asfortranarray(wide[:, :3]),
+         "strided": wide[:, 1:4], "float32": wide[:, :3].astype(np.float32)}[layout]
+    cloud = PointCloud(x)
+    assert cloud.positions.dtype == np.float64 and cloud.positions.flags.c_contiguous
+    assert cloud.positions.shape == x.shape and np.array_equal(cloud.positions, x)
+    assert np.shares_memory(cloud.positions, x) == (x.dtype == np.float64 and x.flags.c_contiguous)
+    assert cKDTree(cloud.positions).data is cloud.positions
 
 
 # ---------------------------------------------------------------------------

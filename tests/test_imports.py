@@ -29,6 +29,24 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of the modules the source imports, absolute imports only."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_losses_is_the_only_module_that_imports_scipy():
+    """Every KD-tree is built through `losses.cKDTree`, so turning it into an import on first
+    use keeps scipy out of a process that builds no tree."""
+    importers = {path.stem for path in MODULES if "scipy" in imported_roots(path.read_text(encoding="utf-8"))}
+    assert importers == {"losses"}
+
+
 def test_the_check_sees_an_unused_import():
     source = "import math\nimport numpy as np\nfrom .core import Grid, Rng\n\nx = np.zeros(Grid)\n"
     assert unused_imports(source) == ["math (line 1)", "Rng (line 3)"]

@@ -666,15 +666,17 @@ def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, execut
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_no_tree_is_handed_in(
         executor, layout, m):
-    """A ground truth in Fortran order, or three columns of a wider array, whose tree `cKDTree`
-    builds from a C-order copy of its own: `chamfer`, `combined_loss` (serially and on a pool)
-    and `combined_loss_stack`, handed no tree, give the bytes of that copy, with N * M on either
-    side of `losses._TABLE_MAX`."""
+    """A ground truth given in Fortran order, or as three columns of a wider array, whose
+    PointCloud holds a C-order copy of it: `chamfer`, `combined_loss` (serially and on a pool)
+    and `combined_loss_stack`, handed no tree, give the bytes of a cloud made from a C-order copy
+    made first, with N * M on either side of `losses._TABLE_MAX`."""
     rng = np.random.default_rng(m)
     wide = rng.uniform(-7.0, 7.0, (m, 5))
-    gt = PointCloud(np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4])
-    copy = PointCloud(np.ascontiguousarray(gt.positions))
-    assert not gt.positions.flags.c_contiguous and (40 * m > losses._TABLE_MAX) == (m == 300)
+    source = np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4]
+    gt, copy = PointCloud(source), PointCloud(np.ascontiguousarray(source))
+    assert not source.flags.c_contiguous and gt.positions.flags.c_contiguous
+    assert not np.shares_memory(gt.positions, source) and np.array_equal(gt.positions, source)
+    assert (40 * m > losses._TABLE_MAX) == (m == 300)
     stack = rng.uniform(-7.0, 7.0, (3, 40, 3))
     a = PointCloud(stack[0].copy())
     value, grad = chamfer(a, copy)

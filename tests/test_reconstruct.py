@@ -557,11 +557,13 @@ def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threa
 
 
 def test_a_ground_truth_not_in_c_order_gives_the_bytes_of_its_c_order_copy():
-    """The ground truth's tree holds a C-order array of its own; a run given Fortran-order
-    positions runs on a C-order copy, with the bytes of a run given that copy."""
+    """A PointCloud made from Fortran-order positions holds a C-order copy of them, so its tree
+    holds that copy; a run given that cloud has the bytes of a run given the C-order original."""
     scene = small_scene(1)
-    fortran = PointCloud(np.asfortranarray(scene.cloud.positions))
-    assert not fortran.positions.flags.c_contiguous
+    source = np.asfortranarray(scene.cloud.positions)
+    fortran = PointCloud(source)
+    assert not source.flags.c_contiguous and fortran.positions.flags.c_contiguous
+    assert not np.shares_memory(fortran.positions, source) and np.array_equal(fortran.positions, source)
     runs = [reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=gt,
                         cfg=OptimConfig(n_points=60, iters=10, weights=PRESETS["geo"][0]))
             for gt in (scene.cloud, fortran)]
