@@ -14,7 +14,6 @@ from .core import (
     RgbGrid,
     Rng,
     SunConfig,
-    pixel_to_world,
     sun_direction,
     world_to_pixel,
 )

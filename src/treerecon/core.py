@@ -9,11 +9,15 @@ Conventions used throughout:
   - pixel (u, v): u is the column (along +x), v is the row (along +y);
     the *center* of pixel (0, 0) sits at world (origin_x, origin_y)
   - raster arrays are numpy (height, width), row-major, so values[v, u]
+  - each type's constructor takes its arrays in their own shape and re-cuts none: PointCloud
+    (N, 3) positions and colors and (N,) classes, else InvalidConfig; Grid (H, W) and
+    RgbGrid (H, W, 3) values of its spec, else SpecMismatch
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,10 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, MissingColors
+from .errors import InvalidConfig, MissingColors, SpecMismatch
 
 CLASS_TRUNK = 0
 CLASS_FOLIAGE = 1
+
+
+def _shaped(values, dtype, shape: tuple, name: str, error=InvalidConfig) -> np.ndarray:
+    """values as a dtype array of this shape, where -1 stands for any length; any other shape raises error."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, a.shape)):
+        raise error(f"{name} must have shape {str(shape).replace('-1', 'N')}, not {a.shape}")
+    return a
 
 
 @dataclass
@@ -33,7 +45,7 @@ class PointCloud:
 
     positions: (N, 3) float64 in C order (a copy unless the input already is), so a KD-tree
     built from it holds this very array; colors: (N, 3) float64 in [0, 1] or None;
-    classes: (N,) uint8 (0 trunk, 1 foliage) or None.
+    classes: (N,) uint8 (0 trunk, 1 foliage) or None. Any other shape raises InvalidConfig.
     """
 
     positions: np.ndarray
@@ -41,18 +53,14 @@ class PointCloud:
     classes: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions = np.ascontiguousarray(self.positions, dtype=np.float64).reshape(-1, 3)
+        self.positions = np.ascontiguousarray(_shaped(self.positions, np.float64, (-1, 3), "positions"))
         if not np.all(np.isfinite(self.positions)):
             raise InvalidConfig("point positions must be finite")
         n = len(self.positions)
         if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-            if len(self.colors) != n:
-                raise InvalidConfig("colors length must match positions")
+            self.colors = _shaped(self.colors, np.float64, (n, 3), "colors")
         if self.classes is not None:
-            self.classes = np.asarray(self.classes, dtype=np.uint8).reshape(-1)
-            if len(self.classes) != n:
-                raise InvalidConfig("classes length must match positions")
+            self.classes = _shaped(self.classes, np.uint8, (n,), "classes")
 
     def __len__(self):
         return len(self.positions)
@@ -74,9 +82,11 @@ class GridSpec:
     pixel_size: float = 1.0
 
     def __post_init__(self):
+        if not (isinstance(self.width, numbers.Integral) and isinstance(self.height, numbers.Integral)):
+            raise InvalidConfig(f"grid width and height must be integers, got {self.width!r} x {self.height!r}")
         if self.width < 1 or self.height < 1:
             raise InvalidConfig("grid must be at least 1x1")
-        if self.width * self.height * 24 > sys.maxsize:  # an (H, W, 3) float64 raster's bytes past numpy's intp
+        if int(self.width) * int(self.height) * 24 > sys.maxsize:  # an (H, W, 3) float64 raster's bytes past intp
             raise InvalidConfig("grid is too large for an array on this machine")
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise InvalidConfig("pixel_size must be positive and finite")
@@ -87,12 +97,6 @@ class GridSpec:
     def n_pixels(self) -> int:
         return self.width * self.height
 
-    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World x coords of columns and y coords of rows."""
-        xs = self.origin_x + np.arange(self.width) * self.pixel_size
-        ys = self.origin_y + np.arange(self.height) * self.pixel_size
-        return xs, ys
-
     @staticmethod
     def centered(size: int, pixel_size: float) -> "GridSpec":
         """Square grid whose world extent is centered on (0, 0)."""
@@ -102,19 +106,13 @@ class GridSpec:
 
 @dataclass
 class Grid:
-    """Single-channel float raster with georeference."""
+    """Single-channel float raster with georeference: (H, W) values of its spec, else SpecMismatch."""
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(
-            self.spec.height, self.spec.width
-        )
-
-    @staticmethod
-    def zeros(spec: GridSpec) -> "Grid":
-        return Grid(spec, np.zeros((spec.height, spec.width)))
+        self.values = _shaped(self.values, np.float64, (self.spec.height, self.spec.width), "values", SpecMismatch)
 
 
 def pooled_spec(spec: GridSpec, factor: int) -> GridSpec:
@@ -136,15 +134,13 @@ def pool(grid: Grid, factor: int) -> Grid:
 
 @dataclass
 class RgbGrid:
-    """RGB raster with channels in [0, 1]."""
+    """RGB raster with channels in [0, 1]: (H, W, 3) values of its spec, else SpecMismatch."""
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(
-            self.spec.height, self.spec.width, 3
-        )
+        self.values = _shaped(self.values, np.float64, (self.spec.height, self.spec.width, 3), "values", SpecMismatch)
 
     @staticmethod
     def filled(spec: GridSpec, color) -> "RgbGrid":
@@ -175,13 +171,6 @@ def world_to_pixel(spec: GridSpec, x, y):
     u = (np.asarray(x, dtype=np.float64) - spec.origin_x) / spec.pixel_size
     v = (np.asarray(y, dtype=np.float64) - spec.origin_y) / spec.pixel_size
     return u, v
-
-
-def pixel_to_world(spec: GridSpec, u, v):
-    """World (x, y) of continuous pixel coordinates (u, v)."""
-    x = spec.origin_x + np.asarray(u, dtype=np.float64) * spec.pixel_size
-    y = spec.origin_y + np.asarray(v, dtype=np.float64) * spec.pixel_size
-    return x, y
 
 
 def sun_direction(sun: SunConfig) -> np.ndarray:

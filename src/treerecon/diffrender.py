@@ -175,7 +175,7 @@ def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpe
     """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
     or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
     returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind."""
-    cloud = PointCloud(positions)  # the (B * N, 3) points, checked finite
+    cloud = PointCloud(positions.reshape(-1, 3))  # the (B * N, 3) points, checked finite
     if kind == "dsm":
         pred, vjp = _soft_max_height(positions, spec, cfg)
         chain = lambda g: g

@@ -8,7 +8,9 @@ Byte-level contracts:
     body is written with one format operation and read by one C parse
     (`np.loadtxt` over the layout); every body that parse refuses goes to one
     pass over its rows (split, float() and int() per field), which reads it
-    or raises the line-numbered error of its first bad row.
+    or raises the line-numbered error of its first bad row. A non-blank row
+    after the declared vertex rows is refused at its line. `write_ply` refuses
+    a coordinate that is not finite in float32 before it writes a byte.
   - PFM: grayscale `Pf`, scale -1.0 (little-endian float32), rows written
     bottom-to-top; row v = 0 is the bottom (smallest y).
   - PPM: binary `P6`, maxval 255, same color rounding as PLY.
@@ -33,6 +35,7 @@ import numpy as np
 
 from .core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig, check_seed
 from .errors import (
+    InvalidConfig,
     MalformedManifest,
     MalformedPfm,
     MalformedPly,
@@ -57,9 +60,13 @@ def _color_to_uchar(c: np.ndarray) -> np.ndarray:
 
 def write_ply(cloud: PointCloud, path) -> None:
     n = len(cloud)
+    with np.errstate(over="ignore"):  # a coordinate beyond float32 casts to inf, refused below
+        positions = cloud.positions.astype(np.float32)
+    if not np.isfinite(positions).all():
+        raise InvalidConfig("a point coordinate is not finite in float32")
     colors = cloud.colors if cloud.colors is not None else np.ones((n, 3))
     props = list(_PLY_TYPES)
-    columns = [cloud.positions.astype(np.float32).astype(np.float64), _color_to_uchar(colors)]
+    columns = [positions.astype(np.float64), _color_to_uchar(colors)]
     if cloud.classes is None:
         props.pop()
     else:
@@ -134,6 +141,9 @@ def read_ply(path) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
     if len(bad):
         raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
+    for ln, raw in enumerate(lines[body_start + n :], start=body_start + n + 1):
+        if raw.split():
+            raise MalformedPly(f"a row after the {n} declared vertex rows", line=ln)
     colors = np.ascontiguousarray(uchars[:, :3]) / 255.0
     classes = uchars[:, 3].astype(np.uint8) if has_class else None
     return PointCloud(positions=positions, colors=colors, classes=classes)

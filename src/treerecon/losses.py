@@ -185,7 +185,7 @@ def raster_l2(pred: Grid, target: Grid) -> tuple[float, Grid]:
 def _scored(render_pass, spec: GridSpec, target: Grid, scale: float = 1.0):
     """(scale * raster_l2 of a core's prediction against target, the core's VJP of its gradient)."""
     pred, vjp = render_pass
-    value, d_pixels = raster_l2(Grid(spec, pred), target)
+    value, d_pixels = raster_l2(Grid(spec, pred.reshape(spec.height, spec.width)), target)
     return value * scale, vjp(d_pixels.values.reshape(-1) * scale)
 
 

@@ -272,12 +272,10 @@ def reconstruct(
     rng = Rng(cfg.seed)
     if init_positions is not None:
         positions = np.array(init_positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise InvalidConfig(f"init_positions must have shape (N, 3), not {positions.shape}")
-        if len(positions) == 0:
-            raise EmptyCloud("init_positions holds no points")
         if not np.all(np.abs(positions) <= _F32_MAX):
             raise InvalidConfig("init_positions holds a coordinate that is not finite in float32")
+        if len(PointCloud(positions)) == 0:  # which refuses any shape but (N, 3)
+            raise EmptyCloud("init_positions holds no points")
     else:
         positions = init_cloud(dsm, targets.silhouette, ortho, cfg.n_points, rng).positions
     history: list[tuple[int, float, dict[str, float]]] = []

@@ -4,8 +4,8 @@ combined loss with each pass on a slot list of its own, and the
 orthophoto, tree frame and F-score as they were before the dataset path was
 made faster, finite differences as they were before they came in stacks,
 the tree-parameter draws as they were before they walked the range fields,
-block means one block at a time, and a skeleton segment's parents by a scan
-of every segment."""
+block means one block at a time, a skeleton segment's parents by a scan
+of every segment, and a grid's pixel centers and an all-zero grid."""
 import math
 from pathlib import Path
 
@@ -19,6 +19,16 @@ from treerecon.io_formats import _color_to_uchar
 from treerecon.losses import H_NORM, TERMS, chamfer, raster_l2
 from treerecon.protree import TreeParams, _orthonormal_basis
 from treerecon.sensor import GROUND_COLOR, pixels_within as sensor_pixels_within
+
+
+def pixel_centers(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """World x coords of the columns' centers and y coords of the rows'."""
+    return (spec.origin_x + np.arange(spec.width) * spec.pixel_size,
+            spec.origin_y + np.arange(spec.height) * spec.pixel_size)
+
+
+def zero_grid(spec: GridSpec) -> Grid:
+    return Grid(spec, np.zeros((spec.height, spec.width)))
 
 
 def skeleton_parents(sk, i: int) -> list[int]:
@@ -89,7 +99,7 @@ def fd_gradient_loop(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np
 
 def truncation_safe_loop(xy, spec, cutoff: float, slack: float) -> np.ndarray:
     """Per point: no pixel center within `slack` of distance `cutoff` (one point at a time)."""
-    xs, ys = spec.pixel_centers()
+    xs, ys = pixel_centers(spec)
     safe = np.ones(len(xy), dtype=bool)
     r = cutoff + slack + spec.pixel_size
     for i, (x, y) in enumerate(xy):
@@ -129,7 +139,7 @@ def brute_hard_render(xy: np.ndarray, z: np.ndarray, spec, radius: float):
     top (highest covering z, ground 0) and winner (covering point with the
     largest (z, index), -1 where uncovered).
     """
-    xs, ys = spec.pixel_centers()
+    xs, ys = pixel_centers(spec)
     covered = np.zeros((spec.height, spec.width), dtype=bool)
     top = np.zeros((spec.height, spec.width))
     winner = np.full((spec.height, spec.width), -1)
@@ -282,6 +292,9 @@ def read_ply_rows(path) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
     if len(bad):
         raise MalformedPly("non-finite coordinate", line=body_start + 1 + int(bad[0]))
+    for i in range(body_start + n, len(lines)):
+        if lines[i] and not lines[i].isspace():
+            raise MalformedPly(f"a row after the {n} declared vertex rows", line=i + 1)
     return PointCloud(positions=positions, colors=colors, classes=classes)
 
 
@@ -399,7 +412,7 @@ def combined_loss(cloud, targets, sun, spec, cfg, weights):
 
     def scored(render_pass, target, scale=1.0):
         pred, vjp = render_pass
-        value, d_pixels = raster_l2(Grid(spec, pred), target)
+        value, d_pixels = raster_l2(Grid(spec, pred.reshape(spec.height, spec.width)), target)
         return value * scale, vjp(d_pixels.values.reshape(-1) * scale)
 
     grad = np.zeros((len(cloud), 3))

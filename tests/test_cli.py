@@ -333,6 +333,8 @@ MALFORMED = {
     "ply-bare-element": ("ply", b"ply\nformat ascii 1.0\nelement\nend_header\n"),
     "ply-nan": ("ply", (PLY_HEADER.format(n=1) + "nan 0 0 1 2 3\n").encode()),
     "ply-float32-overflow": ("ply", (PLY_HEADER.format(n=1) + "1e39 0 0 1 2 3\n").encode()),
+    "ply-extra-row": ("ply", (PLY_HEADER.format(n=2) + "0 0 0 1 2 3\n" * 3).encode()),
+    "ply-garbage-row": ("ply", (PLY_HEADER.format(n=2) + "0 0 0 1 2 3\n" * 2 + "garbage here\n").encode()),
     "ply-not-utf8": ("ply", b"ply\nformat ascii 1.0\n\xff\xfe\n"),
     "manifest-not-utf8": ("manifest", b'{"seed": \xff}'),
     "manifest-negative-seed": ("manifest", negative_seed_manifest),
@@ -662,7 +664,7 @@ def test_nodata_shadow_pixels_read_as_unshadowed(small_scene, tmp_path_factory, 
     runs = []
     for name, raster in (("drawn", values), ("zeroed", np.where(np.isfinite(values), values, 0.0))):
         path = tmp / f"shadow_{name}.pfm"
-        write_pfm(Grid(shadow.spec, raster), path)
+        write_pfm(Grid(shadow.spec, raster.reshape(shadow.values.shape)), path)
         runs.append(reconstruct_bytes(tmp, ["--manifest", str(small_scene / "manifest.json"), "--shadow", str(path)]))
     assert runs[0] == runs[1]
 

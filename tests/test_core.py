@@ -1,24 +1,27 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from oracles import pool_loop
+from oracles import pixel_centers, pool_loop
 from treerecon.core import (
     Grid,
     GridSpec,
     PointCloud,
+    RgbGrid,
     Rng,
     SunConfig,
-    pixel_to_world,
     pool,
     pooled_spec,
     sun_direction,
     world_to_pixel,
 )
-from treerecon.errors import InvalidConfig
+from treerecon.errors import InvalidConfig, SpecMismatch
 
 
 class TestWorldToPixel:
@@ -36,13 +39,9 @@ class TestWorldToPixel:
 
     def test_round_trip_on_pixel_centers(self):
         spec = GridSpec(7, 5, -3.2, 1.7, 0.25)
-        u = np.arange(spec.width, dtype=float)
-        v = np.arange(spec.height, dtype=float)
-        for vv in v:
-            x, y = pixel_to_world(spec, u, np.full_like(u, vv))
-            u2, v2 = world_to_pixel(spec, x, y)
-            np.testing.assert_allclose(u2, u, atol=1e-9)
-            np.testing.assert_allclose(v2, vv, atol=1e-9)
+        u, v = world_to_pixel(spec, *pixel_centers(spec))
+        np.testing.assert_allclose(u, np.arange(spec.width), atol=1e-9)
+        np.testing.assert_allclose(v, np.arange(spec.height), atol=1e-9)
 
 
 class TestSunDirection:
@@ -108,14 +107,58 @@ class TestTypes:
         with pytest.raises(ValueError):
             GridSpec(5, 5, pixel_size=0.0)
         for bad in ({"pixel_size": np.nan}, {"pixel_size": np.inf}, {"origin_x": np.nan},
-                    {"origin_y": -np.inf}, {"width": 2**31, "height": 2**31}):
-            with pytest.raises(ValueError):
+                    {"origin_y": -np.inf}, {"width": 2**31, "height": 2**31}, {"width": 2.5},
+                    {"height": 3.0}, {"width": "5"}, {"width": np.int64(2**40), "height": np.int64(2**40)}):
+            with pytest.raises(InvalidConfig):
                 GridSpec(**{"width": 5, "height": 5, **bad})
+        assert GridSpec(np.int64(5), np.uint8(3)).n_pixels == 15
 
-    def test_grid_reshapes_flat_values(self):
-        g = Grid(GridSpec(3, 2), np.arange(6.0))
-        assert g.values.shape == (2, 3)
-        assert g.values[1, 0] == 3.0
+
+SIZES = st.integers(1, 4)
+
+
+@st.composite
+def shaped_inputs(draw):
+    """(constructor name, the accepted shape, a drawn shape of rank 0-3): each length at, or one
+    either side of, a length of the accepted shape, or a product of them."""
+    kind = draw(st.sampled_from(["positions", "colors", "classes", "grid", "rgb"]))
+    n, h, w = draw(SIZES), draw(SIZES), draw(SIZES)
+    right = {"positions": (n, 3), "colors": (n, 3), "classes": (n,), "grid": (h, w), "rgb": (h, w, 3)}[kind]
+    lengths = sorted({d + k for d in right for k in (-1, 0, 1)} | {math.prod(right), 0})
+    shape = tuple(draw(st.lists(st.sampled_from(lengths), max_size=3)))
+    return kind, right, draw(st.sampled_from([shape, right]))
+
+
+def construct(kind, right, values):
+    """The kind's constructor given values, where the shape it accepts is right; returns the array it keeps."""
+    if kind == "positions":
+        return PointCloud(values).positions
+    if kind in ("colors", "classes"):
+        return getattr(PointCloud(np.zeros((right[0], 3)), **{kind: values}), kind)
+    return (Grid if kind == "grid" else RgbGrid)(GridSpec(right[1], right[0]), values).values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shaped_inputs())
+@example(case=("positions", (4, 3), (4, 6)))  # x y z r g b rows
+@example(case=("positions", (4, 3), (6, 2)))  # x y rows of the same size
+@example(case=("grid", (2, 3), (3, 2)))  # a transposed (W, H) raster
+@example(case=("grid", (2, 3), (6,)))  # flat values
+@example(case=("rgb", (2, 4, 3), (3, 2, 4)))  # a channel-first orthophoto, as rasterio reads it
+@example(case=("classes", (4,), (4, 1)))
+def test_each_core_type_takes_its_own_shape_and_no_other(case):
+    """PointCloud takes (N, 3) positions and colors and (N,) classes, Grid (H, W) and RgbGrid
+    (H, W, 3) values of its spec; each keeps the values as given, and any other shape raises
+    InvalidConfig (a cloud's) or SpecMismatch (a raster's), never re-cut into the accepted one."""
+    kind, right, shape = case
+    values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) % 256
+    accepted = len(shape) == len(right) and (shape == right or kind == "positions" and shape[1] == 3)
+    if accepted:
+        assert np.array_equal(construct(kind, right, values), values)
+    else:
+        with pytest.raises(SpecMismatch if kind in ("grid", "rgb") else InvalidConfig,
+                           match=rf"must have shape .*, not {re.escape(str(shape))}"):
+            construct(kind, right, values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,7 +201,7 @@ def test_pool_is_the_block_mean_on_the_pooled_grid(width, height, factor, origin
         assert np.all((0.0 <= pooled.values) & (pooled.values <= 1.0))
     # the center of each full block's coarse pixel is the mean of its fine pixels' centers
     scale = 1e-12 * (1e3 + (width + height) * pixel_size)
-    for fine, grid, n in zip(spec.pixel_centers(), coarse.pixel_centers(), (width, height)):
+    for fine, grid, n in zip(pixel_centers(spec), pixel_centers(coarse), (width, height)):
         full = n // factor
         means = fine[: full * factor].reshape(full, factor).mean(axis=1)
         np.testing.assert_allclose(grid[:full], means, rtol=0, atol=scale)

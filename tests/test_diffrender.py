@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import finite_diff
+from oracles import finite_diff, pixel_centers, zero_grid
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
 from treerecon.errors import InvalidConfig, SpecMismatch
 from treerecon.losses import (
@@ -65,7 +65,7 @@ def fd_check(f, grad, x, sigma, rel_tol=1e-3):
 def assert_slots_match_a_dense_scan(xy, spec, sigma, trunc):
     s = _Slots(xy, spec, SoftConfig(sigma=sigma, trunc=trunc))
 
-    xs, ys = spec.pixel_centers()
+    xs, ys = pixel_centers(spec)
     dx = xy[:, 0, None, None] - xs[None, None, :]
     dy = xy[:, 1, None, None] - ys[None, :, None]
     d2 = dx**2 + dy**2
@@ -136,12 +136,12 @@ class TestSoftSilhouette:
 
     def test_zero_pixel_grad_gives_zero_buffer(self):
         g = soft_silhouette_backward(
-            random_cloud(1), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
+            random_cloud(1), SPEC, SoftConfig(sigma=1.0), zero_grid(SPEC)
         )
         assert not g.any()
 
     def test_symmetric_point_has_zero_grad(self):
-        d = Grid.zeros(SPEC)
+        d = zero_grid(SPEC)
         d.values[10, 10] = 1.0
         g = soft_silhouette_backward(
             cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0), d
@@ -202,12 +202,12 @@ class TestSoftDsm:
 
     def test_zero_pixel_grad_gives_zero_buffer(self):
         g = soft_dsm_backward(
-            random_cloud(4), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
+            random_cloud(4), SPEC, SoftConfig(sigma=1.0), zero_grid(SPEC)
         )
         assert not g.any()
 
     def test_z_grad_positive_at_single_sample_pixel(self):
-        d = Grid.zeros(SPEC)
+        d = zero_grid(SPEC)
         d.values[10, 10] = 1.0
         g = soft_dsm_backward(cloud([0, 0, 5]), SPEC, SoftConfig(sigma=1.0), d)
         assert g[0, 2] > 0
@@ -262,7 +262,7 @@ class TestSoftShadow:
         sh = soft_shadow(c, SunConfig(100.0, 40.0), SPEC, SoftConfig(sigma=1.0))
         assert not sh.values.any()
         g = soft_shadow_backward(
-            c, SunConfig(100.0, 40.0), SPEC, SoftConfig(sigma=1.0), Grid.zeros(SPEC)
+            c, SunConfig(100.0, 40.0), SPEC, SoftConfig(sigma=1.0), zero_grid(SPEC)
         )
         assert g.shape == (0, 3)
 
@@ -353,7 +353,7 @@ class TestAdaptersAgree:
 def test_a_pixel_gradient_on_another_grid_is_refused(backward, sun, other):
     """A backward renderer refuses pixel gradients on another grid, even one with as many pixels."""
     with pytest.raises(SpecMismatch, match="pixel gradient"):
-        backward(random_cloud(3, 10), *sun, SPEC, SoftConfig(sigma=1.0), Grid.zeros(other))
+        backward(random_cloud(3, 10), *sun, SPEC, SoftConfig(sigma=1.0), zero_grid(other))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def test_hot_path_equals_its_pre_rewrite_copy(grid_cloud, z, sigma, trunc, seed)
 def test_gradients_are_float64_without_slots(points):
     """An empty cloud, or one with no point near the grid, still gets float64 gradients."""
     c, cfg, sun = cloud(points), SoftConfig(sigma=1.0), SunConfig(150.0, 50.0)
-    d = Grid.zeros(SPEC)
+    d = zero_grid(SPEC)
     for grad in (soft_dsm_backward(c, SPEC, cfg, d),
                  dsm_forward_backward(c.positions, SPEC, cfg, d)[1],
                  occupancy_forward_backward(c.positions[:, :2], SPEC, cfg, d)[1],

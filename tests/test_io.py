@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import read_ply_rows, write_ply_rows
+from oracles import read_ply_rows, write_ply_rows, zero_grid
 from treerecon.core import Grid, GridSpec, PointCloud, RgbGrid, SunConfig
 from treerecon.errors import (
+    InvalidConfig,
     MalformedFile,
     MalformedManifest,
     MalformedPfm,
@@ -102,6 +103,15 @@ class TestPly:
         with pytest.raises(MalformedPly) as e:
             read_ply(p)
         assert e.value.line == 11
+        # a row past the declared count once went unread without a word; a blank one still does
+        row = ["0", "0", "0", "1", "2", "3"]
+        for rows, line in (([row] * 3, 13), ([row, row, ["garbage", "here"]], 13), ([row, row, [], row], 14)):
+            p.write_text(ply_text(rows, declared=2))
+            with pytest.raises(MalformedPly, match="after the 2 declared vertex rows") as e:
+                read_ply(p)
+            assert e.value.line == line
+        p.write_text(ply_text([row, row]) + "\n \n\t\n")
+        assert len(read_ply(p)) == 2
 
     def test_second_element_rejected(self, tmp_path):
         p = tmp_path / "two.ply"
@@ -135,7 +145,7 @@ class TestPly:
 class TestPfm:
     def test_zero_grid_round_trip(self, tmp_path):
         p = tmp_path / "z.pfm"
-        write_pfm(Grid.zeros(SPEC), p)
+        write_pfm(zero_grid(SPEC), p)
         assert not read_pfm(p, SPEC).values.any()
 
     def test_random_grid_bit_exact(self, tmp_path):
@@ -146,7 +156,7 @@ class TestPfm:
 
     def test_spec_mismatch(self, tmp_path):
         p = tmp_path / "g.pfm"
-        write_pfm(Grid.zeros(SPEC), p)
+        write_pfm(zero_grid(SPEC), p)
         with pytest.raises(SpecMismatch):
             read_pfm(p, GridSpec(5, 5))
 
@@ -499,6 +509,7 @@ def ply_bodies(draw):
     if rows and draw(st.integers(0, 7)) == 0:  # a blank row, which np.loadtxt would skip
         rows.insert(draw(st.integers(0, len(rows) - 1)), [])
     declared = max(0, len(rows) + draw(st.just(0) | st.sampled_from([-2, -1, 1, 2])))
+    rows += draw(st.sampled_from([[], [[]], [["garbage", "here"]]]))  # past the declared rows
     eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]))  # str.splitlines breaks
     return ply_text(rows, has_class, declared, eol, draw(st.just(" ") | st.sampled_from(SEPARATORS)))
 
@@ -535,6 +546,9 @@ def read_outcome(read, path):
 @example(text=ply_text([["1e50", "0", "0", "0", "0", "0"], ["0", "0", "0"]], declared=3))
 @example(text=ply_text([["0", "0", "0", "0", "0", "0"], [], ["1", "2", "3", "4", "5", "6"]]))  # a blank row
 @example(text=ply_text([["0", "0", "0", "0", "0", "0"], ["1", "2", "3", "4", "5", "6"]], declared=2, eol="\n\n"))
+@example(text=ply_text([["0", "0", "0", "0", "0", "0"]] * 3, declared=2))  # a row past the declared ones
+@example(text=ply_text([["0", "0", "0", "0", "0", "0"]] * 2 + [["garbage", "here"]], declared=2))
+@example(text=ply_text([["0", "0", "0", "0", "0", "0"], [], ["zebra"]], declared=1, sep="\xa0"))
 @example(text=ply_text([["0", "1.0", "0", "0x1", "0", "0"]], sep="\xa0"))
 @example(text=ply_text([["0", "0", "0", "1_0", "0", "0"]], sep="\u2003"))  # int(), not the C parse
 @example(text=ply_text([["Infinity", "0", "0", "0", "0", "0"]], sep="\t"))
@@ -580,3 +594,33 @@ def test_write_ply_equals_the_row_writer(fuzz_dir, data, n):
     write_ply(cloud, new)
     write_ply_rows(cloud, old)
     assert new.read_bytes() == old.read_bytes()
+
+
+F32_ROUNDS_TO_INF = 2.0**128 - 2.0**103  # halfway between the float32 maximum and 2**128: ties to even, inf
+near_f32_limit = (
+    st.floats(-4e38, 4e38)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([s * x for s in (1, -1) for x in (F32_MAX, np.nextafter(F32_ROUNDS_TO_INF, 0.0),
+                                                           F32_ROUNDS_TO_INF, 3.4e38, 3.5e38, 1e39)])
+)
+
+
+@ROUND_TRIP
+@given(data=st.data(), n=st.integers(1, 6))
+def test_write_ply_writes_only_clouds_that_read_back(fuzz_dir, data, n):
+    """A coordinate beyond float32, which was once written as `inf` that read_ply refuses, raises
+    InvalidConfig before any byte is written; every other cloud reads back as its float32 positions
+    and its uchar colors."""
+    cloud = PointCloud(positions=data.draw(hnp.arrays(np.float64, (n, 3), elements=near_f32_limit)),
+                       colors=data.draw(hnp.arrays(np.float64, (n, 3), elements=unit)))
+    path = fuzz_dir / "near_limit.ply"
+    path.unlink(missing_ok=True)
+    if np.all(np.abs(cloud.positions) < F32_ROUNDS_TO_INF):
+        write_ply(cloud, path)
+        back = read_ply(path)
+        assert back.positions.tobytes() == cloud.positions.astype(np.float32).astype(np.float64).tobytes()
+        assert np.array_equal(np.rint(back.colors * 255.0), np.floor(cloud.colors * 255.0 + 0.5))
+    else:
+        with pytest.raises(InvalidConfig, match="not finite in float32"):
+            write_ply(cloud, path)
+        assert not path.exists()

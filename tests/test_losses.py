@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
-from oracles import brute_chamfer, brute_chamfer_grad, finite_diff
+from oracles import brute_chamfer, brute_chamfer_grad, finite_diff, zero_grid
 from treerecon import diffrender, losses, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
@@ -107,7 +107,7 @@ class TestRasterL2:
 
     def test_spec_mismatch(self):
         with pytest.raises(SpecMismatch):
-            raster_l2(Grid.zeros(SPEC), Grid.zeros(GridSpec(5, 5)))
+            raster_l2(zero_grid(SPEC), zero_grid(GridSpec(5, 5)))
 
 
 class TestCombinedLoss:
@@ -187,7 +187,7 @@ class TestCombinedLoss:
 
     @pytest.mark.parametrize("field", ["silhouette", "shadow", "dsm"])
     def test_target_on_another_grid_raises(self, field):
-        other = Grid.zeros(GridSpec(5, 5))
+        other = zero_grid(GridSpec(5, 5))
         targets = LossTargets(**{**vars(self.targets), field: other})
         with pytest.raises(SpecMismatch):
             combined_loss(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_chamfer, fscore_unbounded
+from oracles import brute_chamfer, fscore_unbounded, zero_grid
 from treerecon import core
 from treerecon.core import PointCloud, Rng
 from treerecon.errors import EmptyFootprint
@@ -145,9 +145,7 @@ class TestBaselineExtrude:
         assert np.all(self.scene.silhouette.values[v.astype(int), u.astype(int)] == 1.0)
 
     def test_empty_silhouette_rejected(self):
-        from treerecon.core import Grid
-
-        empty = Grid.zeros(self.scene.dsm.spec)
+        empty = zero_grid(self.scene.dsm.spec)
         with pytest.raises(EmptyFootprint):
             baseline_extrude(self.scene.dsm, empty, self.scene.ortho, 100, Rng(0))
 

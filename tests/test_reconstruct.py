@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from oracles import surface_points_loop
+from oracles import surface_points_loop, zero_grid
 from treerecon import core, losses
 from treerecon.cli import _write_history, main
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, pool, pooled_spec
@@ -68,7 +68,7 @@ class TestInitCloud:
         self.ortho, self.dsm = flat_scene((0.2, 0.6, 0.2), 8.0)
 
     def test_single_pixel_footprint_and_z_range(self):
-        sil = Grid.zeros(SPEC)
+        sil = zero_grid(SPEC)
         sil.values[3, 4] = 1.0
         c = init_cloud(self.dsm, sil, self.ortho, 200, Rng(0))
         assert np.all(np.abs(c.positions[:, 0] - 4.0) <= 0.5 + 1e-12)
@@ -80,7 +80,7 @@ class TestInitCloud:
         assert len(init_cloud(self.dsm, sil, self.ortho, 500, Rng(1))) == 500
 
     def test_uniform_mass_binomial_counts(self):
-        sil = Grid.zeros(SPEC)
+        sil = zero_grid(SPEC)
         pix = [(0, 0), (0, 1), (1, 0), (1, 1)]
         for r, c in pix:
             sil.values[r, c] = 1.0
@@ -95,7 +95,7 @@ class TestInitCloud:
 
     def test_empty_silhouette_rejected(self):
         with pytest.raises(EmptyFootprint):
-            init_cloud(self.dsm, Grid.zeros(SPEC), self.ortho, 10, Rng(0))
+            init_cloud(self.dsm, zero_grid(SPEC), self.ortho, 10, Rng(0))
 
 
 class TestAdamStep:

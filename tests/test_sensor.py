@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_hard_render, render_ortho_lexsort
+from oracles import brute_hard_render, pixel_centers, render_ortho_lexsort, zero_grid
 from treerecon.core import GridSpec, PointCloud, SunConfig
 from treerecon.errors import InvalidConfig, MissingColors
 from treerecon.sensor import (
@@ -77,13 +77,11 @@ class TestRenderSilhouette:
     def test_all_zero(self):
         from treerecon.core import Grid
 
-        sil = render_silhouette(Grid.zeros(SPEC), 0.5)
+        sil = render_silhouette(zero_grid(SPEC), 0.5)
         assert not sil.values.any()
 
     def test_threshold_and_strict_boundary(self):
-        from treerecon.core import Grid
-
-        g = Grid.zeros(SPEC)
+        g = zero_grid(SPEC)
         g.values[0, 0] = 5.0
         g.values[0, 1] = 0.5
         sil = render_silhouette(g, 0.5)
@@ -176,7 +174,7 @@ def test_window_is_just_wide_enough(radius):
     point, flat, _, _, dx, dy = pixels_within(xy, spec, radius)
     k = 2 * math.ceil(radius / spec.pixel_size) + 1
     assert dx.shape == (40, min(k, spec.width)) and dy.shape == (40, min(k, spec.height))
-    xs, ys = spec.pixel_centers()
+    xs, ys = pixel_centers(spec)
     d2 = (xy[:, 0, None, None] - xs) ** 2 + (xy[:, 1, None, None] - ys[:, None]) ** 2
     scan_point, row, col = np.nonzero(d2 <= radius**2)
     assert np.array_equal(point, scan_point) and np.array_equal(flat, row * spec.width + col)
