@@ -32,10 +32,15 @@ CLASS_FOLIAGE = 1
 
 
 def _shaped(values, dtype, shape: tuple, name: str, error=InvalidConfig) -> np.ndarray:
-    """values as a dtype array of this shape, where -1 stands for any length; any other shape raises error."""
-    a = np.asarray(values, dtype=dtype)
+    """values as a dtype array of this shape, where -1 stands for any length; any other shape, a
+    ragged sequence or one numpy cannot read as dtype raises error."""
+    spelled = str(shape).replace("-1", "N")
+    try:
+        a = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise error(f"{name} must have shape {spelled}, not a ragged or non-numeric sequence") from e
     if a.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, a.shape)):
-        raise error(f"{name} must have shape {str(shape).replace('-1', 'N')}, not {a.shape}")
+        raise error(f"{name} must have shape {spelled}, not {a.shape}")
     return a
 
 
@@ -45,7 +50,8 @@ class PointCloud:
 
     positions: (N, 3) float64 in C order (a copy unless the input already is), so a KD-tree
     built from it holds this very array; colors: (N, 3) float64 in [0, 1] or None;
-    classes: (N,) uint8 (0 trunk, 1 foliage) or None. Any other shape raises InvalidConfig.
+    classes: (N,) uint8 (0 trunk, 1 foliage) or None. Any other shape, or a class that is not a
+    whole number from 0 to 255, raises InvalidConfig.
     """
 
     positions: np.ndarray
@@ -60,7 +66,12 @@ class PointCloud:
         if self.colors is not None:
             self.colors = _shaped(self.colors, np.float64, (n, 3), "colors")
         if self.classes is not None:
-            self.classes = _shaped(self.classes, np.uint8, (n,), "classes")
+            given = _shaped(self.classes, None, (n,), "classes")
+            with np.errstate(invalid="ignore"):  # NaN or inf casts to some byte, which differs from it
+                classes = given.astype(np.uint8, copy=False) if given.dtype.kind in "biuf" else None
+            if classes is None or np.any(classes != given):
+                raise InvalidConfig("classes must be whole numbers from 0 to 255")
+            self.classes = classes
 
     def __len__(self):
         return len(self.positions)

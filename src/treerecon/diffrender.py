@@ -16,8 +16,11 @@ vector-Jacobian product (VJP):
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 Each core takes points and builds the list of its own pass in the calling
 thread's buffers (`sensor.workspace`), which its passes share one after
-another. A VJP works in the buffers, so it runs once, and before the next
-pass on that thread (otherwise it raises). `_pass` is each raster kind once: its
+another, unless it is handed one: the silhouette and the soft DSM splat the
+same (x, y), so `losses.combined_loss_stack` builds one list per stack and
+renders both on it, value only, through `soft_stack`. A VJP works in the
+buffers, so it runs once, and before the next pass on that thread (otherwise
+it raises). `_pass` is each raster kind once: its
 core (the soft or for "sil" and "shadow", the soft-max height for "dsm") and
 the chain rule back to an (x, y, z) row per point: zero z for the silhouette;
 the shadow slides each point along the sun ray to the ground plane
@@ -116,9 +119,10 @@ class _Slots:
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
-    """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack; the VJP returns a gradient row per point."""
-    s = _Slots(xy, spec, cfg)
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: _Slots | None = None):
+    """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack, on their list `s` if given (its g
+    is left as it was); the VJP returns a gradient row per point."""
+    s = _Slots(xy, spec, cfg) if s is None else s
     log_t, tmp = s.spare
     np.multiply(s.g, ALPHA, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
@@ -135,9 +139,10 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
-    """Soft-max height of (N, 3) points, or a (B, N, 3) stack; the VJP returns an (x, y, z) row per point."""
-    s = _Slots(positions[..., :2], spec, cfg)
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: _Slots | None = None):
+    """Soft-max height of (N, 3) points, or a (B, N, 3) stack, on their list `s` if given (its g
+    becomes w); the VJP returns an (x, y, z) row per point."""
+    s = _Slots(positions[..., :2], spec, cfg) if s is None else s
     tmp = s.spare[1]
     z = positions.reshape(-1, 3)[:, 2].copy()  # the VJP may run after the caller changed positions
     w = s.g  # w = g * exp(BETA z) takes the place of g, which no other pass reads
@@ -171,16 +176,18 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
 # one pass per raster kind, and the public renderers as views of it
 
 
-def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig):
+def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig,
+          slots: _Slots | None = None):
     """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
     or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
-    returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind."""
+    returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind.
+    The sil and dsm kinds render on `slots`, the list of these points' (x, y), if given."""
     cloud = PointCloud(positions.reshape(-1, 3))  # the (B * N, 3) points, checked finite
     if kind == "dsm":
-        pred, vjp = _soft_max_height(positions, spec, cfg)
+        pred, vjp = _soft_max_height(positions, spec, cfg, slots)
         chain = lambda g: g
     elif kind == "sil":
-        pred, vjp = _soft_or(positions[..., :2], spec, cfg)
+        pred, vjp = _soft_or(positions[..., :2], spec, cfg, slots)
         chain = lambda gxy: np.column_stack([gxy, np.zeros(len(gxy))])  # the silhouette ignores z
     elif kind == "shadow":
         xy, jac = project_to_ground(cloud, sun)
@@ -198,9 +205,13 @@ def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpe
 
 
 def soft_stack(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec,
-               cfg: SoftConfig) -> np.ndarray:
-    """(B, H, W) soft rasters of kind "sil", "shadow" or "dsm" of a (B, N, 3) stack of clouds."""
-    return _pass(kind, positions, sun, spec, cfg)[0].reshape(-1, spec.height, spec.width)
+               cfg: SoftConfig, slots: _Slots | None = None) -> np.ndarray:
+    """(B, H, W) soft rasters of kind "sil", "shadow" or "dsm" of a (B, N, 3) stack of clouds.
+
+    A "sil" and then a "dsm" render may share `slots`, the stack's `_Slots` of its (x, y): the
+    silhouette only reads its g and the DSM then overwrites it, so no VJP of a shared list is
+    kept, and each render has the bytes of one on a list of its own."""
+    return _pass(kind, positions, sun, spec, cfg, slots)[0].reshape(-1, spec.height, spec.width)
 
 
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:

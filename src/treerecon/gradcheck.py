@@ -11,7 +11,8 @@ same exclusion a Chamfer check needs away from tie points).
 copies of the cloud, FD_CHUNK_POINTS points at a time, over every component
 some path checks; each path reads its own column on its own mask. The scorer
 scores the stack value-only with `losses.combined_loss_stack`, which renders
-it once per raster kind (one slot list on the thread's buffers) and returns
+it once per raster kind on the thread's buffers, the silhouette and the soft
+DSM on one slot list of its (x, y) and the shadow on its own, and returns
 those renders with its scores. Its geo breakdown is the Chamfer path's value
 and its value the combined path's; each kind's render, dotted with the pixel
 gradient in one reduction over the stack, is that kind's path value, so each
@@ -41,10 +42,11 @@ ABS_FLOOR = 1e-8
 _REF_FLOOR = ABS_FLOOR / REL_TOL  # err <= max(REL*|g|, ABS)  <=>  err <= REL*max(|g|, this)
 _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
 # points per stack of perturbed copies that fd_gradient hands f (at least one
-# copy): each scorer call pays about 0.9 ms whatever its size (three renders, a
-# KD-tree build, the Chamfer table), which larger stacks spread, but the stack's
-# (B, H, W) renders and per-point windows grow with its copies: 512 points took
-# 18 % off a gradcheck operation for 2 % more peak memory, 1024 29 % for 5.5 %
+# copy): each scorer call pays about 0.9 ms whatever its size (two footprint
+# builds, three renders, a KD-tree build, the Chamfer table), which larger
+# stacks spread, but the stack's (B, H, W) renders and per-point windows grow
+# with its copies: 512 points took 18 % off a gradcheck operation for 2 % more
+# peak memory, 1024 29 % for 5.5 %
 FD_CHUNK_POINTS = 512
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names

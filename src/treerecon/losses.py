@@ -36,7 +36,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import SoftConfig, _soft_max_height, _soft_or, soft_stack
+from .diffrender import SoftConfig, _Slots, _soft_max_height, _soft_or, soft_stack
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import project_to_ground
 
@@ -285,16 +285,24 @@ def combined_loss_stack(
     No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
     every copy's raster in one reduction, with `raster_l2`'s bytes; the geo term is
     `_chamfer_stack`, as `chamfer` is, so it reads the table while N * M <= _TABLE_MAX
-    (gradcheck's 20-50 points) and builds a tree per copy above it.
+    (gradcheck's 20-50 points) and builds a tree per copy above it. With both on, the silhouette
+    and the soft DSM render on one slot list of the stack's (x, y), so in the order sil, dsm,
+    shadow: the DSM overwrites the list's g, which the silhouette reads, and the shadow's own
+    list takes the thread's buffers. The breakdown and the renders keep TERMS order, and so the
+    value its sum.
     """
     targets.require(weights, sun, spec)
+    on = [term for term in TERMS if weights.of(term) > 0]
+    shared = _Slots(positions[..., :2], spec, soft_cfg) if {"sil", "dsm"} <= set(on) else None
+    rendered = {kind: soft_stack(kind, positions, sun, spec, soft_cfg, None if kind == "shadow" else shared)
+                for kind in ("sil", "dsm", "shadow") if kind in on}
     breakdown, renders = {}, {}
     for term, field in zip(TERMS, _TARGET_FIELDS):
-        target, on = getattr(targets, field), weights.of(term) > 0
-        if on and term == "geo":
+        target = getattr(targets, field)
+        if term == "geo" and term in on:
             breakdown[term] = _chamfer_stack(positions, target.positions)[0]
-        elif on:
+        elif term in rendered:
             scale = _DSM_SCALE if term == "dsm" else 1.0
-            r = renders[term] = soft_stack(term, positions, sun, spec, soft_cfg)
+            r = renders[term] = rendered[term]
             breakdown[term] = ((r - target.values) ** 2).reshape(-1, spec.n_pixels).mean(axis=1) * scale
     return sum(weights.of(term) * values for term, values in breakdown.items()), breakdown, renders

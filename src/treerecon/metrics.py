@@ -37,13 +37,15 @@ def fscore(
 ) -> tuple[float, float, float]:
     """(precision, recall, f) at match radius tau; recall is 'coverage'.
 
-    The searches stop at 2 tau, not tau: cKDTree keeps only d^2 < bound^2, and
-    a match at exactly tau counts; the floor keeps bound^2 from underflowing to 0.
+    The searches stop just past tau, at tau * (1 + 1e-9): cKDTree keeps only d^2 < bound^2,
+    and a match at exactly tau counts. From tau = 1e-150 on, tau^2 is a normal float, which
+    that factor's square clears by far more than rounding; below it the bound is 1e-150, whose
+    square is normal too. A bound whose square overflows to inf searches without one.
     """
     check_tau(tau)
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("fscore requires two non-empty clouds")
-    bound = max(2 * tau, 1e-100)
+    bound = max(tau * (1 + 1e-9), 1e-150)
     with (executor := worker_pool()) or contextlib.nullcontext():
         (d_pred, _), (d_gt, _) = query_pair(pred.positions, cKDTree(gt.positions), executor, bound)
     precision = float((d_pred <= tau).mean())

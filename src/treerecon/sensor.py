@@ -7,7 +7,8 @@ data. Highest point wins color ties, with larger point index as tiebreak.
 `pixels_within` is the one enumerator of the pixel centers a footprint
 covers, shared with the soft renderers in `diffrender` and the cutoff test
 in `gradcheck`: one d^2 <= r^2 mask over each point's window of
-2*ceil(r/ps) + 1 on-grid centers per axis. Here the pairs are a hard disk
+floor(2r/ps) + 1 on-grid centers per axis (plus float-rounding slack), no
+wider than its disk. Here the pairs are a hard disk
 and nothing more, there the same pairs carry a Gaussian weight. The pairs
 live in the calling thread's buffers (`workspace`): a pass's arrays, and a
 VJP reading them, are valid until that thread's next pass.
@@ -31,13 +32,19 @@ def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: floa
     """Per point, a run of pixel centers along one axis that lies on the grid
     and covers every center within `radius` of the point.
 
-    The run is centered on the point's rounded pixel, which lies at most half
-    a pixel from the point, so 2*ceil(radius/ps) + 1 centers cover the disk.
+    A disk of radius r covers at most floor(2r/ps) + 1 centers per axis, the
+    first at ceil(u - r/ps), u the point in pixels. Float rounding in u and in
+    the d^2 test, a few ulp of the grid's own coordinates (|origin|/ps + size
+    pixels), can let the test take a center just past the disk (a disk of
+    3 * 0.3 m on a half-pixel point can take 10 centers 0.2 m apart, not 9), so
+    `slack` pixels of it widen the run and move its start back.
     Returns the pixel indices (N, k) and the offsets point minus center (N, k).
     """
     reach = radius / ps
-    width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
-    first = (np.rint((coord - origin) / ps) - (width - 1) // 2).clip(0, size - width)
+    slack = 4 * np.finfo(np.float64).eps * (abs(origin) / ps + size + reach + 1)
+    span = 2 * (reach + slack)
+    width = math.floor(span) + 1 if span < size else size
+    first = np.ceil((coord - origin) / ps - (reach + slack)).clip(0, size - width)
     idx = first.astype(np.int64)[:, None] + np.arange(width)
     return idx, coord[:, None] - (origin + idx * ps)
 

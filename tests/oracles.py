@@ -300,21 +300,25 @@ def read_ply_rows(path) -> PointCloud:
 
 # ---------------------------------------------------------------------------
 # the footprint enumerator, the slot list and the two soft-render cores as
-# they were before each pair-sized step was made in integers or in place:
-# every array they return is the reference the rewrite must equal byte for byte
+# they were before each pair-sized step was made in integers or in place, with
+# today's window rule: every array they return is the reference the rewrite
+# must equal byte for byte
 
 
 def _window(coord: np.ndarray, origin: float, size: int, ps: float, radius: float):
     """Per point, a run of pixel centers along one axis that lies on the grid
     and covers every center within `radius` of the point.
 
-    The run is centered on the point's rounded pixel, which lies at most half
-    a pixel from the point, so 2*ceil(radius/ps) + 1 centers cover the disk.
+    The window rule is `sensor._window`'s (floor(2r/ps) + 1 centers from
+    ceil(u - r/ps), both widened by a float-rounding slack), so the window
+    arrays compare byte for byte; the rest is the pre-rewrite copy.
     Returns the pixel indices (N, k) and the offsets point minus center (N, k).
     """
     reach = radius / ps
-    width = min(2 * math.ceil(reach) + 1, size) if math.isfinite(reach) else size
-    first = np.clip(np.round((coord - origin) / ps) - (width - 1) // 2, 0, size - width)
+    slack = 4 * np.finfo(float).eps * (abs(origin) / ps + size + reach + 1)
+    span = 2 * (reach + slack)
+    width = math.floor(span) + 1 if span < size else size
+    first = np.clip(np.ceil((coord - origin) / ps - (reach + slack)), 0, size - width)
     idx = first[:, None] + np.arange(width)
     return idx, coord[:, None] - (origin + idx * ps)
 

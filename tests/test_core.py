@@ -126,7 +126,7 @@ def shaped_inputs(draw):
     right = {"positions": (n, 3), "colors": (n, 3), "classes": (n,), "grid": (h, w), "rgb": (h, w, 3)}[kind]
     lengths = sorted({d + k for d in right for k in (-1, 0, 1)} | {math.prod(right), 0})
     shape = tuple(draw(st.lists(st.sampled_from(lengths), max_size=3)))
-    return kind, right, draw(st.sampled_from([shape, right]))
+    return kind, right, draw(st.sampled_from([shape, right, "ragged"]))
 
 
 def construct(kind, right, values):
@@ -146,19 +146,47 @@ def construct(kind, right, values):
 @example(case=("grid", (2, 3), (6,)))  # flat values
 @example(case=("rgb", (2, 4, 3), (3, 2, 4)))  # a channel-first orthophoto, as rasterio reads it
 @example(case=("classes", (4,), (4, 1)))
+@example(case=("positions", (2, 3), "ragged"))
 def test_each_core_type_takes_its_own_shape_and_no_other(case):
     """PointCloud takes (N, 3) positions and colors and (N,) classes, Grid (H, W) and RgbGrid
     (H, W, 3) values of its spec; each keeps the values as given, and any other shape raises
-    InvalidConfig (a cloud's) or SpecMismatch (a raster's), never re-cut into the accepted one."""
+    InvalidConfig (a cloud's) or SpecMismatch (a raster's), never re-cut into the accepted one.
+    So does a ragged sequence, which numpy cannot make an array of."""
     kind, right, shape = case
-    values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) % 256
-    accepted = len(shape) == len(right) and (shape == right or kind == "positions" and shape[1] == 3)
+    if shape == "ragged":
+        values, accepted, given = [[0.0, 0.0], [1.0]], False, "a ragged or non-numeric sequence"
+    else:
+        values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) % 256
+        accepted = len(shape) == len(right) and (shape == right or kind == "positions" and shape[1] == 3)
+        given = str(shape)
     if accepted:
         assert np.array_equal(construct(kind, right, values), values)
     else:
         with pytest.raises(SpecMismatch if kind in ("grid", "rgb") else InvalidConfig,
-                           match=rf"must have shape .*, not {re.escape(str(shape))}"):
+                           match=rf"must have shape .*, not {re.escape(given)}"):
             construct(kind, right, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes=st.lists(st.integers(-300, 600) | st.integers(-2**70, 2**70) | st.floats(), min_size=1, max_size=6),
+       as_array=st.booleans())
+@example(classes=[256, 2], as_array=True)  # once cast to [0, 2]
+@example(classes=[-1, 2], as_array=True)  # once cast to [255, 2]
+@example(classes=[0.7, 1.0], as_array=True)  # once cast to [0, 1]
+@example(classes=[256, 2], as_array=False)  # once numpy's own OverflowError
+@example(classes=[0, 1.0, 255], as_array=False)
+def test_a_cloud_takes_only_classes_that_are_bytes(classes, as_array):
+    """A class, given in a list or in numpy's own array of those numbers (ints, floats, or
+    objects for ints past int64), is kept as uint8 when it is a whole number from 0 to 255, and
+    anything else, a fraction, NaN, inf or a number out of range, raises InvalidConfig."""
+    given = np.array(classes) if as_array else classes
+    positions = np.zeros((len(classes), 3))
+    if all(float(c).is_integer() and 0 <= c <= 255 for c in classes):
+        kept = PointCloud(positions, classes=given).classes
+        assert kept.dtype == np.uint8 and kept.tolist() == [int(c) for c in classes]
+    else:
+        with pytest.raises(InvalidConfig, match="classes must be whole numbers from 0 to 255"):
+            PointCloud(positions, classes=given)
 
 
 @settings(max_examples=100, deadline=None)

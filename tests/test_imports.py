@@ -52,8 +52,9 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["math (line 1)", "Rng (line 3)"]
 
 
-# (importer, module, name): losses scores diffrender's two cores
-PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height")}
+# (importer, module, name): losses scores diffrender's two cores, and its stack scorer builds
+# the one slot list the stacked silhouette and soft DSM share
+PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height", "_Slots")}
 
 
 def private_imports(importer: str, source: str) -> set[tuple[str, str, str]]:

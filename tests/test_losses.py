@@ -497,6 +497,45 @@ def test_the_stack_scorer_scores_a_stack_of_no_copies(n):
     assert all(r.shape == (0, SPEC.height, SPEC.width) for r in renders.values())
 
 
+@pytest.mark.parametrize("lams, builds", [((1, 1, 0.5, 1), 2), ((0, 1, 0, 1), 1), ((0, 1, 0.5, 0), 2),
+                                          ((0, 0, 0.5, 1), 2), ((1, 0, 0, 0), 0)])
+def test_the_stack_scorer_builds_one_footprint_list_for_the_silhouette_and_the_soft_dsm(monkeypatch, lams, builds):
+    """Both splat the stack's (x, y), so with both on they share one `pixels_within` call per
+    stack; the shadow builds its own list, and Chamfer none."""
+    calls = []
+    build = diffrender.pixels_within
+    monkeypatch.setattr(diffrender, "pixels_within", lambda *a: calls.append(a) or build(*a))
+    raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
+    targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
+    stack = np.stack([random_cloud(seed, 12).positions for seed in range(3)])
+    combined_loss_stack(stack, targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), LossWeights(*lams))
+    assert len(calls) == builds
+
+
+@st.composite
+def sparse_stacks(draw):
+    """A (B, N, 3) stack, B from 0 to 4 and N from 0 to 30, most points far off SPEC; or `stacks()`."""
+    b, n = draw(st.integers(0, 4)), draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    far = np.concatenate([rng.uniform(-40.0, 40.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
+    return far if draw(st.booleans()) else draw(stacks())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(stack=sparse_stacks(), sigma=st.floats(0.2, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf))
+def test_a_shared_slot_list_renders_the_bytes_of_a_list_per_kind(stack, sigma, trunc):
+    """The stacked silhouette and then the soft DSM on one `_Slots` of the stack's (x, y), as
+    `combined_loss_stack` renders them, against each kind's `soft_stack` on a list of its own."""
+    cfg = SoftConfig(sigma=sigma, trunc=trunc)
+    shared = diffrender._Slots(stack[..., :2], SPEC, cfg)
+    sil = diffrender.soft_stack("sil", stack, None, SPEC, cfg, shared)
+    dsm = diffrender.soft_stack("dsm", stack, None, SPEC, cfg, shared)
+    for kind, render in (("sil", sil), ("dsm", dsm)):
+        own = diffrender.soft_stack(kind, stack, None, SPEC, cfg)
+        assert render.shape == own.shape == (len(stack), SPEC.height, SPEC.width)
+        assert render.tobytes() == own.tobytes()
+
+
 def test_the_stack_scorer_refuses_an_empty_ground_truth():
     gt = PointCloud(np.zeros((0, 3)))
     with pytest.raises(EmptyCloud):

@@ -61,7 +61,7 @@ class TestFscore:
 
 
 # lattice clouds at a spacing of tau or tau / 2, so that nearest distances hit
-# exactly tau and exactly 2 tau (the bound of the searches), and coincide
+# exactly tau (which counts, and the searches stop just past it) and 2 tau, and coincide
 lattice = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=12)
 
 
@@ -75,6 +75,19 @@ def test_fscore_equals_unbounded_queries(pred, gt, tau, half):
     step = tau / 2 if half else tau
     a, b = (cloud(np.array(c, dtype=float) * step) for c in (pred, gt))
     assert fscore(a, b, tau) == fscore_unbounded(a, b, tau)
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-170, 1e-150, 1.5e-150, 1e-140, 0.1, 0.5, 3.0, 1e300, 1.7e308])
+def test_a_match_at_tau_counts_and_one_a_float_past_it_does_not(tau):
+    """The nearest point at exactly tau and at the next float above it: the scores of unbounded
+    searches. Where tau^2 is a normal float, the first is a match and the second not; outside,
+    d^2 underflows to 0 (a match) or overflows to inf (a miss) for both."""
+    for d, hit in ((tau, 1.0), (float(np.nextafter(tau, np.inf)), 0.0)):
+        a, b = cloud([0, 0, 0]), cloud([d, 0, 0])
+        score = fscore(a, b, tau)
+        assert score == fscore_unbounded(a, b, tau)
+        if np.finfo(float).tiny <= tau * tau < np.inf:
+            assert score == (hit, hit, hit)
 
 
 @st.composite

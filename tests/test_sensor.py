@@ -165,15 +165,45 @@ def test_hard_renderers_match_a_scan_of_every_pixel(case):
         assert top[10, 12] == top[12, 10] == top[10, 8] == top[8, 10] == 7.0
 
 
-@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5, 7.2, 40.0])
-def test_window_is_just_wide_enough(radius):
-    # a point is at most half a pixel from its rounded center, so 2*ceil(r/ps) + 1
-    # centers per axis cover its disk, and the pairs are a dense scan's
-    spec = GridSpec(30, 13, -5.0, -2.0, 0.5)
-    xy = np.random.default_rng(7).uniform(-8.0, 14.0, (40, 2))
+FAR = 1e10 + 0.1  # a grid origin whose float coordinates round by microns
+
+
+@st.composite
+def windowed_clouds(draw):
+    """A grid of 1-40 x 1-40 pixels with origins up to 1e10 m, a radius (often a whole or
+    half number of pixels, or 0.3 m steps, where d^2 == r^2 or one ulp from it), and up to
+    12 points, each a pixel index on or off the grid plus a fraction: 0 (a pixel center),
+    1/2 (a half-pixel lattice point) or any."""
+    ps = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 1.0, 2.5]) | st.floats(0.05, 3.0))
+    radius = draw(st.integers(1, 40).map(lambda m: m * ps / 2) | st.integers(1, 10).map(lambda m: m * 0.3)
+                  | st.floats(0.01, 12.0))
+    origin = st.sampled_from([0.0, -5.0, 1e5, -1e7, 1e10]) | st.floats(-1e10, 1e10)
+    spec = GridSpec(draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(origin), draw(origin), ps)
+    frac = st.sampled_from([0.0, 0.5]) | st.floats(-1.0, 1.0)
+    pixel = st.tuples(st.integers(-12, 52), frac, st.integers(-12, 52), frac)
+    xy = [(spec.origin_x + (i + fi) * ps, spec.origin_y + (j + fj) * ps)
+          for i, fi, j, fj in draw(st.lists(pixel, max_size=12))]
+    return spec, radius, np.array(xy, dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=windowed_clouds())
+@example(case=(GridSpec(40, 1, 0.0, 0.0, 0.2), 3 * 0.3, np.array([[10.5 * 0.2, 0.0]])))  # 10 centers, not 9
+@example(case=(GridSpec(21, 21, -10.0, -10.0, 1.0), 2.0, np.array([[0.0, 0.0], [3.0, -4.0]])))
+@example(case=(GridSpec(9, 9, 1e10, -1e10, 0.5), 1.0, np.array([[1e10 + 2.0, -1e10 + 1.25]])))
+@example(case=(GridSpec(12, 1, FAR, FAR, 0.1), 3 * 0.1 / 2, np.array([[FAR + 8.5 * 0.1, FAR]])))  # u rounds by 3e-6 px
+@example(case=(GridSpec(5, 4, 0.0, 0.0, 1.0), 0.3, np.zeros((0, 2))))
+def test_window_is_just_wide_enough(case):
+    """Each axis's window holds floor(2r/ps) + 1 centers, the most a disk of radius r covers,
+    or the grid's size; one more only where 2r/ps sits within float rounding below a whole
+    number, where the d^2 test can take one center more. The pairs are a dense scan's."""
+    spec, radius, xy = case
     point, flat, _, _, dx, dy = pixels_within(xy, spec, radius)
-    k = 2 * math.ceil(radius / spec.pixel_size) + 1
-    assert dx.shape == (40, min(k, spec.width)) and dy.shape == (40, min(k, spec.height))
+    most = math.floor(2 * radius / spec.pixel_size) + 1
+    near_whole = (2 * radius / spec.pixel_size) % 1 > 1 - 1e-3
+    for k, size in ((dx.shape[1], spec.width), (dy.shape[1], spec.height)):
+        assert k == min(most, size) or (near_whole and k == min(most + 1, size))
+    assert dx.shape[0] == dy.shape[0] == len(xy)
     xs, ys = pixel_centers(spec)
     d2 = (xy[:, 0, None, None] - xs) ** 2 + (xy[:, 1, None, None] - ys[:, None]) ** 2
     scan_point, row, col = np.nonzero(d2 <= radius**2)

@@ -10,7 +10,9 @@ bytes print the same lines, so `diff` of their outputs shows every artefact
 whose bytes changed. The artefacts:
 
 - every file of `generate --count 3 --seed 0` at the default grid and at
-  `--grid-size 32 --pixel-size 0.5`
+  `--grid-size 32 --pixel-size 0.5`, and of `generate --count 1 --seed 0
+  --pixel-size 0.3`, where the splat radius is 1.67 pixels, so the hard
+  renders' window (`sensor._window`) is narrower than its old 5 centres
 - `bench.csv` after `bench --iters 5 --points 200` on the small dataset
 - the PLY and history of a default `reconstruct` of the first default-grid
   scene, and of two 20-iteration ones with the ground truth (`--gt`): at
@@ -104,14 +106,20 @@ def reconstruct(tmp: Path, name: str, argv: list[str], expect: str = ""):
     yield f"reconstruct/{name}/pred.history.csv", sha(pred.with_suffix(".history.csv").read_bytes())
 
 
+def generated(tmp: Path, name: str, flags: list[str]):
+    """(artefact, sha256) of every file of `generate --seed 0 --out <tmp>/<name>` with flags."""
+    run(["generate", "--seed", "0", "--out", str(tmp / name)] + flags)
+    for path in sorted((tmp / name).rglob("*")):
+        if path.is_file():
+            yield f"generate/{name}/{path.relative_to(tmp / name)}", sha(path.read_bytes())
+
+
 def digests(tmp: Path):
     """(artefact, sha256) pairs, in a fixed order."""
     sets = {"default": [], "small": SMALL_GRID}
     for name, flags in sets.items():
-        run(["generate", "--count", "3", "--seed", "0", "--out", str(tmp / name)] + flags)
-        for path in sorted((tmp / name).rglob("*")):
-            if path.is_file():
-                yield f"generate/{name}/{path.relative_to(tmp / name)}", sha(path.read_bytes())
+        yield from generated(tmp, name, ["--count", "3"] + flags)
+    yield from generated(tmp, "pixel=0.3", ["--count", "1", "--pixel-size", "0.3"])
 
     run(["bench", "--dataset", str(tmp / "small"), "--iters", "5", "--points", "200"])
     yield "bench/small/bench.csv", sha((tmp / "small" / "bench.csv").read_bytes())
