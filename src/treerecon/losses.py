@@ -19,9 +19,9 @@ size (README, step 4): the ground truth's KD-tree, built once per `reconstruct`
 run, for the cloud's points, and for the reverse a table of squared distances up
 to N * M = _TABLE_MAX, a tree per copy above it. Above it `query_pair` answers
 both directions, with the cloud's query on an executor's worker, if any:
-`reconstruct`'s pool kept on the other CPU, or the one `metrics` opens for one
-`eval` or `bench` score. A `--jobs` worker process has no pool, so it stays on
-one thread.
+`reconstruct`'s pool kept on the other CPU, or the one `metrics.eval_chamfer`
+opens for one `eval` or `bench` score, whose value is `_chamfer_from` of that
+pair. A `--jobs` worker process has no pool, so it stays on one thread.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every score
 _TABLE_BLOCK = 2**14  # distances in one block of the Chamfer table (a block is >= 1 row)
 _TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not a tree per copy (BENCH_36.json)
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
+_OVERFLOW = "chamfer is not finite: a squared distance between the clouds overflows float64"
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
 TERMS = ("geo", "sil", "shadow", "dsm")
@@ -139,7 +140,7 @@ def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | N
     and summed x, y, z as cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, with no
     worker; above it `query_pair` answers both directions of each copy against the copy's own tree, with
     the copy's query of pb's tree, and the runs of pb's query left when it is done, on the `executor`'s
-    worker if there is one.
+    worker if there is one. The values and offsets are `_chamfer_from`'s, so InvalidConfig on overflow.
     """
     b, n, m = *positions.shape[:2], len(pb)
     if n == 0 or m == 0:
@@ -157,8 +158,24 @@ def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | N
         for lo in range(0, m, rows):
             sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
             ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
+    return (*_chamfer_from(positions, pb, ia, ib), ib)
+
+
+def _chamfer_from(positions: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.ndarray):
+    """(B,) Chamfer values of a (B, N, 3) stack against pb and the (B, N, 3) offsets `diff_a`, from
+    the (B, N) index of each copy's points' nearest pb point and the (B, M) index of each pb point's
+    nearest point in its copy; the squared distances are recomputed from coordinates.
+
+    InvalidConfig where a value is not finite: a squared distance overflows float64, so a point
+    may have no neighbour at all (cKDTree's index len(pb) or N), which is checked before indexing.
+    """
+    if (ia == len(pb)).any() or (ib == positions.shape[1]).any():
+        raise InvalidConfig(_OVERFLOW)
     diff_a = positions - pb[ia]
-    return _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1)), diff_a, ib
+    value = _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1))
+    if not np.isfinite(value).all():
+        raise InvalidConfig(_OVERFLOW)
+    return value, diff_a
 
 
 def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,

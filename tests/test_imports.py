@@ -53,8 +53,10 @@ def test_the_check_sees_an_unused_import():
 
 
 # (importer, module, name): losses scores diffrender's two cores, and its stack scorer builds
-# the one slot list the stacked silhouette and soft DSM share
-PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height", "_Slots")}
+# the one slot list the stacked silhouette and soft DSM share; metrics' eval_chamfer reads
+# Chamfer's size rule and its value formula, so that fscore can reuse its queries
+PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height", "_Slots")} | {
+    ("metrics", "losses", name) for name in ("_TABLE_MAX", "_chamfer_from")}
 
 
 def private_imports(importer: str, source: str) -> set[tuple[str, str, str]]:

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 import oracles
 from oracles import brute_chamfer, brute_chamfer_grad, finite_diff, zero_grid
-from treerecon import diffrender, losses, sensor
+from treerecon import diffrender, losses, metrics, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
 from treerecon.errors import Diverged, EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
@@ -841,3 +841,24 @@ def test_concurrent_runs_with_their_own_pools_keep_every_byte():
         assert np.float64(value).tobytes() == np.float64(serial[0]).tobytes()
         assert grad.tobytes() == serial[1].tobytes()
         assert breakdown == serial[2]
+
+
+@pytest.mark.parametrize("far", ["cloud", "ground truth"])
+def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, far):
+    """A coordinate of 1e300 in the cloud or in the ground truth: every squared distance from that
+    point overflows, so cKDTree finds it no neighbour (the index len(...)) and the table's row of it
+    is all inf. `chamfer`, `combined_loss` and `metrics.eval_chamfer` raise InvalidConfig on both
+    sides of `losses._TABLE_MAX`, and eval_chamfer leaves no record for `fscore` behind."""
+    _, n, m = side
+    positions = [random_cloud(0, n).positions, random_cloud(1, m).positions]
+    positions[far == "ground truth"][0, 0] = 1e300
+    pred, gt = map(PointCloud, positions)
+    with pytest.raises(InvalidConfig, match="overflows float64"):
+        chamfer(pred, gt)
+    with pytest.raises(InvalidConfig, match="overflows float64"):
+        combined_loss(pred, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
+                      LossWeights(1.0, 0.0, 0.0, 0.0))
+    metrics.eval_chamfer(random_cloud(2, n), random_cloud(3, m))  # keeps a record above the table size
+    with pytest.raises(InvalidConfig, match="overflows float64"):
+        metrics.eval_chamfer(pred, gt)
+    assert metrics._last.record is None

@@ -1,14 +1,17 @@
+import contextlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_chamfer, fscore_unbounded, zero_grid
-from treerecon import core
+from treerecon import core, losses, metrics
 from treerecon.core import PointCloud, Rng
-from treerecon.errors import EmptyFootprint
+from treerecon.errors import EmptyFootprint, InvalidConfig
 from treerecon.metrics import eval_chamfer, format_report, fscore
 from treerecon.protree import generate_scene
 from treerecon.reconstruct import baseline_extrude
@@ -126,6 +129,120 @@ def test_the_worker_changes_no_score(pair):
     with mock.patch.object(core, "other_cpus", set):
         alone = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
     assert np.array(pooled).tobytes() == np.array(alone).tobytes()
+
+
+# fscore after eval_chamfer of the same clouds reads the distances eval_chamfer found
+
+TAUS = st.sampled_from([5e-324, 1e-170, 1e-150, 0.1, 0.5, 3.0, 1e150, 1e300, 1.7e308]) | st.floats(5e-324, 1.7e308)
+
+
+@st.composite
+def probed_pairs(draw):
+    """(pred, gt, taus): 1 to 200 points a side, so N * M falls on both sides of `losses._TABLE_MAX`,
+    with each coordinate one of k * taus[0] / 2 for |k| <= 2 and the float just past taus[0], so that
+    nearest distances tie, equal taus[0] or pass it by one float; then one to three more taus."""
+    taus = [draw(TAUS)] + draw(st.lists(TAUS, min_size=1, max_size=3))
+    coords = [k * (taus[0] / 2) for k in range(-2, 3)] + [float(np.nextafter(taus[0], np.inf))]
+    sizes = st.integers(1, 200) | st.sampled_from([1, 64, 65, 200])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pred, gt = (PointCloud(rng.choice(coords, (draw(sizes), 3))) for _ in range(2))
+    return pred, gt, taus
+
+
+def zeros(n):
+    return PointCloud(np.zeros((n, 3)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pair=probed_pairs())
+@example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident above the table size: d = 0 <= tau
+@example(pair=(cloud([0, 0, 0] * 70), cloud([0, 0, 0.1] * 69 + [0, 0, float(np.nextafter(0.1, 1))]), [0.1]))
+@example(pair=(uniform(0, 120), uniform(1, 120, 100.0), [0.5, 200.0, 1e6]))  # gt far from pred
+def test_fscore_after_eval_chamfer_keeps_the_bytes_of_fscore_alone_and_of_unbounded_queries(pair):
+    """fscore alone, fscore at each tau after one eval_chamfer of the same clouds, and unbounded
+    queries give the same bytes, and eval_chamfer gives chamfer's value. eval_chamfer keeps a record
+    only where its Chamfer reads trees and is finite; where a squared distance overflows it raises
+    InvalidConfig, as chamfer does, and fscore queries."""
+    pred, gt, taus = pair
+    metrics._last.record = None  # fscore alone: no record to read
+    alone = [fscore(pred, gt, tau) for tau in taus]
+    try:
+        value = eval_chamfer(pred, gt)
+        shared = len(pred) * len(gt) > losses._TABLE_MAX
+    except InvalidConfig:
+        with pytest.raises(InvalidConfig):
+            losses.chamfer(pred, gt)
+        shared = False
+    else:
+        assert np.float64(value).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
+    assert (metrics._last.record is not None) == shared
+    event(f"fscore reads eval_chamfer's distances: {shared}")
+    after = [fscore(pred, gt, tau) for tau in taus]
+    unbounded = [fscore_unbounded(pred, gt, tau) for tau in taus]
+    assert np.array(alone).tobytes() == np.array(after).tobytes() == np.array(unbounded).tobytes()
+
+
+@contextlib.contextmanager
+def scoring_calls():
+    """Counts of the KD-trees built, the `query_pair` calls made and the threads started while open."""
+    counts = dict.fromkeys(("trees", "pairs", "threads"), 0)
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with mock.patch.object(metrics, "cKDTree", counted("trees", metrics.cKDTree)), \
+            mock.patch.object(losses, "cKDTree", counted("trees", losses.cKDTree)), \
+            mock.patch.object(metrics, "query_pair", counted("pairs", metrics.query_pair)), \
+            mock.patch.object(losses, "query_pair", counted("pairs", losses.query_pair)), \
+            mock.patch.object(threading.Thread, "start", counted("threads", threading.Thread.start)):
+        yield counts
+
+
+def test_fscore_after_eval_chamfer_builds_no_tree_queries_nothing_and_starts_no_thread():
+    """One evaluation, eval_chamfer and then fscore at three taus, builds two trees and makes one
+    pair of queries, all in eval_chamfer, whose worker (on two or more CPUs) is the only thread."""
+    pred, gt = uniform(0, 2000), uniform(1, 2000)
+    with scoring_calls() as counts:
+        eval_chamfer(pred, gt)
+        assert counts["trees"] == 2 and counts["pairs"] == 1 and counts["threads"] <= 1
+        before = dict(counts)
+        scores = [fscore(pred, gt, tau) for tau in (0.1, 0.5, 2.0)]
+        assert counts == before
+    assert scores == [fscore_unbounded(pred, gt, tau) for tau in (0.1, 0.5, 2.0)]
+
+
+def test_the_record_is_never_read_for_other_clouds():
+    """After eval_chamfer of (pred, gt), fscore queries again, and gives the unbounded queries'
+    scores, for pred or gt edited in place, for another cloud of the same length, for pred and gt
+    swapped and on another thread; each of these would change the scores a stale record gave."""
+    def edited(c):
+        c.positions[:10] += 3.0
+        return c
+
+    cases = {
+        "pred edited in place": lambda pred, gt: (edited(pred), gt),
+        "gt edited in place": lambda pred, gt: (pred, edited(gt)),
+        "another pred of the same length": lambda pred, gt: (uniform(2, len(pred)), gt),
+        "pred and gt swapped": lambda pred, gt: (gt, pred),
+    }
+    for name, other in cases.items():
+        pred, gt = uniform(0, 100), uniform(1, 90)
+        eval_chamfer(pred, gt)
+        stale = fscore(pred, gt, 1.0)
+        pred, gt = other(pred, gt)
+        with scoring_calls() as counts:
+            scores = fscore(pred, gt, 1.0)
+        assert counts["pairs"] == 1, name
+        assert scores == fscore_unbounded(pred, gt, 1.0) != stale, name
+    metrics._last.record = None
+    with ThreadPoolExecutor(1) as other_thread:  # that thread's record is its own
+        other_thread.submit(eval_chamfer, pred, gt).result(timeout=60)
+    with scoring_calls() as counts:
+        assert fscore(pred, gt, 1.0) == fscore_unbounded(pred, gt, 1.0)
+    assert counts["pairs"] == 1
 
 
 class TestBaselineExtrude:

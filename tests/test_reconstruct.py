@@ -600,7 +600,8 @@ def worker_pool_in_a_worker_process() -> bool:
 
 
 def threads_started_by_scoring() -> int:
-    """How many threads eval_chamfer and fscore start, on clouds whose Chamfer reads trees."""
+    """How many threads eval_chamfer and then fscore start, on clouds whose Chamfer reads trees
+    (only eval_chamfer's worker: fscore reads the distances it found)."""
     started, start = [], threading.Thread.start
     scene = small_scene(0)
     pred = PointCloud(scene.cloud.positions[::2] + 0.1)
@@ -732,17 +733,17 @@ def test_a_run_with_its_helper_writes_the_bytes_of_one_without(tmp_path_factory,
 @two_cpus
 def test_scoring_between_two_runs_leaves_no_thread_for_the_next_helper():
     """A run, its scoring and a second run in one process, in the order of one `recon_inputs`
-    operation: eval_chamfer and fscore each start their worker thread and join it before they
-    return, so the second run still forks its helper."""
+    operation: eval_chamfer starts its worker thread and joins it before it returns, and fscore
+    reads the distances eval_chamfer found and starts none, so the second run still forks its helper."""
     scene, started, start = small_scene(0), [], threading.Thread.start
     with recorded_forks() as pids, \
             mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         pred = run_default().cloud
         assert len(pids) == 1 and len(pred) * len(scene.cloud) > losses._TABLE_MAX
-        for score in (eval_chamfer, fscore):
+        for score, threads in ((eval_chamfer, 1), (fscore, 0)):
             started.clear()
             score(pred, scene.cloud)
-            assert len(started) == 1  # the call did start its worker
+            assert len(started) == threads  # eval_chamfer did start its worker
             assert threading.active_count() == 1
         run_default()
     assert len(pids) == 2

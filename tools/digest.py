@@ -33,9 +33,12 @@ whose bytes changed. The artefacts:
   stopping rule (`stop=loss`): every iteration of a whole run queries the one
   ground-truth KD-tree the run builds
 - the `eval` report of the default reconstruction and of the ground truth against
-  itself, at tau 1e-170, 0.1, 0.5 and 3; and at tau 0.5 that of the default
-  reconstruction with its body's digits re-written as Arabic-Indic digits,
-  which the C parse (`np.loadtxt`) refuses and Python's `float()` and `int()`
+  itself, at tau 1e-170, 0.1, 0.5 and 3, where Chamfer builds KD-trees and
+  `fscore` reads the distances `eval_chamfer` found; at the same taus that of the
+  `--points 40` reconstruction against its 64-point ground truth, whose Chamfer
+  reads the distance table and whose `fscore` makes its own bounded queries;
+  and at tau 0.5 that of the default reconstruction with its body's digits
+  re-written as Arabic-Indic digits, which the C parse (`np.loadtxt`) refuses and Python's `float()` and `int()`
   read as the same numbers, so its line equals `eval/default/tau=0.5`'s only
   while the row pass keeps every byte
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
@@ -159,9 +162,10 @@ def digests(tmp: Path):
     yield from reconstruct(tmp, "small_gt64/points=40", ["--manifest", str(gt64 / "manifest.json"), "--gt",
                                                          str(gt64 / "gt.ply"), "--iters", "20", "--points", "40"])
 
-    for name, pred in (("default", str(tmp / "default.ply")), ("gt", gt)):
+    for name, pred, truth in (("default", str(tmp / "default.ply"), gt), ("gt", gt, gt),
+                              ("small_gt64/points=40", str(tmp / "small_gt64_points=40.ply"), str(gt64 / "gt.ply"))):
         for tau in TAUS:
-            yield f"eval/{name}/tau={tau}", sha(run(["eval", "--pred", pred, "--gt", gt, "--tau", tau]).encode())
+            yield f"eval/{name}/tau={tau}", sha(run(["eval", "--pred", pred, "--gt", truth, "--tau", tau]).encode())
     head, body = (tmp / "default.ply").read_text().split("end_header\n")
     refused = tmp / "default_arabic_digits.ply"
     refused.write_text(head + "end_header\n" + body.translate(ARABIC_DIGITS), encoding="utf-8")
