@@ -50,7 +50,7 @@ _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
 FD_CHUNK_POINTS = 512
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
-# here, although gradcheck renders stacks; ROADMAP item 3a retires this
+# here, although gradcheck renders stacks; ROADMAP item 3a or item 10 retires this
 _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 
 

@@ -19,9 +19,10 @@ size (README, step 4): the ground truth's KD-tree, built once per `reconstruct`
 run, for the cloud's points, and for the reverse a table of squared distances up
 to N * M = _TABLE_MAX, a tree per copy above it. Above it `query_pair` answers
 both directions, with the cloud's query on an executor's worker, if any:
-`reconstruct`'s pool kept on the other CPU, or the one `metrics.eval_chamfer`
-opens for one `eval` or `bench` score, whose value is `_chamfer_from` of that
-pair. A `--jobs` worker process has no pool, so it stays on one thread.
+`reconstruct`'s pool kept on the other CPU, or the one `metrics` opens for a
+pair of clouds' one search, which `eval_chamfer` reads its value from
+(`_chamfer_from`) and `fscore` its distances. A `--jobs` worker process has no
+pool, so it stays on one thread.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ class LossWeights:
 def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Index into ref of each query point's nearest neighbor (KD-tree).
 
-    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 3a."""
+    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 3a or item 10."""
     _, idx = cKDTree(ref).query(query)
     return idx
 
@@ -84,9 +85,10 @@ def _sq_mean(diff: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=-1).mean(axis=-1)
 
 
-def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None, bound: float = math.inf):
-    """(tree_b.query(a), cKDTree(a).query(tree_b.data)), each a (distances, indices) pair with
-    `distance_upper_bound=bound`: a's points in b's tree, and b's points in a's own tree, built here.
+def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None):
+    """(tree_b.query(a), cKDTree(a).query(tree_b.data)), each a (distances, indices) pair: a's points
+    in b's tree, and b's points in a's own tree, built here. A point whose every squared distance
+    overflows float64 has none nearer than inf: distance inf and the index one past the other's end.
 
     With an `executor`, its worker answers a's query, under this thread's numpy error state, while this
     thread builds a's tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is
@@ -97,7 +99,7 @@ def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None,
     """
     b = tree_b.data
     if executor is None:
-        return tree_b.query(a, distance_upper_bound=bound), cKDTree(a).query(b, distance_upper_bound=bound)
+        return tree_b.query(a), cKDTree(a).query(b)
     back = np.empty(len(b)), np.empty(len(b), dtype=np.intp)
     cuts = [len(b) * k // _QUERY_RUNS for k in range(_QUERY_RUNS + 1)]
     tree_a, runs = Future(), iter(range(_QUERY_RUNS))
@@ -105,10 +107,10 @@ def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None,
     def take(*taken: int) -> None:
         for k in chain(taken, runs):  # next() of a range iterator is atomic
             lo, hi = cuts[k], cuts[k + 1]
-            back[0][lo:hi], back[1][lo:hi] = tree_a.result().query(b[lo:hi], distance_upper_bound=bound)
+            back[0][lo:hi], back[1][lo:hi] = tree_a.result().query(b[lo:hi])
 
     def forward():
-        there = tree_b.query(a, distance_upper_bound=bound)
+        there = tree_b.query(a)
         take()
         return there
 
@@ -155,9 +157,10 @@ def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | N
         ib = np.array([rev for _, (_, rev) in pairs], dtype=np.intp).reshape(b, m)
     else:
         ia, ib, rows = tree.query(positions)[1], np.empty((b, m), dtype=np.intp), max(1, _TABLE_BLOCK // max(1, b * n))
-        for lo in range(0, m, rows):
-            sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
-            ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
+        with np.errstate(over="ignore"):  # an overflowing distance is inf, and _chamfer_from raises
+            for lo in range(0, m, rows):
+                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
+                ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
     return (*_chamfer_from(positions, pb, ia, ib), ib)
 
 
@@ -171,8 +174,9 @@ def _chamfer_from(positions: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.
     """
     if (ia == len(pb)).any() or (ib == positions.shape[1]).any():
         raise InvalidConfig(_OVERFLOW)
-    diff_a = positions - pb[ia]
-    value = _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1))
+    with np.errstate(over="ignore"):  # inf, which raises below
+        diff_a = positions - pb[ia]
+        value = _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1))
     if not np.isfinite(value).all():
         raise InvalidConfig(_OVERFLOW)
     return value, diff_a

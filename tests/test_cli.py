@@ -225,6 +225,7 @@ class TestEval:
         assert err.count("error:") == 1 and err.startswith("error:") and "tau" in err
 
     def test_matches_metrics_module(self, scene_dir, tmp_path, capsys):
+        from treerecon import metrics
         from treerecon.metrics import eval_chamfer, fscore
 
         pred_cloud = generate_scene(6).cloud
@@ -235,6 +236,7 @@ class TestEval:
         kv = dict(p.split("=") for p in capsys.readouterr().out.split())
         a = read_ply(pred)
         b = read_ply(scene_dir / "gt.ply")
+        metrics._last.record = None  # a search of its own, not the one the CLI kept
         assert abs(float(kv["chamfer"]) - eval_chamfer(a, b)) < 1e-4 * max(
             1.0, eval_chamfer(a, b)
         )

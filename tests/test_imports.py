@@ -54,7 +54,7 @@ def test_the_check_sees_an_unused_import():
 
 # (importer, module, name): losses scores diffrender's two cores, and its stack scorer builds
 # the one slot list the stacked silhouette and soft DSM share; metrics' eval_chamfer reads
-# Chamfer's size rule and its value formula, so that fscore can reuse its queries
+# Chamfer's size rule and its value formula, so that it and fscore read one search of a pair
 PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height", "_Slots")} | {
     ("metrics", "losses", name) for name in ("_TABLE_MAX", "_chamfer_from")}
 

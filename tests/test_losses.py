@@ -843,12 +843,15 @@ def test_concurrent_runs_with_their_own_pools_keep_every_byte():
         assert breakdown == serial[2]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("far", ["cloud", "ground truth"])
 def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, far):
     """A coordinate of 1e300 in the cloud or in the ground truth: every squared distance from that
     point overflows, so cKDTree finds it no neighbour (the index len(...)) and the table's row of it
     is all inf. `chamfer`, `combined_loss` and `metrics.eval_chamfer` raise InvalidConfig on both
-    sides of `losses._TABLE_MAX`, and eval_chamfer leaves no record for `fscore` behind."""
+    sides of `losses._TABLE_MAX`, with no numpy warning. `fscore` of the same clouds then gives the
+    unbounded queries' scores, the far point a miss; above the table size it reads eval_chamfer's
+    search, which a raise does not drop."""
     _, n, m = side
     positions = [random_cloud(0, n).positions, random_cloud(1, m).positions]
     positions[far == "ground truth"][0, 0] = 1e300
@@ -858,7 +861,9 @@ def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, 
     with pytest.raises(InvalidConfig, match="overflows float64"):
         combined_loss(pred, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
                       LossWeights(1.0, 0.0, 0.0, 0.0))
-    metrics.eval_chamfer(random_cloud(2, n), random_cloud(3, m))  # keeps a record above the table size
+    metrics.fscore(random_cloud(2, n), random_cloud(3, m))  # a search of other clouds, for the thread to keep
     with pytest.raises(InvalidConfig, match="overflows float64"):
         metrics.eval_chamfer(pred, gt)
-    assert metrics._last.record is None
+    with mock.patch.object(metrics, "query_pair", wraps=metrics.query_pair) as search:
+        assert metrics.fscore(pred, gt, 1.0) == oracles.fscore_unbounded(pred, gt, 1.0)
+    assert search.call_count == (side[0] == "table")

@@ -64,7 +64,7 @@ class TestFscore:
 
 
 # lattice clouds at a spacing of tau or tau / 2, so that nearest distances hit
-# exactly tau (which counts, and the searches stop just past it) and 2 tau, and coincide
+# exactly tau (which counts) and 2 tau, and coincide
 lattice = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=12)
 
 
@@ -125,13 +125,15 @@ def test_the_worker_changes_no_score(pair):
     """eval_chamfer and fscore give the same floats with the worker thread (on two or more CPUs)
     and without it (the CPU rule patched to find no CPU)."""
     pred, gt, tau = pair
+    metrics._last.record = None  # each side searches for itself
     pooled = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
+    metrics._last.record = None
     with mock.patch.object(core, "other_cpus", set):
         alone = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
     assert np.array(pooled).tobytes() == np.array(alone).tobytes()
 
 
-# fscore after eval_chamfer of the same clouds reads the distances eval_chamfer found
+# a thread's scores of one pair of clouds read its one search of them
 
 TAUS = st.sampled_from([5e-324, 1e-170, 1e-150, 0.1, 0.5, 3.0, 1e150, 1e300, 1.7e308]) | st.floats(5e-324, 1.7e308)
 
@@ -153,6 +155,7 @@ def zeros(n):
     return PointCloud(np.zeros((n, 3)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(pair=probed_pairs())
 @example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident above the table size: d = 0 <= tau
@@ -160,19 +163,19 @@ def zeros(n):
 @example(pair=(uniform(0, 120), uniform(1, 120, 100.0), [0.5, 200.0, 1e6]))  # gt far from pred
 def test_fscore_after_eval_chamfer_keeps_the_bytes_of_fscore_alone_and_of_unbounded_queries(pair):
     """fscore alone, fscore at each tau after one eval_chamfer of the same clouds, and unbounded
-    queries give the same bytes, and eval_chamfer gives chamfer's value. eval_chamfer keeps a record
-    only where its Chamfer reads trees and is finite; where a squared distance overflows it raises
-    InvalidConfig, as chamfer does, and fscore queries."""
+    queries give the same bytes, and eval_chamfer gives chamfer's value, with no numpy warning.
+    eval_chamfer searches only where its Chamfer reads trees, and keeps its search for fscore there
+    even where a squared distance overflows and it raises InvalidConfig, as chamfer does."""
     pred, gt, taus = pair
-    metrics._last.record = None  # fscore alone: no record to read
+    metrics._last.record = None  # fscore alone: its own search
     alone = [fscore(pred, gt, tau) for tau in taus]
+    metrics._last.record = None  # eval_chamfer's own search, where it makes one
+    shared = len(pred) * len(gt) > losses._TABLE_MAX
     try:
         value = eval_chamfer(pred, gt)
-        shared = len(pred) * len(gt) > losses._TABLE_MAX
     except InvalidConfig:
         with pytest.raises(InvalidConfig):
             losses.chamfer(pred, gt)
-        shared = False
     else:
         assert np.float64(value).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
     assert (metrics._last.record is not None) == shared
@@ -201,17 +204,24 @@ def scoring_calls():
         yield counts
 
 
-def test_fscore_after_eval_chamfer_builds_no_tree_queries_nothing_and_starts_no_thread():
-    """One evaluation, eval_chamfer and then fscore at three taus, builds two trees and makes one
-    pair of queries, all in eval_chamfer, whose worker (on two or more CPUs) is the only thread."""
+@pytest.mark.parametrize("first", ["eval_chamfer", "fscore"])
+def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first):
+    """One evaluation of a pair, eval_chamfer and fscore at three taus in either order, builds two
+    trees and makes one pair of queries, all in the first call, whose worker (on two or more CPUs)
+    is the only thread; it gives the unbounded queries' scores and chamfer's value."""
     pred, gt = uniform(0, 2000), uniform(1, 2000)
+    taus = (0.1, 0.5, 2.0)
+    calls = {"eval_chamfer": lambda: eval_chamfer(pred, gt), "fscore": lambda: [fscore(pred, gt, tau) for tau in taus]}
+    second = "fscore" if first == "eval_chamfer" else "eval_chamfer"
+    metrics._last.record = None
     with scoring_calls() as counts:
-        eval_chamfer(pred, gt)
+        results = {first: calls[first]()}
         assert counts["trees"] == 2 and counts["pairs"] == 1 and counts["threads"] <= 1
         before = dict(counts)
-        scores = [fscore(pred, gt, tau) for tau in (0.1, 0.5, 2.0)]
+        results[second] = calls[second]()
         assert counts == before
-    assert scores == [fscore_unbounded(pred, gt, tau) for tau in (0.1, 0.5, 2.0)]
+    assert results["fscore"] == [fscore_unbounded(pred, gt, tau) for tau in taus]
+    assert np.float64(results["eval_chamfer"]).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
 
 
 def test_the_record_is_never_read_for_other_clouds():

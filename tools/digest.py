@@ -34,9 +34,9 @@ whose bytes changed. The artefacts:
   ground-truth KD-tree the run builds
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3, where Chamfer builds KD-trees and
-  `fscore` reads the distances `eval_chamfer` found; at the same taus that of the
+  `fscore` reads the search `eval_chamfer` made; at the same taus that of the
   `--points 40` reconstruction against its 64-point ground truth, whose Chamfer
-  reads the distance table and whose `fscore` makes its own bounded queries;
+  reads the distance table and whose `fscore` makes the pair's one search;
   and at tau 0.5 that of the default reconstruction with its body's digits
   re-written as Arabic-Indic digits, which the C parse (`np.loadtxt`) refuses and Python's `float()` and `int()`
   read as the same numbers, so its line equals `eval/default/tau=0.5`'s only
