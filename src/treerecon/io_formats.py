@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
@@ -320,6 +321,9 @@ _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), str:
                dict: (dict, "an object")}
 
 
+_hints = cache(get_type_hints)  # a dataclass's field types, its string annotations compiled once
+
+
 def _from_doc(cls, doc: dict, where: str = ""):
     """Build dataclass `cls` from the JSON object `doc`, popping what it takes.
 
@@ -327,7 +331,7 @@ def _from_doc(cls, doc: dict, where: str = ""):
     numbers are converted to their annotated type and nested dataclasses
     are built the same way. Unknown fields are rejected once the object is built.
     """
-    hints, values = get_type_hints(cls), {}
+    hints, values = _hints(cls), {}
     for f in fields(cls):
         if f.name not in doc:
             raise MalformedManifest(f"missing field {where}{f.name}")

@@ -15,14 +15,22 @@ copy of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes;
 it renders the stack once per raster term and returns those renders too, so a
 caller that reads them (`gradcheck`) renders nothing again. `chamfer` and the
 stack's geo term are both `_chamfer_stack`, with one nearest-neighbour rule by
-size (README, step 4): the ground truth's KD-tree, built once per `reconstruct`
-run, for the cloud's points, and for the reverse a table of squared distances up
-to N * M = _TABLE_MAX, a tree per copy above it. Above it `query_pair` answers
-both directions, with the cloud's query on an executor's worker, if any:
-`reconstruct`'s pool kept on the other CPU, or the one `metrics` opens for a
-pair of clouds' one search, which `eval_chamfer` reads its value from
-(`_chamfer_from`) and `fscore` its distances. A `--jobs` worker process has no
-pool, so it stays on one thread.
+size (README, step 4): the ground truth's KD-tree for the cloud's points, and for
+the reverse a table of squared distances up to N * M = _TABLE_MAX, a tree per copy
+above it. Above it `query_pair` answers both directions, with the cloud's query on
+an executor's worker, if any: `reconstruct`'s pool kept on the other CPU, or the
+one `metrics` opens for a pair of clouds' one search, which `eval_chamfer` reads
+its value from (`_chamfer_from`) and `fscore` its distances. A `--jobs` worker
+process has no pool, so it stays on one thread.
+
+A `reconstruct` run builds the ground truth's tree once, as a `GtSearch`, which
+keeps each cloud point's last nearest ground-truth point j while the triangle
+inequality proves it (the point is nearer j than half j's distance to its own
+nearest neighbour, by a margin), so cKDTree would return j too, and queries the
+tree only for the other points. The reverse direction builds its tree per call.
+`metrics` builds its two trees with `compact_nodes=False`, which changes no byte
+of a score: its value is recomputed from coordinates and the F-score reads
+distances, so no score depends on which of two tied points a tree returns.
 """
 from __future__ import annotations
 
@@ -46,6 +54,7 @@ _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every score
 _TABLE_BLOCK = 2**14  # distances in one block of the Chamfer table (a block is >= 1 row)
 _TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not a tree per copy (BENCH_36.json)
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
 _OVERFLOW = "chamfer is not finite: a squared distance between the clouds overflows float64"
 
 # the loss terms in evaluation order, and the LossTargets field each one reads
@@ -81,14 +90,61 @@ def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _sq_mean(diff: np.ndarray) -> np.ndarray:
-    """Mean squared length of (..., N, 3) offsets over N: one direction of the Chamfer value."""
-    return (diff**2).sum(axis=-1).mean(axis=-1)
+    """Mean squared length of (..., N, 3) offsets over N: one direction of the Chamfer value. Each
+    length sums x*x, y*y and z*z left to right, as numpy sums an axis of 3 and cKDTree sums them."""
+    x, y, z = (diff[..., k] for k in range(3))
+    return (x * x + y * y + z * z).mean(axis=-1)
 
 
-def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None):
-    """(tree_b.query(a), cKDTree(a).query(tree_b.data)), each a (distances, indices) pair: a's points
-    in b's tree, and b's points in a's own tree, built here. A point whose every squared distance
-    overflows float64 has none nearer than inf: distance inf and the index one past the other's end.
+class GtSearch:
+    """The ground truth's KD-tree, built once per `reconstruct` run, that lets each cloud point keep
+    its last nearest ground-truth point while the triangle inequality proves it.
+
+    `safe[j]` is (nnd_j / 2 * (1 - 1e-9))**2, nnd_j the distance from pb's point j to its nearest
+    other point (one k=2 self-query). It is 0 where nnd_j is not finite, where j has a duplicate
+    (nnd_j = 0), and where it is below the smallest normal float64, whose rounding is not relative;
+    `safe[M]`, past the end, is 0. A point whose squared distance to its last answer j is below
+    safe[j] is nearer j than half of nnd_j by a margin of about 2e-9, far above float64 rounding, so
+    j is its unique nearest point and cKDTree's exact search returns j too; only the other points
+    query the tree. A hint is only a candidate, proved every time, so a stale one costs speed and
+    never a byte. `query` calls none of this module's names, so a worker may run it.
+    """
+
+    def __init__(self, pb: np.ndarray):
+        self.tree = cKDTree(pb)
+        with np.errstate(over="ignore"):
+            r = self.tree.query(pb, k=2)[0][:, 1] * (0.5 * (1 - 1e-9))
+            r = r * r
+        self.safe = np.append(np.where((_TINY <= r) & (r < math.inf), r, 0.0), 0.0)
+        self.hint = np.empty(0, dtype=np.intp)  # the last answer of each point queried, in [0, M]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.tree.data
+
+    def query(self, a: np.ndarray):
+        """(None, the index of each of the (..., 3) points a's nearest pb point): no distances, and the
+        indices of `cKDTree(pb).query(a)` byte for byte. The hint is read only when it holds one index
+        per point of a; a hint M (no neighbour: every squared distance overflowed) is a miss."""
+        flat, pb = a.reshape(-1, 3), self.tree.data
+        if len(self.hint) != len(flat):
+            idx = self.tree.query(flat)[1]
+        else:
+            idx = self.hint.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, y, z = (flat - pb[np.minimum(idx, len(pb) - 1)]).T
+                miss = ~(x * x + y * y + z * z < self.safe[idx])
+            if miss.any():
+                idx[miss] = self.tree.query(flat[miss])[1]
+        self.hint = idx
+        return None, idx.reshape(a.shape[:-1])
+
+
+def query_pair(a: np.ndarray, tree_b: cKDTree | GtSearch, executor: Executor | None = None, **tree_args):
+    """(tree_b.query(a), cKDTree(a, **tree_args).query(tree_b.data)), each a (distances, indices)
+    pair: a's points in b's tree (a `GtSearch` gives indices only), and b's points in a's own tree,
+    built here. A point whose every squared distance overflows float64 has none nearer than inf:
+    distance inf and the index one past the other's end.
 
     With an `executor`, its worker answers a's query, under this thread's numpy error state, while this
     thread builds a's tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is
@@ -99,7 +155,7 @@ def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None)
     """
     b = tree_b.data
     if executor is None:
-        return tree_b.query(a), cKDTree(a).query(b)
+        return tree_b.query(a), cKDTree(a, **tree_args).query(b)
     back = np.empty(len(b)), np.empty(len(b), dtype=np.intp)
     cuts = [len(b) * k // _QUERY_RUNS for k in range(_QUERY_RUNS + 1)]
     tree_a, runs = Future(), iter(range(_QUERY_RUNS))
@@ -118,7 +174,7 @@ def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None)
     ahead = executor.submit(contextvars.copy_context().run, forward)
     try:
         try:
-            tree_a.set_result(cKDTree(a))
+            tree_a.set_result(cKDTree(a, **tree_args))
         except BaseException as e:  # the worker gets it at its first run
             tree_a.set_exception(e)
             raise
@@ -132,14 +188,14 @@ def query_pair(a: np.ndarray, tree_b: cKDTree, executor: Executor | None = None)
 
 
 def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None,
-                   tree: cKDTree | None = None):
+                   tree: cKDTree | GtSearch | None = None):
     """Chamfer of each copy of a (B, N, 3) stack against (M, 3) points pb, as (B,) values, with
     what `chamfer`'s gradient reads: the (B, N, 3) offsets of each copy's points from their
     nearest pb point, and the (B, M) index of each pb point's nearest point in each copy.
 
-    Each copy's points query pb's tree, built here unless handed in as `tree` (InvalidConfig unless
-    `tree.data is pb`). The other direction reads a table of squared distances, _TABLE_BLOCK at a time
-    and summed x, y, z as cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, with no
+    Each copy's points query pb's tree, built here unless handed in as `tree`, a run's `GtSearch`
+    (InvalidConfig unless `tree.data is pb`). The other direction reads a table of squared distances,
+    _TABLE_BLOCK at a time and summed x, y, z as cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, with no
     worker; above it `query_pair` answers both directions of each copy against the copy's own tree, with
     the copy's query of pb's tree, and the runs of pb's query left when it is done, on the `executor`'s
     worker if there is one. The values and offsets are `_chamfer_from`'s, so InvalidConfig on overflow.
@@ -183,14 +239,17 @@ def _chamfer_from(positions: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.
 
 
 def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
-            tree: cKDTree | None = None) -> tuple[float, np.ndarray]:
+            tree: cKDTree | GtSearch | None = None) -> tuple[float, np.ndarray]:
     """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a: the one-copy
     `_chamfer_stack`, whose squared distances are recomputed from coordinates, so the value is a
-    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree (`tree` if given)."""
+    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree (`tree` if given).
+    The reverse term's gradient is scattered by one `np.add.at` on the flat (N * 3,) view, which adds
+    each pb point's x, y and z in pb's order, as a scatter of (3,) rows does."""
     pa, pb = a.positions, b.positions
     value, diff_a, ib = (x[0] for x in _chamfer_stack(pa[None], pb, executor, tree))
     grad = 2.0 * diff_a / len(pa)
-    np.add.at(grad, ib, 2.0 * (pa[ib] - pb) / len(pb))
+    np.add.at(grad.reshape(-1), (3 * ib[:, None] + np.arange(3)).reshape(-1),
+              (2.0 * (pa[ib] - pb) / len(pb)).reshape(-1))
     return float(value), grad
 
 
@@ -262,7 +321,7 @@ def resolve_weights(
 
 def combined_loss(
     cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, executor: Executor | None = None, tree: cKDTree | None = None,
+    weights: LossWeights, executor: Executor | None = None, tree: cKDTree | GtSearch | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
@@ -270,7 +329,8 @@ def combined_loss(
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
     Each term with a positive weight runs one pass on this thread and adds its weighted
     value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
-    worker runs one of its two KD-tree queries, and so does the ground truth's `tree`, if any.
+    worker runs one of its two KD-tree queries, and so does the ground truth's `tree` (a run's
+    `GtSearch`), if any.
     """
     targets.require(weights, sun, spec)
     total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}

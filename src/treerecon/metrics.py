@@ -1,11 +1,13 @@
 """Evaluation metrics (Chamfer, F-score@tau) and their report format.
 
 Both scores read one search of a pair of clouds, `_search`: the unbounded `losses.query_pair`
-of the prediction's points in the ground truth's KD-tree and the reverse. On two or more CPUs
-a worker thread of `core.worker_pool`, kept off this thread's CPU and joined before the call
-returns, answers the prediction's query while this thread builds the prediction's tree and
-answers the other, and then takes what this thread has left of it, so the values are those of
-one thread. A `--jobs` worker process, or a run on one CPU, starts no thread.
+of the prediction's points in the ground truth's KD-tree and the reverse. Both trees are built
+with `compact_nodes=False`, faster to query here, and no score depends on which of two tied
+points a tree returns. On two or more CPUs a worker thread of `core.worker_pool`, kept off this
+thread's CPU and joined before the call returns, answers the prediction's query while this
+thread builds the prediction's tree and answers the other, and then takes what this thread has
+left of it, so the values are those of one thread. A `--jobs` worker process, or a run on one
+CPU, starts no thread.
 
 Each thread keeps its last search, with copies of the two position arrays it searched, and
 reads it again for clouds whose positions have the same shapes and bytes in the same order:
@@ -37,7 +39,7 @@ def _search(pred: PointCloud, gt: PointCloud):
     if kept is not None and all(k.shape == p.shape and k.tobytes() == p.tobytes() for k, p in zip(kept, (pa, pb))):
         return kept[2]
     with (executor := worker_pool()) or contextlib.nullcontext():
-        pair = query_pair(pa, cKDTree(pb), executor)
+        pair = query_pair(pa, cKDTree(pb, compact_nodes=False), executor, compact_nodes=False)
     _last.record = pa.copy(), pb.copy(), pair
     return pair
 

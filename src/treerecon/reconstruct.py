@@ -251,7 +251,9 @@ def reconstruct(
     read the input grid. Raises Diverged, naming the iteration, as soon as a position is no
     longer finite in float32, the loss is no longer finite or a gradient component is too large
     for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once
-    (through `losses.cKDTree`) and hands every `combined_loss` call that tree and a one-worker pool
+    (through `losses.cKDTree`), as a `losses.GtSearch` that keeps each point's last nearest
+    ground-truth point while the triangle inequality proves it is cKDTree's answer and queries the
+    tree for the others, and hands every `combined_loss` call that search and a one-worker pool
     kept off this thread's CPU (`core.worker_pool`), which shares Chamfer's two KD-tree queries
     with this thread (`losses.query_pair`). A run with two or more active terms first forks a
     `_Helper` process, also off this CPU, that scores the last (in `losses.TERMS` order) while
@@ -281,7 +283,7 @@ def reconstruct(
     history: list[tuple[int, float, dict[str, float]]] = []
     totals: list[float] = []
     state = AdamState.zeros(positions.shape)
-    tree = losses.cKDTree(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
+    tree = losses.GtSearch(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
     *first, last = [term for term in TERMS if w.of(term) > 0]
     own, helper = w, None
     if first and threading.active_count() == 1 and (others := core.other_cpus()):  # fork before any thread starts

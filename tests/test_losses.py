@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -676,10 +677,11 @@ def test_chamfer_on_a_pool_keeps_every_byte(side, sizes, data, executor):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, executor):
-    """`chamfer` and `combined_loss` handed the ground truth's tree give, serially and on a pool,
-    the bytes of the calls that build it, on tie-heavy lattice clouds whose N * M is on either
-    side of `losses._TABLE_MAX`; a tree built from another array, even an equal copy, raises
-    InvalidConfig before the pool is asked for anything."""
+    """`chamfer` and `combined_loss` handed the ground truth's tree, or a `losses.GtSearch` of it
+    (whose hint each call leaves for the next), give, serially and on a pool, the bytes of the
+    calls that build it, on tie-heavy lattice clouds whose N * M is on either side of
+    `losses._TABLE_MAX`; one built from another array, even an equal copy, raises InvalidConfig
+    before the pool is asked for anything."""
     a, b = data.draw(cloud_pairs(*sizes))
     assert (len(a) * len(b) > losses._TABLE_MAX) == (side == "trees")
     rng = np.random.default_rng(len(a) * len(b))
@@ -687,18 +689,113 @@ def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, execut
     args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
     value, grad = chamfer(a, b)
     total, total_grad, breakdown = combined_loss(*args)
-    tree, other = cKDTree(b.positions), cKDTree(b.positions.copy())
-    for pool in (None, executor):
-        given_value, given_grad = chamfer(a, b, pool, tree)
-        assert np.float64(given_value).tobytes() == np.float64(value).tobytes()
-        assert given_grad.dtype == grad.dtype and given_grad.tobytes() == grad.tobytes()
-        given_total, given_total_grad, given_breakdown = combined_loss(*args, pool, tree)
-        assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
-        assert given_total_grad.tobytes() == total_grad.tobytes() and given_breakdown == breakdown
-        with pytest.raises(InvalidConfig, match="KD-tree"):
-            chamfer(a, b, pool, other)
-        with pytest.raises(InvalidConfig, match="KD-tree"):
-            combined_loss(*args, pool, other)
+    for build in (cKDTree, losses.GtSearch):
+        tree, other = build(b.positions), build(b.positions.copy())
+        for pool in (None, executor):
+            given_value, given_grad = chamfer(a, b, pool, tree)
+            assert np.float64(given_value).tobytes() == np.float64(value).tobytes()
+            assert given_grad.dtype == grad.dtype and given_grad.tobytes() == grad.tobytes()
+            given_total, given_total_grad, given_breakdown = combined_loss(*args, pool, tree)
+            assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
+            assert given_total_grad.tobytes() == total_grad.tobytes() and given_breakdown == breakdown
+            with pytest.raises(InvalidConfig, match="KD-tree"):
+                chamfer(a, b, pool, other)
+            with pytest.raises(InvalidConfig, match="KD-tree"):
+                combined_loss(*args, pool, other)
+
+
+@st.composite
+def hinted_searches(draw):
+    """(a, pb, hint): both clouds drawn from up to 60 points of a 7 x 7 x 7 lattice, so nearest
+    distances tie exactly, with pb's points repeated or not, at a spacing whose squares are normal,
+    near the smallest normal float64 or subnormal; 1- and 2-point ground truths; a's points on the
+    lattice or jittered off it; x = 1e200 in some points of either cloud, so their squared distances
+    to the others overflow; and a hint that holds each point's answer, any index in [0, M], M itself
+    (no neighbour), a mix of the three, or a length other than a's."""
+    m = draw(st.sampled_from([1, 2]) | st.integers(1, 60))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 1.0, 3.0, 1e-153, 1e-160]))
+    k = draw(st.integers(1, 60))
+    lattice = (np.stack(np.unravel_index(rng.choice(7**3, k, replace=False), (7, 7, 7)), axis=1) - 3) * scale
+    pb = lattice[rng.choice(k, m, replace=m > k or draw(st.booleans()))]
+    jitter = draw(st.sampled_from([0.0, 1e-3, 0.2])) * scale
+    a = lattice[rng.integers(0, k, n)] + rng.normal(0.0, jitter, (n, 3))
+    for points in (a, pb):
+        points[rng.random(len(points)) < draw(st.sampled_from([0.0, 0.2])), 0] = 1e200
+    answers = {"answer": cKDTree(pb).query(a)[1], "any": rng.integers(0, m + 1, n), "M": np.full(n, m)}
+    kind = draw(st.sampled_from(["answer", "any", "M", "mixed", "other length"]))
+    if kind == "mixed":
+        hint = np.choose(rng.integers(0, 3, n), list(answers.values()))
+    elif kind == "other length":
+        hint = rng.integers(0, m + 1, n + draw(st.sampled_from([-1, 1])))
+    else:
+        hint = answers[kind]
+    return a, pb, hint
+
+
+def chamfer_outcome(*args):
+    """chamfer's (value, gradient) bytes, or the message of its InvalidConfig."""
+    try:
+        value, grad = chamfer(*args)
+    except InvalidConfig as e:
+        return str(e)
+    return np.float64(value).tobytes(), grad.tobytes()
+
+
+SUBNORMAL = math.sqrt(0.51 * 2.0**-1074)  # its square is 0.51 of the smallest subnormal, which rounds to 1 of it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=hinted_searches())
+# pb's squared spacing, three terms each rounded up from 0.51 of the smallest subnormal, reads 3 of it,
+# not 1.53, and both of a's squared distances read 0: a radius from it would keep the hint 1
+@example(case=(np.full((1, 3), 0.5 * SUBNORMAL), np.array([[0.0, 0.0, 0.0], [SUBNORMAL] * 3]), np.array([1])))
+# pb's squared spacing overflows, so an infinite radius would keep the hint 1, not a's nearer point 0
+@example(case=(np.array([[0.7e154, 0.0, 0.0]]), np.array([[0.0, 0.0, 0.0], [1.5e154, 0.0, 0.0]]), np.array([1])))
+def test_a_ground_truth_search_answers_as_a_kd_tree_whatever_its_hint(case):
+    """`losses.GtSearch(pb).query(a)`, whatever hint it holds, returns the indices of
+    `cKDTree(pb).query(a)` byte for byte and no distances (None, never half of them), and keeps
+    its answer as the next hint; `chamfer` handed the search gives the bytes of one that builds
+    its own tree, and a point with no neighbour (the index M) raises InvalidConfig, no IndexError."""
+    a, pb, hint = case
+    gt = PointCloud(pb)
+    search = losses.GtSearch(gt.positions)
+    indices = cKDTree(gt.positions).query(a)[1]
+    search.hint = hint
+    distances, got = search.query(a)
+    assert distances is None and got.dtype == indices.dtype and got.tobytes() == indices.tobytes()
+    assert search.hint.tobytes() == indices.tobytes()
+    search.hint = hint
+    outcome = chamfer_outcome(PointCloud(a), gt, None, search)
+    assert outcome == chamfer_outcome(PointCloud(a), gt)
+    if (indices == len(pb)).any():
+        assert outcome == losses._OVERFLOW
+
+
+def test_a_search_queries_the_tree_only_for_the_points_its_hints_do_not_prove(monkeypatch):
+    """A 5 x 5 x 5 lattice of unit spacing as ground truth and a cloud of its points moved by less
+    than a quarter of it, and of its cells' centres, each equally far from 8 lattice points: the
+    first query asks the tree for every point; the next, of the cloud moved again by as little,
+    only for the centres, whose hints the triangle inequality cannot prove."""
+    queried = []
+
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    rng = np.random.default_rng(7)
+    pb = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centres = pb[(pb < 4).all(axis=1)] + 0.5
+    search = losses.GtSearch(pb)
+    queried.clear()  # the self-query that sets the radii
+    for _ in range(2):
+        a = np.concatenate([pb + rng.uniform(-0.1, 0.1, pb.shape), centres])
+        assert search.query(a)[1].tobytes() == cKDTree(pb).query(a)[1].tobytes()
+    assert queried == [len(a), len(centres)]
 
 
 @pytest.mark.parametrize("m", [40, 300])

@@ -526,9 +526,9 @@ def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters
 @pytest.mark.parametrize("threaded", [False, True])
 def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threaded):
     """A run of 30 or more iterations with the Chamfer term on, serial or with its worker pool,
-    builds one `losses.cKDTree` of the ground truth's positions array and hands that tree to
-    every loss call; the only other trees are the cloud's own, one a call (200 points against
-    the ground truth is above `losses._TABLE_MAX`)."""
+    builds one `losses.cKDTree` of the ground truth's positions array, held by one
+    `losses.GtSearch` that it hands to every loss call; the only other trees are the cloud's own,
+    one a call (200 points against the ground truth is above `losses._TABLE_MAX`)."""
     scene, builds, calls = small_scene(0), [], []
     gt = scene.cloud.positions
     assert 200 * len(gt) > losses._TABLE_MAX
@@ -551,9 +551,9 @@ def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threa
                       cfg=OptimConfig(n_points=200, iters=40, weights=PRESETS["geo"][0]))
     assert res.stop_iter >= 30 and len(calls) == res.stop_iter + 1
     assert [data is gt for data in builds].count(True) == 1 and len(builds) == 1 + len(calls)
-    tree = calls[0][1]
-    assert type(tree) is Tree and tree.data is gt
-    assert all(got is tree and (executor is not None) == threaded for executor, got in calls)
+    search = calls[0][1]
+    assert type(search) is losses.GtSearch and type(search.tree) is Tree and search.data is gt
+    assert all(got is search and (executor is not None) == threaded for executor, got in calls)
 
 
 def test_a_ground_truth_not_in_c_order_gives_the_bytes_of_its_c_order_copy():

@@ -48,6 +48,11 @@ whose bytes changed. The artefacts:
   fixed width of 80 columns, with its exit code
 - the exit code and stderr of `bench` on a dataset with no scene directory,
   the temporary directory's path in the message replaced by `<tmp>`
+- the float64 positions, loss history and stopping point of a Chamfer-only
+  `reconstruct` (through the library) of the small-grid scene of seed 0 from
+  its ground truth plus seeded N(0, 0.5) noise, the benchmark's `self_recon`
+  set-up, where most points keep their last nearest ground-truth point
+  without a search (`losses.GtSearch`)
 
 It writes scratch files to a temporary directory, which it removes.
 """
@@ -65,6 +70,9 @@ from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+import treerecon as tr  # noqa: E402
 from treerecon.cli import main  # noqa: E402
 from treerecon.gradcheck import run_gradcheck  # noqa: E402
 
@@ -186,6 +194,16 @@ def digests(tmp: Path):
     (tmp / "empty").mkdir()
     rc, out, err = capture(["bench", "--dataset", str(tmp / "empty")])
     yield "bench/empty/exit+stderr", sha(f"{rc}\n{out}{err}".replace(str(tmp), "<tmp>").encode())
+
+    scene = tr.generate_scene(0, tr.SceneConfig(spec=tr.GridSpec.centered(32, 0.5)))
+    gt = scene.cloud.positions
+    start = gt + np.random.default_rng(0).normal(0.0, 0.5, gt.shape)
+    res = tr.reconstruct(scene.ortho, scene.dsm, gt_cloud=scene.cloud, init_positions=start,
+                         cfg=tr.OptimConfig(weights=tr.LossWeights(1.0, 0.0, 0.0, 0.0)))
+    if res.stop != "loss":
+        raise SystemExit(f"the noisy ground truth's run stopped by {res.stop}, not by the stopping rule")
+    yield "reconstruct/small/geo_only_from_noisy_gt", sha(res.cloud.positions.tobytes()
+                                                          + repr((res.loss_history, res.stop_iter)).encode())
 
 
 def main_digest() -> int:
