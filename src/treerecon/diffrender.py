@@ -16,20 +16,15 @@ vector-Jacobian product (VJP):
 Pixel sums and per-point gradient sums are bincounts over the slot list.
 Each core takes points and builds the list of its own pass in the calling
 thread's buffers (`sensor.workspace`), which its passes share one after
-another, unless it is handed one: the silhouette and the soft DSM splat the
-same (x, y), so `losses.combined_loss_stack` builds one list per stack and
-renders both on it, value only, through `soft_stack`. A VJP works in the
-buffers, so it runs once, and before the next pass on that thread (otherwise
-it raises). `_pass` is each raster kind once: its
-core (the soft or for "sil" and "shadow", the soft-max height for "dsm") and
-the chain rule back to an (x, y, z) row per point: zero z for the silhouette;
-the shadow slides each point along the sun ray to the ground plane
-(`sensor.project_to_ground`) and chains through that projection's constant
-Jacobian. A list can hold a (B, N) stack of copies of a cloud, copy k's pixels
-offset by k * n_pixels, so each copy's raster has the bytes of its own render.
-`soft_stack` renders a stack in one pass (as `gradcheck` does its perturbed
-copies); the public one-cloud renderers are its one-copy case and `_pass`'s
-VJPs. The loss's scored passes live in `losses`.
+another. A VJP works in the buffers, so it runs once, and before the next
+pass on that thread (otherwise it raises). `_pass` is each raster kind once:
+its core (the soft or for "sil" and "shadow", the soft-max height for "dsm")
+and the chain rule back to an (x, y, z) row per point: zero z for the
+silhouette; the shadow slides each point along the sun ray to the ground
+plane (`sensor.project_to_ground`) and chains through that projection's
+constant Jacobian. The public renderers are its forward rasters and its
+VJPs. The loss's scored passes, and `losses.MoveScorer`, which patches one
+cloud's pixel sums for copies that each move one point, live in `losses`.
 """
 from __future__ import annotations
 
@@ -68,22 +63,12 @@ class _Slots:
     then pixel row, then pixel column. The Gaussian is separable: exp runs
     once per (point, column) and once per (point, row), and g is the product.
     Its offsets are dx.ravel()[c] and dy.ravel()[r]; its seven rows are the thread's buffers.
-
-    xy is (N, 2), or a (B, N, 2) stack of B copies of a point set. A stack's
-    points are numbered copy by copy, and copy k's flat pixels are offset by
-    k * spec.n_pixels, so each pixel sums only its own copy's slots, in the
-    order a list of that copy alone sums them.
     """
 
     def __init__(self, xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
-        copies = 1 if xy.ndim == 2 else len(xy)
-        points = xy.reshape(-1, 2)
-        self.n, self.n_pixels, self.sigma = len(points), copies * spec.n_pixels, cfg.sigma
-        self.point, self.flat, self.c, self.r, self.dx, self.dy = pixels_within(
-            points, spec, cfg.trunc * cfg.sigma)
+        self.n, self.n_pixels, self.sigma = len(xy), spec.n_pixels, cfg.sigma
+        self.point, self.flat, self.c, self.r, self.dx, self.dy = pixels_within(xy, spec, cfg.trunc * cfg.sigma)
         self.pass_no = workspace.passes
-        if copies > 1:
-            self.flat += np.repeat(np.arange(copies) * spec.n_pixels, xy.shape[1]).take(self.point)
         self.g, *self.spare = workspace.get("floats", (3, len(self.c)))
         k = -0.5 / cfg.sigma**2
         with np.errstate(over="ignore"):  # a point far off the grid has no slot
@@ -119,10 +104,9 @@ class _Slots:
 # the two composition cores: (pred_flat, vjp), vjp(d_flat) -> point gradients
 
 
-def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: _Slots | None = None):
-    """Soft-or occupancy of (N, 2) points, or a (B, N, 2) stack, on their list `s` if given (its g
-    is left as it was); the VJP returns a gradient row per point."""
-    s = _Slots(xy, spec, cfg) if s is None else s
+def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-or occupancy of (N, 2) points; the VJP returns a gradient row per point."""
+    s = _Slots(xy, spec, cfg)
     log_t, tmp = s.spare
     np.multiply(s.g, ALPHA, out=log_t)
     log_prod = s.to_pixels(np.log(np.subtract(1.0, log_t, out=log_t), out=log_t))
@@ -139,12 +123,11 @@ def _soft_or(xy: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: _Slots | None =
     return 1.0 - np.exp(log_prod), vjp
 
 
-def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: _Slots | None = None):
-    """Soft-max height of (N, 3) points, or a (B, N, 3) stack, on their list `s` if given (its g
-    becomes w); the VJP returns an (x, y, z) row per point."""
-    s = _Slots(positions[..., :2], spec, cfg) if s is None else s
+def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+    """Soft-max height of (N, 3) points; the VJP returns an (x, y, z) row per point."""
+    s = _Slots(positions[:, :2], spec, cfg)
     tmp = s.spare[1]
-    z = positions.reshape(-1, 3)[:, 2].copy()  # the VJP may run after the caller changed positions
+    z = positions[:, 2].copy()  # the VJP may run after the caller changed positions
     w = s.g  # w = g * exp(BETA z) takes the place of g, which no other pass reads
     w *= np.exp(BETA * z).take(s.point, out=tmp, mode="clip")
     denom = s.to_pixels(w) + EPS_GROUND
@@ -176,22 +159,20 @@ def _soft_max_height(positions: np.ndarray, spec: GridSpec, cfg: SoftConfig, s: 
 # one pass per raster kind, and the public renderers as views of it
 
 
-def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig,
-          slots: _Slots | None = None):
-    """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points
-    or a (B, N, 3) stack: (the flat rasters, a VJP taking one cloud's pixel gradient Grid on spec and
-    returning an (x, y, z) row per point). Non-finite positions raise InvalidConfig, for every kind.
-    The sil and dsm kinds render on `slots`, the list of these points' (x, y), if given."""
-    cloud = PointCloud(positions.reshape(-1, 3))  # the (B * N, 3) points, checked finite
+def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec, cfg: SoftConfig):
+    """One soft render of kind "sil", "shadow" or "dsm" (only the shadow reads sun) of (N, 3) points:
+    (the flat raster, a VJP taking a pixel gradient Grid on spec and returning an (x, y, z) row per
+    point). Non-finite positions raise InvalidConfig, for every kind."""
+    cloud = PointCloud(positions)  # checked finite
     if kind == "dsm":
-        pred, vjp = _soft_max_height(positions, spec, cfg, slots)
+        pred, vjp = _soft_max_height(cloud.positions, spec, cfg)
         chain = lambda g: g
     elif kind == "sil":
-        pred, vjp = _soft_or(positions[..., :2], spec, cfg, slots)
+        pred, vjp = _soft_or(cloud.positions[:, :2], spec, cfg)
         chain = lambda gxy: np.column_stack([gxy, np.zeros(len(gxy))])  # the silhouette ignores z
     elif kind == "shadow":
         xy, jac = project_to_ground(cloud, sun)
-        pred, vjp = _soft_or(xy.reshape(*positions.shape[:-1], 2), spec, cfg)
+        pred, vjp = _soft_or(xy, spec, cfg)
         chain = lambda gxy: gxy @ jac
     else:
         raise InvalidConfig(f"unknown raster kind {kind!r}; expected sil, shadow or dsm")
@@ -204,19 +185,9 @@ def _pass(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpe
     return pred, xyz_vjp
 
 
-def soft_stack(kind: str, positions: np.ndarray, sun: SunConfig | None, spec: GridSpec,
-               cfg: SoftConfig, slots: _Slots | None = None) -> np.ndarray:
-    """(B, H, W) soft rasters of kind "sil", "shadow" or "dsm" of a (B, N, 3) stack of clouds.
-
-    A "sil" and then a "dsm" render may share `slots`, the stack's `_Slots` of its (x, y): the
-    silhouette only reads its g and the DSM then overwrites it, so no VJP of a shared list is
-    kept, and each render has the bytes of one on a list of its own."""
-    return _pass(kind, positions, sun, spec, cfg, slots)[0].reshape(-1, spec.height, spec.width)
-
-
 def soft_silhouette(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft occupancy map in [0, 1)."""
-    return Grid(spec, soft_stack("sil", cloud.positions[None], None, spec, cfg)[0])
+    return Grid(spec, _pass("sil", cloud.positions, None, spec, cfg)[0].reshape(spec.height, spec.width))
 
 
 def soft_silhouette_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid) -> np.ndarray:
@@ -226,7 +197,7 @@ def soft_silhouette_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig,
 
 def soft_dsm(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Smooth height map: soft-max-weighted mean z with a virtual ground sample."""
-    return Grid(spec, soft_stack("dsm", cloud.positions[None], None, spec, cfg)[0])
+    return Grid(spec, _pass("dsm", cloud.positions, None, spec, cfg)[0].reshape(spec.height, spec.width))
 
 
 def soft_dsm_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixels: Grid) -> np.ndarray:
@@ -236,7 +207,7 @@ def soft_dsm_backward(cloud: PointCloud, spec: GridSpec, cfg: SoftConfig, d_pixe
 
 def soft_shadow(cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig) -> Grid:
     """Soft shadow mask: soft silhouette of the ground-projected points."""
-    return Grid(spec, soft_stack("shadow", cloud.positions[None], sun, spec, cfg)[0])
+    return Grid(spec, _pass("shadow", cloud.positions, sun, spec, cfg)[0].reshape(spec.height, spec.width))
 
 
 def soft_shadow_backward(cloud: PointCloud, sun: SunConfig, spec: GridSpec, cfg: SoftConfig,

@@ -7,17 +7,13 @@ truncation boundary or a nearest-neighbor tie are skipped: the objective
 is non-smooth exactly there, so finite differences are meaningless (the
 same exclusion a Chamfer check needs away from tie points).
 
-`fd_gradient` hands one scorer per trial (B, N, 3) stacks of perturbed
-copies of the cloud, FD_CHUNK_POINTS points at a time, over every component
-some path checks; each path reads its own column on its own mask. The scorer
-scores the stack value-only with `losses.combined_loss_stack`, which renders
-it once per raster kind on the thread's buffers, the silhouette and the soft
-DSM on one slot list of its (x, y) and the shadow on its own, and returns
-those renders with its scores. Its geo breakdown is the Chamfer path's value
-and its value the combined path's; each kind's render, dotted with the pixel
-gradient in one reduction over the stack, is that kind's path value, so each
-stack is rendered once per kind. Each copy's values have the bytes of its own
-one-cloud render, `chamfer` and `combined_loss`.
+`fd_gradient` hands one scorer per trial its perturbed copies, each as the
+point it moves and that point's moved position, over every component some
+path checks; each path reads its own column on its own mask. The scorer, a
+`losses.MoveScorer` of the trial's cloud, swaps the moved point's terms in
+the cloud's pixel sums, so a copy costs one point's footprint, not N. Its geo
+breakdown is the Chamfer path's value, its value the combined path's, and
+each kind's render dotted with the pixel gradient is that kind's path value.
 """
 from __future__ import annotations
 
@@ -34,49 +30,42 @@ from .diffrender import (
     soft_silhouette_backward,
 )
 from .errors import InvalidConfig
-from .losses import LossTargets, LossWeights, cKDTree, chamfer, combined_loss, combined_loss_stack
+from .losses import LossTargets, LossWeights, MoveScorer, cKDTree, chamfer, combined_loss
 from .sensor import pixels_within, project_to_ground
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
 _REF_FLOOR = ABS_FLOOR / REL_TOL  # err <= max(REL*|g|, ABS)  <=>  err <= REL*max(|g|, this)
 _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
-# points per stack of perturbed copies that fd_gradient hands f (at least one
-# copy): each scorer call pays about 0.9 ms whatever its size (two footprint
-# builds, three renders, a KD-tree build, the Chamfer table), which larger
-# stacks spread, but the stack's (B, H, W) renders and per-point windows grow
-# with its copies: 512 points took 18 % off a gradcheck operation for 2 % more
-# peak memory, 1024 29 % for 5.5 %
-FD_CHUNK_POINTS = 512
+# copies per scorer call: each holds an (H, W) raster per kind; 32 keep the widest
+# trial's traced peak at 1.24 MB, 64 were no faster, 128 pass 3.5 MB (BENCH_49.json)
+FD_CHUNK_COPIES = 32
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
-# here, although gradcheck renders stacks; ROADMAP item 3a or item 10 retires this
+# here, although gradcheck patches pixel sums; ROADMAP item 3a or item 10 retires this
 _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 
 
 def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
     """Central finite differences over the (N, 3) components that `mask` selects.
 
-    f maps a (B, N, 3) stack of perturbed copies of positions to (B,) values, or to (B, K),
-    for an (N, 3) or a (K, N, 3) result. Component (i, j), in np.nonzero order, gets the
-    copy with x + h and then the copy with (x + h) - 2h, the values an in-place loop sees,
-    and a column's result there reads only those two values; the copies reach f in chunks
-    of at most FD_CHUNK_POINTS points (at least one copy each), so memory stays bounded in N.
-    A mask that selects nothing gives f one stack of no copies, for the shape of its values.
+    Each copy of positions moves one point: f maps the (B,) indices of the moved points and their
+    (B, 3) moved positions to (B,) values, or to (B, K), for an (N, 3) or a (K, N, 3) result.
+    Component (i, j), in np.nonzero order, gets the copy with x + h and then the copy with
+    (x + h) - 2h, the values an in-place loop sees, and a column's result there reads only those two
+    values; the copies reach f FD_CHUNK_COPIES at a time. A mask that selects nothing gives f one
+    call of no copies, for the shape of its values.
     """
     if mask.shape != positions.shape:
         raise InvalidConfig(f"mask shape {mask.shape} does not match positions shape {positions.shape}")
     rows, cols = np.nonzero(mask)
     plus = positions[rows, cols] + h
-    moved = np.column_stack([plus, plus - 2 * h]).ravel()  # per component: +h, then -2h from there
-    per_chunk = max(1, FD_CHUNK_POINTS // max(1, len(positions)))
-    chunks = []
-    for start in range(0, max(len(moved), 1), per_chunk):
-        k = np.arange(start, min(start + per_chunk, len(moved)))
-        stack = np.repeat(positions[None], len(k), axis=0)
-        stack[np.arange(len(k)), rows[k // 2], cols[k // 2]] = moved[k]
-        chunks.append(np.asarray(f(stack), dtype=np.float64))
-    values = np.concatenate(chunks)
+    point = np.repeat(rows, 2)
+    moved = positions[point]
+    moved[np.arange(len(point)), np.repeat(cols, 2)] = np.column_stack([plus, plus - 2 * h]).ravel()
+    values = np.concatenate([np.asarray(f(point[k:k + FD_CHUNK_COPIES], moved[k:k + FD_CHUNK_COPIES]),
+                                        dtype=np.float64)
+                             for k in range(0, max(len(point), 1), FD_CHUNK_COPIES)])
     grad = np.zeros(values.shape[1:] + positions.shape)
     grad[..., rows, cols] = ((values[0::2] - values[1::2]) / (2 * h)).T
     return grad
@@ -178,11 +167,13 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         weights = LossWeights(1.0, 1.0, 0.5, 1.0)  # every term on, the DSM's too
         cloud = PointCloud(positions=positions)
 
-        def path_values(ps):
-            """Stack -> per copy, each path's scalar: <its render of each kind, d_pix>, whose
-            gradient the kind's backward returns, then its Chamfer and its loss value."""
-            values, breakdown, renders = combined_loss_stack(ps, targets, sun, spec, cfg, weights)
-            dots = [(renders[kind] * d_pix.values).reshape(-1, spec.n_pixels).sum(axis=1)
+        scorer = MoveScorer(cloud, targets, sun, spec, cfg, weights)
+
+        def path_values(point, moved):
+            """Per copy, each path's scalar: <its render of each kind, d_pix>, whose gradient the
+            kind's backward returns, then its Chamfer and its loss value."""
+            values, breakdown, renders = scorer(point, moved)
+            dots = [(renders[kind] * d_pix.values).reshape(len(point), -1).sum(axis=1)
                     for kind in ("sil", "dsm", "shadow")]
             return np.column_stack([*dots, breakdown["geo"], values])
 

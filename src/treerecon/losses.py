@@ -10,18 +10,18 @@ The raster terms are scored passes: each runs a `diffrender` core on the
 calling thread's buffers, scores it with `raster_l2` and feeds that pixel
 gradient to the core's VJP. `combined_loss` looks each name up in this
 module's globals, so a wrapper set on one here is honoured, and runs every
-pass on the calling thread. `combined_loss_stack` is `combined_loss` of each
-copy of a (B, N, 3) stack of clouds, value and breakdown only, with its bytes;
-it renders the stack once per raster term and returns those renders too, so a
-caller that reads them (`gradcheck`) renders nothing again. `chamfer` and the
-stack's geo term are both `_chamfer_stack`, with one nearest-neighbour rule by
-size (README, step 4): the ground truth's KD-tree for the cloud's points, and for
-the reverse a table of squared distances up to N * M = _TABLE_MAX, a tree per copy
-above it. Above it `query_pair` answers both directions, with the cloud's query on
-an executor's worker, if any: `reconstruct`'s pool kept on the other CPU, or the
-one `metrics` opens for a pair of clouds' one search, which `eval_chamfer` reads
-its value from (`_chamfer_from`) and `fscore` its distances. A `--jobs` worker
-process has no pool, so it stays on one thread.
+pass on the calling thread. `chamfer` has one nearest-neighbour rule by size
+(README, step 4): the ground truth's KD-tree for the cloud's points, and for
+the reverse the argmin of a table of squared distances up to N * M = _TABLE_MAX,
+the cloud's own tree above it. Above it `query_pair` answers both directions,
+with the cloud's query on an executor's worker, if any: `reconstruct`'s pool
+kept on the other CPU, or the one `metrics` opens for a pair of clouds' one
+search, which `eval_chamfer` reads its value from (`_chamfer_from`) and
+`fscore` its distances. A `--jobs` worker process has no pool, so it stays on
+one thread.
+
+`MoveScorer` scores copies of one cloud that each move one point, `gradcheck`'s
+finite differences, from the cloud's pixel sums with that point's terms swapped.
 
 A `reconstruct` run builds the ground truth's tree once, as a `GtSearch`, which
 keeps each cloud point's last nearest ground-truth point j while the triangle
@@ -45,14 +45,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Grid, GridSpec, PointCloud, SunConfig
-from .diffrender import SoftConfig, _Slots, _soft_max_height, _soft_or, soft_stack
+from .diffrender import ALPHA, BETA, EPS_GROUND, SoftConfig, _Slots, _soft_max_height, _soft_or
 from .errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
-_TABLE_BLOCK = 2**14  # distances in one block of the Chamfer table (a block is >= 1 row)
-_TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not a tree per copy (BENCH_36.json)
+_TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not the cloud's tree (BENCH_36.json)
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
 _OVERFLOW = "chamfer is not finite: a squared distance between the clouds overflows float64"
@@ -89,11 +88,19 @@ def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _sq_mean(diff: np.ndarray) -> np.ndarray:
-    """Mean squared length of (..., N, 3) offsets over N: one direction of the Chamfer value. Each
-    length sums x*x, y*y and z*z left to right, as numpy sums an axis of 3 and cKDTree sums them."""
+def _sq_lengths(diff: np.ndarray) -> np.ndarray:
+    """Squared lengths of (..., 3) offsets, each x*x, y*y and z*z summed left to right, as numpy sums
+    an axis of 3 and cKDTree sums them; a mean of them over the points is one direction of Chamfer."""
     x, y, z = (diff[..., k] for k in range(3))
-    return (x * x + y * y + z * z).mean(axis=-1)
+    return x * x + y * y + z * z
+
+
+def _sq_table(pb: np.ndarray, pa: np.ndarray) -> np.ndarray:
+    """(M, N) squared distances from pb's points to pa's, summed x, y, z as `_sq_lengths` sums them;
+    an overflowing one is inf."""
+    with np.errstate(over="ignore"):
+        sq = [(pb[:, k, None] - pa[None, :, k]) ** 2 for k in range(3)]
+        return sq[0] + sq[1] + sq[2]
 
 
 class GtSearch:
@@ -187,70 +194,46 @@ def query_pair(a: np.ndarray, tree_b: cKDTree | GtSearch, executor: Executor | N
     return ahead.result(), back
 
 
-def _chamfer_stack(positions: np.ndarray, pb: np.ndarray, executor: Executor | None = None,
-                   tree: cKDTree | GtSearch | None = None):
-    """Chamfer of each copy of a (B, N, 3) stack against (M, 3) points pb, as (B,) values, with
-    what `chamfer`'s gradient reads: the (B, N, 3) offsets of each copy's points from their
-    nearest pb point, and the (B, M) index of each pb point's nearest point in each copy.
+def _chamfer_from(pa: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.ndarray):
+    """The Chamfer value of (N, 3) points pa against (M, 3) points pb and the offsets `diff_a`, from
+    the index of each pa point's nearest pb point and of each pb point's nearest pa point, with the
+    squared distances recomputed from coordinates. InvalidConfig where the value is not finite: a
+    squared distance overflows float64, so a point may have no neighbour (cKDTree's index M or N)."""
+    if (ia == len(pb)).any() or (ib == len(pa)).any():
+        raise InvalidConfig(_OVERFLOW)
+    with np.errstate(over="ignore"):  # inf, which raises below
+        diff_a = pa - pb[ia]
+        value = _sq_lengths(diff_a).mean() + _sq_lengths(pb - pa[ib]).mean()
+    if not np.isfinite(value):
+        raise InvalidConfig(_OVERFLOW)
+    return float(value), diff_a
 
-    Each copy's points query pb's tree, built here unless handed in as `tree`, a run's `GtSearch`
-    (InvalidConfig unless `tree.data is pb`). The other direction reads a table of squared distances,
-    _TABLE_BLOCK at a time and summed x, y, z as cKDTree sums them (so the same minima), while N * M <= _TABLE_MAX, with no
-    worker; above it `query_pair` answers both directions of each copy against the copy's own tree, with
-    the copy's query of pb's tree, and the runs of pb's query left when it is done, on the `executor`'s
-    worker if there is one. The values and offsets are `_chamfer_from`'s, so InvalidConfig on overflow.
-    """
-    b, n, m = *positions.shape[:2], len(pb)
-    if n == 0 or m == 0:
+
+def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
+            tree: cKDTree | GtSearch | None = None) -> tuple[float, np.ndarray]:
+    """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
+
+    a's points query b's KD-tree: `tree`, a run's `GtSearch` (InvalidConfig unless `tree.data is
+    pb`), or else one built here. The other direction is the `argmin` of `_sq_table` while
+    N * M <= _TABLE_MAX; above it `query_pair` answers both directions, with the `executor`'s worker
+    if any. Squared distances are recomputed from coordinates (`_chamfer_from`), and the reverse
+    gradient is one `np.add.at` on the flat (N * 3,) view, in pb's order."""
+    pa, pb = a.positions, b.positions
+    if len(pa) == 0 or len(pb) == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
     if tree is None:
         tree = cKDTree(pb)
     elif tree.data is not pb:
         raise InvalidConfig("chamfer's KD-tree must be built from the ground truth's own positions array")
-    if n * m > _TABLE_MAX:
-        pairs = [query_pair(p, tree, executor) for p in positions]
-        ia = np.array([fwd for (_, fwd), _ in pairs], dtype=np.intp).reshape(b, n)
-        ib = np.array([rev for _, (_, rev) in pairs], dtype=np.intp).reshape(b, m)
+    if len(pa) * len(pb) > _TABLE_MAX:
+        (_, ia), (_, ib) = query_pair(pa, tree, executor)
     else:
-        ia, ib, rows = tree.query(positions)[1], np.empty((b, m), dtype=np.intp), max(1, _TABLE_BLOCK // max(1, b * n))
-        with np.errstate(over="ignore"):  # an overflowing distance is inf, and _chamfer_from raises
-            for lo in range(0, m, rows):
-                sq = [(pb[lo:lo + rows, k, None] - positions[:, None, :, k]) ** 2 for k in range(3)]
-                ib[:, lo:lo + rows] = (sq[0] + sq[1] + sq[2]).argmin(axis=2)
-    return (*_chamfer_from(positions, pb, ia, ib), ib)
-
-
-def _chamfer_from(positions: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-    """(B,) Chamfer values of a (B, N, 3) stack against pb and the (B, N, 3) offsets `diff_a`, from
-    the (B, N) index of each copy's points' nearest pb point and the (B, M) index of each pb point's
-    nearest point in its copy; the squared distances are recomputed from coordinates.
-
-    InvalidConfig where a value is not finite: a squared distance overflows float64, so a point
-    may have no neighbour at all (cKDTree's index len(pb) or N), which is checked before indexing.
-    """
-    if (ia == len(pb)).any() or (ib == positions.shape[1]).any():
-        raise InvalidConfig(_OVERFLOW)
-    with np.errstate(over="ignore"):  # inf, which raises below
-        diff_a = positions - pb[ia]
-        value = _sq_mean(diff_a) + _sq_mean(pb - np.take_along_axis(positions, ib[..., None], axis=1))
-    if not np.isfinite(value).all():
-        raise InvalidConfig(_OVERFLOW)
-    return value, diff_a
-
-
-def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
-            tree: cKDTree | GtSearch | None = None) -> tuple[float, np.ndarray]:
-    """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a: the one-copy
-    `_chamfer_stack`, whose squared distances are recomputed from coordinates, so the value is a
-    brute-force evaluation's. The `executor`, if any, runs a's query of b's tree (`tree` if given).
-    The reverse term's gradient is scattered by one `np.add.at` on the flat (N * 3,) view, which adds
-    each pb point's x, y and z in pb's order, as a scatter of (3,) rows does."""
-    pa, pb = a.positions, b.positions
-    value, diff_a, ib = (x[0] for x in _chamfer_stack(pa[None], pb, executor, tree))
+        ia, ib = tree.query(pa)[1], _sq_table(pb, pa).argmin(axis=1)
+    value, diff_a = _chamfer_from(pa, pb, ia, ib)
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad.reshape(-1), (3 * ib[:, None] + np.arange(3)).reshape(-1),
               (2.0 * (pa[ib] - pb) / len(pb)).reshape(-1))
-    return float(value), grad
+    return value, grad
 
 
 def raster_l2(pred: Grid, target: Grid) -> tuple[float, Grid]:
@@ -356,34 +339,119 @@ def combined_loss(
     return total, grad, breakdown
 
 
-def combined_loss_stack(
-    positions: np.ndarray, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights,
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """combined_loss(PointCloud(copy), ...)'s value and breakdown, each a (B,) array over the
-    copies of a (B, N, 3) stack, byte for byte, and the (B, H, W) render of each raster term scored.
+def _others(flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per slot of `flat` pixels in point order, the sum of the other slots' values on its pixel: a
+    running sum of those before it plus one of those after it, so no large value is subtracted out."""
+    order = np.argsort(flat, kind="stable")
+    f = flat[order]
+    row = np.cumsum(np.diff(f, prepend=f[:1]) != 0)  # the slot's pixel, numbered from 0
+    rank = np.arange(len(f)) - np.searchsorted(f, f)  # the slot's place among its pixel's slots
+    table = np.zeros((row.max(initial=-1) + 1, rank.max(initial=0) + 3))
+    table[row, rank + 1] = values[order]  # a column of zeros on either side
+    before, after = np.cumsum(table, axis=1), np.cumsum(table[:, ::-1], axis=1)[:, ::-1]
+    others = np.empty_like(values)
+    others[order] = before[row, rank] + after[row, rank + 2]
+    return others
 
-    No gradients: each raster term renders the stack once (`diffrender.soft_stack`) and scores
-    every copy's raster in one reduction, with `raster_l2`'s bytes; the geo term is
-    `_chamfer_stack`, as `chamfer` is, so it reads the table while N * M <= _TABLE_MAX
-    (gradcheck's 20-50 points) and builds a tree per copy above it. With both on, the silhouette
-    and the soft DSM render on one slot list of the stack's (x, y), so in the order sil, dsm,
-    shadow: the DSM overwrites the list's g, which the silhouette reads, and the shadow's own
-    list takes the thread's buffers. The breakdown and the renders keep TERMS order, and so the
-    value its sum.
-    """
-    targets.require(weights, sun, spec)
-    on = [term for term in TERMS if weights.of(term) > 0]
-    shared = _Slots(positions[..., :2], spec, soft_cfg) if {"sil", "dsm"} <= set(on) else None
-    rendered = {kind: soft_stack(kind, positions, sun, spec, soft_cfg, None if kind == "shadow" else shared)
-                for kind in ("sil", "dsm", "shadow") if kind in on}
-    breakdown, renders = {}, {}
-    for term, field in zip(TERMS, _TARGET_FIELDS):
-        target = getattr(targets, field)
-        if term == "geo" and term in on:
-            breakdown[term] = _chamfer_stack(positions, target.positions)[0]
-        elif term in rendered:
-            scale = _DSM_SCALE if term == "dsm" else 1.0
-            r = renders[term] = rendered[term]
-            breakdown[term] = ((r - target.values) ** 2).reshape(-1, spec.n_pixels).mean(axis=1) * scale
-    return sum(weights.of(term) * values for term, values in breakdown.items()), breakdown, renders
+
+class _PixelSums:
+    """A raster kind's per-slot terms `terms(s, z)` of a cloud's `_Slots` s and heights z, summed per
+    pixel, patched per copy that moves one point: on that point's pixels, `_others` plus the moved
+    position's term, or the cloud's sum where that term is unchanged (a silhouette's z move changes no
+    byte); on the moved position's other pixels, the cloud's sum plus its term."""
+
+    def __init__(self, terms, xy: np.ndarray, z: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+        self.terms, self.spec, self.cfg = terms, spec, cfg
+        s = _Slots(xy, spec, cfg)
+        self.values = terms(s, z)
+        self.sums = [s.to_pixels(v) for v in self.values]
+        self.flat = s.flat.copy()  # s's rows are the thread's buffers, which the next pass takes
+        self.others = [_others(self.flat, v) for v in self.values]
+        self.count = np.bincount(s.point, minlength=len(xy))
+        self.start = np.cumsum(self.count) - self.count  # the slots are in point order
+
+    def moved(self, point: np.ndarray, xy: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+        """Each term's (B, n_pixels) sums of B copies, copy k's point[k] moved to (xy[k], z[k])."""
+        b, n_pixels = len(point), self.spec.n_pixels
+        count = self.count[point]
+        ends = np.cumsum(count)  # copy k's moved point's old slots: `count[k]` from `start[point[k]]`
+        old = np.repeat(self.start[point] - (ends - count), count) + np.arange(count.sum())
+        at_old = np.repeat(np.arange(b) * n_pixels, count) + self.flat[old]
+        s = _Slots(xy, self.spec, self.cfg)
+        at_new = s.point * n_pixels + s.flat  # one point's slots cover a pixel once
+        rows = []
+        for base, values, others, new in zip(self.sums, self.values, self.others, self.terms(s, z), strict=True):
+            row, new_at = np.tile(base, b), np.zeros(b * n_pixels)
+            row[at_new] += new
+            new_at[at_new] = new
+            new_at = new_at[at_old]  # the moved position's term on each old slot's pixel, or 0
+            row[at_old] = np.where(new_at == values[old], base[self.flat[old]], others[old] + new_at)
+            rows.append(row.reshape(b, n_pixels))
+        return rows
+
+
+class MoveScorer:
+    """`combined_loss`'s value and breakdown, and each raster term's render, of copies of one cloud
+    that each move one point: each copy's own forward up to rounding, reduced copy by copy. Chamfer
+    keeps each ground-truth point's nearest and second-nearest cloud point (`_sq_table` while
+    N * M <= _TABLE_MAX, else the cloud's tree with k=2); a copy's reverse minimum is the smaller
+    of the cloud's without the moved point and the moved position's distance."""
+
+    def __init__(self, cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec,
+                 soft_cfg: SoftConfig, weights: LossWeights):
+        targets.require(weights, sun, spec)
+        self.targets, self.sun, self.spec, self.weights = targets, sun, spec, weights
+        self.on = [term for term in TERMS if weights.of(term) > 0]
+        pa = cloud.positions
+        ground = project_to_ground(cloud, sun)[0] if "shadow" in self.on else None
+        or_terms = lambda s, z: [np.log(1.0 - s.g * ALPHA)]
+        dsm_terms = lambda s, z: [w := s.g * np.exp(BETA * z).take(s.point), w * z.take(s.point)]
+        kinds = {"sil": (or_terms, pa[:, :2]), "shadow": (or_terms, ground), "dsm": (dsm_terms, pa[:, :2])}
+        self.sums = {term: _PixelSums(terms, xy, pa[:, 2], spec, soft_cfg)
+                     for term, (terms, xy) in kinds.items() if term in self.on}
+        if "geo" in self.on:
+            pb, n, m = targets.gt_cloud.positions, len(pa), len(targets.gt_cloud)
+            if n == 0 or m == 0:
+                raise EmptyCloud("chamfer requires two non-empty clouds")
+            self.pb, self.tree = pb, cKDTree(pb)
+            if n * m <= _TABLE_MAX:  # a column past the end, index N, where there is no second point
+                near = np.argpartition(np.column_stack([_sq_table(pb, pa), np.full(m, np.inf)]), 1, axis=1)
+            else:
+                near = cKDTree(pa).query(pb, k=2)[1]
+            self.nearest, self.forward = near[:, 0], self._forward(pa)
+            with np.errstate(over="ignore"):
+                beyond = np.vstack([pa, np.full(3, np.inf)])
+                self.first, self.second = (_sq_lengths(pb - beyond[i]) for i in near[:, :2].T)
+
+    def _forward(self, p: np.ndarray) -> np.ndarray:  # each point's squared distance to the ground truth
+        with np.errstate(over="ignore"):
+            return _sq_lengths(p - self.pb.take(self.tree.query(p)[1], axis=0, mode="clip"))
+
+    def __call__(self, point: np.ndarray, moved: np.ndarray):
+        """(values, breakdown, renders) of B copies, copy k moving point[k] to moved[k] (B, 3): (B,)
+        values, a (B,) array per active term in TERMS order, and a (B, H, W) render per raster term."""
+        moved = PointCloud(moved)  # checked finite
+        b, p = len(point), moved.positions
+        breakdown, renders = {}, {}
+        for term, field in zip(TERMS, _TARGET_FIELDS):
+            if term == "geo" and term in self.on:
+                breakdown[term] = self._chamfer(point, p)
+            elif term in self.on:
+                xy = project_to_ground(moved, self.sun)[0] if term == "shadow" else p[:, :2]
+                sums = self.sums[term].moved(point, xy, p[:, 2])
+                r = sums[1] / (sums[0] + EPS_GROUND) if term == "dsm" else 1.0 - np.exp(sums[0])
+                renders[term] = r.reshape(b, self.spec.height, self.spec.width)
+                error = ((r - getattr(self.targets, field).values.reshape(-1)) ** 2).mean(axis=1)
+                breakdown[term] = error * (_DSM_SCALE if term == "dsm" else 1.0)
+        return sum(self.weights.of(term) * values for term, values in breakdown.items()), breakdown, renders
+
+    def _chamfer(self, point: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(B,) Chamfer values of the copies; InvalidConfig where one overflows."""
+        forward = np.repeat(self.forward[None], len(point), axis=0)
+        forward[np.arange(len(point)), point] = self._forward(p)
+        reverse = np.where(self.nearest == point[:, None], self.second, self.first)
+        with np.errstate(over="ignore"):
+            value = forward.mean(axis=1) + np.minimum(reverse, _sq_lengths(self.pb - p[:, None])).mean(axis=1)
+        if not np.isfinite(value).all():
+            raise InvalidConfig(_OVERFLOW)
+        return value

@@ -53,7 +53,7 @@ def eval_chamfer(pred: PointCloud, gt: PointCloud) -> float:
     if len(pred) * len(gt) <= _TABLE_MAX:
         return chamfer(pred, gt)[0]
     (_, ia), (_, ib) = _search(pred, gt)
-    return float(_chamfer_from(pred.positions[None], gt.positions, ia[None], ib[None])[0][0])
+    return _chamfer_from(pred.positions, gt.positions, ia, ib)[0]
 
 
 def check_tau(tau: float) -> None:

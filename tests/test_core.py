@@ -195,7 +195,7 @@ def test_a_cloud_takes_only_classes_that_are_bytes(classes, as_array):
 def test_a_cloud_holds_c_ordered_float64_positions_that_its_kd_tree_holds_too(wide, layout):
     """Whatever the layout of the input, the cloud's positions are one C-ordered float64 array
     with the input's values, copied only if the input is not already that, and a KD-tree built
-    from them holds that very array (so `losses._chamfer_stack` accepts it as the cloud's tree)."""
+    from them holds that very array (so `losses.chamfer` accepts it as the cloud's tree)."""
     wide = wide.astype(np.float64)
     x = {"c": np.ascontiguousarray(wide[:, :3]), "fortran": np.asfortranarray(wide[:, :3]),
          "strided": wide[:, 1:4], "float32": wide[:, :3].astype(np.float32)}[layout]

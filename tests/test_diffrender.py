@@ -35,7 +35,6 @@ from treerecon.diffrender import (
     soft_shadow_backward,
     soft_silhouette,
     soft_silhouette_backward,
-    soft_stack,
 )
 from treerecon import diffrender, sensor
 from treerecon.sensor import pixels_within, render_dsm
@@ -434,12 +433,10 @@ def test_a_vjp_after_a_later_pass_on_its_workspace_raises(first, later):
 
 @st.composite
 def dsm_points(draw):
-    """One point, 2-30 points, or a (B, N, 3) stack of 2-4 copies of 1-30 points, some off SPEC."""
-    kind = draw(st.sampled_from(["one", "many", "stack"]))
-    n = 1 if kind == "one" else draw(st.integers(1 if kind == "stack" else 2, 30))
-    shape = (draw(st.integers(2, 4)), n) if kind == "stack" else (n,)
+    """One point or 2-30 points, some off SPEC."""
+    n = draw(st.sampled_from([1]) | st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return np.concatenate([rng.uniform(-12.0, 12.0, (*shape, 2)), rng.uniform(0.0, 8.0, (*shape, 1))], axis=-1)
+    return np.column_stack([rng.uniform(-12.0, 12.0, (n, 2)), rng.uniform(0.0, 8.0, n)])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -449,7 +446,7 @@ def test_the_dsm_vjp_keeps_the_heights_of_its_forward_pass(positions, seed):
     """The caller may change its positions between the soft-DSM pass and its VJP (an
     optimiser steps in place); the VJP returns the bytes of one whose points stayed put."""
     cfg, rng = SoftConfig(sigma=1.1), np.random.default_rng(seed)
-    d_flat = rng.normal(size=(1 if positions.ndim == 2 else len(positions)) * SPEC.n_pixels)
+    d_flat = rng.normal(size=SPEC.n_pixels)
     expected = _soft_max_height(positions, SPEC, cfg)[1](d_flat)
     moved = positions.copy()
     vjp = _soft_max_height(moved, SPEC, cfg)[1]
@@ -570,63 +567,22 @@ def test_two_threads_never_share_a_buffer():
         assert not any(np.shares_memory(a, b) for a in owners[i] for b in owners[j])
 
 
-@st.composite
-def stacks(draw):
-    """A grid and a (B, N, 3) stack of 1-8 copies of 0-30 points each, on and off the grid and
-    on pixel edges, where a copy may repeat an earlier one."""
-    spec = GridSpec(draw(st.integers(1, 16)), draw(st.integers(1, 16)),
-                    draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)),
-                    draw(st.floats(0.1, 3.0)))
-    n = draw(st.integers(0, 30))
-    frac = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
-    point = st.tuples(st.integers(-4, 20), frac, st.integers(-4, 20), frac, st.floats(0.0, 30.0))
-    copies = []
-    for _ in range(draw(st.integers(1, 8))):
-        if copies and draw(st.booleans()):
-            copies.append(copies[draw(st.integers(0, len(copies) - 1))])
-            continue
-        copies.append([(spec.origin_x + (i + fi) * spec.pixel_size, spec.origin_y + (j + fj) * spec.pixel_size, z)
-                       for i, fi, j, fj, z in draw(st.lists(point, min_size=n, max_size=n))])
-    return spec, np.array(copies, dtype=float).reshape(len(copies), n, 3)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@example(spec_stack=(SPEC, np.zeros((3, 0, 3))), sigma=1.0, trunc=np.inf, sun=SunConfig(150.0, 50.0))
-@example(spec_stack=(SPEC, np.repeat(random_cloud(5, 12).positions[None], 4, axis=0)), sigma=1.0,
-         trunc=np.inf, sun=SunConfig(150.0, 50.0))
-@given(spec_stack=stacks(), sigma=st.floats(0.1, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf),
-       sun=st.builds(SunConfig, st.floats(0.0, 360.0), st.floats(20.0, 90.0)))
-def test_a_stacked_render_gives_each_copy_the_bytes_of_its_own_render(spec_stack, sigma, trunc, sun):
-    spec, stack = spec_stack
-    cfg = SoftConfig(sigma=sigma, trunc=trunc)
-    for kind, single, args in (("sil", soft_silhouette, (spec, cfg)),
-                               ("dsm", soft_dsm, (spec, cfg)),
-                               ("shadow", soft_shadow, (sun, spec, cfg))):
-        rasters = soft_stack(kind, stack, sun, spec, cfg)
-        assert rasters.shape == (len(stack), spec.height, spec.width)
-        for copy, raster in zip(stack, rasters, strict=True):
-            assert_same_bytes(raster, single(PointCloud(positions=copy), *args).values)
-
-
 @pytest.mark.parametrize("kind", ["geo", "silhouette", "ortho", ""])
 def test_an_unknown_raster_kind_is_refused(kind):
     """Only the raster names of losses.TERMS render; nothing falls through to the shadow."""
     with pytest.raises(InvalidConfig, match="unknown raster kind"):
-        soft_stack(kind, random_cloud(3, 10).positions[None], SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
+        _pass(kind, random_cloud(3, 10).positions, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
 
 
 @pytest.mark.parametrize("kind", ["sil", "shadow", "dsm"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_every_raster_kind_refuses_a_stack_with_a_non_finite_position(kind, bad, axis):
-    """A stack is checked as a PointCloud is, whatever the kind: no point is left out silently."""
-    stack = random_cloud(4, 6).positions.reshape(2, 3, 3).copy()
-    stack[1, 2, axis] = bad
-    args = (SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
+def test_every_raster_kind_refuses_a_cloud_with_a_non_finite_position(kind, bad, axis):
+    """Positions are checked as a PointCloud checks them, whatever the kind: no point is left out silently."""
+    positions = random_cloud(4, 6).positions.copy()
+    positions[2, axis] = bad
     with pytest.raises(InvalidConfig, match="point positions must be finite"):
-        soft_stack(kind, stack, *args)
-    with pytest.raises(InvalidConfig, match="point positions must be finite"):
-        _pass(kind, stack[1], *args)
+        _pass(kind, positions, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0))
 
 
 def test_inputs_are_read_only():

@@ -83,52 +83,64 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
     assert unsafe > 500
 
 
+def recorded_scorers(monkeypatch) -> list[list]:
+    """Per `MoveScorer` that run_gradcheck builds: first the number of points of each slot list
+    `losses` built while it was built, then per call (copies, those numbers, breakdown, renders)."""
+    built, listed = [], []
+    lists = losses._Slots
+    monkeypatch.setattr(losses, "_Slots", lambda xy, *args: listed.append(len(xy)) or lists(xy, *args))
+
+    class Recorded(losses.MoveScorer):
+        def __init__(self, *args):
+            listed.clear()
+            super().__init__(*args)
+            built.append([listed[:]])
+
+        def __call__(self, point, moved):
+            listed.clear()
+            values, breakdown, renders = super().__call__(point, moved)
+            built[-1].append((len(point), listed[:], breakdown, renders))
+            return values, breakdown, renders
+
+    monkeypatch.setattr(gradcheck, "MoveScorer", Recorded)
+    return built
+
+
 def test_combined_path_checks_the_soft_dsm(monkeypatch):
-    """The DSM term is off by default; the combined path turns it on, so every stack the
-    trial's one scorer scores renders the soft DSM too, and no call scores Chamfer alone."""
-    rendered = []  # per call of the stack scorer, the raster kinds of the stacked renders it ran
-    render = losses.soft_stack
-
-    def counted(kind, *args, **kwargs):
-        rendered[-1].append(kind)
-        return render(kind, *args, **kwargs)
-
-    monkeypatch.setattr(losses, "soft_stack", counted)
-    scorer = gradcheck.combined_loss_stack
-
-    def scored(*args, **kwargs):
-        rendered.append([])
-        return scorer(*args, **kwargs)
-
-    monkeypatch.setattr(gradcheck, "combined_loss_stack", scored)
-    run_gradcheck(seed=0, trials=1)
-    assert len(rendered) > 1
-    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in rendered)
+    """The DSM term is off by default; the combined path turns it on, so every call of each
+    trial's one scorer scores every term and renders every raster kind, the soft DSM too."""
+    built = recorded_scorers(monkeypatch)
+    run_gradcheck(seed=0, trials=2)
+    assert len(built) == 2 and all(len(calls) > 2 for calls in built)
+    for _, _, breakdown, renders in (call for _, *calls in built for call in calls):
+        assert list(breakdown) == list(losses.TERMS) and sorted(renders) == ["dsm", "shadow", "sil"]
 
 
-def test_each_scorer_call_renders_its_stack_once_per_kind(monkeypatch):
-    """The dots read the renders the loss scored: per call of the trial's scorer, one
-    stacked pass of each raster kind reaches `diffrender._pass`, and no other."""
-    rendered = []  # per scorer call, the kinds of the (B, N, 3) passes it ran
-    render_pass = diffrender._pass
+def test_each_kind_lists_the_clouds_slots_once_per_trial(monkeypatch):
+    """Each raster kind lists the cloud's N points' slots once per trial, when the trial's scorer
+    is built, and each call lists only its copies' moved points, once per kind."""
+    built = recorded_scorers(monkeypatch)
+    run_gradcheck(seed=0, trials=2, n_points=30)
+    assert [lists for lists, *_ in built] == [[30, 30, 30]] * 2
+    calls = [call for _, *calls in built for call in calls]
+    assert len(calls) > 4 and all(lists == [copies] * 3 for copies, lists, _, _ in calls)
 
-    def counted(kind, positions, *args, **kwargs):
-        if positions.ndim == 3:
-            rendered[-1].append(kind)
-        return render_pass(kind, positions, *args, **kwargs)
 
-    def scored(f):
-        def call(stack):
-            rendered.append([])
-            return f(stack)
-        return call
-
-    monkeypatch.setattr(diffrender, "_pass", counted)
-    fd = gradcheck.fd_gradient
-    monkeypatch.setattr(gradcheck, "fd_gradient", lambda f, *args: fd(scored(f), *args))
-    run_gradcheck(seed=0, trials=1)
-    assert len(rendered) > 1
-    assert all(sorted(kinds) == ["dsm", "shadow", "sil"] for kinds in rendered)
+@pytest.mark.parametrize("seed, n", [(0, 20), (1, 35), (18, 50)])
+def test_a_trial_hands_the_footprint_builder_n_points_and_its_copies_per_kind(monkeypatch, seed, n):
+    """Past the six one-cloud passes of the analytic gradients (three `*_backward` and three in
+    `combined_loss`), the finite differences of a trial hand `sensor.pixels_within` the cloud's N
+    points and each of its copies' one moved point, per raster kind: at most 3 (N + copies) points,
+    where materialized copies would hand it N points each."""
+    handed = []
+    build = diffrender.pixels_within
+    monkeypatch.setattr(diffrender, "pixels_within", lambda xy, *args: handed.append(len(xy)) or build(xy, *args))
+    masks, fd = [], gradcheck.fd_gradient
+    monkeypatch.setattr(gradcheck, "fd_gradient", lambda f, ps, h, mask: masks.append(mask) or fd(f, ps, h, mask))
+    run_gradcheck(seed=seed, trials=1, n_points=n)
+    copies = 2 * int(np.count_nonzero(masks[0]))
+    assert len(masks) == 1 and copies > 3 * n
+    assert sum(handed) - 6 * n <= 3 * (n + copies)
 
 
 def wavy(p: np.ndarray) -> float:
@@ -136,46 +148,54 @@ def wavy(p: np.ndarray) -> float:
     return float((np.sin(3.0 * p) * np.cos(p[:, ::-1]) + p**3).sum())
 
 
+def materialized(positions: np.ndarray, point: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The (B, N, 3) copies of positions that fd_gradient's (point, moved) stand for: copy k with
+    point point[k] at moved[k]."""
+    stack = np.repeat(positions[None], len(point), axis=0)
+    stack[np.arange(len(point)), point] = moved
+    return stack
+
+
 class Recording:
-    """Stack -> wavy of each copy; records the number of copies of each call."""
+    """(point, moved) -> `of` each materialized copy of positions; records each call's copies."""
 
-    def __init__(self):
-        self.copies = []
+    def __init__(self, positions: np.ndarray, of=wavy):
+        self.positions, self.of, self.copies = positions, of, []
 
-    def __call__(self, stack):
-        self.copies.append(len(stack))
-        return [wavy(p) for p in stack]
+    def __call__(self, point, moved):
+        self.copies.append(len(point))
+        return [self.of(p) for p in materialized(self.positions, point, moved)]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(n=5, bits=[False] * 15, h=1e-4, budget=256)  # f gets no copies
-@example(n=0, bits=[], h=1e-4, budget=256)
+@example(n=5, bits=[False] * 15, h=1e-4, budget=32)  # f gets no copies
+@example(n=0, bits=[], h=1e-4, budget=32)
 @given(n=st.integers(0, 40), bits=st.lists(st.booleans(), min_size=120, max_size=120),
-       h=st.floats(1e-7, 1e-2), budget=st.integers(1, 200))
+       h=st.floats(1e-7, 1e-2), budget=st.integers(1, 80))
 def test_fd_gradient_equals_the_in_place_loop(n, bits, h, budget):
-    """Byte for byte, over drawn masks and chunk budgets that need not divide the copies."""
+    """Byte for byte, over drawn masks and chunk sizes that need not divide the copies."""
     positions = np.random.default_rng(n).uniform(-5.0, 5.0, (n, 3))
     mask = np.array(bits[: 3 * n], dtype=bool).reshape(n, 3)
-    f = Recording()
-    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
+    f = Recording(positions)
+    with mock.patch.object(gradcheck, "FD_CHUNK_COPIES", budget):
         grad = fd_gradient(f, positions, h, mask)
     assert grad.tobytes() == fd_gradient_loop(wavy, positions, h, mask).tobytes()
     assert sum(f.copies) == 2 * int(mask.sum())
-    assert all(copies == 1 or copies * n <= budget for copies in f.copies)
+    assert all(copies <= budget for copies in f.copies)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@example(n=5, k=3, bits=[False] * 45, budget=256)  # f gets no copies
+@example(n=5, k=3, bits=[False] * 45, budget=32)  # f gets no copies
 @given(n=st.integers(1, 30), k=st.integers(1, 5), bits=st.lists(st.booleans(), min_size=450, max_size=450),
-       budget=st.integers(1, 200))
+       budget=st.integers(1, 80))
 def test_each_column_of_fd_gradient_is_a_call_on_that_column_alone(n, k, bits, budget):
     """f of (B, K) values: on each column's own mask, its (N, 3) slice has the bytes of
     fd_gradient of that column on that mask, the union of the masks driving the call."""
     positions = np.random.default_rng(n).uniform(-5.0, 5.0, (n, 3))
     masks = np.array(bits[: 3 * n * k], dtype=bool).reshape(k, n, 3)
-    column = lambda c: lambda stack: [wavy(p * (c + 1)) for p in stack]
-    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
-        fds = fd_gradient(lambda stack: np.column_stack([column(c)(stack) for c in range(k)]),
+    column = lambda c: Recording(positions, lambda p: wavy(p * (c + 1)))
+    with mock.patch.object(gradcheck, "FD_CHUNK_COPIES", budget):
+        fds = fd_gradient(lambda point, moved: np.column_stack([column(c)(point, moved) for c in range(k)]),
                           positions, 1e-4, masks.any(axis=0))
         assert fds.shape == (k, n, 3)
         for c, mask in enumerate(masks):
@@ -183,22 +203,35 @@ def test_each_column_of_fd_gradient_is_a_call_on_that_column_alone(n, k, bits, b
             assert np.where(mask, fds[c], 0.0).tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("n, budget", [(35, 256), (35, 70), (35, 69), (300, 256), (1, 1)])
-def test_fd_gradient_chunks_stay_within_the_point_budget(n, budget):
-    """Every call gets at least one copy, and more than one only while they fit the budget."""
+@pytest.mark.parametrize("n, budget", [(35, 32), (35, 70), (35, 69), (300, 256), (1, 1), (1, 6), (1, 7)])
+def test_fd_gradient_hands_f_its_copies_a_chunk_at_a_time(n, budget):
+    """Every call but the last gets FD_CHUNK_COPIES copies, and the last the rest."""
     positions = np.random.default_rng(3).uniform(-5.0, 5.0, (n, 3))
-    f = Recording()
-    with mock.patch.object(gradcheck, "FD_CHUNK_POINTS", budget):
+    f = Recording(positions)
+    with mock.patch.object(gradcheck, "FD_CHUNK_COPIES", budget):
         fd_gradient(f, positions, 1e-4, np.ones((n, 3), dtype=bool))
-    assert sum(f.copies) == 6 * n and min(f.copies) >= 1
-    assert max(f.copies) == max(1, budget // n)
+    assert sum(f.copies) == 6 * n and f.copies[:-1] == [budget] * (len(f.copies) - 1)
+    assert 1 <= f.copies[-1] <= budget
+
+
+@pytest.mark.parametrize("seed", [0, 18])
+def test_a_trials_fd_arrays_keep_their_bytes_whatever_the_chunk_size(monkeypatch, seed):
+    """The scorer reduces each copy on its own, so each of a trial's fd arrays has the same bytes
+    whether the copies come one per call, a few, FD_CHUNK_COPIES or all in one call."""
+    fd, arrays = gradcheck.fd_gradient, []
+    monkeypatch.setattr(gradcheck, "fd_gradient", lambda *args: arrays.append(fd(*args)) or arrays[-1])
+    for budget in (1, 7, gradcheck.FD_CHUNK_COPIES, 10**6):
+        monkeypatch.setattr(gradcheck, "FD_CHUNK_COPIES", budget)
+        run_gradcheck(seed=seed, trials=2)
+    assert len(arrays) == 8
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays[:2] * 3, arrays[2:], strict=True))
 
 
 @pytest.mark.parametrize("k", [None, 1, 2])
 def test_an_empty_mask_gives_zeros_of_the_shape_a_full_one_gives(k):
     """(N, 3) for (B,) values and (K, N, 3) for (B, K) values, whatever the mask."""
     positions = np.random.default_rng(4).uniform(-5.0, 5.0, (4, 3))
-    f = lambda stack: np.zeros(len(stack) if k is None else (len(stack), k))
+    f = lambda point, moved: np.zeros(len(point) if k is None else (len(point), k))
     full = fd_gradient(f, positions, 1e-4, np.ones((4, 3), dtype=bool))
     empty = fd_gradient(f, positions, 1e-4, np.zeros((4, 3), dtype=bool))
     assert full.shape == empty.shape == ((4, 3) if k is None else (k, 4, 3)) and not empty.any()
@@ -206,7 +239,7 @@ def test_an_empty_mask_gives_zeros_of_the_shape_a_full_one_gives(k):
 
 @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (6, 3), (15,)])
 def test_fd_gradient_rejects_a_mask_of_another_shape(shape):
-    f = Recording()
+    f = Recording(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="mask shape"):
         fd_gradient(f, np.zeros((5, 3)), 1e-4, np.ones(shape, dtype=bool))
     assert f.copies == []
@@ -215,9 +248,10 @@ def test_fd_gradient_rejects_a_mask_of_another_shape(shape):
 def test_a_trial_at_the_widest_splat_peaks_under_3_5_mb():
     """One trial's traced peak, on a fresh thread, so that its `sensor.workspace` starts empty.
     Seed 18 draws sigma = 1.496 px, next to the widest (1.5 px), so its splat windows are about
-    the largest a trial renders: 1.82 MB at FD_CHUNK_POINTS = 256, 3.06 at 512, 4.06 at 768 and
-    5.02 at 1024. Stacks grow memory with their copies, and 1024 points raised `perfbench`'s
-    gradcheck `peak_rss_mb` 5.5 %, so a larger stack size fails here first."""
+    the largest a trial renders: 1.24 MB at FD_CHUNK_COPIES = 32, 0.89 at 16, 1.96 at 64 and 3.54
+    at 128 (MB of 2**20 bytes). Each copy of a call holds an (H, W) row per raster kind, so a
+    chunk of 128 copies fails here first. Stacks of materialized copies peaked at 2.79 MB here at
+    512 points a stack, and at 1024 raised `perfbench`'s gradcheck `peak_rss_mb` 5.5 %."""
     peak = []
 
     def trial():

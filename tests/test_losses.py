@@ -26,7 +26,6 @@ from treerecon.losses import (
     LossWeights,
     chamfer,
     combined_loss,
-    combined_loss_stack,
     raster_l2,
 )
 from treerecon.protree import SceneConfig, generate_scene
@@ -351,197 +350,164 @@ def test_combined_loss_gives_the_bytes_of_independent_passes(on, data):
                for k in breakdown)
 
 
+GEO_ONLY = LossWeights(lambda_sil=0.0, lambda_shadow=0.0)
+
+# four times the largest deviations of `MoveScorer` from the forward of each materialized copy,
+# measured over two batches of 2,000 random examples of `one_point_moves` on random term sets: a
+# relative 5.3e-16 of a value and 5.6e-16 of a breakdown term, 5.6e-16 of a soft-or raster, and
+# 1.8e-15 of a DSM raster relative to the copy's largest |z| (at least 1 m); no Chamfer term deviated
+MOVE_VALUE_REL, MOVE_TERM_REL, MOVE_OR_ABS, MOVE_DSM_REL = 4 * 5.3e-16, 4 * 5.6e-16, 4 * 5.6e-16, 4 * 1.8e-15
+
+
 @st.composite
-def stacks(draw):
-    """A (B, N, 3) stack of clouds, B from 1 to 6 and N from 1 to 40, some points off SPEC; or
-    one full of exact ties: on the integer grid or on that grid scaled by 0.1, with the first
-    half of the points the same in every copy."""
-    b, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+def one_point_moves(draw, on):
+    """(cloud positions, targets, sun, cfg, weights, point, moved): a cloud of 1 to 60 points, some
+    off SPEC; a ground truth of one point, of 1 to 60, or of enough that N * M is above
+    `losses._TABLE_MAX`; weights positive for the terms in `on`; and 0 to 8 copies, copy k moving
+    point[k] to moved[k] along x, y or z by a finite-difference step, by sigma, by the cutoff of
+    3 sigma (so some pixels cross it) or by 30 m (off the grid, or far above or below it)."""
+    n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    step = draw(st.sampled_from([None, 1.0, 0.1]))
-    if step is None:
-        return np.concatenate([rng.uniform(-14.0, 14.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
-    stack = rng.integers([-3, -3, 0], [4, 4, 7], (b, n, 3)) * step
-    stack[1:, : n // 2] = stack[0, : n // 2]
-    return stack
+    pts = np.column_stack([rng.uniform(-14.0, 14.0, (n, 2)), rng.uniform(0.0, 8.0, n)])
+    m = draw(st.sampled_from([1, losses._TABLE_MAX // n + 1]) | st.integers(1, 60))
+    raster = lambda top: Grid(SPEC, rng.uniform(0.0, top, (SPEC.height, SPEC.width)))
+    targets = LossTargets(raster(1.0), raster(1.0), raster(8.0), random_cloud(draw(st.integers(0, 99)), m))
+    weights = LossWeights(*(draw(st.floats(0.1, 4.0)) if term in on else 0.0 for term in TERMS))
+    cfg = SoftConfig(sigma=draw(st.floats(0.3, 2.5)), trunc=draw(st.sampled_from([3.0, np.inf])))
+    sun = SunConfig(draw(st.floats(0.0, 360.0)), draw(st.floats(10.0, 90.0)))
+    b = draw(st.integers(0, 8))
+    point = np.array(draw(st.lists(st.integers(0, n - 1), min_size=b, max_size=b)), dtype=np.intp)
+    axis = draw(st.lists(st.integers(0, 2), min_size=b, max_size=b))
+    steps = draw(st.lists(st.sampled_from([1e-4 * cfg.sigma, cfg.sigma, 3.0 * cfg.sigma, 30.0]).flatmap(
+        lambda step: st.sampled_from([step, -step])), min_size=b, max_size=b))
+    moved = pts[point]
+    moved[np.arange(b), axis] += steps
+    return pts, targets, sun, cfg, weights, point, moved, axis
 
 
 @pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_the_stack_scorer_gives_each_copy_the_bytes_of_combined_loss(on, data):
-    """The value and every breakdown entry of each copy, from one argument tuple, and each
-    raster term's render: the stack's own render of that kind."""
-    _, targets, sun, cfg, weights = data.draw(loss_inputs(on))
-    stack = data.draw(stacks())
+def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
+    """Per copy, the value and each breakdown term of `combined_loss` of the materialized copy, and
+    each raster term's render its `soft_*` render, up to rounding (`MOVE_*` above); a copy that
+    moves a point along z alone keeps every byte of the cloud's own silhouette."""
+    pts, targets, sun, cfg, weights, point, moved, axis = data.draw(one_point_moves(on))
     args = (targets, sun, SPEC, cfg, weights)
-    values, breakdown, renders = combined_loss_stack(stack, *args)
-    assert values.shape == (len(stack),) and list(breakdown) == [t for t in TERMS if t in on]
-    assert all(v.shape == (len(stack),) for v in breakdown.values())
-    assert list(renders) == [t for t in breakdown if t != "geo"]
-    for term, r in renders.items():
-        assert r.shape == (len(stack), SPEC.height, SPEC.width)
-        assert r.tobytes() == diffrender.soft_stack(term, stack, sun, SPEC, cfg).tobytes()
-    for i, p in enumerate(stack):
-        value, _, terms = combined_loss(PointCloud(positions=p.copy()), *args)
-        assert np.float64(values[i]).tobytes() == np.float64(value).tobytes()
-        assert list(terms) == list(breakdown)
-        assert all(np.float64(breakdown[t][i]).tobytes() == np.float64(terms[t]).tobytes() for t in terms)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(stack=stacks(), gt_seed=st.integers(0, 99), gt_n=st.integers(1, 40), shared=st.integers(0, 40))
-def test_the_stacked_chamfer_value_is_chamfers(stack, gt_seed, gt_n, shared):
-    """The geo weight alone at 1: each copy's value and geo term are chamfer's, byte for byte.
-    The ground truth holds `shared` of the stack's points, last copy first, so a stack on a grid
-    ties in both directions."""
-    gt = PointCloud(positions=np.concatenate([random_cloud(gt_seed, gt_n).positions,
-                                              stack[::-1].reshape(-1, 3)[:shared]]))
-    values, breakdown, renders = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC,
-                                                     SoftConfig(sigma=1.0), LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
-    assert renders == {}
-    for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
-        expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
-        assert np.float64(value).tobytes() == expected and np.float64(geo).tobytes() == expected
+    values, breakdown, renders = losses.MoveScorer(PointCloud(pts), *args)(point, moved)
+    on = [term for term in TERMS if weights.of(term) > 0]
+    assert values.shape == (len(point),) and list(breakdown) == on and list(renders) == [t for t in on if t != "geo"]
+    assert all(v.shape == (len(point),) for v in breakdown.values())
+    assert all(r.shape == (len(point), SPEC.height, SPEC.width) for r in renders.values())
+    render = {"sil": lambda c: soft_silhouette(c, SPEC, cfg), "shadow": lambda c: soft_shadow(c, sun, SPEC, cfg),
+              "dsm": lambda c: soft_dsm(c, SPEC, cfg)}
+    for k, (i, p) in enumerate(zip(point, moved)):
+        copy = pts.copy()
+        copy[i] = p
+        value, _, terms = combined_loss(PointCloud(copy), *args)
+        assert abs(values[k] - value) <= MOVE_VALUE_REL * abs(value)
+        assert all(abs(breakdown[t][k] - terms[t]) <= MOVE_TERM_REL * abs(terms[t]) for t in terms)
+        for kind, r in renders.items():
+            tol = MOVE_DSM_REL * max(1.0, np.abs(copy[:, 2]).max()) if kind == "dsm" else MOVE_OR_ABS
+            assert np.abs(r[k] - render[kind](PointCloud(copy)).values).max() <= tol
+        if axis[k] == 2 and "sil" in renders:
+            assert renders["sil"][k].tobytes() == soft_silhouette(PointCloud(pts), SPEC, cfg).values.tobytes()
 
 
 @pytest.mark.parametrize("n", [20, 200])
 @pytest.mark.parametrize("b", [0, 1, 3, 12])
-def test_the_stacked_chamfer_builds_the_ground_truths_kd_tree_and_one_per_copy_above_the_table_size(
-        monkeypatch, b, n):
-    """The ground truth's, for its query of every copy's points. The other direction reads a
-    table at 20 points a copy against 30, and builds each copy's tree at 200 (N * M above
-    `losses._TABLE_MAX`)."""
-    builds = []
+def test_the_move_scorer_reads_a_table_at_or_below_the_table_size_and_kd_trees_above_it(monkeypatch, b, n):
+    """Built, it builds the ground truth's KD-tree, for the cloud's points and each call's moved
+    ones, and for the reverse reads a table at 20 points against 30; at 200 (N * M above
+    `losses._TABLE_MAX`) it builds the cloud's tree, queried with k=2, and no table. A call of b
+    copies builds no tree and no table of its own."""
+    builds, tables = [], []
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
             builds.append(len(data))
             super().__init__(data, *args, **kwargs)
 
+    table = losses._sq_table
     monkeypatch.setattr(losses, "cKDTree", Tree)
-    stack = np.random.default_rng(b).uniform(-7.0, 7.0, (b, n, 3))
-    combined_loss_stack(stack, LossTargets(gt_cloud=random_cloud(0, 30)), None, SPEC, SoftConfig(sigma=1.0),
-                        LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+    monkeypatch.setattr(losses, "_sq_table", lambda pb, pa: tables.append((len(pb), len(pa))) or table(pb, pa))
+    cloud = PointCloud(np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3)))
+    scorer = losses.MoveScorer(cloud, LossTargets(gt_cloud=random_cloud(0, 30)), None, SPEC, SoftConfig(sigma=1.0),
+                               GEO_ONLY)
+    scorer(np.arange(b) % n, cloud.positions[np.arange(b) % n] + 0.5)
     assert (n * 30 > losses._TABLE_MAX) == (n == 200)
-    assert builds == [30] + [n] * b * (n == 200)
-
-
-GEO_ONLY = LossWeights(lambda_sil=0.0, lambda_shadow=0.0)
+    assert builds == [30] + [n] * (n == 200) and tables == [(30, n)] * (n == 20)
 
 
 @pytest.mark.parametrize("n, m", [(63, 65), (64, 64), (64, 65), (65, 64), (2, 2048), (2, 2049), (2049, 2)])
-def test_the_stacked_chamfer_and_chamfer_keep_the_tree_rules_bytes_on_both_sides_of_the_table_size(n, m):
-    """On tie-free clouds whose N * M straddles `losses._TABLE_MAX`, each copy's stacked geo
-    value is `chamfer`'s, and `chamfer`'s value and gradient are, byte for byte, those of the
-    KD-tree rule in both directions (b's tree for a's points, a's tree for b's)."""
-    stack, pb = np.random.default_rng(n).uniform(-7.0, 7.0, (3, n, 3)), random_cloud(m, m).positions
-    _, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=PointCloud(pb)), None, SPEC,
-                                          SoftConfig(sigma=1.0), GEO_ONLY)
-    for p, geo in zip(stack, breakdown["geo"], strict=True):
-        ia, ib = cKDTree(pb).query(p)[1], cKDTree(p).query(pb)[1]
-        expected = ((p - pb[ia]) ** 2).sum(axis=1).mean() + ((pb - p[ib]) ** 2).sum(axis=1).mean()
-        expected_grad = 2.0 * (p - pb[ia]) / n
-        np.add.at(expected_grad, ib, 2.0 * (p[ib] - pb) / m)
-        value, grad = chamfer(PointCloud(positions=p.copy()), PointCloud(pb))
-        assert np.float64(geo).tobytes() == np.float64(value).tobytes() == expected.tobytes()
-        assert grad.tobytes() == expected_grad.tobytes()
+def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_table_size(n, m):
+    """On tie-free clouds whose N * M straddles `losses._TABLE_MAX`, `chamfer`'s value and gradient
+    are, byte for byte, those of the KD-tree rule in both directions (b's tree for a's points, a's
+    tree for b's)."""
+    pa, pb = np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3)), random_cloud(m, m).positions
+    ia, ib = cKDTree(pb).query(pa)[1], cKDTree(pa).query(pb)[1]
+    expected = ((pa - pb[ia]) ** 2).sum(axis=1).mean() + ((pb - pa[ib]) ** 2).sum(axis=1).mean()
+    expected_grad = 2.0 * (pa - pb[ia]) / n
+    np.add.at(expected_grad, ib, 2.0 * (pa[ib] - pb) / m)
+    value, grad = chamfer(PointCloud(pa), PointCloud(pb))
+    assert np.float64(value).tobytes() == expected.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
 
 
 @pytest.mark.parametrize("side", ["table", "trees"])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_the_stacked_chamfer_of_a_lattice_stack_is_brute_chamfer_on_both_sides_of_the_table_size(side, data):
-    """Copies and a ground truth drawn from a few lattice points, so nearest distances tie in
-    both directions: each copy's geo value is `oracles.brute_chamfer`'s, exactly."""
+def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_table_size(side, data):
+    """Clouds and a ground truth drawn from a few lattice points, so nearest distances tie in
+    both directions: each cloud's value is `oracles.brute_chamfer`'s, exactly."""
     n = data.draw(st.integers(1, 100))
     cap = losses._TABLE_MAX // n
     m = data.draw(st.integers(1, cap) if side == "table" else st.integers(cap + 1, cap + 60))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lattice = rng.integers(-3, 4, (data.draw(st.integers(1, 12)), 3)) * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
-    stack = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
+    clouds = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
     gt = lattice[rng.integers(0, len(lattice), m)]
-    _, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=PointCloud(gt)), None, SPEC,
-                                          SoftConfig(sigma=1.0), GEO_ONLY)
-    assert [float(v) for v in breakdown["geo"]] == [brute_chamfer(p, gt) for p in stack]
-
-
-def test_a_stacked_chamfer_table_of_many_blocks_keeps_chamfers_bytes_in_small_memory():
-    """25 copies of 60 points against 64, a size that reads the table: its 96,000 distances
-    (768 kB in one piece) fill 7 blocks, and the call's numpy buffers peak under 2 MB."""
-    stack, gt = np.random.default_rng(1).uniform(-7.0, 7.0, (25, 60, 3)), random_cloud(2, 64)
-    assert 60 * 64 <= losses._TABLE_MAX and 25 * 60 * 64 > 5 * losses._TABLE_BLOCK
-    tracemalloc.start()
-    try:
-        values, breakdown, _ = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC,
-                                                   SoftConfig(sigma=1.0), GEO_ONLY)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    for p, value, geo in zip(stack, values, breakdown["geo"], strict=True):
-        expected = np.float64(chamfer(PointCloud(positions=p.copy()), gt)[0]).tobytes()
-        assert value.tobytes() == expected and geo.tobytes() == expected
-    assert peak < 2e6
+    assert [chamfer(PointCloud(p), PointCloud(gt))[0] for p in clouds] == [brute_chamfer(p, gt) for p in clouds]
 
 
 @pytest.mark.parametrize("n", [4, 1000])
-def test_the_stack_scorer_scores_a_stack_of_no_copies(n):
+def test_the_move_scorer_scores_no_copies(n):
     """What `fd_gradient` hands its scorer on a mask that selects nothing, at a size whose
-    Chamfer reads the table (4 points against 5) and one that builds a tree per copy (1000)."""
+    Chamfer reads the table (4 points against 5) and one that builds the cloud's tree (1000)."""
     raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
     assert (n * 5 > losses._TABLE_MAX) == (n == 1000)
-    values, breakdown, renders = combined_loss_stack(np.zeros((0, n, 3)), targets, SunConfig(150.0, 50.0), SPEC,
-                                                     SoftConfig(sigma=1.0), LossWeights(1.0, 1.0, 0.5, 1.0))
-    assert values.shape == (0,) and all(v.shape == (0,) for v in breakdown.values())
+    scorer = losses.MoveScorer(random_cloud(1, n), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
+                               LossWeights(1.0, 1.0, 0.5, 1.0))
+    values, breakdown, renders = scorer(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+    assert values.shape == (0,) and list(breakdown) == list(TERMS) and all(v.shape == (0,) for v in breakdown.values())
     assert list(renders) == ["sil", "shadow", "dsm"]
     assert all(r.shape == (0, SPEC.height, SPEC.width) for r in renders.values())
 
 
-@pytest.mark.parametrize("lams, builds", [((1, 1, 0.5, 1), 2), ((0, 1, 0, 1), 1), ((0, 1, 0.5, 0), 2),
-                                          ((0, 0, 0.5, 1), 2), ((1, 0, 0, 0), 0)])
-def test_the_stack_scorer_builds_one_footprint_list_for_the_silhouette_and_the_soft_dsm(monkeypatch, lams, builds):
-    """Both splat the stack's (x, y), so with both on they share one `pixels_within` call per
-    stack; the shadow builds its own list, and Chamfer none."""
-    calls = []
+@pytest.mark.parametrize("lams, kinds", [((1, 1, 0.5, 1), 3), ((0, 1, 0, 1), 2), ((0, 1, 0.5, 0), 2),
+                                         ((0, 0, 0.5, 1), 2), ((1, 0, 0, 0), 0)])
+def test_the_move_scorer_lists_each_raster_kinds_slots_once_when_built_and_once_per_call(monkeypatch, lams, kinds):
+    """Built on 12 points, it hands `pixels_within` those 12 once per raster term that is on; each
+    call hands it its copies' moved points, once per such term; Chamfer hands it nothing."""
+    handed = []
     build = diffrender.pixels_within
-    monkeypatch.setattr(diffrender, "pixels_within", lambda *a: calls.append(a) or build(*a))
+    monkeypatch.setattr(diffrender, "pixels_within", lambda xy, *args: handed.append(len(xy)) or build(xy, *args))
     raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
-    stack = np.stack([random_cloud(seed, 12).positions for seed in range(3)])
-    combined_loss_stack(stack, targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), LossWeights(*lams))
-    assert len(calls) == builds
+    scorer = losses.MoveScorer(random_cloud(1, 12), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
+                               LossWeights(*lams))
+    assert handed == [12] * kinds
+    for b in (3, 5):
+        scorer(np.arange(b), random_cloud(2, b).positions)
+    assert handed == [12] * kinds + [3] * kinds + [5] * kinds
 
 
-@st.composite
-def sparse_stacks(draw):
-    """A (B, N, 3) stack, B from 0 to 4 and N from 0 to 30, most points far off SPEC; or `stacks()`."""
-    b, n = draw(st.integers(0, 4)), draw(st.integers(0, 30))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    far = np.concatenate([rng.uniform(-40.0, 40.0, (b, n, 2)), rng.uniform(0.0, 30.0, (b, n, 1))], axis=2)
-    return far if draw(st.booleans()) else draw(stacks())
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(stack=sparse_stacks(), sigma=st.floats(0.2, 3.0), trunc=st.floats(1.0, 6.0) | st.just(np.inf))
-def test_a_shared_slot_list_renders_the_bytes_of_a_list_per_kind(stack, sigma, trunc):
-    """The stacked silhouette and then the soft DSM on one `_Slots` of the stack's (x, y), as
-    `combined_loss_stack` renders them, against each kind's `soft_stack` on a list of its own."""
-    cfg = SoftConfig(sigma=sigma, trunc=trunc)
-    shared = diffrender._Slots(stack[..., :2], SPEC, cfg)
-    sil = diffrender.soft_stack("sil", stack, None, SPEC, cfg, shared)
-    dsm = diffrender.soft_stack("dsm", stack, None, SPEC, cfg, shared)
-    for kind, render in (("sil", sil), ("dsm", dsm)):
-        own = diffrender.soft_stack(kind, stack, None, SPEC, cfg)
-        assert render.shape == own.shape == (len(stack), SPEC.height, SPEC.width)
-        assert render.tobytes() == own.tobytes()
-
-
-def test_the_stack_scorer_refuses_an_empty_ground_truth():
-    gt = PointCloud(np.zeros((0, 3)))
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
+def test_the_move_scorer_refuses_an_empty_cloud_or_ground_truth(n, m):
     with pytest.raises(EmptyCloud):
-        combined_loss_stack(np.zeros((2, 3, 3)), LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0),
-                            LossWeights(lambda_sil=0.0, lambda_shadow=0.0))
+        losses.MoveScorer(PointCloud(np.zeros((n, 3))), LossTargets(gt_cloud=PointCloud(np.zeros((m, 3)))), None,
+                          SPEC, SoftConfig(sigma=1.0), GEO_ONLY)
 
 
 # Chamfer's query on a pool: the bytes of one thread, and the caller sees the worker's errors
@@ -804,7 +770,7 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
         executor, layout, m):
     """A ground truth given in Fortran order, or as three columns of a wider array, whose
     PointCloud holds a C-order copy of it: `chamfer`, `combined_loss` (serially and on a pool)
-    and `combined_loss_stack`, handed no tree, give the bytes of a cloud made from a C-order copy
+    and `MoveScorer`, handed no tree, give the bytes of a cloud made from a C-order copy
     made first, with N * M on either side of `losses._TABLE_MAX`."""
     rng = np.random.default_rng(m)
     wide = rng.uniform(-7.0, 7.0, (m, 5))
@@ -825,9 +791,10 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
         given_total, given_total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=gt), *args, pool)
         assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
         assert given_total_grad.tobytes() == total_grad.tobytes()
-    values = combined_loss_stack(stack, LossTargets(gt_cloud=copy), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)[0]
-    given_values = combined_loss_stack(stack, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)[0]
-    assert given_values.tobytes() == values.tobytes()
+    moves = (np.arange(3), stack[1, :3])
+    values = [losses.MoveScorer(a, LossTargets(gt_cloud=c), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)(*moves)[0]
+              for c in (copy, gt)]
+    assert values[1].tobytes() == values[0].tobytes()
 
 
 def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerecon.core import Grid, GridSpec, PointCloud, SunConfig
-from treerecon.diffrender import SoftConfig, soft_stack
+from treerecon.diffrender import SoftConfig, _pass
 from treerecon.losses import LossTargets, LossWeights, combined_loss
 from treerecon.sensor import render_dsm, render_shadow_hard
 
@@ -89,8 +89,8 @@ def test_hard_renders_move_with_the_points_and_the_sun(scene, rel):
 def test_soft_renders_move_with_the_points_and_the_sun(scene, rel, kind):
     spec, positions, sun, _, cfg, _ = scene
     other, other_sun = moved(rel, positions, sun)
-    render = soft_stack(kind, positions[None], sun, spec, cfg)
-    assert np.abs(rel.raster(render) - soft_stack(kind, other[None], other_sun, spec, cfg)).max() <= SOFT_TOL
+    render = lambda p, s: _pass(kind, p, s, spec, cfg)[0].reshape(spec.height, spec.width)
+    assert np.abs(rel.raster(render(positions, sun)) - render(other, other_sun)).max() <= SOFT_TOL
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -42,8 +42,9 @@ whose bytes changed. The artefacts:
   read as the same numbers, so its line equals `eval/default/tau=0.5`'s only
   while the row pass keeps every byte
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
-  `run_gradcheck(seed=0, trials=1, n_points=200)`'s, whose copies share a
-  finite-difference stack only when a stack holds more than 256 points
+  `run_gradcheck(seed=0, trials=1, n_points=200)`'s, whose N * M above
+  `losses._TABLE_MAX` makes the finite differences' Chamfer query the cloud's
+  KD-tree, not the distance table
 - the `--help` text of the top-level parser and of each subcommand, at a
   fixed width of 80 columns, with its exit code
 - the exit code and stderr of `bench` on a dataset with no scene directory,
