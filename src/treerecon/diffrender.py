@@ -24,7 +24,8 @@ silhouette; the shadow slides each point along the sun ray to the ground
 plane (`sensor.project_to_ground`) and chains through that projection's
 constant Jacobian. The public renderers are its forward rasters and its
 VJPs. The loss's scored passes, and `losses.MoveScorer`, which patches one
-cloud's pixel sums for copies that each move one point, live in `losses`.
+cloud's pixel sums for copies that each move one point, on the pixels under
+the moved point's old and new slots only, live in `losses`.
 """
 from __future__ import annotations
 

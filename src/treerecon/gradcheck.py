@@ -11,9 +11,13 @@ same exclusion a Chamfer check needs away from tie points).
 point it moves and that point's moved position, over every component some
 path checks; each path reads its own column on its own mask. The scorer, a
 `losses.MoveScorer` of the trial's cloud, swaps the moved point's terms in
-the cloud's pixel sums, so a copy costs one point's footprint, not N. Its geo
-breakdown is the Chamfer path's value, its value the combined path's, and
-each kind's render dotted with the pixel gradient is that kind's path value.
+the cloud's pixel sums on the pixels under its old and new slots, so a copy
+costs its moved point's footprint, not N points or a whole raster. Its geo
+breakdown is the Chamfer path's value, its value the combined path's, and a
+kind's path value is its render dotted with the pixel gradient: the cloud's
+dot, once per trial, plus each copy's changed pixels' differences. The
+trial's analytic Chamfer, combined loss and Chamfer mask query the scorer's
+ground-truth KD-tree.
 """
 from __future__ import annotations
 
@@ -37,13 +41,16 @@ REL_TOL = 1e-3
 ABS_FLOOR = 1e-8
 _REF_FLOOR = ABS_FLOOR / REL_TOL  # err <= max(REL*|g|, ABS)  <=>  err <= REL*max(|g|, this)
 _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
-# copies per scorer call: each holds an (H, W) raster per kind; 32 keep the widest
-# trial's traced peak at 1.24 MB, 64 were no faster, 128 pass 3.5 MB (BENCH_49.json)
-FD_CHUNK_COPIES = 32
+# copies per scorer call: a call lists its copies' moved slots in the thread's buffers, about
+# 4 KB a copy; 64 keep `perfbench`'s gradcheck peak RSS where 32 copies of whole rasters had it,
+# while 128 and 256 raised it 0.4 and 2.1 MB though they pass 3.5 MB (the widest trial's traced
+# peak 1.10, 1.85 and 3.31 MB) and a 2,000-point run, where Chamfer works in blocks (BENCH_50.json)
+FD_CHUNK_COPIES = 64
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
 # here, although gradcheck patches pixel sums; ROADMAP item 3a or item 10 retires this
 _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
+_KINDS = ("sil", "dsm", "shadow")  # the raster kinds of the first three paths, in path order
 
 
 def fd_gradient(f, positions: np.ndarray, h: float, mask: np.ndarray) -> np.ndarray:
@@ -111,13 +118,14 @@ def shadow_mask(cloud, sun, spec, cfg, h) -> np.ndarray:
     return np.stack([safe_xy, safe_xy, safe_z], axis=1)
 
 
-def chamfer_mask(cloud, gt, h) -> np.ndarray:
-    """Exclude points whose nearest-neighbor assignment (to gt, or gt's to them) could flip within h."""
+def chamfer_mask(cloud, gt, h, tree: cKDTree) -> np.ndarray:
+    """Exclude points whose nearest-neighbor assignment (to gt, or gt's to them) could flip within h.
+    The cloud's points query `tree`, a default `cKDTree` of gt's positions."""
     pa, pb = cloud.positions, gt.positions
     mask = np.ones((len(pa), 3), dtype=bool)
     for of_gt, (query, ref) in enumerate(((pa, pb), (pb, pa))):
         if len(ref) >= 2:
-            d, idx = cKDTree(ref).query(query, k=2)
+            d, idx = (cKDTree(ref) if of_gt else tree).query(query, k=2)
             tied = d[:, 1] ** 2 - d[:, 0] ** 2 < _MARGIN * h * (d[:, 0] + d[:, 1] + 1.0)
             mask[idx[tied].ravel() if of_gt else tied] = False
     return mask
@@ -168,25 +176,32 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
         cloud = PointCloud(positions=positions)
 
         scorer = MoveScorer(cloud, targets, sun, spec, cfg, weights)
+        d = d_pix.values.reshape(-1)
+        dots = {kind: (scorer.renders[kind] * d).sum() for kind in _KINDS}
 
         def path_values(point, moved):
             """Per copy, each path's scalar: <its render of each kind, d_pix>, whose gradient the
-            kind's backward returns, then its Chamfer and its loss value."""
-            values, breakdown, renders = scorer(point, moved)
-            dots = [(renders[kind] * d_pix.values).reshape(len(point), -1).sum(axis=1)
-                    for kind in ("sil", "dsm", "shadow")]
-            return np.column_stack([*dots, breakdown["geo"], values])
+            kind's backward returns, as the cloud's dot plus the copy's changed pixels' differences,
+            then its Chamfer and its loss value."""
+            values, breakdown, changed = scorer(point, moved)
+            columns = []
+            for kind in _KINDS:
+                copy, pixel, value = changed[kind]
+                delta = (value - scorer.renders[kind][pixel]) * d[pixel]
+                columns.append(dots[kind] + np.bincount(copy, delta, minlength=len(point)))
+            return np.column_stack([*columns, breakdown["geo"], values])
 
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
-        mask_ch = chamfer_mask(cloud, gt, h)
+        mask_ch = chamfer_mask(cloud, gt, h, scorer.tree)
         # (path, its analytic gradient, components to check), in path_values' column order
         paths = (
             ("silhouette", soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),
             ("dsm", soft_dsm_backward(cloud, spec, cfg, d_pix), mask_sil),
             ("shadow", soft_shadow_backward(cloud, sun, spec, cfg, d_pix), mask_sh),
-            ("chamfer", chamfer(cloud, gt)[1], mask_ch),
-            ("combined", combined_loss(cloud, targets, sun, spec, cfg, weights)[1], mask_sil & mask_sh & mask_ch),
+            ("chamfer", chamfer(cloud, gt, tree=scorer.tree)[1], mask_ch),
+            ("combined", combined_loss(cloud, targets, sun, spec, cfg, weights, tree=scorer.tree)[1],
+             mask_sil & mask_sh & mask_ch),
         )
         fds = fd_gradient(path_values, positions, h, mask_sil | mask_sh | mask_ch)
         for (name, analytic, mask), fd in zip(paths, fds, strict=True):

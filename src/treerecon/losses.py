@@ -21,7 +21,9 @@ search, which `eval_chamfer` reads its value from (`_chamfer_from`) and
 one thread.
 
 `MoveScorer` scores copies of one cloud that each move one point, `gradcheck`'s
-finite differences, from the cloud's pixel sums with that point's terms swapped.
+finite differences, from the cloud's pixel sums with that point's terms swapped
+on the pixels under its old and new slots only: a copy returns those pixels'
+render values, and its loss terms add their differences to the cloud's own.
 
 A `reconstruct` run builds the ground truth's tree once, as a `GtSearch`, which
 keeps each cloud point's last nearest ground-truth point j while the triangle
@@ -53,6 +55,7 @@ H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
 _TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not the cloud's tree (BENCH_36.json)
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
+_COPY_BLOCK = 2**16  # the entries of a (copies, points) array of a `MoveScorer` Chamfer block
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
 _OVERFLOW = "chamfer is not finite: a squared distance between the clouds overflows float64"
 
@@ -355,60 +358,100 @@ def _others(flat: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class _PixelSums:
-    """A raster kind's per-slot terms `terms(s, z)` of a cloud's `_Slots` s and heights z, summed per
-    pixel, patched per copy that moves one point: on that point's pixels, `_others` plus the moved
-    position's term, or the cloud's sum where that term is unchanged (a silhouette's z move changes no
-    byte); on the moved position's other pixels, the cloud's sum plus its term."""
+    """One point set's slots (a cloud's (x, y), which the silhouette and the soft DSM share, or its
+    ground projection) and, per raster term on them, the per-slot terms `terms(s, z)` of its
+    `_Slots` s and heights z, their pixel sums and their `_others`. `changed` patches the sums for
+    copies that each move one point, on the pixels a move changes only."""
 
-    def __init__(self, terms, xy: np.ndarray, z: np.ndarray, spec: GridSpec, cfg: SoftConfig):
-        self.terms, self.spec, self.cfg = terms, spec, cfg
+    def __init__(self, kinds: dict, xy: np.ndarray, z: np.ndarray, spec: GridSpec, cfg: SoftConfig):
+        self.kinds, self.spec, self.cfg = kinds, spec, cfg
         s = _Slots(xy, spec, cfg)
-        self.values = terms(s, z)
-        self.sums = [s.to_pixels(v) for v in self.values]
+        self.values = {kind: terms(s, z) for kind, terms in kinds.items()}
+        self.sums = {kind: [s.to_pixels(v) for v in values] for kind, values in self.values.items()}
         self.flat = s.flat.copy()  # s's rows are the thread's buffers, which the next pass takes
-        self.others = [_others(self.flat, v) for v in self.values]
+        self.others = {kind: [_others(self.flat, v) for v in values] for kind, values in self.values.items()}
         self.count = np.bincount(s.point, minlength=len(xy))
         self.start = np.cumsum(self.count) - self.count  # the slots are in point order
 
-    def moved(self, point: np.ndarray, xy: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-        """Each term's (B, n_pixels) sums of B copies, copy k's point[k] moved to (xy[k], z[k])."""
+    def changed(self, point: np.ndarray, xy: np.ndarray, z: np.ndarray):
+        """(copy, pixel, values) of B copies, copy k's point[k] moved to (xy[k], z[k]): each copy's
+        pixels under its moved point's old slots and then those under only its new ones, and per
+        raster term its render values there (`_compose` of its terms' sums). On an old slot's pixel
+        a sum is `_others` plus the moved position's term there, or the cloud's sum where that term
+        is unchanged (a silhouette's z move changes no byte); on a new slot's other pixel, the
+        cloud's sum plus its term. The old and the new slots are matched by their sorted
+        `copy * n_pixels + pixel` keys."""
         b, n_pixels = len(point), self.spec.n_pixels
         count = self.count[point]
         ends = np.cumsum(count)  # copy k's moved point's old slots: `count[k]` from `start[point[k]]`
         old = np.repeat(self.start[point] - (ends - count), count) + np.arange(count.sum())
-        at_old = np.repeat(np.arange(b) * n_pixels, count) + self.flat[old]
+        copy, flat = np.repeat(np.arange(b), count), self.flat[old]
         s = _Slots(xy, self.spec, self.cfg)
-        at_new = s.point * n_pixels + s.flat  # one point's slots cover a pixel once
-        rows = []
-        for base, values, others, new in zip(self.sums, self.values, self.others, self.terms(s, z), strict=True):
-            row, new_at = np.tile(base, b), np.zeros(b * n_pixels)
-            row[at_new] += new
-            new_at[at_new] = new
-            new_at = new_at[at_old]  # the moved position's term on each old slot's pixel, or 0
-            row[at_old] = np.where(new_at == values[old], base[self.flat[old]], others[old] + new_at)
-            rows.append(row.reshape(b, n_pixels))
-        return rows
+        new = {kind: terms(s, z) for kind, terms in self.kinds.items()}
+        keys = np.append(s.point * n_pixels + s.flat, b * n_pixels)  # one past every copy's last key
+        key = copy * n_pixels + flat  # a point's slots are in pixel order, so both lists are sorted
+        at = np.searchsorted(keys, key)
+        shared = keys[at] == key  # an old slot's pixel under the moved position too
+        fresh = np.ones(len(keys), dtype=bool)  # the new slots on no old slot's pixel, and no sentinel
+        fresh[at[shared]] = fresh[-1] = False
+        at[~shared] = len(keys) - 1  # the sentinel, whose term is 0
+        copy, pixel = np.concatenate([copy, s.point[fresh[:-1]]]), np.concatenate([flat, s.flat[fresh[:-1]]])
+        rendered = {}
+        for kind, kind_terms in new.items():
+            sums = []
+            for base, values, others, term in zip(self.sums[kind], self.values[kind], self.others[kind],
+                                                  kind_terms, strict=True):
+                term = np.append(term, 0.0)
+                sums.append(out := np.empty(len(pixel)))
+                on_old, on_new = out[:len(old)], out[len(old):]
+                term_at = term.take(at)  # the moved position's term on each old slot's pixel, or 0
+                np.add(others.take(old), term_at, out=on_old)
+                np.copyto(on_old, base.take(flat), where=term_at == values.take(old))
+                np.add(base.take(pixel[len(old):]), term[fresh], out=on_new)
+            rendered[kind] = _compose(kind, sums)
+        return copy, pixel, rendered
+
+
+def _compose(kind: str, sums: list[np.ndarray]) -> np.ndarray:
+    """A raster kind's render values from its terms' pixel sums, in the sums' own arrays: the soft or
+    `1 - exp(sum)`, or the soft-max height `sum(w z) / (sum(w) + EPS_GROUND)`."""
+    if kind == "dsm":
+        sums[0] += EPS_GROUND
+        return np.divide(sums[1], sums[0], out=sums[1])
+    return np.subtract(1.0, np.exp(sums[0], out=sums[0]), out=sums[0])
 
 
 class MoveScorer:
-    """`combined_loss`'s value and breakdown, and each raster term's render, of copies of one cloud
-    that each move one point: each copy's own forward up to rounding, reduced copy by copy. Chamfer
-    keeps each ground-truth point's nearest and second-nearest cloud point (`_sq_table` while
-    N * M <= _TABLE_MAX, else the cloud's tree with k=2); a copy's reverse minimum is the smaller
-    of the cloud's without the moved point and the moved position's distance."""
+    """`combined_loss`'s value and breakdown, and the changed pixels of each raster term's render, of
+    copies of one cloud that each move one point: each copy's own forward up to rounding, reduced copy
+    by copy. The silhouette and the soft DSM share one `_PixelSums` of the cloud's (x, y), and the
+    shadow has one of its ground projection, so a call lists each point set's moved slots once.
+    `renders` holds the cloud's own flat render per raster term; a copy's loss term is the cloud's
+    squared error plus its changed pixels' differences. Chamfer keeps each ground-truth point's
+    nearest and second-nearest cloud point (`_sq_table` while N * M <= _TABLE_MAX, else the cloud's
+    tree with k=2); a copy's reverse minimum is the smaller of the cloud's without the moved point
+    and the moved position's distance. `tree`, the ground truth's default `cKDTree`, is the one a
+    caller may hand `chamfer` and `combined_loss` for the same bytes."""
 
     def __init__(self, cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec,
                  soft_cfg: SoftConfig, weights: LossWeights):
         targets.require(weights, sun, spec)
-        self.targets, self.sun, self.spec, self.weights = targets, sun, spec, weights
+        self.sun, self.weights, self.n_pixels = sun, weights, spec.n_pixels
         self.on = [term for term in TERMS if weights.of(term) > 0]
         pa = cloud.positions
-        ground = project_to_ground(cloud, sun)[0] if "shadow" in self.on else None
         or_terms = lambda s, z: [np.log(1.0 - s.g * ALPHA)]
         dsm_terms = lambda s, z: [w := s.g * np.exp(BETA * z).take(s.point), w * z.take(s.point)]
-        kinds = {"sil": (or_terms, pa[:, :2]), "shadow": (or_terms, ground), "dsm": (dsm_terms, pa[:, :2])}
-        self.sums = {term: _PixelSums(terms, xy, pa[:, 2], spec, soft_cfg)
-                     for term, (terms, xy) in kinds.items() if term in self.on}
+        on_xy = {term: terms for term, terms in (("sil", or_terms), ("dsm", dsm_terms)) if term in self.on}
+        self.sets = [_PixelSums(on_xy, pa[:, :2], pa[:, 2], spec, soft_cfg)] if on_xy else []
+        if "shadow" in self.on:
+            self.sets.append(_PixelSums({"shadow": or_terms}, project_to_ground(cloud, sun)[0], pa[:, 2],
+                                        spec, soft_cfg))
+        self.renders, self.targets, self.errors = {}, {}, {}
+        for sums in self.sets:
+            for kind, kind_sums in sums.sums.items():
+                self.renders[kind] = _compose(kind, [v.copy() for v in kind_sums])
+                self.targets[kind] = getattr(targets, _TARGET_FIELDS[TERMS.index(kind)]).values.reshape(-1)
+                self.errors[kind] = ((self.renders[kind] - self.targets[kind]) ** 2).sum()
         if "geo" in self.on:
             pb, n, m = targets.gt_cloud.positions, len(pa), len(targets.gt_cloud)
             if n == 0 or m == 0:
@@ -428,30 +471,44 @@ class MoveScorer:
             return _sq_lengths(p - self.pb.take(self.tree.query(p)[1], axis=0, mode="clip"))
 
     def __call__(self, point: np.ndarray, moved: np.ndarray):
-        """(values, breakdown, renders) of B copies, copy k moving point[k] to moved[k] (B, 3): (B,)
-        values, a (B,) array per active term in TERMS order, and a (B, H, W) render per raster term."""
+        """(values, breakdown, changed) of B copies, copy k moving point[k] to moved[k] (B, 3): (B,)
+        values, a (B,) array per active term in TERMS order, and per raster term the (copy, pixel,
+        render value) triples of the pixels each copy changes, each pixel of a copy once; on every
+        other pixel a copy's render is `renders`' (bytes and all)."""
         moved = PointCloud(moved)  # checked finite
         b, p = len(point), moved.positions
-        breakdown, renders = {}, {}
-        for term, field in zip(TERMS, _TARGET_FIELDS):
-            if term == "geo" and term in self.on:
+        changed = {}
+        for sums in self.sets:
+            xy = project_to_ground(moved, self.sun)[0] if "shadow" in sums.kinds else p[:, :2]
+            copy, pixel, values = sums.changed(point, xy, p[:, 2])
+            changed.update((kind, (copy, pixel, value)) for kind, value in values.items())
+        breakdown = {}
+        for term in self.on:
+            if term == "geo":
                 breakdown[term] = self._chamfer(point, p)
-            elif term in self.on:
-                xy = project_to_ground(moved, self.sun)[0] if term == "shadow" else p[:, :2]
-                sums = self.sums[term].moved(point, xy, p[:, 2])
-                r = sums[1] / (sums[0] + EPS_GROUND) if term == "dsm" else 1.0 - np.exp(sums[0])
-                renders[term] = r.reshape(b, self.spec.height, self.spec.width)
-                error = ((r - getattr(self.targets, field).values.reshape(-1)) ** 2).mean(axis=1)
-                breakdown[term] = error * (_DSM_SCALE if term == "dsm" else 1.0)
-        return sum(self.weights.of(term) * values for term, values in breakdown.items()), breakdown, renders
+                continue
+            copy, pixel, value = changed[term]
+            base = self.renders[term].take(pixel)
+            dr = value - base  # dr * (dr + 2 (base - target)) = (value - target)^2 - (base - target)^2
+            error = self.errors[term] + np.bincount(copy, dr * (dr + 2.0 * (base - self.targets[term].take(pixel))),
+                                                    minlength=b)
+            breakdown[term] = error / self.n_pixels * (_DSM_SCALE if term == "dsm" else 1.0)
+        values = sum(self.weights.of(term) * values for term, values in breakdown.items())
+        return values, breakdown, {term: changed[term] for term in self.on if term != "geo"}
 
     def _chamfer(self, point: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """(B,) Chamfer values of the copies; InvalidConfig where one overflows."""
-        forward = np.repeat(self.forward[None], len(point), axis=0)
-        forward[np.arange(len(point)), point] = self._forward(p)
-        reverse = np.where(self.nearest == point[:, None], self.second, self.first)
-        with np.errstate(over="ignore"):
-            value = forward.mean(axis=1) + np.minimum(reverse, _sq_lengths(self.pb - p[:, None])).mean(axis=1)
+        """(B,) Chamfer values of the copies, in blocks of copies whose (copies, N) and (copies, M)
+        arrays hold at most _COPY_BLOCK entries; InvalidConfig where one overflows."""
+        moved, value = self._forward(p), np.empty(len(point))
+        rows = max(1, _COPY_BLOCK // max(len(self.forward), len(self.pb)))
+        for k in range(0, len(point), rows):
+            at, q = point[k:k + rows], p[k:k + rows]
+            forward = np.repeat(self.forward[None], len(at), axis=0)
+            forward[np.arange(len(at)), at] = moved[k:k + rows]
+            reverse = np.where(self.nearest == at[:, None], self.second, self.first)
+            with np.errstate(over="ignore"):
+                nearer = np.minimum(reverse, _sq_lengths(self.pb - q[:, None]))
+                value[k:k + rows] = forward.mean(axis=1) + nearer.mean(axis=1)
         if not np.isfinite(value).all():
             raise InvalidConfig(_OVERFLOW)
         return value

@@ -20,6 +20,7 @@ from treerecon.gradcheck import (
     shadow_mask,
     silhouette_mask,
 )
+from treerecon.losses import cKDTree
 from treerecon.sensor import project_to_ground
 
 
@@ -78,14 +79,15 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
         gt = c if trial % 4 == 0 else random_points(rng, int(rng.integers(1, 40)))
         h = float(10 ** rng.uniform(-4.0, -1.0))
         safe = chamfer_tie_loop(c.positions, gt.positions, _MARGIN * h)
-        np.testing.assert_array_equal(chamfer_mask(c, gt, h), np.column_stack([safe, safe, safe]))
+        mask = chamfer_mask(c, gt, h, cKDTree(gt.positions))
+        np.testing.assert_array_equal(mask, np.column_stack([safe, safe, safe]))
         unsafe += int((~safe).sum())
     assert unsafe > 500
 
 
 def recorded_scorers(monkeypatch) -> list[list]:
     """Per `MoveScorer` that run_gradcheck builds: first the number of points of each slot list
-    `losses` built while it was built, then per call (copies, those numbers, breakdown, renders)."""
+    `losses` built while it was built, then per call (copies, those numbers, breakdown, changed)."""
     built, listed = [], []
     lists = losses._Slots
     monkeypatch.setattr(losses, "_Slots", lambda xy, *args: listed.append(len(xy)) or lists(xy, *args))
@@ -98,9 +100,9 @@ def recorded_scorers(monkeypatch) -> list[list]:
 
         def __call__(self, point, moved):
             listed.clear()
-            values, breakdown, renders = super().__call__(point, moved)
-            built[-1].append((len(point), listed[:], breakdown, renders))
-            return values, breakdown, renders
+            values, breakdown, changed = super().__call__(point, moved)
+            built[-1].append((len(point), listed[:], breakdown, changed))
+            return values, breakdown, changed
 
     monkeypatch.setattr(gradcheck, "MoveScorer", Recorded)
     return built
@@ -112,18 +114,43 @@ def test_combined_path_checks_the_soft_dsm(monkeypatch):
     built = recorded_scorers(monkeypatch)
     run_gradcheck(seed=0, trials=2)
     assert len(built) == 2 and all(len(calls) > 2 for calls in built)
-    for _, _, breakdown, renders in (call for _, *calls in built for call in calls):
-        assert list(breakdown) == list(losses.TERMS) and sorted(renders) == ["dsm", "shadow", "sil"]
+    for _, _, breakdown, changed in (call for _, *calls in built for call in calls):
+        assert list(breakdown) == list(losses.TERMS) and sorted(changed) == ["dsm", "shadow", "sil"]
 
 
-def test_each_kind_lists_the_clouds_slots_once_per_trial(monkeypatch):
-    """Each raster kind lists the cloud's N points' slots once per trial, when the trial's scorer
-    is built, and each call lists only its copies' moved points, once per kind."""
+def test_each_point_set_lists_the_clouds_slots_once_per_trial(monkeypatch):
+    """The cloud's (x, y), which the silhouette and the soft DSM share, and its ground projection
+    list the cloud's N points' slots once per trial, when the trial's scorer is built, and each
+    call lists only its copies' moved points, once per point set."""
     built = recorded_scorers(monkeypatch)
     run_gradcheck(seed=0, trials=2, n_points=30)
-    assert [lists for lists, *_ in built] == [[30, 30, 30]] * 2
+    assert [lists for lists, *_ in built] == [[30, 30]] * 2
     calls = [call for _, *calls in built for call in calls]
-    assert len(calls) > 4 and all(lists == [copies] * 3 for copies, lists, _, _ in calls)
+    assert len(calls) > 4 and all(lists == [copies] * 2 for copies, lists, _, _ in calls)
+
+
+@pytest.mark.parametrize("budget", [7, 64])
+def test_a_trial_lists_each_point_sets_slots_once_per_chunk(monkeypatch, budget):
+    """Per chunk of FD_CHUNK_COPIES copies (the last holds the rest), the scorer lists the slots of
+    its copies' moved (x, y) and then of their ground projection, once each."""
+    handed, moves = [], []
+    lists = losses._Slots
+    monkeypatch.setattr(losses, "_Slots", lambda xy, *args: handed.append(xy.copy()) or lists(xy, *args))
+    monkeypatch.setattr(gradcheck, "FD_CHUNK_COPIES", budget)
+
+    class Recorded(losses.MoveScorer):
+        def __call__(self, point, moved):
+            handed.clear()
+            result = super().__call__(point, moved)
+            moves.append((moved.copy(), handed[:], self.sun))
+            return result
+
+    monkeypatch.setattr(gradcheck, "MoveScorer", Recorded)
+    run_gradcheck(seed=3, trials=1, n_points=20)
+    assert len(moves) >= 2 and all(len(moved) == budget for moved, *_ in moves[:-1]) and len(moves[-1][0]) <= budget
+    for moved, sets, sun in moves:
+        assert [xy.tobytes() for xy in sets] == [moved[:, :2].tobytes(),
+                                                 project_to_ground(PointCloud(moved), sun)[0].tobytes()]
 
 
 @pytest.mark.parametrize("seed, n", [(0, 20), (1, 35), (18, 50)])
@@ -248,10 +275,11 @@ def test_fd_gradient_rejects_a_mask_of_another_shape(shape):
 def test_a_trial_at_the_widest_splat_peaks_under_3_5_mb():
     """One trial's traced peak, on a fresh thread, so that its `sensor.workspace` starts empty.
     Seed 18 draws sigma = 1.496 px, next to the widest (1.5 px), so its splat windows are about
-    the largest a trial renders: 1.24 MB at FD_CHUNK_COPIES = 32, 0.89 at 16, 1.96 at 64 and 3.54
-    at 128 (MB of 2**20 bytes). Each copy of a call holds an (H, W) row per raster kind, so a
-    chunk of 128 copies fails here first. Stacks of materialized copies peaked at 2.79 MB here at
-    512 points a stack, and at 1024 raised `perfbench`'s gradcheck `peak_rss_mb` 5.5 %."""
+    the largest a trial renders: 1.10 MB at FD_CHUNK_COPIES = 64, 1.85 at 128, 3.31 at 256 and
+    3.82 at 512 (MB of 2**20 bytes), which is all of this trial's 300 copies in one call. A call
+    lists its copies' moved slots, about 4 KB a copy in the thread's buffers and its temporaries,
+    so a chunk of 300 copies fails here first. Rows of an (H, W) raster per copy peaked at 1.24 MB
+    at 32 copies a call, and stacks of materialized copies at 2.79 MB at 512 points a stack."""
     peak = []
 
     def trial():

@@ -352,10 +352,13 @@ def test_combined_loss_gives_the_bytes_of_independent_passes(on, data):
 
 GEO_ONLY = LossWeights(lambda_sil=0.0, lambda_shadow=0.0)
 
-# four times the largest deviations of `MoveScorer` from the forward of each materialized copy,
-# measured over two batches of 2,000 random examples of `one_point_moves` on random term sets: a
-# relative 5.3e-16 of a value and 5.6e-16 of a breakdown term, 5.6e-16 of a soft-or raster, and
-# 1.8e-15 of a DSM raster relative to the copy's largest |z| (at least 1 m); no Chamfer term deviated
+# four times the largest deviations of `MoveScorer` from the forward of each materialized copy when
+# every copy held whole rasters, measured over two batches of 2,000 random examples of
+# `one_point_moves` on random term sets: a relative 5.3e-16 of a value and 5.6e-16 of a breakdown
+# term, 5.6e-16 of a soft-or raster, and 1.8e-15 of a DSM raster relative to the copy's largest |z|
+# (at least 1 m); no Chamfer term deviated. Scored from the changed pixels (the cloud's squared
+# error plus each copy's differences), two more such batches read 1.04e-15 of a value and 1.05e-15
+# of a term, within these bounds, and the same raster and Chamfer deviations as before
 MOVE_VALUE_REL, MOVE_TERM_REL, MOVE_OR_ABS, MOVE_DSM_REL = 4 * 5.3e-16, 4 * 5.6e-16, 4 * 5.6e-16, 4 * 1.8e-15
 
 
@@ -390,17 +393,25 @@ def one_point_moves(draw, on):
 @given(data=st.data())
 def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
     """Per copy, the value and each breakdown term of `combined_loss` of the materialized copy, and
-    each raster term's render its `soft_*` render, up to rounding (`MOVE_*` above); a copy that
-    moves a point along z alone keeps every byte of the cloud's own silhouette."""
+    each raster term's render, its changed pixels scattered onto the cloud's own render (the bytes of
+    its `soft_*` render), that copy's `soft_*` render, up to rounding (`MOVE_*` above); a copy lists
+    each pixel once, and a copy that moves a point along z alone keeps every byte of the cloud's own
+    silhouette."""
     pts, targets, sun, cfg, weights, point, moved, axis = data.draw(one_point_moves(on))
     args = (targets, sun, SPEC, cfg, weights)
-    values, breakdown, renders = losses.MoveScorer(PointCloud(pts), *args)(point, moved)
+    scorer = losses.MoveScorer(PointCloud(pts), *args)
+    values, breakdown, changed = scorer(point, moved)
     on = [term for term in TERMS if weights.of(term) > 0]
-    assert values.shape == (len(point),) and list(breakdown) == on and list(renders) == [t for t in on if t != "geo"]
+    assert values.shape == (len(point),) and list(breakdown) == on and list(changed) == [t for t in on if t != "geo"]
     assert all(v.shape == (len(point),) for v in breakdown.values())
-    assert all(r.shape == (len(point), SPEC.height, SPEC.width) for r in renders.values())
     render = {"sil": lambda c: soft_silhouette(c, SPEC, cfg), "shadow": lambda c: soft_shadow(c, sun, SPEC, cfg),
               "dsm": lambda c: soft_dsm(c, SPEC, cfg)}
+    renders = {}
+    for kind, (copy, pixel, value) in changed.items():
+        assert scorer.renders[kind].tobytes() == render[kind](PointCloud(pts)).values.tobytes()
+        assert len(np.unique(copy * SPEC.n_pixels + pixel)) == len(copy) == len(pixel) == len(value)
+        renders[kind] = np.tile(scorer.renders[kind], (len(point), 1))
+        renders[kind][copy, pixel] = value
     for k, (i, p) in enumerate(zip(point, moved)):
         copy = pts.copy()
         copy[i] = p
@@ -409,9 +420,9 @@ def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
         assert all(abs(breakdown[t][k] - terms[t]) <= MOVE_TERM_REL * abs(terms[t]) for t in terms)
         for kind, r in renders.items():
             tol = MOVE_DSM_REL * max(1.0, np.abs(copy[:, 2]).max()) if kind == "dsm" else MOVE_OR_ABS
-            assert np.abs(r[k] - render[kind](PointCloud(copy)).values).max() <= tol
+            assert np.abs(r[k] - render[kind](PointCloud(copy)).values.reshape(-1)).max() <= tol
         if axis[k] == 2 and "sil" in renders:
-            assert renders["sil"][k].tobytes() == soft_silhouette(PointCloud(pts), SPEC, cfg).values.tobytes()
+            assert renders["sil"][k].tobytes() == scorer.renders["sil"].tobytes()
 
 
 @pytest.mark.parametrize("n", [20, 200])
@@ -479,17 +490,19 @@ def test_the_move_scorer_scores_no_copies(n):
     assert (n * 5 > losses._TABLE_MAX) == (n == 1000)
     scorer = losses.MoveScorer(random_cloud(1, n), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
                                LossWeights(1.0, 1.0, 0.5, 1.0))
-    values, breakdown, renders = scorer(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+    values, breakdown, changed = scorer(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
     assert values.shape == (0,) and list(breakdown) == list(TERMS) and all(v.shape == (0,) for v in breakdown.values())
-    assert list(renders) == ["sil", "shadow", "dsm"]
-    assert all(r.shape == (0, SPEC.height, SPEC.width) for r in renders.values())
+    assert list(changed) == ["sil", "shadow", "dsm"]
+    assert all(a.shape == (0,) for triple in changed.values() for a in triple)
 
 
-@pytest.mark.parametrize("lams, kinds", [((1, 1, 0.5, 1), 3), ((0, 1, 0, 1), 2), ((0, 1, 0.5, 0), 2),
-                                         ((0, 0, 0.5, 1), 2), ((1, 0, 0, 0), 0)])
-def test_the_move_scorer_lists_each_raster_kinds_slots_once_when_built_and_once_per_call(monkeypatch, lams, kinds):
-    """Built on 12 points, it hands `pixels_within` those 12 once per raster term that is on; each
-    call hands it its copies' moved points, once per such term; Chamfer hands it nothing."""
+@pytest.mark.parametrize("lams, sets", [((1, 1, 0.5, 1), 2), ((0, 1, 0, 1), 1), ((0, 1, 0.5, 0), 2),
+                                        ((0, 0, 0.5, 1), 2), ((1, 0, 0, 0), 0)])
+def test_the_move_scorer_lists_each_point_sets_slots_once_when_built_and_once_per_call(monkeypatch, lams, sets):
+    """Built on 12 points, it hands `pixels_within` those 12 once per point set a raster term on
+    reads: the (x, y), which the silhouette and the soft DSM share, and the ground projection for
+    the shadow; each call hands it its copies' moved points, once per such set; Chamfer hands it
+    nothing."""
     handed = []
     build = diffrender.pixels_within
     monkeypatch.setattr(diffrender, "pixels_within", lambda xy, *args: handed.append(len(xy)) or build(xy, *args))
@@ -497,10 +510,10 @@ def test_the_move_scorer_lists_each_raster_kinds_slots_once_when_built_and_once_
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
     scorer = losses.MoveScorer(random_cloud(1, 12), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
                                LossWeights(*lams))
-    assert handed == [12] * kinds
+    assert handed == [12] * sets
     for b in (3, 5):
         scorer(np.arange(b), random_cloud(2, b).positions)
-    assert handed == [12] * kinds + [3] * kinds + [5] * kinds
+    assert handed == [12] * sets + [3] * sets + [5] * sets
 
 
 @pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])

@@ -1,9 +1,11 @@
 """Run alternating parent/change pairs of one benchmark workload, of one default
-`treerecon reconstruct`, or of the criterion-4 dataset run, and compare them.
+`treerecon reconstruct` or `treerecon gradcheck`, or of the criterion-4 dataset
+run, and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--out BENCH_n.json]
     python tools/bench_pairs.py PARENT CHANGE --reconstruct MANIFEST [--gt PLY] --pairs N [--out BENCH_n.json]
     python tools/bench_pairs.py PARENT CHANGE --criterion4 [--dataset-seed S] --pairs N [--out BENCH_n.json]
+    python tools/bench_pairs.py PARENT CHANGE --gradcheck --pairs N [--out BENCH_n.json]
 
 PARENT and CHANGE are two source checkouts. Pair i runs each checkout once
 in a fresh process, the parent first when i is even and the change first
@@ -24,18 +26,21 @@ With `--reconstruct`, a run is `python -m treerecon.cli reconstruct
 `--criterion4`, a run is the acceptance suite's criterion-4 workload in
 fresh processes, `generate --count 20 --seed S` (`--dataset-seed`, 42 by
 default, the acceptance suite's scenes) into a new directory and then
-`bench` of that directory, at their defaults. Either records each run's
-wall, user and sys seconds, its minor page faults and the SHA-256 of what
-it wrote (the PLY, or `bench.csv`); the summary compares wall, user, sys
-and CPU (user + sys) seconds and the minor page faults as above and says
-whether every run wrote the same bytes, and whether every run of each side
-did. Minor page faults (first touches of fresh memory) are `ru_minflt` of
-the finished child processes. A criterion-4 run also records the mean
+`bench` of that directory, at their defaults. With `--gradcheck`, a run is
+`python -m treerecon.cli gradcheck` at its defaults (100 trials), which must
+print `[ok]` on each of its five paths, or the script stops. Each records
+each run's wall, user and sys seconds, its minor page faults and the SHA-256
+of what it wrote (the PLY, `bench.csv`, or gradcheck's report, which the run
+also keeps as `report`); the summary compares wall, user, sys and CPU
+(user + sys) seconds and the minor page faults as above and says whether
+every run wrote the same bytes, and whether every run of each side did.
+Minor page faults (first touches of fresh memory) are `ru_minflt` of the
+finished child processes. A criterion-4 run also records the mean
 Chamfer, recall and F-score of each method in its `bench.csv` (`quality`),
 and the summary gives each side's median of them next to the timings.
 
 `--out` writes the same summary into a JSON file under `workloads.W` (or
-`reconstruct`, `reconstruct_gt` with `--gt`, or `criterion4`), keeping
+`reconstruct`, `reconstruct_gt` with `--gt`, `criterion4` or `gradcheck_cli`), keeping
 what the file already holds for the others.
 """
 from __future__ import annotations
@@ -45,6 +50,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import resource
 import shutil
 import statistics
@@ -59,6 +65,7 @@ CLI_TIMES = ("wall_s", "user_s", "sys_s", "cpu_s")
 CHILD_COUNTS = ("cpu_s", "minflt")  # per workload run, from the children's rusage
 METHODS = ("reconstruct", "baseline")  # the methods of a bench.csv
 QUALITY = ("chamfer", "recall", "fscore")  # the bench.csv columns a criterion-4 run averages
+GRADCHECK_PATHS = 5  # the paths a gradcheck report prints, one line each
 
 
 def child_usage(before: resource.struct_rusage, after: resource.struct_rusage) -> dict:
@@ -81,10 +88,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {**json.loads(proc.stdout.strip().splitlines()[-1]), **{k: usage[k] for k in CHILD_COUNTS}}
 
 
-def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
+def cli_once(checkout: Path, commands: list[list[str]], output: Path | None = None) -> dict:
     """Wall, user and sys seconds and minor page faults of `python -m treerecon.cli` commands,
     run one after another in fresh processes on the checkout's `src/`, and the SHA-256 of the
-    file `output` they wrote; a failed command stops the script."""
+    file `output` they wrote, or with no `output` of the last command's stdout, kept as
+    `stdout`; a failed command stops the script."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
@@ -95,8 +103,22 @@ def cli_once(checkout: Path, commands: list[list[str]], output: Path) -> dict:
             raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if output is None:
+        return {"wall_s": wall, **child_usage(before, after), "stdout": proc.stdout,
+                "sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()}
     return {"wall_s": wall, **child_usage(before, after),
             "sha256": hashlib.sha256(output.read_bytes()).hexdigest()}
+
+
+def gradcheck_once(checkout: Path) -> dict:
+    """`cli_once` of one default `gradcheck`, its report as `report` (one line per path); a run
+    that does not print `[ok]` on each of GRADCHECK_PATHS paths stops the script."""
+    result = cli_once(checkout, [["gradcheck"]])
+    report = result.pop("stdout").splitlines()
+    status = [re.fullmatch(r"\w+: max_rel_error=\S+ \[(\w+)\]", line) for line in report]
+    if len(report) != GRADCHECK_PATHS or not all(m and m.group(1) == "ok" for m in status):
+        raise SystemExit(f"{checkout}: gradcheck did not print [ok] on {GRADCHECK_PATHS} paths:\n" + "\n".join(report))
+    return {**result, "report": report}
 
 
 def reconstruct_once(checkout: Path, manifest: Path, out: Path, gt: Path | None = None) -> dict:
@@ -163,6 +185,7 @@ def main(argv=None) -> int:
     what.add_argument("--workload")
     what.add_argument("--reconstruct", type=Path, metavar="MANIFEST")
     what.add_argument("--criterion4", action="store_true")
+    what.add_argument("--gradcheck", action="store_true")
     parser.add_argument("--gt", type=Path, metavar="PLY")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int)
@@ -192,7 +215,11 @@ def main(argv=None) -> int:
                    for t in CLI_TIMES]
         metrics.append({"name": "minflt", "unit": "faults", "better": "lower", "bound": None})
         value = lambda result, metric: result[metric]
-        if args.criterion4:
+        if args.gradcheck:
+            name = "gradcheck_cli"
+            run = lambda side, i, tmp: gradcheck_once(checkouts[side])
+            label = lambda i: {"gradcheck": "defaults", "pair": i}
+        elif args.criterion4:
             name = "criterion4"
             run = lambda side, i, tmp: criterion4_once(checkouts[side], Path(tmp) / "data", dataset_seed)
             label = lambda i: {"criterion4": f"generate --count 20 --seed {dataset_seed}; bench", "pair": i}
