@@ -17,7 +17,7 @@ breakdown is the Chamfer path's value, its value the combined path's, and a
 kind's path value is its render dotted with the pixel gradient: the cloud's
 dot, once per trial, plus each copy's changed pixels' differences. The
 trial's analytic Chamfer, combined loss and Chamfer mask query the scorer's
-ground-truth KD-tree.
+ground-truth KD-tree; the mask also reads the scorer's k=2 search of the cloud.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ _MARGIN = 20.0  # boundary exclusion margin, in units of the FD step
 FD_CHUNK_COPIES = 64
 
 # perfbench/tracing.py wraps the one-cloud forward renderers under these names
-# here, although gradcheck patches pixel sums; ROADMAP item 3a or item 10 retires this
+# here, although gradcheck patches pixel sums; ROADMAP item 6 or item 9 retires this
 _TRACED_RENDERERS = (soft_silhouette, soft_dsm, soft_shadow)
 _KINDS = ("sil", "dsm", "shadow")  # the raster kinds of the first three paths, in path order
 
@@ -118,14 +118,14 @@ def shadow_mask(cloud, sun, spec, cfg, h) -> np.ndarray:
     return np.stack([safe_xy, safe_xy, safe_z], axis=1)
 
 
-def chamfer_mask(cloud, gt, h, tree: cKDTree) -> np.ndarray:
+def chamfer_mask(cloud, gt, h, tree: cKDTree, reverse: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Exclude points whose nearest-neighbor assignment (to gt, or gt's to them) could flip within h.
-    The cloud's points query `tree`, a default `cKDTree` of gt's positions."""
-    pa, pb = cloud.positions, gt.positions
-    mask = np.ones((len(pa), 3), dtype=bool)
-    for of_gt, (query, ref) in enumerate(((pa, pb), (pb, pa))):
+    The cloud's points query `tree`, a default `cKDTree` of gt's positions; gt's read `reverse`, a
+    `MoveScorer`'s: `cKDTree(cloud.positions).query(gt.positions, k=2)`."""
+    mask = np.ones((len(cloud), 3), dtype=bool)
+    for of_gt, ref in enumerate((gt, cloud)):
         if len(ref) >= 2:
-            d, idx = (cKDTree(ref) if of_gt else tree).query(query, k=2)
+            d, idx = reverse if of_gt else tree.query(cloud.positions, k=2)
             tied = d[:, 1] ** 2 - d[:, 0] ** 2 < _MARGIN * h * (d[:, 0] + d[:, 1] + 1.0)
             mask[idx[tied].ravel() if of_gt else tied] = False
     return mask
@@ -193,7 +193,7 @@ def run_gradcheck(seed: int = 0, trials: int = 100, n_points: int | None = None)
 
         mask_sil = silhouette_mask(cloud, spec, cfg, h)
         mask_sh = shadow_mask(cloud, sun, spec, cfg, h)
-        mask_ch = chamfer_mask(cloud, gt, h, scorer.tree)
+        mask_ch = chamfer_mask(cloud, gt, h, scorer.tree, scorer.reverse)
         # (path, its analytic gradient, components to check), in path_values' column order
         paths = (
             ("silhouette", soft_silhouette_backward(cloud, spec, cfg, d_pix), mask_sil),

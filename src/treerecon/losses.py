@@ -53,7 +53,7 @@ from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
-_TABLE_MAX = 64**2  # the largest N * M whose Chamfer reads the table, not the cloud's tree (BENCH_36.json)
+_TABLE_MAX = 64**2  # the largest N * M whose `chamfer`, and so a small `eval_chamfer`, reads the table
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
 _COPY_BLOCK = 2**16  # the entries of a (copies, points) array of a `MoveScorer` Chamfer block
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
@@ -86,7 +86,7 @@ class LossWeights:
 def nearest_neighbors(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Index into ref of each query point's nearest neighbor (KD-tree).
 
-    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 3a or item 10."""
+    No caller is left; it stays because perfbench/tracing.py wraps it until ROADMAP item 6 or item 9."""
     _, idx = cKDTree(ref).query(query)
     return idx
 
@@ -278,21 +278,24 @@ class LossTargets:
     dsm: Grid | None = None
     gt_cloud: PointCloud | None = None
 
-    def require(self, weights: LossWeights, sun: SunConfig | None, spec: GridSpec) -> None:
-        """Check the inputs of every term with a positive weight.
+    def require(self, weights: LossWeights, sun: SunConfig | None, spec: GridSpec) -> dict:
+        """{term: its target} of every term with a positive weight, in TERMS order: the active
+        terms, which `combined_loss`, `MoveScorer` and `reconstruct` read from here alone.
 
         Raises MissingTarget when a target (for the shadow term, also the
         sun) is absent and SpecMismatch when a raster target is on another grid.
         """
+        active = {}
         for term, field in zip(TERMS, _TARGET_FIELDS):
             if weights.of(term) <= 0:
                 continue
-            target = getattr(self, field)
+            target = active[term] = getattr(self, field)
             if target is None or (term == "shadow" and sun is None):
                 needs = " and a sun" if term == "shadow" else ""
                 raise MissingTarget(f"lambda_{term} > 0 requires a {field} target{needs}")
             if isinstance(target, Grid) and target.spec != spec:
                 raise SpecMismatch(f"{field} target spec mismatch")
+        return active
 
 
 def resolve_weights(
@@ -313,32 +316,28 @@ def combined_loss(
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
-    Each term with a positive weight runs one pass on this thread and adds its weighted
-    value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
+    Each term `targets.require` returns runs one pass on this thread against its target and adds
+    its weighted value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
     worker runs one of its two KD-tree queries, and so does the ground truth's `tree` (a run's
     `GtSearch`), if any.
     """
-    targets.require(weights, sun, spec)
     total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
-    for term in TERMS:
-        lam = weights.of(term)
-        if lam <= 0:
-            continue
+    for term, target in targets.require(weights, sun, spec).items():
         if term == "geo":
-            value, g = chamfer(cloud, targets.gt_cloud, executor, tree)
+            value, g = chamfer(cloud, target, executor, tree)
         elif term == "sil":
             xy = cloud.positions[:, :2]
-            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, targets.silhouette)
+            value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, target)
             g = np.column_stack([gxy, np.zeros(len(cloud))])
         elif term == "shadow":
             ground, jac = project_to_ground(cloud, sun)
-            value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, targets.shadow)
+            value, gxy = occupancy_forward_backward(ground, spec, soft_cfg, target)
             g = gxy @ jac
         else:
-            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, targets.dsm)
+            value, g = dsm_forward_backward(cloud.positions, spec, soft_cfg, target)
         breakdown[term] = value
-        total += lam * value
-        grad += lam * g
+        total += weights.of(term) * value
+        grad += weights.of(term) * g
     return total, grad, breakdown
 
 
@@ -427,17 +426,17 @@ class MoveScorer:
     by copy. The silhouette and the soft DSM share one `_PixelSums` of the cloud's (x, y), and the
     shadow has one of its ground projection, so a call lists each point set's moved slots once.
     `renders` holds the cloud's own flat render per raster term; a copy's loss term is the cloud's
-    squared error plus its changed pixels' differences. Chamfer keeps each ground-truth point's
-    nearest and second-nearest cloud point (`_sq_table` while N * M <= _TABLE_MAX, else the cloud's
-    tree with k=2); a copy's reverse minimum is the smaller of the cloud's without the moved point
-    and the moved position's distance. `tree`, the ground truth's default `cKDTree`, is the one a
-    caller may hand `chamfer` and `combined_loss` for the same bytes."""
+    squared error plus its changed pixels' differences. Its terms and targets are `require`'s.
+    Chamfer keeps `reverse`, one k=2 query of the cloud's default `cKDTree` for the ground truth's
+    points at every size: each one's nearest and second-nearest cloud point (index N for none); a
+    copy's reverse minimum is the smaller of the cloud's without the moved point and the moved
+    position's distance. `tree`, the ground truth's default `cKDTree`, is the one a caller may hand
+    `chamfer` and `combined_loss` for the same bytes."""
 
     def __init__(self, cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec,
                  soft_cfg: SoftConfig, weights: LossWeights):
-        targets.require(weights, sun, spec)
-        self.sun, self.weights, self.n_pixels = sun, weights, spec.n_pixels
-        self.on = [term for term in TERMS if weights.of(term) > 0]
+        active = targets.require(weights, sun, spec)
+        self.sun, self.weights, self.n_pixels, self.on = sun, weights, spec.n_pixels, list(active)
         pa = cloud.positions
         or_terms = lambda s, z: [np.log(1.0 - s.g * ALPHA)]
         dsm_terms = lambda s, z: [w := s.g * np.exp(BETA * z).take(s.point), w * z.take(s.point)]
@@ -450,21 +449,17 @@ class MoveScorer:
         for sums in self.sets:
             for kind, kind_sums in sums.sums.items():
                 self.renders[kind] = _compose(kind, [v.copy() for v in kind_sums])
-                self.targets[kind] = getattr(targets, _TARGET_FIELDS[TERMS.index(kind)]).values.reshape(-1)
+                self.targets[kind] = active[kind].values.reshape(-1)
                 self.errors[kind] = ((self.renders[kind] - self.targets[kind]) ** 2).sum()
-        if "geo" in self.on:
-            pb, n, m = targets.gt_cloud.positions, len(pa), len(targets.gt_cloud)
-            if n == 0 or m == 0:
+        if "geo" in active:
+            pb = active["geo"].positions
+            if len(pa) == 0 or len(pb) == 0:
                 raise EmptyCloud("chamfer requires two non-empty clouds")
-            self.pb, self.tree = pb, cKDTree(pb)
-            if n * m <= _TABLE_MAX:  # a column past the end, index N, where there is no second point
-                near = np.argpartition(np.column_stack([_sq_table(pb, pa), np.full(m, np.inf)]), 1, axis=1)
-            else:
-                near = cKDTree(pa).query(pb, k=2)[1]
-            self.nearest, self.forward = near[:, 0], self._forward(pa)
+            self.pb, self.tree, self.reverse = pb, cKDTree(pb), cKDTree(pa).query(pb, k=2)
+            self.nearest, self.forward = self.reverse[1][:, 0], self._forward(pa)
             with np.errstate(over="ignore"):
                 beyond = np.vstack([pa, np.full(3, np.inf)])
-                self.first, self.second = (_sq_lengths(pb - beyond[i]) for i in near[:, :2].T)
+                self.first, self.second = (_sq_lengths(pb - beyond[i]) for i in self.reverse[1].T)
 
     def _forward(self, p: np.ndarray) -> np.ndarray:  # each point's squared distance to the ground truth
         with np.errstate(over="ignore"):

@@ -266,7 +266,7 @@ def reconstruct(
     targets = derive_targets(ortho, dsm, cfg.h_min, shadow_target)
     targets.gt_cloud = gt_cloud
     w = cfg.weights or resolve_weights(gt_cloud, shadow_target)
-    targets.require(w, sun, spec)
+    *first, last = active = targets.require(w, sun, spec)  # checked on the input grid, before pooling
     loss_spec = pooled_spec(spec, LOSS_POOL)
     rasters = (targets.silhouette, targets.shadow, targets.dsm)
     pooled = LossTargets(*(None if g is None else pool(g, LOSS_POOL) for g in rasters), gt_cloud)
@@ -283,8 +283,7 @@ def reconstruct(
     history: list[tuple[int, float, dict[str, float]]] = []
     totals: list[float] = []
     state = AdamState.zeros(positions.shape)
-    tree = losses.GtSearch(gt_cloud.positions) if w.lambda_geo > 0 else None  # queried by every Chamfer call
-    *first, last = [term for term in TERMS if w.of(term) > 0]
+    tree = losses.GtSearch(gt_cloud.positions) if "geo" in active else None  # queried by every Chamfer call
     own, helper = w, None
     if first and threading.active_count() == 1 and (others := core.other_cpus()):  # fork before any thread starts
         own = LossWeights(**{f"lambda_{t}": 0.0 if t == last else w.of(t) for t in TERMS})
@@ -292,7 +291,7 @@ def reconstruct(
         helper = _Helper(lambda p: combined_loss(PointCloud(positions=p), pooled, sun, loss_spec, soft_cfg, alone,
                                                  None, None), last, len(positions), others)
     with contextlib.closing(helper) if helper else contextlib.nullcontext(), \
-            (executor := core.worker_pool() if w.lambda_geo > 0 else None) or contextlib.nullcontext():
+            (executor := core.worker_pool() if "geo" in active else None) or contextlib.nullcontext():
         for t in range(cfg.iters + 1):
             if t > 0:
                 positions = adam_step(state, positions, grad, cfg.lr)

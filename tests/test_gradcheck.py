@@ -79,11 +79,28 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
         gt = c if trial % 4 == 0 else random_points(rng, int(rng.integers(1, 40)))
         h = float(10 ** rng.uniform(-4.0, -1.0))
         safe = chamfer_tie_loop(c.positions, gt.positions, _MARGIN * h)
-        mask = chamfer_mask(c, gt, h, cKDTree(gt.positions))
+        mask = chamfer_mask(c, gt, h, cKDTree(gt.positions), cKDTree(c.positions).query(gt.positions, k=2))
         np.testing.assert_array_equal(mask, np.column_stack([safe, safe, safe]))
         unsafe += int((~safe).sum())
     assert unsafe > 500
 
+
+
+def test_a_trial_builds_two_kd_trees_and_its_chamfer_mask_builds_none(monkeypatch):
+    """Per trial `losses` builds the scorer's ground-truth tree and the cloud's tree of its one
+    two-nearest search (as many points each: `gradcheck` draws a ground truth of N points), and
+    `gradcheck`'s own `cKDTree` is never called: the Chamfer mask reads the scorer's search."""
+    builds, own = [], []
+
+    class Tree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    monkeypatch.setattr(gradcheck, "cKDTree", lambda *args, **kwargs: own.append(args) or cKDTree(*args, **kwargs))
+    run_gradcheck(seed=0, trials=3)
+    assert len(builds) == 6 and builds[0::2] == builds[1::2] and own == []
 
 def recorded_scorers(monkeypatch) -> list[list]:
     """Per `MoveScorer` that run_gradcheck builds: first the number of points of each slot list

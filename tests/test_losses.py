@@ -427,27 +427,34 @@ def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
 
 @pytest.mark.parametrize("n", [20, 200])
 @pytest.mark.parametrize("b", [0, 1, 3, 12])
-def test_the_move_scorer_reads_a_table_at_or_below_the_table_size_and_kd_trees_above_it(monkeypatch, b, n):
-    """Built, it builds the ground truth's KD-tree, for the cloud's points and each call's moved
-    ones, and for the reverse reads a table at 20 points against 30; at 200 (N * M above
-    `losses._TABLE_MAX`) it builds the cloud's tree, queried with k=2, and no table. A call of b
-    copies builds no tree and no table of its own."""
-    builds, tables = [], []
+def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every_size(monkeypatch, b, n):
+    """Built, it builds the ground truth's KD-tree, queried for the cloud's points, and the cloud's
+    own tree, queried once with k=2 for the ground truth's points, at 20 points against 30 as at 200
+    (N * M above `losses._TABLE_MAX`), and reads no table; `reverse` holds that query's distances and
+    indices. A call of b copies queries the ground truth's tree once for its moved points and builds
+    no tree and no table of its own."""
+    builds, queries, tables = [], [], []
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
             builds.append(len(data))
             super().__init__(data, *args, **kwargs)
 
+        def query(self, x, k=1, *args, **kwargs):
+            queries.append((self.n, len(x), k))
+            return super().query(x, k, *args, **kwargs)
+
     table = losses._sq_table
     monkeypatch.setattr(losses, "cKDTree", Tree)
     monkeypatch.setattr(losses, "_sq_table", lambda pb, pa: tables.append((len(pb), len(pa))) or table(pb, pa))
-    cloud = PointCloud(np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3)))
-    scorer = losses.MoveScorer(cloud, LossTargets(gt_cloud=random_cloud(0, 30)), None, SPEC, SoftConfig(sigma=1.0),
-                               GEO_ONLY)
-    scorer(np.arange(b) % n, cloud.positions[np.arange(b) % n] + 0.5)
+    cloud, gt = PointCloud(np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3))), random_cloud(0, 30)
+    scorer = losses.MoveScorer(cloud, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)
     assert (n * 30 > losses._TABLE_MAX) == (n == 200)
-    assert builds == [30] + [n] * (n == 200) and tables == [(30, n)] * (n == 20)
+    assert builds == [30, n] and queries == [(n, 30, 2), (30, n, 1)] and tables == []
+    expected = cKDTree(cloud.positions).query(gt.positions, k=2)
+    assert [a.tobytes() for a in scorer.reverse] == [e.tobytes() for e in expected]
+    scorer(np.arange(b) % n, cloud.positions[np.arange(b) % n] + 0.5)
+    assert builds == [30, n] and queries[2:] == [(30, b, 1)] and tables == []
 
 
 @pytest.mark.parametrize("n, m", [(63, 65), (64, 64), (64, 65), (65, 64), (2, 2048), (2, 2049), (2049, 2)])

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from oracles import surface_points_loop, zero_grid
 from treerecon import core, losses
 from treerecon.cli import _write_history, main
-from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, pool, pooled_spec
+from treerecon.core import Grid, GridSpec, PointCloud, Rng, RgbGrid, SunConfig, pool, pooled_spec
 from treerecon.errors import Diverged, EmptyCloud, EmptyFootprint, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.io_formats import load_scene, write_ply
 from treerecon.losses import TERMS, LossWeights, resolve_weights
@@ -25,6 +25,7 @@ from treerecon.metrics import eval_chamfer, fscore
 from treerecon.protree import SceneConfig, TreeParamRanges, generate_scene
 from treerecon.reconstruct import (
     LOSS_POOL,
+    STOP_WINDOW,
     AdamState,
     OptimConfig,
     _recolor,
@@ -335,6 +336,29 @@ run_args = dict(seed=st.integers(0, 3), preset=st.sampled_from(sorted(PRESETS)),
                 n_points=st.integers(5, 60), lr=st.sampled_from([0.02, 0.05, 0.2]))
 
 
+# four times the largest distance, in meters, between a run's points and those of the run from its
+# start in a random order, over four batches of 200 to 1,200 examples of the test below: 3.9e-13 m
+PERMUTED_RUN_TOL = 4 * 3.9e-13
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(iters=st.integers(0, STOP_WINDOW - 1), order_seed=st.integers(0, 2**32 - 1), **run_args)
+def test_a_run_from_permuted_init_positions_gives_the_permuted_cloud(iters, order_seed, seed, preset, n_points, lr):
+    """Capped below STOP_WINDOW, so the stopping rule cannot fire and a rounding difference in the
+    loss cannot change where the run stops."""
+    scene = small_scene(seed)
+    weights, geo = PRESETS[preset]
+    silhouette = derive_targets(scene.ortho, scene.dsm, OptimConfig().h_min, scene.shadow).silhouette
+    start = init_cloud(scene.dsm, silhouette, scene.ortho, n_points, Rng(seed)).positions
+    order = np.random.default_rng(order_seed).permutation(n_points)
+    cfg = OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, seed=seed)
+    runs = [reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
+                        gt_cloud=scene.cloud if geo else None, cfg=cfg, init_positions=p)
+            for p in (start, start[order])]
+    assert [(r.stop, r.stop_iter) for r in runs] == [("iters", iters)] * 2
+    assert np.abs(runs[0].cloud.positions[order] - runs[1].cloud.positions).max() <= PERMUTED_RUN_TOL
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(k=st.integers(0, 200), **run_args)
 def test_capped_run_is_a_prefix_of_a_longer_one(k, seed, preset, n_points, lr):
@@ -450,6 +474,17 @@ def test_explicit_weights_still_need_their_targets(generated):
     with pytest.raises(MissingTarget, match="lambda_shadow > 0 requires a shadow target"):
         reconstruct(scene.ortho, scene.dsm, cfg=OptimConfig(n_points=60, iters=3,
                                                            weights=LossWeights(lambda_geo=0.0)))
+
+
+def test_a_shadow_on_another_grid_is_refused_even_where_both_pool_to_one_loss_grid():
+    """A 127-column shadow beside a 128-column DSM pools to the same 64-column loss grid, yet the run
+    refuses it: the targets are checked on the input grid, before pooling."""
+    spec, other = GridSpec(128, 8), GridSpec(127, 8)
+    assert pooled_spec(spec, LOSS_POOL) == pooled_spec(other, LOSS_POOL)
+    ortho = RgbGrid(spec, np.tile([0.2, 0.6, 0.2], (8, 128, 1)))
+    with pytest.raises(SpecMismatch, match="shadow target spec mismatch"):
+        reconstruct(ortho, Grid(spec, np.full((8, 128), 5.0)), sun=SunConfig(135.0, 45.0),
+                    shadow_target=Grid(other, np.zeros((8, 127))), cfg=OptimConfig(n_points=10, iters=1))
 
 
 @pytest.mark.parametrize("preset", ["dsm", "geo"])
