@@ -17,7 +17,8 @@ breakdown is the Chamfer path's value, its value the combined path's, and a
 kind's path value is its render dotted with the pixel gradient: the cloud's
 dot, once per trial, plus each copy's changed pixels' differences. The
 trial's analytic Chamfer, combined loss and Chamfer mask query the scorer's
-ground-truth KD-tree; the mask also reads the scorer's k=2 search of the cloud.
+ground-truth KD-tree; the first two each build the cloud's own tree, and the
+mask reads the scorer's k=2 search of the cloud.
 """
 from __future__ import annotations
 

@@ -10,15 +10,14 @@ The raster terms are scored passes: each runs a `diffrender` core on the
 calling thread's buffers, scores it with `raster_l2` and feeds that pixel
 gradient to the core's VJP. `combined_loss` looks each name up in this
 module's globals, so a wrapper set on one here is honoured, and runs every
-pass on the calling thread. `chamfer` has one nearest-neighbour rule by size
-(README, step 4): the ground truth's KD-tree for the cloud's points, and for
-the reverse the argmin of a table of squared distances up to N * M = _TABLE_MAX,
-the cloud's own tree above it. Above it `query_pair` answers both directions,
-with the cloud's query on an executor's worker, if any: `reconstruct`'s pool
-kept on the other CPU, or the one `metrics` opens for a pair of clouds' one
-search, which `eval_chamfer` reads its value from (`_chamfer_from`) and
-`fscore` its distances. A `--jobs` worker process has no pool, so it stays on
-one thread.
+pass on the calling thread. `chamfer` has one nearest-neighbour rule at every
+size (README, step 4): the ground truth's KD-tree for the cloud's points and
+the cloud's own tree for the reverse, both from one `query_pair`. Above
+N * M = _SERIAL_MAX that puts the cloud's query on an executor's worker, if
+any: `reconstruct`'s pool kept on the other CPU, or the one `metrics` opens
+for a pair of clouds' one search, which `eval_chamfer` reads its value from
+(`_chamfer_from`) and `fscore` its distances; at or below it, and in a
+`--jobs` worker process, which has no pool, it stays on one thread.
 
 `MoveScorer` scores copies of one cloud that each move one point, `gradcheck`'s
 finite differences, from the cloud's pixel sums with that point's terms swapped
@@ -53,7 +52,7 @@ from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
-_TABLE_MAX = 64**2  # the largest N * M whose `chamfer`, and so a small `eval_chamfer`, reads the table
+_SERIAL_MAX = 64**2  # the largest N * M whose `query_pair` answers both queries on the calling thread
 _QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
 _COPY_BLOCK = 2**16  # the entries of a (copies, points) array of a `MoveScorer` Chamfer block
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
@@ -96,14 +95,6 @@ def _sq_lengths(diff: np.ndarray) -> np.ndarray:
     an axis of 3 and cKDTree sums them; a mean of them over the points is one direction of Chamfer."""
     x, y, z = (diff[..., k] for k in range(3))
     return x * x + y * y + z * z
-
-
-def _sq_table(pb: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    """(M, N) squared distances from pb's points to pa's, summed x, y, z as `_sq_lengths` sums them;
-    an overflowing one is inf."""
-    with np.errstate(over="ignore"):
-        sq = [(pb[:, k, None] - pa[None, :, k]) ** 2 for k in range(3)]
-        return sq[0] + sq[1] + sq[2]
 
 
 class GtSearch:
@@ -156,15 +147,15 @@ def query_pair(a: np.ndarray, tree_b: cKDTree | GtSearch, executor: Executor | N
     built here. A point whose every squared distance overflows float64 has none nearer than inf:
     distance inf and the index one past the other's end.
 
-    With an `executor`, its worker answers a's query, under this thread's numpy error state, while this
-    thread builds a's tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is
-    done the worker takes the runs left, so neither thread waits long whichever direction costs more.
-    A point's answer does not depend on the points queried with it, so every answer is that of one
-    thread. This returns or raises only once the worker has stopped, and the worker calls none of this
-    module's names.
+    With an `executor` and N * M above _SERIAL_MAX (at or below it a worker costs more than the pair),
+    its worker answers a's query, under this thread's numpy error state, while this thread builds a's
+    tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is done the worker
+    takes the runs left, so neither thread waits long whichever direction costs more. A point's answer
+    does not depend on the points queried with it, so every answer is that of one thread. This returns
+    or raises only once the worker has stopped, and the worker calls none of this module's names.
     """
     b = tree_b.data
-    if executor is None:
+    if executor is None or len(a) * len(b) <= _SERIAL_MAX:
         return tree_b.query(a), cKDTree(a, **tree_args).query(b)
     back = np.empty(len(b)), np.empty(len(b), dtype=np.intp)
     cuts = [len(b) * k // _QUERY_RUNS for k in range(_QUERY_RUNS + 1)]
@@ -217,10 +208,10 @@ def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
     """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
 
     a's points query b's KD-tree: `tree`, a run's `GtSearch` (InvalidConfig unless `tree.data is
-    pb`), or else one built here. The other direction is the `argmin` of `_sq_table` while
-    N * M <= _TABLE_MAX; above it `query_pair` answers both directions, with the `executor`'s worker
-    if any. Squared distances are recomputed from coordinates (`_chamfer_from`), and the reverse
-    gradient is one `np.add.at` on the flat (N * 3,) view, in pb's order."""
+    pb`), or else one built here; b's points query a's own tree. One `query_pair` answers both, with
+    the `executor`'s worker where it decides the worker helps. Squared distances are recomputed from
+    coordinates (`_chamfer_from`), and the reverse gradient is one `np.add.at` on the flat (N * 3,)
+    view, in pb's order."""
     pa, pb = a.positions, b.positions
     if len(pa) == 0 or len(pb) == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
@@ -228,10 +219,7 @@ def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
         tree = cKDTree(pb)
     elif tree.data is not pb:
         raise InvalidConfig("chamfer's KD-tree must be built from the ground truth's own positions array")
-    if len(pa) * len(pb) > _TABLE_MAX:
-        (_, ia), (_, ib) = query_pair(pa, tree, executor)
-    else:
-        ia, ib = tree.query(pa)[1], _sq_table(pb, pa).argmin(axis=1)
+    (_, ia), (_, ib) = query_pair(pa, tree, executor)
     value, diff_a = _chamfer_from(pa, pb, ia, ib)
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad.reshape(-1), (3 * ib[:, None] + np.arange(3)).reshape(-1),

@@ -3,11 +3,12 @@
 Both scores read one search of a pair of clouds, `_search`: the unbounded `losses.query_pair`
 of the prediction's points in the ground truth's KD-tree and the reverse. Both trees are built
 with `compact_nodes=False`, faster to query here, and no score depends on which of two tied
-points a tree returns. On two or more CPUs a worker thread of `core.worker_pool`, kept off this
-thread's CPU and joined before the call returns, answers the prediction's query while this
-thread builds the prediction's tree and answers the other, and then takes what this thread has
-left of it, so the values are those of one thread. A `--jobs` worker process, or a run on one
-CPU, starts no thread.
+points a tree returns. On two or more CPUs, and for N * M above `losses._SERIAL_MAX`, a worker
+thread of `core.worker_pool`, kept off this thread's CPU and joined before the call returns,
+answers the prediction's query while this thread builds the prediction's tree and answers the
+other, and then takes what this thread has left of it, so the values are those of one thread.
+A smaller pair, a `--jobs` worker process or a run on one CPU starts no thread: `query_pair`
+alone decides, and a pool starts its thread only when it is handed a query.
 
 Each thread keeps its last search, with copies of the two position arrays it searched, and
 reads it again for clouds whose positions have the same shapes and bytes in the same order:
@@ -23,7 +24,7 @@ import threading
 
 from .core import PointCloud, worker_pool
 from .errors import EmptyCloud, InvalidConfig
-from .losses import _TABLE_MAX, _chamfer_from, cKDTree, chamfer, query_pair
+from .losses import _SERIAL_MAX, _chamfer_from, cKDTree, chamfer, query_pair
 
 DEFAULT_TAU = 0.5  # meters
 
@@ -33,7 +34,7 @@ _last = threading.local()  # .record: (pred positions, gt positions, their query
 def _search(pred: PointCloud, gt: PointCloud):
     """((d_pred, ia), (d_gt, ib)): the unbounded `query_pair` of pred's points in gt's tree. This
     thread's last search when it was of positions with these shapes and bytes, in this order;
-    otherwise searched now, with `core.worker_pool`'s worker if there is one, and kept."""
+    otherwise searched now, handing `query_pair` `core.worker_pool`'s pool if there is one, and kept."""
     pa, pb = pred.positions, gt.positions
     kept = getattr(_last, "record", None)
     if kept is not None and all(k.shape == p.shape and k.tobytes() == p.tobytes() for k, p in zip(kept, (pa, pb))):
@@ -47,10 +48,11 @@ def _search(pred: PointCloud, gt: PointCloud):
 def eval_chamfer(pred: PointCloud, gt: PointCloud) -> float:
     """Symmetric squared Chamfer distance, no gradient: `chamfer(pred, gt)[0]`, byte for byte.
 
-    At or below `_TABLE_MAX` it is `chamfer`; above it, the value is read from `_search`'s indices
-    with `chamfer`'s formula (`losses._chamfer_from`, InvalidConfig on overflow).
+    At or below `_SERIAL_MAX` it is `chamfer`, which also refuses an empty cloud; above it, the value
+    is read from `_search`'s indices with `chamfer`'s formula (`losses._chamfer_from`, InvalidConfig
+    on overflow).
     """
-    if len(pred) * len(gt) <= _TABLE_MAX:
+    if len(pred) * len(gt) <= _SERIAL_MAX:
         return chamfer(pred, gt)[0]
     (_, ia), (_, ib) = _search(pred, gt)
     return _chamfer_from(pred.positions, gt.positions, ia, ib)[0]

@@ -86,9 +86,10 @@ def test_chamfer_mask_matches_an_all_pairs_loop():
 
 
 
-def test_a_trial_builds_two_kd_trees_and_its_chamfer_mask_builds_none(monkeypatch):
+def test_a_trial_builds_four_kd_trees_and_its_chamfer_mask_builds_none(monkeypatch):
     """Per trial `losses` builds the scorer's ground-truth tree and the cloud's tree of its one
-    two-nearest search (as many points each: `gradcheck` draws a ground truth of N points), and
+    two-nearest search, then the cloud's tree of the analytic Chamfer's reverse query and that of the
+    combined loss's (as many points each: `gradcheck` draws a ground truth of N points), and
     `gradcheck`'s own `cKDTree` is never called: the Chamfer mask reads the scorer's search."""
     builds, own = [], []
 
@@ -100,7 +101,7 @@ def test_a_trial_builds_two_kd_trees_and_its_chamfer_mask_builds_none(monkeypatc
     monkeypatch.setattr(losses, "cKDTree", Tree)
     monkeypatch.setattr(gradcheck, "cKDTree", lambda *args, **kwargs: own.append(args) or cKDTree(*args, **kwargs))
     run_gradcheck(seed=0, trials=3)
-    assert len(builds) == 6 and builds[0::2] == builds[1::2] and own == []
+    assert len(builds) == 12 and builds[0::4] == builds[1::4] == builds[2::4] == builds[3::4] and own == []
 
 def recorded_scorers(monkeypatch) -> list[list]:
     """Per `MoveScorer` that run_gradcheck builds: first the number of points of each slot list

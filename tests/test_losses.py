@@ -366,13 +366,13 @@ MOVE_VALUE_REL, MOVE_TERM_REL, MOVE_OR_ABS, MOVE_DSM_REL = 4 * 5.3e-16, 4 * 5.6e
 def one_point_moves(draw, on):
     """(cloud positions, targets, sun, cfg, weights, point, moved): a cloud of 1 to 60 points, some
     off SPEC; a ground truth of one point, of 1 to 60, or of enough that N * M is above
-    `losses._TABLE_MAX`; weights positive for the terms in `on`; and 0 to 8 copies, copy k moving
+    `losses._SERIAL_MAX`; weights positive for the terms in `on`; and 0 to 8 copies, copy k moving
     point[k] to moved[k] along x, y or z by a finite-difference step, by sigma, by the cutoff of
     3 sigma (so some pixels cross it) or by 30 m (off the grid, or far above or below it)."""
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = np.column_stack([rng.uniform(-14.0, 14.0, (n, 2)), rng.uniform(0.0, 8.0, n)])
-    m = draw(st.sampled_from([1, losses._TABLE_MAX // n + 1]) | st.integers(1, 60))
+    m = draw(st.sampled_from([1, losses._SERIAL_MAX // n + 1]) | st.integers(1, 60))
     raster = lambda top: Grid(SPEC, rng.uniform(0.0, top, (SPEC.height, SPEC.width)))
     targets = LossTargets(raster(1.0), raster(1.0), raster(8.0), random_cloud(draw(st.integers(0, 99)), m))
     weights = LossWeights(*(draw(st.floats(0.1, 4.0)) if term in on else 0.0 for term in TERMS))
@@ -430,10 +430,9 @@ def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
 def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every_size(monkeypatch, b, n):
     """Built, it builds the ground truth's KD-tree, queried for the cloud's points, and the cloud's
     own tree, queried once with k=2 for the ground truth's points, at 20 points against 30 as at 200
-    (N * M above `losses._TABLE_MAX`), and reads no table; `reverse` holds that query's distances and
-    indices. A call of b copies queries the ground truth's tree once for its moved points and builds
-    no tree and no table of its own."""
-    builds, queries, tables = [], [], []
+    (N * M above `losses._SERIAL_MAX`); `reverse` holds that query's distances and indices. A call of
+    b copies queries the ground truth's tree once for its moved points and builds no tree of its own."""
+    builds, queries = [], []
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
@@ -444,22 +443,20 @@ def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every
             queries.append((self.n, len(x), k))
             return super().query(x, k, *args, **kwargs)
 
-    table = losses._sq_table
     monkeypatch.setattr(losses, "cKDTree", Tree)
-    monkeypatch.setattr(losses, "_sq_table", lambda pb, pa: tables.append((len(pb), len(pa))) or table(pb, pa))
     cloud, gt = PointCloud(np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3))), random_cloud(0, 30)
     scorer = losses.MoveScorer(cloud, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)
-    assert (n * 30 > losses._TABLE_MAX) == (n == 200)
-    assert builds == [30, n] and queries == [(n, 30, 2), (30, n, 1)] and tables == []
+    assert (n * 30 > losses._SERIAL_MAX) == (n == 200)
+    assert builds == [30, n] and queries == [(n, 30, 2), (30, n, 1)]
     expected = cKDTree(cloud.positions).query(gt.positions, k=2)
     assert [a.tobytes() for a in scorer.reverse] == [e.tobytes() for e in expected]
     scorer(np.arange(b) % n, cloud.positions[np.arange(b) % n] + 0.5)
-    assert builds == [30, n] and queries[2:] == [(30, b, 1)] and tables == []
+    assert builds == [30, n] and queries[2:] == [(30, b, 1)]
 
 
 @pytest.mark.parametrize("n, m", [(63, 65), (64, 64), (64, 65), (65, 64), (2, 2048), (2, 2049), (2049, 2)])
-def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_table_size(n, m):
-    """On tie-free clouds whose N * M straddles `losses._TABLE_MAX`, `chamfer`'s value and gradient
+def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_serial_size(n, m):
+    """On tie-free clouds whose N * M straddles `losses._SERIAL_MAX`, `chamfer`'s value and gradient
     are, byte for byte, those of the KD-tree rule in both directions (b's tree for a's points, a's
     tree for b's)."""
     pa, pb = np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3)), random_cloud(m, m).positions
@@ -472,15 +469,15 @@ def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_table_size(n, m
     assert grad.tobytes() == expected_grad.tobytes()
 
 
-@pytest.mark.parametrize("side", ["table", "trees"])
+@pytest.mark.parametrize("side", ["serial", "pooled"])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_table_size(side, data):
+def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_serial_size(side, data):
     """Clouds and a ground truth drawn from a few lattice points, so nearest distances tie in
     both directions: each cloud's value is `oracles.brute_chamfer`'s, exactly."""
     n = data.draw(st.integers(1, 100))
-    cap = losses._TABLE_MAX // n
-    m = data.draw(st.integers(1, cap) if side == "table" else st.integers(cap + 1, cap + 60))
+    cap = losses._SERIAL_MAX // n
+    m = data.draw(st.integers(1, cap) if side == "serial" else st.integers(cap + 1, cap + 60))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lattice = rng.integers(-3, 4, (data.draw(st.integers(1, 12)), 3)) * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     clouds = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
@@ -490,11 +487,11 @@ def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_table_s
 
 @pytest.mark.parametrize("n", [4, 1000])
 def test_the_move_scorer_scores_no_copies(n):
-    """What `fd_gradient` hands its scorer on a mask that selects nothing, at a size whose
-    Chamfer reads the table (4 points against 5) and one that builds the cloud's tree (1000)."""
+    """What `fd_gradient` hands its scorer on a mask that selects nothing, at a size at or below
+    `losses._SERIAL_MAX` (4 points against 5) and one above it (1000)."""
     raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
-    assert (n * 5 > losses._TABLE_MAX) == (n == 1000)
+    assert (n * 5 > losses._SERIAL_MAX) == (n == 1000)
     scorer = losses.MoveScorer(random_cloud(1, n), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
                                LossWeights(1.0, 1.0, 0.5, 1.0))
     values, breakdown, changed = scorer(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
@@ -570,12 +567,13 @@ def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0), n=40, m=25):
             SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, executor)
 
 
-@pytest.fixture(params=["table", "trees"])
+@pytest.fixture(params=["serial", "pooled"])
 def side(request):
     """(side, n, m): a cloud of n points against a ground truth of m on either side of
-    `losses._TABLE_MAX`, where Chamfer's other direction reads the table or builds the cloud's tree."""
-    n, m = {"table": (40, 25), "trees": (100, 64)}[request.param]
-    assert (n * m > losses._TABLE_MAX) == (request.param == "trees")
+    `losses._SERIAL_MAX`, where `query_pair` answers both queries on the caller's thread or hands
+    a pool's worker one."""
+    n, m = {"serial": (40, 25), "pooled": (100, 64)}[request.param]
+    assert (n * m > losses._SERIAL_MAX) == (request.param == "pooled")
     return request.param, n, m
 
 
@@ -589,10 +587,9 @@ def on_worker() -> bool:
 def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor, side):
     """With a pool, the wrappable names of `losses` are called on the caller's thread, the same
     calls in the same order as without one, so a wrapper that keeps one call stack for all threads
-    stays right. Chamfer builds b's tree first on either path. On the tree side `query_pair` then
-    builds a's tree, and the caller (with the pool's worker, if any) queries both trees; on the
-    table side the caller queries b's tree and reads the table, calling no other name."""
-    kind, n, m = side
+    stays right. Chamfer builds b's tree first, and `query_pair` then builds a's tree on either
+    side; the caller queries both trees, with the pool's worker, if any, on the pooled side only."""
+    _, n, m = side
     calls = []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
                  "project_to_ground", "dsm_forward_backward"):
@@ -611,11 +608,9 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         if on == {"sil", "shadow"}:  # both passes on the caller, the shadow's after one projection
             assert calls == [("occupancy_forward_backward", n, False), ("project_to_ground", n, False),
                              ("occupancy_forward_backward", n, False)]
-        if on == {"geo"} and kind == "trees":  # b's tree, then a's, both built by the caller
+        if on == {"geo"}:  # b's tree, then a's, both built by the caller
             assert calls == [("chamfer", n, False), ("cKDTree", m, False), ("cKDTree", n, False)]
-        if on == {"geo"} and kind == "table":  # b's tree for a's query; the table calls no name
-            assert calls == [("chamfer", n, False), ("cKDTree", m, False)]
-        assert [name for name, _, _ in calls].count("cKDTree") == (1 + (kind == "trees")) * ("geo" in on)
+        assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)
         assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
 
 
@@ -643,33 +638,33 @@ def cloud_pairs(draw, lo=1, hi=60):
     return PointCloud(positions=a), PointCloud(positions=b)
 
 
-@pytest.mark.parametrize("side, sizes", [("table", (1, 60)), ("trees", (65, 120))])
+@pytest.mark.parametrize("side, sizes", [("serial", (1, 60)), ("pooled", (65, 120))])
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_chamfer_on_a_pool_keeps_every_byte(side, sizes, data, executor):
-    """A pooled `chamfer` gives the bytes of a serial one on both sides of `losses._TABLE_MAX`;
-    only the trees side hands the pool its KD-tree query."""
+    """A pooled `chamfer` gives the bytes of a serial one on both sides of `losses._SERIAL_MAX`;
+    only the pooled side hands the pool its KD-tree query."""
     a, b = data.draw(cloud_pairs(*sizes))
-    assert (len(a) * len(b) > losses._TABLE_MAX) == (side == "trees")
+    assert (len(a) * len(b) > losses._SERIAL_MAX) == (side == "pooled")
     value, grad = chamfer(a, b)
     with mock.patch.object(executor, "submit", wraps=executor.submit) as submit:
         pooled_value, pooled_grad = chamfer(a, b, executor)
-    assert submit.called == (side == "trees")
+    assert submit.called == (side == "pooled")
     assert np.float64(pooled_value).tobytes() == np.float64(value).tobytes()
     assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
 
 
-@pytest.mark.parametrize("side, sizes", [("table", (1, 60)), ("trees", (65, 120))])
+@pytest.mark.parametrize("side, sizes", [("serial", (1, 60)), ("pooled", (65, 120))])
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, executor):
     """`chamfer` and `combined_loss` handed the ground truth's tree, or a `losses.GtSearch` of it
     (whose hint each call leaves for the next), give, serially and on a pool, the bytes of the
     calls that build it, on tie-heavy lattice clouds whose N * M is on either side of
-    `losses._TABLE_MAX`; one built from another array, even an equal copy, raises InvalidConfig
+    `losses._SERIAL_MAX`; one built from another array, even an equal copy, raises InvalidConfig
     before the pool is asked for anything."""
     a, b = data.draw(cloud_pairs(*sizes))
-    assert (len(a) * len(b) > losses._TABLE_MAX) == (side == "trees")
+    assert (len(a) * len(b) > losses._SERIAL_MAX) == (side == "pooled")
     rng = np.random.default_rng(len(a) * len(b))
     targets = LossTargets(silhouette=Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width))), gt_cloud=b)
     args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
@@ -791,14 +786,14 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
     """A ground truth given in Fortran order, or as three columns of a wider array, whose
     PointCloud holds a C-order copy of it: `chamfer`, `combined_loss` (serially and on a pool)
     and `MoveScorer`, handed no tree, give the bytes of a cloud made from a C-order copy
-    made first, with N * M on either side of `losses._TABLE_MAX`."""
+    made first, with N * M on either side of `losses._SERIAL_MAX`."""
     rng = np.random.default_rng(m)
     wide = rng.uniform(-7.0, 7.0, (m, 5))
     source = np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4]
     gt, copy = PointCloud(source), PointCloud(np.ascontiguousarray(source))
     assert not source.flags.c_contiguous and gt.positions.flags.c_contiguous
     assert not np.shares_memory(gt.positions, source) and np.array_equal(gt.positions, source)
-    assert (40 * m > losses._TABLE_MAX) == (m == 300)
+    assert (40 * m > losses._SERIAL_MAX) == (m == 300)
     stack = rng.uniform(-7.0, 7.0, (3, 40, 3))
     a = PointCloud(stack[0].copy())
     value, grad = chamfer(a, copy)
@@ -818,8 +813,8 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
 
 
 def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):
-    """On the tree side the worker's query of b's tree raises, and the caller queries every run of
-    a's tree meanwhile; the table side puts no query on the worker."""
+    """On the pooled side the worker's query of b's tree raises, and the caller queries every run of
+    a's tree meanwhile; the serial side puts no query on the worker: the caller makes both."""
     kind, n, m = side
     err, threads = Diverged("raised in the worker's query"), []
 
@@ -832,9 +827,9 @@ def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypat
 
     monkeypatch.setattr(losses, "cKDTree", Tree)
     args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
-    if kind == "table":
+    if kind == "serial":
         combined_loss(*args)
-        assert threads == [False]
+        assert threads == [False, False]
         return
     with pytest.raises(Diverged) as info:
         combined_loss(*args)
@@ -843,8 +838,8 @@ def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypat
 
 
 def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor, side):
-    """On the tree side the caller fails in its first query of a's tree while the worker's query
-    runs, and the error is raised once that query has ended. The table side has no worker query to
+    """On the pooled side the caller fails in its first query of a's tree while the worker's query
+    runs, and the error is raised once that query has ended. The serial side has no worker query to
     wait for."""
     kind, n, m = side
     ended = threading.Event()
@@ -862,14 +857,14 @@ def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, 
     args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
     with pytest.raises(Diverged, match="while the worker's runs"):
         combined_loss(*args)
-    assert ended.is_set() == (kind == "trees")
+    assert ended.is_set() == (kind == "pooled")
 
 
 def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor, side):
-    """On the tree side the worker's queries overflow, silently under the caller's `over="ignore"`
+    """On the pooled side the worker's queries overflow, silently under the caller's `over="ignore"`
     (the worker queries b's tree and then takes any runs of a's tree the caller has left) and as the
     caller's warning-turned-error otherwise (the worker stops at its first query, and the caller
-    queries every run). The table side puts no query on the worker."""
+    queries every run). The serial side puts no query on the worker: the caller makes both."""
     kind, n, m = side
     threads, calls = [], []
 
@@ -887,12 +882,12 @@ def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, 
             combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
         calls.append(sorted(threads))
         threads.clear()
-        if kind == "trees":
+        if kind == "pooled":
             with pytest.raises(RuntimeWarning, match="overflow"):
                 combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
             calls.append(sorted(threads))
-    if kind == "table":
-        assert calls == [[False]]
+    if kind == "serial":
+        assert calls == [[False, False]]
     else:
         runs = losses._QUERY_RUNS
         assert len(calls[0]) == runs + 1 and calls[0][0] is False and calls[0][-1] is True
@@ -931,11 +926,10 @@ def test_concurrent_runs_with_their_own_pools_keep_every_byte():
 @pytest.mark.parametrize("far", ["cloud", "ground truth"])
 def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, far):
     """A coordinate of 1e300 in the cloud or in the ground truth: every squared distance from that
-    point overflows, so cKDTree finds it no neighbour (the index len(...)) and the table's row of it
-    is all inf. `chamfer`, `combined_loss` and `metrics.eval_chamfer` raise InvalidConfig on both
-    sides of `losses._TABLE_MAX`, with no numpy warning. `fscore` of the same clouds then gives the
-    unbounded queries' scores, the far point a miss; above the table size it reads eval_chamfer's
-    search, which a raise does not drop."""
+    point overflows, so cKDTree finds it no neighbour (the index len(...)). `chamfer`, `combined_loss`
+    and `metrics.eval_chamfer` raise InvalidConfig on both sides of `losses._SERIAL_MAX`, with no
+    numpy warning. `fscore` of the same clouds then gives the unbounded queries' scores, the far
+    point a miss; above that size it reads eval_chamfer's search, which a raise does not drop."""
     _, n, m = side
     positions = [random_cloud(0, n).positions, random_cloud(1, m).positions]
     positions[far == "ground truth"][0, 0] = 1e300
@@ -950,4 +944,4 @@ def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, 
         metrics.eval_chamfer(pred, gt)
     with mock.patch.object(metrics, "query_pair", wraps=metrics.query_pair) as search:
         assert metrics.fscore(pred, gt, 1.0) == oracles.fscore_unbounded(pred, gt, 1.0)
-    assert search.call_count == (side[0] == "table")
+    assert search.call_count == (side[0] == "serial")

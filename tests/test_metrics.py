@@ -140,7 +140,7 @@ TAUS = st.sampled_from([5e-324, 1e-170, 1e-150, 0.1, 0.5, 3.0, 1e150, 1e300, 1.7
 
 @st.composite
 def probed_pairs(draw):
-    """(pred, gt, taus): 1 to 200 points a side, so N * M falls on both sides of `losses._TABLE_MAX`,
+    """(pred, gt, taus): 1 to 200 points a side, so N * M falls on both sides of `losses._SERIAL_MAX`,
     with each coordinate one of k * taus[0] / 2 for |k| <= 2 and the float just past taus[0], so that
     nearest distances tie, equal taus[0] or pass it by one float; then one to three more taus."""
     taus = [draw(TAUS)] + draw(st.lists(TAUS, min_size=1, max_size=3))
@@ -158,19 +158,19 @@ def zeros(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(pair=probed_pairs())
-@example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident above the table size: d = 0 <= tau
+@example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident above the serial size: d = 0 <= tau
 @example(pair=(cloud([0, 0, 0] * 70), cloud([0, 0, 0.1] * 69 + [0, 0, float(np.nextafter(0.1, 1))]), [0.1]))
 @example(pair=(uniform(0, 120), uniform(1, 120, 100.0), [0.5, 200.0, 1e6]))  # gt far from pred
 def test_fscore_after_eval_chamfer_keeps_the_bytes_of_fscore_alone_and_of_unbounded_queries(pair):
     """fscore alone, fscore at each tau after one eval_chamfer of the same clouds, and unbounded
     queries give the same bytes, and eval_chamfer gives chamfer's value, with no numpy warning.
-    eval_chamfer searches only where its Chamfer reads trees, and keeps its search for fscore there
+    eval_chamfer searches only above `losses._SERIAL_MAX`, and keeps its search for fscore there
     even where a squared distance overflows and it raises InvalidConfig, as chamfer does."""
     pred, gt, taus = pair
     metrics._last.record = None  # fscore alone: its own search
     alone = [fscore(pred, gt, tau) for tau in taus]
     metrics._last.record = None  # eval_chamfer's own search, where it makes one
-    shared = len(pred) * len(gt) > losses._TABLE_MAX
+    shared = len(pred) * len(gt) > losses._SERIAL_MAX
     try:
         value = eval_chamfer(pred, gt)
     except InvalidConfig:
@@ -222,6 +222,45 @@ def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first)
         assert counts == before
     assert results["fscore"] == [fscore_unbounded(pred, gt, tau) for tau in taus]
     assert np.float64(results["eval_chamfer"]).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
+
+
+def fscore_alone_on_a_pool(pred, gt, taus):
+    """(scores, submits, threads started) of fscore alone at each tau, with `core.worker_pool` giving a
+    one-worker pool whatever the CPUs, and the scores of the same calls with no pool."""
+    submits = []
+
+    def pool():
+        executor = ThreadPoolExecutor(1)
+        submit = executor.submit
+        executor.submit = lambda *args: submits.append(args) or submit(*args)
+        return executor
+
+    metrics._last.record = None
+    with mock.patch.object(metrics, "worker_pool", pool), scoring_calls() as counts:
+        pooled = [fscore(pred, gt, tau) for tau in taus]
+    metrics._last.record = None
+    with mock.patch.object(metrics, "worker_pool", lambda: None):
+        alone = [fscore(pred, gt, tau) for tau in taus]
+    assert np.array(pooled).tobytes() == np.array(alone).tobytes() == np.array(
+        [fscore_unbounded(pred, gt, tau) for tau in taus]).tobytes()
+    return len(submits), counts["threads"]
+
+
+def test_a_small_fscore_alone_starts_no_thread():
+    """A 40 x 64 pair, at or below `losses._SERIAL_MAX`, with no kept search: fscore hands its pool
+    nothing, so the pool starts no thread, and it gives the bytes of a search with no pool."""
+    pred, gt = uniform(0, 40), uniform(1, 64)
+    assert len(pred) * len(gt) <= losses._SERIAL_MAX
+    assert fscore_alone_on_a_pool(pred, gt, (0.5, 2.0)) == (0, 0)
+
+
+def test_an_fscore_above_the_serial_size_submits_its_query_once():
+    """A 65 x 64 pair, above `losses._SERIAL_MAX`: the first fscore hands its pool one query, which
+    starts the pool's one thread, the second reads the kept search, and both give the bytes of a
+    search with no pool."""
+    pred, gt = uniform(0, 65), uniform(1, 64)
+    assert len(pred) * len(gt) > losses._SERIAL_MAX
+    assert fscore_alone_on_a_pool(pred, gt, (0.5, 2.0)) == (1, 1)
 
 
 def test_the_record_is_never_read_for_other_clouds():

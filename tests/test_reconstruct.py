@@ -359,6 +359,33 @@ def test_a_run_from_permuted_init_positions_gives_the_permuted_cloud(iters, orde
     assert np.abs(runs[0].cloud.positions[order] - runs[1].cloud.positions).max() <= PERMUTED_RUN_TOL
 
 
+# four times the largest distance, in meters, between a run's points mirrored and those of the run on
+# the mirrored scene: 3.5e-12 m over 1,240 runs drawn uniformly from the ranges of the test below, whose
+# own draws read at most 4.1e-13 m over eight batches of 300 examples
+MIRRORED_RUN_TOL = 4 * 3.5e-12
+MIRROR_X = np.array([-1.0, 1.0, 1.0])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(iters=st.integers(0, STOP_WINDOW - 1), azimuth=st.floats(0.0, 360.0, exclude_max=True),
+       **run_args | dict(preset=st.sampled_from([name for name, (_, geo) in PRESETS.items() if not geo])))
+def test_a_raster_only_run_on_a_mirrored_scene_gives_the_mirrored_cloud(iters, azimuth, seed, preset, n_points, lr):
+    """The scene's rasters mirrored left to right on its centred grid, the sun's azimuth taken to
+    (360 - azimuth) % 360 and the start's x to -x: the run stops where the run on the scene stops,
+    at its points with x -> -x. Capped below STOP_WINDOW, as above."""
+    scene = small_scene(seed)
+    silhouette = derive_targets(scene.ortho, scene.dsm, OptimConfig().h_min, scene.shadow).silhouette
+    start = init_cloud(scene.dsm, silhouette, scene.ortho, n_points, Rng(seed)).positions
+    cfg = OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=PRESETS[preset][0], seed=seed)
+    sun, el = SunConfig(azimuth, scene.sun.elevation_deg), scene.sun.elevation_deg
+    flip = lambda g: type(g)(g.spec, g.values[:, ::-1].copy())
+    runs = [reconstruct(scene.ortho, scene.dsm, sun=sun, shadow_target=scene.shadow, cfg=cfg, init_positions=start),
+            reconstruct(flip(scene.ortho), flip(scene.dsm), sun=SunConfig((360.0 - azimuth) % 360.0, el),
+                        shadow_target=flip(scene.shadow), cfg=cfg, init_positions=start * MIRROR_X)]
+    assert [(r.stop, r.stop_iter) for r in runs] == [("iters", iters)] * 2
+    assert np.abs(runs[0].cloud.positions * MIRROR_X - runs[1].cloud.positions).max() <= MIRRORED_RUN_TOL
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(k=st.integers(0, 200), **run_args)
 def test_capped_run_is_a_prefix_of_a_longer_one(k, seed, preset, n_points, lr):
@@ -563,10 +590,11 @@ def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threa
     """A run of 30 or more iterations with the Chamfer term on, serial or with its worker pool,
     builds one `losses.cKDTree` of the ground truth's positions array, held by one
     `losses.GtSearch` that it hands to every loss call; the only other trees are the cloud's own,
-    one a call (200 points against the ground truth is above `losses._TABLE_MAX`)."""
+    one a call (200 points against the ground truth is above `losses._SERIAL_MAX`, so the threaded
+    run's worker answers one of each call's queries)."""
     scene, builds, calls = small_scene(0), [], []
     gt = scene.cloud.positions
-    assert 200 * len(gt) > losses._TABLE_MAX
+    assert 200 * len(gt) > losses._SERIAL_MAX
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
@@ -635,12 +663,13 @@ def worker_pool_in_a_worker_process() -> bool:
 
 
 def threads_started_by_scoring() -> int:
-    """How many threads eval_chamfer and then fscore start, on clouds whose Chamfer reads trees
-    (only eval_chamfer's worker: fscore reads the distances it found)."""
+    """How many threads eval_chamfer and then fscore start, on clouds above `losses._SERIAL_MAX`,
+    whose search hands the worker a query (only eval_chamfer's worker: fscore reads the distances it
+    found)."""
     started, start = [], threading.Thread.start
     scene = small_scene(0)
     pred = PointCloud(scene.cloud.positions[::2] + 0.1)
-    assert len(pred) * len(scene.cloud) > losses._TABLE_MAX
+    assert len(pred) * len(scene.cloud) > losses._SERIAL_MAX
     with mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         eval_chamfer(pred, scene.cloud)
         fscore(pred, scene.cloud)
@@ -774,7 +803,7 @@ def test_scoring_between_two_runs_leaves_no_thread_for_the_next_helper():
     with recorded_forks() as pids, \
             mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         pred = run_default().cloud
-        assert len(pids) == 1 and len(pred) * len(scene.cloud) > losses._TABLE_MAX
+        assert len(pids) == 1 and len(pred) * len(scene.cloud) > losses._SERIAL_MAX
         for score, threads in ((eval_chamfer, 1), (fscore, 0)):
             started.clear()
             score(pred, scene.cloud)
