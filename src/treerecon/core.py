@@ -1,8 +1,7 @@
 """Core domain types: point clouds, georeferenced rasters, sun geometry, the seeded RNG.
 
-The CPU rule lives here too: `other_cpus` names the CPUs a second line of work may use
-(`reconstruct`'s helper process, the Chamfer and F-score worker thread), and
-`worker_pool` opens that thread.
+The CPU rule lives here too: `other_cpus` names the CPUs the one second line of work,
+`reconstruct`'s helper process, may use.
 
 Conventions used throughout:
   - meters everywhere, z up, flat ground plane at z = 0
@@ -20,7 +19,6 @@ import multiprocessing
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +231,3 @@ def other_cpus() -> set[int]:
     except (OSError, AttributeError):
         return set()
 
-
-def worker_pool() -> ThreadPoolExecutor | None:
-    """A one-worker pool kept on `other_cpus()` (a new thread stays on its creator's CPU here), or None."""
-    return ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, others)) \
-        if (others := other_cpus()) else None

@@ -12,12 +12,9 @@ gradient to the core's VJP. `combined_loss` looks each name up in this
 module's globals, so a wrapper set on one here is honoured, and runs every
 pass on the calling thread. `chamfer` has one nearest-neighbour rule at every
 size (README, step 4): the ground truth's KD-tree for the cloud's points and
-the cloud's own tree for the reverse, both from one `query_pair`. Above
-N * M = _SERIAL_MAX that puts the cloud's query on an executor's worker, if
-any: `reconstruct`'s pool kept on the other CPU, or the one `metrics` opens
-for a pair of clouds' one search, which `eval_chamfer` reads its value from
-(`_chamfer_from`) and `fscore` its distances; at or below it, and in a
-`--jobs` worker process, which has no pool, it stays on one thread.
+the cloud's own tree for the reverse, both from one `query_pair` on the calling
+thread. `metrics` reads one such search of a pair of clouds: `eval_chamfer` its
+value (`_chamfer_from`), `fscore` its distances.
 
 `MoveScorer` scores copies of one cloud that each move one point, `gradcheck`'s
 finite differences, from the cloud's pixel sums with that point's terms swapped
@@ -35,12 +32,8 @@ distances, so no score depends on which of two tied points a tree returns.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-from collections import deque
-from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,8 +45,6 @@ from .sensor import project_to_ground
 
 H_NORM = 10.0  # meters; makes the DSM L2 term dimensionless
 _DSM_SCALE = 1.0 / H_NORM**2  # the factor of the DSM's raster_l2 in every scorer
-_SERIAL_MAX = 64**2  # the largest N * M whose `query_pair` answers both queries on the calling thread
-_QUERY_RUNS = 4  # the runs b's query of a `query_pair` on a worker is cut into (BENCH_39.json)
 _COPY_BLOCK = 2**16  # the entries of a (copies, points) array of a `MoveScorer` Chamfer block
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64: a smaller GtSearch radius is 0
 _OVERFLOW = "chamfer is not finite: a squared distance between the clouds overflows float64"
@@ -108,7 +99,7 @@ class GtSearch:
     safe[j] is nearer j than half of nnd_j by a margin of about 2e-9, far above float64 rounding, so
     j is its unique nearest point and cKDTree's exact search returns j too; only the other points
     query the tree. A hint is only a candidate, proved every time, so a stale one costs speed and
-    never a byte. `query` calls none of this module's names, so a worker may run it.
+    never a byte.
     """
 
     def __init__(self, pb: np.ndarray):
@@ -141,51 +132,12 @@ class GtSearch:
         return None, idx.reshape(a.shape[:-1])
 
 
-def query_pair(a: np.ndarray, tree_b: cKDTree | GtSearch, executor: Executor | None = None, **tree_args):
+def query_pair(a: np.ndarray, tree_b: cKDTree | GtSearch, **tree_args):
     """(tree_b.query(a), cKDTree(a, **tree_args).query(tree_b.data)), each a (distances, indices)
     pair: a's points in b's tree (a `GtSearch` gives indices only), and b's points in a's own tree,
     built here. A point whose every squared distance overflows float64 has none nearer than inf:
-    distance inf and the index one past the other's end.
-
-    With an `executor` and N * M above _SERIAL_MAX (at or below it a worker costs more than the pair),
-    its worker answers a's query, under this thread's numpy error state, while this thread builds a's
-    tree and answers b's query in _QUERY_RUNS runs of b's points; once a's query is done the worker
-    takes the runs left, so neither thread waits long whichever direction costs more. A point's answer
-    does not depend on the points queried with it, so every answer is that of one thread. This returns
-    or raises only once the worker has stopped, and the worker calls none of this module's names.
-    """
-    b = tree_b.data
-    if executor is None or len(a) * len(b) <= _SERIAL_MAX:
-        return tree_b.query(a), cKDTree(a, **tree_args).query(b)
-    back = np.empty(len(b)), np.empty(len(b), dtype=np.intp)
-    cuts = [len(b) * k // _QUERY_RUNS for k in range(_QUERY_RUNS + 1)]
-    tree_a, runs = Future(), iter(range(_QUERY_RUNS))
-
-    def take(*taken: int) -> None:
-        for k in chain(taken, runs):  # next() of a range iterator is atomic
-            lo, hi = cuts[k], cuts[k + 1]
-            back[0][lo:hi], back[1][lo:hi] = tree_a.result().query(b[lo:hi])
-
-    def forward():
-        there = tree_b.query(a)
-        take()
-        return there
-
-    mine = next(runs)  # taken before the worker starts, so this thread answers at least one run
-    ahead = executor.submit(contextvars.copy_context().run, forward)
-    try:
-        try:
-            tree_a.set_result(cKDTree(a, **tree_args))
-        except BaseException as e:  # the worker gets it at its first run
-            tree_a.set_exception(e)
-            raise
-        take(mine)
-    except BaseException:
-        deque(runs, maxlen=0)  # the worker takes no further run
-        raise
-    finally:
-        wait([ahead])
-    return ahead.result(), back
+    distance inf and the index one past the other's end."""
+    return tree_b.query(a), cKDTree(a, **tree_args).query(tree_b.data)
 
 
 def _chamfer_from(pa: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.ndarray):
@@ -203,15 +155,13 @@ def _chamfer_from(pa: np.ndarray, pb: np.ndarray, ia: np.ndarray, ib: np.ndarray
     return float(value), diff_a
 
 
-def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
-            tree: cKDTree | GtSearch | None = None) -> tuple[float, np.ndarray]:
+def chamfer(a: PointCloud, b: PointCloud, tree: cKDTree | GtSearch | None = None) -> tuple[float, np.ndarray]:
     """Symmetric mean squared nearest-neighbor distance and its (N, 3) gradient in a.
 
     a's points query b's KD-tree: `tree`, a run's `GtSearch` (InvalidConfig unless `tree.data is
-    pb`), or else one built here; b's points query a's own tree. One `query_pair` answers both, with
-    the `executor`'s worker where it decides the worker helps. Squared distances are recomputed from
-    coordinates (`_chamfer_from`), and the reverse gradient is one `np.add.at` on the flat (N * 3,)
-    view, in pb's order."""
+    pb`), or else one built here; b's points query a's own tree. One `query_pair` answers both.
+    Squared distances are recomputed from coordinates (`_chamfer_from`), and the reverse gradient is
+    one `np.add.at` on the flat (N * 3,) view, in pb's order."""
     pa, pb = a.positions, b.positions
     if len(pa) == 0 or len(pb) == 0:
         raise EmptyCloud("chamfer requires two non-empty clouds")
@@ -219,7 +169,7 @@ def chamfer(a: PointCloud, b: PointCloud, executor: Executor | None = None,
         tree = cKDTree(pb)
     elif tree.data is not pb:
         raise InvalidConfig("chamfer's KD-tree must be built from the ground truth's own positions array")
-    (_, ia), (_, ib) = query_pair(pa, tree, executor)
+    (_, ia), (_, ib) = query_pair(pa, tree)
     value, diff_a = _chamfer_from(pa, pb, ia, ib)
     grad = 2.0 * diff_a / len(pa)
     np.add.at(grad.reshape(-1), (3 * ib[:, None] + np.arange(3)).reshape(-1),
@@ -298,21 +248,20 @@ def resolve_weights(
 
 def combined_loss(
     cloud: PointCloud, targets: LossTargets, sun: SunConfig | None, spec: GridSpec, soft_cfg: SoftConfig,
-    weights: LossWeights, executor: Executor | None = None, tree: cKDTree | GtSearch | None = None,
+    weights: LossWeights, tree: cKDTree | GtSearch | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Weighted sum of the active loss terms with its total (N, 3) position gradient.
 
     Returns (value, gradient, breakdown); the breakdown reports each term
     unweighted (the DSM term already carries its 1/H_NORM^2 normalization).
     Each term `targets.require` returns runs one pass on this thread against its target and adds
-    its weighted value and gradient in TERMS order. The `executor`, if any, goes to `chamfer`, whose
-    worker runs one of its two KD-tree queries, and so does the ground truth's `tree` (a run's
-    `GtSearch`), if any.
+    its weighted value and gradient in TERMS order. The ground truth's `tree` (a run's `GtSearch`), if
+    any, goes to `chamfer`.
     """
     total, grad, breakdown = 0.0, np.zeros((len(cloud), 3)), {}
     for term, target in targets.require(weights, sun, spec).items():
         if term == "geo":
-            value, g = chamfer(cloud, target, executor, tree)
+            value, g = chamfer(cloud, target, tree)
         elif term == "sil":
             xy = cloud.positions[:, :2]
             value, gxy = occupancy_forward_backward(xy, spec, soft_cfg, target)

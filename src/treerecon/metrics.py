@@ -1,14 +1,9 @@
 """Evaluation metrics (Chamfer, F-score@tau) and their report format.
 
 Both scores read one search of a pair of clouds, `_search`: the unbounded `losses.query_pair`
-of the prediction's points in the ground truth's KD-tree and the reverse. Both trees are built
-with `compact_nodes=False`, faster to query here, and no score depends on which of two tied
-points a tree returns. On two or more CPUs, and for N * M above `losses._SERIAL_MAX`, a worker
-thread of `core.worker_pool`, kept off this thread's CPU and joined before the call returns,
-answers the prediction's query while this thread builds the prediction's tree and answers the
-other, and then takes what this thread has left of it, so the values are those of one thread.
-A smaller pair, a `--jobs` worker process or a run on one CPU starts no thread: `query_pair`
-alone decides, and a pool starts its thread only when it is handed a query.
+of the prediction's points in the ground truth's KD-tree and the reverse, on the calling thread.
+Both trees are built with `compact_nodes=False`, faster to query here, and no score depends on
+which of two tied points a tree returns.
 
 Each thread keeps its last search, with copies of the two position arrays it searched, and
 reads it again for clouds whose positions have the same shapes and bytes in the same order:
@@ -18,13 +13,12 @@ the bytes of one searched now (`tests/test_metrics.py` checks them against unbou
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 
-from .core import PointCloud, worker_pool
+from .core import PointCloud
 from .errors import EmptyCloud, InvalidConfig
-from .losses import _SERIAL_MAX, _chamfer_from, cKDTree, chamfer, query_pair
+from .losses import _chamfer_from, cKDTree, chamfer, query_pair
 
 DEFAULT_TAU = 0.5  # meters
 
@@ -34,13 +28,12 @@ _last = threading.local()  # .record: (pred positions, gt positions, their query
 def _search(pred: PointCloud, gt: PointCloud):
     """((d_pred, ia), (d_gt, ib)): the unbounded `query_pair` of pred's points in gt's tree. This
     thread's last search when it was of positions with these shapes and bytes, in this order;
-    otherwise searched now, handing `query_pair` `core.worker_pool`'s pool if there is one, and kept."""
+    otherwise searched now and kept."""
     pa, pb = pred.positions, gt.positions
     kept = getattr(_last, "record", None)
     if kept is not None and all(k.shape == p.shape and k.tobytes() == p.tobytes() for k, p in zip(kept, (pa, pb))):
         return kept[2]
-    with (executor := worker_pool()) or contextlib.nullcontext():
-        pair = query_pair(pa, cKDTree(pb, compact_nodes=False), executor, compact_nodes=False)
+    pair = query_pair(pa, cKDTree(pb, compact_nodes=False), compact_nodes=False)
     _last.record = pa.copy(), pb.copy(), pair
     return pair
 
@@ -48,11 +41,10 @@ def _search(pred: PointCloud, gt: PointCloud):
 def eval_chamfer(pred: PointCloud, gt: PointCloud) -> float:
     """Symmetric squared Chamfer distance, no gradient: `chamfer(pred, gt)[0]`, byte for byte.
 
-    At or below `_SERIAL_MAX` it is `chamfer`, which also refuses an empty cloud; above it, the value
-    is read from `_search`'s indices with `chamfer`'s formula (`losses._chamfer_from`, InvalidConfig
-    on overflow).
+    The value is read from `_search`'s indices with `chamfer`'s formula (`losses._chamfer_from`,
+    InvalidConfig on overflow); an empty cloud goes to `chamfer`, which refuses it.
     """
-    if len(pred) * len(gt) <= _SERIAL_MAX:
+    if len(pred) == 0 or len(gt) == 0:
         return chamfer(pred, gt)[0]
     (_, ia), (_, ib) = _search(pred, gt)
     return _chamfer_from(pred.positions, gt.positions, ia, ib)[0]

@@ -253,12 +253,11 @@ def reconstruct(
     for Adam to square. A run with the Chamfer term on builds the ground truth's KD-tree once
     (through `losses.cKDTree`), as a `losses.GtSearch` that keeps each point's last nearest
     ground-truth point while the triangle inequality proves it is cKDTree's answer and queries the
-    tree for the others, and hands every `combined_loss` call that search and a one-worker pool
-    kept off this thread's CPU (`core.worker_pool`), which shares Chamfer's two KD-tree queries
-    with this thread (`losses.query_pair`). A run with two or more active terms first forks a
-    `_Helper` process, also off this CPU, that scores the last (in `losses.TERMS` order) while
-    this thread scores the others; none starts beside another thread.
-    Every byte is that of one thread.
+    tree for the others, and hands every `combined_loss` call that search; both of Chamfer's
+    KD-tree queries run on this thread (`losses.query_pair`). A run with two or more active terms
+    first forks a `_Helper` process, off this thread's CPU (`core.other_cpus`), that scores the last
+    (in `losses.TERMS` order) while this thread scores the others; it is forked only while no other
+    thread runs. The run starts no thread, and every byte is that of one thread.
     """
     cfg = cfg or OptimConfig()
     spec = dsm.spec
@@ -288,10 +287,9 @@ def reconstruct(
     if first and threading.active_count() == 1 and (others := core.other_cpus()):  # fork before any thread starts
         own = LossWeights(**{f"lambda_{t}": 0.0 if t == last else w.of(t) for t in TERMS})
         alone = LossWeights(**{f"lambda_{t}": w.of(t) if t == last else 0.0 for t in TERMS})
-        helper = _Helper(lambda p: combined_loss(PointCloud(positions=p), pooled, sun, loss_spec, soft_cfg, alone,
-                                                 None, None), last, len(positions), others)
-    with contextlib.closing(helper) if helper else contextlib.nullcontext(), \
-            (executor := core.worker_pool() if "geo" in active else None) or contextlib.nullcontext():
+        helper = _Helper(lambda p: combined_loss(PointCloud(positions=p), pooled, sun, loss_spec, soft_cfg, alone),
+                         last, len(positions), others)
+    with contextlib.closing(helper) if helper else contextlib.nullcontext():
         for t in range(cfg.iters + 1):
             if t > 0:
                 positions = adam_step(state, positions, grad, cfg.lr)
@@ -304,7 +302,7 @@ def reconstruct(
                 if helper:
                     helper.send(positions)
                 value, grad, breakdown = combined_loss(PointCloud(positions=positions), pooled, sun, loss_spec,
-                                                       soft_cfg, own, executor, tree)
+                                                       soft_cfg, own, tree)
                 if helper:  # added last, as combined_loss adds it: a sum from +0.0 is never -0.0, and 0.0 + x == x
                     v, g, b = helper.receive() or helper.job(positions)
                     value, grad, breakdown = value + v, grad + g, breakdown | b

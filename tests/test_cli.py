@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import shutil
+import threading
 import warnings
 
 import numpy as np
@@ -395,6 +396,25 @@ def test_an_output_directory_that_is_not_there_exits_2_before_any_input_is_read(
                "--out", str(out_dir / "p.ply")])
     assert rc == 2 and calls == []
     assert capsys.readouterr().err == f"error: no such output directory: {out_dir}\n"
+
+
+def test_a_gt_reconstruct_an_eval_and_a_one_job_bench_start_no_thread(scene_dir, tmp_path, monkeypatch):
+    """Each command runs every KD-tree search on the calling thread: `threading.Thread.start` is
+    never called, with 200 points against the ground truth (the Chamfer term on in `reconstruct`)."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    pred, data = tmp_path / "r.ply", tmp_path / "data"
+    shutil.copytree(scene_dir, data / scene_dir.name)  # bench writes its bench.csv beside the scenes
+    runs = {
+        "reconstruct": ["reconstruct", "--manifest", str(scene_dir / "manifest.json"), "--gt",
+                        str(scene_dir / "gt.ply"), "--out", str(pred), "--iters", "3", "--points", "200"],
+        "eval": ["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt.ply")],
+        "bench": ["bench", "--dataset", str(data), "--iters", "3", "--points", "200", "--jobs", "1"],
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0, name
+        assert started == [], name
+    assert 200 * len(read_ply(scene_dir / "gt.ply")) > 64**2
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 745. GiB for an array with shape (100000000000, 1)"])

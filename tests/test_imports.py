@@ -54,11 +54,9 @@ def test_the_check_sees_an_unused_import():
 
 # (importer, module, name): losses scores diffrender's two cores, and its MoveScorer lists the
 # slots of a cloud and of its moved points itself; metrics' eval_chamfer reads Chamfer's value
-# formula, so that it and fscore read one search of a pair, and `query_pair`'s serial bound, at or
-# below which it calls `chamfer`: the name perfbench/tracing.py wraps in `metrics`, whose call there is
-# also the empty-cloud check
+# formula, so that it and fscore read one search of a pair
 PRIVATE_IMPORTS = {("losses", "diffrender", name) for name in ("_soft_or", "_soft_max_height", "_Slots")} | {
-    ("metrics", "losses", name) for name in ("_SERIAL_MAX", "_chamfer_from")}
+    ("metrics", "losses", "_chamfer_from")}
 
 
 def private_imports(importer: str, source: str) -> set[tuple[str, str, str]]:

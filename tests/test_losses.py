@@ -1,10 +1,6 @@
 import math
-import sys
 import threading
-import time
 import tracemalloc
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from unittest import mock
 
@@ -19,7 +15,7 @@ from oracles import brute_chamfer, brute_chamfer_grad, finite_diff, zero_grid
 from treerecon import diffrender, losses, metrics, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
-from treerecon.errors import Diverged, EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
+from treerecon.errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.losses import (
     TERMS,
     LossTargets,
@@ -243,16 +239,16 @@ def test_a_reused_workspace_keeps_the_hot_loop_allocations_small():
     assert peak < 1.5e6
 
 
-def test_a_pool_keeps_the_threaded_hot_loop_allocations_small(executor):
-    """The second combined_loss call with a pool, one of Chamfer's queries on the worker
-    while the silhouette and shadow passes run here, allocates no slot-sized buffers either."""
+def test_a_chamfer_call_keeps_the_hot_loop_allocations_small():
+    """The second combined_loss call with Chamfer's two KD-tree queries beside the silhouette
+    and shadow passes allocates no slot-sized buffers either."""
     scene = generate_scene(42, SceneConfig())
     targets = derive_targets(scene.ortho, scene.dsm, H_MIN)
     targets.shadow, targets.gt_cloud = scene.shadow, scene.cloud
     spec = scene.dsm.spec
     cloud = init_cloud(scene.dsm, targets.silhouette, scene.ortho, 2000, Rng(0))
     args = (cloud, targets, scene.sun, spec, SoftConfig(sigma=spec.pixel_size),
-            LossWeights(1.0, 1.0, 0.5, 0.0), executor)
+            LossWeights(1.0, 1.0, 0.5, 0.0))
     combined_loss(*args)
     tracemalloc.start()
     try:
@@ -365,14 +361,14 @@ MOVE_VALUE_REL, MOVE_TERM_REL, MOVE_OR_ABS, MOVE_DSM_REL = 4 * 5.3e-16, 4 * 5.6e
 @st.composite
 def one_point_moves(draw, on):
     """(cloud positions, targets, sun, cfg, weights, point, moved): a cloud of 1 to 60 points, some
-    off SPEC; a ground truth of one point, of 1 to 60, or of enough that N * M is above
-    `losses._SERIAL_MAX`; weights positive for the terms in `on`; and 0 to 8 copies, copy k moving
+    off SPEC; a ground truth of one point, of 1 to 60, or of enough that N * M is above 64**2;
+    weights positive for the terms in `on`; and 0 to 8 copies, copy k moving
     point[k] to moved[k] along x, y or z by a finite-difference step, by sigma, by the cutoff of
     3 sigma (so some pixels cross it) or by 30 m (off the grid, or far above or below it)."""
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = np.column_stack([rng.uniform(-14.0, 14.0, (n, 2)), rng.uniform(0.0, 8.0, n)])
-    m = draw(st.sampled_from([1, losses._SERIAL_MAX // n + 1]) | st.integers(1, 60))
+    m = draw(st.sampled_from([1, 64**2 // n + 1]) | st.integers(1, 60))
     raster = lambda top: Grid(SPEC, rng.uniform(0.0, top, (SPEC.height, SPEC.width)))
     targets = LossTargets(raster(1.0), raster(1.0), raster(8.0), random_cloud(draw(st.integers(0, 99)), m))
     weights = LossWeights(*(draw(st.floats(0.1, 4.0)) if term in on else 0.0 for term in TERMS))
@@ -429,8 +425,8 @@ def test_the_move_scorer_gives_each_copy_the_forward_of_that_copy(on, data):
 @pytest.mark.parametrize("b", [0, 1, 3, 12])
 def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every_size(monkeypatch, b, n):
     """Built, it builds the ground truth's KD-tree, queried for the cloud's points, and the cloud's
-    own tree, queried once with k=2 for the ground truth's points, at 20 points against 30 as at 200
-    (N * M above `losses._SERIAL_MAX`); `reverse` holds that query's distances and indices. A call of
+    own tree, queried once with k=2 for the ground truth's points, at 20 points against 30 as at
+    200; `reverse` holds that query's distances and indices. A call of
     b copies queries the ground truth's tree once for its moved points and builds no tree of its own."""
     builds, queries = [], []
 
@@ -446,7 +442,6 @@ def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every
     monkeypatch.setattr(losses, "cKDTree", Tree)
     cloud, gt = PointCloud(np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3))), random_cloud(0, 30)
     scorer = losses.MoveScorer(cloud, LossTargets(gt_cloud=gt), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)
-    assert (n * 30 > losses._SERIAL_MAX) == (n == 200)
     assert builds == [30, n] and queries == [(n, 30, 2), (30, n, 1)]
     expected = cKDTree(cloud.positions).query(gt.positions, k=2)
     assert [a.tobytes() for a in scorer.reverse] == [e.tobytes() for e in expected]
@@ -455,8 +450,8 @@ def test_the_move_scorer_makes_one_two_nearest_query_of_the_clouds_tree_at_every
 
 
 @pytest.mark.parametrize("n, m", [(63, 65), (64, 64), (64, 65), (65, 64), (2, 2048), (2, 2049), (2049, 2)])
-def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_serial_size(n, m):
-    """On tie-free clouds whose N * M straddles `losses._SERIAL_MAX`, `chamfer`'s value and gradient
+def test_chamfer_keeps_the_tree_rules_bytes(n, m):
+    """On tie-free clouds of sizes from 2 to 2049 points, `chamfer`'s value and gradient
     are, byte for byte, those of the KD-tree rule in both directions (b's tree for a's points, a's
     tree for b's)."""
     pa, pb = np.random.default_rng(n).uniform(-7.0, 7.0, (n, 3)), random_cloud(m, m).positions
@@ -469,15 +464,14 @@ def test_chamfer_keeps_the_tree_rules_bytes_on_both_sides_of_the_serial_size(n, 
     assert grad.tobytes() == expected_grad.tobytes()
 
 
-@pytest.mark.parametrize("side", ["serial", "pooled"])
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_serial_size(side, data):
+def test_chamfer_of_lattice_clouds_is_brute_chamfer(data):
     """Clouds and a ground truth drawn from a few lattice points, so nearest distances tie in
-    both directions: each cloud's value is `oracles.brute_chamfer`'s, exactly."""
+    both directions, with N * M up to 64**2 + 60 N: each cloud's value is `oracles.brute_chamfer`'s,
+    exactly."""
     n = data.draw(st.integers(1, 100))
-    cap = losses._SERIAL_MAX // n
-    m = data.draw(st.integers(1, cap) if side == "serial" else st.integers(cap + 1, cap + 60))
+    m = data.draw(st.integers(1, 64**2 // n + 60))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lattice = rng.integers(-3, 4, (data.draw(st.integers(1, 12)), 3)) * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     clouds = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
@@ -487,11 +481,10 @@ def test_chamfer_of_lattice_clouds_is_brute_chamfer_on_both_sides_of_the_serial_
 
 @pytest.mark.parametrize("n", [4, 1000])
 def test_the_move_scorer_scores_no_copies(n):
-    """What `fd_gradient` hands its scorer on a mask that selects nothing, at a size at or below
-    `losses._SERIAL_MAX` (4 points against 5) and one above it (1000)."""
+    """What `fd_gradient` hands its scorer on a mask that selects nothing, at 4 points against 5
+    and at 1000."""
     raster = Grid(SPEC, np.zeros((SPEC.height, SPEC.width)))
     targets = LossTargets(raster, raster, raster, random_cloud(0, 5))
-    assert (n * 5 > losses._SERIAL_MAX) == (n == 1000)
     scorer = losses.MoveScorer(random_cloud(1, n), targets, SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0),
                                LossWeights(1.0, 1.0, 0.5, 1.0))
     values, breakdown, changed = scorer(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
@@ -527,29 +520,28 @@ def test_the_move_scorer_refuses_an_empty_cloud_or_ground_truth(n, m):
                           SPEC, SoftConfig(sigma=1.0), GEO_ONLY)
 
 
-# Chamfer's query on a pool: the bytes of one thread, and the caller sees the worker's errors
+# the helper's split: the last term's call added to the others' call is the whole call
 
-@pytest.fixture(scope="module")
-def executor():
-    with ThreadPoolExecutor(1) as pool:
-        yield pool
-
-
-@pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
+@pytest.mark.parametrize("on", [set(on) for k in range(2, 5) for on in combinations(TERMS, k)])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
-    """Value, gradient and breakdown with a pool are those of the serial call, for every set
-    of active terms (the pool runs one of Chamfer's queries when the geo term is on)."""
+def test_the_last_terms_call_added_to_the_others_keeps_every_byte_of_combined_loss(on, data):
+    """Value, gradient and breakdown of `combined_loss` are, byte for byte, those of a call with the
+    last active term's weight zeroed plus, added last, a call with that term alone, as `reconstruct`
+    adds its helper's, for every set of two or more active terms."""
     c, targets, sun, cfg, weights = data.draw(loss_inputs(on))
-    args = (c, targets, sun, SPEC, cfg, weights)
+    last = [term for term in TERMS if term in on][-1]
+    own, alone = (LossWeights(*((weights.of(t) if (t == last) == keep else 0.0) for t in TERMS))
+                  for keep in (False, True))
+    args = (c, targets, sun, SPEC, cfg)
     try:
-        expected = combined_loss(*args)
-    except EmptyCloud:  # the geo term of an empty cloud
+        expected = combined_loss(*args, weights)
+    except EmptyCloud:  # the geo term of an empty cloud, which is never the last of two
         with pytest.raises(EmptyCloud):
-            combined_loss(*args, executor)
+            combined_loss(*args, own)
         return
-    value, grad, breakdown = combined_loss(*args, executor)
+    (own_value, own_grad, own_breakdown), (v, g, b) = (combined_loss(*args, w) for w in (own, alone))
+    value, grad, breakdown = own_value + v, own_grad + g, own_breakdown | b
     assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
     assert grad.dtype == expected[1].dtype and grad.tobytes() == expected[1].tobytes()
     assert list(breakdown) == list(expected[2])
@@ -557,50 +549,35 @@ def test_a_pool_keeps_every_byte_of_combined_loss(on, data, executor):
                for k in breakdown)
 
 
-def pool_call_args(executor, weights=LossWeights(lambda_geo=0.0), n=40, m=25):
-    """combined_loss arguments, at the default weights unless given, with a pool; the
-    ground-truth cloud has m points and the cloud n."""
+def call_args(weights=LossWeights(lambda_geo=0.0), n=100, m=64):
+    """combined_loss arguments, at the default weights unless given; the ground-truth cloud has m
+    points and the cloud n."""
     c = random_cloud(5, n)
     rng = np.random.default_rng(6)
     raster = lambda: Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
     return (c, LossTargets(silhouette=raster(), shadow=raster(), dsm=raster(), gt_cloud=random_cloud(8, m)),
-            SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights, executor)
+            SunConfig(150.0, 50.0), SPEC, SoftConfig(sigma=1.0), weights)
 
 
-@pytest.fixture(params=["serial", "pooled"])
-def side(request):
-    """(side, n, m): a cloud of n points against a ground truth of m on either side of
-    `losses._SERIAL_MAX`, where `query_pair` answers both queries on the caller's thread or hands
-    a pool's worker one."""
-    n, m = {"serial": (40, 25), "pooled": (100, 64)}[request.param]
-    assert (n * m > losses._SERIAL_MAX) == (request.param == "pooled")
-    return request.param, n, m
+GEO_AND_SILHOUETTE = LossWeights(1.0, 1.0, 0.0, 0.0)
 
 
-GEO_ON_THE_POOL = LossWeights(1.0, 1.0, 0.0, 0.0)  # the pool runs a Chamfer query beside the silhouette pass
-
-
-def on_worker() -> bool:
-    return threading.current_thread() is not threading.main_thread()
-
-
-def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, executor, side):
-    """With a pool, the wrappable names of `losses` are called on the caller's thread, the same
-    calls in the same order as without one, so a wrapper that keeps one call stack for all threads
-    stays right. Chamfer builds b's tree first, and `query_pair` then builds a's tree on either
-    side; the caller queries both trees, with the pool's worker, if any, on the pooled side only."""
-    _, n, m = side
-    calls = []
+def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch):
+    """The wrappable names of `losses` are called on the caller's thread, the same calls in the same
+    order on a second call, so a wrapper that keeps one call stack for all threads stays right.
+    Chamfer builds b's tree first, and `query_pair` then builds a's tree; the caller queries both."""
+    n, m = 100, 64
+    caller, calls = threading.current_thread(), []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
                  "project_to_ground", "dsm_forward_backward"):
         real = getattr(losses, name)
         monkeypatch.setattr(losses, name, lambda *a, _n=name, _f=real:
-                            calls.append((_n, len(a[0]), on_worker())) or _f(*a))
+                            calls.append((_n, len(a[0]), threading.current_thread() is not caller)) or _f(*a))
     for on in [{"sil", "shadow"}, {"geo"}, {"geo", "sil"}, {"geo", "shadow"}, {"geo", "sil", "shadow"},
                {"geo", "sil", "shadow", "dsm"}]:
-        args = pool_call_args(executor, LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)), n, m)
+        args = call_args(LossWeights(*(1.0 if term in on else 0.0 for term in TERMS)), n, m)
         calls.clear()
-        serial = combined_loss(*args[:6])
+        first = combined_loss(*args)
         expected = list(calls)
         calls.clear()
         value, grad, _ = combined_loss(*args)
@@ -611,17 +588,16 @@ def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatc
         if on == {"geo"}:  # b's tree, then a's, both built by the caller
             assert calls == [("chamfer", n, False), ("cKDTree", m, False), ("cKDTree", n, False)]
         assert [name for name, _, _ in calls].count("cKDTree") == 2 * ("geo" in on)
-        assert value == serial[0] and grad.tobytes() == serial[1].tobytes()
+        assert value == first[0] and grad.tobytes() == first[1].tobytes()
 
 
-
-def test_a_pooled_call_projects_the_cloud_once(monkeypatch, executor):
-    """With a pool and the silhouette and shadow terms on, the cloud is slid to the ground once
-    per call: `sensor.project_to_ground` takes the sun's offsets once per projection."""
+def test_a_call_projects_the_cloud_once(monkeypatch):
+    """With the silhouette and shadow terms on, the cloud is slid to the ground once per call:
+    `sensor.project_to_ground` takes the sun's offsets once per projection."""
     offsets = []
     real = sensor.shadow_offsets
     monkeypatch.setattr(sensor, "shadow_offsets", lambda sun: offsets.append(sun) or real(sun))
-    args = pool_call_args(executor)
+    args = call_args()
     assert args[5].lambda_sil > 0 and args[5].lambda_shadow > 0
     combined_loss(*args)
     assert offsets == [args[2]]
@@ -638,51 +614,32 @@ def cloud_pairs(draw, lo=1, hi=60):
     return PointCloud(positions=a), PointCloud(positions=b)
 
 
-@pytest.mark.parametrize("side, sizes", [("serial", (1, 60)), ("pooled", (65, 120))])
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_chamfer_on_a_pool_keeps_every_byte(side, sizes, data, executor):
-    """A pooled `chamfer` gives the bytes of a serial one on both sides of `losses._SERIAL_MAX`;
-    only the pooled side hands the pool its KD-tree query."""
-    a, b = data.draw(cloud_pairs(*sizes))
-    assert (len(a) * len(b) > losses._SERIAL_MAX) == (side == "pooled")
-    value, grad = chamfer(a, b)
-    with mock.patch.object(executor, "submit", wraps=executor.submit) as submit:
-        pooled_value, pooled_grad = chamfer(a, b, executor)
-    assert submit.called == (side == "pooled")
-    assert np.float64(pooled_value).tobytes() == np.float64(value).tobytes()
-    assert pooled_grad.dtype == grad.dtype and pooled_grad.tobytes() == grad.tobytes()
-
-
-@pytest.mark.parametrize("side, sizes", [("serial", (1, 60)), ("pooled", (65, 120))])
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_a_prebuilt_ground_truth_tree_keeps_every_byte(side, sizes, data, executor):
+def test_a_prebuilt_ground_truth_tree_keeps_every_byte(data):
     """`chamfer` and `combined_loss` handed the ground truth's tree, or a `losses.GtSearch` of it
-    (whose hint each call leaves for the next), give, serially and on a pool, the bytes of the
-    calls that build it, on tie-heavy lattice clouds whose N * M is on either side of
-    `losses._SERIAL_MAX`; one built from another array, even an equal copy, raises InvalidConfig
-    before the pool is asked for anything."""
-    a, b = data.draw(cloud_pairs(*sizes))
-    assert (len(a) * len(b) > losses._SERIAL_MAX) == (side == "pooled")
+    (whose hint each call leaves for the next), give the bytes of the calls that build it, on
+    tie-heavy lattice clouds of 1 to 120 points a side; one built from another array, even an equal
+    copy, raises InvalidConfig."""
+    a, b = data.draw(cloud_pairs(1, 120))
     rng = np.random.default_rng(len(a) * len(b))
     targets = LossTargets(silhouette=Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width))), gt_cloud=b)
-    args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
+    args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_AND_SILHOUETTE)
     value, grad = chamfer(a, b)
     total, total_grad, breakdown = combined_loss(*args)
     for build in (cKDTree, losses.GtSearch):
         tree, other = build(b.positions), build(b.positions.copy())
-        for pool in (None, executor):
-            given_value, given_grad = chamfer(a, b, pool, tree)
+        for _ in range(2):  # a GtSearch's second call reads the hint its first left
+            given_value, given_grad = chamfer(a, b, tree)
             assert np.float64(given_value).tobytes() == np.float64(value).tobytes()
             assert given_grad.dtype == grad.dtype and given_grad.tobytes() == grad.tobytes()
-            given_total, given_total_grad, given_breakdown = combined_loss(*args, pool, tree)
+            given_total, given_total_grad, given_breakdown = combined_loss(*args, tree)
             assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
             assert given_total_grad.tobytes() == total_grad.tobytes() and given_breakdown == breakdown
             with pytest.raises(InvalidConfig, match="KD-tree"):
-                chamfer(a, b, pool, other)
+                chamfer(a, b, other)
             with pytest.raises(InvalidConfig, match="KD-tree"):
-                combined_loss(*args, pool, other)
+                combined_loss(*args, other)
 
 
 @st.composite
@@ -749,7 +706,7 @@ def test_a_ground_truth_search_answers_as_a_kd_tree_whatever_its_hint(case):
     assert distances is None and got.dtype == indices.dtype and got.tobytes() == indices.tobytes()
     assert search.hint.tobytes() == indices.tobytes()
     search.hint = hint
-    outcome = chamfer_outcome(PointCloud(a), gt, None, search)
+    outcome = chamfer_outcome(PointCloud(a), gt, search)
     assert outcome == chamfer_outcome(PointCloud(a), gt)
     if (indices == len(pb)).any():
         assert outcome == losses._OVERFLOW
@@ -782,155 +739,43 @@ def test_a_search_queries_the_tree_only_for_the_points_its_hints_do_not_prove(mo
 @pytest.mark.parametrize("m", [40, 300])
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_no_tree_is_handed_in(
-        executor, layout, m):
+        layout, m):
     """A ground truth given in Fortran order, or as three columns of a wider array, whose
-    PointCloud holds a C-order copy of it: `chamfer`, `combined_loss` (serially and on a pool)
-    and `MoveScorer`, handed no tree, give the bytes of a cloud made from a C-order copy
-    made first, with N * M on either side of `losses._SERIAL_MAX`."""
+    PointCloud holds a C-order copy of it: `chamfer`, `combined_loss` and `MoveScorer`, handed no
+    tree, give the bytes of a cloud made from a C-order copy made first, at 40 points against 40
+    and against 300."""
     rng = np.random.default_rng(m)
     wide = rng.uniform(-7.0, 7.0, (m, 5))
     source = np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4]
     gt, copy = PointCloud(source), PointCloud(np.ascontiguousarray(source))
     assert not source.flags.c_contiguous and gt.positions.flags.c_contiguous
     assert not np.shares_memory(gt.positions, source) and np.array_equal(gt.positions, source)
-    assert (40 * m > losses._SERIAL_MAX) == (m == 300)
     stack = rng.uniform(-7.0, 7.0, (3, 40, 3))
     a = PointCloud(stack[0].copy())
     value, grad = chamfer(a, copy)
     given_value, given_grad = chamfer(a, gt)
     assert np.float64(given_value).tobytes() == np.float64(value).tobytes() and given_grad.tobytes() == grad.tobytes()
     silhouette = Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width)))
-    args = (None, SPEC, SoftConfig(sigma=1.0), GEO_ON_THE_POOL)
+    args = (None, SPEC, SoftConfig(sigma=1.0), GEO_AND_SILHOUETTE)
     total, total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=copy), *args)
-    for pool in (None, executor):
-        given_total, given_total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=gt), *args, pool)
-        assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
-        assert given_total_grad.tobytes() == total_grad.tobytes()
+    given_total, given_total_grad, _ = combined_loss(a, LossTargets(silhouette=silhouette, gt_cloud=gt), *args)
+    assert np.float64(given_total).tobytes() == np.float64(total).tobytes()
+    assert given_total_grad.tobytes() == total_grad.tobytes()
     moves = (np.arange(3), stack[1, :3])
     values = [losses.MoveScorer(a, LossTargets(gt_cloud=c), None, SPEC, SoftConfig(sigma=1.0), GEO_ONLY)(*moves)[0]
               for c in (copy, gt)]
     assert values[1].tobytes() == values[0].tobytes()
 
 
-def test_an_exception_in_the_worker_query_reaches_the_caller_unchanged(monkeypatch, executor, side):
-    """On the pooled side the worker's query of b's tree raises, and the caller queries every run of
-    a's tree meanwhile; the serial side puts no query on the worker: the caller makes both."""
-    kind, n, m = side
-    err, threads = Diverged("raised in the worker's query"), []
-
-    class Tree(cKDTree):
-        def query(self, x, **kwargs):
-            threads.append(on_worker())
-            if on_worker():
-                raise err
-            return super().query(x, **kwargs)
-
-    monkeypatch.setattr(losses, "cKDTree", Tree)
-    args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
-    if kind == "serial":
-        combined_loss(*args)
-        assert threads == [False, False]
-        return
-    with pytest.raises(Diverged) as info:
-        combined_loss(*args)
-    assert info.value is err
-    assert sorted(threads) == [False] * losses._QUERY_RUNS + [True]
-
-
-def test_combined_loss_raises_only_once_the_worker_query_has_ended(monkeypatch, executor, side):
-    """On the pooled side the caller fails in its first query of a's tree while the worker's query
-    runs, and the error is raised once that query has ended. The serial side has no worker query to
-    wait for."""
-    kind, n, m = side
-    ended = threading.Event()
-
-    class Tree(cKDTree):
-        def query(self, x, **kwargs):
-            if not on_worker():
-                raise Diverged("the caller's query fails while the worker's runs")
-            time.sleep(0.2)
-            out = super().query(x, **kwargs)
-            ended.set()
-            return out
-
-    monkeypatch.setattr(losses, "cKDTree", Tree)
-    args = pool_call_args(executor, GEO_ON_THE_POOL, n, m)
-    with pytest.raises(Diverged, match="while the worker's runs"):
-        combined_loss(*args)
-    assert ended.is_set() == (kind == "pooled")
-
-
-def test_the_worker_query_runs_under_the_callers_numpy_error_state(monkeypatch, executor, side):
-    """On the pooled side the worker's queries overflow, silently under the caller's `over="ignore"`
-    (the worker queries b's tree and then takes any runs of a's tree the caller has left) and as the
-    caller's warning-turned-error otherwise (the worker stops at its first query, and the caller
-    queries every run). The serial side puts no query on the worker: the caller makes both."""
-    kind, n, m = side
-    threads, calls = [], []
-
-    class Tree(cKDTree):
-        def query(self, x, **kwargs):
-            threads.append(on_worker())
-            if on_worker():
-                np.float64(1e308) * np.array([10.0])
-            return super().query(x, **kwargs)
-
-    monkeypatch.setattr(losses, "cKDTree", Tree)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
-        calls.append(sorted(threads))
-        threads.clear()
-        if kind == "pooled":
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                combined_loss(*pool_call_args(executor, GEO_ON_THE_POOL, n, m))
-            calls.append(sorted(threads))
-    if kind == "serial":
-        assert calls == [[False, False]]
-    else:
-        runs = losses._QUERY_RUNS
-        assert len(calls[0]) == runs + 1 and calls[0][0] is False and calls[0][-1] is True
-        assert calls[1] == [False] * runs + [True]
-
-
-def test_concurrent_runs_with_their_own_pools_keep_every_byte():
-    """Three callers, each with its own pool (six threads on fewer cores, each on its own
-    buffers), under a short switch interval, alternating a call whose pool runs a Chamfer query
-    beside the silhouette and shadow passes with one whose pool runs it beside the silhouette
-    pass alone (40 of each per caller): every call gives the serial bytes, as no state is
-    shared. (Buffers shared between the callers failed this in most runs.)"""
-    calls = [(random_cloud(7, 400),) + pool_call_args(None, weights)[1:6]
-             for weights in (LossWeights(), GEO_ON_THE_POOL)]
-    expected = [combined_loss(*args) for args in calls]
-
-    def run(_):
-        with ThreadPoolExecutor(1) as own:
-            return [combined_loss(*args, own) for _ in range(40) for args in calls]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(3) as callers:
-            results = [r for f in [callers.submit(run, i) for i in range(3)] for r in f.result(timeout=120)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(results) == 240
-    for (value, grad, breakdown), serial in zip(results, expected * 120):
-        assert np.float64(value).tobytes() == np.float64(serial[0]).tobytes()
-        assert grad.tobytes() == serial[1].tobytes()
-        assert breakdown == serial[2]
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("far", ["cloud", "ground truth"])
-def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, far):
+def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(far):
     """A coordinate of 1e300 in the cloud or in the ground truth: every squared distance from that
     point overflows, so cKDTree finds it no neighbour (the index len(...)). `chamfer`, `combined_loss`
-    and `metrics.eval_chamfer` raise InvalidConfig on both sides of `losses._SERIAL_MAX`, with no
-    numpy warning. `fscore` of the same clouds then gives the unbounded queries' scores, the far
-    point a miss; above that size it reads eval_chamfer's search, which a raise does not drop."""
-    _, n, m = side
+    and `metrics.eval_chamfer` raise InvalidConfig, with no numpy warning. `fscore` of the same
+    clouds then gives the unbounded queries' scores, the far point a miss, read from eval_chamfer's
+    search, which a raise does not drop."""
+    n, m = 100, 64
     positions = [random_cloud(0, n).positions, random_cloud(1, m).positions]
     positions[far == "ground truth"][0, 0] = 1e300
     pred, gt = map(PointCloud, positions)
@@ -944,4 +789,4 @@ def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(side, 
         metrics.eval_chamfer(pred, gt)
     with mock.patch.object(metrics, "query_pair", wraps=metrics.query_pair) as search:
         assert metrics.fscore(pred, gt, 1.0) == oracles.fscore_unbounded(pred, gt, 1.0)
-    assert search.call_count == (side[0] == "serial")
+    assert search.call_count == 0

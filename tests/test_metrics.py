@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_chamfer, fscore_unbounded, zero_grid
@@ -121,16 +121,16 @@ def uniform(seed, n, offset=0.0):
 @example(pair=(uniform(2, 1), uniform(3, 3000), 1e-6))
 @example(pair=(uniform(4, 2999), uniform(5, 1, 1e6), 1e300))
 @example(pair=(PointCloud(np.zeros((3000, 3))), PointCloud(np.ones((2999, 3))), 5e-324))  # all distances tie
-def test_the_worker_changes_no_score(pair):
-    """eval_chamfer and fscore give the same floats with the worker thread (on two or more CPUs)
-    and without it (the CPU rule patched to find no CPU)."""
+def test_the_cpu_rule_changes_no_score(pair):
+    """eval_chamfer and fscore give the same floats whether the CPU rule finds another CPU (on two
+    or more CPUs) or none (patched)."""
     pred, gt, tau = pair
     metrics._last.record = None  # each side searches for itself
-    pooled = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
+    found = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
     metrics._last.record = None
     with mock.patch.object(core, "other_cpus", set):
         alone = eval_chamfer(pred, gt), *fscore(pred, gt, tau)
-    assert np.array(pooled).tobytes() == np.array(alone).tobytes()
+    assert np.array(found).tobytes() == np.array(alone).tobytes()
 
 
 # a thread's scores of one pair of clouds read its one search of them
@@ -140,9 +140,9 @@ TAUS = st.sampled_from([5e-324, 1e-170, 1e-150, 0.1, 0.5, 3.0, 1e150, 1e300, 1.7
 
 @st.composite
 def probed_pairs(draw):
-    """(pred, gt, taus): 1 to 200 points a side, so N * M falls on both sides of `losses._SERIAL_MAX`,
-    with each coordinate one of k * taus[0] / 2 for |k| <= 2 and the float just past taus[0], so that
-    nearest distances tie, equal taus[0] or pass it by one float; then one to three more taus."""
+    """(pred, gt, taus): 1 to 200 points a side, with each coordinate one of k * taus[0] / 2 for
+    |k| <= 2 and the float just past taus[0], so that nearest distances tie, equal taus[0] or pass it
+    by one float; then one to three more taus."""
     taus = [draw(TAUS)] + draw(st.lists(TAUS, min_size=1, max_size=3))
     coords = [k * (taus[0] / 2) for k in range(-2, 3)] + [float(np.nextafter(taus[0], np.inf))]
     sizes = st.integers(1, 200) | st.sampled_from([1, 64, 65, 200])
@@ -158,19 +158,18 @@ def zeros(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(pair=probed_pairs())
-@example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident above the serial size: d = 0 <= tau
+@example(pair=(zeros(65), zeros(65), [5e-324, 1.7e308]))  # coincident: d = 0 <= tau
 @example(pair=(cloud([0, 0, 0] * 70), cloud([0, 0, 0.1] * 69 + [0, 0, float(np.nextafter(0.1, 1))]), [0.1]))
 @example(pair=(uniform(0, 120), uniform(1, 120, 100.0), [0.5, 200.0, 1e6]))  # gt far from pred
 def test_fscore_after_eval_chamfer_keeps_the_bytes_of_fscore_alone_and_of_unbounded_queries(pair):
     """fscore alone, fscore at each tau after one eval_chamfer of the same clouds, and unbounded
     queries give the same bytes, and eval_chamfer gives chamfer's value, with no numpy warning.
-    eval_chamfer searches only above `losses._SERIAL_MAX`, and keeps its search for fscore there
-    even where a squared distance overflows and it raises InvalidConfig, as chamfer does."""
+    eval_chamfer keeps its search for fscore even where a squared distance overflows and it raises
+    InvalidConfig, as chamfer does."""
     pred, gt, taus = pair
     metrics._last.record = None  # fscore alone: its own search
     alone = [fscore(pred, gt, tau) for tau in taus]
-    metrics._last.record = None  # eval_chamfer's own search, where it makes one
-    shared = len(pred) * len(gt) > losses._SERIAL_MAX
+    metrics._last.record = None  # eval_chamfer's own search
     try:
         value = eval_chamfer(pred, gt)
     except InvalidConfig:
@@ -178,8 +177,7 @@ def test_fscore_after_eval_chamfer_keeps_the_bytes_of_fscore_alone_and_of_unboun
             losses.chamfer(pred, gt)
     else:
         assert np.float64(value).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
-    assert (metrics._last.record is not None) == shared
-    event(f"fscore reads eval_chamfer's distances: {shared}")
+    assert metrics._last.record is not None
     after = [fscore(pred, gt, tau) for tau in taus]
     unbounded = [fscore_unbounded(pred, gt, tau) for tau in taus]
     assert np.array(alone).tobytes() == np.array(after).tobytes() == np.array(unbounded).tobytes()
@@ -207,8 +205,8 @@ def scoring_calls():
 @pytest.mark.parametrize("first", ["eval_chamfer", "fscore"])
 def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first):
     """One evaluation of a pair, eval_chamfer and fscore at three taus in either order, builds two
-    trees and makes one pair of queries, all in the first call, whose worker (on two or more CPUs)
-    is the only thread; it gives the unbounded queries' scores and chamfer's value."""
+    trees and makes one pair of queries, all in the first call, and starts no thread; it gives the
+    unbounded queries' scores and chamfer's value."""
     pred, gt = uniform(0, 2000), uniform(1, 2000)
     taus = (0.1, 0.5, 2.0)
     calls = {"eval_chamfer": lambda: eval_chamfer(pred, gt), "fscore": lambda: [fscore(pred, gt, tau) for tau in taus]}
@@ -216,7 +214,7 @@ def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first)
     metrics._last.record = None
     with scoring_calls() as counts:
         results = {first: calls[first]()}
-        assert counts["trees"] == 2 and counts["pairs"] == 1 and counts["threads"] <= 1
+        assert counts["trees"] == 2 and counts["pairs"] == 1 and counts["threads"] == 0
         before = dict(counts)
         results[second] = calls[second]()
         assert counts == before
@@ -224,43 +222,15 @@ def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first)
     assert np.float64(results["eval_chamfer"]).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
 
 
-def fscore_alone_on_a_pool(pred, gt, taus):
-    """(scores, submits, threads started) of fscore alone at each tau, with `core.worker_pool` giving a
-    one-worker pool whatever the CPUs, and the scores of the same calls with no pool."""
-    submits = []
-
-    def pool():
-        executor = ThreadPoolExecutor(1)
-        submit = executor.submit
-        executor.submit = lambda *args: submits.append(args) or submit(*args)
-        return executor
-
+def test_an_fscore_alone_searches_once_and_starts_no_thread():
+    """A 65 x 64 pair with no kept search: the first fscore makes the pair's one search, the second
+    reads it, neither starts a thread, and both give the unbounded queries' bytes."""
+    pred, gt, taus = uniform(0, 65), uniform(1, 64), (0.5, 2.0)
     metrics._last.record = None
-    with mock.patch.object(metrics, "worker_pool", pool), scoring_calls() as counts:
-        pooled = [fscore(pred, gt, tau) for tau in taus]
-    metrics._last.record = None
-    with mock.patch.object(metrics, "worker_pool", lambda: None):
-        alone = [fscore(pred, gt, tau) for tau in taus]
-    assert np.array(pooled).tobytes() == np.array(alone).tobytes() == np.array(
-        [fscore_unbounded(pred, gt, tau) for tau in taus]).tobytes()
-    return len(submits), counts["threads"]
-
-
-def test_a_small_fscore_alone_starts_no_thread():
-    """A 40 x 64 pair, at or below `losses._SERIAL_MAX`, with no kept search: fscore hands its pool
-    nothing, so the pool starts no thread, and it gives the bytes of a search with no pool."""
-    pred, gt = uniform(0, 40), uniform(1, 64)
-    assert len(pred) * len(gt) <= losses._SERIAL_MAX
-    assert fscore_alone_on_a_pool(pred, gt, (0.5, 2.0)) == (0, 0)
-
-
-def test_an_fscore_above_the_serial_size_submits_its_query_once():
-    """A 65 x 64 pair, above `losses._SERIAL_MAX`: the first fscore hands its pool one query, which
-    starts the pool's one thread, the second reads the kept search, and both give the bytes of a
-    search with no pool."""
-    pred, gt = uniform(0, 65), uniform(1, 64)
-    assert len(pred) * len(gt) > losses._SERIAL_MAX
-    assert fscore_alone_on_a_pool(pred, gt, (0.5, 2.0)) == (1, 1)
+    with scoring_calls() as counts:
+        scores = [fscore(pred, gt, tau) for tau in taus]
+    assert counts == {"trees": 2, "pairs": 1, "threads": 0}
+    assert np.array(scores).tobytes() == np.array([fscore_unbounded(pred, gt, tau) for tau in taus]).tobytes()
 
 
 def test_the_record_is_never_read_for_other_clouds():

@@ -3,7 +3,7 @@ import importlib
 import os
 import re
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from functools import cache
 from unittest import mock
@@ -537,8 +537,8 @@ def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset
     spec = pooled_spec(scene.dsm.spec, LOSS_POOL)
     assert spec.width == -(-scene.dsm.spec.width // 2) and spec.pixel_size == 2 * scene.dsm.spec.pixel_size
     assert len(calls) == 3
-    assert all(tree is calls[0][7] for *_, tree in calls)
-    for _, targets, sun, loss_spec, soft_cfg, w, _, tree in calls:
+    assert all(tree is calls[0][6] for *_, tree in calls)
+    for _, targets, sun, loss_spec, soft_cfg, w, tree in calls:
         assert (loss_spec, sun, w, targets.gt_cloud) == (spec, scene.sun, weights, gt)
         assert tree.data is gt.positions if geo else tree is None
         assert soft_cfg.sigma == scene.dsm.spec.pixel_size
@@ -548,53 +548,55 @@ def test_the_loss_is_scored_on_the_pooled_grid_with_sigma_in_input_pixels(preset
             assert np.array_equal(target.values, pool(getattr(fine, field), LOSS_POOL).values)
 
 
-def run_bytes(tmp, seed, preset, n_points, lr, iters, threaded):
-    """PLY and history bytes of one reconstruct with a worker pool or not, and whether each
-    loss call got a pool."""
+def tree_of(args) -> losses.GtSearch | None:
+    """The ground truth's tree a `combined_loss` call got; the helper process's calls pass none."""
+    return args[6] if len(args) > 6 else None
+
+
+def run_bytes(tmp, seed, preset, n_points, lr, iters):
+    """PLY and history bytes of one reconstruct, and the type of the tree each loss call got."""
     scene = small_scene(seed)
     weights, geo = PRESETS[preset]
-    pools = []
+    trees = []
 
     def spy(*args):
-        pools.append(args[6] is not None)
+        trees.append(type(tree_of(args)))
         return loss(*args)
 
     loss = reconstruct_module.combined_loss
-    with mock.patch.object(reconstruct_module, "combined_loss", spy), \
-            mock.patch.object(core, "worker_pool",
-                              (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None)):
+    with mock.patch.object(reconstruct_module, "combined_loss", spy):
         res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                           gt_cloud=scene.cloud if geo else None,
                           cfg=OptimConfig(n_points=n_points, iters=iters, lr=lr, weights=weights, seed=seed))
     write_ply(res.cloud, tmp / "r.ply")
     _write_history(tmp / "r.history.csv", res.loss_history)
-    return (tmp / "r.ply").read_bytes(), (tmp / "r.history.csv").read_bytes(), set(pools)
+    return (tmp / "r.ply").read_bytes(), (tmp / "r.history.csv").read_bytes(), set(trees)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @example(iters=40, seed=1, preset="geo_only", n_points=60, lr=0.05)
 @example(iters=40, seed=2, preset="geo", n_points=60, lr=0.2)
 @given(iters=st.integers(0, 40), **run_args)
-def test_a_threaded_run_writes_the_bytes_of_a_serial_one(tmp_path_factory, iters, seed, preset, n_points, lr):
-    tmp = tmp_path_factory.mktemp("threads")
-    (tmp / "serial").mkdir()
-    (tmp / "threaded").mkdir()
-    *serial, serial_pools = run_bytes(tmp / "serial", seed, preset, n_points, lr, iters, False)
-    *threaded, threaded_pools = run_bytes(tmp / "threaded", seed, preset, n_points, lr, iters, True)
-    assert serial == threaded
-    assert serial_pools == {False} and threaded_pools == {PRESETS[preset][0].lambda_geo > 0}
+def test_a_second_run_in_one_process_writes_the_bytes_of_the_first(tmp_path_factory, iters, seed, preset, n_points,
+                                                                    lr):
+    """Nothing a run leaves behind, a thread's render buffers or a kept search, changes the next
+    run's bytes; every loss call of a run with the Chamfer term on gets the run's `GtSearch`."""
+    tmp = tmp_path_factory.mktemp("runs")
+    (tmp / "first").mkdir()
+    (tmp / "second").mkdir()
+    *first, first_trees = run_bytes(tmp / "first", seed, preset, n_points, lr, iters)
+    *second, second_trees = run_bytes(tmp / "second", seed, preset, n_points, lr, iters)
+    assert first == second
+    geo = PRESETS[preset][0].lambda_geo > 0
+    assert first_trees == second_trees == {losses.GtSearch if geo else type(None)}
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threaded):
-    """A run of 30 or more iterations with the Chamfer term on, serial or with its worker pool,
-    builds one `losses.cKDTree` of the ground truth's positions array, held by one
-    `losses.GtSearch` that it hands to every loss call; the only other trees are the cloud's own,
-    one a call (200 points against the ground truth is above `losses._SERIAL_MAX`, so the threaded
-    run's worker answers one of each call's queries)."""
+def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch):
+    """A run of 30 or more iterations with the Chamfer term on builds one `losses.cKDTree` of the
+    ground truth's positions array, held by one `losses.GtSearch` that it hands to every loss call;
+    the only other trees are the cloud's own, one a call."""
     scene, builds, calls = small_scene(0), [], []
     gt = scene.cloud.positions
-    assert 200 * len(gt) > losses._SERIAL_MAX
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
@@ -602,21 +604,19 @@ def test_a_chamfer_run_builds_one_kd_tree_of_the_ground_truth(monkeypatch, threa
             super().__init__(data, *args, **kwargs)
 
     def spy(*args):
-        calls.append(args[6:])
+        calls.append(tree_of(args))
         return loss(*args)
 
     loss = reconstruct_module.combined_loss
     monkeypatch.setattr(losses, "cKDTree", Tree)
     monkeypatch.setattr(reconstruct_module, "combined_loss", spy)
-    monkeypatch.setattr(core, "worker_pool",
-                        (lambda: ThreadPoolExecutor(1)) if threaded else (lambda: None))
     res = reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow, gt_cloud=scene.cloud,
                       cfg=OptimConfig(n_points=200, iters=40, weights=PRESETS["geo"][0]))
     assert res.stop_iter >= 30 and len(calls) == res.stop_iter + 1
     assert [data is gt for data in builds].count(True) == 1 and len(builds) == 1 + len(calls)
-    search = calls[0][1]
+    search = calls[0]
     assert type(search) is losses.GtSearch and type(search.tree) is Tree and search.data is gt
-    assert all(got is search and (executor is not None) == threaded for executor, got in calls)
+    assert all(got is search for got in calls)
 
 
 def test_a_ground_truth_not_in_c_order_gives_the_bytes_of_its_c_order_copy():
@@ -636,21 +636,21 @@ def test_a_ground_truth_not_in_c_order_gives_the_bytes_of_its_c_order_copy():
 
 @pytest.mark.parametrize("preset", [name for name, (weights, _) in PRESETS.items() if weights.lambda_geo == 0])
 def test_a_raster_only_run_starts_no_thread(preset):
-    """Without the Chamfer term a run asks for no pool, and every loss call gets none."""
+    """Without the Chamfer term a run starts no thread, and every loss call gets no tree."""
     scene = small_scene(0)
     weights, _ = PRESETS[preset]
-    started, executors = [], []
+    started, trees, start = [], [], threading.Thread.start
 
     def spy(*args):
-        executors.append(args[6])
+        trees.append(tree_of(args))
         return loss(*args)
 
     loss = reconstruct_module.combined_loss
     with mock.patch.object(reconstruct_module, "combined_loss", spy), \
-            mock.patch.object(core, "worker_pool", lambda: started.append(1) or ThreadPoolExecutor(1)):
+            mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         reconstruct(scene.ortho, scene.dsm, sun=scene.sun, shadow_target=scene.shadow,
                     cfg=OptimConfig(n_points=40, iters=3, weights=weights))
-    assert started == [] and executors == [None] * 4
+    assert started == [] and trees == [None] * 4
 
 
 def current_cpu() -> int:
@@ -658,18 +658,12 @@ def current_cpu() -> int:
         return int(f.read().rsplit(")", 1)[1].split()[36])
 
 
-def worker_pool_in_a_worker_process() -> bool:
-    return core.worker_pool() is None
-
-
 def threads_started_by_scoring() -> int:
-    """How many threads eval_chamfer and then fscore start, on clouds above `losses._SERIAL_MAX`,
-    whose search hands the worker a query (only eval_chamfer's worker: fscore reads the distances it
-    found)."""
+    """How many threads eval_chamfer and then fscore start (fscore reads the search eval_chamfer
+    made)."""
     started, start = [], threading.Thread.start
     scene = small_scene(0)
     pred = PointCloud(scene.cloud.positions[::2] + 0.1)
-    assert len(pred) * len(scene.cloud) > losses._SERIAL_MAX
     with mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         eval_chamfer(pred, scene.cloud)
         fscore(pred, scene.cloud)
@@ -677,25 +671,15 @@ def threads_started_by_scoring() -> int:
 
 
 two_cpus = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                              reason="one CPU, or no Linux affinity calls: the run keeps one thread")
-
-
-@two_cpus
-def test_the_chamfer_worker_runs_off_the_callers_cpu():
-    caller, allowed = current_cpu(), os.sched_getaffinity(0)
-    with core.worker_pool() as pool:
-        assert caller not in [pool.submit(current_cpu).result(timeout=60) for _ in range(20)]
-        assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == allowed - {caller}
+                              reason="one CPU, or no Linux affinity calls: the run forks no helper")
 
 
 def test_a_jobs_worker_process_keeps_its_passes_on_one_thread():
-    """Its siblings fill the cores: no Chamfer thread, no helper process, and scoring starts no thread."""
+    """Its siblings fill the cores: no helper process, and scoring starts no thread."""
     with ProcessPoolExecutor(1) as workers:
-        assert workers.submit(worker_pool_in_a_worker_process).result(timeout=120)
         assert workers.submit(forks_of_a_default_run).result(timeout=120) == 0
         assert workers.submit(threads_started_by_scoring).result(timeout=120) == 0
     with mock.patch.object(core.multiprocessing, "parent_process", lambda: object()):
-        assert core.worker_pool() is None
         assert forks_of_a_default_run() == 0
         assert threads_started_by_scoring() == 0
 
@@ -721,7 +705,7 @@ def recorded_forks():
 
 
 def no_helper():
-    """The CPU rule patched to find no CPU: no helper process and no Chamfer thread."""
+    """The CPU rule patched to find no CPU: no helper process."""
     return mock.patch.object(core, "other_cpus", set)
 
 
@@ -797,17 +781,17 @@ def test_a_run_with_its_helper_writes_the_bytes_of_one_without(tmp_path_factory,
 @two_cpus
 def test_scoring_between_two_runs_leaves_no_thread_for_the_next_helper():
     """A run, its scoring and a second run in one process, in the order of one `recon_inputs`
-    operation: eval_chamfer starts its worker thread and joins it before it returns, and fscore
-    reads the distances eval_chamfer found and starts none, so the second run still forks its helper."""
+    operation: eval_chamfer and fscore, which reads the distances eval_chamfer found, start no
+    thread, so the second run still forks its helper."""
     scene, started, start = small_scene(0), [], threading.Thread.start
     with recorded_forks() as pids, \
             mock.patch.object(threading.Thread, "start", lambda thread: started.append(thread) or start(thread)):
         pred = run_default().cloud
-        assert len(pids) == 1 and len(pred) * len(scene.cloud) > losses._SERIAL_MAX
-        for score, threads in ((eval_chamfer, 1), (fscore, 0)):
+        assert len(pids) == 1
+        for score in (eval_chamfer, fscore):
             started.clear()
             score(pred, scene.cloud)
-            assert len(started) == threads  # eval_chamfer did start its worker
+            assert len(started) == 0
             assert threading.active_count() == 1
         run_default()
     assert len(pids) == 2

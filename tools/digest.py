@@ -25,9 +25,8 @@ whose bytes changed. The artefacts:
   with and without `--gt`; and the loop's edges, `--manifest --iters 0`
   (the later `--iters` wins) and `--manifest --log-every 7`
 - the same three of `reconstruct --iters 20 --points 40 --gt` of a small-grid
-  scene generated with `--points-per-tree 64`: 40 x 64 points is a size whose
-  `losses.query_pair` answers both KD-tree queries on the calling thread
-  (`losses._SERIAL_MAX`), where every other `--gt` run here hands its worker one
+  scene generated with `--points-per-tree 64`: 40 x 64 points, a small Chamfer
+  beside the 200- and 2000-point clouds of the other `--gt` runs here
 - the same three of a Chamfer-only `reconstruct --gt` of the first small-grid
   scene at the default `--iters` and `--points`, which must end by the
   stopping rule (`stop=loss`): every iteration of a whole run queries the one
@@ -35,16 +34,15 @@ whose bytes changed. The artefacts:
 - the `eval` report of the default reconstruction and of the ground truth against
   itself, at tau 1e-170, 0.1, 0.5 and 3, where Chamfer builds KD-trees and
   `fscore` reads the search `eval_chamfer` made; at the same taus that of the
-  `--points 40` reconstruction against its 64-point ground truth, whose
-  `eval_chamfer` is `losses.chamfer` and whose `fscore` makes the pair's one
-  search, neither on a worker thread;
+  `--points 40` reconstruction against its 64-point ground truth, which
+  score a small pair the same way;
   and at tau 0.5 that of the default reconstruction with its body's digits
   re-written as Arabic-Indic digits, which the C parse (`np.loadtxt`) refuses and Python's `float()` and `int()`
   read as the same numbers, so its line equals `eval/default/tau=0.5`'s only
   while the row pass keeps every byte
 - `run_gradcheck(seed=s, trials=3)` scores for s = 0-5, and
-  `run_gradcheck(seed=0, trials=1, n_points=200)`'s, a trial whose N * M is
-  above `losses._SERIAL_MAX`, as a default `reconstruct`'s Chamfer is
+  `run_gradcheck(seed=0, trials=1, n_points=200)`'s, a trial whose Chamfer is
+  larger, as a default `reconstruct`'s is
 - the `--help` text of the top-level parser and of each subcommand, at a
   fixed width of 80 columns, with its exit code
 - the exit code and stderr of `bench` on a dataset with no scene directory,
