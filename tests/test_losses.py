@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -15,7 +16,7 @@ from oracles import brute_chamfer, brute_chamfer_grad, finite_diff, zero_grid
 from treerecon import diffrender, losses, metrics, sensor
 from treerecon.core import Grid, GridSpec, PointCloud, Rng, SunConfig
 from treerecon.diffrender import SoftConfig, soft_dsm, soft_shadow, soft_silhouette
-from treerecon.errors import EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
+from treerecon.errors import Diverged, EmptyCloud, InvalidConfig, MissingTarget, SpecMismatch
 from treerecon.losses import (
     TERMS,
     LossTargets,
@@ -464,14 +465,16 @@ def test_chamfer_keeps_the_tree_rules_bytes(n, m):
     assert grad.tobytes() == expected_grad.tobytes()
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@pytest.mark.parametrize("large", [False, True])
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_chamfer_of_lattice_clouds_is_brute_chamfer(data):
+def test_chamfer_of_lattice_clouds_is_brute_chamfer(large, data):
     """Clouds and a ground truth drawn from a few lattice points, so nearest distances tie in
-    both directions, with N * M up to 64**2 + 60 N: each cloud's value is `oracles.brute_chamfer`'s,
-    exactly."""
+    both directions, with N * M at most 64**2 or else above it by up to 60 N: each cloud's value is
+    `oracles.brute_chamfer`'s, exactly."""
     n = data.draw(st.integers(1, 100))
-    m = data.draw(st.integers(1, 64**2 // n + 60))
+    cap = 64**2 // n
+    m = data.draw(st.integers(cap + 1, cap + 60) if large else st.integers(1, cap))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lattice = rng.integers(-3, 4, (data.draw(st.integers(1, 12)), 3)) * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     clouds = lattice[rng.integers(0, len(lattice), (data.draw(st.integers(1, 4)), n))]
@@ -522,17 +525,23 @@ def test_the_move_scorer_refuses_an_empty_cloud_or_ground_truth(n, m):
 
 # the helper's split: the last term's call added to the others' call is the whole call
 
-@pytest.mark.parametrize("on", [set(on) for k in range(2, 5) for on in combinations(TERMS, k)])
+@pytest.mark.parametrize("on", [set(on) for k in range(1, 5) for on in combinations(TERMS, k)])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_the_last_terms_call_added_to_the_others_keeps_every_byte_of_combined_loss(on, data):
     """Value, gradient and breakdown of `combined_loss` are, byte for byte, those of a call with the
     last active term's weight zeroed plus, added last, a call with that term alone, as `reconstruct`
-    adds its helper's, for every set of two or more active terms."""
+    adds its helper's, for every set of two or more active terms. A one-term set has no split: the
+    others' weights, all zero, raise InvalidConfig."""
     c, targets, sun, cfg, weights = data.draw(loss_inputs(on))
     last = [term for term in TERMS if term in on][-1]
-    own, alone = (LossWeights(*((weights.of(t) if (t == last) == keep else 0.0) for t in TERMS))
-                  for keep in (False, True))
+    split = lambda keep: [weights.of(t) if (t == last) == keep else 0.0 for t in TERMS]
+    if len(on) == 1:
+        assert LossWeights(*split(True)) == weights
+        with pytest.raises(InvalidConfig, match="at least one loss weight"):
+            LossWeights(*split(False))
+        return
+    own, alone = LossWeights(*split(False)), LossWeights(*split(True))
     args = (c, targets, sun, SPEC, cfg)
     try:
         expected = combined_loss(*args, weights)
@@ -562,11 +571,11 @@ def call_args(weights=LossWeights(lambda_geo=0.0), n=100, m=64):
 GEO_AND_SILHOUETTE = LossWeights(1.0, 1.0, 0.0, 0.0)
 
 
-def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch):
+@pytest.mark.parametrize("n, m", [(40, 25), (100, 64)])
+def test_the_callers_thread_makes_every_call_to_the_loss_module_names(monkeypatch, n, m):
     """The wrappable names of `losses` are called on the caller's thread, the same calls in the same
     order on a second call, so a wrapper that keeps one call stack for all threads stays right.
     Chamfer builds b's tree first, and `query_pair` then builds a's tree; the caller queries both."""
-    n, m = 100, 64
     caller, calls = threading.current_thread(), []
     for name in ("chamfer", "nearest_neighbors", "cKDTree", "occupancy_forward_backward",
                  "project_to_ground", "dsm_forward_backward"):
@@ -602,6 +611,63 @@ def test_a_call_projects_the_cloud_once(monkeypatch):
     combined_loss(*args)
     assert offsets == [args[2]]
 
+
+@pytest.mark.parametrize("raising", ["ground truth", "cloud"])
+@pytest.mark.parametrize("search", [False, True])
+def test_an_exception_in_a_kd_tree_query_reaches_the_caller_unchanged(monkeypatch, search, raising):
+    """`combined_loss` makes Chamfer's two queries on the caller's thread, the ground truth's tree's
+    first, whether it builds that tree or reads it from a run's `GtSearch`: an exception raised in
+    either query reaches the caller as the same object, and one raised in the first leaves the
+    second unmade."""
+    n, m = 100, 64
+    caller, err, queried = threading.current_thread(), Diverged("raised in a KD-tree query"), []
+    args = call_args(GEO_AND_SILHOUETTE, n, m)
+    trees = [losses.GtSearch(args[1].gt_cloud.positions)] if search else []
+
+    class Tree(cKDTree):
+        def query(self, x, **kwargs):
+            queried.append((len(self.data), threading.current_thread() is caller))
+            if len(self.data) == (m if raising == "ground truth" else n):
+                raise err
+            return super().query(x, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    for gt_search in trees:  # built unpatched, as its own k=2 query would raise; queried through Tree
+        gt_search.tree = Tree(gt_search.data)
+    with pytest.raises(Diverged) as info:
+        combined_loss(*args, *trees)
+    assert info.value is err
+    assert queried == [(m, True)] + [(n, True)] * (raising == "cloud")
+
+
+@pytest.mark.parametrize("over", ["ignore", "warn"])
+def test_the_kd_tree_queries_run_under_the_callers_numpy_error_state(monkeypatch, over):
+    """Chamfer's queries overflow: silently under the caller's `over="ignore"`, where the call gives
+    the bytes of one whose queries do not, and as the caller's warning-turned-error under
+    `over="warn"`, raised from the first query. `query_pair` sets no error state of its own."""
+    n, m = 100, 64
+    expected, queried = combined_loss(*call_args(GEO_AND_SILHOUETTE, n, m)), []
+
+    class Tree(cKDTree):
+        def query(self, x, **kwargs):
+            queried.append(len(self.data))
+            np.float64(1e308) * np.array([10.0])
+            return super().query(x, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", Tree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over=over):
+            if over == "warn":
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    combined_loss(*call_args(GEO_AND_SILHOUETTE, n, m))
+                assert queried == [m]
+                return
+            value, grad, breakdown = combined_loss(*call_args(GEO_AND_SILHOUETTE, n, m))
+    assert queried == [m, n]
+    assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+    assert grad.tobytes() == expected[1].tobytes() and breakdown == expected[2]
+
 @st.composite
 def cloud_pairs(draw, lo=1, hi=60):
     """Two clouds of different sizes (lo-hi points) drawn from a few lattice points, so that
@@ -614,14 +680,15 @@ def cloud_pairs(draw, lo=1, hi=60):
     return PointCloud(positions=a), PointCloud(positions=b)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
+@pytest.mark.parametrize("sizes", [(1, 60), (65, 120)])
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_a_prebuilt_ground_truth_tree_keeps_every_byte(data):
+def test_a_prebuilt_ground_truth_tree_keeps_every_byte(sizes, data):
     """`chamfer` and `combined_loss` handed the ground truth's tree, or a `losses.GtSearch` of it
     (whose hint each call leaves for the next), give the bytes of the calls that build it, on
-    tie-heavy lattice clouds of 1 to 120 points a side; one built from another array, even an equal
-    copy, raises InvalidConfig."""
-    a, b = data.draw(cloud_pairs(1, 120))
+    tie-heavy lattice clouds of 1 to 60 points a side and of 65 to 120; one built from another
+    array, even an equal copy, raises InvalidConfig."""
+    a, b = data.draw(cloud_pairs(*sizes))
     rng = np.random.default_rng(len(a) * len(b))
     targets = LossTargets(silhouette=Grid(SPEC, rng.uniform(0.0, 1.0, (SPEC.height, SPEC.width))), gt_cloud=b)
     args = (a, targets, None, SPEC, SoftConfig(sigma=1.0), GEO_AND_SILHOUETTE)
@@ -769,13 +836,13 @@ def test_a_ground_truth_not_in_c_order_keeps_the_bytes_of_its_c_order_copy_when_
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("far", ["cloud", "ground truth"])
-def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(far):
+@pytest.mark.parametrize("n, m", [(40, 25), (100, 64)])
+def test_a_chamfer_whose_squared_distances_overflow_raises_invalid_config(n, m, far):
     """A coordinate of 1e300 in the cloud or in the ground truth: every squared distance from that
     point overflows, so cKDTree finds it no neighbour (the index len(...)). `chamfer`, `combined_loss`
     and `metrics.eval_chamfer` raise InvalidConfig, with no numpy warning. `fscore` of the same
     clouds then gives the unbounded queries' scores, the far point a miss, read from eval_chamfer's
-    search, which a raise does not drop."""
-    n, m = 100, 64
+    search, which a raise does not drop, at 40 x 25 points as at 100 x 64."""
     positions = [random_cloud(0, n).positions, random_cloud(1, m).positions]
     positions[far == "ground truth"][0, 0] = 1e300
     pred, gt = map(PointCloud, positions)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import brute_chamfer, fscore_unbounded, zero_grid
 from treerecon import core, losses, metrics
 from treerecon.core import PointCloud, Rng
-from treerecon.errors import EmptyFootprint, InvalidConfig
+from treerecon.errors import EmptyCloud, EmptyFootprint, InvalidConfig
 from treerecon.metrics import eval_chamfer, format_report, fscore
 from treerecon.protree import generate_scene
 from treerecon.reconstruct import baseline_extrude
@@ -222,15 +222,44 @@ def test_one_evaluation_in_either_order_builds_two_trees_and_queries_once(first)
     assert np.float64(results["eval_chamfer"]).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
 
 
-def test_an_fscore_alone_searches_once_and_starts_no_thread():
-    """A 65 x 64 pair with no kept search: the first fscore makes the pair's one search, the second
+@pytest.mark.parametrize("n", [40, 65])
+def test_an_fscore_alone_searches_once_and_starts_no_thread(n):
+    """An n x 64 pair with no kept search: the first fscore makes the pair's one search, the second
     reads it, neither starts a thread, and both give the unbounded queries' bytes."""
-    pred, gt, taus = uniform(0, 65), uniform(1, 64), (0.5, 2.0)
+    pred, gt, taus = uniform(0, n), uniform(1, 64), (0.5, 2.0)
     metrics._last.record = None
     with scoring_calls() as counts:
         scores = [fscore(pred, gt, tau) for tau in taus]
     assert counts == {"trees": 2, "pairs": 1, "threads": 0}
     assert np.array(scores).tobytes() == np.array([fscore_unbounded(pred, gt, tau) for tau in taus]).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (40, 64), (64, 64), (65, 64), (2, 2049), (2049, 2)])
+def test_eval_chamfer_of_a_non_empty_pair_makes_one_search_and_never_calls_chamfer(n, m):
+    """At every size, small or large, eval_chamfer reads its value from the pair's one search (two
+    trees, one `query_pair`, no thread) without calling `chamfer`, gives chamfer's bytes, and keeps
+    the search: fscore afterwards builds and queries nothing."""
+    pred, gt = uniform(0, n), uniform(1, m)
+    metrics._last.record = None
+    with scoring_calls() as counts, mock.patch.object(metrics, "chamfer", wraps=metrics.chamfer) as called:
+        value = eval_chamfer(pred, gt)
+        assert counts == {"trees": 2, "pairs": 1, "threads": 0}
+        fscore(pred, gt)
+        assert counts == {"trees": 2, "pairs": 1, "threads": 0}
+    assert not called.called
+    assert np.float64(value).tobytes() == np.float64(losses.chamfer(pred, gt)[0]).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
+def test_eval_chamfer_hands_an_empty_cloud_to_chamfer_which_refuses_it(n, m):
+    """An empty cloud or ground truth goes to `chamfer`, once, which raises EmptyCloud before any
+    tree is built or search kept."""
+    metrics._last.record = None
+    with scoring_calls() as counts, mock.patch.object(metrics, "chamfer", wraps=metrics.chamfer) as called:
+        with pytest.raises(EmptyCloud):
+            eval_chamfer(uniform(0, n), uniform(1, m))
+    assert called.call_count == 1 and counts == {"trees": 0, "pairs": 0, "threads": 0}
+    assert metrics._last.record is None
 
 
 def test_the_record_is_never_read_for_other_clouds():
